@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .numerics import CONST, NonConvergence, QuadratureSpec
 from .material import (
     Drude,
     PlasmonLine,
+    SingularResponse,
     Tabulated,
     eps_drude,
     spectral_density_from_R,
@@ -63,7 +63,6 @@ DEFAULTS = {
     "max_subdivisions": 200,
     "points": 200,
     "scale": "log",
-    "jobs": 1,
     "alpha": "inf",
     "doublings": 3,
     "profile_points": 41,
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="sweep_to", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--scale", choices=["lin", "log"])
-    p.add_argument("--jobs", type=int, help="concurrent evaluations (output order is fixed)")
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -185,8 +183,8 @@ def _positive(cfg: dict, key: str, label: str) -> float:
     if value is None:
         raise CLIError(f"missing required input: {label}")
     value = float(value)
-    if not value > 0:
-        raise CLIError(f"{label} must be > 0, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise CLIError(f"{label} must be finite and > 0, got {value}")
     return value
 
 
@@ -227,8 +225,8 @@ def build_thermal(cfg: dict) -> ThermalState:
         t = float(raw)
     except ValueError as exc:
         raise CLIError(f"--temp-k must be a temperature in K or 'zero', got {raw!r}") from exc
-    if not t > 0:
-        raise CLIError(f"--temp-k must be > 0 (or 'zero'), got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise CLIError(f"--temp-k must be finite and > 0 (or 'zero'), got {t}")
     return ThermalState.finite(t)
 
 
@@ -299,8 +297,7 @@ def compute_force(material, plate: PlateConfig, thermal: ThermalState,
     if regime == "general":
         return dissipation_general(material, material, plate, thermal, v, spec)
     if regime == "plasmon":
-        omega_sp = material.omega_sp
-        return force_plasmon(omega_sp, plate, v, spec)
+        return force_plasmon(material.omega_sp, plate, v)
     raise CLIError(f"unknown regime {regime!r}")
 
 
@@ -507,9 +504,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = np.logspace(np.log10(lo), np.log10(hi), points)
     else:
         values = np.linspace(lo, hi, points)
-    jobs = int(cfg.get("jobs", 1))
-    if jobs < 1:
-        raise CLIError("--jobs must be >= 1")
 
     def eval_point(value: float) -> tuple[float, str]:
         point_cfg = dict(cfg)
@@ -526,11 +520,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # validate the base configuration eagerly for a clean exit-2 on bad input
     eval_point(float(values[0]))
 
-    if jobs == 1:
-        rows = [eval_point(float(x)) for x in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda x: eval_point(float(x)), values))
+    rows = [eval_point(float(x)) for x in values]
 
     out = [f"index,{key},force_per_area_N_m2,regime"]
     for i, (x, (force, regime)) in enumerate(zip(values, rows)):
@@ -550,9 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         _note(f"error: {exc}")
         return 2
-    except NonConvergence as exc:
-        level = f" (level: {exc.level})" if exc.level else ""
-        _note(f"numerical failure: {exc}{level}")
+    except (NonConvergence, SingularResponse) as exc:
+        level = getattr(exc, "level", None)
+        _note(f"numerical failure: {exc}" + (f" (level: {level})" if level else ""))
         return 3
     except (ValueError, TypeError, OSError) as exc:
         _note(f"error: {exc}")

@@ -43,10 +43,10 @@ class PlateConfig:
     rho2: float
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError(f"gap d must be > 0, got {self.d}")
-        if not (self.rho1 > 0 and self.rho2 > 0):
-            raise ValueError("densities must be > 0")
+        if not (self.d > 0 and math.isfinite(self.d)):
+            raise ValueError(f"gap d must be finite and > 0, got {self.d}")
+        if not all(r > 0 and math.isfinite(r) for r in (self.rho1, self.rho2)):
+            raise ValueError("densities must be finite and > 0")
 
 
 def psi_hat(z0: float, q: float) -> float:

@@ -58,10 +58,10 @@ class Drude:
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.omega_p < 0:
-            raise ValueError(f"omega_p must be >= 0, got {self.omega_p}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
+        if not (self.omega_p >= 0 and math.isfinite(self.omega_p)):
+            raise ValueError(f"omega_p must be finite and >= 0, got {self.omega_p}")
+        if not (self.nu >= 0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
 
     @property
     def omega_sp(self) -> float:

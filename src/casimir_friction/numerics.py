@@ -33,7 +33,7 @@ class NonConvergence(RuntimeError):
     ----------
     level : str or None
         For nested integrations, names the nesting level that failed
-        (e.g. "omega1", "k_y", "k_x").
+        (e.g. "omega1", "k_x").
     """
 
     def __init__(self, message: str, level: str | None = None):

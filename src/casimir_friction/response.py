@@ -64,8 +64,9 @@ class ThermalState:
     temperature: float | None  # K; None means T = 0
 
     def __post_init__(self):
-        if self.temperature is not None and not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0 K, got {self.temperature}")
+        t = self.temperature
+        if t is not None and not (t > 0 and math.isfinite(t)):
+            raise ValueError(f"temperature must be finite and > 0 K, got {t}")
 
     @classmethod
     def finite(cls, temperature: float) -> "ThermalState":

@@ -99,6 +99,17 @@ def test_force_numerical_failure_exits_3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("flag", ["--gap-nm", "--velocity", "--temp-k", "--wp-ev", "--nu-ev"])
+def test_force_non_finite_input_exits_2(capsys, flag):
+    argv = ["force", *DRUDE_ARGS, *STATE_ARGS]
+    argv[argv.index(flag) + 1] = "inf"
+    for regime in ("auto", "linear", "plasmon"):
+        code, out, err = run_cli(capsys, [*argv, "--regime", regime])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 def test_force_auto_regime_selection(capsys):
     code, out, err = run_cli(
         capsys, ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300",
@@ -227,6 +238,18 @@ def test_spectrum_contract(capsys):
     assert np.allclose(head, -2.0 * nu / wp**2, rtol=1e-4)
 
 
+def test_spectrum_singular_response_exits_3(capsys):
+    # hbar*omega = 9/sqrt(2) eV is the lossless surface-plasmon pole eps = -1
+    code, out, err = run_cli(
+        capsys,
+        ["spectrum", "--wp-ev", "9", "--nu-ev", "0", "--omega-min-ev",
+         "6.363961030678928", "--omega-max-ev", "7", "--points", "1"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_spectrum_zero_plasma_frequency(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -317,7 +340,7 @@ def test_sweep_gap_linear_slope(capsys):
     assert slope == pytest.approx(-4.0, abs=0.02)
 
 
-def test_sweep_single_point_and_jobs(capsys):
+def test_sweep_single_point(capsys):
     argv = ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "zero",
             "--param", "velocity", "--from", "0.5", "--to", "9.0", "--points", "1"]
     code, out, _ = run_cli(capsys, argv)
@@ -325,15 +348,6 @@ def test_sweep_single_point_and_jobs(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[1].split(",")[1] == "0.5"
-
-    serial = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--gap-nm", "10",
-                              "--temp-k", "zero", "--param", "velocity",
-                              "--from", "0.1", "--to", "1.0", "--points", "5"])
-    threaded = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--gap-nm", "10",
-                                "--temp-k", "zero", "--param", "velocity",
-                                "--from", "0.1", "--to", "1.0", "--points", "5",
-                                "--jobs", "3"])
-    assert serial[1] == threaded[1]
 
 
 def test_console_entry_subprocess():

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import k1e
 
+from casimir_friction import friction
 from casimir_friction.numerics import (
     CONST,
     DomainError,
     NonConvergence,
     QuadratureSpec,
+    integrate_semi_infinite,
 )
-from casimir_friction.material import Drude, PlasmonLine
+from casimir_friction.material import Drude, PlasmonLine, surface_response
 from casimir_friction.geometry import PlateConfig, UnequalDensities
 from casimir_friction.response import ThermalState
 from casimir_friction.friction import (
@@ -19,6 +20,7 @@ from casimir_friction.friction import (
     PLASMON_LINE,
     ZERO_T_CUBIC,
     ValidityWarning,
+    _ky_integral,
     dissipation_general,
     force_linear,
     force_plasmon,
@@ -32,6 +34,7 @@ COLD = ThermalState.zero()
 
 # fast settings for the in-module closed-form comparisons
 FAST = QuadratureSpec(rel_tol=1e-5, abs_tol=0.0, max_subdivisions=200)
+ORACLE = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=200)
 
 
 def closed_linear(material, d, beta, v):
@@ -44,6 +47,23 @@ def closed_cubic(material, d, v):
     return 15.0 * material.nu**2 * CONST.hbar * v**3 / (
         64.0 * math.pi**2 * material.omega_p**4 * d**6
     )
+
+
+def plasmon_t_quadrature(omega_sp, d, v):
+    """Plasmon-line force with its k_y integral done by quadrature over t = k_y/k_x.
+
+    The exponent is factored as e^-x * e^{-x(sqrt(1+t^2)-1)} so the
+    quadrature stays scaled near unity.
+    """
+    kx = 2.0 * omega_sp / v
+    x = 2.0 * d * kx
+
+    def f(t):
+        return math.exp(-x * (t * t / (math.sqrt(1.0 + t * t) + 1.0)))
+
+    t_scale = math.sqrt(2.0 / x) + 2.0 / x
+    value, _ = integrate_semi_infinite(f, 0.0, ORACLE.with_scale(t_scale))
+    return CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * math.exp(-x) * kx * value
 
 
 def test_force_linear_closed_form():
@@ -222,15 +242,46 @@ def test_general_nonconvergence_reports_level():
     tight = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:
         dissipation_general(GOLD, GOLD, PLATE, COLD, 1.0, tight)
-    assert err.value.level in ("omega1", "k_y", "k_x")
+    assert err.value.level in ("omega1", "k_x")
+
+
+def test_general_equal_plates_share_difference_channel(monkeypatch):
+    calls = []
+
+    def counting(model, omega):
+        calls.append(omega)
+        return surface_response(model, omega)
+
+    monkeypatch.setattr(friction, "surface_response", counting)
+    shared = dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0, FAST)
+    shared_calls = len(calls)
+    calls.clear()
+    twin = Drude(omega_p=GOLD.omega_p, nu=GOLD.nu)
+    separate = dissipation_general(GOLD, twin, PLATE, ROOM, 1.0, FAST)
+    assert shared.force_per_area == separate.force_per_area
+    assert shared.diagnostics == separate.diagnostics
+    assert shared_calls < len(calls)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0])
+def test_ky_integral_matches_quadrature(x):
+    d = PLATE.d
+    kx = x / (2.0 * d)
+
+    def f(ky):
+        return math.exp(-2.0 * d * math.hypot(kx, ky))
+
+    value, _ = integrate_semi_infinite(f, 0.0, ORACLE.with_scale(0.5 / d))
+    assert _ky_integral(kx, d) == pytest.approx(value, rel=1e-10)
 
 
 def test_plasmon_matches_bessel_oracle():
     wsp = GOLD.omega_sp
+    d = 0.1 * CONST.nm
     for v in (1e5, 3e5, 1e6):
-        res = force_plasmon(wsp, PlateConfig(d=0.1 * CONST.nm, rho1=1e28, rho2=1e28), v)
-        x = 4.0 * wsp * 0.1 * CONST.nm / v
-        oracle = CONST.hbar * wsp**4 / (math.pi * v**3) * math.exp(-x) * k1e(x)
+        res = force_plasmon(wsp, PlateConfig(d=d, rho1=1e28, rho2=1e28), v)
+        x = 4.0 * wsp * d / v
+        oracle = plasmon_t_quadrature(wsp, d, v)
         assert res.regime == PLASMON_LINE
         assert res.force_per_area == pytest.approx(oracle, rel=1e-8)
         assert res.diagnostics.suppression_exponent == pytest.approx(x, rel=1e-14)
