@@ -2,10 +2,11 @@
 
 The force per unit area is obtained from the energy dissipated along a
 closed sliding loop, which separates friction cleanly from the
-reversible dispersion force.  Three regimes are covered by the same
-machinery: linear in v at finite temperature, cubic in v at T = 0, and
-a general finite-velocity numeric pipeline, plus the single-line
-surface-plasmon channel with its exponential velocity suppression.
+reversible dispersion force.  The general finite-velocity pipeline
+integrates one dissipation spectrum Phi(omega) built from the surface
+responses; the linear-in-v regime at finite temperature, the cubic-in-v
+regime at T = 0 and the single surface-plasmon line, with its
+exponential velocity suppression, are closed-form limits of it.
 """
 
 from .numerics import (
@@ -20,18 +21,12 @@ from .numerics import (
     integrate_semi_infinite,
 )
 from .material import (
-    ContinuousSpectralDensity,
-    DeltaLines,
     Drude,
-    DrudeSmallM,
     PlasmonLine,
     SingularResponse,
-    SpectrumCutoffExceeded,
     Tabulated,
-    drude_small_m,
     eps_drude,
     response_R,
-    spectral_density_from_R,
     surface_response,
 )
 from .trajectory import (
@@ -47,12 +42,9 @@ from .trajectory import (
 from .response import (
     ResponseCoeffs,
     ThermalState,
-    h0_linear,
     im_r_dissipation_integral,
-    j_general_convolution,
-    j_linear,
-    j_zero_t,
     phi,
+    phi_slope,
     response_coeffs,
 )
 from .geometry import (
@@ -60,7 +52,6 @@ from .geometry import (
     UnequalDensities,
     g_hat,
     g_hat_z_integrated,
-    k_moment,
     psi_hat,
 )
 from .friction import (
@@ -78,14 +69,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONST",
-    "ContinuousSpectralDensity",
     "DEFAULT_SPEC",
     "DeltaKernel",
-    "DeltaLines",
     "Diagnostics",
     "DomainError",
     "Drude",
-    "DrudeSmallM",
     "FrictionResult",
     "LiteratureParams",
     "LoopTrajectory",
@@ -97,7 +85,6 @@ __all__ = [
     "QuadratureSpec",
     "ResponseCoeffs",
     "SingularResponse",
-    "SpectrumCutoffExceeded",
     "Tabulated",
     "ThermalState",
     "UnequalDensities",
@@ -106,7 +93,6 @@ __all__ = [
     "delta_kernel_I",
     "delta_limit_convergence",
     "dissipation_general",
-    "drude_small_m",
     "eps_drude",
     "finite_tau_kernel",
     "force_linear",
@@ -114,22 +100,17 @@ __all__ = [
     "force_zero_t",
     "g_hat",
     "g_hat_z_integrated",
-    "h0_linear",
     "im_r_dissipation_integral",
     "integrate_finite",
     "integrate_semi_infinite",
-    "j_general_convolution",
-    "j_linear",
-    "j_zero_t",
-    "k_moment",
     "loop_position",
     "pendry_force",
     "phi",
+    "phi_slope",
     "psi_hat",
     "qhat_closed_form",
     "qhat_numeric",
     "response_R",
     "response_coeffs",
-    "spectral_density_from_R",
     "surface_response",
 ]

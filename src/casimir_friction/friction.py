@@ -4,29 +4,36 @@ Force magnitudes are reported per unit area with the direction
 "opposes_motion" carried separately; the dissipated-energy intermediate
 Delta E/(2 tau v) equals the force magnitude by construction.
 
-Regimes
--------
-LinearFiniteT   F = G v H0            (~ v, ~ 1/d^4, finite T)
-ZeroT_Cubic     F = G_P H_P' v^3      = 15 pi^2/(64 d^6) rho^2 D^2 (hbar v)^3
-GeneralNumeric  k_x quadrature over the spectral integral Phi, any T and v
-PlasmonLine     single sharp surface-plasmon line, exponentially
-                suppressed by exp(-4 omega_sp d / v)
-
-The general pipeline evaluates
+Every regime is a limit of one formula,
 
     F = (hbar / (8 pi^3)) Int dk_x dk_y |k_x| e^{-2 q d} Phi(k_x v)
-      = (hbar / (2 pi^3)) Int_0^inf dk_x k_x^2 K1(2 d k_x) Phi(k_x v),
+      = (hbar / (2 pi^3)) Int_0^inf dk_x k_x^2 K1(2 d k_x) Phi(k_x v)
+      = (hbar / (2 pi^3 v^3)) Int_0^inf d omega omega^2 K1(2 d omega / v) Phi(omega),
 
 with Phi the thermally weighted Im R (x) Im R integral over the
-resonance channels (`response.im_r_dissipation_integral`).  The k_y
-integral is done in closed form,
+resonance channels (`response.im_r_dissipation_integral`), the only
+material quantity in the force.  The k_y integral is the closed form
 
-    Int_0^inf e^{-2 d sqrt(k_x^2 + k_y^2)} dk_y = k_x K1(2 d k_x),
+    Int_0^inf e^{-2 d sqrt(k_x^2 + k_y^2)} dk_y = k_x K1(2 d k_x).
 
-which also gives the plasmon-line force.  Results are
-independent of the oscillator densities: the response form carries no
-rho at all, and the closed forms combine rho^2 D^2 = nu^2/(pi hbar
-omega_p^2)^2.
+Regimes
+-------
+GeneralNumeric  the k_x quadrature of the formula, any T and v
+LinearFiniteT   Phi = Phi_1 omega (finite T, small v), with
+                Int_0^inf x^3 K1(x) dx = 3 pi/2:
+                F = 3 hbar v Phi_1 / (64 pi^2 d^4)           (~ v, ~ 1/d^4)
+ZeroT_Cubic     Phi = Phi_3 omega^3 (T = 0, small v), with
+                Int_0^inf x^5 K1(x) dx = 45 pi/2:
+                F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6)       (~ v^3, ~ 1/d^6)
+PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
+                sharp surface-plasmon line:
+                F = (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v),
+                suppressed by exp(-4 omega_sp d / v)
+
+For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
+Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
+Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the oscillator
+densities rho1, rho2.
 """
 
 from __future__ import annotations
@@ -45,18 +52,9 @@ from .numerics import (
     QuadratureSpec,
     integrate_semi_infinite,
 )
-from .material import (
-    Drude,
-    DrudeSmallM,
-    MaterialModel,
-    PlasmonLine,
-    Tabulated,
-    drude_small_m,
-    spectral_density_from_R,
-    surface_response,
-)
-from .geometry import PlateConfig, UnequalDensities, k_moment
-from .response import ThermalState, h0_linear, im_r_dissipation_integral
+from .material import Drude, MaterialModel, PlasmonLine, Tabulated, surface_response
+from .geometry import PlateConfig, UnequalDensities
+from .response import ThermalState, im_r_dissipation_integral, phi_slope
 
 LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
@@ -101,13 +99,6 @@ def _require_velocity(v: float) -> None:
         raise DomainError(f"velocity must be >= 0, got {v}")
 
 
-def _rho_slope_product(material: Drude, config: PlateConfig) -> float:
-    """(rho1 D1)(rho2 D2) = nu^2/(pi hbar omega_p^2)^2, density-free."""
-    d1 = spectral_density_from_R(material, config.rho1).small_m_slope
-    d2 = spectral_density_from_R(material, config.rho2).small_m_slope
-    return (config.rho1 * d1) * (config.rho2 * d2)
-
-
 def force_linear(
     material: MaterialModel,
     config: PlateConfig,
@@ -115,11 +106,12 @@ def force_linear(
     v: float,
     spec: QuadratureSpec = NESTED_SPEC,
 ) -> FrictionResult:
-    """Linear-in-v friction force F = G v H0 at finite temperature.
+    """Linear-in-v friction force F = 3 hbar v Phi_1 / (64 pi^2 d^4) at finite temperature.
 
-    For a Drude material H0 uses the small-m closed form, reducing to
-    F = pi^4/(4 beta^2 d^4) rho^2 D^2 hbar v; other continuous materials
-    evaluate H0 by quadrature of their extracted spectral density.
+    Phi_1 is the small-omega slope of Phi: the closed form
+    4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) of the Drude head, or the
+    `response.phi_slope` quadrature over a tabulated material's grid,
+    whose error estimate is reported as ``quadrature_rel_err``.
 
     Raises
     ------
@@ -133,28 +125,28 @@ def force_linear(
 
     if isinstance(material, Drude):
         if material.nu == 0.0 or material.omega_p == 0.0:
-            h0 = 0.0
+            phi1 = 0.0
         else:
-            s1 = drude_small_m(material, config.rho1)
-            s2 = drude_small_m(material, config.rho2)
-            h0 = h0_linear(s1, thermal, s2, spec)
+            phi1 = (
+                4.0 * math.pi**2 * material.nu**2
+                / (3.0 * (thermal.beta * CONST.hbar * material.omega_sp**2) ** 2)
+            )
             if CONST.k_B * thermal.temperature > 0.01 * CONST.hbar * material.omega_sp:
                 diag.flag(
                     "kT approaches hbar*omega_sp: small-m linear head is "
                     "inaccurate over the thermal window"
                 )
     elif isinstance(material, Tabulated):
-        s1 = spectral_density_from_R(material, config.rho1)
-        s2 = spectral_density_from_R(material, config.rho2)
-        lo = s1.omega_support[0]
-        if CONST.hbar * lo * thermal.beta > 0.5:
+        support = (float(material.omega[0]), float(material.omega[-1]))
+        if CONST.hbar * support[0] * thermal.beta > 0.5:
             diag.flag("tabulated support misses part of the thermal window")
-        h0 = h0_linear(s1, thermal, s2, spec)
-        diag.quadrature_rel_err = spec.rel_tol
+        im_r = _im_r_callable(material)
+        phi1, err = phi_slope(im_r, im_r, thermal, support, spec)
+        diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
     else:
         raise TypeError("force_linear needs a continuous material (Drude or Tabulated)")
 
-    force = k_moment(2, config) * v * h0
+    force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
     return FrictionResult(
         force_per_area=force,
         regime=LINEAR_FINITE_T,
@@ -166,8 +158,8 @@ def force_linear(
 def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResult:
     """Zero-temperature cubic friction force for equal Drude media.
 
-    F_P = 15 pi^2/(64 d^6) rho^2 D^2 (hbar v)^3, density-independent
-    after substituting D.
+    F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6) with the Drude-head
+    coefficient Phi_3 = nu^2 / (3 omega_sp^4).
 
     Raises
     ------
@@ -192,10 +184,8 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
                 "omega_v at the dominant wavevectors exceeds the small-m "
                 "cutoff; the cubic closed form underestimates spectrum curvature"
             )
-        rho2_d2 = _rho_slope_product(material, config)
-        force = (
-            15.0 * math.pi**2 / (64.0 * config.d**6) * rho2_d2 * (CONST.hbar * v) ** 3
-        )
+        phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
+        force = 45.0 * CONST.hbar * v**3 * phi3 / (256.0 * math.pi**2 * config.d**6)
     return FrictionResult(
         force_per_area=force,
         regime=ZERO_T_CUBIC,
@@ -285,9 +275,11 @@ def dissipation_general(
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:
     """Friction force for a single surface-plasmon line at omega_sp.
 
-    The spectral convolution pins |k_x| = 2 omega_sp / v, leaving the
-    k_y integral of exp(-2 d sqrt(k_x^2 + k_y^2)) in closed form; the
-    result (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) carries the
+    The delta-line case of the omega integral: at T = 0 two lines
+    -Im R = (pi omega_sp / 2) delta(omega - omega_sp) give
+    Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp), which pins
+    k_x = 2 omega_sp / v and leaves
+    (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v), carrying the
     suppression factor exp(-4 omega_sp d / v).
 
     When the suppression exponent exceeds ~700 the force underflows

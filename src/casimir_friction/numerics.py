@@ -16,6 +16,7 @@ is exact for pure exponential tails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +49,8 @@ class QuadratureSpec:
     Parameters
     ----------
     rel_tol : float
-        Target relative error, > 0.
+        Target relative error, > 0; at least 50 machine epsilons when
+        abs_tol = 0, the floor QUADPACK accepts.
     abs_tol : float
         Target absolute error (same units as the integral), >= 0.
     max_subdivisions : int
@@ -66,6 +68,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.abs_tol == 0 and self.rel_tol < 50 * sys.float_info.epsilon:
+            raise ValueError(
+                f"rel_tol must be >= 50 machine epsilons "
+                f"({50 * sys.float_info.epsilon:.3g}) when abs_tol = 0, got {self.rel_tol}"
+            )
         if self.abs_tol < 0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:

@@ -1,4 +1,4 @@
-"""Oscillator response function and the dissipation spectral functions J(omega_v).
+"""Oscillator response function and the thermally weighted dissipation integral Phi(omega).
 
 For a pair of oscillators (frequencies omega_1, omega_2, polarizability
 volumes alpha_1, alpha_2) in thermal equilibrium at inverse temperature
@@ -16,19 +16,23 @@ with thermal occupation factors written stably in terms of coth,
 At T = 0, F_+ -> 2 and F_- -> 0: the difference channel closes and only
 co-excitation of both oscillators dissipates.
 
-Extended to continuous oscillator spectra s(m) = m^2 alpha_I(m^2), the
-dissipated "one-pair" spectral function at sliding frequency omega_v is
+Summed over continuous oscillator spectra, the pair amplitudes become
+the surface responses (the oscillator density -Im R/(2 pi^2 rho) enters
+squared against rho^2 and cancels), and the dissipation at sliding
+frequency omega is the thermally weighted integral
 
-    linear (small v, finite T):  J = 2 tau omega_v^2 H0,
-        H0 = (pi beta hbar / 2) Int s1(m) s2(m) / sinh^2(beta m / 2) dm,
+    Phi(omega) = Int_0^omega Im R1(w1) Im R2(omega - w1) F_+ dw1
+               + (difference channel, |omega_1 - omega_2| = omega, weight F_-),
 
-    zero temperature:  J = 2 pi tau |omega_v| hbar
-        Int_0^{|omega_v|} s1(hbar w1) s2(hbar (|omega_v| - w1)) dw1,
+computed by `im_r_dissipation_integral`.  Its small-omega limits carry
+the closed-form regimes:
 
-and, in full generality at finite T, both a sum channel
-(omega_1 + omega_2 = |omega_v|, weight F_+) and a difference channel
-(|omega_1 - omega_2| = |omega_v|, weight F_-); the difference channel
-reduces exactly to the linear J as omega_v -> 0.
+    finite T:  Phi -> Phi_1 omega,
+        Phi_1 = beta hbar Int_0^inf Im R1 Im R2 / sinh^2(beta hbar w / 2) dw
+        (the difference channel; `phi_slope`),
+
+    T = 0:     Phi -> Phi_3 omega^3 for linear heads Im R = -c omega,
+        Phi_3 = c1 c2 / 3 (the sum channel alone).
 """
 
 from __future__ import annotations
@@ -45,16 +49,6 @@ from .numerics import (
     integrate_finite,
     integrate_semi_infinite,
 )
-from .material import (
-    ContinuousSpectralDensity,
-    DeltaLines,
-    DrudeSmallM,
-    SpectralDensity,
-    SpectrumCutoffExceeded,
-)
-
-#: The Bose-type integral Int_0^inf x^2 e^-x/(1-e^-x)^2 dx = pi^2/3.
-BOSE_INTEGRAL = math.pi**2 / 3.0
 
 
 @dataclass(frozen=True)
@@ -179,177 +173,6 @@ def phi(
     return c.C_minus * math.sin(c.omega_minus * t) + c.C_plus * math.sin(c.omega_plus * t)
 
 
-def _as_density(spectrum: SpectralDensity) -> Callable[[float], float]:
-    if isinstance(spectrum, DeltaLines):
-        raise TypeError("delta-line spectra are handled symbolically, not pointwise")
-    return spectrum
-
-
-def h0_linear(
-    spectrum: SpectralDensity,
-    thermal: ThermalState,
-    spectrum2: SpectralDensity | None = None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Thermal spectral moment H0 = (pi beta hbar / 2) Int s1 s2 / sinh^2(beta m/2) dm.
-
-    For two linear-head densities the closed form
-    H0 = (2 pi hbar / beta^2) D1 D2 * (pi^2/3) is used; otherwise the
-    integral is evaluated with a semi-infinite transform on the thermal
-    decay scale 1/beta (restricted to the densities' support).
-    """
-    if thermal.is_zero:
-        return 0.0
-    s2 = spectrum if spectrum2 is None else spectrum2
-    beta = thermal.beta
-
-    if isinstance(spectrum, DrudeSmallM) and isinstance(s2, DrudeSmallM):
-        return (
-            2.0 * math.pi * CONST.hbar / beta**2
-            * spectrum.slope * s2.slope * BOSE_INTEGRAL
-        )
-
-    f1, f2 = _as_density(spectrum), _as_density(s2)
-    lo, hi = 0.0, math.inf
-    for s in (spectrum, s2):
-        if isinstance(s, ContinuousSpectralDensity):
-            lo = max(lo, s.omega_support[0] * CONST.hbar)
-            hi = min(hi, s.omega_support[1] * CONST.hbar)
-
-    def integrand(m: float) -> float:
-        return f1(m) * f2(m) * _inv_sinh_sq(0.5 * beta * m)
-
-    if math.isinf(hi):
-        value, _ = integrate_semi_infinite(integrand, lo, spec.with_scale(1.0 / beta))
-    else:
-        # bounded support: never evaluate past the grid; the thermal factor
-        # kills the integrand beyond m ~ 60/beta anyway
-        hi_eff = min(hi, 60.0 / beta)
-        if hi_eff <= lo:
-            return 0.0
-        value, _ = integrate_finite(integrand, lo, hi_eff, spec)
-    return 0.5 * math.pi * beta * CONST.hbar * value
-
-
-def j_linear(
-    omega_v: float,
-    spectrum: SpectralDensity,
-    thermal: ThermalState,
-    tau: float,
-    spectrum2: SpectralDensity | None = None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Linear-regime dissipation spectral function J = 2 tau omega_v^2 H0.
-
-    Requires a finite temperature: the linear channel closes at T = 0.
-    """
-    if thermal.is_zero:
-        raise DomainError("j_linear requires finite temperature")
-    if omega_v == 0.0:
-        return 0.0
-    return 2.0 * tau * omega_v**2 * h0_linear(spectrum, thermal, spectrum2, spec)
-
-
-def _check_cutoff(spectrum: SpectralDensity, omega_v: float) -> None:
-    if isinstance(spectrum, DrudeSmallM):
-        if CONST.hbar * omega_v > spectrum.m_max:
-            raise SpectrumCutoffExceeded(
-                f"hbar*|omega_v| = {CONST.hbar * omega_v:.4e} J exceeds the "
-                f"linear-head cutoff m_max = {spectrum.m_max:.4e} J"
-            )
-    elif isinstance(spectrum, ContinuousSpectralDensity):
-        lo, hi = spectrum.omega_support
-        if lo > 0.0 or hi < omega_v:
-            raise SpectrumCutoffExceeded(
-                f"spectral density support ({lo:.4e}, {hi:.4e}) rad/s does not "
-                f"cover the convolution range (0, {omega_v:.4e})"
-            )
-
-
-def j_zero_t(
-    omega_v: float,
-    spectrum1: SpectralDensity,
-    spectrum2: SpectralDensity,
-    tau: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Zero-temperature dissipation spectral function.
-
-    J = 2 pi tau |omega_v| hbar Int_0^{|w_v|} s1(hbar w1) s2(hbar w2) dw1,
-    w2 = |omega_v| - w1.  For two linear heads this reduces to
-    (pi/3) tau hbar^3 D1 D2 omega_v^4.
-
-    Raises
-    ------
-    SpectrumCutoffExceeded
-        If |omega_v| probes energies beyond a density's validity range
-        (onset of the larger-velocity regime).
-    """
-    w = abs(omega_v)
-    if w == 0.0:
-        return 0.0
-    _check_cutoff(spectrum1, w)
-    _check_cutoff(spectrum2, w)
-    f1, f2 = _as_density(spectrum1), _as_density(spectrum2)
-
-    def integrand(w1: float) -> float:
-        return f1(CONST.hbar * w1) * f2(CONST.hbar * (w - w1))
-
-    value, _ = integrate_finite(integrand, 0.0, w, spec)
-    return 2.0 * math.pi * tau * w * CONST.hbar * value
-
-
-class DeltaConvolution(NamedTuple):
-    """Symbolic convolution of two delta-line spectra: weight * delta(|omega_v| - support)."""
-
-    weight: float
-    support: float
-
-
-def j_general_convolution(
-    omega_v: float,
-    R1: Callable[[float], complex] | DeltaLines,
-    R2: Callable[[float], complex] | DeltaLines,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-):
-    """Surface-response convolution Int_0^{|w_v|} Im R1(w1) Im R2(|w_v| - w1) dw1.
-
-    Parameters
-    ----------
-    omega_v : float
-        Sliding frequency (rad/s); only |omega_v| matters.
-    R1, R2 : callable or DeltaLines
-        Surface response functions omega -> complex R(omega), or
-        delta-line spectra handled analytically.
-
-    Returns
-    -------
-    float for continuous responses (non-negative for passive media);
-    DeltaConvolution for a pair of delta lines, e.g. a single line at
-    omega_sp gives weight (pi/2 omega_sp)^2 supported at 2 omega_sp.
-    """
-    w = abs(omega_v)
-    if isinstance(R1, DeltaLines) and isinstance(R2, DeltaLines):
-        terms = [
-            (wa + wb, ka * kb)
-            for wa, ka in R1.lines
-            for wb, kb in R2.lines
-        ]
-        if len(terms) != 1:
-            raise NotImplementedError("multi-line convolutions not supported")
-        return DeltaConvolution(weight=terms[0][1], support=terms[0][0])
-    if isinstance(R1, DeltaLines) or isinstance(R2, DeltaLines):
-        raise TypeError("mixed delta-line/continuous convolution not supported")
-    if w == 0.0:
-        return 0.0
-
-    def integrand(w1: float) -> float:
-        return R1(w1).imag * R2(w - w1).imag
-
-    value, _ = integrate_finite(integrand, 0.0, w, spec)
-    return value
-
-
 def im_r_dissipation_integral(
     omega_v: float,
     im_r1: Callable[[float], float],
@@ -412,3 +235,31 @@ def im_r_dissipation_integral(
     else:
         minus += diff_channel(im_r2, im_r1)
     return plus + minus
+
+
+def phi_slope(
+    im_r1: Callable[[float], float],
+    im_r2: Callable[[float], float],
+    thermal: ThermalState,
+    omega_support: tuple[float, float] = (0.0, math.inf),
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> tuple[float, float]:
+    """Small-omega slope Phi_1 = lim Phi(omega)/omega of `im_r_dissipation_integral`.
+
+    Phi_1 = beta hbar Int Im R1 Im R2 / sinh^2(beta hbar w / 2) dw over
+    ``omega_support``, cut at beta hbar w = 60, where the thermal factor
+    has fallen below 1e-25.  Zero at T = 0, where the linear channel closes.
+
+    Returns
+    -------
+    (value, err_estimate) : tuple of float
+    """
+    beta_hbar = thermal.beta * CONST.hbar
+    lo = omega_support[0]
+    hi = min(omega_support[1], 60.0 / beta_hbar)
+    if hi <= lo:
+        return 0.0, 0.0
+    value, err = integrate_finite(
+        lambda w: im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w), lo, hi, spec
+    )
+    return beta_hbar * value, beta_hbar * err

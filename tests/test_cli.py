@@ -1,16 +1,26 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casimir_friction
 from casimir_friction.cli import build_spec, main
 from casimir_friction.numerics import CONST
 
 DRUDE_ARGS = ["--model", "drude", "--wp-ev", "9", "--nu-ev", "0.035"]
 STATE_ARGS = ["--gap-nm", "10", "--temp-k", "300", "--velocity", "1"]
+
+
+def cli_env():
+    """Environment in which `python -m casimir_friction` imports this package."""
+    src = str(Path(casimir_friction.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_cli(capsys, argv):
@@ -97,6 +107,16 @@ def test_force_numerical_failure_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_force_rtol_below_quadrature_floor_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general", "--rtol", "1e-14"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "rel_tol" in err
+    assert "epsrel" not in err
 
 
 @pytest.mark.parametrize("flag", ["--gap-nm", "--velocity", "--temp-k", "--wp-ev", "--nu-ev"])
@@ -340,6 +360,42 @@ def test_sweep_gap_linear_slope(capsys):
     assert slope == pytest.approx(-4.0, abs=0.02)
 
 
+def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
+    from casimir_friction import cli as cli_mod
+
+    calls = []
+    real = cli_mod.dissipation_general
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "dissipation_general", counting)
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "zero", "--regime",
+         "general", "--param", "velocity", "--from", "0.1", "--to", "1.0",
+         "--points", "3"],
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 4
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bounds", [("-1", "1"), ("1", "-1")])
+def test_sweep_bad_input_exits_2(capsys, bounds):
+    # a bad first or last point: nothing is printed
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--param",
+         "velocity", "--from", bounds[0], "--to", bounds[1], "--points", "3",
+         "--scale", "lin"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "velocity" in err
+
+
 def test_sweep_single_point(capsys):
     argv = ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "zero",
             "--param", "velocity", "--from", "0.5", "--to", "9.0", "--points", "1"]
@@ -354,7 +410,7 @@ def test_console_entry_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "casimir_friction", "force", *DRUDE_ARGS,
          *STATE_ARGS, "--regime", "linear"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=cli_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -366,6 +422,6 @@ def test_console_entry_subprocess():
 def test_argparse_errors_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "casimir_friction", "force", "--regime", "bogus"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=cli_env(),
     )
     assert proc.returncode == 2

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k1
 
 from casimir_friction import friction
 from casimir_friction.numerics import (
     CONST,
+    NESTED_SPEC,
     DomainError,
     NonConvergence,
     QuadratureSpec,
     integrate_semi_infinite,
 )
-from casimir_friction.material import Drude, PlasmonLine, surface_response
+from casimir_friction.material import Drude, PlasmonLine, Tabulated, eps_drude, surface_response
 from casimir_friction.geometry import PlateConfig, UnequalDensities
 from casimir_friction.response import ThermalState
 from casimir_friction.friction import (
@@ -26,6 +28,7 @@ from casimir_friction.friction import (
     force_plasmon,
     force_zero_t,
 )
+import oracles
 
 GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
 PLATE = PlateConfig(d=10.0 * CONST.nm, rho1=1e28, rho2=1e28)
@@ -64,6 +67,17 @@ def plasmon_t_quadrature(omega_sp, d, v):
     t_scale = math.sqrt(2.0 / x) + 2.0 / x
     value, _ = integrate_semi_infinite(f, 0.0, ORACLE.with_scale(t_scale))
     return CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * math.exp(-x) * kx * value
+
+
+def tabulated_gold():
+    """The Drude response of GOLD tabulated on a dense log grid."""
+    grid = np.logspace(
+        math.log10(1e-5 * CONST.eV / CONST.hbar),
+        math.log10(20.0 * CONST.eV / CONST.hbar),
+        4000,
+    )
+    eps = np.array([eps_drude(float(w), GOLD) for w in grid])
+    return Tabulated(omega=grid, eps=eps)
 
 
 def test_force_linear_closed_form():
@@ -127,18 +141,15 @@ def test_force_linear_validity_flag_hot():
 def test_force_linear_tabulated_matches_drude():
     # a dense tabulated grid built from the Drude response should land on
     # the closed form up to (interpolation + small-m head) corrections
-    from casimir_friction.material import Tabulated, eps_drude
-
-    grid = np.logspace(
-        math.log10(1e-5 * CONST.eV / CONST.hbar),
-        math.log10(20.0 * CONST.eV / CONST.hbar),
-        4000,
-    )
-    eps = np.array([eps_drude(float(w), GOLD) for w in grid])
-    tab = Tabulated(omega=grid, eps=eps)
-    res_tab = force_linear(tab, PLATE, ROOM, 1.0)
+    res_tab = force_linear(tabulated_gold(), PLATE, ROOM, 1.0)
     res_drude = force_linear(GOLD, PLATE, ROOM, 1.0)
     assert res_tab.force_per_area == pytest.approx(res_drude.force_per_area, rel=5e-3)
+
+
+def test_force_linear_tabulated_reports_quadrature_error():
+    # the Phi_1 quadrature's own estimate, below the target it was given
+    res = force_linear(tabulated_gold(), PLATE, ROOM, 1.0)
+    assert 0.0 < res.diagnostics.quadrature_rel_err < NESTED_SPEC.rel_tol
 
 
 def test_force_zero_t_pinned_value():
@@ -195,6 +206,28 @@ def test_ratio_identity_linear_over_cubic():
         )
         expected = coeff * (d / (thermal.beta * CONST.hbar * v)) ** 2
         assert ratio == pytest.approx(expected, rel=1e-12)
+
+
+def test_oracle_chains_equal_closed_forms():
+    # the paper's rho-carrying chain: F = G v H0 and F = G_P H_P' v^3, with
+    # H0 and H_P' = J_zero_t / (2 tau omega_v^4) from two Drude linear heads
+    rho = 3e27
+    plate = PlateConfig(d=PLATE.d, rho1=rho, rho2=rho)
+    slope = oracles.drude_slope(GOLD, rho)
+    head = lambda m: slope * m
+    v = 1e-2
+    g = oracles.k_moment(2, plate.d, rho, rho, ORACLE)
+    h0 = oracles.h0(head, head, ROOM, ORACLE)
+    assert g * v * h0 == pytest.approx(
+        force_linear(GOLD, plate, ROOM, v).force_per_area, rel=1e-12
+    )
+    tau, wv = 1.0, 1e10
+    g_p = oracles.k_moment(4, plate.d, rho, rho, ORACLE)
+    h_p = oracles.j_zero_t(wv, head, head, tau, ORACLE) / (2.0 * tau * wv**4)
+    v = 1.0
+    assert g_p * h_p * v**3 == pytest.approx(
+        force_zero_t(GOLD, plate, v).force_per_area, rel=1e-12
+    )
 
 
 def test_general_matches_zero_t_closed_form():
@@ -285,6 +318,23 @@ def test_plasmon_matches_bessel_oracle():
         assert res.regime == PLASMON_LINE
         assert res.force_per_area == pytest.approx(oracle, rel=1e-8)
         assert res.diagnostics.suppression_exponent == pytest.approx(x, rel=1e-14)
+
+
+def test_plasmon_is_delta_line_case_of_omega_integral():
+    # at T = 0, Phi = 2 x (line (x) line) = 2 weight delta(omega - support),
+    # put through F = hbar/(2 pi^3 v^3) Int omega^2 K1(2 d omega / v) Phi d omega
+    line = oracles.delta_lines(PlasmonLine(omega_sp=GOLD.omega_sp))
+    weight, support = oracles.convolution(0.0, line, line)
+    d = 0.1 * CONST.nm
+    plate = PlateConfig(d=d, rho1=1e28, rho2=1e28)
+    for v in (1e5, 1e6, 1e7):
+        expected = (
+            CONST.hbar / (2.0 * math.pi**3 * v**3)
+            * support**2 * k1(2.0 * d * support / v) * 2.0 * weight
+        )
+        assert force_plasmon(GOLD.omega_sp, plate, v).force_per_area == pytest.approx(
+            expected, rel=1e-14
+        )
 
 
 def test_plasmon_underflow_flag():

@@ -5,17 +5,17 @@ import pytest
 from scipy import integrate
 from scipy.special import j0, jn_zeros
 
-from casimir_friction.numerics import CONST, DEFAULT_SPEC, DomainError, QuadratureSpec
+from casimir_friction.numerics import DomainError, QuadratureSpec
+from casimir_friction.material import Drude
 from casimir_friction.geometry import (
     PlateConfig,
     UnequalDensities,
-    angular_kx_moment,
     g_hat,
     g_hat_z_integrated,
-    k_moment,
     psi_hat,
-    radial_moment,
 )
+from casimir_friction.friction import force_zero_t
+import oracles
 
 
 def hankel_coulomb_oracle(q, z0, n_zeros=80):
@@ -94,62 +94,52 @@ def test_g_hat_z_integrated_nested_quadrature_oracle(q, d):
 
 
 def test_angular_moments():
-    # direct angular quadrature of cos^n over the circle
+    # circle averages <cos^n> = Gamma((n+1)/2) / (sqrt(pi) Gamma(n/2 + 1))
     for n in (0, 2, 4, 6):
-        direct, _ = integrate.quad(
-            lambda p: math.cos(p) ** n / (2.0 * math.pi), 0.0, 2.0 * math.pi,
-            epsabs=1e-14, epsrel=1e-13, limit=200,
-        )
-        assert angular_kx_moment(n) == pytest.approx(direct, abs=1e-12)
-    assert angular_kx_moment(2) == pytest.approx(0.5, abs=1e-15)
-    assert angular_kx_moment(4) == pytest.approx(3.0 / 8.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        angular_kx_moment(3)
+        closed = math.gamma((n + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(n / 2.0 + 1.0))
+        assert oracles.angular_moment(n) == pytest.approx(closed, abs=1e-12)
+    assert oracles.angular_moment(2) == pytest.approx(0.5, abs=1e-15)
+    assert oracles.angular_moment(4) == pytest.approx(3.0 / 8.0, abs=1e-15)
 
 
 def test_k_moment_closed_values():
-    config = PlateConfig(d=1.0, rho1=1.0, rho2=1.0)
-    assert k_moment(2, config) == pytest.approx(3.0 * math.pi / 8.0, rel=1e-14)
-    assert k_moment(2, config) == pytest.approx(1.17810, rel=1e-5)
-    assert k_moment(4, config) == pytest.approx(45.0 * math.pi / 32.0, rel=1e-14)
-    assert k_moment(4, config) == pytest.approx(4.41786, rel=1e-5)
+    assert oracles.k_moment(2, 1.0, 1.0, 1.0) == pytest.approx(3.0 * math.pi / 8.0, rel=1e-9)
+    assert oracles.k_moment(2, 1.0, 1.0, 1.0) == pytest.approx(1.17810, rel=1e-5)
+    assert oracles.k_moment(4, 1.0, 1.0, 1.0) == pytest.approx(45.0 * math.pi / 32.0, rel=1e-9)
+    assert oracles.k_moment(4, 1.0, 1.0, 1.0) == pytest.approx(4.41786, rel=1e-5)
 
 
 @pytest.mark.parametrize("d", [1e-9, 1e-8, 1e-6])
 def test_k_moment_quadrature_matches_closed(d):
-    config = PlateConfig(d=d, rho1=1e28, rho2=1e28)
-    for power in (2, 4):
-        closed = k_moment(power, config)
-        numeric = k_moment(power, config, method="quadrature")
-        assert numeric == pytest.approx(closed, rel=1e-9)
+    for power, closed in ((2, 3.0 * math.pi / (8.0 * d**4)), (4, 45.0 * math.pi / (32.0 * d**6))):
+        numeric = oracles.k_moment(power, d, 1e28, 1e28)
+        assert numeric == pytest.approx(closed * 1e56, rel=1e-9)
 
 
 def test_k_moment_scaling_laws():
-    base = PlateConfig(d=2e-9, rho1=1e28, rho2=1e28)
-    lam = 3.7
-    scaled = PlateConfig(d=lam * base.d, rho1=1e28, rho2=1e28)
-    assert k_moment(2, scaled) == pytest.approx(k_moment(2, base) / lam**4, rel=1e-14)
-    assert k_moment(4, scaled) == pytest.approx(k_moment(4, base) / lam**6, rel=1e-14)
+    d, lam = 2e-9, 3.7
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=200)
-    assert k_moment(2, scaled, method="quadrature", spec=spec) == pytest.approx(
-        k_moment(2, base) / lam**4, rel=1e-9
-    )
+    for power, law in ((2, 4), (4, 6)):
+        base = oracles.k_moment(power, d, 1e28, 1e28, spec)
+        scaled = oracles.k_moment(power, lam * d, 1e28, 1e28, spec)
+        assert scaled == pytest.approx(base / lam**law, rel=1e-9)
 
 
 def test_k_moment_unequal_densities():
-    config = PlateConfig(d=1e-9, rho1=1e28, rho2=2e28)
-    assert k_moment(2, config) == pytest.approx(
-        3.0 * math.pi / 8.0 / 1e-36 * 1e28 * 2e28, rel=1e-12
+    assert oracles.k_moment(2, 1e-9, 1e28, 2e28) == pytest.approx(
+        3.0 * math.pi / 8.0 / 1e-36 * 1e28 * 2e28, rel=1e-9
     )
+    # the cubic closed form is the paper's equal-media result
+    gold = Drude(omega_p=1.4e16, nu=5e13)
     with pytest.raises(UnequalDensities):
-        k_moment(4, config)
-    with pytest.raises(DomainError):
-        k_moment(3, config)
+        force_zero_t(gold, PlateConfig(d=1e-9, rho1=1e28, rho2=2e28), 1.0)
 
 
 def test_radial_moment():
-    assert radial_moment(3, 1.0) == pytest.approx(6.0 / 16.0)
-    assert radial_moment(5, 1.0) == pytest.approx(120.0 / 64.0)
+    # Int_0^inf q^n e^{-2 q d} dq = n! / (2 d)^(n+1)
+    assert oracles.radial_moment(3, 1.0) == pytest.approx(6.0 / 16.0, rel=1e-9)
+    assert oracles.radial_moment(5, 1.0) == pytest.approx(120.0 / 64.0, rel=1e-9)
+    assert oracles.radial_moment(5, 1e-8) == pytest.approx(120.0 / (2e-8) ** 6, rel=1e-9)
 
 
 def test_plate_config_validation():

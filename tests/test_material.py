@@ -5,18 +5,15 @@ import pytest
 
 from casimir_friction.numerics import CONST, DomainError
 from casimir_friction.material import (
-    DeltaLines,
     Drude,
-    DrudeSmallM,
     PlasmonLine,
     SingularResponse,
     Tabulated,
-    drude_small_m,
     eps_drude,
     response_R,
-    spectral_density_from_R,
     surface_response,
 )
+import oracles
 
 GOLD_LIKE = Drude(omega_p=1e16, nu=1e14)
 
@@ -89,60 +86,48 @@ def test_surface_response_plasmon_pole():
 
 
 def test_spectral_density_drude_slope():
+    # the oscillator density -Im R/(2 pi^2 rho) starts as D m
     rho = 1e28
     d_expected = CONST.hbar * GOLD_LIKE.nu / (rho * (math.pi * CONST.hbar * GOLD_LIKE.omega_p) ** 2)
-    sd = spectral_density_from_R(GOLD_LIKE, rho)
-    assert sd.small_m_slope == pytest.approx(d_expected, rel=1e-14)
-    assert sd.m_max == pytest.approx(0.1 * CONST.hbar * GOLD_LIKE.omega_sp)
+    sd = oracles.density(GOLD_LIKE, rho)
+    m = 1e-7 * CONST.hbar * GOLD_LIKE.omega_sp
+    assert sd(m) / m == pytest.approx(d_expected, rel=1e-12)
+    assert oracles.drude_slope(GOLD_LIKE, rho) == pytest.approx(d_expected, rel=1e-14)
 
 
 def test_rho_invariance_doubling_halves_slope():
     rho = 3.7e27
-    d1 = spectral_density_from_R(GOLD_LIKE, rho).small_m_slope
-    d2 = spectral_density_from_R(GOLD_LIKE, 2.0 * rho).small_m_slope
-    assert d2 == d1 / 2.0
+    m = 1e-3 * CONST.hbar * GOLD_LIKE.omega_sp
+    assert oracles.density(GOLD_LIKE, 2.0 * rho)(m) == oracles.density(GOLD_LIKE, rho)(m) / 2.0
 
 
 def test_small_m_linear_head_within_1_percent():
-    rho = 1e28
-    sd = spectral_density_from_R(GOLD_LIKE, rho)
-    D = sd.small_m_slope
+    # Im R against its linear head -nu omega / omega_sp^2 below 0.01 omega_sp
+    slope = -GOLD_LIKE.nu / GOLD_LIKE.omega_sp**2
     for frac in (1e-3, 3e-3, 0.01):
-        m = frac * CONST.hbar * GOLD_LIKE.omega_sp
-        assert abs(sd(m) - D * m) / (D * m) < 0.01
+        w = frac * GOLD_LIKE.omega_sp
+        im_r = surface_response(GOLD_LIKE, w).imag
+        assert abs(im_r - slope * w) / abs(slope * w) < 0.01
 
 
 def test_passivity_on_log_grid():
-    rho = 1e28
-    sd = spectral_density_from_R(GOLD_LIKE, rho)
     for w in np.logspace(-4, 2, 61) * GOLD_LIKE.omega_p:
-        assert sd(CONST.hbar * float(w)) >= 0.0
+        assert surface_response(GOLD_LIKE, float(w)).imag <= 0.0
 
 
 def test_lossless_drude_density_vanishes_off_resonance():
     lossless = Drude(omega_p=1e16, nu=0.0)
-    sd = spectral_density_from_R(lossless, 1e28)
     for w in (1e13, 1e14, 3e16, 1e17):
-        assert sd(CONST.hbar * w) == 0.0
-    assert sd.small_m_slope is None
+        assert surface_response(lossless, w).imag == 0.0
 
 
 def test_plasmon_delta_lines_weight():
     line = PlasmonLine(omega_sp=7.07e15)
-    sd = spectral_density_from_R(line, 1e28)
-    assert isinstance(sd, DeltaLines)
-    ((omega, weight),) = sd.lines
+    ((omega, weight),) = oracles.delta_lines(line)
     assert omega == line.omega_sp
     assert weight == pytest.approx(0.5 * math.pi * line.omega_sp, rel=1e-14)
-
-
-def test_drude_small_m_validation():
-    small = drude_small_m(GOLD_LIKE, 1e28)
-    assert small(2.0) == pytest.approx(2.0 * small.slope)
-    with pytest.raises(ValueError):
-        DrudeSmallM(slope=0.0, m_max=1.0)
-    with pytest.raises(ValueError):
-        DrudeSmallM(slope=1.0, m_max=0.0)
+    with pytest.raises(TypeError):
+        surface_response(line, line.omega_sp)
 
 
 def _write_csv(path, rows, header="omega_rad_s,eps_re,eps_im"):

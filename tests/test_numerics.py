@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ def test_constants_codata():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    # QUADPACK's floor without an absolute tolerance is 50 machine epsilons
+    floor = 50 * sys.float_info.epsilon
+    with pytest.raises(ValueError, match="rel_tol"):
+        QuadratureSpec(rel_tol=1e-14)
+    assert QuadratureSpec(rel_tol=floor).rel_tol == floor
+    assert QuadratureSpec(rel_tol=1e-14, abs_tol=1e-30).rel_tol == 1e-14
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):

@@ -3,32 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from casimir_friction.numerics import CONST, DomainError, QuadratureSpec
-from casimir_friction.material import (
-    ContinuousSpectralDensity,
-    DeltaLines,
-    Drude,
-    PlasmonLine,
-    drude_small_m,
-    spectral_density_from_R,
-    surface_response,
-)
+from casimir_friction.numerics import CONST, QuadratureSpec
+from casimir_friction.material import Drude, PlasmonLine, surface_response
 from casimir_friction.response import (
-    BOSE_INTEGRAL,
-    DeltaConvolution,
     ThermalState,
-    h0_linear,
     im_r_dissipation_integral,
-    j_general_convolution,
-    j_linear,
-    j_zero_t,
     phi,
+    phi_slope,
     response_coeffs,
 )
-from casimir_friction.material import SpectrumCutoffExceeded
+import oracles
 
 GOLD_LIKE = Drude(omega_p=1e16, nu=1e14)
+GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
 RHO = 1e28
+TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=200)
 ROOM = ThermalState.finite(300.0)
 COLD = ThermalState.zero()
 
@@ -90,76 +79,71 @@ def test_phi_is_sum_of_sines():
 
 
 def test_h0_drude_closed_form():
-    small = drude_small_m(GOLD_LIKE, RHO)
-    h0 = h0_linear(small, ROOM)
-    expected = 2.0 * math.pi * CONST.hbar / ROOM.beta**2 * small.slope**2 * BOSE_INTEGRAL
-    assert h0 == pytest.approx(expected, rel=1e-14)
+    # the oracle's H0 quadrature over two linear heads D m against
+    # (2 pi hbar / beta^2) D^2 (pi^2/3), from Int x^2/sinh^2(x/2) dx = 4 pi^2/3
+    slope = oracles.drude_slope(GOLD_LIKE, RHO)
+    head = lambda m: slope * m
+    h0 = oracles.h0(head, head, ROOM, TIGHT)
+    expected = 2.0 * math.pi * CONST.hbar / ROOM.beta**2 * slope**2 * math.pi**2 / 3.0
+    assert h0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_h0_quadrature_matches_trapezoid_oracle():
-    beta = ROOM.beta
-    m0 = 2.0 / beta
-    amp = 1e-13  # m^3/J scale
+    # Phi_1 = beta hbar Int Im R^2 / sinh^2(beta hbar w/2) dw by `phi_slope`
+    # against a dense trapezoid over the thermal window
+    beta_hbar = ROOM.beta * CONST.hbar
+    w0 = 2.0 / beta_hbar
+    amp = 1e-3 / w0
 
-    def s(m):
-        return amp * m * math.exp(-m / m0)
+    def im_r(w):
+        return -amp * w * math.exp(-w / w0)
 
-    density = ContinuousSpectralDensity(density=s)
-    h0 = h0_linear(density, ROOM)
-
-    # independent oracle: dense trapezoid over the thermal window
-    m = np.linspace(1e-9 / beta, 100.0 / beta, 200001)
-    x = 0.5 * beta * m
-    integrand = (amp * m * np.exp(-m / m0)) ** 2 * 4.0 * np.exp(-2 * x) / np.expm1(-2 * x) ** 2
-    oracle = 0.5 * math.pi * beta * CONST.hbar * np.trapezoid(integrand, m)
-    assert h0 == pytest.approx(oracle, rel=1e-6)
+    value, err = phi_slope(im_r, im_r, ROOM)
+    w = np.linspace(1e-9 / beta_hbar, 60.0 / beta_hbar, 200001)
+    x = 0.5 * beta_hbar * w
+    integrand = (amp * w * np.exp(-w / w0)) ** 2 * 4.0 * np.exp(-2 * x) / np.expm1(-2 * x) ** 2
+    oracle = beta_hbar * np.trapezoid(integrand, w)
+    assert value == pytest.approx(oracle, rel=1e-6)
+    assert 0.0 < err <= 1e-9 * value
 
 
 def test_h0_vanishes_at_low_temperature():
-    small = drude_small_m(GOLD_LIKE, RHO)
+    # Phi_1 ~ T^2 for a linear head, and the linear channel closes at T = 0
+    im_r = lambda w: -GOLD_LIKE.nu * w / GOLD_LIKE.omega_sp**2
     values = [
-        h0_linear(small, ThermalState.finite(t)) for t in (300.0, 30.0, 3.0, 0.3)
+        phi_slope(im_r, im_r, ThermalState.finite(t))[0] for t in (300.0, 30.0, 3.0, 0.3)
     ]
     for a, b in zip(values, values[1:]):
         assert b < a
-    # H0 ~ T^2
-    assert values[-1] / values[0] == pytest.approx(1e-6, rel=1e-10)
-    assert h0_linear(small, COLD) == 0.0
+    assert values[-1] / values[0] == pytest.approx(1e-6, rel=1e-8)
+    assert phi_slope(im_r, im_r, COLD) == (0.0, 0.0)
 
 
 def test_j_linear_basics():
-    small = drude_small_m(GOLD_LIKE, RHO)
-    tau = 1.0
-    assert j_linear(0.0, small, ROOM, tau) == 0.0
-    wv = 1e9
-    expected = 2.0 * tau * wv**2 * h0_linear(small, ROOM)
-    assert j_linear(wv, small, ROOM, tau) == pytest.approx(expected, rel=1e-14)
-    assert j_linear(-wv, small, ROOM, tau) == j_linear(wv, small, ROOM, tau)
-    with pytest.raises(DomainError):
-        j_linear(wv, small, COLD, tau)
+    # the linear J = 2 tau omega_v^2 H0 of the oscillator chain equals
+    # pi tau omega_v^2 hbar Phi_1 / ((2 pi^2)^2 rho1 rho2): rho cancels,
+    # also for unequal densities
+    im_r = lambda w: surface_response(GOLD_LIKE, w).imag
+    phi1, _ = phi_slope(im_r, im_r, ROOM, spec=TIGHT)
+    tau, wv = 1.0, 1e9
+    for rho1, rho2 in ((RHO, RHO), (7e26, 4e29)):
+        s1 = oracles.density(GOLD_LIKE, rho1)
+        s2 = oracles.density(GOLD_LIKE, rho2)
+        j_lin = 2.0 * tau * wv**2 * oracles.h0(s1, s2, ROOM, TIGHT)
+        j_phi = math.pi * tau * wv**2 * CONST.hbar * phi1 / (4.0 * math.pi**4 * rho1 * rho2)
+        assert j_lin == pytest.approx(j_phi, rel=1e-9)
 
 
 def test_j_zero_t_drude_quartic():
     # two equal linear heads: J = (pi/3) tau hbar^3 D^2 omega_v^4
-    small = drude_small_m(GOLD_LIKE, RHO)
+    slope = oracles.drude_slope(GOLD_LIKE, RHO)
+    head = lambda m: slope * m
     tau = 2.0
-    wv = 0.05 * small.m_max / CONST.hbar
-    expected = math.pi / 3.0 * tau * CONST.hbar**3 * small.slope**2 * wv**4
-    assert j_zero_t(wv, small, small, tau) == pytest.approx(expected, rel=1e-10)
-    assert j_zero_t(0.0, small, small, tau) == 0.0
-    assert j_zero_t(-wv, small, small, tau) == j_zero_t(wv, small, small, tau)
-
-
-def test_j_zero_t_cutoff_exceeded():
-    small = drude_small_m(GOLD_LIKE, RHO)
-    with pytest.raises(SpectrumCutoffExceeded):
-        j_zero_t(1.01 * small.m_max / CONST.hbar, small, small, 1.0)
-
-
-def test_j_zero_t_limited_support_raises():
-    density = ContinuousSpectralDensity(density=lambda m: m, omega_support=(1e13, 1e15))
-    with pytest.raises(SpectrumCutoffExceeded):
-        j_zero_t(1e14, density, density, 1.0)
+    wv = 0.005 * GOLD_LIKE.omega_sp
+    expected = math.pi / 3.0 * tau * CONST.hbar**3 * slope**2 * wv**4
+    assert oracles.j_zero_t(wv, head, head, tau) == pytest.approx(expected, rel=1e-10)
+    assert oracles.j_zero_t(0.0, head, head, tau) == 0.0
+    assert oracles.j_zero_t(-wv, head, head, tau) == oracles.j_zero_t(wv, head, head, tau)
 
 
 def test_j_zero_t_asymmetric_riemann_oracle():
@@ -167,10 +151,10 @@ def test_j_zero_t_asymmetric_riemann_oracle():
     a, b = 2e-13, 5e-13
     m0 = 1e-20
 
-    s1 = ContinuousSpectralDensity(density=lambda m: a * m)
-    s2 = ContinuousSpectralDensity(density=lambda m: b * m * m / (m0 + m))
+    s1 = lambda m: a * m
+    s2 = lambda m: b * m * m / (m0 + m)
     tau, wv = 1.5, 5e13
-    j = j_zero_t(wv, s1, s2, tau)
+    j = oracles.j_zero_t(wv, s1, s2, tau)
 
     # dense midpoint-rule convolution oracle
     n = 400000
@@ -182,35 +166,34 @@ def test_j_zero_t_asymmetric_riemann_oracle():
 
 
 def test_j_zero_t_positive_for_passive_spectra():
-    sd = spectral_density_from_R(GOLD_LIKE, RHO)
+    sd = oracles.density(GOLD_LIKE, RHO)
     for wv in np.logspace(12, 15, 7):
-        assert j_zero_t(float(wv), sd, sd, 1.0) >= 0.0
+        assert oracles.j_zero_t(float(wv), sd, sd, 1.0) >= 0.0
 
 
 def test_convolution_delta_lines():
-    line = spectral_density_from_R(PlasmonLine(omega_sp=7e15), RHO)
-    conv = j_general_convolution(1.5e16, line, line)
-    assert isinstance(conv, DeltaConvolution)
-    assert conv.support == pytest.approx(1.4e16)
-    assert conv.weight == pytest.approx((0.5 * math.pi * 7e15) ** 2, rel=1e-14)
+    line = oracles.delta_lines(PlasmonLine(omega_sp=7e15))
+    weight, support = oracles.convolution(1.5e16, line, line)
+    assert support == pytest.approx(1.4e16)
+    assert weight == pytest.approx((0.5 * math.pi * 7e15) ** 2, rel=1e-14)
     with pytest.raises(TypeError):
-        j_general_convolution(1e15, line, lambda w: surface_response(GOLD_LIKE, w))
+        oracles.convolution(1e15, line, lambda w: surface_response(GOLD_LIKE, w))
 
 
 def test_convolution_trivial_zero_and_even():
     R = lambda w: surface_response(GOLD_LIKE, w)
-    assert j_general_convolution(0.0, R, R) == 0.0
-    assert j_general_convolution(-2e14, R, R) == j_general_convolution(2e14, R, R)
+    assert oracles.convolution(0.0, R, R) == 0.0
+    assert oracles.convolution(-2e14, R, R) == oracles.convolution(2e14, R, R)
 
 
 def test_path_equivalence_spectral_vs_response():
     # same full Drude response through the two code paths, equal media
-    sd = spectral_density_from_R(GOLD_LIKE, RHO)
+    sd = oracles.density(GOLD_LIKE, RHO)
     R = lambda w: surface_response(GOLD_LIKE, w)
     tau = 1.0
     for wv in (1e13, 1e14, 5e14):
-        j_spectral = j_zero_t(wv, sd, sd, tau)
-        conv = j_general_convolution(wv, R, R)
+        j_spectral = oracles.j_zero_t(wv, sd, sd, tau)
+        conv = oracles.convolution(wv, R, R)
         j_response = (
             2.0 * math.pi * tau * wv * CONST.hbar
             * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * conv
@@ -220,12 +203,13 @@ def test_path_equivalence_spectral_vs_response():
 
 def test_small_m_head_consistent_with_full_convolution():
     # linear-head quartic vs full-response convolution at small omega_v
-    small = drude_small_m(GOLD_LIKE, RHO)
+    slope = oracles.drude_slope(GOLD_LIKE, RHO)
+    head = lambda m: slope * m
     R = lambda w: surface_response(GOLD_LIKE, w)
     tau = 1.0
     wv = 0.01 * GOLD_LIKE.omega_sp
-    j_head = j_zero_t(wv, small, small, tau)
-    conv = j_general_convolution(wv, R, R)
+    j_head = oracles.j_zero_t(wv, head, head, tau)
+    conv = oracles.convolution(wv, R, R)
     j_full = (
         2.0 * math.pi * tau * wv * CONST.hbar
         * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * conv
@@ -237,7 +221,7 @@ def test_im_r_dissipation_zero_t_is_doubled_convolution():
     R = lambda w: surface_response(GOLD_LIKE, w)
     im_r = lambda w: surface_response(GOLD_LIKE, w).imag
     wv = 2e14
-    conv = j_general_convolution(wv, R, R)
+    conv = oracles.convolution(wv, R, R)
     assert im_r_dissipation_integral(wv, im_r, im_r, COLD) == pytest.approx(
         2.0 * conv, rel=1e-12
     )
@@ -248,17 +232,39 @@ def test_im_r_dissipation_zero_t_is_doubled_convolution():
 
 
 def test_im_r_dissipation_small_v_limit_is_linear_channel():
-    # Phi(omega_v) -> (2 pi^2 rho)^2 * 2 omega_v^2 H0 / (pi |omega_v| hbar)
-    # equivalently: pi tau wv hbar (1/2pi^2 rho)^2 Phi == j_linear
+    # pi tau wv hbar (1/2pi^2 rho)^2 Phi(wv) == J_linear = 2 tau wv^2 H0
     im_r = lambda w: surface_response(GOLD_LIKE, w).imag
-    sd = spectral_density_from_R(GOLD_LIKE, RHO)
+    sd = oracles.density(GOLD_LIKE, RHO)
     tau = 1.0
     wv = 1e8  # deep linear regime
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
     val = im_r_dissipation_integral(wv, im_r, im_r, ROOM, spec)
     j_from_phi = math.pi * tau * wv * CONST.hbar * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * val
-    j_lin = j_linear(wv, sd, ROOM, tau, spec=spec)
+    j_lin = 2.0 * tau * wv**2 * oracles.h0(sd, sd, ROOM, spec)
     assert j_from_phi == pytest.approx(j_lin, rel=5e-3)
+
+
+def test_phi_slope_is_small_omega_limit_at_finite_t():
+    # Phi(omega)/omega -> Phi_1 = beta hbar Int Im R^2 / sinh^2(beta hbar w/2) dw
+    im_r = lambda w: surface_response(GOLD, w).imag
+    phi1, err = phi_slope(im_r, im_r, ROOM)
+    wv = 1e6
+    assert im_r_dissipation_integral(wv, im_r, im_r, ROOM) / wv == pytest.approx(phi1, rel=1e-10)
+    assert err <= 1e-9 * phi1
+    # the Drude head's closed form 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4),
+    # off by the curvature of Im R over the thermal window (5.2e-4 at 300 K)
+    head = 4.0 * math.pi**2 * GOLD.nu**2 / (3.0 * (ROOM.beta * CONST.hbar * GOLD.omega_sp**2) ** 2)
+    assert phi1 == pytest.approx(head, rel=1e-3)
+
+
+def test_phi_cubic_coefficient_is_small_omega_limit_at_zero_t():
+    # Phi(omega)/omega^3 -> Phi_3 = nu^2 / (3 omega_sp^4)
+    im_r = lambda w: surface_response(GOLD, w).imag
+    phi3 = GOLD.nu**2 / (3.0 * GOLD.omega_sp**4)
+    wv = 1e10
+    assert im_r_dissipation_integral(wv, im_r, im_r, COLD) / wv**3 == pytest.approx(
+        phi3, rel=1e-10
+    )
 
 
 def test_im_r_dissipation_positive_and_monotone_in_t():
