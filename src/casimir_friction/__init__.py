@@ -25,35 +25,21 @@ from .material import (
     PlasmonLine,
     SingularResponse,
     Tabulated,
-    eps_drude,
     response_R,
     surface_response,
 )
 from .trajectory import (
-    DeltaKernel,
     LoopTrajectory,
-    delta_kernel_I,
     delta_limit_convergence,
     finite_tau_kernel,
-    loop_position,
     qhat_closed_form,
-    qhat_numeric,
 )
 from .response import (
-    ResponseCoeffs,
     ThermalState,
     im_r_dissipation_integral,
-    phi,
     phi_slope,
-    response_coeffs,
 )
-from .geometry import (
-    PlateConfig,
-    UnequalDensities,
-    g_hat,
-    g_hat_z_integrated,
-    psi_hat,
-)
+from .geometry import PlateConfig, UnequalDensities
 from .friction import (
     Diagnostics,
     FrictionResult,
@@ -70,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CONST",
     "DEFAULT_SPEC",
-    "DeltaKernel",
     "Diagnostics",
     "DomainError",
     "Drude",
@@ -83,34 +68,24 @@ __all__ = [
     "PlasmonLine",
     "PlateConfig",
     "QuadratureSpec",
-    "ResponseCoeffs",
     "SingularResponse",
     "Tabulated",
     "ThermalState",
     "UnequalDensities",
     "ValidityWarning",
     "consistency_report",
-    "delta_kernel_I",
     "delta_limit_convergence",
     "dissipation_general",
-    "eps_drude",
     "finite_tau_kernel",
     "force_linear",
     "force_plasmon",
     "force_zero_t",
-    "g_hat",
-    "g_hat_z_integrated",
     "im_r_dissipation_integral",
     "integrate_finite",
     "integrate_semi_infinite",
-    "loop_position",
     "pendry_force",
-    "phi",
     "phi_slope",
-    "psi_hat",
     "qhat_closed_form",
-    "qhat_numeric",
     "response_R",
-    "response_coeffs",
     "surface_response",
 ]

@@ -32,7 +32,6 @@ from .material import (
     PlasmonLine,
     SingularResponse,
     Tabulated,
-    eps_drude,
     surface_response,
 )
 from .geometry import PlateConfig
@@ -374,10 +373,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     norm = 1.0 / (2.0 * math.pi**2 * rho1)  # oscillator density -Im R/(2 pi^2 rho1)
     lines = ["omega_rad_s,eps_re,eps_im,im_R,spectral_density"]
     for w in grid:
-        if isinstance(material, Drude):
-            eps = eps_drude(float(w), material)
-        else:
-            eps = material.eps_at(float(w))
+        eps = material.eps_at(float(w))
         r = surface_response(material, float(w))
         lines.append(",".join(_fmt(x) for x in (
             float(w), eps.real, eps.imag, r.imag, -r.imag * norm
@@ -407,7 +403,7 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
     if doublings < 1 or profile_points < 1:
         raise CLIError("--doublings and --profile-points must be >= 1")
 
-    traj = LoopTrajectory(v=1.0, tau=tau, alpha=alpha)
+    traj = LoopTrajectory(tau=tau, alpha=alpha)
     w_ref = omega_v if omega_v > 0 else 1.0 / tau
     grid = np.linspace(0.2 * w_ref, 2.0 * w_ref, profile_points)
     profile = []
@@ -425,11 +421,11 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
         # the finite-alpha correction oscillates inside a 1/alpha envelope,
         # so average over a dense grid and take 4x alpha steps
         dense = np.linspace(0.2 * w_ref, 2.0 * w_ref, 401)
-        inf_traj = LoopTrajectory(v=1.0, tau=tau, alpha=math.inf)
+        inf_traj = LoopTrajectory(tau=tau, alpha=math.inf)
         ref = np.array([qhat_closed_form(float(w), omega_v, inf_traj) for w in dense])
         scale = float(np.mean(np.abs(ref)))
         for a in (5.0, 20.0, 80.0, 320.0):
-            fin = LoopTrajectory(v=1.0, tau=tau, alpha=a)
+            fin = LoopTrajectory(tau=tau, alpha=a)
             diff = float(np.mean([
                 abs(qhat_closed_form(float(w), omega_v, fin) - r)
                 for w, r in zip(dense, ref)

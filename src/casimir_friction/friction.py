@@ -1,8 +1,8 @@
 """Friction force per unit area between sliding half-spaces, in all regimes.
 
 Force magnitudes are reported per unit area with the direction
-"opposes_motion" carried separately; the dissipated-energy intermediate
-Delta E/(2 tau v) equals the force magnitude by construction.
+"opposes_motion" carried separately.  The paper's dissipated energy
+per loop, Delta E/(2 tau v), equals the force magnitude.
 
 Every regime is a limit of one formula,
 
@@ -89,7 +89,6 @@ class FrictionResult:
 
     force_per_area: float
     regime: str
-    delta_e_per_2tau_v: float
     diagnostics: Diagnostics
     direction: str = "opposes_motion"
 
@@ -111,7 +110,8 @@ def force_linear(
     Phi_1 is the small-omega slope of Phi: the closed form
     4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) of the Drude head, or the
     `response.phi_slope` quadrature over a tabulated material's grid,
-    whose error estimate is reported as ``quadrature_rel_err``.
+    cell by cell between its nodes, whose error estimate is reported as
+    ``quadrature_rel_err``.
 
     Raises
     ------
@@ -137,11 +137,10 @@ def force_linear(
                     "inaccurate over the thermal window"
                 )
     elif isinstance(material, Tabulated):
-        support = (float(material.omega[0]), float(material.omega[-1]))
-        if CONST.hbar * support[0] * thermal.beta > 0.5:
+        if CONST.hbar * material.omega[0] * thermal.beta > 0.5:
             diag.flag("tabulated support misses part of the thermal window")
         im_r = _im_r_callable(material)
-        phi1, err = phi_slope(im_r, im_r, thermal, support, spec)
+        phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
     else:
         raise TypeError("force_linear needs a continuous material (Drude or Tabulated)")
@@ -150,7 +149,6 @@ def force_linear(
     return FrictionResult(
         force_per_area=force,
         regime=LINEAR_FINITE_T,
-        delta_e_per_2tau_v=force,
         diagnostics=diag,
     )
 
@@ -189,7 +187,6 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
     return FrictionResult(
         force_per_area=force,
         regime=ZERO_T_CUBIC,
-        delta_e_per_2tau_v=force,
         diagnostics=diag,
     )
 
@@ -242,7 +239,7 @@ def dissipation_general(
     # channel once (its `im_r1 is im_r2` shortcut)
     im_r2 = im_r1 if material2 is material1 else _im_r_callable(material2)
     if v == 0.0:
-        return FrictionResult(0.0, GENERAL_NUMERIC, 0.0, Diagnostics())
+        return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
 
     def phi_of(omega_v: float) -> float:
         try:
@@ -256,7 +253,7 @@ def dissipation_general(
         return kx * _ky_integral(kx, config.d) * phi_of(kx * v)
 
     try:
-        value, err = integrate_semi_infinite(outer, 0.0, spec.with_scale(0.5 / config.d))
+        value, err = integrate_semi_infinite(outer, 0.0, 0.5 / config.d, spec)
     except NonConvergence as exc:
         if exc.level is None:
             raise NonConvergence(str(exc), level="k_x") from exc
@@ -267,7 +264,6 @@ def dissipation_general(
     return FrictionResult(
         force_per_area=force,
         regime=GENERAL_NUMERIC,
-        delta_e_per_2tau_v=force,
         diagnostics=diag,
     )
 
@@ -292,19 +288,18 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     if v == 0.0:
         diag.suppression_exponent = math.inf
         diag.validity_flags.append("underflow: 4*omega_sp*d/v > 700")
-        return FrictionResult(0.0, PLASMON_LINE, 0.0, diag)
+        return FrictionResult(0.0, PLASMON_LINE, diag)
 
     kx = 2.0 * omega_sp / v
     x = 2.0 * config.d * kx  # suppression exponent 4 omega_sp d / v
     diag.suppression_exponent = x
     if x > UNDERFLOW_EXPONENT:
         diag.validity_flags.append("underflow: 4*omega_sp*d/v > 700")
-        return FrictionResult(0.0, PLASMON_LINE, 0.0, diag)
+        return FrictionResult(0.0, PLASMON_LINE, diag)
 
     force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * _ky_integral(kx, config.d)
     return FrictionResult(
         force_per_area=force,
         regime=PLASMON_LINE,
-        delta_e_per_2tau_v=force,
         diagnostics=diag,
     )

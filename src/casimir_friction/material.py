@@ -56,6 +56,15 @@ class Drude:
         """Surface plasma frequency omega_p / sqrt(2)."""
         return self.omega_p / math.sqrt(2.0)
 
+    def eps_at(self, omega: float) -> complex:
+        """Permittivity 1 + omega_p^2/(xi(xi+nu)) at xi = i*omega, omega > 0."""
+        if not omega > 0:
+            raise DomainError(f"omega must be > 0, got {omega}")
+        if self.omega_p == 0.0:
+            return 1.0 + 0.0j
+        xi = 1j * omega
+        return 1.0 + self.omega_p**2 / (xi * (xi + self.nu))
+
 
 @dataclass(frozen=True)
 class PlasmonLine:
@@ -66,10 +75,6 @@ class PlasmonLine:
     def __post_init__(self):
         if not self.omega_sp > 0:
             raise ValueError(f"omega_sp must be > 0, got {self.omega_sp}")
-
-    @classmethod
-    def from_plasma_frequency(cls, omega_p: float) -> "PlasmonLine":
-        return cls(omega_sp=omega_p / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -147,22 +152,6 @@ class Tabulated:
 MaterialModel = Drude | PlasmonLine | Tabulated
 
 
-def eps_drude(omega: float, model: Drude) -> complex:
-    """Drude permittivity 1 + omega_p^2/(xi(xi+nu)) at xi = i*omega.
-
-    Raises
-    ------
-    DomainError
-        If omega <= 0.
-    """
-    if not omega > 0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if model.omega_p == 0.0:
-        return 1.0 + 0.0j
-    xi = 1j * omega
-    return 1.0 + model.omega_p**2 / (xi * (xi + model.nu))
-
-
 def response_R(eps: complex) -> complex:
     """Surface response (eps - 1)/(eps + 1).
 
@@ -181,7 +170,8 @@ def surface_response(model: MaterialModel, omega: float) -> complex:
     """R(omega) for a material model with a continuous response.
 
     For a Drude model the exact closed form
-    omega_sp^2/(omega_sp^2 - omega^2 + i nu omega) is used.  A
+    omega_sp^2/(omega_sp^2 - omega^2 + i nu omega) is used, which equals
+    response_R(model.eps_at(omega)) without forming eps.  A
     PlasmonLine has a delta-function Im R and no pointwise value; it is
     rejected here, and its force is the closed form `friction.force_plasmon`.
     """

@@ -15,7 +15,6 @@ is exact for pure exponential tails.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -55,15 +54,11 @@ class QuadratureSpec:
         Target absolute error (same units as the integral), >= 0.
     max_subdivisions : int
         Adaptive bisection budget, >= 1.
-    semi_infinite_decay_scale : float, optional
-        Decay scale of the integrand for semi-infinite transforms; must
-        be > 0 when `integrate_semi_infinite` is used.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
     max_subdivisions: int = 200
-    semi_infinite_decay_scale: float | None = None
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -79,20 +74,6 @@ class QuadratureSpec:
             raise ValueError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
             )
-        if (
-            self.semi_infinite_decay_scale is not None
-            and not self.semi_infinite_decay_scale > 0
-        ):
-            raise ValueError("semi_infinite_decay_scale must be > 0")
-
-    def with_scale(self, scale: float) -> "QuadratureSpec":
-        """Copy of this spec with a different semi-infinite decay scale."""
-        return QuadratureSpec(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_subdivisions=self.max_subdivisions,
-            semi_infinite_decay_scale=scale,
-        )
 
 
 #: Default for 1D integrals; closed-form cross-checks demand <= 1e-8 agreement.
@@ -169,13 +150,14 @@ def integrate_finite(
 def integrate_semi_infinite(
     f: Callable[[float], float],
     a: float,
+    scale: float,
     spec: QuadratureSpec,
 ) -> tuple[float, float]:
     """Integrate f over [a, +inf) via the rational decay-scale transform.
 
-    Requires ``spec.semi_infinite_decay_scale`` > 0; f must decay at
-    least exponentially on that scale for the transform to concentrate
-    the quadrature nodes usefully.
+    ``scale`` > 0 is the decay scale of f; f must decay at least
+    exponentially on that scale for the transform to concentrate the
+    quadrature nodes usefully.
 
     Returns
     -------
@@ -183,19 +165,18 @@ def integrate_semi_infinite(
 
     Raises
     ------
+    DomainError
+        If scale <= 0.
     NonConvergence
         Propagated from the underlying finite-interval rule.
     """
-    s = spec.semi_infinite_decay_scale
-    if s is None or not s > 0:
-        raise DomainError(
-            "integrate_semi_infinite requires semi_infinite_decay_scale > 0"
-        )
+    if not scale > 0:
+        raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scale}")
 
     def g(t: float) -> float:
         if t >= 1.0:
             return 0.0
         u = 1.0 - t
-        return f(a + s * t / u) * s / (u * u)
+        return f(a + scale * t / u) * scale / (u * u)
 
     return integrate_finite(g, 0.0, 1.0, spec)

@@ -1,20 +1,13 @@
-"""Oscillator response function and the thermally weighted dissipation integral Phi(omega).
+"""The thermally weighted dissipation integral Phi(omega) and its small-omega limits.
 
-For a pair of oscillators (frequencies omega_1, omega_2, polarizability
-volumes alpha_1, alpha_2) in thermal equilibrium at inverse temperature
-beta, the causal response function is
-
-    phi(t) = C_- sin(omega_- t) + C_+ sin(omega_+ t),   t > 0,
-    omega_+- = |omega_1 +- omega_2|,
-    C_+- = (hbar omega_1 omega_2 alpha_1 alpha_2 / 4) * F_+-,
-
-with thermal occupation factors written stably in terms of coth,
-
-    F_+ = coth(b_1) + coth(b_2),     F_- = |coth(b_1) - coth(b_2)|,
-    b_i = beta hbar omega_i / 2.
-
-At T = 0, F_+ -> 2 and F_- -> 0: the difference channel closes and only
-co-excitation of both oscillators dissipates.
+A single pair of oscillators in thermal equilibrium dissipates through
+two channels, the sum frequency omega_1 + omega_2 with the thermal
+factor F_+ = coth(b_1) + coth(b_2) and the difference frequency
+|omega_1 - omega_2| with F_- = |coth(b_1) - coth(b_2)|, where
+b_i = beta hbar omega_i / 2.  At T = 0, F_+ -> 2 and F_- -> 0: the
+difference channel closes and only co-excitation of both oscillators
+dissipates.  (The single-pair response function phi(t) these factors
+come from is the test oracle `tests/oracles.py`.)
 
 Summed over continuous oscillator spectra, the pair amplitudes become
 the surface responses (the oscillator density -Im R/(2 pi^2 rho) enters
@@ -39,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Sequence
 
 from .numerics import (
     CONST,
     DEFAULT_SPEC,
-    DomainError,
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
@@ -82,14 +74,6 @@ class ThermalState:
         return 1.0 / (CONST.k_B * self.temperature)
 
 
-class ResponseCoeffs(NamedTuple):
-    omega_minus: float
-    omega_plus: float
-    C_minus: float
-    C_plus: float
-    H: float
-
-
 def _coth_sum(x: float, y: float) -> float:
     """coth(x) + coth(y) for x, y > 0 (2.0 at x = y = inf)."""
     return (1.0 + math.exp(-2.0 * x)) / -math.expm1(-2.0 * x) + (
@@ -118,59 +102,6 @@ def _inv_sinh_sq(x: float) -> float:
     if math.isinf(x):
         return 0.0
     return 4.0 * math.exp(-2.0 * x) / math.expm1(-2.0 * x) ** 2
-
-
-def response_coeffs(
-    omega1: float,
-    omega2: float,
-    alpha1: float,
-    alpha2: float,
-    thermal: ThermalState,
-) -> ResponseCoeffs:
-    """Amplitudes C_+- and the kernel scale H for a single oscillator pair."""
-    if not (omega1 > 0 and omega2 > 0):
-        raise DomainError("oscillator frequencies must be > 0")
-    if not (alpha1 > 0 and alpha2 > 0):
-        raise DomainError("polarizabilities must be > 0")
-    base = 0.25 * CONST.hbar * omega1 * omega2 * alpha1 * alpha2
-    if thermal.is_zero:
-        c_minus, c_plus, h = 0.0, 2.0 * base, 0.0
-    else:
-        b1 = 0.5 * thermal.beta * CONST.hbar * omega1
-        b2 = 0.5 * thermal.beta * CONST.hbar * omega2
-        gap = 0.5 * thermal.beta * CONST.hbar * abs(omega1 - omega2)
-        c_plus = base * _coth_sum(b1, b2)
-        c_minus = base * _coth_diff(min(b1, b2), gap)
-        # H = hbar^2 w1 w2 a1 a2 / (4 sinh(b1) sinh(b2)), underflowing cleanly to 0
-        h = (
-            CONST.hbar
-            * base
-            * 4.0
-            * math.exp(-(b1 + b2))
-            / (-math.expm1(-2.0 * b1) * -math.expm1(-2.0 * b2))
-        )
-    return ResponseCoeffs(
-        omega_minus=abs(omega1 - omega2),
-        omega_plus=omega1 + omega2,
-        C_minus=c_minus,
-        C_plus=c_plus,
-        H=h,
-    )
-
-
-def phi(
-    t: float,
-    omega1: float,
-    omega2: float,
-    alpha1: float,
-    alpha2: float,
-    thermal: ThermalState,
-) -> float:
-    """Causal response function; zero for t < 0."""
-    if t < 0:
-        return 0.0
-    c = response_coeffs(omega1, omega2, alpha1, alpha2, thermal)
-    return c.C_minus * math.sin(c.omega_minus * t) + c.C_plus * math.sin(c.omega_plus * t)
 
 
 def im_r_dissipation_integral(
@@ -226,7 +157,7 @@ def im_r_dissipation_integral(
         # it on its own scale before transforming the tail
         split = 10.0 * w
         head, _ = integrate_finite(g, 0.0, split, spec)
-        tail, _ = integrate_semi_infinite(g, split, spec.with_scale(scale))
+        tail, _ = integrate_semi_infinite(g, split, scale, spec)
         return head + tail
 
     minus = diff_channel(im_r1, im_r2)
@@ -241,25 +172,36 @@ def phi_slope(
     im_r1: Callable[[float], float],
     im_r2: Callable[[float], float],
     thermal: ThermalState,
-    omega_support: tuple[float, float] = (0.0, math.inf),
+    nodes: Sequence[float] = (0.0, math.inf),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> tuple[float, float]:
     """Small-omega slope Phi_1 = lim Phi(omega)/omega of `im_r_dissipation_integral`.
 
     Phi_1 = beta hbar Int Im R1 Im R2 / sinh^2(beta hbar w / 2) dw over
-    ``omega_support``, cut at beta hbar w = 60, where the thermal factor
-    has fallen below 1e-25.  Zero at T = 0, where the linear channel closes.
+    [nodes[0], nodes[-1]], cut at beta hbar w = 60, where the thermal
+    factor has fallen below 1e-25.  Zero at T = 0, where the linear
+    channel closes.  The integral is taken cell by cell between the
+    increasing ``nodes``: a tabulated material passes its grid, whose
+    nodes are kinks of the interpolated Im R that one adaptive rule
+    across many of them cannot resolve.
 
     Returns
     -------
     (value, err_estimate) : tuple of float
+        The error estimate is the sum of the cells' estimates.
     """
     beta_hbar = thermal.beta * CONST.hbar
-    lo = omega_support[0]
-    hi = min(omega_support[1], 60.0 / beta_hbar)
-    if hi <= lo:
+    hi = min(float(nodes[-1]), 60.0 / beta_hbar)
+    edges = [float(w) for w in nodes if w < hi] + [hi]
+    if len(edges) < 2:
         return 0.0, 0.0
-    value, err = integrate_finite(
-        lambda w: im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w), lo, hi, spec
-    )
+
+    def f(w: float) -> float:
+        return im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w)
+
+    value = err = 0.0
+    for a, b in zip(edges, edges[1:]):
+        cell, cell_err = integrate_finite(f, a, b, spec)
+        value += cell
+        err += cell_err
     return beta_hbar * value, beta_hbar * err

@@ -1,4 +1,4 @@
-"""Closed-loop sliding motion, its Fourier transform, and the delta-sequence kernel.
+"""Closed-loop sliding motion, its Fourier transform, and the delta-sequence limit.
 
 The moving plate follows a closed loop q(t) (units of time; position is
 r0 + v*q(t)): constant velocity v on (-tau, tau), bracketed by slow
@@ -22,15 +22,15 @@ transform is real-valued.  As tau -> inf, (omega/4) sum_{n=+-1}
 
     I(omega) = pi tau (omega_v^2/omega) [delta(omega-omega_v) + delta(omega+omega_v)],
 
-kept symbolic here (prefactor + support points) so consumers integrate
-it analytically; the finite-tau kernel converges to it at rate O(1/tau).
+and the finite-tau kernel converges to it at rate O(1/tau)
+(`delta_limit_convergence`).  The force itself never needs the loop:
+the delta limit is already taken in `friction`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,46 +43,22 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class LoopTrajectory:
-    """Closed-loop motion parameters: fast velocity v, half-duration tau, return ratio alpha.
+    """Closed-loop motion parameters: half-duration tau and return ratio alpha.
 
+    Time is the loop's coordinate, so the fast velocity v only scales
+    the sliding frequency omega_v and is not a parameter here.
     alpha = math.inf selects the limit in which the slow return strokes
     carry no dissipation.
     """
 
-    v: float
     tau: float
     alpha: float = math.inf
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"v must be > 0, got {self.v}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-
-    @property
-    def support(self) -> float:
-        """Half-width (alpha+1)*tau of the motion's time support."""
-        return (self.alpha + 1.0) * self.tau
-
-
-def loop_position(t: float, traj: LoopTrajectory) -> float:
-    """Loop coordinate q(t) (seconds); zero outside [-(alpha+1) tau, (alpha+1) tau].
-
-    Requires finite alpha.
-    """
-    if math.isinf(traj.alpha):
-        raise DomainError("loop_position requires finite alpha")
-    tau, alpha = traj.tau, traj.alpha
-    end = (alpha + 1.0) * tau
-    if t <= -end or t >= end:
-        return 0.0
-    if t < -tau:
-        return -tau - (t + tau) / alpha
-    if t <= tau:
-        return t
-    return tau - (t - tau) / alpha
 
 
 def _sin_over(x: float, tau: float) -> float:
@@ -117,64 +93,6 @@ def qhat_closed_form(omega: float, omega_v: float, traj: LoopTrajectory) -> floa
     return 2.0 * (term1 - term2)
 
 
-def qhat_numeric(
-    omega: float,
-    omega_v: float,
-    traj: LoopTrajectory,
-    spec: QuadratureSpec | None = None,
-) -> complex:
-    """Direct quadrature of the defining transform integral (finite alpha only).
-
-    Serves as an independent oracle for `qhat_closed_form`.  Integration
-    is split at the loop's velocity discontinuities t = +-tau.
-    """
-    if math.isinf(traj.alpha):
-        raise DomainError("qhat_numeric requires finite alpha")
-    if omega_v == 0.0:
-        return 0.0 + 0.0j
-    end = traj.support
-    if spec is None:
-        # Oscillatory pieces need a deep budget; values scale with the support.
-        spec = QuadratureSpec(
-            rel_tol=1e-10, abs_tol=1e-13 * end, max_subdivisions=4000
-        )
-
-    def re(t: float) -> float:
-        q = loop_position(t, traj)
-        return math.cos(omega_v * q - omega * t) - math.cos(omega * t)
-
-    def im(t: float) -> float:
-        q = loop_position(t, traj)
-        return math.sin(omega_v * q - omega * t) + math.sin(omega * t)
-
-    pieces = [(-end, -traj.tau), (-traj.tau, traj.tau), (traj.tau, end)]
-    vr = sum(integrate_finite(re, a, b, spec)[0] for a, b in pieces)
-    vi = sum(integrate_finite(im, a, b, spec)[0] for a, b in pieces)
-    return complex(vr, vi)
-
-
-class DeltaKernel(NamedTuple):
-    """Symbolic tau -> inf kernel: prefactor * [delta(omega - s) for s in support]."""
-
-    prefactor: float
-    support: tuple[float, float]
-
-
-def delta_kernel_I(omega: float, omega_v: float, tau: float) -> DeltaKernel:
-    """Delta-sequence limit of the squared trajectory transform.
-
-    Returns the weight pi*tau*omega_v^2/omega together with the support
-    points +-omega_v; consumers integrate the kernel against smooth
-    functions analytically.  omega_v = 0 gives the zero kernel.
-    """
-    if omega_v == 0.0:
-        return DeltaKernel(prefactor=0.0, support=(0.0, 0.0))
-    return DeltaKernel(
-        prefactor=math.pi * tau * omega_v**2 / omega,
-        support=(omega_v, -omega_v),
-    )
-
-
 def finite_tau_kernel(omega: float, omega_v: float, traj: LoopTrajectory) -> float:
     """(omega/4) sum_{n=+-1} |qhat(omega, n*omega_v)|^2 at finite tau."""
     qp = qhat_closed_form(omega, omega_v, traj)
@@ -192,8 +110,9 @@ def delta_limit_convergence(
 
     Integrates the finite-tau kernel against a unit-peak Gaussian test
     function centered at omega_v (width rel_width*omega_v) and compares
-    with the prediction pi*tau*omega_v.  The relative error decays as
-    O(1/tau), so each tau doubling should halve it.
+    with the prediction pi*tau*omega_v, the weight of the delta limit.
+    The relative error decays as O(1/tau), so each tau doubling should
+    halve it.
 
     Returns
     -------
@@ -212,7 +131,7 @@ def delta_limit_convergence(
     rows: list[dict] = []
     prev_err = None
     for tau in taus:
-        traj = LoopTrajectory(v=1.0, tau=tau, alpha=math.inf)
+        traj = LoopTrajectory(tau=tau, alpha=math.inf)
 
         def integrand(w: float) -> float:
             g = math.exp(-0.5 * ((w - omega_v) / sigma) ** 2)

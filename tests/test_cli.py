@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casimir_friction
 from casimir_friction.cli import build_spec, main
@@ -425,3 +429,39 @@ def test_argparse_errors_exit_2():
         capture_output=True, text=True, timeout=120, env=cli_env(),
     )
     assert proc.returncode == 2
+
+
+REGIMES = ["auto", "linear", "zero-t", "general", "plasmon"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=160)
+@given(
+    wp=st.floats(1.0, 15.0),
+    nu_exp=st.floats(-3.0, math.log10(0.3)),
+    gap_exp=st.floats(0.0, 3.0),
+    v_exp=st.floats(-1.0, 8.0),
+    t_exp=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    regime=st.sampled_from(REGIMES),
+)
+def test_force_property_over_physical_box(wp, nu_exp, gap_exp, v_exp, t_exp, regime):
+    # every input in the box gives a finite force >= 0 or a documented exit code
+    temp = "zero" if t_exp is None else repr(10.0**t_exp)
+    argv = ["force", "--model", "drude", "--wp-ev", repr(wp), "--nu-ev", repr(10.0**nu_exp),
+            "--gap-nm", repr(10.0**gap_exp), "--velocity", repr(10.0**v_exp),
+            "--temp-k", temp, "--regime", regime]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    contradiction = (regime == "linear" and temp == "zero") or (
+        regime == "zero-t" and temp != "zero"
+    )
+    if contradiction:
+        assert code == 2, err.getvalue()
+    elif code == 0:
+        force = json.loads(out.getvalue())["force_per_area_N_m2"]
+        assert math.isfinite(force) and force >= 0.0
+    else:
+        # only the general pipeline can fail numerically, and says where
+        assert code == 3 and regime == "general", err.getvalue()
+        assert "(level: " in err.getvalue()

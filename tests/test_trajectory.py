@@ -6,16 +6,14 @@ import pytest
 from casimir_friction.numerics import DomainError
 from casimir_friction.trajectory import (
     LoopTrajectory,
-    delta_kernel_I,
     delta_limit_convergence,
     finite_tau_kernel,
-    loop_position,
     qhat_closed_form,
-    qhat_numeric,
 )
+from oracles import loop_position, qhat_numeric
 
-TRAJ = LoopTrajectory(v=1.0, tau=10.0, alpha=50.0)
-TRAJ_INF = LoopTrajectory(v=1.0, tau=10.0)
+TRAJ = LoopTrajectory(tau=10.0, alpha=50.0)
+TRAJ_INF = LoopTrajectory(tau=10.0)
 
 
 def test_loop_position_branches():
@@ -105,7 +103,7 @@ def test_qhat_closed_vs_numeric_grid():
 
 
 def test_qhat_resonant_limit_two_tau():
-    traj = LoopTrajectory(v=1.0, tau=5.0, alpha=100.0)
+    traj = LoopTrajectory(tau=5.0, alpha=100.0)
     val = qhat_closed_form(1.0, 1.0, traj)
     assert val == pytest.approx(2.0 * traj.tau, rel=3.0 / traj.alpha)
 
@@ -134,16 +132,8 @@ def test_qhat_conjugation_symmetry():
             assert num_l == pytest.approx(num_r.conjugate(), rel=1e-8, abs=1e-9)
 
 
-def test_delta_kernel_symbolic():
-    k = delta_kernel_I(omega=0.7, omega_v=0.7, tau=40.0)
-    assert k.prefactor == pytest.approx(math.pi * 40.0 * 0.7, rel=1e-14)
-    assert k.support == (0.7, -0.7)
-    zero = delta_kernel_I(omega=1.0, omega_v=0.0, tau=40.0)
-    assert zero.prefactor == 0.0
-
-
 def test_finite_tau_kernel_nonnegative():
-    traj = LoopTrajectory(v=1.0, tau=30.0)
+    traj = LoopTrajectory(tau=30.0)
     for w in np.linspace(0.2, 2.0, 17):
         assert finite_tau_kernel(float(w), 1.0, traj) >= 0.0
 
@@ -160,8 +150,6 @@ def test_delta_limit_convergence_halves_error():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        LoopTrajectory(v=0.0, tau=1.0)
+        LoopTrajectory(tau=0.0)
     with pytest.raises(ValueError):
-        LoopTrajectory(v=1.0, tau=0.0)
-    with pytest.raises(ValueError):
-        LoopTrajectory(v=1.0, tau=1.0, alpha=0.0)
+        LoopTrajectory(tau=1.0, alpha=0.0)
