@@ -7,13 +7,18 @@ Conventions
 - Physical inputs are given in laboratory units (eV, nm, K, m/s) and
   converted to SI at this boundary only (omega = E_eV * eV / hbar).
 - Identical configuration produces byte-identical output; run metadata
-  is attached only under --meta.
+  is attached only under `force --meta`.
 - Exit codes: 0 success, 2 invalid input, 3 numerical failure (or a
   failed consistency check in `compare`).
-- A JSON config file (--config) mirrors the flags by their long names
-  with dashes replaced by underscores; explicit flags take precedence.
-- CASIMIR_QUAD_RTOL overrides the default quadrature relative
-  tolerance when --rtol is not given.
+- Each subcommand registers exactly the flags it reads, and argparse is
+  the one source of configuration: defaults are stated in
+  `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
+  an absent flag leaves out of the echoed `inputs`.  A JSON config file
+  (--config) is read as more flags of the same subcommand, placed
+  before the explicit ones: key `k` is `--k` with underscores as dashes
+  (the sweep bounds are `from`/`to`), `true` is a bare flag, `false`
+  and `null` are left out.  So unknown keys and bad values exit 2 like
+  bad flags, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -50,22 +54,6 @@ from .trajectory import (
     qhat_closed_form,
 )
 
-ENV_RTOL = "CASIMIR_QUAD_RTOL"
-
-DEFAULTS = {
-    "model": "drude",
-    "rho1": 1e28,
-    "rho2": 1e28,
-    "regime": "auto",
-    "format": "json",
-    "max_subdivisions": 200,
-    "points": 200,
-    "scale": "log",
-    "alpha": "inf",
-    "doublings": 3,
-    "profile_points": 41,
-}
-
 
 class CLIError(ValueError):
     """Invalid or contradictory command-line configuration (exit code 2)."""
@@ -92,22 +80,32 @@ def _note(msg: str) -> None:
 # configuration plumbing
 
 
-def _add_common(p: argparse.ArgumentParser, *, need_state: bool) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", choices=["drude", "plasmon", "tabulated"])
+def _add_material(p: argparse.ArgumentParser, models: list[str]) -> None:
+    p.add_argument("--model", choices=models, default="drude")
     p.add_argument("--wp-ev", type=float, help="Drude plasma energy hbar*omega_p (eV)")
-    p.add_argument("--nu-ev", type=float, help="Drude damping energy hbar*nu (eV)")
-    p.add_argument("--wsp-ev", type=float, help="plasmon line energy hbar*omega_sp (eV)")
-    p.add_argument("--eps-csv", help="tabulated permittivity CSV (omega_rad_s,eps_re,eps_im)")
-    p.add_argument("--rho1", type=float, help="number density of plate 1 (1/m^3)")
-    p.add_argument("--rho2", type=float, help="number density of plate 2 (1/m^3)")
-    p.add_argument("--rtol", type=float, help="quadrature relative tolerance override")
-    p.add_argument("--max-subdivisions", type=int, help="quadrature subdivision budget")
-    p.add_argument("--meta", action="store_true", help="attach run metadata to the output")
-    if need_state:
-        p.add_argument("--gap-nm", type=float, help="plate separation (nm)")
-        p.add_argument("--temp-k", help="temperature in K, or 'zero'")
-        p.add_argument("--velocity", type=float, help="sliding velocity (m/s)")
+    p.add_argument("--nu-ev", type=float, help="Drude damping energy hbar*nu (eV; absent: 0)")
+    if "plasmon" in models:
+        p.add_argument("--wsp-ev", type=float, help="plasmon line energy hbar*omega_sp (eV)")
+    if "tabulated" in models:
+        p.add_argument("--eps-csv", help="tabulated permittivity CSV (omega_rad_s,eps_re,eps_im)")
+    p.add_argument("--rho1", type=float, default=1e28, help="number density of plate 1 (1/m^3)")
+
+
+def _add_plates(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rho2", type=float, default=1e28, help="number density of plate 2 (1/m^3)")
+    p.add_argument("--gap-nm", type=float, help="plate separation (nm)")
+    p.add_argument("--temp-k", help="temperature in K, or 'zero'")
+    p.add_argument("--velocity", type=float, help="sliding velocity (m/s)")
+
+
+def _add_force(p: argparse.ArgumentParser) -> None:
+    _add_material(p, ["drude", "plasmon", "tabulated"])
+    _add_plates(p)
+    p.add_argument("--rtol", type=float, help="quadrature relative tolerance (absent: 1e-6)")
+    p.add_argument("--max-subdivisions", type=int, default=200,
+                   help="quadrature subdivision budget")
+    p.add_argument("--regime", choices=["auto", "linear", "zero-t", "general", "plasmon"],
+                   default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,104 +115,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("force", help="friction force per unit area for one configuration")
-    _add_common(p, need_state=True)
-    p.add_argument("--regime", choices=["auto", "linear", "zero-t", "general", "plasmon"])
-    p.add_argument("--format", choices=["json", "csv"])
-    p.set_defaults(func=cmd_force)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="CSV of permittivity, response and spectral density")
-    _add_common(p, need_state=False)
+    p = command("force", cmd_force, "friction force per unit area for one configuration")
+    _add_force(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--meta", action="store_true", help="attach run metadata to the output")
+
+    p = command("spectrum", cmd_spectrum, "CSV of permittivity, response and spectral density")
+    _add_material(p, ["drude", "tabulated"])
     p.add_argument("--omega-min-ev", type=float, help="grid lower bound hbar*omega (eV)")
     p.add_argument("--omega-max-ev", type=float, help="grid upper bound hbar*omega (eV)")
-    p.add_argument("--points", type=int, help="number of log-spaced grid points")
-    p.set_defaults(func=cmd_spectrum)
+    p.add_argument("--points", type=int, default=200, help="number of log-spaced grid points")
 
-    p = sub.add_parser("dissipate", help="finite-loop transform profiles and delta-limit convergence")
-    _add_common(p, need_state=False)
+    p = command("dissipate", cmd_dissipate,
+                "finite-loop transform profiles and delta-limit convergence")
     p.add_argument("--tau", type=float, help="loop half-duration (s)")
-    p.add_argument("--alpha", help="return-stroke ratio (float or 'inf')")
+    p.add_argument("--alpha", default="inf", help="return-stroke ratio (float or 'inf')")
     p.add_argument("--omega-v", type=float, help="sliding frequency (rad/s)")
-    p.add_argument("--doublings", type=int, help="tau doublings in the convergence table")
-    p.add_argument("--profile-points", type=int, help="points in the |qhat|^2 profile")
-    p.set_defaults(func=cmd_dissipate)
+    p.add_argument("--doublings", type=int, default=3,
+                   help="tau doublings in the convergence table")
+    p.add_argument("--profile-points", type=int, default=41,
+                   help="points in the |qhat|^2 profile")
 
-    p = sub.add_parser("compare", help="consistency report against literature closed forms")
-    _add_common(p, need_state=True)
-    p.set_defaults(func=cmd_compare)
+    p = command("compare", cmd_compare, "consistency report against literature closed forms")
+    _add_material(p, ["drude"])
+    _add_plates(p)
 
-    p = sub.add_parser("sweep", help="CSV parameter sweep of the friction force")
-    _add_common(p, need_state=True)
-    p.add_argument("--regime", choices=["auto", "linear", "zero-t", "general", "plasmon"])
+    p = command("sweep", cmd_sweep, "CSV parameter sweep of the friction force")
+    _add_force(p)
     p.add_argument("--param", choices=["velocity", "gap-nm", "temp-k", "wp-ev", "nu-ev"])
     p.add_argument("--from", dest="sweep_from", type=float)
     p.add_argument("--to", dest="sweep_to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--scale", choices=["lin", "log"])
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--scale", choices=["lin", "log"], default="log")
 
     return parser
 
 
-def merge_config(args: argparse.Namespace) -> dict:
-    """Layer flag values over the config file over the defaults."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CLIError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise CLIError("config file must hold a JSON object")
-        cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("func", "command", "config"):
-            continue
-        if value is not None and value is not False:
-            cfg[key] = value
-    return cfg
+def config_argv(path: str) -> list[str]:
+    """The flags a JSON config file stands for, in its key order."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CLIError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CLIError("config file must hold a JSON object")
+    argv = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
-def _positive(cfg: dict, key: str, label: str) -> float:
-    value = cfg.get(key)
+def _checked(value, flag: str, *, zero_ok: bool = False) -> float:
+    """A required numeric input: finite and > 0 (>= 0 with zero_ok)."""
     if value is None:
-        raise CLIError(f"missing required input: {label}")
+        raise CLIError(f"missing required input: {flag}")
     value = float(value)
-    if not (value > 0 and math.isfinite(value)):
-        raise CLIError(f"{label} must be finite and > 0, got {value}")
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise CLIError(f"{flag} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
     return value
 
 
-def build_material(cfg: dict):
-    kind = cfg.get("model", "drude")
-    if kind == "drude":
-        wp = cfg.get("wp_ev")
-        if wp is None:
-            raise CLIError("drude model needs --wp-ev")
-        wp = float(wp)
-        if wp < 0:
-            raise CLIError(f"--wp-ev must be >= 0, got {wp}")
-        nu = float(cfg.get("nu_ev") or 0.0)
-        if nu < 0:
-            raise CLIError(f"--nu-ev must be >= 0, got {nu}")
+def build_material(args: argparse.Namespace):
+    if args.model == "drude":
+        wp = _checked(args.wp_ev, "--wp-ev", zero_ok=True)
+        nu = 0.0 if args.nu_ev is None else _checked(args.nu_ev, "--nu-ev", zero_ok=True)
         return Drude(omega_p=wp * CONST.eV / CONST.hbar, nu=nu * CONST.eV / CONST.hbar)
-    if kind == "plasmon":
-        wsp = _positive(cfg, "wsp_ev", "--wsp-ev")
+    if args.model == "plasmon":
+        wsp = _checked(args.wsp_ev, "--wsp-ev")
         return PlasmonLine(omega_sp=wsp * CONST.eV / CONST.hbar)
-    if kind == "tabulated":
-        path = cfg.get("eps_csv")
-        if not path:
-            raise CLIError("tabulated model needs --eps-csv")
-        try:
-            return Tabulated.from_csv(path)
-        except (OSError, ValueError) as exc:
-            raise CLIError(f"cannot load {path}: {exc}") from exc
-    raise CLIError(f"unknown model {kind!r}")
+    if not args.eps_csv:
+        raise CLIError("tabulated model needs --eps-csv")
+    try:
+        return Tabulated.from_csv(args.eps_csv)
+    except (OSError, ValueError) as exc:
+        raise CLIError(f"cannot load {args.eps_csv}: {exc}") from exc
 
 
-def build_thermal(cfg: dict) -> ThermalState:
-    raw = cfg.get("temp_k")
+def build_thermal(raw) -> ThermalState:
     if raw is None:
         raise CLIError("missing required input: --temp-k (K or 'zero')")
     if isinstance(raw, str) and raw.strip().lower() == "zero":
@@ -228,31 +216,20 @@ def build_thermal(cfg: dict) -> ThermalState:
     return ThermalState.finite(t)
 
 
-def build_plate(cfg: dict) -> PlateConfig:
-    gap_nm = _positive(cfg, "gap_nm", "--gap-nm")
-    rho1 = _positive(cfg, "rho1", "--rho1")
-    rho2 = _positive(cfg, "rho2", "--rho2")
+def build_plate(args: argparse.Namespace) -> PlateConfig:
+    gap_nm = _checked(args.gap_nm, "--gap-nm")
+    rho1 = _checked(args.rho1, "--rho1")
+    rho2 = _checked(args.rho2, "--rho2")
     return PlateConfig(d=gap_nm * CONST.nm, rho1=rho1, rho2=rho2)
 
 
-def build_spec(cfg: dict, default_rtol: float) -> QuadratureSpec:
-    rtol = cfg.get("rtol")
-    if rtol is None:
-        env = os.environ.get(ENV_RTOL)
-        rtol = float(env) if env else default_rtol
-    rtol = float(rtol)
-    subdivisions = int(cfg.get("max_subdivisions", 200))
-    if subdivisions < 1:
-        raise CLIError("--max-subdivisions must be >= 1")
-    return QuadratureSpec(rel_tol=rtol, abs_tol=0.0, max_subdivisions=subdivisions)
-
-
-def _inputs_block(cfg: dict, resolved_regime: str | None = None) -> dict:
+def _inputs_block(args: argparse.Namespace, resolved_regime: str | None = None) -> dict:
     keys = (
         "model", "wp_ev", "nu_ev", "wsp_ev", "eps_csv",
         "gap_nm", "temp_k", "velocity", "rho1", "rho2", "rtol",
     )
-    block = {k: cfg[k] for k in keys if cfg.get(k) is not None}
+    given = vars(args)
+    block = {k: given[k] for k in keys if given.get(k) is not None}
     if resolved_regime is not None:
         block["regime"] = resolved_regime
     return block
@@ -262,8 +239,7 @@ def _inputs_block(cfg: dict, resolved_regime: str | None = None) -> dict:
 # regime selection and the force computation shared by `force` and `sweep`
 
 
-def resolve_regime(cfg: dict, material, thermal: ThermalState, d: float, v: float) -> str:
-    regime = cfg.get("regime", "auto")
+def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: float) -> str:
     if regime == "auto":
         if isinstance(material, PlasmonLine):
             return "plasmon"
@@ -297,9 +273,21 @@ def compute_force(material, plate: PlateConfig, thermal: ThermalState,
     raise CLIError(f"unknown regime {regime!r}")
 
 
-def _result_doc(cfg: dict, result: FrictionResult, regime: str) -> dict:
+def _force(args: argparse.Namespace) -> tuple[FrictionResult, str]:
+    """The force for one configuration, and the regime it resolved to."""
+    material = build_material(args)
+    thermal = build_thermal(args.temp_k)
+    plate = build_plate(args)
+    v = _checked(args.velocity, "--velocity")
+    regime = resolve_regime(args.regime, material, thermal, plate.d, v)
+    spec = QuadratureSpec(rel_tol=1e-6 if args.rtol is None else args.rtol,
+                          abs_tol=0.0, max_subdivisions=args.max_subdivisions)
+    return compute_force(material, plate, thermal, v, regime, spec), regime
+
+
+def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
     doc = {
-        "inputs": _inputs_block(cfg, resolved_regime=regime),
+        "inputs": _inputs_block(args, resolved_regime=regime),
         "force_per_area_N_m2": result.force_per_area,
         "direction": result.direction,
         "regime": result.regime,
@@ -310,7 +298,7 @@ def _result_doc(cfg: dict, result: FrictionResult, regime: str) -> dict:
     }
     if result.diagnostics.suppression_exponent is not None:
         doc["diagnostics"]["suppression_exponent"] = result.diagnostics.suppression_exponent
-    if cfg.get("meta"):
+    if args.meta:
         import platform
         import time
 
@@ -319,16 +307,8 @@ def _result_doc(cfg: dict, result: FrictionResult, regime: str) -> dict:
 
 
 def cmd_force(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    material = build_material(cfg)
-    thermal = build_thermal(cfg)
-    plate = build_plate(cfg)
-    v = _positive(cfg, "velocity", "--velocity")
-    regime = resolve_regime(cfg, material, thermal, plate.d, v)
-    spec = build_spec(cfg, default_rtol=1e-6)
-    result = compute_force(material, plate, thermal, v, regime, spec)
-
-    if cfg.get("format", "json") == "csv":
+    result, regime = _force(args)
+    if args.format == "csv":
         header = "force_per_area_N_m2,regime,quadrature_rel_err"
         row = ",".join(
             [_fmt(result.force_per_area), result.regime,
@@ -336,7 +316,7 @@ def cmd_force(args: argparse.Namespace) -> int:
         )
         _emit(header + "\n" + row)
     else:
-        _emit(json.dumps(_result_doc(cfg, result, regime), sort_keys=True, indent=2))
+        _emit(json.dumps(_result_doc(args, result, regime), sort_keys=True, indent=2))
     return 0
 
 
@@ -345,13 +325,10 @@ def cmd_force(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    material = build_material(cfg)
-    if isinstance(material, PlasmonLine):
-        raise CLIError("spectrum needs a continuous material (drude or tabulated)")
-    rho1 = _positive(cfg, "rho1", "--rho1")
+    material = build_material(args)
+    rho1 = _checked(args.rho1, "--rho1")
 
-    lo_ev, hi_ev = cfg.get("omega_min_ev"), cfg.get("omega_max_ev")
+    lo_ev, hi_ev = args.omega_min_ev, args.omega_max_ev
     if lo_ev is None or hi_ev is None:
         if isinstance(material, Drude) and material.omega_p > 0:
             wp_ev = material.omega_p * CONST.hbar / CONST.eV
@@ -362,14 +339,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             hi_ev = hi_ev if hi_ev is not None else material.omega[-1] * CONST.hbar / CONST.eV
         else:
             raise CLIError("need --omega-min-ev/--omega-max-ev for this material")
-    lo_ev, hi_ev = float(lo_ev), float(hi_ev)
-    if not (0 < lo_ev < hi_ev):
-        raise CLIError(f"need 0 < omega-min-ev < omega-max-ev, got {lo_ev}, {hi_ev}")
-    points = int(cfg.get("points", 200))
-    if points < 1:
+    if not (0 < lo_ev < hi_ev and math.isfinite(hi_ev)):
+        raise CLIError(f"need finite 0 < --omega-min-ev < --omega-max-ev, got {lo_ev}, {hi_ev}")
+    if args.points < 1:
         raise CLIError("--points must be >= 1")
 
-    grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), points) * CONST.eV / CONST.hbar
+    grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), args.points) * CONST.eV / CONST.hbar
+    if isinstance(material, Tabulated):
+        # a default end is the table's own node: its eV round trip can leave the table
+        if args.omega_max_ev is None and args.points > 1:
+            grid[-1] = material.omega[-1]
+        if args.omega_min_ev is None:
+            grid[0] = material.omega[0]
     norm = 1.0 / (2.0 * math.pi**2 * rho1)  # oscillator density -Im R/(2 pi^2 rho1)
     lines = ["omega_rad_s,eps_re,eps_im,im_R,spectral_density"]
     for w in grid:
@@ -387,25 +368,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_dissipate(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    tau = _positive(cfg, "tau", "--tau")
-    if cfg.get("omega_v") is None:
-        raise CLIError("missing required input: --omega-v")
-    omega_v = float(cfg["omega_v"])
-    if omega_v < 0:
-        raise CLIError(f"--omega-v must be >= 0, got {omega_v}")
-    raw_alpha = str(cfg.get("alpha", "inf")).strip().lower()
+    tau = _checked(args.tau, "--tau")
+    omega_v = _checked(args.omega_v, "--omega-v", zero_ok=True)
+    raw_alpha = str(args.alpha).strip().lower()
     alpha = math.inf if raw_alpha in ("inf", "infinite") else float(raw_alpha)
     if not alpha > 0:
         raise CLIError(f"--alpha must be > 0 or 'inf', got {alpha}")
-    doublings = int(cfg.get("doublings", 3))
-    profile_points = int(cfg.get("profile_points", 41))
-    if doublings < 1 or profile_points < 1:
+    if args.doublings < 1 or args.profile_points < 1:
         raise CLIError("--doublings and --profile-points must be >= 1")
 
     traj = LoopTrajectory(tau=tau, alpha=alpha)
     w_ref = omega_v if omega_v > 0 else 1.0 / tau
-    grid = np.linspace(0.2 * w_ref, 2.0 * w_ref, profile_points)
+    grid = np.linspace(0.2 * w_ref, 2.0 * w_ref, args.profile_points)
     profile = []
     for w in grid:
         q = qhat_closed_form(float(w), omega_v, traj) if omega_v > 0 else 0.0
@@ -413,7 +387,7 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
 
     convergence = []
     if omega_v > 0:
-        taus = [tau * 2.0**k for k in range(doublings + 1)]
+        taus = [tau * 2.0**k for k in range(args.doublings + 1)]
         convergence = delta_limit_convergence(omega_v, taus)
 
     alpha_rows = []
@@ -447,15 +421,14 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    material = build_material(cfg)
-    if not isinstance(material, Drude) or material.nu <= 0 or material.omega_p <= 0:
+    material = build_material(args)
+    if material.nu <= 0 or material.omega_p <= 0:
         raise CLIError("compare requires a drude material with wp-ev > 0 and nu-ev > 0")
-    thermal = build_thermal(cfg)
-    plate = build_plate(cfg)
-    v = _positive(cfg, "velocity", "--velocity")
+    thermal = build_thermal(args.temp_k)
+    plate = build_plate(args)
+    v = _checked(args.velocity, "--velocity")
     report = consistency_report(material, plate, thermal, v)
-    doc = {"inputs": _inputs_block(cfg), **report}
+    doc = {"inputs": _inputs_block(args), **report}
     _emit(json.dumps(doc, sort_keys=True, indent=2))
     if not report["all_passed"]:
         _note("consistency checks FAILED")
@@ -467,54 +440,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # sweep
 
 
-_SWEEP_KEYS = {
-    "velocity": "velocity",
-    "gap-nm": "gap_nm",
-    "temp-k": "temp_k",
-    "wp-ev": "wp_ev",
-    "nu-ev": "nu_ev",
-}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    param = cfg.get("param")
-    if param not in _SWEEP_KEYS:
-        raise CLIError(f"--param must be one of {sorted(_SWEEP_KEYS)}, got {param!r}")
-    key = _SWEEP_KEYS[param]
-    if cfg.get("sweep_from") is None or cfg.get("sweep_to") is None:
+    if args.param is None:
+        raise CLIError("missing required input: --param")
+    key = args.param.replace("-", "_")
+    if args.sweep_from is None or args.sweep_to is None:
         raise CLIError("missing required inputs: --from and --to")
-    lo, hi = float(cfg["sweep_from"]), float(cfg["sweep_to"])
-    points = int(cfg.get("points", 200))
-    if points < 1:
+    lo, hi = args.sweep_from, args.sweep_to
+    if args.points < 1:
         raise CLIError("--points must be >= 1")
-    scale = cfg.get("scale", "log")
-    if points == 1:
+    if args.points == 1:
         values = np.array([lo])
-    elif scale == "log":
+    elif args.scale == "log":
         if not (lo > 0 and hi > 0):
             raise CLIError("log scale requires positive bounds")
-        values = np.logspace(np.log10(lo), np.log10(hi), points)
+        values = np.logspace(np.log10(lo), np.log10(hi), args.points)
     else:
-        values = np.linspace(lo, hi, points)
-
-    def eval_point(value: float) -> tuple[float, str]:
-        point_cfg = dict(cfg)
-        point_cfg[key] = value
-        material = build_material(point_cfg)
-        thermal = build_thermal(point_cfg)
-        plate = build_plate(point_cfg)
-        v = _positive(point_cfg, "velocity", "--velocity")
-        regime = resolve_regime(point_cfg, material, thermal, plate.d, v)
-        spec = build_spec(point_cfg, default_rtol=1e-6)
-        result = compute_force(material, plate, thermal, v, regime, spec)
-        return result.force_per_area, result.regime
-
-    rows = [eval_point(float(x)) for x in values]
+        values = np.linspace(lo, hi, args.points)
 
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    for i, (x, (force, regime)) in enumerate(zip(values, rows)):
-        out.append(",".join([str(i), _fmt(float(x)), _fmt(force), regime]))
+    results = [_force(argparse.Namespace(**{**vars(args), key: float(x)}))[0] for x in values]
+    for i, (x, result) in enumerate(zip(values, results)):
+        out.append(",".join([str(i), _fmt(float(x)), _fmt(result.force_per_area), result.regime]))
     _emit("\n".join(out))
     return 0
 
@@ -523,9 +470,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the top-level parser has no options, so argv[0] is the subcommand
+            args = parser.parse_args([args.command, *config_argv(args.config), *argv[1:]])
         return args.func(args)
     except CLIError as exc:
         _note(f"error: {exc}")

@@ -43,13 +43,11 @@ class LiteratureParams:
     sigma_over_eps0 is the conductivity ratio (rad/s) appearing in the
     eps = 1 + i sigma/(omega eps0) dielectric function; note that this
     sigma/eps0 equals the "4 pi sigma" of Gaussian-unit conventions.
-    beta_metal is the material exponent in Barton's form (1 for metals).
     """
 
     sigma_over_eps0: float
     d: float
     v: float
-    beta_metal: float = 1.0
 
     def __post_init__(self):
         if not self.sigma_over_eps0 > 0:

@@ -1,7 +1,9 @@
 import dataclasses
 
 import casimir_friction
-from casimir_friction import friction, geometry, material, numerics, response, trajectory
+from casimir_friction import (
+    compare, friction, geometry, material, numerics, response, trajectory,
+)
 
 PUBLIC = {
     "CONST", "DEFAULT_SPEC", "NESTED_SPEC", "PhysicalConstants", "QuadratureSpec",
@@ -65,6 +67,7 @@ def test_unread_fields_are_gone():
     assert fields(friction.FrictionResult) == {
         "force_per_area", "regime", "diagnostics", "direction",
     }
+    assert fields(compare.LiteratureParams) == {"sigma_over_eps0", "d", "v"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(material.PlasmonLine, "from_plasma_frequency")
     assert not hasattr(trajectory.LoopTrajectory, "support")

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_friction
-from casimir_friction.cli import build_spec, main
+from casimir_friction.cli import build_parser, main
+from casimir_friction.material import Drude
 from casimir_friction.numerics import CONST
 
 DRUDE_ARGS = ["--model", "drude", "--wp-ev", "9", "--nu-ev", "0.035"]
@@ -233,15 +236,89 @@ def test_config_file_can_supply_subcommand_inputs(capsys, tmp_path):
     assert "--from" in err
 
 
-def test_env_rtol_override(monkeypatch):
-    monkeypatch.setenv("CASIMIR_QUAD_RTOL", "1e-4")
-    spec = build_spec({}, default_rtol=1e-6)
-    assert spec.rel_tol == 1e-4
-    # explicit flag wins over the environment
-    spec = build_spec({"rtol": 1e-8}, default_rtol=1e-6)
-    assert spec.rel_tol == 1e-8
-    monkeypatch.delenv("CASIMIR_QUAD_RTOL")
-    assert build_spec({}, default_rtol=1e-6).rel_tol == 1e-6
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sweep", "scale", "logg"), ("force", "rtoll", 1e-8), ("force", "format", "xml"),
+])
+def test_config_file_bad_key_or_value_exits_2(capsys, tmp_path, command, key, value):
+    # a config file goes through the subcommand's own parser, as flags do
+    path = _write_config(tmp_path, {key: value})
+    argv = [command, "--config", path, *DRUDE_ARGS, *STATE_ARGS]
+    if command == "sweep":
+        argv += ["--param", "velocity", "--from", "1", "--to", "2", "--points", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--" + key in capsys.readouterr().err
+
+
+def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
+    sweep = {"model": "drude", "wp_ev": 9, "nu_ev": 0.035, "gap_nm": 10, "temp_k": "zero",
+             "param": "velocity", "from": 0.1, "to": 1.0, "points": 4}
+    force = {"wp_ev": 9, "nu_ev": 0.035, "gap_nm": 10, "temp_k": 300, "velocity": 1,
+             "regime": "general", "rtol": 1e-8, "meta": False}
+    for command, cfg in (("sweep", sweep), ("force", force)):
+        flags = [command]
+        for key, value in cfg.items():
+            if value is not False:
+                flags += ["--" + key.replace("_", "-"), str(value)]
+        code_flags, by_flags, _ = run_cli(capsys, flags)
+        code_file, by_file, _ = run_cli(capsys, [command, "--config", _write_config(tmp_path, cfg)])
+        assert code_flags == code_file == 0
+        assert by_file == by_flags
+    assert json.loads(by_file)["inputs"]["rtol"] == 1e-8
+
+
+FLAGS = {
+    "force": {
+        "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
+        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol", "--max-subdivisions",
+        "--regime", "--format", "--meta",
+    },
+    "spectrum": {
+        "--config", "--model", "--wp-ev", "--nu-ev", "--eps-csv", "--rho1",
+        "--omega-min-ev", "--omega-max-ev", "--points",
+    },
+    "dissipate": {"--config", "--tau", "--alpha", "--omega-v", "--doublings", "--profile-points"},
+    "compare": {
+        "--config", "--model", "--wp-ev", "--nu-ev", "--rho1", "--rho2", "--gap-nm",
+        "--temp-k", "--velocity",
+    },
+    "sweep": {
+        "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
+        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol", "--max-subdivisions",
+        "--regime", "--param", "--from", "--to", "--points", "--scale",
+    },
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAGS)
+    for name, flags in FLAGS.items():
+        registered = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        assert registered - {"-h", "--help"} == flags, name
+    models = {name: next(a.choices for a in sub.choices[name]._actions if a.dest == "model")
+              for name in ("force", "spectrum", "compare", "sweep")}
+    assert models == {"force": ["drude", "plasmon", "tabulated"], "spectrum": ["drude", "tabulated"],
+                      "compare": ["drude"], "sweep": ["drude", "plasmon", "tabulated"]}
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("casimir-friction ")]
+    assert examples
+    for argv in examples:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 def test_spectrum_contract(capsys):
@@ -286,6 +363,48 @@ def test_spectrum_zero_plasma_frequency(capsys):
     assert all(float(r[1]) == 1.0 for r in rows)
 
 
+def test_spectrum_tabulated_default_range_is_the_table(capsys, tmp_path):
+    # the default grid ends are the table's own nodes, not their eV round trip
+    gold = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
+    grid = np.logspace(9.0, math.log10(3e16), 400)
+    rows = ["omega_rad_s,eps_re,eps_im"]
+    for w in map(float, grid):
+        eps = gold.eps_at(w)
+        rows.append(f"{w!r},{eps.real!r},{-eps.imag!r}")  # file convention: Im eps >= 0
+    path = tmp_path / "gold.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["spectrum", "--model", "tabulated", "--eps-csv", str(path)])
+    assert code == 0, err
+    omega = [float(ln.split(",")[0]) for ln in out.strip().split("\n")[1:]]
+    assert len(omega) == 200
+    assert omega[0] == grid[0] and omega[-1] == grid[-1]
+
+
+DISSIPATE_ARGS = ["dissipate", "--tau", "10", "--omega-v", "1", "--alpha", "30"]
+SPECTRUM_ARGS = ["spectrum", *DRUDE_ARGS, "--rho1", "1e28", "--omega-min-ev", "0.01",
+                 "--omega-max-ev", "10", "--points", "3"]
+
+
+@pytest.mark.parametrize("base, flag, value", [
+    pytest.param(base, flag, value, id=f"{base[0]}{flag}={value}")
+    for base, flags in ((DISSIPATE_ARGS, ("--tau", "--omega-v", "--alpha")),
+                        (SPECTRUM_ARGS, ("--wp-ev", "--nu-ev", "--rho1", "--omega-min-ev",
+                                         "--omega-max-ev")))
+    for flag in flags for value in ("inf", "nan")
+    if (flag, value) != ("--alpha", "inf")  # alpha = inf is the open loop
+])
+def test_dissipate_and_spectrum_non_finite_input_exits_2(capsys, base, flag, value):
+    argv = list(base)
+    argv[argv.index(flag) + 1] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert not caught
+
+
 def test_dissipate_convergence_table(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -325,11 +444,15 @@ def test_compare_all_checks_true(capsys):
 
 
 def test_compare_requires_drude(capsys):
-    code, _, err = run_cli(
-        capsys, ["compare", "--model", "plasmon", "--wsp-ev", "6.4", *STATE_ARGS],
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--model", "plasmon", *STATE_ARGS])
+    assert exc.value.code == 2
+    assert "drude" in capsys.readouterr().err
+
+    code, out, err = run_cli(capsys, ["compare", "--wp-ev", "9", "--nu-ev", "0", *STATE_ARGS])
     assert code == 2
-    assert "drude" in err
+    assert out == ""
+    assert "nu-ev > 0" in err
 
 
 def test_sweep_velocity_cubic_slope(capsys):
