@@ -43,7 +43,6 @@ from .geometry import PlateConfig, UnequalDensities
 from .friction import (
     Diagnostics,
     FrictionResult,
-    ValidityWarning,
     dissipation_general,
     force_linear,
     force_plasmon,
@@ -72,7 +71,6 @@ __all__ = [
     "Tabulated",
     "ThermalState",
     "UnequalDensities",
-    "ValidityWarning",
     "consistency_report",
     "delta_limit_convergence",
     "dissipation_general",

@@ -3,7 +3,10 @@
 Conventions
 -----------
 - stdout carries exactly one machine-readable document (JSON or CSV)
-  per invocation; all human-readable notes and warnings go to stderr.
+  per invocation; all human-readable notes go to stderr.  Each validity
+  flag of a result is in its JSON (`diagnostics.validity_flags`, or
+  `validity_flags` for `compare`) and is echoed on stderr as one
+  `validity: ...` line, once per result (so once per sweep point).
 - Physical inputs are given in laboratory units (eV, nm, K, m/s) and
   converted to SI at this boundary only (omega = E_eV * eV / hbar).
 - Identical configuration produces byte-identical output; run metadata
@@ -18,7 +21,8 @@ Conventions
   before the explicit ones: key `k` is `--k` with underscores as dashes
   (the sweep bounds are `from`/`to`), `true` is a bare flag, `false`
   and `null` are left out.  So unknown keys and bad values exit 2 like
-  bad flags, and explicit flags win.
+  bad flags, and explicit flags win.  Flags and keys are spelled in
+  full: a shortened one (`--vel`, `"vel"`) is unknown.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .numerics import CONST, NonConvergence, QuadratureSpec
+from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec
 from .material import (
     Drude,
     PlasmonLine,
@@ -76,6 +80,11 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _note_flags(flags: list[str]) -> None:
+    for flag in flags:
+        _note(f"validity: {flag}")
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -102,8 +111,6 @@ def _add_force(p: argparse.ArgumentParser) -> None:
     _add_material(p, ["drude", "plasmon", "tabulated"])
     _add_plates(p)
     p.add_argument("--rtol", type=float, help="quadrature relative tolerance (absent: 1e-6)")
-    p.add_argument("--max-subdivisions", type=int, default=200,
-                   help="quadrature subdivision budget")
     p.add_argument("--regime", choices=["auto", "linear", "zero-t", "general", "plasmon"],
                    default="auto")
 
@@ -116,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.set_defaults(func=func)
         return p
@@ -280,9 +287,10 @@ def _force(args: argparse.Namespace) -> tuple[FrictionResult, str]:
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     regime = resolve_regime(args.regime, material, thermal, plate.d, v)
-    spec = QuadratureSpec(rel_tol=1e-6 if args.rtol is None else args.rtol,
-                          abs_tol=0.0, max_subdivisions=args.max_subdivisions)
-    return compute_force(material, plate, thermal, v, regime, spec), regime
+    spec = NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
+    result = compute_force(material, plate, thermal, v, regime, spec)
+    _note_flags(result.diagnostics.validity_flags)
+    return result, regime
 
 
 def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
@@ -428,6 +436,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     report = consistency_report(material, plate, thermal, v)
+    _note_flags(report["validity_flags"])
     doc = {"inputs": _inputs_block(args), **report}
     _emit(json.dumps(doc, sort_keys=True, indent=2))
     if not report["all_passed"]:

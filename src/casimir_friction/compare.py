@@ -20,14 +20,13 @@ multiplied into any force.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .numerics import CONST
 from .material import Drude
 from .geometry import PlateConfig
 from .response import ThermalState
-from .friction import ValidityWarning, force_linear, force_zero_t
+from .friction import force_linear, force_zero_t
 
 #: Exact linear/cubic ratio coefficient (1/12)(64 pi^2/5) = 16 pi^2/15.
 RATIO_COEFFICIENT = 16.0 * math.pi**2 / 15.0
@@ -68,15 +67,9 @@ class LiteratureParams:
 def pendry_force(p: LiteratureParams) -> float:
     """F = 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6).
 
-    Warns (ValidityWarning) outside the stated validity window
-    v < d sigma/(omega eps0), taking the sliding frequency omega = v/d.
+    Stated for v < d sigma/(omega eps0), with the sliding frequency
+    omega = v/d; `consistency_report` flags a velocity outside it.
     """
-    if p.v > 0 and p.v >= p.d * math.sqrt(p.sigma_over_eps0):
-        warnings.warn(
-            "outside the validity window v < d*sigma/(omega*eps0) (omega = v/d)",
-            ValidityWarning,
-            stacklevel=2,
-        )
     return 5.0 * CONST.hbar * p.v**3 / (256.0 * math.pi**2 * p.sigma_over_eps0**2 * p.d**6)
 
 
@@ -89,19 +82,28 @@ def consistency_report(
     """Cross-check this package's closed forms against the literature chain.
 
     Returns a JSON-ready dict with the five forces, the linear/cubic
-    ratio, and a ``checks`` list whose entries must all pass for any
-    valid Drude configuration (everything here is density-independent).
+    ratio, a ``checks`` list whose entries must all pass for any valid
+    Drude configuration (everything here is density-independent), and a
+    ``validity_flags`` list: the flags of the two closed-form results,
+    then the Pendry window v < d sigma/(omega eps0) if v leaves it.
     """
     if not isinstance(material, Drude):
         raise TypeError("consistency_report requires a Drude material")
 
+    flags: list[str] = []
     if thermal.is_zero:
         f_lin = 0.0
     else:
-        f_lin = force_linear(material, config, thermal, v).force_per_area
-    f_cubic = force_zero_t(material, config, v).force_per_area
+        linear = force_linear(material, config, thermal, v)
+        f_lin = linear.force_per_area
+        flags += linear.diagnostics.validity_flags
+    cubic = force_zero_t(material, config, v)
+    f_cubic = cubic.force_per_area
+    flags += cubic.diagnostics.validity_flags
     params = LiteratureParams.from_drude(material, config.d, v)
     f_pendry = pendry_force(params)
+    if params.v >= params.d * math.sqrt(params.sigma_over_eps0):
+        flags.append("outside the Pendry validity window v < d*sigma/(omega*eps0) (omega = v/d)")
     f_vp = 6.0 * f_pendry
     f_barton = 12.0 * f_pendry
 
@@ -157,6 +159,7 @@ def consistency_report(
         "ratio_expected": ratio_expected,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
+        "validity_flags": flags,
         "annotations": [
             "Barton's form carries zeta(5) ~= 1.037, disregarded here (reported, never applied)",
             "the linear-regime literature comparison carries zeta(3) ~= 1.2, likewise disregarded",

@@ -39,7 +39,6 @@ densities rho1, rho2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from scipy.special import k1e
@@ -66,21 +65,18 @@ PLASMON_LINE = "PlasmonLine"
 UNDERFLOW_EXPONENT = 700.0
 
 
-class ValidityWarning(UserWarning):
-    """A closed form is being used near or beyond its validity regime."""
-
-
 @dataclass
 class Diagnostics:
-    """Quadrature quality and validity bookkeeping attached to each result."""
+    """Quadrature quality and validity bookkeeping attached to each result.
+
+    A closed form used near or beyond its validity window appends a
+    message to ``validity_flags``; the result is the only place a flag
+    is reported.
+    """
 
     quadrature_rel_err: float = 0.0
     validity_flags: list[str] = field(default_factory=list)
     suppression_exponent: float | None = None
-
-    def flag(self, message: str) -> None:
-        self.validity_flags.append(message)
-        warnings.warn(message, ValidityWarning, stacklevel=3)
 
 
 @dataclass
@@ -132,13 +128,13 @@ def force_linear(
                 / (3.0 * (thermal.beta * CONST.hbar * material.omega_sp**2) ** 2)
             )
             if CONST.k_B * thermal.temperature > 0.01 * CONST.hbar * material.omega_sp:
-                diag.flag(
+                diag.validity_flags.append(
                     "kT approaches hbar*omega_sp: small-m linear head is "
                     "inaccurate over the thermal window"
                 )
     elif isinstance(material, Tabulated):
         if CONST.hbar * material.omega[0] * thermal.beta > 0.5:
-            diag.flag("tabulated support misses part of the thermal window")
+            diag.validity_flags.append("tabulated support misses part of the thermal window")
         im_r = _im_r_callable(material)
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
@@ -178,7 +174,7 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
         # dominant q ~ 2.5/d in the d^-6 moment; flag when hbar*omega_v
         # there leaves the linear head
         if v > 0 and 2.5 * v / config.d > 0.1 * material.omega_sp:
-            diag.flag(
+            diag.validity_flags.append(
                 "omega_v at the dominant wavevectors exceeds the small-m "
                 "cutoff; the cubic closed form underestimates spectrum curvature"
             )

@@ -48,28 +48,21 @@ class QuadratureSpec:
     Parameters
     ----------
     rel_tol : float
-        Target relative error, > 0; at least 50 machine epsilons when
-        abs_tol = 0, the floor QUADPACK accepts.
-    abs_tol : float
-        Target absolute error (same units as the integral), >= 0.
+        Target relative error; at least 50 machine epsilons, the floor
+        QUADPACK accepts without an absolute tolerance.
     max_subdivisions : int
         Adaptive bisection budget, >= 1.
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 0.0
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol == 0 and self.rel_tol < 50 * sys.float_info.epsilon:
+        if not self.rel_tol >= 50 * sys.float_info.epsilon:
             raise ValueError(
                 f"rel_tol must be >= 50 machine epsilons "
-                f"({50 * sys.float_info.epsilon:.3g}) when abs_tol = 0, got {self.rel_tol}"
+                f"({50 * sys.float_info.epsilon:.3g}), got {self.rel_tol}"
             )
-        if self.abs_tol < 0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
@@ -77,10 +70,10 @@ class QuadratureSpec:
 
 
 #: Default for 1D integrals; closed-form cross-checks demand <= 1e-8 agreement.
-DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=200)
+DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, max_subdivisions=200)
 
 #: Default for each level of the nested 2D/3D force integrals.
-NESTED_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=0.0, max_subdivisions=200)
+NESTED_SPEC = QuadratureSpec(rel_tol=1e-6, max_subdivisions=200)
 
 
 @dataclass(frozen=True)
@@ -133,13 +126,13 @@ def integrate_finite(
         f,
         a,
         b,
-        epsabs=spec.abs_tol,
+        epsabs=0.0,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,
         full_output=1,
     )
     value, err = out[0], out[1]
-    if len(out) > 3 and err > max(spec.abs_tol, spec.rel_tol * abs(value)):
+    if len(out) > 3 and err > spec.rel_tol * abs(value):
         raise NonConvergence(
             f"quadrature did not converge on [{a}, {b}]: "
             f"value={value:.6e}, err={err:.3e} ({out[3].splitlines()[0]})"

@@ -126,7 +126,7 @@ def delta_limit_convergence(
     lo = max(omega_v - 8.0 * sigma, 1e-12 * omega_v)
     hi = omega_v + 8.0 * sigma
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=20000)
+        spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=20000)
 
     rows: list[dict] = []
     prev_err = None

@@ -56,7 +56,7 @@ from casimir_friction.numerics import (
     CONST,
     DEFAULT_SPEC,
     DomainError,
-    QuadratureSpec,
+    NonConvergence,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -92,8 +92,15 @@ def qhat_numeric(omega, omega_v, traj):
     if omega_v == 0.0:
         return 0.0 + 0.0j
     end = (traj.alpha + 1.0) * traj.tau
-    # oscillatory pieces need a deep budget; values scale with the support
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13 * end, max_subdivisions=4000)
+
+    def quad(f, a, b):
+        # oscillatory pieces need a deep budget; values scale with the support,
+        # so an absolute tolerance holds where a piece nearly cancels
+        value, err, *rest = integrate.quad(f, a, b, epsabs=1e-13 * end, epsrel=1e-10,
+                                           limit=4000, full_output=1)
+        if rest[1:] and err > max(1e-13 * end, 1e-10 * abs(value)):
+            raise NonConvergence(f"qhat_numeric did not converge on [{a}, {b}]: err={err:.3e}")
+        return value
 
     def re(t):
         return math.cos(omega_v * loop_position(t, traj) - omega * t) - math.cos(omega * t)
@@ -102,8 +109,8 @@ def qhat_numeric(omega, omega_v, traj):
         return math.sin(omega_v * loop_position(t, traj) - omega * t) + math.sin(omega * t)
 
     pieces = [(-end, -traj.tau), (-traj.tau, traj.tau), (traj.tau, end)]
-    vr = sum(integrate_finite(re, a, b, spec)[0] for a, b in pieces)
-    vi = sum(integrate_finite(im, a, b, spec)[0] for a, b in pieces)
+    vr = sum(quad(re, a, b) for a, b in pieces)
+    vi = sum(quad(im, a, b) for a, b in pieces)
     return complex(vr, vi)
 
 

@@ -12,7 +12,7 @@ PUBLIC = {
     "LoopTrajectory", "qhat_closed_form", "finite_tau_kernel", "delta_limit_convergence",
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
     "PlateConfig", "UnequalDensities",
-    "Diagnostics", "FrictionResult", "ValidityWarning",
+    "Diagnostics", "FrictionResult",
     "dissipation_general", "force_linear", "force_zero_t", "force_plasmon",
     "LiteratureParams", "consistency_report", "pendry_force",
 }
@@ -33,7 +33,7 @@ DELETED = {
         "psi_hat", "g_hat", "g_hat_z_integrated",
     ),
     trajectory: ("DeltaKernel", "delta_kernel_I", "loop_position", "qhat_numeric"),
-    friction: ("_rho_slope_product",),
+    friction: ("_rho_slope_product", "ValidityWarning"),
 }
 
 
@@ -62,7 +62,7 @@ def test_unread_fields_are_gone():
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert fields(numerics.QuadratureSpec) == {"rel_tol", "abs_tol", "max_subdivisions"}
+    assert fields(numerics.QuadratureSpec) == {"rel_tol", "max_subdivisions"}
     assert fields(trajectory.LoopTrajectory) == {"tau", "alpha"}
     assert fields(friction.FrictionResult) == {
         "force_per_area", "regime", "diagnostics", "direction",
@@ -71,3 +71,4 @@ def test_unread_fields_are_gone():
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(material.PlasmonLine, "from_plasma_frequency")
     assert not hasattr(trajectory.LoopTrajectory, "support")
+    assert not hasattr(friction.Diagnostics, "flag")

@@ -105,15 +105,19 @@ def test_force_missing_material_exits_2(capsys):
     assert "wp-ev" in err
 
 
+#: A T = 0 general force that QUADPACK cannot converge: the narrow sum-channel
+#: Lorentzians at omega_sp and k_x v - omega_sp stop the Phi quadrature on roundoff.
+NONCONVERGENT_ARGS = ["force", "--model", "drude", "--wp-ev", "7.1035664975575425",
+                      "--nu-ev", "0.001", "--gap-nm", "1", "--velocity", "12693064.810593091",
+                      "--temp-k", "zero", "--regime", "general"]
+
+
 def test_force_numerical_failure_exits_3(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general",
-         "--max-subdivisions", "1", "--rtol", "1e-12"],
-    )
+    code, out, err = run_cli(capsys, NONCONVERGENT_ARGS)
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+    assert "(level: omega1)" in err
 
 
 def test_force_rtol_below_quadrature_floor_exits_2(capsys):
@@ -164,16 +168,17 @@ def test_force_auto_regime_selection(capsys):
 
     # high velocity at finite T: the discriminator picks the cubic channel,
     # and the closed form flags that omega_v strains the linear head there
-    with pytest.warns(Warning):
-        code, out, err = run_cli(
-            capsys, ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300",
-                     "--velocity", "1e7"],
-        )
+    code, out, err = run_cli(
+        capsys, ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300",
+                 "--velocity", "1e7"],
+    )
     assert code == 0
     doc = json.loads(out)
     assert doc["regime"] == "ZeroT_Cubic"
-    assert doc["diagnostics"]["validity_flags"]
+    flags = doc["diagnostics"]["validity_flags"]
+    assert len(flags) == 1
     assert "auto regime" in err
+    assert f"validity: {flags[0]}" in err.splitlines()
 
 
 def test_force_meta_flag(capsys):
@@ -191,6 +196,7 @@ def test_compare_exit_3_on_failed_check(capsys, monkeypatch):
         return {
             "all_passed": False,
             "checks": [{"name": "forced", "passed": False}],
+            "validity_flags": [],
         }
 
     monkeypatch.setattr(cli_mod, "consistency_report", broken_report)
@@ -244,6 +250,7 @@ def _write_config(tmp_path, cfg):
 
 @pytest.mark.parametrize("command, key, value", [
     ("sweep", "scale", "logg"), ("force", "rtoll", 1e-8), ("force", "format", "xml"),
+    ("force", "vel", 1),  # a prefix of "velocity" is not that key
 ])
 def test_config_file_bad_key_or_value_exits_2(capsys, tmp_path, command, key, value):
     # a config file goes through the subcommand's own parser, as flags do
@@ -255,6 +262,19 @@ def test_config_file_bad_key_or_value_exits_2(capsys, tmp_path, command, key, va
         main(argv)
     assert exc.value.code == 2
     assert "--" + key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["force", "compare", "sweep"])
+def test_shortened_flag_exits_2(capsys, command):
+    argv = [command, *DRUDE_ARGS, "--gap", "10", "--temp", "300", "--vel", "1"]
+    if command == "sweep":
+        argv += ["--param", "gap-nm", "--from", "5", "--to", "10", "--points", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --gap 10 --temp 300 --vel 1" in captured.err
 
 
 def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
@@ -277,7 +297,7 @@ def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
 FLAGS = {
     "force": {
         "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
-        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol", "--max-subdivisions",
+        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol",
         "--regime", "--format", "--meta",
     },
     "spectrum": {
@@ -291,7 +311,7 @@ FLAGS = {
     },
     "sweep": {
         "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
-        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol", "--max-subdivisions",
+        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol",
         "--regime", "--param", "--from", "--to", "--points", "--scale",
     },
 }
@@ -441,6 +461,23 @@ def test_compare_all_checks_true(capsys):
     assert doc["all_passed"] is True
     assert all(c["passed"] for c in doc["checks"])
     assert doc["F_ours_zeroT"] / doc["F_Pendry"] == pytest.approx(12.0, rel=1e-12)
+    assert doc["validity_flags"] == []
+
+
+def test_compare_outside_its_windows_says_so(capsys):
+    # the checks still pass (they are identities), but both windows are left
+    code, out, err = run_cli(capsys, ["compare", *DRUDE_ARGS, "--gap-nm", "1",
+                                      "--temp-k", "300", "--velocity", "1e8"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_passed"] is True
+    flags = doc["validity_flags"]
+    assert len(flags) == 2
+    assert "cubic closed form" in flags[0] and "Pendry" in flags[1]
+    assert [ln for ln in err.splitlines() if ln.startswith("validity: ")] == [
+        f"validity: {f}" for f in flags
+    ]
+    assert ".py:" not in err
 
 
 def test_compare_requires_drude(capsys):
@@ -453,6 +490,22 @@ def test_compare_requires_drude(capsys):
     assert code == 2
     assert out == ""
     assert "nu-ev > 0" in err
+
+
+def test_sweep_flags_every_point(capsys):
+    # kT at 900 K against hbar*omega_sp = 0.35 eV flags the linear head at each point
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "--wp-ev", "0.5", "--nu-ev", "0.035", "--gap-nm", "10", "--temp-k", "900",
+         "--regime", "linear", "--param", "velocity", "--from", "0.1", "--to", "1",
+         "--points", "4"],
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 5
+    assert err.splitlines() == [
+        "validity: kT approaches hbar*omega_sp: small-m linear head is inaccurate "
+        "over the thermal window"
+    ] * 4
 
 
 def test_sweep_velocity_cubic_slope(capsys):
@@ -573,17 +626,21 @@ def test_force_property_over_physical_box(wp, nu_exp, gap_exp, v_exp, t_exp, reg
             "--gap-nm", repr(10.0**gap_exp), "--velocity", repr(10.0**v_exp),
             "--temp-k", temp, "--regime", regime]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
+    assert ".py:" not in err.getvalue()  # no warning text with a source line
     contradiction = (regime == "linear" and temp == "zero") or (
         regime == "zero-t" and temp != "zero"
     )
     if contradiction:
         assert code == 2, err.getvalue()
     elif code == 0:
-        force = json.loads(out.getvalue())["force_per_area_N_m2"]
+        doc = json.loads(out.getvalue())
+        force = doc["force_per_area_N_m2"]
         assert math.isfinite(force) and force >= 0.0
+        # every flag of the result, and only those, is echoed on stderr
+        echoed = [ln for ln in err.getvalue().splitlines() if ln.startswith("validity: ")]
+        assert echoed == [f"validity: {f}" for f in doc["diagnostics"]["validity_flags"]]
     else:
         # only the general pipeline can fail numerically, and says where
         assert code == 3 and regime == "general", err.getvalue()

@@ -7,7 +7,7 @@ from casimir_friction.numerics import CONST
 from casimir_friction.material import Drude
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState
-from casimir_friction.friction import ValidityWarning, force_zero_t
+from casimir_friction.friction import force_zero_t
 from casimir_friction.compare import (
     RATIO_COEFFICIENT,
     LiteratureParams,
@@ -19,11 +19,6 @@ GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hb
 PLATE = PlateConfig(d=10.0 * CONST.nm, rho1=1e28, rho2=1e28)
 ROOM = ThermalState.finite(300.0)
 
-# random parameter draws legitimately stray outside closed-form validity windows
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::casimir_friction.friction.ValidityWarning"
-)
-
 
 def test_pendry_force_value_and_trivial():
     p = LiteratureParams.from_drude(GOLD, d=10.0 * CONST.nm, v=1.0)
@@ -34,11 +29,22 @@ def test_pendry_force_value_and_trivial():
     assert pendry_force(zero) == 0.0
 
 
-def test_pendry_validity_warning():
+def test_pendry_validity_flag():
+    # v >= d sqrt(sigma/eps0): the bare formula still answers, and the
+    # report carries the window flag after the closed forms' own flags
     p = LiteratureParams(sigma_over_eps0=1e10, d=1e-9, v=1e6)
-    # v >= d sqrt(sigma/eps0) = 1e-9 * 1e5 = 1e-4
-    with pytest.warns(ValidityWarning):
-        pendry_force(p)
+    assert pendry_force(p) > 0
+    assert consistency_report(GOLD, PLATE, ROOM, v=1e-2)["validity_flags"] == []
+    fast = consistency_report(GOLD, PlateConfig(d=1e-9, rho1=1e28, rho2=1e28), ROOM, v=1e8)
+    flags = fast["validity_flags"]
+    assert len(flags) == 2
+    assert "cubic closed form" in flags[0]
+    assert "Pendry validity window" in flags[1]
+    assert fast["all_passed"]
+    hot = consistency_report(GOLD, PLATE, ThermalState.finite(2000.0), v=1e-2)
+    assert hot["validity_flags"] == [
+        "kT approaches hbar*omega_sp: small-m linear head is inaccurate over the thermal window"
+    ]
 
 
 def test_factor_chain_1_6_12():

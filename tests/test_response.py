@@ -16,7 +16,7 @@ from oracles import phi, response_coeffs
 GOLD_LIKE = Drude(omega_p=1e16, nu=1e14)
 GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
 RHO = 1e28
-TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=200)
+TIGHT = QuadratureSpec(rel_tol=1e-12, max_subdivisions=200)
 ROOM = ThermalState.finite(300.0)
 COLD = ThermalState.zero()
 
@@ -236,7 +236,7 @@ def test_im_r_dissipation_small_v_limit_is_linear_channel():
     sd = oracles.density(GOLD_LIKE, RHO)
     tau = 1.0
     wv = 1e8  # deep linear regime
-    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
+    spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=400)
     val = im_r_dissipation_integral(wv, im_r, im_r, ROOM, spec)
     j_from_phi = math.pi * tau * wv * CONST.hbar * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * val
     j_lin = 2.0 * tau * wv**2 * oracles.h0(sd, sd, ROOM, spec)
