@@ -22,7 +22,6 @@ from .numerics import (
 )
 from .material import (
     Drude,
-    PlasmonLine,
     SingularResponse,
     Tabulated,
     response_R,
@@ -39,7 +38,7 @@ from .response import (
     im_r_dissipation_integral,
     phi_slope,
 )
-from .geometry import PlateConfig, UnequalDensities
+from .geometry import PlateConfig
 from .friction import (
     Diagnostics,
     FrictionResult,
@@ -64,13 +63,11 @@ __all__ = [
     "NESTED_SPEC",
     "NonConvergence",
     "PhysicalConstants",
-    "PlasmonLine",
     "PlateConfig",
     "QuadratureSpec",
     "SingularResponse",
     "Tabulated",
     "ThermalState",
-    "UnequalDensities",
     "consistency_report",
     "delta_limit_convergence",
     "dissipation_general",

@@ -6,13 +6,22 @@ Conventions
   per invocation; all human-readable notes go to stderr.  Each validity
   flag of a result is in its JSON (`diagnostics.validity_flags`, or
   `validity_flags` for `compare`) and is echoed on stderr as one
-  `validity: ...` line, once per result (so once per sweep point).
+  `validity: ...` line, once per result; a sweep point's line names its
+  row and swept value as the CSV prints them
+  (`validity: row 2 (velocity=10.0): ...`).
 - Physical inputs are given in laboratory units (eV, nm, K, m/s) and
   converted to SI at this boundary only (omega = E_eV * eV / hbar).
 - Identical configuration produces byte-identical output; run metadata
   is attached only under `force --meta`.
 - Exit codes: 0 success, 2 invalid input, 3 numerical failure (or a
   failed consistency check in `compare`).
+- A force takes a material, a gap, a temperature and a velocity, and
+  nothing else: the paper's oscillator densities cancel out of every
+  force, so only `spectrum` takes one (--rho1, for its density
+  column).  The sharp plasmon line is `--regime plasmon` on a Drude
+  metal, with omega_sp = omega_p / sqrt(2).  A material flag the chosen
+  --model does not read (--wp-ev/--nu-ev with `tabulated`, --eps-csv
+  with `drude`) exits 2.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -35,13 +44,7 @@ import sys
 import numpy as np
 
 from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec
-from .material import (
-    Drude,
-    PlasmonLine,
-    SingularResponse,
-    Tabulated,
-    surface_response,
-)
+from .material import Drude, SingularResponse, Tabulated, surface_response
 from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
@@ -80,9 +83,9 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _note_flags(flags: list[str]) -> None:
+def _note_flags(flags: list[str], where: str = "") -> None:
     for flag in flags:
-        _note(f"validity: {flag}")
+        _note(f"validity: {where}{flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +96,18 @@ def _add_material(p: argparse.ArgumentParser, models: list[str]) -> None:
     p.add_argument("--model", choices=models, default="drude")
     p.add_argument("--wp-ev", type=float, help="Drude plasma energy hbar*omega_p (eV)")
     p.add_argument("--nu-ev", type=float, help="Drude damping energy hbar*nu (eV; absent: 0)")
-    if "plasmon" in models:
-        p.add_argument("--wsp-ev", type=float, help="plasmon line energy hbar*omega_sp (eV)")
     if "tabulated" in models:
         p.add_argument("--eps-csv", help="tabulated permittivity CSV (omega_rad_s,eps_re,eps_im)")
-    p.add_argument("--rho1", type=float, default=1e28, help="number density of plate 1 (1/m^3)")
 
 
 def _add_plates(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho2", type=float, default=1e28, help="number density of plate 2 (1/m^3)")
     p.add_argument("--gap-nm", type=float, help="plate separation (nm)")
     p.add_argument("--temp-k", help="temperature in K, or 'zero'")
     p.add_argument("--velocity", type=float, help="sliding velocity (m/s)")
 
 
 def _add_force(p: argparse.ArgumentParser) -> None:
-    _add_material(p, ["drude", "plasmon", "tabulated"])
+    _add_material(p, ["drude", "tabulated"])
     _add_plates(p)
     p.add_argument("--rtol", type=float, help="quadrature relative tolerance (absent: 1e-6)")
     p.add_argument("--regime", choices=["auto", "linear", "zero-t", "general", "plasmon"],
@@ -135,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", cmd_spectrum, "CSV of permittivity, response and spectral density")
     _add_material(p, ["drude", "tabulated"])
+    p.add_argument("--rho1", type=float, default=1e28,
+                   help="oscillator number density of the density column (1/m^3)")
     p.add_argument("--omega-min-ev", type=float, help="grid lower bound hbar*omega (eV)")
     p.add_argument("--omega-max-ev", type=float, help="grid upper bound hbar*omega (eV)")
     p.add_argument("--points", type=int, default=200, help="number of log-spaced grid points")
@@ -195,12 +196,13 @@ def _checked(value, flag: str, *, zero_ok: bool = False) -> float:
 
 def build_material(args: argparse.Namespace):
     if args.model == "drude":
+        if getattr(args, "eps_csv", None) is not None:
+            raise CLIError("--eps-csv is read only by --model tabulated")
         wp = _checked(args.wp_ev, "--wp-ev", zero_ok=True)
         nu = 0.0 if args.nu_ev is None else _checked(args.nu_ev, "--nu-ev", zero_ok=True)
         return Drude(omega_p=wp * CONST.eV / CONST.hbar, nu=nu * CONST.eV / CONST.hbar)
-    if args.model == "plasmon":
-        wsp = _checked(args.wsp_ev, "--wsp-ev")
-        return PlasmonLine(omega_sp=wsp * CONST.eV / CONST.hbar)
+    if args.wp_ev is not None or args.nu_ev is not None:
+        raise CLIError("--wp-ev and --nu-ev are read only by --model drude")
     if not args.eps_csv:
         raise CLIError("tabulated model needs --eps-csv")
     try:
@@ -224,16 +226,12 @@ def build_thermal(raw) -> ThermalState:
 
 
 def build_plate(args: argparse.Namespace) -> PlateConfig:
-    gap_nm = _checked(args.gap_nm, "--gap-nm")
-    rho1 = _checked(args.rho1, "--rho1")
-    rho2 = _checked(args.rho2, "--rho2")
-    return PlateConfig(d=gap_nm * CONST.nm, rho1=rho1, rho2=rho2)
+    return PlateConfig(d=_checked(args.gap_nm, "--gap-nm") * CONST.nm)
 
 
 def _inputs_block(args: argparse.Namespace, resolved_regime: str | None = None) -> dict:
     keys = (
-        "model", "wp_ev", "nu_ev", "wsp_ev", "eps_csv",
-        "gap_nm", "temp_k", "velocity", "rho1", "rho2", "rtol",
+        "model", "wp_ev", "nu_ev", "eps_csv", "gap_nm", "temp_k", "velocity", "rtol",
     )
     given = vars(args)
     block = {k: given[k] for k in keys if given.get(k) is not None}
@@ -248,8 +246,6 @@ def _inputs_block(args: argparse.Namespace, resolved_regime: str | None = None) 
 
 def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: float) -> str:
     if regime == "auto":
-        if isinstance(material, PlasmonLine):
-            return "plasmon"
         if thermal.is_zero:
             return "zero-t"
         ratio = RATIO_COEFFICIENT * (d / (thermal.beta * CONST.hbar * v)) ** 2
@@ -260,10 +256,8 @@ def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: fl
         raise CLIError("--regime linear contradicts --temp-k zero (linear channel closes at T=0)")
     if regime == "zero-t" and not thermal.is_zero:
         raise CLIError("--regime zero-t contradicts a finite --temp-k")
-    if regime == "plasmon" and not isinstance(material, (PlasmonLine, Drude)):
-        raise CLIError("--regime plasmon needs a plasmon or drude material")
-    if regime == "general" and isinstance(material, PlasmonLine):
-        raise CLIError("--regime general needs a continuous material (drude or tabulated)")
+    if regime == "plasmon" and not isinstance(material, Drude):
+        raise CLIError("--regime plasmon needs a drude material (omega_sp = omega_p/sqrt(2))")
     return regime
 
 
@@ -288,16 +282,14 @@ def _force(args: argparse.Namespace) -> tuple[FrictionResult, str]:
     v = _checked(args.velocity, "--velocity")
     regime = resolve_regime(args.regime, material, thermal, plate.d, v)
     spec = NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
-    result = compute_force(material, plate, thermal, v, regime, spec)
-    _note_flags(result.diagnostics.validity_flags)
-    return result, regime
+    return compute_force(material, plate, thermal, v, regime, spec), regime
 
 
 def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
     doc = {
         "inputs": _inputs_block(args, resolved_regime=regime),
         "force_per_area_N_m2": result.force_per_area,
-        "direction": result.direction,
+        "direction": "opposes_motion",
         "regime": result.regime,
         "diagnostics": {
             "quadrature_rel_err": result.diagnostics.quadrature_rel_err,
@@ -316,6 +308,7 @@ def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -
 
 def cmd_force(args: argparse.Namespace) -> int:
     result, regime = _force(args)
+    _note_flags(result.diagnostics.validity_flags)
     if args.format == "csv":
         header = "force_per_area_N_m2,regime,quadrature_rel_err"
         row = ",".join(
@@ -468,9 +461,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = np.linspace(lo, hi, args.points)
 
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    results = [_force(argparse.Namespace(**{**vars(args), key: float(x)}))[0] for x in values]
-    for i, (x, result) in enumerate(zip(values, results)):
-        out.append(",".join([str(i), _fmt(float(x)), _fmt(result.force_per_area), result.regime]))
+    for i, x in enumerate(values):
+        shown = _fmt(float(x))
+        result, _ = _force(argparse.Namespace(**{**vars(args), key: float(x)}))
+        _note_flags(result.diagnostics.validity_flags, f"row {i} ({key}={shown}): ")
+        out.append(",".join([str(i), shown, _fmt(result.force_per_area), result.regime]))
     _emit("\n".join(out))
     return 0
 

@@ -1,8 +1,9 @@
 """Friction force per unit area between sliding half-spaces, in all regimes.
 
-Force magnitudes are reported per unit area with the direction
-"opposes_motion" carried separately.  The paper's dissipated energy
-per loop, Delta E/(2 tau v), equals the force magnitude.
+A force is a magnitude per unit area; it always opposes the relative
+motion.  The paper's dissipated energy per loop, Delta E/(2 tau v),
+equals that magnitude.  A force takes a material (Drude or tabulated),
+the gap d of a `PlateConfig`, a temperature and a velocity.
 
 Every regime is a limit of one formula,
 
@@ -26,14 +27,15 @@ ZeroT_Cubic     Phi = Phi_3 omega^3 (T = 0, small v), with
                 Int_0^inf x^5 K1(x) dx = 45 pi/2:
                 F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6)       (~ v^3, ~ 1/d^6)
 PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
-                sharp surface-plasmon line:
+                sharp surface-plasmon line (the nu -> 0 Drude metal,
+                omega_sp = omega_p / sqrt(2)):
                 F = (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v),
                 suppressed by exp(-4 omega_sp d / v)
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
-Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the oscillator
-densities rho1, rho2.
+Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the paper's
+oscillator densities rho1, rho2, and no function reads them.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .numerics import (
     QuadratureSpec,
     integrate_semi_infinite,
 )
-from .material import Drude, MaterialModel, PlasmonLine, Tabulated, surface_response
-from .geometry import PlateConfig, UnequalDensities
+from .material import Drude, MaterialModel, surface_response
+from .geometry import PlateConfig
 from .response import ThermalState, im_r_dissipation_integral, phi_slope
 
 LINEAR_FINITE_T = "LinearFiniteT"
@@ -81,12 +83,11 @@ class Diagnostics:
 
 @dataclass
 class FrictionResult:
-    """Friction force per unit area (magnitude; direction opposes relative motion)."""
+    """Friction force per unit area (magnitude; it opposes the relative motion)."""
 
     force_per_area: float
     regime: str
     diagnostics: Diagnostics
-    direction: str = "opposes_motion"
 
 
 def _require_velocity(v: float) -> None:
@@ -132,14 +133,12 @@ def force_linear(
                     "kT approaches hbar*omega_sp: small-m linear head is "
                     "inaccurate over the thermal window"
                 )
-    elif isinstance(material, Tabulated):
+    else:
         if CONST.hbar * material.omega[0] * thermal.beta > 0.5:
             diag.validity_flags.append("tabulated support misses part of the thermal window")
         im_r = _im_r_callable(material)
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
-    else:
-        raise TypeError("force_linear needs a continuous material (Drude or Tabulated)")
 
     force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
     return FrictionResult(
@@ -153,20 +152,17 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
     """Zero-temperature cubic friction force for equal Drude media.
 
     F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6) with the Drude-head
-    coefficient Phi_3 = nu^2 / (3 omega_sp^4).
+    coefficient Phi_3 = nu^2 / (3 omega_sp^4); both plates are the one
+    material.
 
     Raises
     ------
-    UnequalDensities
-        If rho1 != rho2 (the closed form assumes equal media).
+    TypeError
+        If the material is not a Drude metal.
     """
     if not isinstance(material, Drude):
         raise TypeError("force_zero_t closed form requires a Drude material")
     _require_velocity(v)
-    if config.rho1 != config.rho2:
-        raise UnequalDensities(
-            f"force_zero_t assumes rho1 = rho2, got {config.rho1} != {config.rho2}"
-        )
     diag = Diagnostics()
     if material.nu == 0.0 or material.omega_p == 0.0:
         force = 0.0
@@ -194,12 +190,6 @@ def _ky_integral(kx: float, d: float) -> float:
 
 
 def _im_r_callable(model: MaterialModel):
-    if isinstance(model, PlasmonLine):
-        raise TypeError(
-            "delta-line spectra are not integrable in the general pipeline; "
-            "use force_plasmon"
-        )
-
     def im_r(omega: float) -> float:
         if omega <= 0.0:
             return 0.0
@@ -267,7 +257,8 @@ def dissipation_general(
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:
     """Friction force for a single surface-plasmon line at omega_sp.
 
-    The delta-line case of the omega integral: at T = 0 two lines
+    The delta-line case of the omega integral, i.e. the nu -> 0 limit
+    of a Drude metal with omega_sp = omega_p / sqrt(2): at T = 0 two lines
     -Im R = (pi omega_sp / 2) delta(omega - omega_sp) give
     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp), which pins
     k_x = 2 omega_sp / v and leaves

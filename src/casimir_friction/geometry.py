@@ -1,8 +1,10 @@
-"""The plate configuration: gap and oscillator number densities.
+"""The plate configuration: the gap between the two half-spaces.
 
-The densities rho1, rho2 are the paper's inputs; every force is
-independent of them, and only the equal-media cubic closed form
-checks them (`UnequalDensities`).
+No force depends on the paper's oscillator number densities rho1, rho2
+(they cancel out of every result), so nothing reads them.  They remain
+as fields with a default only because existing callers, such as
+`perfbench/workloads.py::plate`, still build
+``PlateConfig(d=..., rho1=1e28, rho2=1e28)``.
 """
 
 from __future__ import annotations
@@ -11,20 +13,14 @@ import math
 from dataclasses import dataclass
 
 
-class UnequalDensities(ValueError):
-    """An equal-density closed form was requested with rho1 != rho2."""
-
-
 @dataclass(frozen=True)
 class PlateConfig:
-    """Gap d (m) and oscillator number densities rho1, rho2 (1/m^3)."""
+    """Gap d (m); rho1, rho2 (1/m^3) are accepted and never read."""
 
     d: float
-    rho1: float
-    rho2: float
+    rho1: float = 1e28
+    rho2: float = 1e28
 
     def __post_init__(self):
         if not (self.d > 0 and math.isfinite(self.d)):
             raise ValueError(f"gap d must be finite and > 0, got {self.d}")
-        if not all(r > 0 and math.isfinite(r) for r in (self.rho1, self.rho2)):
-            raise ValueError("densities must be finite and > 0")

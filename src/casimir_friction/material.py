@@ -19,8 +19,10 @@ with surface plasma frequency omega_sp = omega_p / sqrt(2), and a
 linear small-frequency head Im R = -nu omega / omega_sp^2.  Im R is the
 only material quantity the force needs: the paper's oscillator density
 m^2 alpha_I(m^2) = -Im R / (2 pi^2 rho) enters every result squared
-against rho^2 and cancels.  A PlasmonLine is the nu -> 0 limit,
--Im R = (pi omega_sp / 2) delta(omega - omega_sp).
+against rho^2 and cancels.  The sharp surface-plasmon line is the
+nu -> 0 limit of the same Drude metal, -Im R = (pi omega_sp / 2)
+delta(omega - omega_sp), whose force is the closed form
+`friction.force_plasmon(material.omega_sp, ...)`.
 """
 
 from __future__ import annotations
@@ -64,17 +66,6 @@ class Drude:
             return 1.0 + 0.0j
         xi = 1j * omega
         return 1.0 + self.omega_p**2 / (xi * (xi + self.nu))
-
-
-@dataclass(frozen=True)
-class PlasmonLine:
-    """Single sharp surface-plasmon line at omega_sp (lossless Drude limit)."""
-
-    omega_sp: float
-
-    def __post_init__(self):
-        if not self.omega_sp > 0:
-            raise ValueError(f"omega_sp must be > 0, got {self.omega_sp}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,7 @@ class Tabulated:
         return complex(re_, im_)
 
 
-MaterialModel = Drude | PlasmonLine | Tabulated
+MaterialModel = Drude | Tabulated
 
 
 def response_R(eps: complex) -> complex:
@@ -167,13 +158,11 @@ def response_R(eps: complex) -> complex:
 
 
 def surface_response(model: MaterialModel, omega: float) -> complex:
-    """R(omega) for a material model with a continuous response.
+    """R(omega) for a Drude or tabulated material.
 
     For a Drude model the exact closed form
     omega_sp^2/(omega_sp^2 - omega^2 + i nu omega) is used, which equals
-    response_R(model.eps_at(omega)) without forming eps.  A
-    PlasmonLine has a delta-function Im R and no pointwise value; it is
-    rejected here, and its force is the closed form `friction.force_plasmon`.
+    response_R(model.eps_at(omega)) without forming eps.
     """
     if isinstance(model, Drude):
         if not omega > 0:
@@ -187,8 +176,4 @@ def surface_response(model: MaterialModel, omega: float) -> complex:
                 f"undamped surface-mode pole at omega={omega:.6e}"
             )
         return wsp2 / den
-    if isinstance(model, Tabulated):
-        return response_R(model.eps_at(omega))
-    raise TypeError(
-        "PlasmonLine has a delta-line response; use friction.force_plasmon"
-    )
+    return response_R(model.eps_at(omega))

@@ -76,6 +76,8 @@ class ThermalState:
 
 def _coth_sum(x: float, y: float) -> float:
     """coth(x) + coth(y) for x, y > 0 (2.0 at x = y = inf)."""
+    if x == math.inf:  # T = 0: the limit, without four transcendental calls
+        return 2.0
     return (1.0 + math.exp(-2.0 * x)) / -math.expm1(-2.0 * x) + (
         1.0 + math.exp(-2.0 * y)
     ) / -math.expm1(-2.0 * y)
@@ -113,9 +115,10 @@ def im_r_dissipation_integral(
 ) -> float:
     """Thermally weighted Im R (x) Im R integral over both resonance channels.
 
-    At T = 0 this is 2 Int_0^{|w_v|} Im R1 Im R2 dw1 (sum channel only).
-    At finite T the sum channel acquires the stimulated factor
-    coth(b1) + coth(b2) and the difference channel opens,
+    The sum channel Int_0^{|w_v|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
+    is one integral at every temperature: at T = 0 the factor is
+    exactly 2 and the difference channel is closed.  At finite T the
+    difference channel opens,
 
         Int_0^inf Im R1(u) Im R2(u + w) [coth(b(u)) - coth(b(u+w))] du
       + Int_0^inf Im R1(u + w) Im R2(u) [coth(b(u)) - coth(b(u+w))] du,
@@ -127,12 +130,6 @@ def im_r_dissipation_integral(
     w = abs(omega_v)
     if w == 0.0:
         return 0.0
-    if thermal.is_zero:
-        value, _ = integrate_finite(
-            lambda w1: im_r1(w1) * im_r2(w - w1), 0.0, w, spec
-        )
-        return 2.0 * value
-
     beta = thermal.beta
     half = 0.5 * beta * CONST.hbar
 
@@ -140,6 +137,8 @@ def im_r_dissipation_integral(
         return im_r1(w1) * im_r2(w - w1) * _coth_sum(half * w1, half * (w - w1))
 
     plus, _ = integrate_finite(sum_channel, 0.0, w, spec)
+    if thermal.is_zero:
+        return plus
 
     # Difference channel: the coth difference confines u to the thermal
     # window, decaying on the scale 2/(beta hbar) in omega.

@@ -100,16 +100,17 @@ def finite_tau_kernel(omega: float, omega_v: float, traj: LoopTrajectory) -> flo
     return 0.25 * omega * (qp * qp + qm * qm)
 
 
-def delta_limit_convergence(
-    omega_v: float,
-    taus: list[float],
-    rel_width: float = 0.05,
-    spec: QuadratureSpec | None = None,
-) -> list[dict]:
+#: Width of the Gaussian test function of `delta_limit_convergence`,
+#: relative to omega_v, and the quadrature that integrates against it.
+GAUSSIAN_REL_WIDTH = 0.05
+CONVERGENCE_SPEC = QuadratureSpec(rel_tol=1e-10, max_subdivisions=20000)
+
+
+def delta_limit_convergence(omega_v: float, taus: list[float]) -> list[dict]:
     """Convergence study of the finite-tau kernel against its delta limit.
 
     Integrates the finite-tau kernel against a unit-peak Gaussian test
-    function centered at omega_v (width rel_width*omega_v) and compares
+    function centered at omega_v (width GAUSSIAN_REL_WIDTH*omega_v) and compares
     with the prediction pi*tau*omega_v, the weight of the delta limit.
     The relative error decays as O(1/tau), so each tau doubling should
     halve it.
@@ -122,11 +123,9 @@ def delta_limit_convergence(
     """
     if not omega_v > 0:
         raise DomainError(f"omega_v must be > 0, got {omega_v}")
-    sigma = rel_width * omega_v
+    sigma = GAUSSIAN_REL_WIDTH * omega_v
     lo = max(omega_v - 8.0 * sigma, 1e-12 * omega_v)
     hi = omega_v + 8.0 * sigma
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=20000)
 
     rows: list[dict] = []
     prev_err = None
@@ -137,7 +136,7 @@ def delta_limit_convergence(
             g = math.exp(-0.5 * ((w - omega_v) / sigma) ** 2)
             return finite_tau_kernel(w, omega_v, traj) * g
 
-        value, _ = integrate_finite(integrand, lo, hi, spec)
+        value, _ = integrate_finite(integrand, lo, hi, CONVERGENCE_SPEC)
         prediction = math.pi * tau * omega_v
         rel_error = abs(value - prediction) / prediction
         rows.append(

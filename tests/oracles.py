@@ -190,9 +190,12 @@ def drude_slope(model, rho):
     return CONST.hbar * model.nu / (rho * (math.pi * CONST.hbar * model.omega_p) ** 2)
 
 
-def delta_lines(line):
-    """-Im R of a PlasmonLine as ((omega_sp, weight),), weight = pi omega_sp / 2."""
-    return ((line.omega_sp, 0.5 * math.pi * line.omega_sp),)
+def delta_lines(omega_sp):
+    """-Im R of the sharp plasmon line (nu -> 0 Drude) as ((omega_sp, weight),).
+
+    The weight is pi omega_sp / 2.
+    """
+    return ((omega_sp, 0.5 * math.pi * omega_sp),)
 
 
 def h0(s1, s2, thermal, spec=DEFAULT_SPEC):

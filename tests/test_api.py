@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import casimir_friction
 from casimir_friction import (
@@ -8,10 +9,10 @@ from casimir_friction import (
 PUBLIC = {
     "CONST", "DEFAULT_SPEC", "NESTED_SPEC", "PhysicalConstants", "QuadratureSpec",
     "DomainError", "NonConvergence", "integrate_finite", "integrate_semi_infinite",
-    "Drude", "PlasmonLine", "Tabulated", "SingularResponse", "response_R", "surface_response",
+    "Drude", "Tabulated", "SingularResponse", "response_R", "surface_response",
     "LoopTrajectory", "qhat_closed_form", "finite_tau_kernel", "delta_limit_convergence",
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
-    "PlateConfig", "UnequalDensities",
+    "PlateConfig",
     "Diagnostics", "FrictionResult",
     "dissipation_general", "force_linear", "force_zero_t", "force_plasmon",
     "LiteratureParams", "consistency_report", "pendry_force",
@@ -22,6 +23,7 @@ DELETED = {
         "ContinuousSpectralDensity", "DrudeSmallM", "DeltaLines", "SpectralDensity",
         "spectral_density_from_R", "drude_small_m", "drude_small_m_slope",
         "DRUDE_SLOPE_CUTOFF_FRACTION", "SpectrumCutoffExceeded", "eps_drude",
+        "PlasmonLine",
     ),
     response: (
         "h0_linear", "j_linear", "j_zero_t", "j_general_convolution",
@@ -30,7 +32,7 @@ DELETED = {
     ),
     geometry: (
         "k_moment", "angular_kx_moment", "radial_moment",
-        "psi_hat", "g_hat", "g_hat_z_integrated",
+        "psi_hat", "g_hat", "g_hat_z_integrated", "UnequalDensities",
     ),
     trajectory: ("DeltaKernel", "delta_kernel_I", "loop_position", "qhat_numeric"),
     friction: ("_rho_slope_product", "ValidityWarning"),
@@ -64,11 +66,11 @@ def test_unread_fields_are_gone():
 
     assert fields(numerics.QuadratureSpec) == {"rel_tol", "max_subdivisions"}
     assert fields(trajectory.LoopTrajectory) == {"tau", "alpha"}
-    assert fields(friction.FrictionResult) == {
-        "force_per_area", "regime", "diagnostics", "direction",
-    }
+    assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
     assert fields(compare.LiteratureParams) == {"sigma_over_eps0", "d", "v"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
-    assert not hasattr(material.PlasmonLine, "from_plasma_frequency")
     assert not hasattr(trajectory.LoopTrajectory, "support")
     assert not hasattr(friction.Diagnostics, "flag")
+    assert list(inspect.signature(trajectory.delta_limit_convergence).parameters) == [
+        "omega_v", "taus",
+    ]

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import casimir_friction
 from casimir_friction.cli import build_parser, main
+from casimir_friction.friction import force_plasmon
+from casimir_friction.geometry import PlateConfig
 from casimir_friction.material import Drude
 from casimir_friction.numerics import CONST
 
@@ -157,15 +159,6 @@ def test_force_auto_regime_selection(capsys):
     assert code == 0
     assert json.loads(out)["regime"] == "ZeroT_Cubic"
 
-    code, out, _ = run_cli(
-        capsys, ["force", "--model", "plasmon", "--wsp-ev", "6.36", "--gap-nm",
-                 "0.1", "--temp-k", "zero", "--velocity", "2e6"],
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["regime"] == "PlasmonLine"
-    assert doc["diagnostics"]["suppression_exponent"] > 0
-
     # high velocity at finite T: the discriminator picks the cubic channel,
     # and the closed form flags that omega_v strains the linear head there
     code, out, err = run_cli(
@@ -296,8 +289,8 @@ def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
 
 FLAGS = {
     "force": {
-        "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
-        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol",
+        "--config", "--model", "--wp-ev", "--nu-ev", "--eps-csv",
+        "--gap-nm", "--temp-k", "--velocity", "--rtol",
         "--regime", "--format", "--meta",
     },
     "spectrum": {
@@ -306,12 +299,11 @@ FLAGS = {
     },
     "dissipate": {"--config", "--tau", "--alpha", "--omega-v", "--doublings", "--profile-points"},
     "compare": {
-        "--config", "--model", "--wp-ev", "--nu-ev", "--rho1", "--rho2", "--gap-nm",
-        "--temp-k", "--velocity",
+        "--config", "--model", "--wp-ev", "--nu-ev", "--gap-nm", "--temp-k", "--velocity",
     },
     "sweep": {
-        "--config", "--model", "--wp-ev", "--nu-ev", "--wsp-ev", "--eps-csv", "--rho1",
-        "--rho2", "--gap-nm", "--temp-k", "--velocity", "--rtol",
+        "--config", "--model", "--wp-ev", "--nu-ev", "--eps-csv",
+        "--gap-nm", "--temp-k", "--velocity", "--rtol",
         "--regime", "--param", "--from", "--to", "--points", "--scale",
     },
 }
@@ -326,8 +318,77 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         assert registered - {"-h", "--help"} == flags, name
     models = {name: next(a.choices for a in sub.choices[name]._actions if a.dest == "model")
               for name in ("force", "spectrum", "compare", "sweep")}
-    assert models == {"force": ["drude", "plasmon", "tabulated"], "spectrum": ["drude", "tabulated"],
-                      "compare": ["drude"], "sweep": ["drude", "plasmon", "tabulated"]}
+    assert models == {"force": ["drude", "tabulated"], "spectrum": ["drude", "tabulated"],
+                      "compare": ["drude"], "sweep": ["drude", "tabulated"]}
+    assert sum(len(flags) for flags in FLAGS.values()) == 49
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", *DRUDE_ARGS, *STATE_ARGS, "--model", "plasmon"],
+    ["force", *DRUDE_ARGS, *STATE_ARGS, "--wsp-ev", "6.36"],
+    ["force", *DRUDE_ARGS, *STATE_ARGS, "--rho1", "1e28"],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--param", "velocity", "--from", "1", "--to", "2",
+     "--model", "plasmon"],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--param", "velocity", "--from", "1", "--to", "2",
+     "--wsp-ev", "6.36"],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--param", "velocity", "--from", "1", "--to", "2",
+     "--rho1", "1e28"],
+    ["compare", *DRUDE_ARGS, *STATE_ARGS, "--rho2", "1e28"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_deleted_material_and_density_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_plasmon_regime_is_the_drude_line(capsys):
+    # the sharp line is the nu -> 0 Drude metal, at omega_sp = omega_p / sqrt(2)
+    argv = ["force", "--model", "drude", "--wp-ev", "9", "--gap-nm", "0.1",
+            "--temp-k", "zero", "--velocity", "2e6", "--regime", "plasmon"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    wp = 9.0 * CONST.eV / CONST.hbar
+    expected = force_plasmon(wp / math.sqrt(2.0), PlateConfig(d=0.1 * CONST.nm), 2e6)
+    assert doc["regime"] == "PlasmonLine"
+    assert doc["force_per_area_N_m2"] == expected.force_per_area
+    assert doc["diagnostics"]["suppression_exponent"] == (
+        expected.diagnostics.suppression_exponent
+    )
+    assert "rho1" not in doc["inputs"] and "rho2" not in doc["inputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", "--model", "tabulated", "--eps-csv", "T.csv", "--wp-ev", "9", *STATE_ARGS],
+    ["force", "--model", "tabulated", "--eps-csv", "T.csv", "--nu-ev", "0.035", *STATE_ARGS],
+    ["force", *DRUDE_ARGS, "--eps-csv", "T.csv", *STATE_ARGS],
+    ["spectrum", *DRUDE_ARGS, "--eps-csv", "T.csv"],
+    ["sweep", "--model", "tabulated", "--eps-csv", "T.csv", *STATE_ARGS, "--regime", "linear",
+     "--param", "wp-ev", "--from", "1", "--to", "20", "--points", "3"],
+], ids=["force-tab-wp", "force-tab-nu", "force-drude-csv", "spectrum-drude-csv", "sweep-tab-wp"])
+def test_material_flag_the_model_does_not_read_exits_2(capsys, tmp_path, argv):
+    table = tmp_path / "T.csv"
+    table.write_text("omega_rad_s,eps_re,eps_im\n1e12,-1e6,1e5\n1e17,0.5,0.1\n",
+                     encoding="utf-8")
+    argv = [str(table) if a == "T.csv" else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "read only by --model" in err
+
+
+def test_spectrum_rho1_scales_the_density_column(capsys):
+    base = ["spectrum", *DRUDE_ARGS, "--omega-min-ev", "0.01", "--omega-max-ev", "10",
+            "--points", "3"]
+    columns = []
+    for rho1 in ("1e28", "4e28"):
+        code, out, _ = run_cli(capsys, [*base, "--rho1", rho1])
+        assert code == 0
+        columns.append([[float(c) for c in ln.split(",")] for ln in out.strip().split("\n")[1:]])
+    for one, four in zip(*columns):
+        assert one[:4] == four[:4]
+        assert four[4] == pytest.approx(one[4] / 4.0, rel=1e-15)
 
 
 def test_readme_cli_examples_exit_0(capsys):
@@ -501,11 +562,15 @@ def test_sweep_flags_every_point(capsys):
          "--points", "4"],
     )
     assert code == 0
-    assert len(out.strip().split("\n")) == 5
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert len(rows) == 4
+    # each line names its row and the swept value as the CSV prints it
     assert err.splitlines() == [
-        "validity: kT approaches hbar*omega_sp: small-m linear head is inaccurate "
-        "over the thermal window"
-    ] * 4
+        f"validity: row {i} (velocity={v}): kT approaches hbar*omega_sp: small-m linear "
+        "head is inaccurate over the thermal window"
+        for i, v, *_ in rows
+    ]
+    assert len(set(err.splitlines())) == 4
 
 
 def test_sweep_velocity_cubic_slope(capsys):

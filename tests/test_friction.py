@@ -13,8 +13,8 @@ from casimir_friction.numerics import (
     QuadratureSpec,
     integrate_semi_infinite,
 )
-from casimir_friction.material import Drude, PlasmonLine, Tabulated, surface_response
-from casimir_friction.geometry import PlateConfig, UnequalDensities
+from casimir_friction.material import Drude, Tabulated, surface_response
+from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState, phi_slope
 from casimir_friction.friction import (
     GENERAL_NUMERIC,
@@ -84,7 +84,6 @@ def test_force_linear_closed_form():
     v = 1e-2
     res = force_linear(GOLD, PLATE, ROOM, v)
     assert res.regime == LINEAR_FINITE_T
-    assert res.direction == "opposes_motion"
     assert res.force_per_area == pytest.approx(
         closed_linear(GOLD, PLATE.d, ROOM.beta, v), rel=1e-8
     )
@@ -198,10 +197,11 @@ def test_force_zero_t_scaling_and_rho():
 
 
 def test_force_zero_t_guards():
-    with pytest.raises(UnequalDensities):
-        force_zero_t(GOLD, PlateConfig(d=1e-8, rho1=1e28, rho2=2e28), 1.0)
+    # the densities cancel: unequal ones give the equal-density force
+    unequal = force_zero_t(GOLD, PlateConfig(d=1e-8, rho1=1e28, rho2=2e28), 1.0)
+    assert unequal == force_zero_t(GOLD, PlateConfig(d=1e-8, rho1=1e28, rho2=1e28), 1.0)
     with pytest.raises(TypeError):
-        force_zero_t(PlasmonLine(omega_sp=1e16), PLATE, 1.0)
+        force_zero_t(tabulated_gold(np.logspace(12.0, 17.0, 8)), PLATE, 1.0)
     res = force_zero_t(GOLD, PLATE, 1e7)  # omega_v leaves the linear head
     assert len(res.diagnostics.validity_flags) == 1
     assert "cubic closed form" in res.diagnostics.validity_flags[0]
@@ -286,11 +286,6 @@ def test_general_temperature_crossover_monotone():
     assert forces[-1] > cold_force * (1.0 - 1e-6)
 
 
-def test_general_rejects_delta_lines():
-    with pytest.raises(TypeError):
-        dissipation_general(PlasmonLine(omega_sp=1e16), GOLD, PLATE, COLD, 1.0)
-
-
 def test_general_nonconvergence_reports_level():
     tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:
@@ -343,7 +338,7 @@ def test_plasmon_matches_bessel_oracle():
 def test_plasmon_is_delta_line_case_of_omega_integral():
     # at T = 0, Phi = 2 x (line (x) line) = 2 weight delta(omega - support),
     # put through F = hbar/(2 pi^3 v^3) Int omega^2 K1(2 d omega / v) Phi d omega
-    line = oracles.delta_lines(PlasmonLine(omega_sp=GOLD.omega_sp))
+    line = oracles.delta_lines(GOLD.omega_sp)
     weight, support = oracles.convolution(0.0, line, line)
     d = 0.1 * CONST.nm
     plate = PlateConfig(d=d, rho1=1e28, rho2=1e28)

@@ -6,7 +6,6 @@ import pytest
 from casimir_friction.numerics import CONST, DomainError
 from casimir_friction.material import (
     Drude,
-    PlasmonLine,
     SingularResponse,
     Tabulated,
     response_R,
@@ -121,12 +120,13 @@ def test_lossless_drude_density_vanishes_off_resonance():
 
 
 def test_plasmon_delta_lines_weight():
-    line = PlasmonLine(omega_sp=7.07e15)
-    ((omega, weight),) = oracles.delta_lines(line)
-    assert omega == line.omega_sp
-    assert weight == pytest.approx(0.5 * math.pi * line.omega_sp, rel=1e-14)
-    with pytest.raises(TypeError):
-        surface_response(line, line.omega_sp)
+    # the sharp line is the lossless Drude metal: R has its pole at omega_sp
+    lossless = Drude(omega_p=1e16, nu=0.0)
+    ((omega, weight),) = oracles.delta_lines(lossless.omega_sp)
+    assert omega == lossless.omega_sp
+    assert weight == pytest.approx(0.5 * math.pi * lossless.omega_sp, rel=1e-14)
+    with pytest.raises(SingularResponse):
+        surface_response(lossless, lossless.omega_sp)
 
 
 def _write_csv(path, rows, header="omega_rad_s,eps_re,eps_im"):
@@ -183,5 +183,3 @@ def test_model_validation():
         Drude(omega_p=-1.0)
     with pytest.raises(ValueError):
         Drude(omega_p=1e16, nu=-1.0)
-    with pytest.raises(ValueError):
-        PlasmonLine(omega_sp=0.0)

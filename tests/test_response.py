@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casimir_friction.numerics import CONST, QuadratureSpec
-from casimir_friction.material import Drude, PlasmonLine, surface_response
+from casimir_friction.material import Drude, surface_response
 from casimir_friction.response import (
     ThermalState,
     im_r_dissipation_integral,
@@ -171,7 +171,7 @@ def test_j_zero_t_positive_for_passive_spectra():
 
 
 def test_convolution_delta_lines():
-    line = oracles.delta_lines(PlasmonLine(omega_sp=7e15))
+    line = oracles.delta_lines(7e15)
     weight, support = oracles.convolution(1.5e16, line, line)
     assert support == pytest.approx(1.4e16)
     assert weight == pytest.approx((0.5 * math.pi * 7e15) ** 2, rel=1e-14)
