@@ -47,7 +47,7 @@ from .friction import (
     force_plasmon,
     force_zero_t,
 )
-from .compare import LiteratureParams, consistency_report, pendry_force
+from .compare import consistency_report, pendry_force
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "DomainError",
     "Drude",
     "FrictionResult",
-    "LiteratureParams",
     "LoopTrajectory",
     "NESTED_SPEC",
     "NonConvergence",

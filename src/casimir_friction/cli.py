@@ -8,13 +8,18 @@ Conventions
   `validity_flags` for `compare`) and is echoed on stderr as one
   `validity: ...` line, once per result; a sweep point's line names its
   row and swept value as the CSV prints them
-  (`validity: row 2 (velocity=10.0): ...`).
+  (`validity: row 2 (velocity=10.0): ...`), and so does its
+  `auto regime: ...` note.
 - Physical inputs are given in laboratory units (eV, nm, K, m/s) and
   converted to SI at this boundary only (omega = E_eV * eV / hbar).
 - Identical configuration produces byte-identical output; run metadata
   is attached only under `force --meta`.
-- Exit codes: 0 success, 2 invalid input, 3 numerical failure (or a
-  failed consistency check in `compare`).
+- Exit codes: 0 success; 2 invalid input (a ValueError, TypeError or
+  OSError: one `error: ...` line); 3 numerical failure (NonConvergence or
+  any ArithmeticError, such as a float overflow at extreme finite inputs:
+  one `numerical failure: ...` line) or a failed `compare` check.
+- The `zero-t` and `plasmon` closed forms need a Drude material; a
+  tabulated one exits 2 for them, also when `--regime auto` chose them.
 - A force takes a material, a gap, a temperature and a velocity, and
   nothing else: the paper's oscillator densities cancel out of every
   force, so only `spectrum` takes one (--rho1, for its density
@@ -44,7 +49,7 @@ import sys
 import numpy as np
 
 from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec
-from .material import Drude, SingularResponse, Tabulated, surface_response
+from .material import Drude, Tabulated, surface_response
 from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
@@ -64,19 +69,6 @@ from .trajectory import (
 
 class CLIError(ValueError):
     """Invalid or contradictory command-line configuration (exit code 2)."""
-
-
-def _fmt(x) -> str:
-    """Deterministic shortest round-trip formatting for CSV cells."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _emit(doc: str) -> None:
-    sys.stdout.write(doc)
-    if not doc.endswith("\n"):
-        sys.stdout.write("\n")
 
 
 def _note(msg: str) -> None:
@@ -244,20 +236,24 @@ def _inputs_block(args: argparse.Namespace, resolved_regime: str | None = None) 
 # regime selection and the force computation shared by `force` and `sweep`
 
 
-def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: float) -> str:
+def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: float,
+                   where: str = "") -> str:
+    """The regime to compute; `where` prefixes the auto note (a sweep's row)."""
     if regime == "auto":
         if thermal.is_zero:
-            return "zero-t"
-        ratio = RATIO_COEFFICIENT * (d / (thermal.beta * CONST.hbar * v)) ** 2
-        choice = "linear" if ratio >= 1.0 else "zero-t"
-        _note(f"auto regime: linear/cubic discriminator = {ratio:.3e} -> {choice}")
-        return choice
-    if regime == "linear" and thermal.is_zero:
+            regime = "zero-t"
+        else:
+            ratio = RATIO_COEFFICIENT * (d / (thermal.beta * CONST.hbar * v)) ** 2
+            regime = "linear" if ratio >= 1.0 else "zero-t"
+            _note(f"auto regime: {where}linear/cubic discriminator = {ratio:.3e} -> {regime}")
+    elif regime == "linear" and thermal.is_zero:
         raise CLIError("--regime linear contradicts --temp-k zero (linear channel closes at T=0)")
-    if regime == "zero-t" and not thermal.is_zero:
+    elif regime == "zero-t" and not thermal.is_zero:
         raise CLIError("--regime zero-t contradicts a finite --temp-k")
-    if regime == "plasmon" and not isinstance(material, Drude):
-        raise CLIError("--regime plasmon needs a drude material (omega_sp = omega_p/sqrt(2))")
+    if regime in ("zero-t", "plasmon") and not isinstance(material, Drude):
+        other = "general" if thermal.is_zero else "linear or --regime general"
+        raise CLIError(f"the {regime} closed form needs a drude material; "
+                       f"use --regime {other}")
     return regime
 
 
@@ -269,18 +265,16 @@ def compute_force(material, plate: PlateConfig, thermal: ThermalState,
         return force_zero_t(material, plate, v)
     if regime == "general":
         return dissipation_general(material, material, plate, thermal, v, spec)
-    if regime == "plasmon":
-        return force_plasmon(material.omega_sp, plate, v)
-    raise CLIError(f"unknown regime {regime!r}")
+    return force_plasmon(material.omega_sp, plate, v)
 
 
-def _force(args: argparse.Namespace) -> tuple[FrictionResult, str]:
+def _force(args: argparse.Namespace, where: str = "") -> tuple[FrictionResult, str]:
     """The force for one configuration, and the regime it resolved to."""
     material = build_material(args)
     thermal = build_thermal(args.temp_k)
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
-    regime = resolve_regime(args.regime, material, thermal, plate.d, v)
+    regime = resolve_regime(args.regime, material, thermal, plate.d, v, where)
     spec = NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
     return compute_force(material, plate, thermal, v, regime, spec), regime
 
@@ -310,14 +304,10 @@ def cmd_force(args: argparse.Namespace) -> int:
     result, regime = _force(args)
     _note_flags(result.diagnostics.validity_flags)
     if args.format == "csv":
-        header = "force_per_area_N_m2,regime,quadrature_rel_err"
-        row = ",".join(
-            [_fmt(result.force_per_area), result.regime,
-             _fmt(result.diagnostics.quadrature_rel_err)]
-        )
-        _emit(header + "\n" + row)
+        print("force_per_area_N_m2,regime,quadrature_rel_err")
+        print(f"{result.force_per_area!r},{result.regime},{result.diagnostics.quadrature_rel_err!r}")
     else:
-        _emit(json.dumps(_result_doc(args, result, regime), sort_keys=True, indent=2))
+        print(json.dumps(_result_doc(args, result, regime), sort_keys=True, indent=2))
     return 0
 
 
@@ -345,7 +335,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise CLIError("--points must be >= 1")
 
-    grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), args.points) * CONST.eV / CONST.hbar
+    # an omega past the float range is inf, which a Drude response then fails on
+    with np.errstate(over="ignore"):
+        grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), args.points) * CONST.eV / CONST.hbar
     if isinstance(material, Tabulated):
         # a default end is the table's own node: its eV round trip can leave the table
         if args.omega_max_ev is None and args.points > 1:
@@ -357,10 +349,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for w in grid:
         eps = material.eps_at(float(w))
         r = surface_response(material, float(w))
-        lines.append(",".join(_fmt(x) for x in (
+        lines.append(",".join(repr(x) for x in (
             float(w), eps.real, eps.imag, r.imag, -r.imag * norm
         )))
-    _emit("\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -413,7 +405,7 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
         "delta_convergence": convergence,
         "alpha_convergence": alpha_rows,
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
@@ -423,15 +415,13 @@ def cmd_dissipate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     material = build_material(args)
-    if material.nu <= 0 or material.omega_p <= 0:
-        raise CLIError("compare requires a drude material with wp-ev > 0 and nu-ev > 0")
     thermal = build_thermal(args.temp_k)
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     report = consistency_report(material, plate, thermal, v)
     _note_flags(report["validity_flags"])
     doc = {"inputs": _inputs_block(args), **report}
-    _emit(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2))
     if not report["all_passed"]:
         _note("consistency checks FAILED")
         return 3
@@ -451,6 +441,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.sweep_from, args.sweep_to
     if args.points < 1:
         raise CLIError("--points must be >= 1")
+    for flag, bound in (("--from", lo), ("--to", hi)):
+        if args.points > 1 and not math.isfinite(bound):
+            raise CLIError(f"{flag} must be finite, got {bound}")
     if args.points == 1:
         values = np.array([lo])
     elif args.scale == "log":
@@ -462,11 +455,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out = [f"index,{key},force_per_area_N_m2,regime"]
     for i, x in enumerate(values):
-        shown = _fmt(float(x))
-        result, _ = _force(argparse.Namespace(**{**vars(args), key: float(x)}))
-        _note_flags(result.diagnostics.validity_flags, f"row {i} ({key}={shown}): ")
-        out.append(",".join([str(i), shown, _fmt(result.force_per_area), result.regime]))
-    _emit("\n".join(out))
+        shown = repr(float(x))
+        where = f"row {i} ({key}={shown}): "
+        result, _ = _force(argparse.Namespace(**{**vars(args), key: float(x)}), where)
+        _note_flags(result.diagnostics.validity_flags, where)
+        out.append(",".join([str(i), shown, repr(result.force_per_area), result.regime]))
+    print("\n".join(out))
     return 0
 
 
@@ -482,16 +476,14 @@ def main(argv: list[str] | None = None) -> int:
             # the top-level parser has no options, so argv[0] is the subcommand
             args = parser.parse_args([args.command, *config_argv(args.config), *argv[1:]])
         return args.func(args)
-    except CLIError as exc:
-        _note(f"error: {exc}")
-        return 2
-    except (NonConvergence, SingularResponse) as exc:
-        level = getattr(exc, "level", None)
-        _note(f"numerical failure: {exc}" + (f" (level: {level})" if level else ""))
-        return 3
     except (ValueError, TypeError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
+    except (NonConvergence, ArithmeticError) as exc:
+        # SingularResponse, float overflow and division by zero are ArithmeticErrors
+        level = getattr(exc, "level", None)
+        _note(f"numerical failure: {exc}" + (f" (level: {level})" if level else ""))
+        return 3
 
 
 def entry() -> None:

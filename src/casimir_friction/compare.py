@@ -15,12 +15,15 @@ of the linear to the cubic channel is
 Small zeta-function factors (zeta(5) ~= 1.037, zeta(3) ~= 1.2) quoted in
 the literature comparisons are reported as annotations only and never
 multiplied into any force.
+
+`pendry_force(sigma_over_eps0, d, v)` takes plain floats; the mapping's
+condition (a Drude metal with omega_p > 0 and nu > 0) is checked once,
+by `consistency_report`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import CONST
 from .material import Drude
@@ -35,42 +38,16 @@ RATIO_COEFFICIENT = 16.0 * math.pi**2 / 15.0
 CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LiteratureParams:
-    """Inputs to the literature closed forms.
-
-    sigma_over_eps0 is the conductivity ratio (rad/s) appearing in the
-    eps = 1 + i sigma/(omega eps0) dielectric function; note that this
-    sigma/eps0 equals the "4 pi sigma" of Gaussian-unit conventions.
-    """
-
-    sigma_over_eps0: float
-    d: float
-    v: float
-
-    def __post_init__(self):
-        if not self.sigma_over_eps0 > 0:
-            raise ValueError("sigma_over_eps0 must be > 0")
-        if not self.d > 0:
-            raise ValueError("d must be > 0")
-        if self.v < 0:
-            raise ValueError("v must be >= 0")
-
-    @classmethod
-    def from_drude(cls, material: Drude, d: float, v: float) -> "LiteratureParams":
-        """Map a Drude model via sigma/eps0 = omega_p^2/nu."""
-        if material.nu <= 0 or material.omega_p <= 0:
-            raise ValueError("Drude mapping requires omega_p > 0 and nu > 0")
-        return cls(sigma_over_eps0=material.omega_p**2 / material.nu, d=d, v=v)
-
-
-def pendry_force(p: LiteratureParams) -> float:
+def pendry_force(sigma_over_eps0: float, d: float, v: float) -> float:
     """F = 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6).
 
-    Stated for v < d sigma/(omega eps0), with the sliding frequency
-    omega = v/d; `consistency_report` flags a velocity outside it.
+    sigma_over_eps0 is the conductivity ratio (rad/s) of the
+    eps = 1 + i sigma/(omega eps0) dielectric function, the "4 pi sigma"
+    of Gaussian-unit conventions.  Stated for v < d sigma/(omega eps0),
+    with the sliding frequency omega = v/d; `consistency_report` flags a
+    velocity outside it.
     """
-    return 5.0 * CONST.hbar * p.v**3 / (256.0 * math.pi**2 * p.sigma_over_eps0**2 * p.d**6)
+    return 5.0 * CONST.hbar * v**3 / (256.0 * math.pi**2 * sigma_over_eps0**2 * d**6)
 
 
 def consistency_report(
@@ -86,9 +63,14 @@ def consistency_report(
     Drude configuration (everything here is density-independent), and a
     ``validity_flags`` list: the flags of the two closed-form results,
     then the Pendry window v < d sigma/(omega eps0) if v leaves it.
+    Raises TypeError for a non-Drude material and ValueError unless
+    omega_p > 0 and nu > 0, before computing anything.
     """
     if not isinstance(material, Drude):
         raise TypeError("consistency_report requires a Drude material")
+    if not (material.omega_p > 0 and material.nu > 0):
+        raise ValueError("Drude mapping requires omega_p > 0 and nu > 0")
+    sigma_over_eps0 = material.omega_p**2 / material.nu
 
     flags: list[str] = []
     if thermal.is_zero:
@@ -100,9 +82,8 @@ def consistency_report(
     cubic = force_zero_t(material, config, v)
     f_cubic = cubic.force_per_area
     flags += cubic.diagnostics.validity_flags
-    params = LiteratureParams.from_drude(material, config.d, v)
-    f_pendry = pendry_force(params)
-    if params.v >= params.d * math.sqrt(params.sigma_over_eps0):
+    f_pendry = pendry_force(sigma_over_eps0, config.d, v)
+    if v >= config.d * math.sqrt(sigma_over_eps0):
         flags.append("outside the Pendry validity window v < d*sigma/(omega*eps0) (omega = v/d)")
     f_vp = 6.0 * f_pendry
     f_barton = 12.0 * f_pendry

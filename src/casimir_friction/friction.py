@@ -265,19 +265,15 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v), carrying the
     suppression factor exp(-4 omega_sp d / v).
 
-    When the suppression exponent exceeds ~700 the force underflows
-    double precision and is reported as exactly 0 with a flag.
+    When the suppression exponent exceeds ~700 (v = 0 makes it infinite)
+    the force underflows double precision and is reported as exactly 0
+    with a flag.
     """
     if not omega_sp > 0:
         raise DomainError(f"omega_sp must be > 0, got {omega_sp}")
     _require_velocity(v)
     diag = Diagnostics()
-    if v == 0.0:
-        diag.suppression_exponent = math.inf
-        diag.validity_flags.append("underflow: 4*omega_sp*d/v > 700")
-        return FrictionResult(0.0, PLASMON_LINE, diag)
-
-    kx = 2.0 * omega_sp / v
+    kx = 2.0 * omega_sp / v if v else math.inf
     x = 2.0 * config.d * kx  # suppression exponent 4 omega_sp d / v
     diag.suppression_exponent = x
     if x > UNDERFLOW_EXPONENT:

@@ -15,7 +15,7 @@ PUBLIC = {
     "PlateConfig",
     "Diagnostics", "FrictionResult",
     "dissipation_general", "force_linear", "force_zero_t", "force_plasmon",
-    "LiteratureParams", "consistency_report", "pendry_force",
+    "consistency_report", "pendry_force",
 }
 
 DELETED = {
@@ -36,6 +36,7 @@ DELETED = {
     ),
     trajectory: ("DeltaKernel", "delta_kernel_I", "loop_position", "qhat_numeric"),
     friction: ("_rho_slope_product", "ValidityWarning"),
+    compare: ("LiteratureParams",),
 }
 
 
@@ -67,10 +68,13 @@ def test_unread_fields_are_gone():
     assert fields(numerics.QuadratureSpec) == {"rel_tol", "max_subdivisions"}
     assert fields(trajectory.LoopTrajectory) == {"tau", "alpha"}
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
-    assert fields(compare.LiteratureParams) == {"sigma_over_eps0", "d", "v"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(trajectory.LoopTrajectory, "support")
     assert not hasattr(friction.Diagnostics, "flag")
     assert list(inspect.signature(trajectory.delta_limit_convergence).parameters) == [
         "omega_v", "taus",
+    ]
+    # the literature closed form takes floats, not a parameter record
+    assert list(inspect.signature(compare.pendry_force).parameters) == [
+        "sigma_over_eps0", "d", "v",
     ]

@@ -122,6 +122,42 @@ def test_force_numerical_failure_exits_3(capsys):
     assert "(level: omega1)" in err
 
 
+#: Finite inputs at which a float division by zero or overflow stops the run.
+FLOAT_FAILURE_ARGS = [
+    ["force", *DRUDE_ARGS, "--gap-nm", "1e-300", "--temp-k", "300", "--velocity", "1",
+     "--regime", "auto"],
+    ["force", *DRUDE_ARGS, "--gap-nm", "1e-300", "--temp-k", "300", "--velocity", "1",
+     "--regime", "linear"],
+    ["force", *DRUDE_ARGS, "--gap-nm", "1e-300", "--temp-k", "zero", "--velocity", "1",
+     "--regime", "zero-t"],
+    ["compare", *DRUDE_ARGS, "--gap-nm", "1e-300", "--temp-k", "300", "--velocity", "1"],
+    ["compare", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--velocity", "1e-300"],
+    ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "1e300", "--velocity", "1",
+     "--regime", "linear"],
+    ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "1e300", "--velocity", "1",
+     "--regime", "general"],
+    ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--velocity", "1e-300",
+     "--regime", "general"],
+    ["force", "--model", "drude", "--wp-ev", "1e-300", "--nu-ev", "1e-300", "--gap-nm", "10",
+     "--temp-k", "300", "--velocity", "1", "--regime", "linear"],
+    ["force", "--model", "drude", "--wp-ev", "1e-150", "--nu-ev", "0.03", "--gap-nm", "10",
+     "--temp-k", "zero", "--velocity", "1", "--regime", "zero-t"],
+    ["spectrum", "--wp-ev", "9", "--omega-min-ev", "1e-300", "--omega-max-ev", "1e300",
+     "--points", "3"],
+    ["spectrum", "--wp-ev", "1e-300", "--nu-ev", "0", "--points", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_FAILURE_ARGS, ids=range(len(FLOAT_FAILURE_ARGS)))
+def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    failures = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
+    assert len(failures) == 1 and err.splitlines()[-1] == failures[0]
+
+
 def test_force_rtol_below_quadrature_floor_exits_2(capsys):
     code, out, err = run_cli(
         capsys, ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general", "--rtol", "1e-14"],
@@ -270,6 +306,48 @@ def test_shortened_flag_exits_2(capsys, command):
     assert "unrecognized arguments: --gap 10 --temp 300 --vel 1" in captured.err
 
 
+SWEEP_ARGS = ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--regime", "linear", "--param", "velocity"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["force", "--config", "MISSING.json", *DRUDE_ARGS, *STATE_ARGS],
+     "cannot read config file"),
+    (["force", "--config", "LIST.json", *DRUDE_ARGS, *STATE_ARGS],
+     "config file must hold a JSON object"),
+    (["force", "--model", "tabulated", *STATE_ARGS], "tabulated model needs --eps-csv"),
+    (["force", "--model", "tabulated", "--eps-csv", "MISSING.csv", *STATE_ARGS],
+     "cannot load"),
+    (["force", "--model", "tabulated", "--eps-csv", "BAD.csv", *STATE_ARGS],
+     "expected header"),
+    (["force", *DRUDE_ARGS, "--gap-nm", "10", "--velocity", "1"],
+     "missing required input: --temp-k"),
+    (["force", *DRUDE_ARGS, "--gap-nm", "10", "--velocity", "1", "--temp-k", "abc"],
+     "--temp-k must be a temperature in K or 'zero', got 'abc'"),
+    (SWEEP_ARGS[:-2] + ["--from", "1", "--to", "2"], "missing required input: --param"),
+    (["spectrum", *DRUDE_ARGS, "--points", "0"], "--points must be >= 1"),
+    ([*SWEEP_ARGS, "--from", "1", "--to", "2", "--points", "0"], "--points must be >= 1"),
+    ([*SWEEP_ARGS, "--from", "0", "--to", "2", "--scale", "log"],
+     "log scale requires positive bounds"),
+    ([*SWEEP_ARGS, "--from", "1", "--to", "-2", "--scale", "log"],
+     "log scale requires positive bounds"),
+    (["dissipate", "--tau", "10", "--omega-v", "1", "--doublings", "0"],
+     "--doublings and --profile-points must be >= 1"),
+    (["spectrum", "--wp-ev", "0", "--nu-ev", "0.035"],
+     "need --omega-min-ev/--omega-max-ev for this material"),
+], ids=["config-unreadable", "config-not-object", "tabulated-no-csv", "csv-unreadable",
+        "csv-malformed", "temp-k-missing", "temp-k-abc", "sweep-no-param", "spectrum-points-0",
+        "sweep-points-0", "log-from-0", "log-to-negative", "doublings-0", "vacuum-no-bounds"])
+def test_bad_input_exits_2(capsys, tmp_path, argv, message):
+    (tmp_path / "LIST.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "BAD.csv").write_text("omega,re,im\n1e12,1,0\n1e13,1,0\n", encoding="utf-8")
+    argv = [str(tmp_path / a) if a in ("MISSING.json", "LIST.json", "MISSING.csv", "BAD.csv")
+            else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
     sweep = {"model": "drude", "wp_ev": 9, "nu_ev": 0.035, "gap_nm": 10, "temp_k": "zero",
              "param": "velocity", "from": 0.1, "to": 1.0, "points": 4}
@@ -285,6 +363,18 @@ def test_config_file_prints_what_the_flags_print(capsys, tmp_path):
         assert code_flags == code_file == 0
         assert by_file == by_flags
     assert json.loads(by_file)["inputs"]["rtol"] == 1e-8
+    # "meta": true is the bare --meta flag: the same document, with run metadata
+    flags = ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "linear"]
+    with_meta = {"model": "drude", "wp_ev": 9, "nu_ev": 0.035, "gap_nm": 10, "temp_k": 300,
+                 "velocity": 1, "regime": "linear", "meta": True}
+    docs = []
+    for argv in ([*flags, "--meta"], ["force", "--config", _write_config(tmp_path, with_meta)]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc.pop("meta")) == {"timestamp", "python"}
+        docs.append(doc)
+    assert docs[0] == docs[1] == json.loads(run_cli(capsys, flags)[1])
 
 
 FLAGS = {
@@ -376,6 +466,34 @@ def test_material_flag_the_model_does_not_read_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "read only by --model" in err
+
+
+THREE_NODE_TABLE = "omega_rad_s,eps_re,eps_im\n1e12,-1e6,1e5\n1e14,-1e3,1e2\n1e17,0.5,0.1\n"
+
+
+@pytest.mark.parametrize("state, regime, other", [
+    (["--temp-k", "zero", "--velocity", "1"], "auto", "--regime general"),
+    # discriminator 1.6e-2 at 300 K, 10 nm, 1e7 m/s: auto picks zero-t
+    (["--temp-k", "300", "--velocity", "1e7"], "auto", "--regime linear or --regime general"),
+    (["--temp-k", "zero", "--velocity", "1"], "zero-t", "--regime general"),
+    (["--temp-k", "300", "--velocity", "1"], "plasmon", "--regime linear or --regime general"),
+], ids=["auto-zero", "auto-300K", "zero-t", "plasmon"])
+def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime, other):
+    table = tmp_path / "T.csv"
+    table.write_text(THREE_NODE_TABLE, encoding="utf-8")
+    argv = ["force", "--model", "tabulated", "--eps-csv", str(table), "--gap-nm", "10", *state,
+            "--regime", regime]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ") and err.endswith(f"use {other}\n")
+    assert "force_zero_t" not in err
+    if regime == "auto" and state[1] != "zero":
+        # at finite T with a discriminator >= 1, auto still computes the linear force
+        argv[argv.index("--velocity") + 1] = "1"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["regime"] == "LinearFiniteT"
 
 
 def test_spectrum_rho1_scales_the_density_column(capsys):
@@ -547,10 +665,11 @@ def test_compare_requires_drude(capsys):
     assert exc.value.code == 2
     assert "drude" in capsys.readouterr().err
 
+    # the library's one check of the Drude mapping, reported as bad input
     code, out, err = run_cli(capsys, ["compare", "--wp-ev", "9", "--nu-ev", "0", *STATE_ARGS])
     assert code == 2
     assert out == ""
-    assert "nu-ev > 0" in err
+    assert err == "error: Drude mapping requires omega_p > 0 and nu > 0\n"
 
 
 def test_sweep_flags_every_point(capsys):
@@ -571,6 +690,23 @@ def test_sweep_flags_every_point(capsys):
         for i, v, *_ in rows
     ]
     assert len(set(err.splitlines())) == 4
+
+
+def test_sweep_auto_note_names_its_row(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--param", "velocity",
+         "--from", "0.1", "--to", "1e7", "--points", "3"],
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert [r[3] for r in rows] == ["LinearFiniteT", "LinearFiniteT", "ZeroT_Cubic"]
+    notes = [ln for ln in err.splitlines() if ln.startswith("auto regime: ")]
+    assert len(notes) == 3
+    for (i, v, *_), note, choice in zip(rows, notes, ["linear", "linear", "zero-t"]):
+        assert note.startswith(f"auto regime: row {i} (velocity={v}): linear/cubic "
+                               "discriminator = ")
+        assert note.endswith(f" -> {choice}")
 
 
 def test_sweep_velocity_cubic_slope(capsys):
@@ -639,6 +775,19 @@ def test_sweep_bad_input_exits_2(capsys, bounds):
     assert code == 2
     assert out == ""
     assert "velocity" in err
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("scale", ["lin", "log"])
+def test_sweep_non_finite_bound_exits_2(capsys, flag, value, scale):
+    argv = ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--regime", "linear",
+            "--param", "gap-nm", "--from", "1", "--to", "2", "--points", "3", "--scale", scale]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be finite, got {float(value)}"]
 
 
 def test_sweep_single_point(capsys):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from casimir_friction.numerics import CONST
-from casimir_friction.material import Drude
+from casimir_friction.material import Drude, Tabulated
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState
 from casimir_friction.friction import force_zero_t
 from casimir_friction.compare import (
     RATIO_COEFFICIENT,
-    LiteratureParams,
     consistency_report,
     pendry_force,
 )
@@ -21,19 +20,19 @@ ROOM = ThermalState.finite(300.0)
 
 
 def test_pendry_force_value_and_trivial():
-    p = LiteratureParams.from_drude(GOLD, d=10.0 * CONST.nm, v=1.0)
-    assert p.sigma_over_eps0 == pytest.approx(GOLD.omega_p**2 / GOLD.nu, rel=1e-15)
-    expected = 5.0 * CONST.hbar / (256.0 * math.pi**2 * p.sigma_over_eps0**2 * p.d**6)
-    assert pendry_force(p) == pytest.approx(expected, rel=1e-14)
-    zero = LiteratureParams(sigma_over_eps0=p.sigma_over_eps0, d=p.d, v=0.0)
-    assert pendry_force(zero) == 0.0
+    sigma_over_eps0, d = GOLD.omega_p**2 / GOLD.nu, 10.0 * CONST.nm
+    expected = 5.0 * CONST.hbar / (256.0 * math.pi**2 * sigma_over_eps0**2 * d**6)
+    assert pendry_force(sigma_over_eps0, d, 1.0) == pytest.approx(expected, rel=1e-14)
+    assert pendry_force(sigma_over_eps0, d, 0.0) == 0.0
+    # the report maps the Drude metal by sigma/eps0 = omega_p^2/nu
+    report = consistency_report(GOLD, PLATE, ROOM, v=1.0)
+    assert report["F_Pendry"] == pendry_force(sigma_over_eps0, PLATE.d, 1.0)
 
 
 def test_pendry_validity_flag():
     # v >= d sqrt(sigma/eps0): the bare formula still answers, and the
     # report carries the window flag after the closed forms' own flags
-    p = LiteratureParams(sigma_over_eps0=1e10, d=1e-9, v=1e6)
-    assert pendry_force(p) > 0
+    assert pendry_force(1e10, 1e-9, 1e6) > 0
     assert consistency_report(GOLD, PLATE, ROOM, v=1e-2)["validity_flags"] == []
     fast = consistency_report(GOLD, PlateConfig(d=1e-9, rho1=1e28, rho2=1e28), ROOM, v=1e8)
     flags = fast["validity_flags"]
@@ -58,7 +57,7 @@ def test_factor_chain_1_6_12():
         v = rng.uniform(1e-3, 1e3)
         plate = PlateConfig(d=d, rho1=1e28, rho2=1e28)
         ours = force_zero_t(mat, plate, v).force_per_area
-        f_pendry = pendry_force(LiteratureParams.from_drude(mat, d, v))
+        f_pendry = pendry_force(mat.omega_p**2 / mat.nu, d, v)
         assert ours / f_pendry == pytest.approx(12.0, rel=1e-12)
         assert ours / (6.0 * f_pendry) == pytest.approx(2.0, rel=1e-12)
         assert ours == pytest.approx(12.0 * f_pendry, rel=1e-12)
@@ -105,8 +104,19 @@ def test_report_zero_temperature():
     assert report["all_passed"]
 
 
-def test_literature_params_validation():
-    with pytest.raises(ValueError):
-        LiteratureParams(sigma_over_eps0=0.0, d=1e-9, v=1.0)
-    with pytest.raises(ValueError):
-        LiteratureParams.from_drude(Drude(omega_p=1e16, nu=0.0), d=1e-9, v=1.0)
+def test_report_requires_lossy_drude(monkeypatch):
+    # the mapping sigma/eps0 = omega_p^2/nu needs omega_p > 0 and nu > 0; the
+    # report checks that once, before computing any force
+    import casimir_friction.compare as compare_mod
+
+    def no_force(*args):
+        raise AssertionError("a force was computed before the check")
+
+    monkeypatch.setattr(compare_mod, "force_linear", no_force)
+    monkeypatch.setattr(compare_mod, "force_zero_t", no_force)
+    for bad in (Drude(omega_p=1e16, nu=0.0), Drude(omega_p=0.0, nu=1e13)):
+        with pytest.raises(ValueError, match="omega_p > 0 and nu > 0"):
+            consistency_report(bad, PLATE, ROOM, v=1.0)
+    table = Tabulated(omega=np.array([1e12, 1e17]), eps=np.array([-1e6 - 1e5j, 0.5 - 0.1j]))
+    with pytest.raises(TypeError, match="Drude"):
+        consistency_report(table, PLATE, ROOM, v=1.0)

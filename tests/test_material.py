@@ -142,7 +142,10 @@ def test_tabulated_csv_roundtrip(tmp_path):
         rows.append((float(w), eps.real, -eps.imag))  # file convention: Im eps >= 0
     path = tmp_path / "eps.csv"
     _write_csv(path, rows)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join([*lines[:5], "", *lines[5:]]), encoding="utf-8")
     tab = Tabulated.from_csv(path)
+    assert list(tab.omega) == list(grid)  # the blank row is skipped
     # conjugated back into the internal convention
     for w in grid[::5]:
         assert tab.eps_at(float(w)) == pytest.approx(GOLD_LIKE.eps_at(float(w)), rel=1e-12)
