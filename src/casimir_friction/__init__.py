@@ -46,6 +46,7 @@ from .friction import (
     force_linear,
     force_plasmon,
     force_zero_t,
+    phi_table,
 )
 from .compare import consistency_report, pendry_force
 
@@ -79,6 +80,7 @@ __all__ = [
     "integrate_semi_infinite",
     "pendry_force",
     "phi_slope",
+    "phi_table",
     "qhat_closed_form",
     "response_R",
     "surface_response",

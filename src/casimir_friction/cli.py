@@ -27,6 +27,11 @@ Conventions
   metal, with omega_sp = omega_p / sqrt(2).  A material flag the chosen
   --model does not read (--wp-ev/--nu-ev with `tabulated`, --eps-csv
   with `drude`) exits 2.
+- A sweep builds the material and the temperature once, unless it
+  sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
+  with more than one point tabulates Phi once from the grid's extremes
+  (`friction.phi_table`, to --rtol) and integrates every row against
+  that table; every other sweep, and `force`, integrate Phi per point.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -54,10 +59,12 @@ from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
     FrictionResult,
+    SharedPhi,
     dissipation_general,
     force_linear,
     force_plasmon,
     force_zero_t,
+    phi_table,
 )
 from .compare import RATIO_COEFFICIENT, consistency_report
 from .trajectory import (
@@ -258,25 +265,28 @@ def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: fl
 
 
 def compute_force(material, plate: PlateConfig, thermal: ThermalState,
-                  v: float, regime: str, spec: QuadratureSpec) -> FrictionResult:
+                  v: float, regime: str, spec: QuadratureSpec,
+                  phi: SharedPhi | None = None) -> FrictionResult:
     if regime == "linear":
         return force_linear(material, plate, thermal, v, spec)
     if regime == "zero-t":
         return force_zero_t(material, plate, v)
     if regime == "general":
-        return dissipation_general(material, material, plate, thermal, v, spec)
+        return dissipation_general(material, material, plate, thermal, v, spec, phi=phi)
     return force_plasmon(material.omega_sp, plate, v)
 
 
-def _force(args: argparse.Namespace, where: str = "") -> tuple[FrictionResult, str]:
+def _spec(args: argparse.Namespace) -> QuadratureSpec:
+    return NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
+
+
+def _force(args: argparse.Namespace, material, thermal: ThermalState, where: str = "",
+           phi: SharedPhi | None = None) -> tuple[FrictionResult, str]:
     """The force for one configuration, and the regime it resolved to."""
-    material = build_material(args)
-    thermal = build_thermal(args.temp_k)
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     regime = resolve_regime(args.regime, material, thermal, plate.d, v, where)
-    spec = NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
-    return compute_force(material, plate, thermal, v, regime, spec), regime
+    return compute_force(material, plate, thermal, v, regime, _spec(args), phi), regime
 
 
 def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
@@ -301,7 +311,7 @@ def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -
 
 
 def cmd_force(args: argparse.Namespace) -> int:
-    result, regime = _force(args)
+    result, regime = _force(args, build_material(args), build_thermal(args.temp_k))
     _note_flags(result.diagnostics.validity_flags)
     if args.format == "csv":
         print("force_per_area_N_m2,regime,quadrature_rel_err")
@@ -332,12 +342,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             raise CLIError("need --omega-min-ev/--omega-max-ev for this material")
     if not (0 < lo_ev < hi_ev and math.isfinite(hi_ev)):
         raise CLIError(f"need finite 0 < --omega-min-ev < --omega-max-ev, got {lo_ev}, {hi_ev}")
+    for flag, bound in (("--omega-min-ev", lo_ev), ("--omega-max-ev", hi_ev)):
+        if not math.isfinite(bound * CONST.eV / CONST.hbar):
+            raise CLIError(f"{flag} {bound} eV is past the float range in rad/s")
     if args.points < 1:
         raise CLIError("--points must be >= 1")
 
-    # an omega past the float range is inf, which a Drude response then fails on
-    with np.errstate(over="ignore"):
-        grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), args.points) * CONST.eV / CONST.hbar
+    grid = np.logspace(np.log10(lo_ev), np.log10(hi_ev), args.points) * CONST.eV / CONST.hbar
     if isinstance(material, Tabulated):
         # a default end is the table's own node: its eV round trip can leave the table
         if args.omega_max_ev is None and args.points > 1:
@@ -432,6 +443,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # sweep
 
 
+def _shared_phi(args: argparse.Namespace, key: str, values, material,
+                thermal: ThermalState) -> SharedPhi:
+    """One Phi table for every point of a velocity or gap sweep, from the grid's extremes."""
+    ends = [argparse.Namespace(**{**vars(args), key: float(x)}) for x in (min(values), max(values))]
+    gaps = [build_plate(end).d for end in ends]
+    speeds = [_checked(end.velocity, "--velocity") for end in ends]
+    return phi_table(material, material, thermal, speeds, gaps, _spec(args))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param is None:
         raise CLIError("missing required input: --param")
@@ -453,11 +473,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         values = np.linspace(lo, hi, args.points)
 
+    # what the swept parameter does not change is built once
+    material = None if key in ("wp_ev", "nu_ev") else build_material(args)
+    thermal = None if key == "temp_k" else build_thermal(args.temp_k)
+    # Phi depends on the material and T only: a general sweep over v or d
+    # integrates every point against one table of it
+    phi = None
+    if args.regime == "general" and key in ("velocity", "gap_nm") and len(values) > 1:
+        phi = _shared_phi(args, key, values, material, thermal)
+
     out = [f"index,{key},force_per_area_N_m2,regime"]
     for i, x in enumerate(values):
         shown = repr(float(x))
         where = f"row {i} ({key}={shown}): "
-        result, _ = _force(argparse.Namespace(**{**vars(args), key: float(x)}), where)
+        point = argparse.Namespace(**{**vars(args), key: float(x)})
+        result, _ = _force(
+            point,
+            build_material(point) if material is None else material,
+            build_thermal(point.temp_k) if thermal is None else thermal,
+            where,
+            phi,
+        )
         _note_flags(result.diagnostics.validity_flags, where)
         out.append(",".join([str(i), shown, repr(result.force_per_area), result.regime]))
     print("\n".join(out))

@@ -32,6 +32,15 @@ PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
                 F = (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v),
                 suppressed by exp(-4 omega_sp d / v)
 
+Phi is the only place the material and T enter the general force; v
+and d enter only through the kernel omega^2 K1(2 d omega / v).  So
+`phi_table` tabulates Phi once for a range of v and d (over
+1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
+resonances omega_sp and 2 omega_sp), and `dissipation_general(...,
+phi=table)` runs the same k_x quadrature against that table, adding the
+table's kernel-weighted error to ``quadrature_rel_err``.  Without a
+table it integrates Phi at every k_x node.
+
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
 Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the paper's
@@ -55,12 +64,22 @@ from .numerics import (
 )
 from .material import Drude, MaterialModel, surface_response
 from .geometry import PlateConfig
-from .response import ThermalState, im_r_dissipation_integral, phi_slope
+from .response import (
+    PhiTable,
+    ThermalState,
+    im_r_dissipation_integral,
+    phi_slope,
+    tabulate_phi,
+)
 
 LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
 GENERAL_NUMERIC = "GeneralNumeric"
 PLASMON_LINE = "PlasmonLine"
+
+#: Tolerance of the integral that weighs a Phi table's error by the
+#: force's kernel: an error estimate needs one digit.
+ERROR_SPEC = QuadratureSpec(rel_tol=0.1)
 
 #: exp(-x) underflows double precision near 745; beyond this the plasmon
 #: force is reported as exactly zero with a flag.
@@ -198,6 +217,86 @@ def _im_r_callable(model: MaterialModel):
     return im_r
 
 
+def _phi_closure(material1, material2, thermal: ThermalState, spec: QuadratureSpec):
+    """omega -> Phi(omega); a failure names the level and the omega it failed at."""
+    im_r1 = _im_r_callable(material1)
+    # one closure for equal plates lets Phi integrate the difference
+    # channel once (its `im_r1 is im_r2` shortcut)
+    im_r2 = im_r1 if material2 is material1 else _im_r_callable(material2)
+
+    def phi_of(omega_v: float) -> float:
+        try:
+            return im_r_dissipation_integral(omega_v, im_r1, im_r2, thermal, spec)
+        except NonConvergence as exc:
+            raise NonConvergence(f"{exc} at omega={omega_v!r}", level="omega1") from exc
+
+    return phi_of
+
+
+def _kernel_band(v: float, d: float) -> tuple[float, float]:
+    """The omega range a Phi table must cover for one (v, d) point.
+
+    Below 1e-4 v/(2d), where x = 2 d omega / v < 2e-4, Phi is its head
+    (proportional to omega^p) and the kernel omega^2 K1(x) Phi holds
+    about x^(2+p) < 1e-11 of the force; above 60 v/(2d), K1(x) is below
+    e^-60.
+    """
+    scale = v / (2.0 * d)
+    return 1e-4 * scale, 60.0 * scale
+
+
+@dataclass(frozen=True)
+class SharedPhi:
+    """A `PhiTable` for every (v, d) point of a velocity and gap range.
+
+    Built by `phi_table`; `dissipation_general` reads Phi from it for
+    the materials and temperature it was built for.
+    """
+
+    material1: MaterialModel
+    material2: MaterialModel
+    thermal: ThermalState
+    table: PhiTable
+
+    def covers(self, v: float, d: float) -> bool:
+        lo, hi = _kernel_band(v, d)
+        return self.table.omega_lo <= lo and hi <= self.table.omega_hi
+
+
+def phi_table(
+    material1: MaterialModel,
+    material2: MaterialModel,
+    thermal: ThermalState,
+    v_range: tuple[float, float],
+    d_range: tuple[float, float],
+    spec: QuadratureSpec = NESTED_SPEC,
+) -> SharedPhi:
+    """Phi(omega) tabulated once for all v in v_range and d in d_range.
+
+    The table spans 1e-4 v_min/(2 d_max) to 60 v_max/(2 d_min), holds
+    h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
+    Phi_1 or Phi_3 at its low end) and is cut at omega_sp and at the
+    sum of the two omega_sp of Drude plates, where Phi has its
+    resonances.  Its tolerance is ``spec.rel_tol`` (`tabulate_phi`).
+
+    Raises
+    ------
+    NonConvergence
+        With level "omega1", naming the omega at which Phi failed or the
+        omega interval the table could not resolve.
+    """
+    (v_min, v_max), (d_min, d_max) = v_range, d_range
+    if not 0 < v_min <= v_max or not 0 < d_min <= d_max:
+        raise DomainError(f"need 0 < v_min <= v_max and 0 < d_min <= d_max, "
+                          f"got {v_range}, {d_range}")
+    lo, hi = _kernel_band(v_min, d_max)[0], _kernel_band(v_max, d_min)[1]
+    sp = [m.omega_sp for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
+    splits = {*sp, *(a + b for a in sp for b in sp)}
+    phi = _phi_closure(material1, material2, thermal, spec)
+    table = tabulate_phi(phi, lo, hi, 3 if thermal.is_zero else 1, splits, spec.rel_tol)
+    return SharedPhi(material1, material2, thermal, table)
+
+
 def dissipation_general(
     material1: MaterialModel,
     material2: MaterialModel,
@@ -205,52 +304,67 @@ def dissipation_general(
     thermal: ThermalState,
     v: float,
     spec: QuadratureSpec = NESTED_SPEC,
+    phi: SharedPhi | None = None,
 ) -> FrictionResult:
     """Friction force from the full k-space/spectral dissipation integral.
 
     Valid at any temperature and velocity with continuous material
     responses.  Nesting order: inner spectral convolution Phi(k_x v),
     then k_x on the exponential scale 1/(2d); the k_y integral is the
-    closed form k_x K1(2 d k_x).
+    closed form k_x K1(2 d k_x).  With ``phi`` (from `phi_table`, for
+    these materials and temperature and a range that covers v and d)
+    the k_x integral reads Phi from that table instead of integrating
+    it at each node, and the table's error, weighed by the same
+    kernel, is added to ``quadrature_rel_err``.
 
     Raises
     ------
     NonConvergence
         With ``level`` identifying the failing nesting level
-        ("omega1" or "k_x").
+        ("omega1" or "k_x"); an "omega1" failure names the omega at
+        which Phi failed.
+    ValueError
+        If ``phi`` was built for other materials or temperature, or for
+        a range that does not cover v and d.
     """
     _require_velocity(v)
-    im_r1 = _im_r_callable(material1)
-    # one closure for equal plates lets Phi integrate the difference
-    # channel once (its `im_r1 is im_r2` shortcut)
-    im_r2 = im_r1 if material2 is material1 else _im_r_callable(material2)
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
-
-    def phi_of(omega_v: float) -> float:
-        try:
-            return im_r_dissipation_integral(omega_v, im_r1, im_r2, thermal, spec)
-        except NonConvergence as exc:
-            raise NonConvergence(str(exc), level="omega1") from exc
+    if phi is None:
+        phi_of = _phi_closure(material1, material2, thermal, spec)
+    else:
+        if (phi.material1 is not material1 or phi.material2 is not material2
+                or phi.thermal != thermal or not phi.covers(v, config.d)):
+            raise ValueError("the Phi table was built for other materials, "
+                             "temperature or (v, d) range")
+        phi_of = phi.table
 
     def outer(kx: float) -> float:
         if kx <= 0.0:
             return 0.0
         return kx * _ky_integral(kx, config.d) * phi_of(kx * v)
 
+    def table_err(kx: float) -> float:
+        if kx <= 0.0:
+            return 0.0
+        return kx * _ky_integral(kx, config.d) * phi.table.error(kx * v)
+
     try:
         value, err = integrate_semi_infinite(outer, 0.0, 0.5 / config.d, spec)
+        rel_err = abs(err / value) if value else 0.0
+        if phi is not None and value:
+            bound, _ = integrate_semi_infinite(table_err, 0.0, 0.5 / config.d, ERROR_SPEC)
+            rel_err += bound / abs(value)
     except NonConvergence as exc:
         if exc.level is None:
             raise NonConvergence(str(exc), level="k_x") from exc
         raise
     force = CONST.hbar / (2.0 * math.pi**3) * value
 
-    diag = Diagnostics(quadrature_rel_err=abs(err / value) if value else 0.0)
     return FrictionResult(
         force_per_area=force,
         regime=GENERAL_NUMERIC,
-        diagnostics=diag,
+        diagnostics=Diagnostics(quadrature_rel_err=rel_err),
     )
 
 

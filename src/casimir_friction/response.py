@@ -26,17 +26,26 @@ the closed-form regimes:
 
     T = 0:     Phi -> Phi_3 omega^3 for linear heads Im R = -c omega,
         Phi_3 = c1 c2 / 3 (the sum channel alone).
+
+Each Phi value is a nested adaptive quadrature.  Where many forces share
+one Phi, `tabulate_phi` evaluates it once per node of a `PhiTable`:
+h = Phi / omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
+Phi_1 or Phi_3) as a piecewise Chebyshev series in log omega, with 16
+nodes per panel, each panel bisected until its trailing coefficients
+meet the tolerance.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .numerics import (
     CONST,
     DEFAULT_SPEC,
+    NonConvergence,
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
@@ -204,3 +213,123 @@ def phi_slope(
         value += cell
         err += cell_err
     return beta_hbar * value, beta_hbar * err
+
+
+#: Chebyshev nodes per panel of a `PhiTable`.
+TABLE_NODES = 16
+#: Bisections a panel may take before a table that still misses its
+#: tolerance there fails.
+TABLE_MAX_DEPTH = 30
+
+# cos(pi k (j + 1/2) / n): the first-kind nodes x_j (row k = 1) and the
+# transform from node values to Chebyshev coefficients
+_COS = [
+    [math.cos(math.pi * k * (j + 0.5) / TABLE_NODES) for j in range(TABLE_NODES)]
+    for k in range(TABLE_NODES)
+]
+
+
+def _chebyshev_coeffs(values: Sequence[float]) -> list[float]:
+    """Coefficients c_k of sum_k c_k T_k interpolating ``values`` at the first-kind nodes."""
+    scale = 2.0 / TABLE_NODES
+    coeffs = [scale * sum(c * f for c, f in zip(row, values)) for row in _COS]
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+def _clenshaw(coeffs: Sequence[float], x: float) -> float:
+    b1 = b2 = 0.0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
+
+@dataclass(frozen=True)
+class PhiTable:
+    """Phi(omega) on [omega_lo, omega_hi] as a piecewise Chebyshev series.
+
+    Each panel [edges[i], edges[i+1]] of s = log omega holds the
+    coefficients of h(s) = Phi(omega) / omega^power, and ``errors[i]``,
+    the size of its two trailing coefficients, which estimates
+    |h_table - h| on it.  Below omega_lo the head
+    Phi = head * omega^power continues the table; above omega_hi Phi is
+    taken as 0 (the Bessel kernel that weighs it is below e^-60 there).
+    """
+
+    omega_lo: float
+    omega_hi: float
+    edges: tuple[float, ...]
+    coeffs: tuple[tuple[float, ...], ...]
+    errors: tuple[float, ...]
+    power: int
+    head: float
+
+    def _panel(self, s: float) -> int:
+        return min(max(bisect_right(self.edges, s) - 1, 0), len(self.coeffs) - 1)
+
+    def __call__(self, omega: float) -> float:
+        if omega < self.omega_lo:
+            return self.head * omega**self.power
+        if omega > self.omega_hi:
+            return 0.0
+        s = math.log(omega)
+        i = self._panel(s)
+        a, b = self.edges[i], self.edges[i + 1]
+        return _clenshaw(self.coeffs[i], (2.0 * s - a - b) / (b - a)) * omega**self.power
+
+    def error(self, omega: float) -> float:
+        """Estimated |Phi_table - Phi| at omega (the first panel's below omega_lo)."""
+        if omega > self.omega_hi:
+            return 0.0
+        return self.errors[self._panel(math.log(omega))] * omega**self.power
+
+
+def tabulate_phi(
+    phi: Callable[[float], float],
+    omega_lo: float,
+    omega_hi: float,
+    power: int,
+    splits: Sequence[float] = (),
+    rel_tol: float = DEFAULT_SPEC.rel_tol,
+) -> PhiTable:
+    """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable`.
+
+    The range is cut at the ``splits`` inside it (resonances, where h
+    changes fastest), and each panel holds TABLE_NODES first-kind
+    Chebyshev nodes.  A panel is bisected until its two trailing
+    coefficients are at most rel_tol * max|h| over its nodes.  Panels
+    are taken depth first, so a panel that cannot meet that within
+    TABLE_MAX_DEPTH bisections fails after at most that many.
+
+    Raises
+    ------
+    NonConvergence
+        With level "omega1", naming the omega interval of the panel
+        that missed the tolerance.
+    """
+    s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
+    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
+    pending = [(a, b, 0) for a, b in zip([s_lo, *cuts], [*cuts, s_hi])]
+    pending.reverse()  # a stack: the lowest panel is taken first
+    edges, coeffs, errors = [s_lo], [], []
+    while pending:
+        a, b, depth = pending.pop()
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        omegas = [math.exp(mid + half * x) for x in _COS[1]]
+        h = [phi(w) / w**power for w in omegas]
+        c = _chebyshev_coeffs(h)
+        tail = max(abs(c[-1]), abs(c[-2]))
+        if tail <= rel_tol * max(map(abs, h)):
+            edges.append(b)
+            coeffs.append(tuple(c))
+            errors.append(tail)
+        elif depth < TABLE_MAX_DEPTH:
+            pending += [(mid, b, depth + 1), (a, mid, depth + 1)]
+        else:
+            raise NonConvergence(
+                f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
+                f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_DEPTH} bisections",
+                level="omega1",
+            )
+    head = _clenshaw(coeffs[0], -1.0)
+    return PhiTable(omega_lo, omega_hi, tuple(edges), tuple(coeffs), tuple(errors), power, head)

@@ -14,7 +14,7 @@ PUBLIC = {
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
     "PlateConfig",
     "Diagnostics", "FrictionResult",
-    "dissipation_general", "force_linear", "force_zero_t", "force_plasmon",
+    "dissipation_general", "force_linear", "force_zero_t", "force_plasmon", "phi_table",
     "consistency_report", "pendry_force",
 }
 
@@ -73,6 +73,10 @@ def test_unread_fields_are_gone():
     assert not hasattr(friction.Diagnostics, "flag")
     assert list(inspect.signature(trajectory.delta_limit_convergence).parameters) == [
         "omega_v", "taus",
+    ]
+    # callers pass the general force's arguments by position; the Phi table comes last
+    assert list(inspect.signature(friction.dissipation_general).parameters) == [
+        "material1", "material2", "config", "thermal", "v", "spec", "phi",
     ]
     # the literature closed form takes floats, not a parameter record
     assert list(inspect.signature(compare.pendry_force).parameters) == [

@@ -18,7 +18,7 @@ import casimir_friction
 from casimir_friction.cli import build_parser, main
 from casimir_friction.friction import force_plasmon
 from casimir_friction.geometry import PlateConfig
-from casimir_friction.material import Drude
+from casimir_friction.material import Drude, Tabulated
 from casimir_friction.numerics import CONST
 
 DRUDE_ARGS = ["--model", "drude", "--wp-ev", "9", "--nu-ev", "0.035"]
@@ -120,6 +120,7 @@ def test_force_numerical_failure_exits_3(capsys):
     assert out == ""
     assert "numerical failure" in err
     assert "(level: omega1)" in err
+    assert " at omega=" in err  # the coordinate k_x v at which Phi failed
 
 
 #: Finite inputs at which a float division by zero or overflow stops the run.
@@ -142,13 +143,13 @@ FLOAT_FAILURE_ARGS = [
      "--temp-k", "300", "--velocity", "1", "--regime", "linear"],
     ["force", "--model", "drude", "--wp-ev", "1e-150", "--nu-ev", "0.03", "--gap-nm", "10",
      "--temp-k", "zero", "--velocity", "1", "--regime", "zero-t"],
-    ["spectrum", "--wp-ev", "9", "--omega-min-ev", "1e-300", "--omega-max-ev", "1e300",
-     "--points", "3"],
     ["spectrum", "--wp-ev", "1e-300", "--nu-ev", "0", "--points", "3"],
 ]
 
 
-@pytest.mark.parametrize("argv", FLOAT_FAILURE_ARGS, ids=range(len(FLOAT_FAILURE_ARGS)))
+# each case keeps its id when an earlier one leaves the list (case 10, a spectrum
+# bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2)
+@pytest.mark.parametrize("argv", FLOAT_FAILURE_ARGS, ids=[*range(10), 11])
 def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
@@ -550,6 +551,21 @@ def test_spectrum_singular_response_exits_3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("model", ["drude", "vacuum", "tabulated"])
+@pytest.mark.parametrize("flag, bounds", [("--omega-max-ev", ("1e-300", "1e300")),
+                                          ("--omega-min-ev", ("1e299", "1e300"))])
+def test_spectrum_bound_past_float_range_exits_2(capsys, tmp_path, model, flag, bounds):
+    # omega = E * eV / hbar overflows; no material is asked for its response there
+    material = {"drude": DRUDE_ARGS, "vacuum": ["--wp-ev", "0"],
+                "tabulated": ["--model", "tabulated", "--eps-csv", str(tmp_path / "t.csv")]}
+    (tmp_path / "t.csv").write_text(THREE_NODE_TABLE, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["spectrum", *material[model], "--omega-min-ev", bounds[0],
+                                      "--omega-max-ev", bounds[1], "--points", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 def test_spectrum_zero_plasma_frequency(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -761,6 +777,101 @@ def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().split("\n")) == 4
     assert len(calls) == 3
+
+
+def test_sweep_builds_its_material_once(capsys, tmp_path, monkeypatch):
+    gold = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
+    rows = ["omega_rad_s,eps_re,eps_im"]
+    for w in np.logspace(9.0, math.log10(3e16), 40):
+        eps = gold.eps_at(float(w))
+        rows.append(f"{float(w)!r},{eps.real!r},{-eps.imag!r}")  # file convention: Im eps >= 0
+    path = tmp_path / "gold.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    loads = []
+    real = Tabulated.from_csv
+
+    def counting(csv_path):
+        loads.append(csv_path)
+        return real(csv_path)
+
+    monkeypatch.setattr(Tabulated, "from_csv", staticmethod(counting))
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "--model", "tabulated", "--eps-csv", str(path), "--gap-nm", "10",
+         "--temp-k", "300", "--regime", "linear", "--param", "velocity", "--from", "0.1",
+         "--to", "1", "--points", "4"],
+    )
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 5
+    assert loads == [str(path)]
+
+
+#: The general sweeps of the reference metal at 300 K, by swept parameter.
+GENERAL_SWEEP_ARGS = {
+    "velocity": ["--gap-nm", "10", "--param", "velocity", "--from", "0.1", "--to", "1e5"],
+    "gap-nm": ["--velocity", "1", "--param", "gap-nm", "--from", "5", "--to", "100"],
+}
+
+
+def general_sweep(capsys, param, points, *extra):
+    """(swept value, force) of each row of a 300 K general sweep."""
+    code, out, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--temp-k", "300", "--regime",
+                                      "general", *GENERAL_SWEEP_ARGS[param],
+                                      "--points", str(points), *extra])
+    assert code == 0, err
+    return [(x, float(f)) for _, x, f, _ in (ln.split(",") for ln in out.split("\n")[1:-1])]
+
+
+def general_force(capsys, param, value, *extra):
+    """force --regime general at one point of the sweep of `param`."""
+    fixed = GENERAL_SWEEP_ARGS[param][:2]
+    code, out, err = run_cli(capsys, ["force", *DRUDE_ARGS, "--temp-k", "300", "--regime",
+                                      "general", *fixed, f"--{param}", value, *extra])
+    assert code == 0, err
+    return json.loads(out)["force_per_area_N_m2"]
+
+
+@pytest.mark.parametrize("param", ["velocity", "gap-nm"])
+def test_general_sweep_rows_match_force(capsys, param):
+    # every row integrates against one Phi table; force integrates Phi itself
+    rows = general_sweep(capsys, param, 8)
+    assert len(rows) == 8
+    for value, force in rows:
+        assert force == pytest.approx(general_force(capsys, param, value), rel=1e-9, abs=0)
+
+
+def test_general_sweep_rtol_tightens_its_table(capsys):
+    worst = {}
+    for rtol in ("1e-6", "1e-9"):
+        rows = general_sweep(capsys, "velocity", 3, "--from", "1e3", "--rtol", rtol)
+        worst[rtol] = max(abs(f / general_force(capsys, "velocity", x, "--rtol", rtol) - 1.0)
+                          for x, f in rows)
+    assert worst["1e-9"] < worst["1e-6"] <= 1e-9
+
+
+def test_one_point_general_sweep_is_the_force(capsys):
+    # a single point shares Phi with nothing: it takes the force's own path
+    [(value, force)] = general_sweep(capsys, "velocity", 1, "--from", "3.7")
+    assert value == "3.7"
+    assert force == general_force(capsys, "velocity", "3.7")
+
+
+def test_general_sweep_tabulates_phi_once(capsys, monkeypatch):
+    # the benchmark's 32-point velocity sweep: about 145 Phi evaluations per
+    # point when each point integrates Phi itself
+    from casimir_friction import friction
+
+    calls = []
+    real = friction.im_r_dissipation_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(friction, "im_r_dissipation_integral", counting)
+    rows = general_sweep(capsys, "velocity", 32, "--scale", "log")
+    assert len(rows) == 32
+    assert 0 < len(calls) <= 300
 
 
 @pytest.mark.parametrize("bounds", [("-1", "1"), ("1", "-1")])

@@ -15,7 +15,7 @@ from casimir_friction.numerics import (
 )
 from casimir_friction.material import Drude, Tabulated, surface_response
 from casimir_friction.geometry import PlateConfig
-from casimir_friction.response import ThermalState, phi_slope
+from casimir_friction.response import ThermalState, phi_slope, tabulate_phi
 from casimir_friction.friction import (
     GENERAL_NUMERIC,
     LINEAR_FINITE_T,
@@ -26,6 +26,7 @@ from casimir_friction.friction import (
     force_linear,
     force_plasmon,
     force_zero_t,
+    phi_table,
 )
 import oracles
 
@@ -309,6 +310,47 @@ def test_general_equal_plates_share_difference_channel(monkeypatch):
     assert shared.force_per_area == separate.force_per_area
     assert shared.diagnostics == separate.diagnostics
     assert shared_calls < len(calls)
+
+
+def test_phi_table_across_the_plasmon_resonances():
+    # a T = 0 velocity sweep whose kernels reach past omega_sp and 2 omega_sp
+    speeds = [1e4, 1e5, 1e6, 1e7, 1e8]
+    shared = phi_table(GOLD, GOLD, COLD, (speeds[0], speeds[-1]), (PLATE.d, PLATE.d))
+    table = shared.table
+    assert table.omega_lo < GOLD.omega_sp < 2.0 * GOLD.omega_sp < table.omega_hi
+    # both resonances are panel edges
+    assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
+    compared = 0
+    for v in speeds:
+        tab = dissipation_general(GOLD, GOLD, PLATE, COLD, v, phi=shared)
+        try:
+            direct = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
+        except NonConvergence:
+            continue
+        compared += 1
+        dev = abs(tab.force_per_area / direct.force_per_area - 1.0)
+        assert dev <= NESTED_SPEC.rel_tol
+        assert tab.diagnostics.quadrature_rel_err >= dev
+    assert compared >= 4
+
+
+def test_phi_table_that_cannot_resolve_names_its_interval():
+    # a jump inside a panel keeps its trailing coefficients at O(1) at any depth
+    with pytest.raises(NonConvergence, match=r"omega in \[") as err:
+        tabulate_phi(lambda w: 1.0 if w < 2e3 else 2.0, 1.0, 1e6, 1)
+    assert err.value.level == "omega1"
+
+
+def test_phi_table_serves_only_what_it_was_built_for():
+    shared = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
+    other = Drude(omega_p=GOLD.omega_p, nu=GOLD.nu)
+    for material, thermal, v, d in [(other, ROOM, 1.0, PLATE.d), (GOLD, COLD, 1.0, PLATE.d),
+                                    (GOLD, ROOM, 20.0, PLATE.d), (GOLD, ROOM, 1.0, 2 * PLATE.d)]:
+        with pytest.raises(ValueError, match="Phi table"):
+            dissipation_general(material, material, PlateConfig(d=d), thermal, v, phi=shared)
+    inside = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0, phi=shared)
+    direct = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
+    assert inside.force_per_area == pytest.approx(direct.force_per_area, rel=1e-9)
 
 
 @pytest.mark.parametrize("x", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0])
