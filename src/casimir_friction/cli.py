@@ -31,7 +31,8 @@ Conventions
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
   with more than one point tabulates Phi once from the grid's extremes
   (`friction.phi_table`, to --rtol) and integrates every row against
-  that table; every other sweep, and `force`, integrate Phi per point.
+  that table; every other general force tabulates Phi for its own
+  point.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which

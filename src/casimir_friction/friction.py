@@ -34,12 +34,15 @@ PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
 
 Phi is the only place the material and T enter the general force; v
 and d enter only through the kernel omega^2 K1(2 d omega / v).  So
-`phi_table` tabulates Phi once for a range of v and d (over
-1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
-resonances omega_sp and 2 omega_sp), and `dissipation_general(...,
-phi=table)` runs the same k_x quadrature against that table, adding the
-table's kernel-weighted error to ``quadrature_rel_err``.  Without a
-table it integrates Phi at every k_x node.
+every general force is one Phi table and one k_x quadrature against
+it.  `phi_table` tabulates Phi once for a range of v and d, over the
+band 1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
+resonances omega_sp and 2 omega_sp, and refined by the kernels of the
+forces it serves, in at most `response.TABLE_MAX_PANELS` (64) panels.
+`dissipation_general` reads Phi from the table it is given, or builds
+one for its own (v, d), cuts its k_x quadrature at the resonances in
+its band, and adds the table's kernel-weighted error to
+``quadrature_rel_err``.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from scipy.special import k1e
 
@@ -60,6 +64,7 @@ from .numerics import (
     DomainError,
     NonConvergence,
     QuadratureSpec,
+    integrate_finite,
     integrate_semi_infinite,
 )
 from .material import Drude, MaterialModel, surface_response
@@ -245,18 +250,34 @@ def _kernel_band(v: float, d: float) -> tuple[float, float]:
     return 1e-4 * scale, 60.0 * scale
 
 
+def _kernel(scale: float) -> Callable[[float], float]:
+    """omega -> x^2 K1(x) at x = omega / scale.
+
+    The weight of Phi in the force at any (v, d) with v/(2d) = scale, up
+    to a constant factor: k_x^2 K1(2 d k_x) at k_x = omega / v.
+    """
+
+    def kernel(omega: float) -> float:
+        x = omega / scale
+        return x * x * float(k1e(x)) * math.exp(-x)
+
+    return kernel
+
+
 @dataclass(frozen=True)
 class SharedPhi:
     """A `PhiTable` for every (v, d) point of a velocity and gap range.
 
     Built by `phi_table`; `dissipation_general` reads Phi from it for
-    the materials and temperature it was built for.
+    the materials and temperature it was built for, and cuts its k_x
+    integral at the ``resonances`` of Phi that fall in a point's band.
     """
 
     material1: MaterialModel
     material2: MaterialModel
     thermal: ThermalState
     table: PhiTable
+    resonances: tuple[float, ...]
 
     def covers(self, v: float, d: float) -> bool:
         lo, hi = _kernel_band(v, d)
@@ -277,24 +298,41 @@ def phi_table(
     h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
     Phi_1 or Phi_3 at its low end) and is cut at omega_sp and at the
     sum of the two omega_sp of Drude plates, where Phi has its
-    resonances.  Its tolerance is ``spec.rel_tol`` (`tabulate_phi`).
+    resonances.  A force's kernel depends on s = v/(2d) alone, so the
+    table serves the forces at the ends of the range of s and at points
+    between them at most a decade apart: it is refined until each of
+    them carries a table error of at most ``spec.rel_tol``
+    (`tabulate_phi`), in at most `response.TABLE_MAX_PANELS` panels.
 
     Raises
     ------
+    DomainError
+        If a range is empty, not positive or not finite, or its band
+        leaves the float range.
     NonConvergence
         With level "omega1", naming the omega at which Phi failed or the
         omega interval the table could not resolve.
     """
     (v_min, v_max), (d_min, d_max) = v_range, d_range
-    if not 0 < v_min <= v_max or not 0 < d_min <= d_max:
-        raise DomainError(f"need 0 < v_min <= v_max and 0 < d_min <= d_max, "
+    if not (0 < v_min <= v_max < math.inf and 0 < d_min <= d_max < math.inf):
+        raise DomainError(f"need finite 0 < v_min <= v_max and 0 < d_min <= d_max, "
                           f"got {v_range}, {d_range}")
     lo, hi = _kernel_band(v_min, d_max)[0], _kernel_band(v_max, d_min)[1]
+    if not 0 < lo <= hi < math.inf:
+        raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of velocities {v_range} "
+                          f"and gaps {d_range} leaves the float range")
     sp = [m.omega_sp for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
-    splits = {*sp, *(a + b for a in sp for b in sp)}
+    resonances = tuple(sorted({*sp, *(a + b for a in sp for b in sp)}))
+    # a kernel's shape depends on s = v/(2d) alone: serve the ends of the
+    # range of s and points between them at most a decade apart
+    low, high = v_min / (2.0 * d_max), v_max / (2.0 * d_min)
+    steps = max(math.ceil(math.log10(high / low) - 1e-9), 1)
+    kernels = [_kernel(s) for s in sorted({low * (high / low) ** (k / steps)
+                                           for k in range(steps + 1)})]
     phi = _phi_closure(material1, material2, thermal, spec)
-    table = tabulate_phi(phi, lo, hi, 3 if thermal.is_zero else 1, splits, spec.rel_tol)
-    return SharedPhi(material1, material2, thermal, table)
+    table = tabulate_phi(phi, lo, hi, 3 if thermal.is_zero else 1, kernels, resonances,
+                         spec.rel_tol)
+    return SharedPhi(material1, material2, thermal, table, resonances)
 
 
 def dissipation_general(
@@ -309,12 +347,12 @@ def dissipation_general(
     """Friction force from the full k-space/spectral dissipation integral.
 
     Valid at any temperature and velocity with continuous material
-    responses.  Nesting order: inner spectral convolution Phi(k_x v),
-    then k_x on the exponential scale 1/(2d); the k_y integral is the
-    closed form k_x K1(2 d k_x).  With ``phi`` (from `phi_table`, for
-    these materials and temperature and a range that covers v and d)
-    the k_x integral reads Phi from that table instead of integrating
-    it at each node, and the table's error, weighed by the same
+    responses.  Phi is read from a table: ``phi`` (from `phi_table`,
+    for these materials and temperature and a range that covers v and
+    d), or else one built for this (v, d) alone.  The k_x integral runs
+    on the exponential scale 1/(2d), cut at the resonances of Phi
+    inside the point's kernel band; the k_y integral is the closed
+    form k_x K1(2 d k_x).  The table's error, weighed by the same
     kernel, is added to ``quadrature_rel_err``.
 
     Raises
@@ -322,7 +360,8 @@ def dissipation_general(
     NonConvergence
         With ``level`` identifying the failing nesting level
         ("omega1" or "k_x"); an "omega1" failure names the omega at
-        which Phi failed.
+        which Phi failed or the omega interval its table could not
+        resolve.
     ValueError
         If ``phi`` was built for other materials or temperature, or for
         a range that does not cover v and d.
@@ -330,35 +369,45 @@ def dissipation_general(
     _require_velocity(v)
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
+    d = config.d
     if phi is None:
-        phi_of = _phi_closure(material1, material2, thermal, spec)
-    else:
-        if (phi.material1 is not material1 or phi.material2 is not material2
-                or phi.thermal != thermal or not phi.covers(v, config.d)):
-            raise ValueError("the Phi table was built for other materials, "
-                             "temperature or (v, d) range")
-        phi_of = phi.table
+        phi = phi_table(material1, material2, thermal, (v, v), (d, d), spec)
+    elif (phi.material1 is not material1 or phi.material2 is not material2
+            or phi.thermal != thermal or not phi.covers(v, d)):
+        raise ValueError("the Phi table was built for other materials, "
+                         "temperature or (v, d) range")
+    table = phi.table
 
     def outer(kx: float) -> float:
         if kx <= 0.0:
             return 0.0
-        return kx * _ky_integral(kx, config.d) * phi_of(kx * v)
+        return kx * _ky_integral(kx, d) * table(kx * v)
 
     def table_err(kx: float) -> float:
         if kx <= 0.0:
             return 0.0
-        return kx * _ky_integral(kx, config.d) * phi.table.error(kx * v)
+        return kx * _ky_integral(kx, d) * table.error(kx * v)
+
+    lo, hi = _kernel_band(v, d)
+    edges = [0.0, *(w / v for w in phi.resonances if lo < w < hi)]
+
+    def kx_integral(f, kx_spec: QuadratureSpec) -> tuple[float, float]:
+        value = err = 0.0
+        for a, b in zip(edges, edges[1:]):
+            piece, piece_err = integrate_finite(f, a, b, kx_spec)
+            value += piece
+            err += piece_err
+        piece, piece_err = integrate_semi_infinite(f, edges[-1], 0.5 / d, kx_spec)
+        return value + piece, err + piece_err
 
     try:
-        value, err = integrate_semi_infinite(outer, 0.0, 0.5 / config.d, spec)
+        value, err = kx_integral(outer, spec)
         rel_err = abs(err / value) if value else 0.0
-        if phi is not None and value:
-            bound, _ = integrate_semi_infinite(table_err, 0.0, 0.5 / config.d, ERROR_SPEC)
+        if value:
+            bound, _ = kx_integral(table_err, ERROR_SPEC)
             rel_err += bound / abs(value)
     except NonConvergence as exc:
-        if exc.level is None:
-            raise NonConvergence(str(exc), level="k_x") from exc
-        raise
+        raise NonConvergence(str(exc), level="k_x") from exc
     force = CONST.hbar / (2.0 * math.pi**3) * value
 
     return FrictionResult(

@@ -27,12 +27,14 @@ the closed-form regimes:
     T = 0:     Phi -> Phi_3 omega^3 for linear heads Im R = -c omega,
         Phi_3 = c1 c2 / 3 (the sum channel alone).
 
-Each Phi value is a nested adaptive quadrature.  Where many forces share
-one Phi, `tabulate_phi` evaluates it once per node of a `PhiTable`:
+Each Phi value is a nested adaptive quadrature, so a force evaluates
+it only at the nodes of a `PhiTable` (`tabulate_phi`):
 h = Phi / omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
 Phi_1 or Phi_3) as a piecewise Chebyshev series in log omega, with 16
-nodes per panel, each panel bisected until its trailing coefficients
-meet the tolerance.
+nodes per panel.  The table is refined globally, one bisection at a
+time, until the error its panels' trailing coefficients put into each
+force it serves, weighed by that force's kernel, meets the tolerance;
+a table that would need more than TABLE_MAX_PANELS (64) panels fails.
 """
 
 from __future__ import annotations
@@ -217,15 +219,24 @@ def phi_slope(
 
 #: Chebyshev nodes per panel of a `PhiTable`.
 TABLE_NODES = 16
-#: Bisections a panel may take before a table that still misses its
-#: tolerance there fails.
-TABLE_MAX_DEPTH = 30
+#: Panels a `PhiTable` may hold.  A table that still misses its tolerance
+#: at this many fails, after at most 2 * TABLE_MAX_PANELS panels of
+#: TABLE_NODES Phi evaluations each.
+TABLE_MAX_PANELS = 64
 
 # cos(pi k (j + 1/2) / n): the first-kind nodes x_j (row k = 1) and the
 # transform from node values to Chebyshev coefficients
 _COS = [
     [math.cos(math.pi * k * (j + 0.5) / TABLE_NODES) for j in range(TABLE_NODES)]
     for k in range(TABLE_NODES)
+]
+# Fejer's first rule on the same nodes: Int_-1^1 f dx ~ sum_j _FEJER[j] f(x_j)
+_FEJER = [
+    2.0 / TABLE_NODES * (1.0 - 2.0 * sum(
+        math.cos(2.0 * k * math.pi * (j + 0.5) / TABLE_NODES) / (4.0 * k * k - 1.0)
+        for k in range(1, TABLE_NODES // 2 + 1)
+    ))
+    for j in range(TABLE_NODES)
 ]
 
 
@@ -284,52 +295,95 @@ class PhiTable:
         return self.errors[self._panel(math.log(omega))] * omega**self.power
 
 
+@dataclass(frozen=True)
+class _Panel:
+    """A panel [a, b] of s = log omega and what it contributes to each force it serves."""
+
+    a: float
+    b: float
+    coeffs: tuple[float, ...]
+    tail: float
+    errors: tuple[float, ...]  # per force: tail * Int kernel omega^power d omega
+    sizes: tuple[float, ...]  # per force: Int kernel |Phi| d omega
+
+
 def tabulate_phi(
     phi: Callable[[float], float],
     omega_lo: float,
     omega_hi: float,
     power: int,
+    kernels: Sequence[Callable[[float], float]],
     splits: Sequence[float] = (),
     rel_tol: float = DEFAULT_SPEC.rel_tol,
 ) -> PhiTable:
-    """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable`.
+    """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
 
-    The range is cut at the ``splits`` inside it (resonances, where h
+    Each of ``kernels`` is the weight w(omega) by which one force
+    integrates Phi, Int w Phi d omega up to a constant factor.  The
+    range is cut at the ``splits`` inside it (resonances, where h
     changes fastest), and each panel holds TABLE_NODES first-kind
-    Chebyshev nodes.  A panel is bisected until its two trailing
-    coefficients are at most rel_tol * max|h| over its nodes.  Panels
-    are taken depth first, so a panel that cannot meet that within
-    TABLE_MAX_DEPTH bisections fails after at most that many.
+    Chebyshev nodes.  A panel's tail, the larger of its two trailing
+    coefficients, estimates |h_table - h| on it; for each force the
+    panel adds tail * Int w omega^power to the force's error and
+    Int w |Phi| to its size (Fejer's rule on the panel's nodes).
+    Refinement is global: while some force's error exceeds rel_tol
+    times its size, the panel that carries the largest share of such a
+    force's allowance is bisected.  A force whose Phi is 0 at every
+    node it weighs sets no demand.
 
     Raises
     ------
     NonConvergence
         With level "omega1", naming the omega interval of the panel
-        that missed the tolerance.
+        that would be bisected when the table already holds
+        TABLE_MAX_PANELS panels, or of a panel on which Phi is not
+        finite.
     """
-    s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
-    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
-    pending = [(a, b, 0) for a, b in zip([s_lo, *cuts], [*cuts, s_hi])]
-    pending.reverse()  # a stack: the lowest panel is taken first
-    edges, coeffs, errors = [s_lo], [], []
-    while pending:
-        a, b, depth = pending.pop()
+
+    def panel(a: float, b: float) -> _Panel:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         omegas = [math.exp(mid + half * x) for x in _COS[1]]
         h = [phi(w) / w**power for w in omegas]
         c = _chebyshev_coeffs(h)
         tail = max(abs(c[-1]), abs(c[-2]))
-        if tail <= rel_tol * max(map(abs, h)):
-            edges.append(b)
-            coeffs.append(tuple(c))
-            errors.append(tail)
-        elif depth < TABLE_MAX_DEPTH:
-            pending += [(mid, b, depth + 1), (a, mid, depth + 1)]
-        else:
+        if not math.isfinite(tail):
             raise NonConvergence(
-                f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
-                f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_DEPTH} bisections",
+                f"Phi is not finite on omega in [{math.exp(a)!r}, {math.exp(b)!r}]",
                 level="omega1",
             )
-    head = _clenshaw(coeffs[0], -1.0)
-    return PhiTable(omega_lo, omega_hi, tuple(edges), tuple(coeffs), tuple(errors), power, head)
+        # d omega = omega ds on s = mid + half x
+        moments = [
+            [half * q * kernel(w) * w ** (power + 1) for q, w in zip(_FEJER, omegas)]
+            for kernel in kernels
+        ]
+        return _Panel(
+            a, b, tuple(c), tail,
+            tuple(tail * sum(m) for m in moments),
+            tuple(sum(x * abs(y) for x, y in zip(m, h)) for m in moments),
+        )
+
+    s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
+    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
+    panels = [panel(a, b) for a, b in zip([s_lo, *cuts], [*cuts, s_hi])]
+    while True:
+        allowed = [rel_tol * sum(p.sizes[j] for p in panels) for j in range(len(kernels))]
+        short = [j for j, limit in enumerate(allowed)
+                 if 0.0 < limit < sum(p.errors[j] for p in panels)]
+        if not short:
+            break
+        i = max(range(len(panels)),
+                key=lambda k: max(panels[k].errors[j] / allowed[j] for j in short))
+        a, b = panels[i].a, panels[i].b
+        if len(panels) == TABLE_MAX_PANELS:
+            raise NonConvergence(
+                f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
+                f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_PANELS} panels",
+                level="omega1",
+            )
+        mid = 0.5 * (a + b)
+        panels[i:i + 1] = [panel(a, mid), panel(mid, b)]
+    coeffs = tuple(p.coeffs for p in panels)
+    return PhiTable(
+        omega_lo, omega_hi, (s_lo, *(p.b for p in panels)), coeffs,
+        tuple(p.tail for p in panels), power, _clenshaw(coeffs[0], -1.0),
+    )

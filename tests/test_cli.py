@@ -833,11 +833,12 @@ def general_force(capsys, param, value, *extra):
 
 @pytest.mark.parametrize("param", ["velocity", "gap-nm"])
 def test_general_sweep_rows_match_force(capsys, param):
-    # every row integrates against one Phi table; force integrates Phi itself
+    # every row integrates against the sweep's table, force against its own:
+    # both tables are refined to the default rel_tol
     rows = general_sweep(capsys, param, 8)
     assert len(rows) == 8
     for value, force in rows:
-        assert force == pytest.approx(general_force(capsys, param, value), rel=1e-9, abs=0)
+        assert force == pytest.approx(general_force(capsys, param, value), rel=1e-6, abs=0)
 
 
 def test_general_sweep_rtol_tightens_its_table(capsys):
@@ -846,7 +847,18 @@ def test_general_sweep_rtol_tightens_its_table(capsys):
         rows = general_sweep(capsys, "velocity", 3, "--from", "1e3", "--rtol", rtol)
         worst[rtol] = max(abs(f / general_force(capsys, "velocity", x, "--rtol", rtol) - 1.0)
                           for x, f in rows)
-    assert worst["1e-9"] < worst["1e-6"] <= 1e-9
+        assert worst[rtol] <= float(rtol)
+    assert worst["1e-9"] < worst["1e-6"]
+
+
+def test_general_force_matches_the_sweep_across_the_plasmon_resonances(capsys):
+    # the sweep's table spans omega_sp and 2 omega_sp; the force's own table
+    # spans its band alone
+    rows = general_sweep(capsys, "velocity", 5, "--from", "1e4", "--to", "1e8", "--scale", "log")
+    assert rows[2][0] == "1000000.0"
+    force = general_force(capsys, "velocity", "1e6")
+    assert force == pytest.approx(5.3222e-7, rel=1e-4)
+    assert rows[2][1] == pytest.approx(force, rel=1e-6, abs=0)
 
 
 def test_one_point_general_sweep_is_the_force(capsys):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from casimir_friction.numerics import (
 )
 from casimir_friction.material import Drude, Tabulated, surface_response
 from casimir_friction.geometry import PlateConfig
-from casimir_friction.response import ThermalState, phi_slope, tabulate_phi
+from casimir_friction.response import (
+    TABLE_MAX_PANELS,
+    TABLE_NODES,
+    ThermalState,
+    phi_slope,
+    tabulate_phi,
+)
 from casimir_friction.friction import (
     GENERAL_NUMERIC,
     LINEAR_FINITE_T,
@@ -312,6 +320,52 @@ def test_general_equal_plates_share_difference_channel(monkeypatch):
     assert shared_calls < len(calls)
 
 
+def test_general_force_tabulates_its_own_phi(monkeypatch):
+    # about 147 Phi evaluations per force when each k_x node integrated Phi itself
+    calls = []
+    real = friction.im_r_dissipation_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(friction, "im_r_dissipation_integral", counting)
+    dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
+    assert 0 < len(calls) <= 2 * TABLE_NODES
+
+
+#: The benchmark's pool of physical-box points, each with a reference force from
+#: an independent quadrature at epsrel 1e-12 (perfbench/make_refs.py).
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+
+
+def test_general_force_error_budget_on_the_reference_pool():
+    # the first point of every (temperature class, velocity decade) cell, and two
+    # points whose per-node Phi reported less error than it made
+    pool = json.loads(REFS.read_text(encoding="utf-8"))["force_box"]["pool"]
+    first = {}
+    for i, p in enumerate(pool):
+        first.setdefault((p["t_class"], p["v_decade"]), i)
+    failed = []
+    for i in [*first.values(), 110, 269]:
+        p = pool[i]
+        metal = Drude(omega_p=p["wp_ev"] * CONST.eV / CONST.hbar,
+                      nu=p["nu_ev"] * CONST.eV / CONST.hbar)
+        thermal = COLD if p["temp_k"] is None else ThermalState.finite(p["temp_k"])
+        try:
+            result = dissipation_general(metal, metal, PlateConfig(d=p["gap_nm"] * CONST.nm),
+                                         thermal, p["v"])
+        except NonConvergence:
+            failed.append(i)
+            continue
+        force = result.force_per_area
+        dev = abs(force - p["ref"]) / max(abs(force), abs(p["ref"]))
+        assert dev <= 1e-6, f"pool point {i}: {force!r} vs {p['ref']!r}"
+        assert result.diagnostics.quadrature_rel_err >= dev, f"pool point {i} under-reports"
+    assert 110 not in failed and 269 not in failed
+    assert len(failed) <= 5, failed
+
+
 def test_phi_table_across_the_plasmon_resonances():
     # a T = 0 velocity sweep whose kernels reach past omega_sp and 2 omega_sp
     speeds = [1e4, 1e5, 1e6, 1e7, 1e8]
@@ -320,24 +374,31 @@ def test_phi_table_across_the_plasmon_resonances():
     assert table.omega_lo < GOLD.omega_sp < 2.0 * GOLD.omega_sp < table.omega_hi
     # both resonances are panel edges
     assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
-    compared = 0
     for v in speeds:
         tab = dissipation_general(GOLD, GOLD, PLATE, COLD, v, phi=shared)
-        try:
-            direct = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
-        except NonConvergence:
-            continue
-        compared += 1
-        dev = abs(tab.force_per_area / direct.force_per_area - 1.0)
+        own = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
+        dev = abs(tab.force_per_area / own.force_per_area - 1.0)
         assert dev <= NESTED_SPEC.rel_tol
         assert tab.diagnostics.quadrature_rel_err >= dev
-    assert compared >= 4
 
 
 def test_phi_table_that_cannot_resolve_names_its_interval():
-    # a jump inside a panel keeps its trailing coefficients at O(1) at any depth
+    # an oscillation far faster than TABLE_MAX_PANELS panels can follow keeps
+    # the trailing coefficients at O(1)
+    calls = []
+
+    def oscillating(w):
+        calls.append(w)
+        return 2.0 + math.sin(w)
+
     with pytest.raises(NonConvergence, match=r"omega in \[") as err:
-        tabulate_phi(lambda w: 1.0 if w < 2e3 else 2.0, 1.0, 1e6, 1)
+        tabulate_phi(oscillating, 1.0, 1e6, 1, [lambda w: 1.0])
+    assert err.value.level == "omega1"
+    assert f"within {TABLE_MAX_PANELS} panels" in str(err.value)
+    assert len(calls) <= TABLE_NODES * 2 * TABLE_MAX_PANELS
+    # a table never accepts a panel whose trailing coefficients are not finite
+    with pytest.raises(NonConvergence, match=r"not finite on omega in \[") as err:
+        tabulate_phi(lambda w: math.nan if w > 1e3 else 1.0, 1.0, 1e6, 1, [lambda w: 1.0])
     assert err.value.level == "omega1"
 
 
@@ -349,8 +410,8 @@ def test_phi_table_serves_only_what_it_was_built_for():
         with pytest.raises(ValueError, match="Phi table"):
             dissipation_general(material, material, PlateConfig(d=d), thermal, v, phi=shared)
     inside = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0, phi=shared)
-    direct = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
-    assert inside.force_per_area == pytest.approx(direct.force_per_area, rel=1e-9)
+    own = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
+    assert inside.force_per_area == pytest.approx(own.force_per_area, rel=1e-9)
 
 
 @pytest.mark.parametrize("x", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0])
