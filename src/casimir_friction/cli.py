@@ -17,7 +17,8 @@ Conventions
 - Exit codes: 0 success; 2 invalid input (a ValueError, TypeError or
   OSError: one `error: ...` line); 3 numerical failure (NonConvergence or
   any ArithmeticError, such as a float overflow at extreme finite inputs:
-  one `numerical failure: ...` line) or a failed `compare` check.
+  one `numerical failure: ...` line, naming the quantity that failed and
+  its level) or a failed `compare` check.
 - The `zero-t` and `plasmon` closed forms need a Drude material; a
   tabulated one exits 2 for them, also when `--regime auto` chose them.
 - A force takes a material, a gap, a temperature and a velocity, and

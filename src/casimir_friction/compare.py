@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import CONST
+from .numerics import CONST, float_guard
 from .material import Drude
 from .geometry import PlateConfig
 from .response import ThermalState
@@ -91,9 +91,11 @@ def consistency_report(
     if thermal.is_zero:
         ratio_expected = 0.0
     else:
-        ratio_expected = (
-            RATIO_COEFFICIENT * (config.d / (thermal.beta * CONST.hbar * v)) ** 2
-        )
+        with float_guard("compare", "expected linear/cubic ratio "
+                                    "(16 pi^2/15) (d / (beta hbar v))^2"):
+            ratio_expected = (
+                RATIO_COEFFICIENT * (config.d / (thermal.beta * CONST.hbar * v)) ** 2
+            )
     ratio = f_lin / f_cubic if f_cubic else 0.0
 
     def rel(a: float, b: float) -> float:

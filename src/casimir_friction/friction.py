@@ -39,10 +39,14 @@ it.  `phi_table` tabulates Phi once for a range of v and d, over the
 band 1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
 resonances omega_sp and 2 omega_sp, and refined by the kernels of the
 forces it serves, in at most `response.TABLE_MAX_PANELS` (64) panels.
+It asks `response.im_r_dissipation_integral` for the 16 nodes of a
+panel in one call (`_phi_closure`), each to 1e-3 of ``spec.rel_tol``
+(`response.PHI_TOL`), with an error estimate per node.
 `dissipation_general` reads Phi from the table it is given, or builds
 one for its own (v, d), cuts its k_x quadrature at the resonances in
-its band, and adds the table's kernel-weighted error to
-``quadrature_rel_err``.
+its band, and adds the table's kernel-weighted error, which carries
+Phi's own, to ``quadrature_rel_err``: the error budget covers the
+table, Phi and the k_x integral.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -64,6 +68,7 @@ from .numerics import (
     DomainError,
     NonConvergence,
     QuadratureSpec,
+    float_guard,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -148,10 +153,12 @@ def force_linear(
         if material.nu == 0.0 or material.omega_p == 0.0:
             phi1 = 0.0
         else:
-            phi1 = (
-                4.0 * math.pi**2 * material.nu**2
-                / (3.0 * (thermal.beta * CONST.hbar * material.omega_sp**2) ** 2)
-            )
+            with float_guard(LINEAR_FINITE_T,
+                             "Phi_1 = 4 pi^2 nu^2 / (3 (beta hbar omega_sp^2)^2)"):
+                phi1 = (
+                    4.0 * math.pi**2 * material.nu**2
+                    / (3.0 * (thermal.beta * CONST.hbar * material.omega_sp**2) ** 2)
+                )
             if CONST.k_B * thermal.temperature > 0.01 * CONST.hbar * material.omega_sp:
                 diag.validity_flags.append(
                     "kT approaches hbar*omega_sp: small-m linear head is "
@@ -160,11 +167,16 @@ def force_linear(
     else:
         if CONST.hbar * material.omega[0] * thermal.beta > 0.5:
             diag.validity_flags.append("tabulated support misses part of the thermal window")
-        im_r = _im_r_callable(material)
+
+        def im_r(omega):
+            return surface_response(material, omega).imag
+
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
 
-    force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
+    with float_guard(LINEAR_FINITE_T,
+                     f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {config.d!r} m"):
+        force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
     return FrictionResult(
         force_per_area=force,
         regime=LINEAR_FINITE_T,
@@ -198,8 +210,11 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
                 "omega_v at the dominant wavevectors exceeds the small-m "
                 "cutoff; the cubic closed form underestimates spectrum curvature"
             )
-        phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
-        force = 45.0 * CONST.hbar * v**3 * phi3 / (256.0 * math.pi**2 * config.d**6)
+        with float_guard(ZERO_T_CUBIC, "Phi_3 = nu^2 / (3 omega_sp^4)"):
+            phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
+        with float_guard(ZERO_T_CUBIC,
+                         f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {config.d!r} m"):
+            force = 45.0 * CONST.hbar * v**3 * phi3 / (256.0 * math.pi**2 * config.d**6)
     return FrictionResult(
         force_per_area=force,
         regime=ZERO_T_CUBIC,
@@ -213,27 +228,11 @@ def _ky_integral(kx: float, d: float) -> float:
     return kx * float(k1e(x)) * math.exp(-x)
 
 
-def _im_r_callable(model: MaterialModel):
-    def im_r(omega: float) -> float:
-        if omega <= 0.0:
-            return 0.0
-        return surface_response(model, omega).imag
-
-    return im_r
-
-
 def _phi_closure(material1, material2, thermal: ThermalState, spec: QuadratureSpec):
-    """omega -> Phi(omega); a failure names the level and the omega it failed at."""
-    im_r1 = _im_r_callable(material1)
-    # one closure for equal plates lets Phi integrate the difference
-    # channel once (its `im_r1 is im_r2` shortcut)
-    im_r2 = im_r1 if material2 is material1 else _im_r_callable(material2)
+    """omegas -> (Phi, error estimate) at each, for these plates and this temperature."""
 
-    def phi_of(omega_v: float) -> float:
-        try:
-            return im_r_dissipation_integral(omega_v, im_r1, im_r2, thermal, spec)
-        except NonConvergence as exc:
-            raise NonConvergence(f"{exc} at omega={omega_v!r}", level="omega1") from exc
+    def phi_of(omegas):
+        return im_r_dissipation_integral(omegas, material1, material2, thermal, spec)
 
     return phi_of
 
@@ -352,8 +351,9 @@ def dissipation_general(
     d), or else one built for this (v, d) alone.  The k_x integral runs
     on the exponential scale 1/(2d), cut at the resonances of Phi
     inside the point's kernel band; the k_y integral is the closed
-    form k_x K1(2 d k_x).  The table's error, weighed by the same
-    kernel, is added to ``quadrature_rel_err``.
+    form k_x K1(2 d k_x).  The table's error (its interpolation error
+    and Phi's own), weighed by the same kernel, is added to
+    ``quadrature_rel_err``.
 
     Raises
     ------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, float_guard
 
 
 class SingularResponse(ArithmeticError):
@@ -65,7 +65,8 @@ class Drude:
         if self.omega_p == 0.0:
             return 1.0 + 0.0j
         xi = 1j * omega
-        return 1.0 + self.omega_p**2 / (xi * (xi + self.nu))
+        with float_guard("material", f"eps = 1 + omega_p^2 / (xi (xi + nu)) at omega = {omega!r}"):
+            return 1.0 + self.omega_p**2 / (xi * (xi + self.nu))
 
 
 @dataclass(frozen=True)
@@ -126,25 +127,33 @@ class Tabulated:
                 eps.append(complex(re_, -im_))  # conjugate into xi = i*omega convention
         return cls(omega=np.array(omega), eps=np.array(eps))
 
-    def eps_at(self, omega: float) -> complex:
-        if not omega > 0:
-            raise DomainError(f"omega must be > 0, got {omega}")
-        if omega < self.omega[0] or omega > self.omega[-1]:
+    def eps_at(self, omega):
+        """eps at omega (a float, or an array of them), interpolated in log omega."""
+        w = _positive(omega)
+        outside = (w < self.omega[0]) | (w > self.omega[-1])
+        if outside.any():
             raise DomainError(
-                f"omega={omega:.6e} outside tabulated range "
+                f"omega={w[outside].flat[0]:.6e} outside tabulated range "
                 f"[{self.omega[0]:.6e}, {self.omega[-1]:.6e}]; extrapolation forbidden"
             )
-        lw = math.log(omega)
-        re_ = np.interp(lw, self._log_omega, self.eps.real)
-        im_ = np.interp(lw, self._log_omega, self.eps.imag)
-        return complex(re_, im_)
+        eps = np.interp(np.log(w), self._log_omega, self.eps)
+        return complex(eps) if eps.ndim == 0 else eps
 
 
 MaterialModel = Drude | Tabulated
 
 
-def response_R(eps: complex) -> complex:
-    """Surface response (eps - 1)/(eps + 1).
+def _positive(omega) -> np.ndarray:
+    """omega as an array, checked > 0."""
+    w = np.asarray(omega, dtype=float)
+    bad = ~(w > 0)
+    if bad.any():
+        raise DomainError(f"omega must be > 0, got {w[bad].flat[0]}")
+    return w
+
+
+def response_R(eps):
+    """Surface response (eps - 1)/(eps + 1), of a complex eps or an array of them.
 
     Raises
     ------
@@ -152,28 +161,32 @@ def response_R(eps: complex) -> complex:
         If eps is numerically at the surface-mode pole eps = -1.
     """
     den = eps + 1.0
-    if abs(den) < 1e-14 * (1.0 + abs(eps)):
-        raise SingularResponse(f"eps={eps} is at the surface-mode pole eps = -1")
+    pole = np.abs(den) < 1e-14 * (1.0 + np.abs(eps))
+    if pole.any():
+        raise SingularResponse(
+            f"eps={np.asarray(eps)[pole].flat[0]} is at the surface-mode pole eps = -1"
+        )
     return (eps - 1.0) / den
 
 
-def surface_response(model: MaterialModel, omega: float) -> complex:
-    """R(omega) for a Drude or tabulated material.
+def surface_response(model: MaterialModel, omega):
+    """R(omega) for a Drude or tabulated material, at a float omega or an array of them.
 
     For a Drude model the exact closed form
     omega_sp^2/(omega_sp^2 - omega^2 + i nu omega) is used, which equals
-    response_R(model.eps_at(omega)) without forming eps.
+    response_R(model.eps_at(omega)) without forming eps.  A float omega
+    gives a complex R in Python's arithmetic, an array an array in numpy's.
     """
     if isinstance(model, Drude):
-        if not omega > 0:
-            raise DomainError(f"omega must be > 0, got {omega}")
+        w = _positive(omega)
         if model.omega_p == 0.0:
-            return 0.0 + 0.0j
+            return 0.0 + 0.0j if w.ndim == 0 else np.zeros(w.shape, dtype=complex)
         wsp2 = 0.5 * model.omega_p**2
         den = wsp2 - omega * omega + 1j * model.nu * omega
-        if abs(den) < 1e-14 * wsp2:
+        pole = np.abs(den) < 1e-14 * wsp2
+        if pole.any():
             raise SingularResponse(
-                f"undamped surface-mode pole at omega={omega:.6e}"
+                f"undamped surface-mode pole at omega={w[pole].flat[0]:.6e}"
             )
         return wsp2 / den
     return response_R(model.eps_at(omega))

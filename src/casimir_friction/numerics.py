@@ -16,6 +16,7 @@ is exact for pure exponential tails.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,30 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, level: str | None = None):
         super().__init__(message)
         self.level = level
+
+
+class FloatFailure(ArithmeticError):
+    """A float overflow or division by zero, naming the quantity it hit.
+
+    Attributes
+    ----------
+    level : str
+        The closed form or nesting level whose formula failed (e.g.
+        "LinearFiniteT", "omega1").
+    """
+
+    def __init__(self, message: str, level: str):
+        super().__init__(message)
+        self.level = level
+
+
+@contextmanager
+def float_guard(level: str, quantity: str):
+    """Re-raise a float overflow or division by zero inside as a `FloatFailure` naming both."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FloatFailure(f"{quantity}: {exc}", level) from exc
 
 
 @dataclass(frozen=True)

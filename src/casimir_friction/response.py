@@ -27,14 +27,27 @@ the closed-form regimes:
     T = 0:     Phi -> Phi_3 omega^3 for linear heads Im R = -c omega,
         Phi_3 = c1 c2 / 3 (the sum channel alone).
 
-Each Phi value is a nested adaptive quadrature, so a force evaluates
-it only at the nodes of a `PhiTable` (`tabulate_phi`):
+`im_r_dissipation_integral` takes an array of omega and integrates
+every channel at every omega in one numpy pass per refinement round: a
+composite Gauss-Kronrod rule (G7/K15, with QUADPACK's constants) on
+starting segments graded toward each feature of the integrand (a Drude
+plate's resonance at omega_sp and at its mirror omega -+ omega_sp, the
+thermal scale 2/(beta hbar), the knee of the difference channel, a
+tabulated plate's grid nodes), and bisection of every segment whose
+Kronrod-Gauss difference exceeds its share of the tolerance.  Each value
+comes with that error estimate, and is converged to PHI_TOL (1e-3) of
+the tolerance its force asks for.  `phi_slope` uses the same rule.
+
+A force evaluates Phi only at the nodes of a `PhiTable`
+(`tabulate_phi`), one panel of 16 nodes per call:
 h = Phi / omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
-Phi_1 or Phi_3) as a piecewise Chebyshev series in log omega, with 16
-nodes per panel.  The table is refined globally, one bisection at a
-time, until the error its panels' trailing coefficients put into each
-force it serves, weighed by that force's kernel, meets the tolerance;
-a table that would need more than TABLE_MAX_PANELS (64) panels fails.
+Phi_1 or Phi_3) as a piecewise Chebyshev series in log omega.  The
+table is refined globally, one bisection at a time, until the error its
+panels' trailing coefficients put into each force it serves, weighed by
+that force's kernel, meets the tolerance; a table that would need more
+than TABLE_MAX_PANELS (64) panels fails.  Each panel's error also
+carries the largest error estimate of Phi at its nodes, so that a
+force's error covers the table, Phi and its own k_x integral.
 """
 
 from __future__ import annotations
@@ -44,14 +57,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numerics import (
-    CONST,
-    DEFAULT_SPEC,
-    NonConvergence,
-    QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+import numpy as np
+
+from .material import MaterialModel, Tabulated, surface_response
+from .numerics import CONST, DEFAULT_SPEC, FloatFailure, NonConvergence, QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -85,102 +94,302 @@ class ThermalState:
         return 1.0 / (CONST.k_B * self.temperature)
 
 
-def _coth_sum(x: float, y: float) -> float:
+def _coth(x):
+    """coth(x) for x > 0, overflow-safe (1.0 at x = inf)."""
+    return (1.0 + np.exp(-2.0 * x)) / -np.expm1(-2.0 * x)
+
+
+def _coth_sum(x, y):
     """coth(x) + coth(y) for x, y > 0 (2.0 at x = y = inf)."""
-    if x == math.inf:  # T = 0: the limit, without four transcendental calls
-        return 2.0
-    return (1.0 + math.exp(-2.0 * x)) / -math.expm1(-2.0 * x) + (
-        1.0 + math.exp(-2.0 * y)
-    ) / -math.expm1(-2.0 * y)
+    return _coth(x) + _coth(y)
 
 
-def _coth_diff(x: float, delta: float) -> float:
+def _coth_diff(x, delta):
     """coth(x) - coth(x + delta) for x, delta > 0, without cancellation.
 
     Uses coth(x) - coth(y) = 2 (e^-2x - e^-2y) / ((1-e^-2x)(1-e^-2y))
     with the numerator factored through expm1; delta is taken exactly
-    rather than as a difference of two large arguments.
+    rather than as a difference of two large arguments.  0 at x = inf.
     """
-    if math.isinf(x):
-        return 0.0
-    y = x + delta
-    ex = math.expm1(-2.0 * x)
-    ey = math.expm1(-2.0 * y) if not math.isinf(y) else -1.0
-    num = -2.0 * math.exp(-2.0 * x) * math.expm1(-2.0 * delta)
-    return num / (ex * ey)
+    num = -2.0 * np.exp(-2.0 * x) * np.expm1(-2.0 * delta)
+    return num / (np.expm1(-2.0 * x) * np.expm1(-2.0 * (x + delta)))
 
 
-def _inv_sinh_sq(x: float) -> float:
+def _inv_sinh_sq(x):
     """1/sinh(x)^2 for x > 0, overflow-safe: 4 e^-2x / (1 - e^-2x)^2."""
-    if math.isinf(x):
-        return 0.0
-    return 4.0 * math.exp(-2.0 * x) / math.expm1(-2.0 * x) ** 2
+    return 4.0 * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
 
 
+# The Gauss-Kronrod pair G7/K15 on [-1, 1], as in QUADPACK's qk15: the
+# Kronrod nodes (every other one from the second, and 0, are the Gauss
+# nodes), the Kronrod weights and the Gauss weights, each for x >= 0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# all 15 nodes, their Kronrod weights, and Kronrod minus Gauss weights
+_X = np.array([*(-x for x in _XGK[:7]), *_XGK[::-1]])
+_WK = np.array([*_WGK, *_WGK[6::-1]])
+_WD = _WK - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+
+#: Segments a rule evaluates in one numpy pass, so that its arrays stay
+#: small: 15 nodes each.
+_CHUNK = 1024
+
+#: Relative tolerance of each Phi value, as a fraction of the ``rel_tol``
+#: its force is asked for.  The Kronrod pair converges geometrically, so the
+#: extra digits are cheap, and the error of Phi then stays out of the way of
+#: the table's and the k_x integral's.
+PHI_TOL = 1e-3
+#: The tightest tolerance of a Phi value.  Near a resonance of relative
+#: width nu/omega_sp the rounding of Im R is about eps omega_sp/nu (1e-12 for
+#: a line 1e-3 eV wide), and the Kronrod-Gauss differences cannot fall below it.
+_PHI_TOL_FLOOR = 1e-12
+
+
+def _kronrod(f, a, b, owner):
+    """K15 integrals of f over the segments [a, b], and |K15 - G7| on each."""
+    value, error = np.empty(a.size), np.empty(a.size)
+    for start in range(0, a.size, _CHUNK):
+        i = slice(start, start + _CHUNK)
+        half = 0.5 * (b[i] - a[i])
+        y = f(0.5 * (a[i] + b[i])[:, None] + half[:, None] * _X, owner[i])
+        value[i] = half * (y * _WK).sum(axis=1)
+        error[i] = np.abs(half * (y * _WD).sum(axis=1))
+    return value, error
+
+
+def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
+    """n integrals, each over its own segments, by composite G7/K15 with bisection.
+
+    Segment [a[i], b[i]] belongs to integral owner[i]; ``owner`` is
+    sorted, and the segments of each integral increase.  ``f(x, o)``
+    evaluates the integrands at nodes x (one row per segment) of
+    segments owned by o (sorted).  An integral is done when the sum of
+    its segments' |K15 - G7| is at most rel_tol times its value; until
+    then, every segment whose difference exceeds its share (the
+    tolerance over the integral's segment count) is bisected, all in
+    one call of f per round.  Each integral's segments are summed in
+    order, so an integral's value does not depend on the others.
+
+    Returns
+    -------
+    (values, errors) : arrays of n floats
+        The errors are the sums of |K15 - G7|.
+
+    Raises
+    ------
+    NonConvergence
+        ``fail(j, why)`` for the first integral j whose value is not
+        finite, that needs more than ``budget`` bisections, or whose
+        segment can no longer be bisected.
+    """
+    k, e = _kronrod(f, a, b, owner)
+    bisections = np.zeros(n, dtype=int)
+    while True:
+        value = np.bincount(owner, k, n)
+        error = np.bincount(owner, e, n)
+        if not np.isfinite(value).all():
+            raise fail(int(np.argmin(np.isfinite(value))), "is not finite")
+        allowed = rel_tol * np.abs(value)
+        short = error > allowed
+        if not short.any():
+            return value, error
+        share = allowed / np.bincount(owner, minlength=n)
+        split = np.flatnonzero(short[owner] & (e > share[owner]))
+        mid = 0.5 * (a[split] + b[split])
+        bisections += np.bincount(owner[split], minlength=n)
+        # a segment a few ulps wide puts its nodes on its ends
+        stuck = owner[split[b[split] - a[split] <= 1e3 * np.spacing(mid)]]
+        if stuck.size:
+            raise fail(int(stuck[0]), "cannot bisect a segment further")
+        if (bisections > budget).any():
+            raise fail(int(np.argmax(bisections > budget)),
+                       f"did not converge within {budget} bisections")
+        # each split segment becomes two, in place, so the order holds
+        rep = np.ones(a.size, dtype=int)
+        rep[split] = 2
+        a, b, owner, k, e = (np.repeat(x, rep) for x in (a, b, owner, k, e))
+        first = split + np.arange(split.size)
+        b[first] = mid
+        a[first + 1] = mid
+        new = np.stack((first, first + 1), axis=1).ravel()
+        k[new], e[new] = _kronrod(f, a[new], b[new], owner[new])
+
+
+def _segments(lo, hi, graded=(), fixed=()):
+    """Starting segments of n integrals, each on [lo[j], hi[j]].
+
+    ``graded`` holds (centre, width) pairs, each an array over the n
+    integrals or a float: a feature of the integrand of that width at
+    that centre, graded toward by breakpoints centre +- width 2^k,
+    k = 0, 1, ...  ``fixed`` holds arrays of n rows of further
+    breakpoints (the kinks of a tabulated response).  Breakpoints
+    outside (lo, hi) are dropped.
+
+    Returns
+    -------
+    (a, b, owner) : arrays
+        The segments, by owner and then increasing.
+    """
+    n = lo.size
+    zero = np.zeros(n)
+    points = [np.broadcast_to(p, (n, np.shape(p)[-1])) for p in fixed]
+    if graded:
+        centre = np.array([c + zero for c, _ in graded])[..., None]
+        width = np.array([w + zero for _, w in graded])[..., None]
+        # enough steps to reach both ends from every centre, within the float range
+        reach = np.where(width > 0, np.maximum(centre - lo[:, None], hi[:, None] - centre) / width,
+                         1.0)
+        levels = int(min(np.log2(max(reach.max(), 1.0)), 2100.0)) + 1
+        steps = width * 2.0 ** np.arange(levels + 1)
+        points.append(np.concatenate((centre - steps, centre + steps), axis=2)
+                      .transpose(1, 0, 2).reshape(n, -1))
+    lo, hi = lo[:, None], hi[:, None]
+    inner = np.sort(np.clip(np.concatenate([np.empty((n, 0)), *points], axis=1), lo, hi), axis=1)
+    edges = np.concatenate((lo, inner, hi), axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+
+
+def _features(material: MaterialModel):
+    """The graded resonance (omega_sp, nu) of a lossy Drude metal, or a tabulated grid."""
+    if isinstance(material, Tabulated):
+        return (), material.omega
+    if material.omega_p > 0.0 and material.nu > 0.0:
+        return ((material.omega_sp, material.nu),), np.empty(0)
+    return (), np.empty(0)
+
+
+def _im_r(material: MaterialModel, omega):
+    return surface_response(material, omega).imag
+
+
+@np.errstate(all="ignore")
 def im_r_dissipation_integral(
-    omega_v: float,
-    im_r1: Callable[[float], float],
-    im_r2: Callable[[float], float],
+    omega_v,
+    material1: MaterialModel,
+    material2: MaterialModel,
     thermal: ThermalState,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Thermally weighted Im R (x) Im R integral over both resonance channels.
+):
+    """Phi at each omega_v: the thermally weighted Im R (x) Im R integral over both channels.
 
-    The sum channel Int_0^{|w_v|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
+    The sum channel Int_0^{|w|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
     is one integral at every temperature: at T = 0 the factor is
     exactly 2 and the difference channel is closed.  At finite T the
     difference channel opens,
 
-        Int_0^inf Im R1(u) Im R2(u + w) [coth(b(u)) - coth(b(u+w))] du
-      + Int_0^inf Im R1(u + w) Im R2(u) [coth(b(u)) - coth(b(u+w))] du,
+        Int_0^U Im R1(u) Im R2(u + w) [coth(b(u)) - coth(b(u+w))] du
+      + Int_0^U Im R1(u + w) Im R2(u) [coth(b(u)) - coth(b(u+w))] du,
 
-    which carries the linear-in-v friction as omega_v -> 0.  All factors
-    are evaluated in overflow-safe form; the result is >= 0 for passive
-    responses (Im R <= 0).
+    which carries the linear-in-v friction as omega_v -> 0; it is cut at
+    beta hbar U = 60, where the thermal factor has fallen below e^-60.
+    For equal plates (``material2 is material1``) the two terms are one.
+
+    Every integral, at every omega, is a composite G7/K15 rule refined
+    by bisection (`_integrate`), all of them in one numpy pass per
+    round.  The starting segments are graded toward each feature of
+    the integrand, at c +- width 2^k: a Drude plate's resonance (width
+    nu) at omega_sp and at omega - omega_sp (sum channel) or
+    omega_sp - omega (difference channel); the thermal scale
+    2/(beta hbar) at both ends of the sum channel; the knee
+    u ~ min(omega, 2/(beta hbar)) of the difference channel; and the
+    grid nodes of a tabulated plate.  Each value is converged to
+    PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All
+    factors are evaluated in overflow-safe form; the result is >= 0
+    for passive responses (Im R <= 0).
+
+    Parameters
+    ----------
+    omega_v : float or array of float
+        Sliding frequencies; Phi is even in omega_v.
+
+    Returns
+    -------
+    (Phi, err_estimate)
+        Floats for a scalar omega_v, else arrays of its shape; the error
+        is the sum of the segments' |K15 - G7|.
+
+    Raises
+    ------
+    NonConvergence
+        With level "omega1", naming the omega at which an integral took
+        more than ``spec.max_subdivisions`` bisections or was not finite.
+    FloatFailure
+        With level "omega1", if the thermal scale 2 k_B T / hbar overflows.
     """
-    w = abs(omega_v)
-    if w == 0.0:
-        return 0.0
-    beta = thermal.beta
-    half = 0.5 * beta * CONST.hbar
+    omega = np.abs(np.asarray(omega_v, dtype=float))
+    omegas = omega.ravel()
+    n = omegas.size
+    half = 0.5 * thermal.beta * CONST.hbar
+    scale = 1.0 / half  # the thermal scale 2/(beta hbar); inf at T = 0
+    if not (thermal.is_zero or math.isfinite(60.0 * scale)):
+        raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
+                           f"T = {thermal.temperature!r} K is past the float range", "omega1")
+    zero = np.zeros(n)
+    (res1, grid1), (res2, grid2) = _features(material1), _features(material2)
+    ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
+    channels = [("sum", material1, material2, _segments(
+        zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends],
+        [grid1, omegas[:, None] - grid2]))]
+    if not thermal.is_zero:
+        # the low factor at u and the high one at u + omega; one term for equal plates
+        upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
+        terms = [(material1, material2)]
+        if material2 is not material1:
+            terms.append((material2, material1))
+        for low, high in terms:
+            (res_l, grid_l), (res_h, grid_h) = _features(low), _features(high)
+            channels.append(("difference", low, high, _segments(
+                zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)],
+                [grid_l, grid_h - omegas[:, None]])))
 
-    def sum_channel(w1: float) -> float:
-        return im_r1(w1) * im_r2(w - w1) * _coth_sum(half * w1, half * (w - w1))
+    def integrand(x, owner):
+        y = np.empty_like(x)
+        bounds = np.searchsorted(owner, n * np.arange(len(channels) + 1))
+        for c, (kind, low, high, _) in enumerate(channels):
+            s = slice(bounds[c], bounds[c + 1])
+            if s.start == s.stop:
+                continue
+            u, w = x[s], omegas[owner[s] - c * n][:, None]
+            if kind == "sum":
+                y[s] = _im_r(low, u) * _im_r(high, w - u) * _coth_sum(half * u, half * (w - u))
+            else:
+                y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
+        return y
 
-    plus, _ = integrate_finite(sum_channel, 0.0, w, spec)
-    if thermal.is_zero:
-        return plus
+    def fail(j: int, why: str) -> NonConvergence:
+        return NonConvergence(f"Phi ({channels[j // n][0]} channel) {why} "
+                              f"at omega={float(omegas[j % n])!r}", level="omega1")
 
-    # Difference channel: the coth difference confines u to the thermal
-    # window, decaying on the scale 2/(beta hbar) in omega.
-    scale = 2.0 / (beta * CONST.hbar)
-
-    gap = half * w
-
-    def diff_channel(f_low, f_high):
-        def g(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            return f_low(u) * f_high(u + w) * _coth_diff(half * u, gap)
-
-        # the knee at u ~ w can sit far below the thermal scale; integrate
-        # it on its own scale before transforming the tail
-        split = 10.0 * w
-        head, _ = integrate_finite(g, 0.0, split, spec)
-        tail, _ = integrate_semi_infinite(g, split, scale, spec)
-        return head + tail
-
-    minus = diff_channel(im_r1, im_r2)
-    if im_r1 is im_r2:
-        minus *= 2.0
-    else:
-        minus += diff_channel(im_r2, im_r1)
-    return plus + minus
+    a = np.concatenate([seg[0] for *_, seg in channels])
+    b = np.concatenate([seg[1] for *_, seg in channels])
+    owner = np.concatenate([seg[2] + c * n for c, (*_, seg) in enumerate(channels)])
+    value, error = _integrate(integrand, a, b, owner, len(channels) * n,
+                              max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR),
+                              spec.max_subdivisions, fail)
+    value, error = value.reshape(-1, n), error.reshape(-1, n)
+    phi, err = value[0], error[0]
+    if len(channels) > 1:
+        last = -1 if len(channels) == 3 else 1  # equal plates: twice the one term
+        phi, err = phi + (value[1] + value[last]), err + (error[1] + error[last])
+    if omega.ndim == 0:
+        return float(phi[0]), float(err[0])
+    return phi.reshape(omega.shape), err.reshape(omega.shape)
 
 
+@np.errstate(all="ignore")
 def phi_slope(
-    im_r1: Callable[[float], float],
-    im_r2: Callable[[float], float],
+    im_r1: Callable,
+    im_r2: Callable,
     thermal: ThermalState,
     nodes: Sequence[float] = (0.0, math.inf),
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -190,31 +399,39 @@ def phi_slope(
     Phi_1 = beta hbar Int Im R1 Im R2 / sinh^2(beta hbar w / 2) dw over
     [nodes[0], nodes[-1]], cut at beta hbar w = 60, where the thermal
     factor has fallen below 1e-25.  Zero at T = 0, where the linear
-    channel closes.  The integral is taken cell by cell between the
-    increasing ``nodes``: a tabulated material passes its grid, whose
-    nodes are kinks of the interpolated Im R that one adaptive rule
-    across many of them cannot resolve.
+    channel closes.  ``im_r1`` and ``im_r2`` take arrays of omega.  The
+    integral is the composite G7/K15 rule of `im_r_dissipation_integral`,
+    refined to ``spec.rel_tol``, on segments cut at the increasing
+    ``nodes`` (a tabulated material passes its grid, whose nodes are
+    kinks of the interpolated Im R) and graded from 0 on the thermal
+    scale 2/(beta hbar).
 
     Returns
     -------
     (value, err_estimate) : tuple of float
-        The error estimate is the sum of the cells' estimates.
+        The error estimate is the sum of the segments' |K15 - G7|.
+
+    Raises
+    ------
+    NonConvergence
+        If the integral takes more than ``spec.max_subdivisions``
+        bisections or is not finite.
     """
     beta_hbar = thermal.beta * CONST.hbar
-    hi = min(float(nodes[-1]), 60.0 / beta_hbar)
-    edges = [float(w) for w in nodes if w < hi] + [hi]
-    if len(edges) < 2:
+    lo, hi = float(nodes[0]), min(float(nodes[-1]), 60.0 / beta_hbar)
+    if not lo < hi:
         return 0.0, 0.0
+    a, b, owner = _segments(np.array([lo]), np.array([hi]), [(0.0, 2.0 / beta_hbar)],
+                            [np.asarray(nodes, dtype=float)[None, :]])
 
-    def f(w: float) -> float:
+    def integrand(w, _):
         return im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w)
 
-    value = err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        cell, cell_err = integrate_finite(f, a, b, spec)
-        value += cell
-        err += cell_err
-    return beta_hbar * value, beta_hbar * err
+    def fail(_, why: str) -> NonConvergence:
+        return NonConvergence(f"Phi_1 {why} on [{lo!r}, {hi!r}]")
+
+    value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol, spec.max_subdivisions, fail)
+    return beta_hbar * float(value[0]), beta_hbar * float(err[0])
 
 
 #: Chebyshev nodes per panel of a `PhiTable`.
@@ -261,10 +478,11 @@ class PhiTable:
 
     Each panel [edges[i], edges[i+1]] of s = log omega holds the
     coefficients of h(s) = Phi(omega) / omega^power, and ``errors[i]``,
-    the size of its two trailing coefficients, which estimates
-    |h_table - h| on it.  Below omega_lo the head
-    Phi = head * omega^power continues the table; above omega_hi Phi is
-    taken as 0 (the Bessel kernel that weighs it is below e^-60 there).
+    the size of its two trailing coefficients plus the largest error
+    estimate of h at its nodes, which estimates |h_table - h| on it.
+    Below omega_lo the head Phi = head * omega^power continues the
+    table; above omega_hi Phi is taken as 0 (the Bessel kernel that
+    weighs it is below e^-60 there).
     """
 
     omega_lo: float
@@ -302,13 +520,13 @@ class _Panel:
     a: float
     b: float
     coeffs: tuple[float, ...]
-    tail: float
+    error: float  # |h_table - h|: the tail, plus the largest error of Phi itself
     errors: tuple[float, ...]  # per force: tail * Int kernel omega^power d omega
     sizes: tuple[float, ...]  # per force: Int kernel |Phi| d omega
 
 
 def tabulate_phi(
-    phi: Callable[[float], float],
+    phi: Callable,
     omega_lo: float,
     omega_hi: float,
     power: int,
@@ -318,7 +536,9 @@ def tabulate_phi(
 ) -> PhiTable:
     """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
 
-    Each of ``kernels`` is the weight w(omega) by which one force
+    ``phi`` maps an array of omega to (Phi, error estimate) at each; it
+    is called once per panel, with the panel's TABLE_NODES nodes.  Each
+    of ``kernels`` is the weight w(omega) by which one force
     integrates Phi, Int w Phi d omega up to a constant factor.  The
     range is cut at the ``splits`` inside it (resonances, where h
     changes fastest), and each panel holds TABLE_NODES first-kind
@@ -329,7 +549,10 @@ def tabulate_phi(
     Refinement is global: while some force's error exceeds rel_tol
     times its size, the panel that carries the largest share of such a
     force's allowance is bisected.  A force whose Phi is 0 at every
-    node it weighs sets no demand.
+    node it weighs sets no demand.  Each panel's error in the table is
+    its tail plus the largest error of Phi at its nodes (relative to
+    omega^power); Phi's own error, which bisection does not reduce,
+    sets no demand.
 
     Raises
     ------
@@ -343,10 +566,12 @@ def tabulate_phi(
     def panel(a: float, b: float) -> _Panel:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         omegas = [math.exp(mid + half * x) for x in _COS[1]]
-        h = [phi(w) / w**power for w in omegas]
+        values, errors = phi(np.array(omegas))
+        h = [float(y) / w**power for y, w in zip(values, omegas)]
         c = _chebyshev_coeffs(h)
         tail = max(abs(c[-1]), abs(c[-2]))
-        if not math.isfinite(tail):
+        phi_err = max(float(e) / w**power for e, w in zip(errors, omegas))
+        if not math.isfinite(tail + phi_err):
             raise NonConvergence(
                 f"Phi is not finite on omega in [{math.exp(a)!r}, {math.exp(b)!r}]",
                 level="omega1",
@@ -357,7 +582,7 @@ def tabulate_phi(
             for kernel in kernels
         ]
         return _Panel(
-            a, b, tuple(c), tail,
+            a, b, tuple(c), tail + phi_err,
             tuple(tail * sum(m) for m in moments),
             tuple(sum(x * abs(y) for x, y in zip(m, h)) for m in moments),
         )
@@ -385,5 +610,5 @@ def tabulate_phi(
     coeffs = tuple(p.coeffs for p in panels)
     return PhiTable(
         omega_lo, omega_hi, (s_lo, *(p.b for p in panels)), coeffs,
-        tuple(p.tail for p in panels), power, _clenshaw(coeffs[0], -1.0),
+        tuple(p.error for p in panels), power, _clenshaw(coeffs[0], -1.0),
     )

@@ -253,10 +253,10 @@ def test_criterion_10_cli_contracts(capsys):
                          "--nu-ev", "0.035", "--gap-nm", "10", "--temp-k", "300",
                          "--velocity", "0"])
     capsys.readouterr()
-    # a T = 0 general force whose narrow plasmon peaks stop the Phi quadrature
-    code_num = cli.main(["force", "--model", "drude", "--wp-ev", "7.1035664975575425",
-                         "--nu-ev", "0.001", "--gap-nm", "1", "--velocity",
-                         "12693064.810593091", "--temp-k", "zero", "--regime", "general"])
+    # a T = 0 general force on a line 1e-9 eV wide, whose rounding stops Phi's rule
+    code_num = cli.main(["force", "--model", "drude", "--wp-ev", "9", "--nu-ev", "1e-9",
+                         "--gap-nm", "1", "--velocity", "1e7", "--temp-k", "zero",
+                         "--regime", "general"])
     capsys.readouterr()
 
     code_cmp = cli.main(["compare", "--model", "drude", "--wp-ev", "9",

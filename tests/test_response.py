@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_friction.numerics import CONST, QuadratureSpec
+from casimir_friction.numerics import CONST, DEFAULT_SPEC, QuadratureSpec
 from casimir_friction.material import Drude, surface_response
 from casimir_friction.response import (
     ThermalState,
@@ -95,7 +95,7 @@ def test_h0_quadrature_matches_trapezoid_oracle():
     amp = 1e-3 / w0
 
     def im_r(w):
-        return -amp * w * math.exp(-w / w0)
+        return -amp * w * np.exp(-w / w0)
 
     value, err = phi_slope(im_r, im_r, ROOM)
     w = np.linspace(1e-9 / beta_hbar, 60.0 / beta_hbar, 200001)
@@ -216,28 +216,27 @@ def test_small_m_head_consistent_with_full_convolution():
     assert j_full == pytest.approx(j_head, rel=5e-3)
 
 
+def dissipation(omega_v, thermal, material=GOLD_LIKE, spec=DEFAULT_SPEC):
+    """Phi of equal plates, without its error estimate."""
+    return im_r_dissipation_integral(omega_v, material, material, thermal, spec)[0]
+
+
 def test_im_r_dissipation_zero_t_is_doubled_convolution():
     R = lambda w: surface_response(GOLD_LIKE, w)
-    im_r = lambda w: surface_response(GOLD_LIKE, w).imag
     wv = 2e14
     conv = oracles.convolution(wv, R, R)
-    assert im_r_dissipation_integral(wv, im_r, im_r, COLD) == pytest.approx(
-        2.0 * conv, rel=1e-12
-    )
-    assert im_r_dissipation_integral(0.0, im_r, im_r, ROOM) == 0.0
-    assert im_r_dissipation_integral(-wv, im_r, im_r, COLD) == pytest.approx(
-        im_r_dissipation_integral(wv, im_r, im_r, COLD)
-    )
+    assert dissipation(wv, COLD) == pytest.approx(2.0 * conv, rel=1e-12)
+    assert dissipation(0.0, ROOM) == 0.0
+    assert dissipation(-wv, COLD) == pytest.approx(dissipation(wv, COLD))
 
 
 def test_im_r_dissipation_small_v_limit_is_linear_channel():
     # pi tau wv hbar (1/2pi^2 rho)^2 Phi(wv) == J_linear = 2 tau wv^2 H0
-    im_r = lambda w: surface_response(GOLD_LIKE, w).imag
     sd = oracles.density(GOLD_LIKE, RHO)
     tau = 1.0
     wv = 1e8  # deep linear regime
     spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=400)
-    val = im_r_dissipation_integral(wv, im_r, im_r, ROOM, spec)
+    val = dissipation(wv, ROOM, spec=spec)
     j_from_phi = math.pi * tau * wv * CONST.hbar * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * val
     j_lin = 2.0 * tau * wv**2 * oracles.h0(sd, sd, ROOM, spec)
     assert j_from_phi == pytest.approx(j_lin, rel=5e-3)
@@ -248,7 +247,7 @@ def test_phi_slope_is_small_omega_limit_at_finite_t():
     im_r = lambda w: surface_response(GOLD, w).imag
     phi1, err = phi_slope(im_r, im_r, ROOM)
     wv = 1e6
-    assert im_r_dissipation_integral(wv, im_r, im_r, ROOM) / wv == pytest.approx(phi1, rel=1e-10)
+    assert dissipation(wv, ROOM, GOLD) / wv == pytest.approx(phi1, rel=1e-10)
     assert err <= 1e-9 * phi1
     # the Drude head's closed form 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4),
     # off by the curvature of Im R over the thermal window (5.2e-4 at 300 K)
@@ -258,23 +257,45 @@ def test_phi_slope_is_small_omega_limit_at_finite_t():
 
 def test_phi_cubic_coefficient_is_small_omega_limit_at_zero_t():
     # Phi(omega)/omega^3 -> Phi_3 = nu^2 / (3 omega_sp^4)
-    im_r = lambda w: surface_response(GOLD, w).imag
     phi3 = GOLD.nu**2 / (3.0 * GOLD.omega_sp**4)
     wv = 1e10
-    assert im_r_dissipation_integral(wv, im_r, im_r, COLD) / wv**3 == pytest.approx(
-        phi3, rel=1e-10
-    )
+    assert dissipation(wv, COLD, GOLD) / wv**3 == pytest.approx(phi3, rel=1e-10)
 
 
 def test_im_r_dissipation_positive_and_monotone_in_t():
-    im_r = lambda w: surface_response(GOLD_LIKE, w).imag
     wv = 5e13
-    vals = [
-        im_r_dissipation_integral(wv, im_r, im_r, ThermalState.finite(t))
-        for t in (600.0, 300.0, 100.0, 30.0)
-    ]
-    cold = im_r_dissipation_integral(wv, im_r, im_r, COLD)
+    vals = [dissipation(wv, ThermalState.finite(t)) for t in (600.0, 300.0, 100.0, 30.0)]
+    cold = dissipation(wv, COLD)
     assert all(v > 0 for v in vals)
     for hotter, colder in zip(vals, vals[1:]):
         assert hotter > colder
     assert vals[-1] > cold > 0
+
+
+def test_phi_over_an_array_is_phi_at_each_element():
+    # one rule for all omegas at once: each value and error is bitwise the scalar call's
+    omegas = np.array([[1e8, 3e13], [GOLD.omega_sp, 2.0 * GOLD.omega_sp + 1e12]])
+    silver = Drude(omega_p=1.4e16, nu=3e13)
+    for thermal in (ROOM, COLD):
+        for other in (GOLD, silver):
+            phi, err = im_r_dissipation_integral(omegas, GOLD, other, thermal)
+            assert phi.shape == err.shape == omegas.shape
+            for w, p, e in zip(omegas.flat, phi.flat, err.flat):
+                assert im_r_dissipation_integral(float(w), GOLD, other, thermal) == (p, e)
+
+
+def test_phi_of_unequal_plates():
+    # the sum channel grades toward both resonances: at T = 0 it is twice the
+    # oracle's convolution, and Phi is symmetric in the two plates
+    silver = Drude(omega_p=1.4e16, nu=3e13)
+    wv = 2.2e16  # omega_sp of one plate and omega_v - omega_sp of the other inside
+    conv = oracles.convolution(wv, lambda w: surface_response(GOLD_LIKE, w),
+                               lambda w: surface_response(silver, w))
+    phi, err = im_r_dissipation_integral(wv, GOLD_LIKE, silver, COLD)
+    assert phi == pytest.approx(2.0 * conv, rel=1e-9)
+    assert 0.0 < err <= 1e-12 * phi
+    for wv in (3e13, 2.2e16):
+        forward = im_r_dissipation_integral(wv, GOLD_LIKE, silver, ROOM)[0]
+        assert im_r_dissipation_integral(wv, silver, GOLD_LIKE, ROOM)[0] == pytest.approx(
+            forward, rel=1e-11
+        )
