@@ -17,8 +17,6 @@ from .numerics import (
     NonConvergence,
     PhysicalConstants,
     QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
 )
 from .material import (
     Drude,
@@ -76,8 +74,6 @@ __all__ = [
     "force_plasmon",
     "force_zero_t",
     "im_r_dissipation_integral",
-    "integrate_finite",
-    "integrate_semi_infinite",
     "pendry_force",
     "phi_slope",
     "phi_table",

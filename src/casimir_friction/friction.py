@@ -43,10 +43,13 @@ It asks `response.im_r_dissipation_integral` for the 16 nodes of a
 panel in one call (`_phi_closure`), each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node.
 `dissipation_general` reads Phi from the table it is given, or builds
-one for its own (v, d), cuts its k_x quadrature at the resonances in
-its band, and adds the table's kernel-weighted error, which carries
-Phi's own, to ``quadrature_rel_err``: the error budget covers the
-table, Phi and the k_x integral.
+one for its own (v, d).  Its k_x integral is one
+`numerics.integrate_semi_infinite` over an array integrand, by the
+package's one G7/K15 rule, cut at every panel edge of the table in its
+band (where the piecewise series has its kinks, the resonances among
+them).  It adds the table's kernel-weighted error, which carries Phi's
+own, to ``quadrature_rel_err``: the error budget covers the table, Phi
+and the k_x integral.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -60,6 +63,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
 from scipy.special import k1e
 
 from .numerics import (
@@ -69,7 +73,6 @@ from .numerics import (
     NonConvergence,
     QuadratureSpec,
     float_guard,
-    integrate_finite,
     integrate_semi_infinite,
 )
 from .material import Drude, MaterialModel, surface_response
@@ -222,10 +225,10 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
     )
 
 
-def _ky_integral(kx: float, d: float) -> float:
-    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), for kx > 0."""
+def _ky_integral(kx, d: float):
+    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), for kx > 0 or an array of them."""
     x = 2.0 * d * kx
-    return kx * float(k1e(x)) * math.exp(-x)
+    return kx * k1e(x) * np.exp(-x)
 
 
 def _phi_closure(material1, material2, thermal: ThermalState, spec: QuadratureSpec):
@@ -269,14 +272,13 @@ class SharedPhi:
 
     Built by `phi_table`; `dissipation_general` reads Phi from it for
     the materials and temperature it was built for, and cuts its k_x
-    integral at the ``resonances`` of Phi that fall in a point's band.
+    integral at the table's panel edges that fall in a point's band.
     """
 
     material1: MaterialModel
     material2: MaterialModel
     thermal: ThermalState
     table: PhiTable
-    resonances: tuple[float, ...]
 
     def covers(self, v: float, d: float) -> bool:
         lo, hi = _kernel_band(v, d)
@@ -331,7 +333,7 @@ def phi_table(
     phi = _phi_closure(material1, material2, thermal, spec)
     table = tabulate_phi(phi, lo, hi, 3 if thermal.is_zero else 1, kernels, resonances,
                          spec.rel_tol)
-    return SharedPhi(material1, material2, thermal, table, resonances)
+    return SharedPhi(material1, material2, thermal, table)
 
 
 def dissipation_general(
@@ -348,12 +350,13 @@ def dissipation_general(
     Valid at any temperature and velocity with continuous material
     responses.  Phi is read from a table: ``phi`` (from `phi_table`,
     for these materials and temperature and a range that covers v and
-    d), or else one built for this (v, d) alone.  The k_x integral runs
-    on the exponential scale 1/(2d), cut at the resonances of Phi
-    inside the point's kernel band; the k_y integral is the closed
-    form k_x K1(2 d k_x).  The table's error (its interpolation error
-    and Phi's own), weighed by the same kernel, is added to
-    ``quadrature_rel_err``.
+    d), or else one built for this (v, d) alone.  The k_x integral is
+    one `numerics.integrate_semi_infinite` on the exponential scale
+    1/(2d), cut at every panel edge of the table (the resonances of Phi
+    among them) inside the point's kernel band; the k_y integral is the
+    closed form k_x K1(2 d k_x).  The table's error (its interpolation
+    error and Phi's own), weighed by the same kernel and integrated on
+    the same cuts, is added to ``quadrature_rel_err``.
 
     Raises
     ------
@@ -361,7 +364,8 @@ def dissipation_general(
         With ``level`` identifying the failing nesting level
         ("omega1" or "k_x"); an "omega1" failure names the omega at
         which Phi failed or the omega interval its table could not
-        resolve.
+        resolve, a "k_x" failure the k_x interval (1/m) on which the
+        rule failed and the matching omega = k_x v.
     ValueError
         If ``phi`` was built for other materials or temperature, or for
         a range that does not cover v and d.
@@ -377,37 +381,27 @@ def dissipation_general(
         raise ValueError("the Phi table was built for other materials, "
                          "temperature or (v, d) range")
     table = phi.table
-
-    def outer(kx: float) -> float:
-        if kx <= 0.0:
-            return 0.0
-        return kx * _ky_integral(kx, d) * table(kx * v)
-
-    def table_err(kx: float) -> float:
-        if kx <= 0.0:
-            return 0.0
-        return kx * _ky_integral(kx, d) * table.error(kx * v)
-
     lo, hi = _kernel_band(v, d)
-    edges = [0.0, *(w / v for w in phi.resonances if lo < w < hi)]
+    edges = np.exp(table.edges)
+    cuts = edges[(lo < edges) & (edges < hi)] / v
 
-    def kx_integral(f, kx_spec: QuadratureSpec) -> tuple[float, float]:
-        value = err = 0.0
-        for a, b in zip(edges, edges[1:]):
-            piece, piece_err = integrate_finite(f, a, b, kx_spec)
-            value += piece
-            err += piece_err
-        piece, piece_err = integrate_semi_infinite(f, edges[-1], 0.5 / d, kx_spec)
-        return value + piece, err + piece_err
+    def weighed(values):
+        """k_x -> k_x * (k_x K1(2 d k_x)) * values(k_x v), on an array of k_x."""
+        return lambda kx: kx * _ky_integral(kx, d) * values(kx * v)
 
     try:
-        value, err = kx_integral(outer, spec)
+        value, err = integrate_semi_infinite(weighed(table), 0.0, 0.5 / d, spec, cuts)
         rel_err = abs(err / value) if value else 0.0
         if value:
-            bound, _ = kx_integral(table_err, ERROR_SPEC)
+            bound, _ = integrate_semi_infinite(weighed(table.error), 0.0, 0.5 / d, ERROR_SPEC,
+                                               cuts)
             rel_err += bound / abs(value)
     except NonConvergence as exc:
-        raise NonConvergence(str(exc), level="k_x") from exc
+        kx_lo, kx_hi = exc.interval
+        raise NonConvergence(
+            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
+            f"omega = k_x v in [{kx_lo * v!r}, {kx_hi * v!r}] rad/s", level="k_x",
+        ) from exc
     force = CONST.hbar / (2.0 * math.pi**3) * value
 
     return FrictionResult(
@@ -443,7 +437,7 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
         diag.validity_flags.append("underflow: 4*omega_sp*d/v > 700")
         return FrictionResult(0.0, PLASMON_LINE, diag)
 
-    force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * _ky_integral(kx, config.d)
+    force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * float(_ky_integral(kx, config.d))
     return FrictionResult(
         force_per_area=force,
         regime=PLASMON_LINE,

@@ -3,9 +3,18 @@
 All quantities are strict SI internally (m, s, K, J, N/m^2).  Unit
 conversions (eV, nm) happen at the CLI boundary only.
 
-The quadrature core is adaptive Gauss-Kronrod (QUADPACK) behind a small
-tolerance-spec interface.  Semi-infinite integrals of exponentially
-decaying integrands are mapped onto [0, 1) with
+The package has one quadrature rule: a composite Gauss-Kronrod pair
+(G7/K15, with QUADPACK's constants) in numpy, refined by bisection of
+every segment whose Kronrod-Gauss difference exceeds its share of the
+tolerance (`_integrate`).  It runs many integrals at once, each over its
+own segments, with one call of the integrand per refinement round:
+`response` builds Phi(omega) with it directly.  `integrate_finite` and
+`integrate_semi_infinite` are its fronts for one integral (the k_x
+integral of the general force, the test-function integral of
+`trajectory`); their integrands take arrays of nodes, and each is cut
+at the integral's interior points where the integrand has a kink.
+Semi-infinite integrals of exponentially decaying integrands are mapped
+onto [0, 1) with
 
     q = a + s * t / (1 - t),    dq = s / (1 - t)^2 dt,
 
@@ -15,12 +24,13 @@ is exact for pure exponential tails.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from scipy import integrate
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -35,11 +45,17 @@ class NonConvergence(RuntimeError):
     level : str or None
         For nested integrations, names the nesting level that failed
         (e.g. "omega1", "k_x").
+    interval : (float, float) or None
+        From `integrate_finite` and `integrate_semi_infinite`: the
+        segment of the integration variable with the largest error when
+        the rule failed.
     """
 
-    def __init__(self, message: str, level: str | None = None):
+    def __init__(self, message: str, level: str | None = None,
+                 interval: tuple[float, float] | None = None):
         super().__init__(message)
         self.level = level
+        self.interval = interval
 
 
 class FloatFailure(ArithmeticError):
@@ -73,8 +89,9 @@ class QuadratureSpec:
     Parameters
     ----------
     rel_tol : float
-        Target relative error; at least 50 machine epsilons, the floor
-        QUADPACK accepts without an absolute tolerance.
+        Target relative error; at least 50 machine epsilons, since the
+        rounding of a sum over many segments of 15 nodes each keeps the
+        Kronrod-Gauss differences from falling much below that.
     max_subdivisions : int
         Adaptive bisection budget, >= 1.
     """
@@ -114,68 +131,218 @@ class PhysicalConstants:
 CONST = PhysicalConstants()
 
 
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> tuple[float, float]:
-    """Integrate f over [a, b] adaptively.
+# The Gauss-Kronrod pair G7/K15 on [-1, 1], as in QUADPACK's qk15: the
+# Kronrod nodes (every other one from the second, and 0, are the Gauss
+# nodes), the Kronrod weights and the Gauss weights, each for x >= 0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# all 15 nodes, their Kronrod weights, and Kronrod minus Gauss weights
+_X = np.array([*(-x for x in _XGK[:7]), *_XGK[::-1]])
+_WK = np.array([*_WGK, *_WGK[6::-1]])
+_WD = _WK - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 
-    Parameters
-    ----------
-    f : callable
-        Real-valued integrand, finite on [a, b] except possibly for
-        integrable endpoint singularities.
-    a, b : float
-        Integration limits, a <= b.
-    spec : QuadratureSpec
-        Tolerances and subdivision budget.
+#: Segments a rule evaluates in one numpy pass, so that its arrays stay
+#: small: 15 nodes each.
+_CHUNK = 1024
+
+#: Uniform segments in t that start a semi-infinite integral.  Starting from
+#: a few keeps the number of bisection rounds, each one call of the
+#: integrand, small.
+_T_SEGMENTS = 8
+
+
+def _kronrod(f, a, b, owner):
+    """K15 integrals of f over the segments [a, b], and |K15 - G7| on each."""
+    value, error = np.empty(a.size), np.empty(a.size)
+    for start in range(0, a.size, _CHUNK):
+        i = slice(start, start + _CHUNK)
+        half = 0.5 * (b[i] - a[i])
+        y = f(0.5 * (a[i] + b[i])[:, None] + half[:, None] * _X, owner[i])
+        value[i] = half * (y * _WK).sum(axis=1)
+        error[i] = np.abs(half * (y * _WD).sum(axis=1))
+    return value, error
+
+
+def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
+    """n integrals, each over its own segments, by composite G7/K15 with bisection.
+
+    Segment [a[i], b[i]] belongs to integral owner[i]; ``owner`` is
+    sorted, and the segments of each integral increase.  ``f(x, o)``
+    evaluates the integrands at nodes x (one row per segment) of
+    segments owned by o (sorted).  An integral is done when the sum of
+    its segments' |K15 - G7| is at most rel_tol times its value; until
+    then, every segment whose difference exceeds its share (the
+    tolerance over the integral's segment count) is bisected, all in
+    one call of f per round.  Each integral's segments are summed in
+    order, so an integral's value does not depend on the others.
 
     Returns
     -------
-    (value, err_estimate) : tuple of float
-        The integral and an estimated bound on its absolute error.
+    (values, errors) : arrays of n floats
+        The errors are the sums of |K15 - G7|.
 
     Raises
     ------
     NonConvergence
-        If the subdivision budget is exhausted before the requested
-        tolerance is met.
+        ``fail(j, why, lo, hi)`` for the first integral j whose value is
+        not finite, that needs more than ``budget`` bisections, or whose
+        segment can no longer be bisected; [lo, hi] is that segment, or
+        else j's segment with the largest (or a non-finite) error.
+    """
+    k, e = _kronrod(f, a, b, owner)
+    bisections = np.zeros(n, dtype=int)
+
+    def failure(j, why, segment=None):
+        if segment is None:
+            mine = np.flatnonzero(owner == j)
+            segment = mine[np.argmax(np.where(np.isfinite(k[mine] + e[mine]), e[mine], np.inf))]
+        return fail(j, why, float(a[segment]), float(b[segment]))
+
+    while True:
+        value = np.bincount(owner, k, n)
+        error = np.bincount(owner, e, n)
+        if not np.isfinite(value).all():
+            raise failure(int(np.argmin(np.isfinite(value))), "is not finite")
+        allowed = rel_tol * np.abs(value)
+        short = error > allowed
+        if not short.any():
+            return value, error
+        share = allowed / np.bincount(owner, minlength=n)
+        split = np.flatnonzero(short[owner] & (e > share[owner]))
+        mid = 0.5 * (a[split] + b[split])
+        bisections += np.bincount(owner[split], minlength=n)
+        # a segment a few ulps wide puts its nodes on its ends
+        stuck = split[b[split] - a[split] <= 1e3 * np.spacing(mid)]
+        if stuck.size:
+            raise failure(int(owner[stuck[0]]), "cannot bisect a segment further", stuck[0])
+        if (bisections > budget).any():
+            raise failure(int(np.argmax(bisections > budget)),
+                          f"did not converge within {budget} bisections")
+        # each split segment becomes two, in place, so the order holds
+        rep = np.ones(a.size, dtype=int)
+        rep[split] = 2
+        a, b, owner, k, e = (np.repeat(x, rep) for x in (a, b, owner, k, e))
+        first = split + np.arange(split.size)
+        b[first] = mid
+        a[first + 1] = mid
+        new = np.stack((first, first + 1), axis=1).ravel()
+        k[new], e[new] = _kronrod(f, a[new], b[new], owner[new])
+
+
+def _segments(lo, hi, graded=(), fixed=()):
+    """Starting segments of n integrals, each on [lo[j], hi[j]].
+
+    ``graded`` holds (centre, width) pairs, each an array over the n
+    integrals or a float: a feature of the integrand of that width at
+    that centre, graded toward by breakpoints centre +- width 2^k,
+    k = 0, 1, ...  ``fixed`` holds arrays of n rows of further
+    breakpoints (the kinks of a tabulated response).  Breakpoints
+    outside (lo, hi) are dropped.
+
+    Returns
+    -------
+    (a, b, owner) : arrays
+        The segments, by owner and then increasing.
+    """
+    n = lo.size
+    zero = np.zeros(n)
+    points = [np.broadcast_to(p, (n, np.shape(p)[-1])) for p in fixed]
+    if graded:
+        centre = np.array([c + zero for c, _ in graded])[..., None]
+        width = np.array([w + zero for _, w in graded])[..., None]
+        # enough steps to reach both ends from every centre, within the float range
+        reach = np.where(width > 0, np.maximum(centre - lo[:, None], hi[:, None] - centre) / width,
+                         1.0)
+        levels = int(min(np.log2(max(reach.max(), 1.0)), 2100.0)) + 1
+        steps = width * 2.0 ** np.arange(levels + 1)
+        points.append(np.concatenate((centre - steps, centre + steps), axis=2)
+                      .transpose(1, 0, 2).reshape(n, -1))
+    lo, hi = lo[:, None], hi[:, None]
+    inner = np.sort(np.clip(np.concatenate([np.empty((n, 0)), *points], axis=1), lo, hi), axis=1)
+    edges = np.concatenate((lo, inner, hi), axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+
+
+# The benchmark's tracer (perfbench/tracing.py) binds integrate_finite and
+# integrate_semi_infinite by name, at every module that imports them, and its
+# smoke run needs a call of each: the general force calls the semi-infinite
+# front, which calls this one.
+def integrate_finite(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    cuts: Sequence[float] = (),
+) -> tuple[float, float]:
+    """Integrate f over [a, b] by the package's G7/K15 rule.
+
+    Parameters
+    ----------
+    f : callable
+        Real-valued integrand, evaluated elementwise on an array of
+        nodes; finite on [a, b] except possibly for integrable endpoint
+        singularities (the rule never evaluates an endpoint).
+    a, b : float
+        Integration limits, a <= b.
+    spec : QuadratureSpec
+        Tolerance and bisection budget.
+    cuts : sequence of float
+        Points where f has a kink or a narrow feature; the starting
+        segments end there.  Points outside (a, b) are dropped.
+
+    Returns
+    -------
+    (value, err_estimate) : tuple of float
+        The integral and the sum of its segments' |K15 - G7|.
+
+    Raises
+    ------
+    NonConvergence
+        If the integral is not finite, or takes more than
+        ``spec.max_subdivisions`` bisections to meet ``spec.rel_tol``;
+        its ``interval`` is the segment with the largest error.
     """
     if a > b:
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
     if a == b:
         return 0.0, 0.0
-    out = integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=0.0,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, err = out[0], out[1]
-    if len(out) > 3 and err > spec.rel_tol * abs(value):
-        raise NonConvergence(
-            f"quadrature did not converge on [{a}, {b}]: "
-            f"value={value:.6e}, err={err:.3e} ({out[3].splitlines()[0]})"
-        )
-    return value, err
+    edges = np.unique(np.clip(np.concatenate(([a], np.asarray(cuts, dtype=float), [b])), a, b))
+
+    def fail(_, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
+        return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
+                              interval=(seg_lo, seg_hi))
+
+    value, err = _integrate(lambda x, _: f(x), edges[:-1], edges[1:],
+                            np.zeros(edges.size - 1, dtype=int), 1, spec.rel_tol,
+                            spec.max_subdivisions, fail)
+    return float(value[0]), float(err[0])
 
 
+# Bound by name by the benchmark's tracer, as integrate_finite is.
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     scale: float,
     spec: QuadratureSpec,
+    cuts: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate f over [a, +inf) via the rational decay-scale transform.
 
     ``scale`` > 0 is the decay scale of f; f must decay at least
     exponentially on that scale for the transform to concentrate the
-    quadrature nodes usefully.
+    quadrature nodes usefully.  f is evaluated on arrays of nodes.  The
+    mapped integral starts from _T_SEGMENTS uniform segments in t, cut
+    further at the images of the ``cuts`` beyond a.
 
     Returns
     -------
@@ -186,15 +353,24 @@ def integrate_semi_infinite(
     DomainError
         If scale <= 0.
     NonConvergence
-        Propagated from the underlying finite-interval rule.
+        From `integrate_finite`, with the ``interval`` in q rather than t.
     """
     if not scale > 0:
         raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scale}")
 
-    def g(t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        u = 1.0 - t
-        return f(a + scale * t / u) * scale / (u * u)
+    def q(t):
+        return a + scale * t / (1.0 - t)
 
-    return integrate_finite(g, 0.0, 1.0, spec)
+    def g(t):
+        u = 1.0 - t
+        return f(q(t)) * scale / (u * u)
+
+    past = np.asarray(cuts, dtype=float) - a
+    past = past[past > 0]
+    t_cuts = np.concatenate((np.arange(1, _T_SEGMENTS) / _T_SEGMENTS, past / (past + scale)))
+    try:
+        return integrate_finite(g, 0.0, 1.0, spec, t_cuts)
+    except NonConvergence as exc:
+        lo, hi = (q(t) if t < 1.0 else math.inf for t in exc.interval)
+        raise NonConvergence(f"quadrature on [{a!r}, inf) did not converge on [{lo!r}, {hi!r}]",
+                             interval=(lo, hi)) from exc

@@ -28,15 +28,16 @@ the closed-form regimes:
         Phi_3 = c1 c2 / 3 (the sum channel alone).
 
 `im_r_dissipation_integral` takes an array of omega and integrates
-every channel at every omega in one numpy pass per refinement round: a
-composite Gauss-Kronrod rule (G7/K15, with QUADPACK's constants) on
+every channel at every omega in one numpy pass per refinement round of
+the package's quadrature rule (`numerics._integrate`, composite
+Gauss-Kronrod G7/K15 with bisection of every segment whose
+Kronrod-Gauss difference exceeds its share of the tolerance), on
 starting segments graded toward each feature of the integrand (a Drude
 plate's resonance at omega_sp and at its mirror omega -+ omega_sp, the
 thermal scale 2/(beta hbar), the knee of the difference channel, a
-tabulated plate's grid nodes), and bisection of every segment whose
-Kronrod-Gauss difference exceeds its share of the tolerance.  Each value
-comes with that error estimate, and is converged to PHI_TOL (1e-3) of
-the tolerance its force asks for.  `phi_slope` uses the same rule.
+tabulated plate's grid nodes).  Each value comes with that error
+estimate, and is converged to PHI_TOL (1e-3) of the tolerance its force
+asks for.  `phi_slope` uses the same rule.
 
 A force evaluates Phi only at the nodes of a `PhiTable`
 (`tabulate_phi`), one panel of 16 nodes per call:
@@ -53,14 +54,21 @@ force's error covers the table, Phi and its own k_x integral.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .material import MaterialModel, Tabulated, surface_response
-from .numerics import CONST, DEFAULT_SPEC, FloatFailure, NonConvergence, QuadratureSpec
+from .numerics import (
+    CONST,
+    DEFAULT_SPEC,
+    FloatFailure,
+    NonConvergence,
+    QuadratureSpec,
+    _integrate,
+    _segments,
+)
 
 
 @dataclass(frozen=True)
@@ -120,29 +128,6 @@ def _inv_sinh_sq(x):
     return 4.0 * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
 
 
-# The Gauss-Kronrod pair G7/K15 on [-1, 1], as in QUADPACK's qk15: the
-# Kronrod nodes (every other one from the second, and 0, are the Gauss
-# nodes), the Kronrod weights and the Gauss weights, each for x >= 0.
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245, 0.0)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# all 15 nodes, their Kronrod weights, and Kronrod minus Gauss weights
-_X = np.array([*(-x for x in _XGK[:7]), *_XGK[::-1]])
-_WK = np.array([*_WGK, *_WGK[6::-1]])
-_WD = _WK - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
-                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
-
-#: Segments a rule evaluates in one numpy pass, so that its arrays stay
-#: small: 15 nodes each.
-_CHUNK = 1024
-
 #: Relative tolerance of each Phi value, as a fraction of the ``rel_tol``
 #: its force is asked for.  The Kronrod pair converges geometrically, so the
 #: extra digits are cheap, and the error of Phi then stays out of the way of
@@ -152,111 +137,6 @@ PHI_TOL = 1e-3
 #: width nu/omega_sp the rounding of Im R is about eps omega_sp/nu (1e-12 for
 #: a line 1e-3 eV wide), and the Kronrod-Gauss differences cannot fall below it.
 _PHI_TOL_FLOOR = 1e-12
-
-
-def _kronrod(f, a, b, owner):
-    """K15 integrals of f over the segments [a, b], and |K15 - G7| on each."""
-    value, error = np.empty(a.size), np.empty(a.size)
-    for start in range(0, a.size, _CHUNK):
-        i = slice(start, start + _CHUNK)
-        half = 0.5 * (b[i] - a[i])
-        y = f(0.5 * (a[i] + b[i])[:, None] + half[:, None] * _X, owner[i])
-        value[i] = half * (y * _WK).sum(axis=1)
-        error[i] = np.abs(half * (y * _WD).sum(axis=1))
-    return value, error
-
-
-def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
-    """n integrals, each over its own segments, by composite G7/K15 with bisection.
-
-    Segment [a[i], b[i]] belongs to integral owner[i]; ``owner`` is
-    sorted, and the segments of each integral increase.  ``f(x, o)``
-    evaluates the integrands at nodes x (one row per segment) of
-    segments owned by o (sorted).  An integral is done when the sum of
-    its segments' |K15 - G7| is at most rel_tol times its value; until
-    then, every segment whose difference exceeds its share (the
-    tolerance over the integral's segment count) is bisected, all in
-    one call of f per round.  Each integral's segments are summed in
-    order, so an integral's value does not depend on the others.
-
-    Returns
-    -------
-    (values, errors) : arrays of n floats
-        The errors are the sums of |K15 - G7|.
-
-    Raises
-    ------
-    NonConvergence
-        ``fail(j, why)`` for the first integral j whose value is not
-        finite, that needs more than ``budget`` bisections, or whose
-        segment can no longer be bisected.
-    """
-    k, e = _kronrod(f, a, b, owner)
-    bisections = np.zeros(n, dtype=int)
-    while True:
-        value = np.bincount(owner, k, n)
-        error = np.bincount(owner, e, n)
-        if not np.isfinite(value).all():
-            raise fail(int(np.argmin(np.isfinite(value))), "is not finite")
-        allowed = rel_tol * np.abs(value)
-        short = error > allowed
-        if not short.any():
-            return value, error
-        share = allowed / np.bincount(owner, minlength=n)
-        split = np.flatnonzero(short[owner] & (e > share[owner]))
-        mid = 0.5 * (a[split] + b[split])
-        bisections += np.bincount(owner[split], minlength=n)
-        # a segment a few ulps wide puts its nodes on its ends
-        stuck = owner[split[b[split] - a[split] <= 1e3 * np.spacing(mid)]]
-        if stuck.size:
-            raise fail(int(stuck[0]), "cannot bisect a segment further")
-        if (bisections > budget).any():
-            raise fail(int(np.argmax(bisections > budget)),
-                       f"did not converge within {budget} bisections")
-        # each split segment becomes two, in place, so the order holds
-        rep = np.ones(a.size, dtype=int)
-        rep[split] = 2
-        a, b, owner, k, e = (np.repeat(x, rep) for x in (a, b, owner, k, e))
-        first = split + np.arange(split.size)
-        b[first] = mid
-        a[first + 1] = mid
-        new = np.stack((first, first + 1), axis=1).ravel()
-        k[new], e[new] = _kronrod(f, a[new], b[new], owner[new])
-
-
-def _segments(lo, hi, graded=(), fixed=()):
-    """Starting segments of n integrals, each on [lo[j], hi[j]].
-
-    ``graded`` holds (centre, width) pairs, each an array over the n
-    integrals or a float: a feature of the integrand of that width at
-    that centre, graded toward by breakpoints centre +- width 2^k,
-    k = 0, 1, ...  ``fixed`` holds arrays of n rows of further
-    breakpoints (the kinks of a tabulated response).  Breakpoints
-    outside (lo, hi) are dropped.
-
-    Returns
-    -------
-    (a, b, owner) : arrays
-        The segments, by owner and then increasing.
-    """
-    n = lo.size
-    zero = np.zeros(n)
-    points = [np.broadcast_to(p, (n, np.shape(p)[-1])) for p in fixed]
-    if graded:
-        centre = np.array([c + zero for c, _ in graded])[..., None]
-        width = np.array([w + zero for _, w in graded])[..., None]
-        # enough steps to reach both ends from every centre, within the float range
-        reach = np.where(width > 0, np.maximum(centre - lo[:, None], hi[:, None] - centre) / width,
-                         1.0)
-        levels = int(min(np.log2(max(reach.max(), 1.0)), 2100.0)) + 1
-        steps = width * 2.0 ** np.arange(levels + 1)
-        points.append(np.concatenate((centre - steps, centre + steps), axis=2)
-                      .transpose(1, 0, 2).reshape(n, -1))
-    lo, hi = lo[:, None], hi[:, None]
-    inner = np.sort(np.clip(np.concatenate([np.empty((n, 0)), *points], axis=1), lo, hi), axis=1)
-    edges = np.concatenate((lo, inner, hi), axis=1)
-    keep = edges[:, 1:] > edges[:, :-1]
-    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
 
 
 def _features(material: MaterialModel):
@@ -366,7 +246,7 @@ def im_r_dissipation_integral(
                 y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
         return y
 
-    def fail(j: int, why: str) -> NonConvergence:
+    def fail(j: int, why: str, *_) -> NonConvergence:
         return NonConvergence(f"Phi ({channels[j // n][0]} channel) {why} "
                               f"at omega={float(omegas[j % n])!r}", level="omega1")
 
@@ -427,7 +307,7 @@ def phi_slope(
     def integrand(w, _):
         return im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w)
 
-    def fail(_, why: str) -> NonConvergence:
+    def fail(j: int, why: str, *_) -> NonConvergence:
         return NonConvergence(f"Phi_1 {why} on [{lo!r}, {hi!r}]")
 
     value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol, spec.max_subdivisions, fail)
@@ -465,52 +345,56 @@ def _chebyshev_coeffs(values: Sequence[float]) -> list[float]:
     return coeffs
 
 
-def _clenshaw(coeffs: Sequence[float], x: float) -> float:
+def _clenshaw(coeffs, x):
+    """sum_k coeffs[k] T_k(x); each coeffs[k] may be an array that broadcasts against x."""
     b1 = b2 = 0.0
-    for c in reversed(coeffs[1:]):
-        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    x2 = 2.0 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
     return coeffs[0] + x * b1 - b2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiTable:
     """Phi(omega) on [omega_lo, omega_hi] as a piecewise Chebyshev series.
 
     Each panel [edges[i], edges[i+1]] of s = log omega holds the
-    coefficients of h(s) = Phi(omega) / omega^power, and ``errors[i]``,
-    the size of its two trailing coefficients plus the largest error
-    estimate of h at its nodes, which estimates |h_table - h| on it.
-    Below omega_lo the head Phi = head * omega^power continues the
-    table; above omega_hi Phi is taken as 0 (the Bessel kernel that
-    weighs it is below e^-60 there).
+    coefficients ``coeffs[i]`` of h(s) = Phi(omega) / omega^power, and
+    ``errors[i]``, the size of its two trailing coefficients plus the
+    largest error estimate of h at its nodes, which estimates
+    |h_table - h| on it.  Below omega_lo the head Phi = head * omega^power
+    continues the table; above omega_hi Phi is taken as 0 (the Bessel
+    kernel that weighs it is below e^-60 there).  Both Phi and its error
+    are evaluated elementwise on an array of omega.
     """
 
     omega_lo: float
     omega_hi: float
-    edges: tuple[float, ...]
-    coeffs: tuple[tuple[float, ...], ...]
-    errors: tuple[float, ...]
+    edges: np.ndarray
+    coeffs: np.ndarray  # one row of TABLE_NODES coefficients per panel
+    errors: np.ndarray
     power: int
     head: float
 
-    def _panel(self, s: float) -> int:
-        return min(max(bisect_right(self.edges, s) - 1, 0), len(self.coeffs) - 1)
-
-    def __call__(self, omega: float) -> float:
-        if omega < self.omega_lo:
-            return self.head * omega**self.power
-        if omega > self.omega_hi:
-            return 0.0
-        s = math.log(omega)
-        i = self._panel(s)
+    def _panels(self, omega):
+        """The panel of each omega (clamped into the table) and its place x in [-1, 1] there."""
+        s = np.log(np.clip(omega, self.omega_lo, self.omega_hi))
+        i = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(self.errors) - 1)
         a, b = self.edges[i], self.edges[i + 1]
-        return _clenshaw(self.coeffs[i], (2.0 * s - a - b) / (b - a)) * omega**self.power
+        return i, (2.0 * s - a - b) / (b - a)
 
-    def error(self, omega: float) -> float:
-        """Estimated |Phi_table - Phi| at omega (the first panel's below omega_lo)."""
-        if omega > self.omega_hi:
-            return 0.0
-        return self.errors[self._panel(math.log(omega))] * omega**self.power
+    def __call__(self, omega):
+        omega = np.asarray(omega, dtype=float)
+        i, x = self._panels(omega)
+        h = np.where(omega < self.omega_lo, self.head,
+                     _clenshaw(np.moveaxis(self.coeffs[i], -1, 0), x))
+        return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
+
+    def error(self, omega):
+        """Estimated |Phi_table - Phi| at each omega (the first panel's below omega_lo)."""
+        omega = np.asarray(omega, dtype=float)
+        i, _ = self._panels(omega)
+        return np.where(omega > self.omega_hi, 0.0, self.errors[i] * omega**self.power)
 
 
 @dataclass(frozen=True)
@@ -607,8 +491,8 @@ def tabulate_phi(
             )
         mid = 0.5 * (a + b)
         panels[i:i + 1] = [panel(a, mid), panel(mid, b)]
-    coeffs = tuple(p.coeffs for p in panels)
     return PhiTable(
-        omega_lo, omega_hi, (s_lo, *(p.b for p in panels)), coeffs,
-        tuple(p.error for p in panels), power, _clenshaw(coeffs[0], -1.0),
+        omega_lo, omega_hi, np.array([s_lo, *(p.b for p in panels)]),
+        np.array([p.coeffs for p in panels]), np.array([p.error for p in panels]), power,
+        _clenshaw(panels[0].coeffs, -1.0),
     )

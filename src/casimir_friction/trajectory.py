@@ -66,8 +66,10 @@ def _sin_over(x: float, tau: float) -> float:
     return tau * np.sinc(x * tau / math.pi)
 
 
-def qhat_closed_form(omega: float, omega_v: float, traj: LoopTrajectory) -> float:
+def qhat_closed_form(omega, omega_v: float, traj: LoopTrajectory):
     """Closed-form transform of exp(i*omega_v*q(t)) - 1 (real-valued).
+
+    At alpha = inf, ``omega`` may be an array.
 
     Raises
     ------
@@ -76,7 +78,7 @@ def qhat_closed_form(omega: float, omega_v: float, traj: LoopTrajectory) -> floa
         (poles of the two-term representation).
     """
     tau = traj.tau
-    if omega == 0.0:
+    if np.any(omega == 0.0):
         raise DomainError("qhat_closed_form is singular at omega = 0")
     if omega_v == 0.0:
         return 0.0
@@ -93,8 +95,11 @@ def qhat_closed_form(omega: float, omega_v: float, traj: LoopTrajectory) -> floa
     return 2.0 * (term1 - term2)
 
 
-def finite_tau_kernel(omega: float, omega_v: float, traj: LoopTrajectory) -> float:
-    """(omega/4) sum_{n=+-1} |qhat(omega, n*omega_v)|^2 at finite tau."""
+def finite_tau_kernel(omega, omega_v: float, traj: LoopTrajectory):
+    """(omega/4) sum_{n=+-1} |qhat(omega, n*omega_v)|^2 at finite tau.
+
+    At alpha = inf, ``omega`` may be an array.
+    """
     qp = qhat_closed_form(omega, omega_v, traj)
     qm = qhat_closed_form(omega, -omega_v, traj)
     return 0.25 * omega * (qp * qp + qm * qm)
@@ -132,8 +137,8 @@ def delta_limit_convergence(omega_v: float, taus: list[float]) -> list[dict]:
     for tau in taus:
         traj = LoopTrajectory(tau=tau, alpha=math.inf)
 
-        def integrand(w: float) -> float:
-            g = math.exp(-0.5 * ((w - omega_v) / sigma) ** 2)
+        def integrand(w):
+            g = np.exp(-0.5 * ((w - omega_v) / sigma) ** 2)
             return finite_tau_kernel(w, omega_v, traj) * g
 
         value, _ = integrate_finite(integrand, lo, hi, CONVERGENCE_SPEC)

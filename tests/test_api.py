@@ -8,7 +8,7 @@ from casimir_friction import (
 
 PUBLIC = {
     "CONST", "DEFAULT_SPEC", "NESTED_SPEC", "PhysicalConstants", "QuadratureSpec",
-    "DomainError", "NonConvergence", "integrate_finite", "integrate_semi_infinite",
+    "DomainError", "NonConvergence",
     "Drude", "Tabulated", "SingularResponse", "response_R", "surface_response",
     "LoopTrajectory", "qhat_closed_form", "finite_tau_kernel", "delta_limit_convergence",
     "ThermalState", "im_r_dissipation_integral", "phi_slope",

@@ -124,6 +124,26 @@ def test_force_numerical_failure_exits_3(capsys):
     assert " at omega=" in err  # the coordinate k_x v at which Phi failed
 
 
+#: A T = 0 general force on a narrow line, whose Phi table holds many narrow panels
+#: inside the point's band: a k_x rule cut only at the resonances failed on their edges.
+KINKED_ARGS = ["force", "--model", "drude", "--wp-ev", "4.9555017756573285",
+               "--nu-ev", "0.0024151963478304737", "--gap-nm", "1.0454794467392023",
+               "--velocity", "67900020.93075527", "--temp-k", "zero", "--regime", "general"]
+
+
+def test_general_force_across_many_table_panels_converges(capsys):
+    forces = {}
+    for extra in ([], ["--rtol", "1e-9"]):
+        code, out, err = run_cli(capsys, [*KINKED_ARGS, *extra])
+        assert code == 0, err
+        doc = json.loads(out)
+        forces[tuple(extra)] = (doc["force_per_area_N_m2"],
+                                doc["diagnostics"]["quadrature_rel_err"])
+    (force, rel_err), (tight, _) = forces[()], forces[("--rtol", "1e-9")]
+    assert math.isfinite(force) and force > 0
+    assert abs(force - tight) <= rel_err * force
+
+
 #: Finite inputs at which a float division by zero or overflow stops the run, each
 #: with the level and the quantity its exit-3 line names.
 FLOAT_FAILURES = [
@@ -942,6 +962,19 @@ def test_console_entry_subprocess():
     assert doc["force_per_area_N_m2"] > 0
     # stdout carries exactly one machine-readable document
     assert proc.stdout.count('"force_per_area_N_m2"') == 1
+
+
+def test_general_force_leaves_scipy_integrate_unloaded():
+    # the package's one quadrature rule is its own; scipy serves K1 alone
+    code = ("import sys, casimir_friction.cli as cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general"],
+        capture_output=True, text=True, timeout=120, env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_argparse_errors_exit_2():
