@@ -25,12 +25,6 @@ from .material import (
     response_R,
     surface_response,
 )
-from .trajectory import (
-    LoopTrajectory,
-    delta_limit_convergence,
-    finite_tau_kernel,
-    qhat_closed_form,
-)
 from .response import (
     ThermalState,
     im_r_dissipation_integral,
@@ -57,7 +51,6 @@ __all__ = [
     "DomainError",
     "Drude",
     "FrictionResult",
-    "LoopTrajectory",
     "NESTED_SPEC",
     "NonConvergence",
     "PhysicalConstants",
@@ -67,9 +60,7 @@ __all__ = [
     "Tabulated",
     "ThermalState",
     "consistency_report",
-    "delta_limit_convergence",
     "dissipation_general",
-    "finite_tau_kernel",
     "force_linear",
     "force_plasmon",
     "force_zero_t",
@@ -77,7 +68,6 @@ __all__ = [
     "pendry_force",
     "phi_slope",
     "phi_table",
-    "qhat_closed_form",
     "response_R",
     "surface_response",
 ]

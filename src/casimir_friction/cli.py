@@ -1,4 +1,4 @@
-"""Command-line interface: force, spectrum, dissipate, compare, sweep.
+"""Command-line interface: force, spectrum, compare, sweep.
 
 Conventions
 -----------
@@ -19,8 +19,10 @@ Conventions
   any ArithmeticError, such as a float overflow at extreme finite inputs:
   one `numerical failure: ...` line, naming the quantity that failed and
   its level) or a failed `compare` check.
-- The `zero-t` and `plasmon` closed forms need a Drude material; a
-  tabulated one exits 2 for them, also when `--regime auto` chose them.
+- A tabulated material takes only `--regime linear`.  The `zero-t` and
+  `plasmon` closed forms need a Drude material, and a tabulated one exits
+  2 for them, also when `--regime auto` chose them; so does `general`,
+  whose Phi integrates Im R from omega = 0, below any table's first node.
 - A force takes a material, a gap, a temperature and a velocity, and
   nothing else: the paper's oscillator densities cancel out of every
   force, so only `spectrum` takes one (--rho1, for its density
@@ -69,11 +71,6 @@ from .friction import (
     phi_table,
 )
 from .compare import RATIO_COEFFICIENT, consistency_report
-from .trajectory import (
-    LoopTrajectory,
-    delta_limit_convergence,
-    qhat_closed_form,
-)
 
 
 class CLIError(ValueError):
@@ -140,16 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-min-ev", type=float, help="grid lower bound hbar*omega (eV)")
     p.add_argument("--omega-max-ev", type=float, help="grid upper bound hbar*omega (eV)")
     p.add_argument("--points", type=int, default=200, help="number of log-spaced grid points")
-
-    p = command("dissipate", cmd_dissipate,
-                "finite-loop transform profiles and delta-limit convergence")
-    p.add_argument("--tau", type=float, help="loop half-duration (s)")
-    p.add_argument("--alpha", default="inf", help="return-stroke ratio (float or 'inf')")
-    p.add_argument("--omega-v", type=float, help="sliding frequency (rad/s)")
-    p.add_argument("--doublings", type=int, default=3,
-                   help="tau doublings in the convergence table")
-    p.add_argument("--profile-points", type=int, default=41,
-                   help="points in the |qhat|^2 profile")
 
     p = command("compare", cmd_compare, "consistency report against literature closed forms")
     _add_material(p, ["drude"])
@@ -260,9 +247,9 @@ def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: fl
     elif regime == "zero-t" and not thermal.is_zero:
         raise CLIError("--regime zero-t contradicts a finite --temp-k")
     if regime in ("zero-t", "plasmon") and not isinstance(material, Drude):
-        other = "general" if thermal.is_zero else "linear or --regime general"
-        raise CLIError(f"the {regime} closed form needs a drude material; "
-                       f"use --regime {other}")
+        advice = ("no regime takes a tabulated material at T = 0" if thermal.is_zero
+                  else "use --regime linear")
+        raise CLIError(f"the {regime} closed form needs a drude material; {advice}")
     return regime
 
 
@@ -366,59 +353,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             float(w), eps.real, eps.imag, r.imag, -r.imag * norm
         )))
     print("\n".join(lines))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# dissipate
-
-
-def cmd_dissipate(args: argparse.Namespace) -> int:
-    tau = _checked(args.tau, "--tau")
-    omega_v = _checked(args.omega_v, "--omega-v", zero_ok=True)
-    raw_alpha = str(args.alpha).strip().lower()
-    alpha = math.inf if raw_alpha in ("inf", "infinite") else float(raw_alpha)
-    if not alpha > 0:
-        raise CLIError(f"--alpha must be > 0 or 'inf', got {alpha}")
-    if args.doublings < 1 or args.profile_points < 1:
-        raise CLIError("--doublings and --profile-points must be >= 1")
-
-    traj = LoopTrajectory(tau=tau, alpha=alpha)
-    w_ref = omega_v if omega_v > 0 else 1.0 / tau
-    grid = np.linspace(0.2 * w_ref, 2.0 * w_ref, args.profile_points)
-    profile = []
-    for w in grid:
-        q = qhat_closed_form(float(w), omega_v, traj) if omega_v > 0 else 0.0
-        profile.append({"omega": float(w), "qhat_sq": float(q * q)})
-
-    convergence = []
-    if omega_v > 0:
-        taus = [tau * 2.0**k for k in range(args.doublings + 1)]
-        convergence = delta_limit_convergence(omega_v, taus)
-
-    alpha_rows = []
-    if omega_v > 0:
-        # the finite-alpha correction oscillates inside a 1/alpha envelope,
-        # so average over a dense grid and take 4x alpha steps
-        dense = np.linspace(0.2 * w_ref, 2.0 * w_ref, 401)
-        inf_traj = LoopTrajectory(tau=tau, alpha=math.inf)
-        ref = np.array([qhat_closed_form(float(w), omega_v, inf_traj) for w in dense])
-        scale = float(np.mean(np.abs(ref)))
-        for a in (5.0, 20.0, 80.0, 320.0):
-            fin = LoopTrajectory(tau=tau, alpha=a)
-            diff = float(np.mean([
-                abs(qhat_closed_form(float(w), omega_v, fin) - r)
-                for w, r in zip(dense, ref)
-            ]))
-            alpha_rows.append({"alpha": a, "mean_rel_diff": diff / scale})
-
-    doc = {
-        "inputs": {"tau": tau, "alpha": raw_alpha, "omega_v": omega_v},
-        "qhat_profile": profile,
-        "delta_convergence": convergence,
-        "alpha_convergence": alpha_rows,
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 

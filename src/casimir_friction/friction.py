@@ -40,8 +40,9 @@ band 1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
 resonances omega_sp and 2 omega_sp, and refined by the kernels of the
 forces it serves, in at most `response.TABLE_MAX_PANELS` (64) panels.
 It asks `response.im_r_dissipation_integral` for the 16 nodes of a
-panel in one call (`_phi_closure`), each to 1e-3 of ``spec.rel_tol``
-(`response.PHI_TOL`), with an error estimate per node.
+panel in one call, each to 1e-3 of ``spec.rel_tol``
+(`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
+plates only, so a general force on a tabulated material is a TypeError.
 `dissipation_general` reads Phi from the table it is given, or builds
 one for its own (v, d).  Its k_x integral is one
 `numerics.integrate_semi_infinite` over an array integrand, by the
@@ -231,15 +232,6 @@ def _ky_integral(kx, d: float):
     return kx * k1e(x) * np.exp(-x)
 
 
-def _phi_closure(material1, material2, thermal: ThermalState, spec: QuadratureSpec):
-    """omegas -> (Phi, error estimate) at each, for these plates and this temperature."""
-
-    def phi_of(omegas):
-        return im_r_dissipation_integral(omegas, material1, material2, thermal, spec)
-
-    return phi_of
-
-
 def _kernel_band(v: float, d: float) -> tuple[float, float]:
     """The omega range a Phi table must cover for one (v, d) point.
 
@@ -330,9 +322,11 @@ def phi_table(
     steps = max(math.ceil(math.log10(high / low) - 1e-9), 1)
     kernels = [_kernel(s) for s in sorted({low * (high / low) ** (k / steps)
                                            for k in range(steps + 1)})]
-    phi = _phi_closure(material1, material2, thermal, spec)
-    table = tabulate_phi(phi, lo, hi, 3 if thermal.is_zero else 1, kernels, resonances,
-                         spec.rel_tol)
+    # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
+    table = tabulate_phi(
+        lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
+        lo, hi, 3 if thermal.is_zero else 1, kernels, resonances, spec.rel_tol,
+    )
     return SharedPhi(material1, material2, thermal, table)
 
 
@@ -347,10 +341,10 @@ def dissipation_general(
 ) -> FrictionResult:
     """Friction force from the full k-space/spectral dissipation integral.
 
-    Valid at any temperature and velocity with continuous material
-    responses.  Phi is read from a table: ``phi`` (from `phi_table`,
-    for these materials and temperature and a range that covers v and
-    d), or else one built for this (v, d) alone.  The k_x integral is
+    Valid at any temperature and velocity, for Drude plates.  Phi is
+    read from a table: ``phi`` (from `phi_table`, for these materials
+    and temperature and a range that covers v and d), or else one built
+    for this (v, d) alone.  The k_x integral is
     one `numerics.integrate_semi_infinite` on the exponential scale
     1/(2d), cut at every panel edge of the table (the resonances of Phi
     among them) inside the point's kernel band; the k_y integral is the
@@ -366,6 +360,8 @@ def dissipation_general(
         which Phi failed or the omega interval its table could not
         resolve, a "k_x" failure the k_x interval (1/m) on which the
         rule failed and the matching omega = k_x v.
+    TypeError
+        If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
     ValueError
         If ``phi`` was built for other materials or temperature, or for
         a range that does not cover v and d.

@@ -10,9 +10,9 @@ tolerance (`_integrate`).  It runs many integrals at once, each over its
 own segments, with one call of the integrand per refinement round:
 `response` builds Phi(omega) with it directly.  `integrate_finite` and
 `integrate_semi_infinite` are its fronts for one integral (the k_x
-integral of the general force, the test-function integral of
-`trajectory`); their integrands take arrays of nodes, and each is cut
-at the integral's interior points where the integrand has a kink.
+integral of the general force; the tests' delta-limit oracle integrates
+on the finite one); their integrands take arrays of nodes, and each is
+cut at the integral's interior points where the integrand has a kink.
 Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 

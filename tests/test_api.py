@@ -1,16 +1,19 @@
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
 
 import casimir_friction
-from casimir_friction import (
-    compare, friction, geometry, material, numerics, response, trajectory,
-)
+from casimir_friction import compare, friction, geometry, material, numerics, response
+from casimir_friction.cli import main
 
 PUBLIC = {
     "CONST", "DEFAULT_SPEC", "NESTED_SPEC", "PhysicalConstants", "QuadratureSpec",
     "DomainError", "NonConvergence",
     "Drude", "Tabulated", "SingularResponse", "response_R", "surface_response",
-    "LoopTrajectory", "qhat_closed_form", "finite_tau_kernel", "delta_limit_convergence",
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
     "PlateConfig",
     "Diagnostics", "FrictionResult",
@@ -34,7 +37,6 @@ DELETED = {
         "k_moment", "angular_kx_moment", "radial_moment",
         "psi_hat", "g_hat", "g_hat_z_integrated", "UnequalDensities",
     ),
-    trajectory: ("DeltaKernel", "delta_kernel_I", "loop_position", "qhat_numeric"),
     friction: ("_rho_slope_product", "ValidityWarning"),
     compare: ("LiteratureParams",),
 }
@@ -66,14 +68,9 @@ def test_unread_fields_are_gone():
         return {f.name for f in dataclasses.fields(cls)}
 
     assert fields(numerics.QuadratureSpec) == {"rel_tol", "max_subdivisions"}
-    assert fields(trajectory.LoopTrajectory) == {"tau", "alpha"}
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
-    assert not hasattr(trajectory.LoopTrajectory, "support")
     assert not hasattr(friction.Diagnostics, "flag")
-    assert list(inspect.signature(trajectory.delta_limit_convergence).parameters) == [
-        "omega_v", "taus",
-    ]
     # callers pass the general force's arguments by position; the Phi table comes last
     assert list(inspect.signature(friction.dissipation_general).parameters) == [
         "material1", "material2", "config", "thermal", "v", "spec", "phi",
@@ -82,3 +79,27 @@ def test_unread_fields_are_gone():
     assert list(inspect.signature(compare.pendry_force).parameters) == [
         "sigma_over_eps0", "d", "v",
     ]
+
+
+def test_the_package_is_its_force_path(capsys):
+    # the closed loop and its transform are test oracles (tests/oracles.py)
+    modules = {m.name for m in pkgutil.iter_modules(casimir_friction.__path__)}
+    assert modules == {
+        "__main__", "cli", "compare", "friction", "geometry", "material", "numerics", "response",
+    }
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("casimir_friction.trajectory")
+    with pytest.raises(SystemExit) as exc:
+        main(["dissipate", "--tau", "50", "--omega-v", "1.0"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dissipate'" in capsys.readouterr().err
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (## Library)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 6
+    assert printed[0].endswith(" LinearFiniteT")
+    assert printed[1].startswith("True ") and printed[2] == "True"

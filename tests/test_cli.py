@@ -283,16 +283,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 
 def test_config_file_can_supply_subcommand_inputs(capsys, tmp_path):
-    path = tmp_path / "dissipate.json"
-    path.write_text(json.dumps({"tau": 50.0, "omega_v": 1.0, "doublings": 1}),
-                    encoding="utf-8")
-    code, out, _ = run_cli(capsys, ["dissipate", "--config", str(path)])
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"wp_ev": 9.0, "nu_ev": 0.035, "points": 2}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["spectrum", "--config", str(path)])
     assert code == 0
-    assert len(json.loads(out)["delta_convergence"]) == 2
+    assert len(out.strip().split("\n")) == 3
 
-    code, _, err = run_cli(capsys, ["dissipate", "--tau", "10"])
+    code, _, err = run_cli(capsys, ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300"])
     assert code == 2
-    assert "omega-v" in err
+    assert "--velocity" in err
 
     code, _, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--gap-nm", "10",
                                     "--temp-k", "zero", "--param", "velocity"])
@@ -359,13 +358,11 @@ SWEEP_ARGS = ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--regime", "linear", "--param"
      "log scale requires positive bounds"),
     ([*SWEEP_ARGS, "--from", "1", "--to", "-2", "--scale", "log"],
      "log scale requires positive bounds"),
-    (["dissipate", "--tau", "10", "--omega-v", "1", "--doublings", "0"],
-     "--doublings and --profile-points must be >= 1"),
     (["spectrum", "--wp-ev", "0", "--nu-ev", "0.035"],
      "need --omega-min-ev/--omega-max-ev for this material"),
 ], ids=["config-unreadable", "config-not-object", "tabulated-no-csv", "csv-unreadable",
         "csv-malformed", "temp-k-missing", "temp-k-abc", "sweep-no-param", "spectrum-points-0",
-        "sweep-points-0", "log-from-0", "log-to-negative", "doublings-0", "vacuum-no-bounds"])
+        "sweep-points-0", "log-from-0", "log-to-negative", "vacuum-no-bounds"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     (tmp_path / "LIST.json").write_text("[1, 2]", encoding="utf-8")
     (tmp_path / "BAD.csv").write_text("omega,re,im\n1e12,1,0\n1e13,1,0\n", encoding="utf-8")
@@ -416,7 +413,6 @@ FLAGS = {
         "--config", "--model", "--wp-ev", "--nu-ev", "--eps-csv", "--rho1",
         "--omega-min-ev", "--omega-max-ev", "--points",
     },
-    "dissipate": {"--config", "--tau", "--alpha", "--omega-v", "--doublings", "--profile-points"},
     "compare": {
         "--config", "--model", "--wp-ev", "--nu-ev", "--gap-nm", "--temp-k", "--velocity",
     },
@@ -439,7 +435,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
               for name in ("force", "spectrum", "compare", "sweep")}
     assert models == {"force": ["drude", "tabulated"], "spectrum": ["drude", "tabulated"],
                       "compare": ["drude"], "sweep": ["drude", "tabulated"]}
-    assert sum(len(flags) for flags in FLAGS.values()) == 49
+    assert sum(len(flags) for flags in FLAGS.values()) == 43
 
 
 @pytest.mark.parametrize("argv", [
@@ -500,14 +496,17 @@ def test_material_flag_the_model_does_not_read_exits_2(capsys, tmp_path, argv):
 THREE_NODE_TABLE = "omega_rad_s,eps_re,eps_im\n1e12,-1e6,1e5\n1e14,-1e3,1e2\n1e17,0.5,0.1\n"
 
 
-@pytest.mark.parametrize("state, regime, other", [
-    (["--temp-k", "zero", "--velocity", "1"], "auto", "--regime general"),
+NO_REGIME = "no regime takes a tabulated material at T = 0"
+
+
+@pytest.mark.parametrize("state, regime, advice", [
+    (["--temp-k", "zero", "--velocity", "1"], "auto", NO_REGIME),
     # discriminator 1.6e-2 at 300 K, 10 nm, 1e7 m/s: auto picks zero-t
-    (["--temp-k", "300", "--velocity", "1e7"], "auto", "--regime linear or --regime general"),
-    (["--temp-k", "zero", "--velocity", "1"], "zero-t", "--regime general"),
-    (["--temp-k", "300", "--velocity", "1"], "plasmon", "--regime linear or --regime general"),
+    (["--temp-k", "300", "--velocity", "1e7"], "auto", "use --regime linear"),
+    (["--temp-k", "zero", "--velocity", "1"], "zero-t", NO_REGIME),
+    (["--temp-k", "300", "--velocity", "1"], "plasmon", "use --regime linear"),
 ], ids=["auto-zero", "auto-300K", "zero-t", "plasmon"])
-def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime, other):
+def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime, advice):
     table = tmp_path / "T.csv"
     table.write_text(THREE_NODE_TABLE, encoding="utf-8")
     argv = ["force", "--model", "tabulated", "--eps-csv", str(table), "--gap-nm", "10", *state,
@@ -515,7 +514,7 @@ def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines()[-1].startswith("error: ") and err.endswith(f"use {other}\n")
+    assert err.splitlines()[-1].startswith("error: ") and err.endswith(f"; {advice}\n")
     assert "force_zero_t" not in err
     if regime == "auto" and state[1] != "zero":
         # at finite T with a discriminator >= 1, auto still computes the linear force
@@ -523,6 +522,25 @@ def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime
         code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert json.loads(out)["regime"] == "LinearFiniteT"
+
+
+@pytest.mark.parametrize("temp", ["300", "zero"])
+@pytest.mark.parametrize("command", ["force", "sweep"])
+def test_general_force_on_a_table_exits_2(capsys, tmp_path, temp, command):
+    # Phi integrates Im R from omega = 0, below a table's first node, even one at 1e-30 rad/s
+    table = tmp_path / "T.csv"
+    table.write_text("omega_rad_s,eps_re,eps_im\n1e-30,-1e6,1e5\n1e17,0.5,0.1\n",
+                     encoding="utf-8")
+    argv = [command, "--model", "tabulated", "--eps-csv", str(table), "--gap-nm", "10",
+            "--temp-k", temp, "--velocity", "1", "--regime", "general"]
+    if command == "sweep":
+        argv += ["--param", "velocity", "--from", "1", "--to", "10", "--points", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Phi (the general force) requires Drude plates: ")
+    assert "below the first node of a tabulated material" in err
+    assert "extrapolation forbidden" not in err
 
 
 def test_spectrum_rho1_scales_the_density_column(capsys):
@@ -623,21 +641,17 @@ def test_spectrum_tabulated_default_range_is_the_table(capsys, tmp_path):
     assert omega[0] == grid[0] and omega[-1] == grid[-1]
 
 
-DISSIPATE_ARGS = ["dissipate", "--tau", "10", "--omega-v", "1", "--alpha", "30"]
 SPECTRUM_ARGS = ["spectrum", *DRUDE_ARGS, "--rho1", "1e28", "--omega-min-ev", "0.01",
                  "--omega-max-ev", "10", "--points", "3"]
 
 
-@pytest.mark.parametrize("base, flag, value", [
-    pytest.param(base, flag, value, id=f"{base[0]}{flag}={value}")
-    for base, flags in ((DISSIPATE_ARGS, ("--tau", "--omega-v", "--alpha")),
-                        (SPECTRUM_ARGS, ("--wp-ev", "--nu-ev", "--rho1", "--omega-min-ev",
-                                         "--omega-max-ev")))
-    for flag in flags for value in ("inf", "nan")
-    if (flag, value) != ("--alpha", "inf")  # alpha = inf is the open loop
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"spectrum{flag}={value}")
+    for flag in ("--wp-ev", "--nu-ev", "--rho1", "--omega-min-ev", "--omega-max-ev")
+    for value in ("inf", "nan")
 ])
-def test_dissipate_and_spectrum_non_finite_input_exits_2(capsys, base, flag, value):
-    argv = list(base)
+def test_dissipate_and_spectrum_non_finite_input_exits_2(capsys, flag, value):
+    argv = list(SPECTRUM_ARGS)
     argv[argv.index(flag) + 1] = value
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -646,33 +660,6 @@ def test_dissipate_and_spectrum_non_finite_input_exits_2(capsys, base, flag, val
     assert out == ""
     assert flag in err
     assert not caught
-
-
-def test_dissipate_convergence_table(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["dissipate", "--tau", "50", "--alpha", "inf", "--omega-v", "1.0",
-         "--doublings", "2", "--profile-points", "11"],
-    )
-    assert code == 0
-    doc = json.loads(out)
-    rows = doc["delta_convergence"]
-    assert len(rows) == 3
-    assert rows[1]["ratio_vs_prev"] == pytest.approx(2.0, abs=0.2)
-    assert rows[2]["ratio_vs_prev"] == pytest.approx(2.0, abs=0.2)
-    alphas = doc["alpha_convergence"]
-    diffs = [r["mean_rel_diff"] for r in alphas]
-    assert all(a > b for a, b in zip(diffs, diffs[1:]))  # monotone in alpha
-
-
-def test_dissipate_zero_omega_v(capsys):
-    code, out, _ = run_cli(
-        capsys, ["dissipate", "--tau", "10", "--omega-v", "0"],
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert all(p["qhat_sq"] == 0.0 for p in doc["qhat_profile"])
-    assert doc["delta_convergence"] == []
 
 
 def test_compare_all_checks_true(capsys):

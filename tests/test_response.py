@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casimir_friction.numerics import CONST, DEFAULT_SPEC, QuadratureSpec
-from casimir_friction.material import Drude, surface_response
+from casimir_friction.material import Drude, Tabulated, surface_response
 from casimir_friction.response import (
     ThermalState,
     im_r_dissipation_integral,
@@ -26,6 +26,15 @@ def test_thermal_state():
     assert COLD.is_zero and math.isinf(COLD.beta)
     with pytest.raises(ValueError):
         ThermalState.finite(0.0)
+
+
+@pytest.mark.parametrize("thermal", [ROOM, COLD], ids=["300K", "T=0"])
+def test_phi_refuses_a_tabulated_plate(thermal):
+    # Phi needs Im R on all of (0, omega): no table reaches omega = 0
+    table = Tabulated(omega=np.array([1e-30, 1e17]), eps=np.array([-1e6 - 1e5j, 0.5 - 0.1j]))
+    for plates in ((table, table), (GOLD, table), (table, GOLD)):
+        with pytest.raises(TypeError, match="requires Drude plates"):
+            im_r_dissipation_integral(np.array([1e13, 1e15]), *plates, thermal)
 
 
 def test_phi_causality_and_zero_time():

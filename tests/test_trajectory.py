@@ -1,16 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from casimir_friction.numerics import DomainError
-from casimir_friction.trajectory import (
+from oracles import (
     LoopTrajectory,
     delta_limit_convergence,
     finite_tau_kernel,
+    loop_position,
     qhat_closed_form,
+    qhat_numeric,
 )
-from oracles import loop_position, qhat_numeric
 
 TRAJ = LoopTrajectory(tau=10.0, alpha=50.0)
 TRAJ_INF = LoopTrajectory(tau=10.0)
@@ -58,6 +60,8 @@ def test_qhat_zero_omega_v():
         for w in (0.3, 1.1, 4.0):
             assert qhat_closed_form(w, 0.0, traj) == 0.0
     assert qhat_numeric(1.1, 0.0, TRAJ) == 0.0
+    with pytest.raises(DomainError):
+        delta_limit_convergence(0.0, [50.0])
 
 
 def test_qhat_alpha_inf_form():
@@ -148,8 +152,24 @@ def test_delta_limit_convergence_halves_error():
     assert rows[0]["prediction"] == pytest.approx(math.pi * 50.0)
 
 
+def test_finite_alpha_profile_converges_to_alpha_inf():
+    # the slow return strokes' correction oscillates inside a 1/alpha envelope,
+    # so average over a dense grid and take 4x alpha steps
+    tau, omega_v = 50.0, 1.0
+    dense = np.linspace(0.2 * omega_v, 2.0 * omega_v, 401)
+    ref = qhat_closed_form(dense, omega_v, LoopTrajectory(tau=tau))
+    scale = np.mean(np.abs(ref))
+    diffs = []
+    for alpha in (5.0, 20.0, 80.0, 320.0):
+        fin = LoopTrajectory(tau=tau, alpha=alpha)
+        closed = np.array([qhat_closed_form(float(w), omega_v, fin) for w in dense])
+        diffs.append(np.mean(np.abs(closed - ref)) / scale)
+    assert all(a > b for a, b in zip(diffs, diffs[1:]))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         LoopTrajectory(tau=0.0)
     with pytest.raises(ValueError):
         LoopTrajectory(tau=1.0, alpha=0.0)
+    assert {f.name for f in dataclasses.fields(LoopTrajectory)} == {"tau", "alpha"}
