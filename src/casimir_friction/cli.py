@@ -29,7 +29,8 @@ Conventions
   column).  The sharp plasmon line is `--regime plasmon` on a Drude
   metal, with omega_sp = omega_p / sqrt(2).  A material flag the chosen
   --model does not read (--wp-ev/--nu-ev with `tabulated`, --eps-csv
-  with `drude`) exits 2.
+  with `drude`) exits 2, and so does --meta with `force --format csv`,
+  whose document has no place for run metadata.
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
   with more than one point tabulates Phi once from the grid's extremes
@@ -55,9 +56,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec
+from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec, np
 from .material import Drude, Tabulated, surface_response
 from .geometry import PlateConfig
 from .response import ThermalState
@@ -300,6 +299,8 @@ def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -
 
 
 def cmd_force(args: argparse.Namespace) -> int:
+    if args.meta and args.format == "csv":
+        raise CLIError("--meta is read only by --format json")
     result, regime = _force(args, build_material(args), build_thermal(args.temp_k))
     _note_flags(result.diagnostics.validity_flags)
     if args.format == "csv":

@@ -31,9 +31,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import DomainError, float_guard
+from .numerics import DomainError, float_guard, np
 
 
 class SingularResponse(ArithmeticError):

@@ -20,17 +20,41 @@ onto [0, 1) with
 
 where ``s`` is the expected decay scale of the integrand; the transform
 is exact for pure exponential tails.
+
+numpy is bound lazily: `np` here is the module that
+``importlib.util.LazyLoader`` puts in ``sys.modules``, which imports
+numpy at its first attribute access and is then numpy itself, so a call
+that never touches an array (the closed forms, `compare`) does not pay
+numpy's import.  The package's other modules take `np` from here, and
+the rule's constants are built on first use (`_rule`).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
+
+def _lazy(name: str):
+    """Module ``name``, imported at its first attribute access (the LazyLoader recipe)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 
 class DomainError(ValueError):
@@ -144,11 +168,17 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-# all 15 nodes, their Kronrod weights, and Kronrod minus Gauss weights
-_X = np.array([*(-x for x in _XGK[:7]), *_XGK[::-1]])
-_WK = np.array([*_WGK, *_WGK[6::-1]])
-_WD = _WK - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
-                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+
+
+@functools.cache
+def _rule():
+    """All 15 nodes, their Kronrod weights, and Kronrod minus Gauss weights, as arrays."""
+    nodes = np.array([*(-x for x in _XGK[:7]), *_XGK[::-1]])
+    wk = np.array([*_WGK, *_WGK[6::-1]])
+    wd = wk - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                        0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+    return nodes, wk, wd
+
 
 #: Segments a rule evaluates in one numpy pass, so that its arrays stay
 #: small: 15 nodes each.
@@ -162,13 +192,14 @@ _T_SEGMENTS = 8
 
 def _kronrod(f, a, b, owner):
     """K15 integrals of f over the segments [a, b], and |K15 - G7| on each."""
+    nodes, wk, wd = _rule()
     value, error = np.empty(a.size), np.empty(a.size)
     for start in range(0, a.size, _CHUNK):
         i = slice(start, start + _CHUNK)
         half = 0.5 * (b[i] - a[i])
-        y = f(0.5 * (a[i] + b[i])[:, None] + half[:, None] * _X, owner[i])
-        value[i] = half * (y * _WK).sum(axis=1)
-        error[i] = np.abs(half * (y * _WD).sum(axis=1))
+        y = f(0.5 * (a[i] + b[i])[:, None] + half[:, None] * nodes, owner[i])
+        value[i] = half * (y * wk).sum(axis=1)
+        error[i] = np.abs(half * (y * wd).sum(axis=1))
     return value, error
 
 

@@ -59,8 +59,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .material import Drude, surface_response
 from .numerics import (
     CONST,
@@ -70,6 +68,7 @@ from .numerics import (
     QuadratureSpec,
     _integrate,
     _segments,
+    np,
 )
 
 
@@ -152,7 +151,6 @@ def _im_r(material: Drude, omega):
     return surface_response(material, omega).imag
 
 
-@np.errstate(all="ignore")
 def im_r_dissipation_integral(
     omega_v,
     material1: Drude,
@@ -213,65 +211,65 @@ def im_r_dissipation_integral(
         raise TypeError("Phi (the general force) requires Drude plates: it integrates Im R "
                         "from omega = 0, below the first node of a tabulated material, "
                         "which is not extrapolated")
-    omega = np.abs(np.asarray(omega_v, dtype=float))
-    omegas = omega.ravel()
-    n = omegas.size
-    half = 0.5 * thermal.beta * CONST.hbar
-    scale = 1.0 / half  # the thermal scale 2/(beta hbar); inf at T = 0
-    if not (thermal.is_zero or math.isfinite(60.0 * scale)):
-        raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
-                           f"T = {thermal.temperature!r} K is past the float range", "omega1")
-    zero = np.zeros(n)
-    res1, res2 = _resonances(material1), _resonances(material2)
-    ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
-    channels = [("sum", material1, material2, _segments(
-        zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
-    if not thermal.is_zero:
-        # the low factor at u and the high one at u + omega; one term for equal plates
-        upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
-        terms = [(material1, material2)]
-        if material2 is not material1:
-            terms.append((material2, material1))
-        for low, high in terms:
-            res_l, res_h = _resonances(low), _resonances(high)
-            channels.append(("difference", low, high, _segments(
-                zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)])))
+    with np.errstate(all="ignore"):
+        omega = np.abs(np.asarray(omega_v, dtype=float))
+        omegas = omega.ravel()
+        n = omegas.size
+        half = 0.5 * thermal.beta * CONST.hbar
+        scale = 1.0 / half  # the thermal scale 2/(beta hbar); inf at T = 0
+        if not (thermal.is_zero or math.isfinite(60.0 * scale)):
+            raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
+                               f"T = {thermal.temperature!r} K is past the float range", "omega1")
+        zero = np.zeros(n)
+        res1, res2 = _resonances(material1), _resonances(material2)
+        ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
+        channels = [("sum", material1, material2, _segments(
+            zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
+        if not thermal.is_zero:
+            # the low factor at u and the high one at u + omega; one term for equal plates
+            upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
+            terms = [(material1, material2)]
+            if material2 is not material1:
+                terms.append((material2, material1))
+            for low, high in terms:
+                res_l, res_h = _resonances(low), _resonances(high)
+                channels.append(("difference", low, high, _segments(
+                    zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)])))
 
-    def integrand(x, owner):
-        y = np.empty_like(x)
-        bounds = np.searchsorted(owner, n * np.arange(len(channels) + 1))
-        for c, (kind, low, high, _) in enumerate(channels):
-            s = slice(bounds[c], bounds[c + 1])
-            if s.start == s.stop:
-                continue
-            u, w = x[s], omegas[owner[s] - c * n][:, None]
-            if kind == "sum":
-                y[s] = _im_r(low, u) * _im_r(high, w - u) * _coth_sum(half * u, half * (w - u))
-            else:
-                y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
-        return y
+        def integrand(x, owner):
+            y = np.empty_like(x)
+            bounds = np.searchsorted(owner, n * np.arange(len(channels) + 1))
+            for c, (kind, low, high, _) in enumerate(channels):
+                s = slice(bounds[c], bounds[c + 1])
+                if s.start == s.stop:
+                    continue
+                u, w = x[s], omegas[owner[s] - c * n][:, None]
+                if kind == "sum":
+                    y[s] = _im_r(low, u) * _im_r(high, w - u) * _coth_sum(half * u, half * (w - u))
+                else:
+                    y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
+            return y
 
-    def fail(j: int, why: str, *_) -> NonConvergence:
-        return NonConvergence(f"Phi ({channels[j // n][0]} channel) {why} "
-                              f"at omega={float(omegas[j % n])!r}", level="omega1")
+        def fail(j: int, why: str, *_) -> NonConvergence:
+            return NonConvergence(f"Phi ({channels[j // n][0]} channel) {why} "
+                                  f"at omega={float(omegas[j % n])!r}", level="omega1")
 
-    a = np.concatenate([seg[0] for *_, seg in channels])
-    b = np.concatenate([seg[1] for *_, seg in channels])
-    owner = np.concatenate([seg[2] + c * n for c, (*_, seg) in enumerate(channels)])
-    value, error = _integrate(integrand, a, b, owner, len(channels) * n,
-                              max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR),
-                              spec.max_subdivisions, fail)
-    value, error = value.reshape(-1, n), error.reshape(-1, n)
-    phi, err = value[0], error[0]
-    if len(channels) > 1:
-        last = -1 if len(channels) == 3 else 1  # equal plates: twice the one term
-        phi, err = phi + (value[1] + value[last]), err + (error[1] + error[last])
-    if omega.ndim == 0:
-        return float(phi[0]), float(err[0])
-    return phi.reshape(omega.shape), err.reshape(omega.shape)
+        a = np.concatenate([seg[0] for *_, seg in channels])
+        b = np.concatenate([seg[1] for *_, seg in channels])
+        owner = np.concatenate([seg[2] + c * n for c, (*_, seg) in enumerate(channels)])
+        value, error = _integrate(integrand, a, b, owner, len(channels) * n,
+                                  max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR),
+                                  spec.max_subdivisions, fail)
+        value, error = value.reshape(-1, n), error.reshape(-1, n)
+        phi, err = value[0], error[0]
+        if len(channels) > 1:
+            last = -1 if len(channels) == 3 else 1  # equal plates: twice the one term
+            phi, err = phi + (value[1] + value[last]), err + (error[1] + error[last])
+        if omega.ndim == 0:
+            return float(phi[0]), float(err[0])
+        return phi.reshape(omega.shape), err.reshape(omega.shape)
 
 
-@np.errstate(all="ignore")
 def phi_slope(
     im_r1: Callable,
     im_r2: Callable,
@@ -306,8 +304,6 @@ def phi_slope(
     lo, hi = float(nodes[0]), min(float(nodes[-1]), 60.0 / beta_hbar)
     if not lo < hi:
         return 0.0, 0.0
-    a, b, owner = _segments(np.array([lo]), np.array([hi]), [(0.0, 2.0 / beta_hbar)],
-                            [np.asarray(nodes, dtype=float)[None, :]])
 
     def integrand(w, _):
         return im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w)
@@ -315,7 +311,11 @@ def phi_slope(
     def fail(j: int, why: str, *_) -> NonConvergence:
         return NonConvergence(f"Phi_1 {why} on [{lo!r}, {hi!r}]")
 
-    value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol, spec.max_subdivisions, fail)
+    with np.errstate(all="ignore"):
+        a, b, owner = _segments(np.array([lo]), np.array([hi]), [(0.0, 2.0 / beta_hbar)],
+                                [np.asarray(nodes, dtype=float)[None, :]])
+        value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol,
+                                spec.max_subdivisions, fail)
     return beta_hbar * float(value[0]), beta_hbar * float(err[0])
 
 

@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,37 @@ def test_readme_library_block_runs(capsys):
     assert len(printed) == 6
     assert printed[0].endswith(" LinearFiniteT")
     assert printed[1].startswith("True ") and printed[2] == "True"
+
+
+#: In a fresh interpreter: load the benchmark's tracer from argv[1], import the
+#: CLI, and print what the tracer needs that is not there, then install it.
+TRACER_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import casimir_friction.cli
+layers = {layer for layer, _ in tracing.LAYER_FUNCTIONS}
+print(json.dumps({
+    "layers": sorted(layers),
+    "unloaded": sorted(l for l in layers if "casimir_friction." + l not in sys.modules),
+    "missing": [f"{l}.{f}" for l, f in tracing.LAYER_FUNCTIONS
+                if not callable(getattr(sys.modules.get("casimir_friction." + l), f, None))],
+}))
+tracing.Tracer().install()
+"""
+
+
+def test_the_benchmark_tracer_finds_every_layer_function():
+    # perfbench/tracing.py wraps each layer function where the package binds it,
+    # after `import casimir_friction.cli`: every layer module must be loaded by then
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    src = str(Path(casimir_friction.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(tracer)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["layers"] == ["cli", "compare", "friction", "material", "numerics", "response"]
+    assert report["unloaded"] == [] and report["missing"] == []

@@ -169,12 +169,15 @@ FLOAT_FAILURES = [
       "--temp-k", "zero", "--velocity", "1", "--regime", "zero-t"], "ZeroT_Cubic", "Phi_3 = "),
     (["spectrum", "--wp-ev", "1e-300", "--nu-ev", "0", "--points", "3"],
      "material", "eps = 1 + omega_p^2 / (xi (xi + nu)) at omega = "),
+    # k_x = 2 omega_sp / v underflows to 0, where K1 has its pole
+    (["force", "--model", "drude", "--wp-ev", "1e-300", "--gap-nm", "1e-300", "--temp-k",
+      "zero", "--velocity", "1e300", "--regime", "plasmon"], "PlasmonLine", "K1(x) e^x at x = "),
 ]
 
 
 # each case keeps its id when an earlier one leaves the list (case 10, a spectrum
 # bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2)
-@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11])
+@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12])
 def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quantity):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
@@ -245,6 +248,19 @@ def test_force_meta_flag(capsys):
     _, with_meta, _ = run_cli(capsys, [*argv, "--meta"])
     assert "meta" not in json.loads(plain)
     assert "timestamp" in json.loads(with_meta)["meta"]
+
+
+def test_meta_with_csv_exits_2(capsys, tmp_path):
+    # the CSV document has no place for run metadata, so --meta is a flag it does not read
+    argv = ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "linear", "--format", "csv"]
+    cfg = {"model": "drude", "wp_ev": 9, "nu_ev": 0.035, "gap_nm": 10, "temp_k": 300,
+           "velocity": 1, "regime": "linear", "format": "csv", "meta": True}
+    for args in ([*argv, "--meta"], ["force", "--config", _write_config(tmp_path, cfg)]):
+        code, out, err = run_cli(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == "error: --meta is read only by --format json\n"
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.startswith("force_per_area_N_m2,")
 
 
 def test_compare_exit_3_on_failed_check(capsys, monkeypatch):
@@ -962,6 +978,54 @@ def test_general_force_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+#: In a fresh interpreter: import the package, run each argv of argv[1] through
+#: cli.main, then the general force of argv[2].  Prints the numpy submodules and
+#: scipy modules loaded after each step (numpy itself may be a lazy placeholder),
+#: then the exit codes and the general force's stdout.
+COLD_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return [m for m in sys.modules if m.startswith(("numpy.", "scipy"))]
+import casimir_friction
+steps = {"import casimir_friction": (0, loaded())}
+from casimir_friction.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps[" ".join(argv)] = (main(argv), loaded())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[2]))
+print(json.dumps({"steps": steps, "general": [code, out.getvalue()]}))
+"""
+
+
+def test_closed_forms_load_neither_numpy_nor_scipy():
+    closed = [
+        ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", regime]
+        for regime in ("linear", "plasmon", "auto")
+    ] + [
+        ["force", *DRUDE_ARGS, *STATE_ARGS[:2], "--temp-k", "zero", *STATE_ARGS[4:],
+         "--regime", regime]
+        for regime in ("zero-t", "auto")
+    ] + [["compare", *DRUDE_ARGS, *STATE_ARGS]]
+    general = ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general"]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, json.dumps(closed), json.dumps(general)],
+        capture_output=True, text=True, timeout=120, env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["steps"]) == 1 + len(closed)
+    for step, (code, loaded) in report["steps"].items():
+        assert (code, loaded) == (0, []), step
+    # numpy and scipy then load on first use, and the general force is the one
+    # a fresh process prints
+    fresh = subprocess.run([sys.executable, "-m", "casimir_friction", *general],
+                           capture_output=True, text=True, timeout=120, env=cli_env())
+    assert report["general"] == [0, fresh.stdout]
+    assert fresh.returncode == 0
 
 
 def test_argparse_errors_exit_2():

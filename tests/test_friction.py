@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import k1
+from scipy.special import k1, k1e
 
 from casimir_friction import friction, numerics, response
 from casimir_friction.numerics import (
@@ -30,6 +30,7 @@ from casimir_friction.friction import (
     LINEAR_FINITE_T,
     PLASMON_LINE,
     ZERO_T_CUBIC,
+    _k1e,
     _ky_integral,
     dissipation_general,
     force_linear,
@@ -462,6 +463,27 @@ def test_ky_integral_matches_quadrature(x):
 
     value, _ = oracles.quad_semi_infinite(f, 0.0, 0.5 / d, ORACLE)
     assert _ky_integral(kx, d) == pytest.approx(value, rel=1e-10)
+
+
+def test_scalar_k1e_matches_scipy():
+    # the plasmon line's plain-Python K1(x) e^x, over every x its force evaluates
+    for x in np.logspace(-8.0, math.log10(700.0), 1001):
+        assert _k1e(float(x)) == pytest.approx(float(k1e(x)), rel=1e-13, abs=0.0)
+
+
+def test_plasmon_matches_the_array_ky_integral():
+    # force_plasmon sums K1 in plain Python; the general force's _ky_integral
+    # takes scipy's k1e on arrays: the two agree across the unsuppressed range
+    wsp = GOLD.omega_sp
+    for gap_nm in (0.1, 1.0, 10.0):
+        plate = PlateConfig(d=gap_nm * CONST.nm)
+        for x in np.logspace(-6.0, math.log10(699.0), 60):
+            v = 4.0 * wsp * plate.d / float(x)
+            kx = 2.0 * wsp / v
+            expected = (CONST.hbar * wsp**3 / (2.0 * math.pi * v * v)
+                        * float(_ky_integral(kx, plate.d)))
+            assert force_plasmon(wsp, plate, v).force_per_area == pytest.approx(
+                expected, rel=1e-13, abs=0.0)
 
 
 def test_plasmon_matches_bessel_oracle():
