@@ -43,6 +43,14 @@ It asks `response.im_r_dissipation_integral` for the 16 nodes of a
 panel in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
+For lossy, underdamped Drude plates the T = 0 part of Phi's sum channel
+is a closed form where its rounding bound holds that tolerance: a sum
+of 16 pole-pair logarithms from 1.1 omega_sp up (to about 20 omega_sp
+for a line 1e-3 omega_sp wide), and at T = 0 a power series up to
+omega_sp / 2.  There only the Bose-weighted rest of the sum channel and
+the difference channel are integrated, and the node's error estimate
+adds the closed form's rounding bound.  So a T = 0 force whose band
+lies in those windows integrates nothing but k_x.
 `dissipation_general` reads Phi from the table it is given, or builds
 one for its own (v, d).  Its k_x integral is one
 `numerics.integrate_semi_infinite` over an array integrand, by the
@@ -75,6 +83,7 @@ from .numerics import (
     CONST,
     NESTED_SPEC,
     DomainError,
+    FloatFailure,
     NonConvergence,
     QuadratureSpec,
     float_guard,
@@ -463,6 +472,9 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     with float_guard(PLASMON_LINE, f"K1(x) e^x at x = 4 omega_sp d / v = {x!r}"):
         ky_integral = kx * _k1e(x) * math.exp(-x)  # kx K1(2 d kx), as `_ky_integral`
     force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * ky_integral
+    if not math.isfinite(force):  # a float product overflows without raising
+        raise FloatFailure(f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
+                           f"d = {config.d!r} m, v = {v!r} m/s overflows", PLASMON_LINE)
     return FrictionResult(
         force_per_area=force,
         regime=PLASMON_LINE,

@@ -41,6 +41,25 @@ channels integrate Im R from omega = 0, below the first node of any
 tabulated material, and a table is not extrapolated.  `phi_slope` uses
 the same rule, and integrates a tabulated material over its own grid.
 
+For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp)
+the sum channel splits with coth x + coth y = 2 + 2 n(u) + 2 n(omega - u),
+n(u) = 1/(e^{beta hbar u} - 1).  Its T = 0 part
+Phi_0 = 2 Int_0^omega Im R1 Im R2 needs no quadrature: Im R is four
+simple poles at +-Omega +- i nu/2, so Phi_0 is a sum of 16 logarithm
+terms, used from 1.1 times both omega_sp up; at T = 0 its power series
+in omega^2 is used up to half the smaller omega_sp (`_phi0`, loaded at
+the first Phi).  Each carries a
+rounding bound, calibrated against 40-digit arithmetic, and is used only
+where that bound is within Phi's tolerance (the pole sum from 1.1 to
+about 20 omega_sp for a line 1e-3 omega_sp wide at the default 1e-9, to
+about 90 omega_sp for one 3e-2 omega_sp wide).  Where
+Phi_0 is used, the rule integrates only the Bose part,
+Int_0^min(omega, 60/(beta hbar)) Im R_a(u) Im R_b(omega - u) 2 n(u) du
+for (a, b) = (1, 2) and (2, 1), and the difference channel, and Phi's
+error is their estimates plus Phi_0's bound.  Elsewhere (between the
+two windows, at finite T below omega_sp, and for other plates) the
+sum channel is the coth-sum quadrature.
+
 A force evaluates Phi only at the nodes of a `PhiTable`
 (`tabulate_phi`), one panel of 16 nodes per call:
 h = Phi / omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
@@ -160,28 +179,32 @@ def im_r_dissipation_integral(
 ):
     """Phi at each omega_v: the thermally weighted Im R (x) Im R integral over both channels.
 
-    The sum channel Int_0^{|w|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
-    is one integral at every temperature: at T = 0 the factor is
-    exactly 2 and the difference channel is closed.  At finite T the
-    difference channel opens,
+    In the sum channel Int_0^{|w|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
+    the factor is exactly 2 at T = 0, where the difference channel is
+    closed.  For lossy, underdamped Drude plates its T = 0 part Phi_0
+    is taken without quadrature where that holds the tolerance
+    (`_phi0.sum_channel_zero_t`), and only the rest of its thermal factor,
+    2/expm1(beta hbar u) + 2/expm1(beta hbar (w - u)), is integrated, up
+    to beta hbar u = 60 (the Bose part).  At finite T the difference
+    channel opens,
 
         Int_0^U Im R1(u) Im R2(u + w) [coth(b(u)) - coth(b(u+w))] du
       + Int_0^U Im R1(u + w) Im R2(u) [coth(b(u)) - coth(b(u+w))] du,
 
     which carries the linear-in-v friction as omega_v -> 0; it is cut at
-    beta hbar U = 60, where the thermal factor has fallen below e^-60.
+    beta hbar U = 120, where the thermal factor has fallen below e^-120.
     For equal plates (``material2 is material1``) the two terms are one.
 
     Every integral, at every omega, is a composite G7/K15 rule refined
     by bisection (`_integrate`), all of them in one numpy pass per
     round.  The starting segments are graded toward each feature of
     the integrand, at c +- width 2^k: a Drude plate's resonance (width
-    nu) at omega_sp and at omega - omega_sp (sum channel) or
-    omega_sp - omega (difference channel); the thermal scale
-    2/(beta hbar) at both ends of the sum channel; the knee
-    u ~ min(omega, 2/(beta hbar)) of the difference channel.  Each
-    value is converged to
-    PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All
+    nu) at omega_sp and at omega - omega_sp (sum channel and its Bose
+    part) or omega_sp - omega (difference channel); the thermal scale
+    2/(beta hbar) at both ends of the sum channel and at 0 in its Bose
+    part; the knee u ~ min(omega, 2/(beta hbar)) of the difference
+    channel.  Each value is converged to PHI_TOL * ``spec.rel_tol``, or
+    1e-12 if that is larger.  All
     factors are evaluated in overflow-safe form; the result is >= 0
     for passive responses (Im R <= 0).
 
@@ -194,7 +217,8 @@ def im_r_dissipation_integral(
     -------
     (Phi, err_estimate)
         Floats for a scalar omega_v, else arrays of its shape; the error
-        is the sum of the segments' |K15 - G7|.
+        is the sum of the segments' |K15 - G7|, plus the rounding bound
+        of Phi_0 where it is taken without quadrature.
 
     Raises
     ------
@@ -221,20 +245,37 @@ def im_r_dissipation_integral(
             raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
                                f"T = {thermal.temperature!r} K is past the float range", "omega1")
         zero = np.zeros(n)
+        tol = max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR)
+        # compiled at the first Phi, not on the import of a closed-form CLI call
+        from ._phi0 import sum_channel_zero_t
+
+        phi0, err0, closed = sum_channel_zero_t(omegas, material1, material2, tol,
+                                                thermal.is_zero)
+        if thermal.is_zero and closed.all():  # nothing left to integrate
+            return _shaped(phi0, err0, omega.shape)
         res1, res2 = _resonances(material1), _resonances(material2)
         ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
         channels = [("sum", material1, material2, _segments(
-            zero, omegas, [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
+            zero, np.where(closed, 0.0, omegas),
+            [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
+        # the low factor at u and the high one at u + omega (difference channel)
+        # or omega - u (Bose part of the sum channel); one term for equal plates
+        terms = [(material1, material2)]
+        if material2 is not material1:
+            terms.append((material2, material1))
         if not thermal.is_zero:
-            # the low factor at u and the high one at u + omega; one term for equal plates
             upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
-            terms = [(material1, material2)]
-            if material2 is not material1:
-                terms.append((material2, material1))
             for low, high in terms:
                 res_l, res_h = _resonances(low), _resonances(high)
                 channels.append(("difference", low, high, _segments(
                     zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)])))
+            if closed.any():
+                upper = np.where(closed, np.minimum(omegas, 30.0 * scale), 0.0)
+                for low, high in terms:
+                    res_l, res_h = _resonances(low), _resonances(high)
+                    channels.append(("Bose", low, high, _segments(
+                        zero, upper,
+                        [*res_l, *((omegas - c, w) for c, w in res_h), (zero, scale)])))
 
         def integrand(x, owner):
             y = np.empty_like(x)
@@ -246,8 +287,10 @@ def im_r_dissipation_integral(
                 u, w = x[s], omegas[owner[s] - c * n][:, None]
                 if kind == "sum":
                     y[s] = _im_r(low, u) * _im_r(high, w - u) * _coth_sum(half * u, half * (w - u))
-                else:
+                elif kind == "difference":
                     y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
+                else:
+                    y[s] = _im_r(low, u) * _im_r(high, w - u) * (2.0 / np.expm1(2.0 * half * u))
             return y
 
         def fail(j: int, why: str, *_) -> NonConvergence:
@@ -257,17 +300,31 @@ def im_r_dissipation_integral(
         a = np.concatenate([seg[0] for *_, seg in channels])
         b = np.concatenate([seg[1] for *_, seg in channels])
         owner = np.concatenate([seg[2] + c * n for c, (*_, seg) in enumerate(channels)])
-        value, error = _integrate(integrand, a, b, owner, len(channels) * n,
-                                  max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR),
+        value, error = _integrate(integrand, a, b, owner, len(channels) * n, tol,
                                   spec.max_subdivisions, fail)
         value, error = value.reshape(-1, n), error.reshape(-1, n)
+        k = len(terms)  # equal plates: twice the one term
+
+        def both(first: int):
+            return value[first] + value[first + k - 1], error[first] + error[first + k - 1]
+
         phi, err = value[0], error[0]
-        if len(channels) > 1:
-            last = -1 if len(channels) == 3 else 1  # equal plates: twice the one term
-            phi, err = phi + (value[1] + value[last]), err + (error[1] + error[last])
-        if omega.ndim == 0:
-            return float(phi[0]), float(err[0])
-        return phi.reshape(omega.shape), err.reshape(omega.shape)
+        if not thermal.is_zero:
+            diff, diff_err = both(1)
+            phi, err = phi + diff, err + diff_err
+        if len(channels) > 1 + k:
+            bose, bose_err = both(1 + k)
+            phi0, err0 = phi0 + bose, err0 + bose_err
+        # 0 where the closed form is not used, which leaves the sum as it was
+        phi, err = phi + phi0, err + err0
+        return _shaped(phi, err, omega.shape)
+
+
+def _shaped(phi, err, shape):
+    """Phi and its error at the flattened omegas: floats for a scalar omega, else in its shape."""
+    if not shape:
+        return float(phi[0]), float(err[0])
+    return phi.reshape(shape), err.reshape(shape)
 
 
 def phi_slope(

@@ -89,7 +89,8 @@ def test_the_package_is_its_force_path(capsys):
     # the closed loop and its transform are test oracles (tests/oracles.py)
     modules = {m.name for m in pkgutil.iter_modules(casimir_friction.__path__)}
     assert modules == {
-        "__main__", "cli", "compare", "friction", "geometry", "material", "numerics", "response",
+        "__main__", "_phi0", "cli", "compare", "friction", "geometry", "material", "numerics",
+        "response",
     }
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("casimir_friction.trajectory")

@@ -109,7 +109,8 @@ def test_force_missing_material_exits_2(capsys):
 
 #: A T = 0 general force that Phi's rule cannot converge, on a plasmon line 1e-9 eV
 #: wide: near its resonance Im R is rounded at about eps omega_sp / nu = 2e-6 of
-#: itself, far above the tolerance of the rule.
+#: itself, far above the tolerance of the rule.  The closed form of the sum channel
+#: has a rounding bound as large there, so the rule is still what runs.
 NONCONVERGENT_ARGS = ["force", "--model", "drude", "--wp-ev", "9", "--nu-ev", "1e-9",
                       "--gap-nm", "1", "--velocity", "1e7", "--temp-k", "zero",
                       "--regime", "general"]
@@ -172,12 +173,15 @@ FLOAT_FAILURES = [
     # k_x = 2 omega_sp / v underflows to 0, where K1 has its pole
     (["force", "--model", "drude", "--wp-ev", "1e-300", "--gap-nm", "1e-300", "--temp-k",
       "zero", "--velocity", "1e300", "--regime", "plasmon"], "PlasmonLine", "K1(x) e^x at x = "),
+    # k_x K1(2 d k_x) -> 1/(2d) past the float range at a subnormal gap
+    (["force", "--regime", "plasmon", "--model", "drude", "--wp-ev", "9", "--gap-nm", "1e-300",
+      "--velocity", "1e8", "--temp-k", "zero"], "PlasmonLine", "K1(4 omega_sp d / v) at d = "),
 ]
 
 
 # each case keeps its id when an earlier one leaves the list (case 10, a spectrum
 # bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2)
-@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12])
+@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12, 13])
 def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quantity):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
@@ -987,7 +991,7 @@ def test_general_force_leaves_scipy_integrate_unloaded():
 COLD_PROBE = """
 import contextlib, io, json, sys
 def loaded():
-    return [m for m in sys.modules if m.startswith(("numpy.", "scipy"))]
+    return [m for m in sys.modules if m.startswith(("numpy.", "scipy", "casimir_friction._phi0"))]
 import casimir_friction
 steps = {"import casimir_friction": (0, loaded())}
 from casimir_friction.cli import main
@@ -1020,8 +1024,8 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
     assert len(report["steps"]) == 1 + len(closed)
     for step, (code, loaded) in report["steps"].items():
         assert (code, loaded) == (0, []), step
-    # numpy and scipy then load on first use, and the general force is the one
-    # a fresh process prints
+    # numpy, scipy and the closed forms of Phi then load on first use, and the
+    # general force is the one a fresh process prints
     fresh = subprocess.run([sys.executable, "-m", "casimir_friction", *general],
                            capture_output=True, text=True, timeout=120, env=cli_env())
     assert report["general"] == [0, fresh.stdout]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_friction import _phi0
 from casimir_friction.numerics import CONST, DEFAULT_SPEC, QuadratureSpec
 from casimir_friction.material import Drude, Tabulated, surface_response
 from casimir_friction.response import (
@@ -308,3 +309,37 @@ def test_phi_of_unequal_plates():
         assert im_r_dissipation_integral(wv, silver, GOLD_LIKE, ROOM)[0] == pytest.approx(
             forward, rel=1e-11
         )
+
+
+def _quadrature_only(omegas, *_):
+    """Stands in for the closed form of the T = 0 sum channel: used nowhere."""
+    zero = np.zeros(omegas.size)
+    return zero, zero, zero.astype(bool)
+
+
+@pytest.mark.parametrize("unequal", [False, True], ids=["equal", "unequal"])
+@pytest.mark.parametrize("ratio", [1e-3, 5e-3, 3e-2])
+def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
+    # Phi with the sum channel's T = 0 part in closed form (where it holds the
+    # 1e-9 a force's Phi asks for) against the coth-sum quadrature alone at 1e-12,
+    # on 1e-6 .. 1e3 omega_sp: within 1e-9, and never more off than it reports
+    metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
+    other = Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6 * ratio * GOLD.omega_sp) if unequal else metal
+    omegas = GOLD.omega_sp * np.concatenate((np.logspace(-6, 3, 37), [1.1, 1.5, 2.0, 2.3, 2.6]))
+    # next to the sum Omega_1 + Omega_2 of the plates' resonances, where the terms of
+    # poles in opposite half-planes are 0/0 in their plain form
+    peak = sum(math.sqrt(m.omega_sp**2 - m.nu**2 / 4.0) for m in (metal, other))
+    omegas = np.append(omegas, peak * (1.0 + np.array([-1e-9, 1e-12, 1e-7])))
+    # the power series below omega_sp / 2, the pole sum from 1.1 omega_sp to 10 omega_sp at least
+    _, _, used = _phi0.sum_channel_zero_t(omegas, metal, other, 1e-9, True)
+    assert used[(omegas <= 0.5 * metal.omega_sp)
+                | ((omegas >= 1.1 * other.omega_sp) & (omegas <= 10.0 * metal.omega_sp))].all()
+    spec = QuadratureSpec(rel_tol=1e-6)
+    for thermal in (COLD, ROOM, ThermalState.finite(1000.0)):
+        phi, err = im_r_dissipation_integral(omegas, metal, other, thermal, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(_phi0, "sum_channel_zero_t", _quadrature_only)
+            reference, _ = im_r_dissipation_integral(omegas, metal, other, thermal, TIGHT)
+        deviation = np.abs(phi - reference)
+        assert (deviation <= 1e-9 * reference).all()
+        assert (deviation <= err).all()
