@@ -56,16 +56,19 @@ one for its own (v, d).  Its k_x integral is one
 `numerics.integrate_semi_infinite` over an array integrand, by the
 package's one G7/K15 rule, cut at every panel edge of the table in its
 band (where the piecewise series has its kinks, the resonances among
-them).  It adds the table's kernel-weighted error, which carries Phi's
-own, to ``quadrature_rel_err``: the error budget covers the table, Phi
-and the k_x integral.
+them).  The same pass integrates the table's kernel-weighted error,
+which carries Phi's own, to its own looser tolerance, and adds it to
+``quadrature_rel_err``: the error budget covers the table, Phi and the
+k_x integral.
 
-K1 is evaluated in two ways.  The plasmon line needs it at one point
-and sums it in plain Python (`_k1e`, a trapezoid rule that agrees with
-`scipy.special.k1e` to a few ulps); the general force needs it on
-arrays of nodes (`_ky_integral`, `_kernel`) and imports
-`scipy.special.k1e` there, at first use.  So the closed forms load
-neither scipy nor numpy (`numerics` binds numpy lazily).
+K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
+summed by the trapezoid rule.  The plasmon line needs it at one point
+and sums it in plain Python (`_k1e`), so the closed forms load no numpy
+(`numerics` binds numpy lazily).  The general force needs it on arrays
+of nodes (`_ky_integral`, `_kernels`): `_k1e_array` evaluates a
+piecewise polynomial fit of x K1(x) e^x in log x, built from the same
+sum at first use (`_k1_fit`).  Both agree with `scipy.special.k1e` to a
+few ulps, and the package imports no scipy.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -75,9 +78,10 @@ oscillator densities rho1, rho2, and no function reads them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .numerics import (
     CONST,
@@ -240,14 +244,6 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
     )
 
 
-def _ky_integral(kx, d: float):
-    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), for kx > 0 or an array of them."""
-    from scipy.special import k1e
-
-    x = 2.0 * d * kx
-    return kx * k1e(x) * np.exp(-x)
-
-
 def _k1e(x: float) -> float:
     """K1(x) e^x for a float x > 0, in plain Python.
 
@@ -266,6 +262,86 @@ def _k1e(x: float) -> float:
     return h * total
 
 
+#: Panels of the array K1: uniform in s = log x, _K1_WIDTH wide from
+#: s = _K1_START, each holding a polynomial of degree _K1_DEGREE.
+_K1_START, _K1_WIDTH, _K1_PANELS, _K1_DEGREE = -38.0, 0.25, 180, 8
+
+
+@functools.cache
+def _k1_fit():
+    """Coefficients of g(s) = x K1(x) e^x at x = e^s: one row per power, highest first.
+
+    Column j is the polynomial in w - 1/2, w in [0, 1] the place across
+    panel j, that interpolates g at the _K1_DEGREE + 1 Chebyshev nodes,
+    where g is the trapezoid sum of `_k1e`, vectorized over the nodes of
+    a block of panels at once.  A block's sums run to the largest cutoff
+    of its nodes: past its own, a node's terms are below e^-40 of its
+    sum and fall fast.  Blocks keep the arrays of terms small, and the
+    fit takes sums of products, not a linear solve or a matrix product,
+    whose first call would have BLAS allocate its buffers.
+    """
+
+    def trapezoid(x):
+        h = 0.25 / np.sqrt(1.0 + x)
+        t = h[:, None] * np.arange(1, int((2.0 * np.arcsinh(np.sqrt(20.0 / x)) / h).max()) + 2)
+        sh = np.sinh(0.5 * t)
+        return x * h * (0.5 + (np.exp(-2.0 * x[:, None] * sh * sh) * np.cosh(t)).sum(axis=1))
+
+    n = _K1_DEGREE + 1
+    k = np.arange(n)
+    theta = np.pi * (k + 0.5) / n
+    s = _K1_START + _K1_WIDTH * (np.arange(_K1_PANELS)[:, None] + 0.5 + 0.5 * np.cos(theta))
+    g = np.concatenate([trapezoid(block.ravel()) for block in np.split(np.exp(s), 45)])
+    # Chebyshev coefficients of g on each panel, in u = 2 (w - 1/2) on [-1, 1]
+    cheb = 2.0 / n * (g.reshape(_K1_PANELS, 1, n) * np.cos(k[:, None] * theta)).sum(axis=2)
+    cheb[:, 0] *= 0.5
+    # T_k in powers of u, by T_k = 2 u T_(k-1) - T_(k-2)
+    powers = np.zeros((n, n))
+    powers[0, 0] = powers[1, 1] = 1.0
+    for j in range(2, n):
+        powers[j, 1:] = 2.0 * powers[j - 1, :-1]
+        powers[j] -= powers[j - 2]
+    coeffs = (cheb[:, :, None] * powers).sum(axis=1)
+    # the power k of u is 2^k times that of w - 1/2
+    return (coeffs * 2.0 ** k).T[::-1].copy()
+
+
+def _k1e_array(x):
+    """K1(x) e^x on an array of 0 < x <= e^7 (about 1097), in numpy.
+
+    The panel of s = log x holding each x is found by arithmetic, and its
+    polynomial (`_k1_fit`) is evaluated by Horner's rule; it agrees with
+    `_k1e` and with `scipy.special.k1e` to a few ulps.  Below the first
+    panel (x < e^-38) x K1(x) e^x is 1 to double precision.  Past the
+    last, x K1(x) e^x is held at its value at e^7, a finite stand-in:
+    there K1(x) is below 1e-470, and every K1(x) e^x e^-x is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    fit = _k1_fit()
+    p = np.minimum(np.maximum(np.log(x) / _K1_WIDTH - _K1_START / _K1_WIDTH, 0.0),
+                   _K1_PANELS * (1.0 - 1e-15))
+    i = p.astype(np.intp)
+    w = p - i
+    w -= 0.5
+    c = fit[:, i]
+    g = c[0] * w
+    g += c[1]
+    for row in c[2:]:
+        g *= w
+        g += row
+    g /= x
+    return g
+
+
+def _ky_integral(kx, d: float):
+    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), for an array of kx > 0.
+
+    0 past 2 d kx = 745, where e^-x underflows.
+    """
+    x = 2.0 * d * kx
+    return kx * _k1e_array(x) * np.exp(-x)
+
+
 def _kernel_band(v: float, d: float) -> tuple[float, float]:
     """The omega range a Phi table must cover for one (v, d) point.
 
@@ -278,20 +354,20 @@ def _kernel_band(v: float, d: float) -> tuple[float, float]:
     return 1e-4 * scale, 60.0 * scale
 
 
-def _kernel(scale: float) -> Callable[[float], float]:
-    """omega -> x^2 K1(x) at x = omega / scale.
+def _kernels(scales: Sequence[float]) -> Callable:
+    """omega -> x^2 K1(x) at x = omega / s for each s in scales: one row per scale.
 
-    The weight of Phi in the force at any (v, d) with v/(2d) = scale, up
-    to a constant factor: k_x^2 K1(2 d k_x) at k_x = omega / v.
+    Row j is the weight of Phi in the force at any (v, d) with
+    v/(2d) = scales[j], up to a constant factor: k_x^2 K1(2 d k_x) at
+    k_x = omega / v.  K1 is taken once for every row.
     """
+    column = np.array(scales, dtype=float)[:, None]
 
-    from scipy.special import k1e
+    def kernels(omega):
+        x = omega / column
+        return x * x * _k1e_array(x) * np.exp(-x)
 
-    def kernel(omega: float) -> float:
-        x = omega / scale
-        return x * x * float(k1e(x)) * math.exp(-x)
-
-    return kernel
+    return kernels
 
 
 @dataclass(frozen=True)
@@ -356,8 +432,7 @@ def phi_table(
     # range of s and points between them at most a decade apart
     low, high = v_min / (2.0 * d_max), v_max / (2.0 * d_min)
     steps = max(math.ceil(math.log10(high / low) - 1e-9), 1)
-    kernels = [_kernel(s) for s in sorted({low * (high / low) ** (k / steps)
-                                           for k in range(steps + 1)})]
+    kernels = _kernels(sorted({low * (high / low) ** (k / steps) for k in range(steps + 1)}))
     # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
     table = tabulate_phi(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
@@ -417,23 +492,30 @@ def dissipation_general(
     edges = np.exp(table.edges)
     cuts = edges[(lo < edges) & (edges < hi)] / v
 
-    def weighed(values):
-        """k_x -> k_x * (k_x K1(2 d k_x)) * values(k_x v), on an array of k_x."""
-        return lambda kx: kx * _ky_integral(kx, d) * values(kx * v)
+    def weighed(kx, which):
+        """k_x * (k_x K1(2 d k_x)) times Phi(k_x v) (integral 0) or its table error (integral 1).
+
+        Rows of ``kx`` belong to the integral in ``which``; K1 is taken
+        once for the rows of both.
+        """
+        y = kx * _ky_integral(kx, d)
+        split = int(np.searchsorted(which, 1))
+        if split:
+            y[:split] *= table(kx[:split] * v)
+        if split < which.size:
+            y[split:] *= table.error(kx[split:] * v)
+        return y
 
     try:
-        value, err = integrate_semi_infinite(weighed(table), 0.0, 0.5 / d, spec, cuts)
-        rel_err = abs(err / value) if value else 0.0
-        if value:
-            bound, _ = integrate_semi_infinite(weighed(table.error), 0.0, 0.5 / d, ERROR_SPEC,
-                                               cuts)
-            rel_err += bound / abs(value)
+        (value, err), (bound, _) = integrate_semi_infinite(weighed, 0.0, 0.5 / d,
+                                                           (spec, ERROR_SPEC), cuts)
     except NonConvergence as exc:
         kx_lo, kx_hi = exc.interval
         raise NonConvergence(
             f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
             f"omega = k_x v in [{kx_lo * v!r}, {kx_hi * v!r}] rad/s", level="k_x",
         ) from exc
+    rel_err = abs(err / value) + bound / abs(value) if value else 0.0
     force = CONST.hbar / (2.0 * math.pi**3) * value
 
     return FrictionResult(

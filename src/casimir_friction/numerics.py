@@ -9,10 +9,12 @@ every segment whose Kronrod-Gauss difference exceeds its share of the
 tolerance (`_integrate`).  It runs many integrals at once, each over its
 own segments, with one call of the integrand per refinement round:
 `response` builds Phi(omega) with it directly.  `integrate_finite` and
-`integrate_semi_infinite` are its fronts for one integral (the k_x
-integral of the general force; the tests' delta-limit oracle integrates
-on the finite one); their integrands take arrays of nodes, and each is
-cut at the integral's interior points where the integrand has a kink.
+`integrate_semi_infinite` are its fronts for one integral, or for a few
+over one range, each to its own tolerance, with one call of their
+shared integrand per round (the k_x integral of the general force and
+its error bound; the tests' delta-limit oracle integrates on the finite
+one); their integrands take arrays of nodes, and each is cut at the
+integral's interior points where the integrand has a kink.
 Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 
@@ -184,6 +186,10 @@ def _rule():
 #: small: 15 nodes each.
 _CHUNK = 1024
 
+#: A segment at most this many ulps (of its midpoint) wide cannot be
+#: bisected: its nodes round onto its ends.
+_UNBISECTABLE_ULPS = 1e3
+
 #: Uniform segments in t that start a semi-infinite integral.  Starting from
 #: a few keeps the number of bisection rounds, each one call of the
 #: integrand, small.
@@ -209,8 +215,9 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
     Segment [a[i], b[i]] belongs to integral owner[i]; ``owner`` is
     sorted, and the segments of each integral increase.  ``f(x, o)``
     evaluates the integrands at nodes x (one row per segment) of
-    segments owned by o (sorted).  An integral is done when the sum of
-    its segments' |K15 - G7| is at most rel_tol times its value; until
+    segments owned by o (sorted).  ``rel_tol`` and ``budget`` are
+    floats, or arrays of one per integral.  An integral is done when the
+    sum of its segments' |K15 - G7| is at most rel_tol times its value; until
     then, every segment whose difference exceeds its share (the
     tolerance over the integral's segment count) is bisected, all in
     one call of f per round.  Each integral's segments are summed in
@@ -252,7 +259,7 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
         mid = 0.5 * (a[split] + b[split])
         bisections += np.bincount(owner[split], minlength=n)
         # a segment a few ulps wide puts its nodes on its ends
-        stuck = split[b[split] - a[split] <= 1e3 * np.spacing(mid)]
+        stuck = split[b[split] - a[split] <= _UNBISECTABLE_ULPS * np.spacing(mid)]
         if stuck.size:
             raise failure(int(owner[stuck[0]]), "cannot bisect a segment further", stuck[0])
         if (bisections > budget).any():
@@ -277,7 +284,9 @@ def _segments(lo, hi, graded=(), fixed=()):
     that centre, graded toward by breakpoints centre +- width 2^k,
     k = 0, 1, ...  ``fixed`` holds arrays of n rows of further
     breakpoints (the kinks of a tabulated response).  Breakpoints
-    outside (lo, hi) are dropped.
+    outside (lo, hi) are dropped, and so are those that would leave a
+    segment too narrow to bisect at an end: its nodes would round onto
+    the end, where the integrand may not be defined (Im R at 0).
 
     Returns
     -------
@@ -298,10 +307,23 @@ def _segments(lo, hi, graded=(), fixed=()):
         points.append(np.concatenate((centre - steps, centre + steps), axis=2)
                       .transpose(1, 0, 2).reshape(n, -1))
     lo, hi = lo[:, None], hi[:, None]
-    inner = np.sort(np.clip(np.concatenate([np.empty((n, 0)), *points], axis=1), lo, hi), axis=1)
-    edges = np.concatenate((lo, inner, hi), axis=1)
-    keep = edges[:, 1:] > edges[:, :-1]
-    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+    # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
+    inner = np.concatenate([np.empty((n, 0)), *points], axis=1)
+    inner = np.sort(np.minimum(np.maximum(inner, lo), hi), axis=1)
+
+    def cut(inner):
+        edges = np.concatenate((lo, inner, hi), axis=1)
+        keep = edges[:, 1:] > edges[:, :-1]
+        return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+
+    a, b, owner = cut(inner)
+    if (b - a <= _UNBISECTABLE_ULPS * np.spacing(b)).any():
+        # rare: a breakpoint too close to an end to bisect the segment between
+        # moves onto that end, leaving a segment of no width
+        near_lo = lo + _UNBISECTABLE_ULPS * np.spacing(lo)
+        near_hi = hi - _UNBISECTABLE_ULPS * np.spacing(hi)
+        a, b, owner = cut(np.where(inner <= near_lo, lo, np.where(inner >= near_hi, hi, inner)))
+    return a, b, owner
 
 
 # The benchmark's tracer (perfbench/tracing.py) binds integrate_finite and
@@ -309,12 +331,12 @@ def _segments(lo, hi, graded=(), fixed=()):
 # smoke run needs a call of each: the general force calls the semi-infinite
 # front, which calls this one.
 def integrate_finite(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    spec: QuadratureSpec | Sequence[QuadratureSpec] = DEFAULT_SPEC,
     cuts: Sequence[float] = (),
-) -> tuple[float, float]:
+):
     """Integrate f over [a, b] by the package's G7/K15 rule.
 
     Parameters
@@ -325,8 +347,13 @@ def integrate_finite(
         singularities (the rule never evaluates an endpoint).
     a, b : float
         Integration limits, a <= b.
-    spec : QuadratureSpec
-        Tolerance and bisection budget.
+    spec : QuadratureSpec, or a sequence of them
+        Tolerance and bisection budget.  A sequence of m specs takes m
+        integrals over [a, b] in one pass, each refined to its own spec
+        on its own segments: ``f(x, which)`` then evaluates integrand
+        ``which[i]`` at the nodes ``x[i]`` (one row of x per segment,
+        ``which`` increasing), so that what the integrands share is
+        computed once per bisection round.
     cuts : sequence of float
         Points where f has a kink or a narrow feature; the starting
         segments end there.  Points outside (a, b) are dropped.
@@ -334,50 +361,63 @@ def integrate_finite(
     Returns
     -------
     (value, err_estimate) : tuple of float
-        The integral and the sum of its segments' |K15 - G7|.
+        The integral and the sum of its segments' |K15 - G7|; for a
+        sequence of specs, a list of one such pair per spec.
 
     Raises
     ------
     NonConvergence
-        If the integral is not finite, or takes more than
-        ``spec.max_subdivisions`` bisections to meet ``spec.rel_tol``;
-        its ``interval`` is the segment with the largest error.
+        If an integral is not finite, or takes more than its
+        ``max_subdivisions`` bisections to meet its ``rel_tol``; its
+        ``interval`` is the segment with the largest error.
     """
     if a > b:
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
+    many = not isinstance(spec, QuadratureSpec)
+    specs = list(spec) if many else [spec]
     if a == b:
-        return 0.0, 0.0
-    edges = np.unique(np.clip(np.concatenate(([a], np.asarray(cuts, dtype=float), [b])), a, b))
+        pairs = [(0.0, 0.0)] * len(specs)
+        return pairs if many else pairs[0]
+    edges = np.concatenate(([a], np.asarray(cuts, dtype=float), [b]))
+    # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
+    edges = np.unique(np.minimum(np.maximum(edges, a), b))
 
     def fail(_, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
         return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
                               interval=(seg_lo, seg_hi))
 
-    value, err = _integrate(lambda x, _: f(x), edges[:-1], edges[1:],
-                            np.zeros(edges.size - 1, dtype=int), 1, spec.rel_tol,
-                            spec.max_subdivisions, fail)
-    return float(value[0]), float(err[0])
+    n = len(specs)
+    value, err = _integrate(f if many else lambda x, _: f(x),
+                            np.concatenate([edges[:-1]] * n), np.concatenate([edges[1:]] * n),
+                            np.repeat(np.arange(n), edges.size - 1), n,
+                            np.array([s.rel_tol for s in specs]),
+                            np.array([s.max_subdivisions for s in specs]), fail)
+    pairs = list(zip(value.tolist(), err.tolist()))
+    return pairs if many else pairs[0]
 
 
 # Bound by name by the benchmark's tracer, as integrate_finite is.
 def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     a: float,
     scale: float,
-    spec: QuadratureSpec,
+    spec: QuadratureSpec | Sequence[QuadratureSpec],
     cuts: Sequence[float] = (),
-) -> tuple[float, float]:
+):
     """Integrate f over [a, +inf) via the rational decay-scale transform.
 
     ``scale`` > 0 is the decay scale of f; f must decay at least
     exponentially on that scale for the transform to concentrate the
-    quadrature nodes usefully.  f is evaluated on arrays of nodes.  The
-    mapped integral starts from _T_SEGMENTS uniform segments in t, cut
-    further at the images of the ``cuts`` beyond a.
+    quadrature nodes usefully.  f is evaluated on arrays of nodes, as by
+    `integrate_finite`, which also takes several integrals in one pass
+    for a sequence of specs.  The mapped integral starts from
+    _T_SEGMENTS uniform segments in t, cut further at the images of the
+    ``cuts`` beyond a.
 
     Returns
     -------
-    (value, err_estimate) : tuple of float
+    (value, err_estimate) : tuple of float, or a list of them
+        As from `integrate_finite`.
 
     Raises
     ------
@@ -392,9 +432,9 @@ def integrate_semi_infinite(
     def q(t):
         return a + scale * t / (1.0 - t)
 
-    def g(t):
+    def g(t, *which):
         u = 1.0 - t
-        return f(q(t)) * scale / (u * u)
+        return f(q(t), *which) * scale / (u * u)
 
     past = np.asarray(cuts, dtype=float) - a
     past = past[past > 0]

@@ -399,14 +399,6 @@ _FEJER = [
 ]
 
 
-def _chebyshev_coeffs(values: Sequence[float]) -> list[float]:
-    """Coefficients c_k of sum_k c_k T_k interpolating ``values`` at the first-kind nodes."""
-    scale = 2.0 / TABLE_NODES
-    coeffs = [scale * sum(c * f for c, f in zip(row, values)) for row in _COS]
-    coeffs[0] *= 0.5
-    return coeffs
-
-
 def _clenshaw(coeffs, x):
     """sum_k coeffs[k] T_k(x); each coeffs[k] may be an array that broadcasts against x."""
     b1 = b2 = 0.0
@@ -439,17 +431,19 @@ class PhiTable:
     head: float
 
     def _panels(self, omega):
-        """The panel of each omega (clamped into the table) and its place x in [-1, 1] there."""
-        s = np.log(np.clip(omega, self.omega_lo, self.omega_hi))
-        i = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(self.errors) - 1)
-        a, b = self.edges[i], self.edges[i + 1]
-        return i, (2.0 * s - a - b) / (b - a)
+        """The panel of each omega (clamped into the table), and s = log omega clamped so."""
+        # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
+        s = np.log(np.minimum(np.maximum(omega, self.omega_lo), self.omega_hi))
+        i = np.minimum(np.maximum(np.searchsorted(self.edges, s, side="right") - 1, 0),
+                       len(self.errors) - 1)
+        return i, s
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
-        i, x = self._panels(omega)
+        i, s = self._panels(omega)
+        a, b = self.edges[i], self.edges[i + 1]
         h = np.where(omega < self.omega_lo, self.head,
-                     _clenshaw(np.moveaxis(self.coeffs[i], -1, 0), x))
+                     _clenshaw(self.coeffs.T[:, i], (2.0 * s - a - b) / (b - a)))
         return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
 
     def error(self, omega):
@@ -476,16 +470,19 @@ def tabulate_phi(
     omega_lo: float,
     omega_hi: float,
     power: int,
-    kernels: Sequence[Callable[[float], float]],
+    kernels: Callable,
     splits: Sequence[float] = (),
     rel_tol: float = DEFAULT_SPEC.rel_tol,
 ) -> PhiTable:
     """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
 
     ``phi`` maps an array of omega to (Phi, error estimate) at each; it
-    is called once per panel, with the panel's TABLE_NODES nodes.  Each
-    of ``kernels`` is the weight w(omega) by which one force
-    integrates Phi, Int w Phi d omega up to a constant factor.  The
+    is called once per panel, with the panel's TABLE_NODES nodes.
+    ``kernels`` maps an array of omega to an array of one row per force:
+    the weight w(omega) by which that force integrates Phi,
+    Int w Phi d omega up to a constant factor.  It is called once for
+    the nodes of every panel made at once (the first panels, then the
+    two halves of each bisected one).  The
     range is cut at the ``splits`` inside it (resonances, where h
     changes fastest), and each panel holds TABLE_NODES first-kind
     Chebyshev nodes.  A panel's tail, the larger of its two trailing
@@ -509,35 +506,46 @@ def tabulate_phi(
         finite.
     """
 
-    def panel(a: float, b: float) -> _Panel:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        omegas = [math.exp(mid + half * x) for x in _COS[1]]
-        values, errors = phi(np.array(omegas))
-        h = [float(y) / w**power for y, w in zip(values, omegas)]
-        c = _chebyshev_coeffs(h)
-        tail = max(abs(c[-1]), abs(c[-2]))
-        phi_err = max(float(e) / w**power for e, w in zip(errors, omegas))
-        if not math.isfinite(tail + phi_err):
-            raise NonConvergence(
-                f"Phi is not finite on omega in [{math.exp(a)!r}, {math.exp(b)!r}]",
-                level="omega1",
-            )
-        # d omega = omega ds on s = mid + half x
-        moments = [
-            [half * q * kernel(w) * w ** (power + 1) for q, w in zip(_FEJER, omegas)]
-            for kernel in kernels
-        ]
-        return _Panel(
-            a, b, tuple(c), tail + phi_err,
-            tuple(tail * sum(m) for m in moments),
-            tuple(sum(x * abs(y) for x, y in zip(m, h)) for m in moments),
-        )
+    transform, fejer = np.array(_COS), np.array(_FEJER)
+
+    def panels_between(edges: Sequence[float]) -> list[_Panel]:
+        """The panels between consecutive ``edges``: Phi once per panel, the kernels once for all."""
+        made, nodes = [], []
+        for a, b in zip(edges, edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            omegas = [math.exp(mid + half * x) for x in _COS[1]]
+            nodes.append(np.array(omegas))
+            values, errors = phi(nodes[-1])
+            h = [float(y) / w**power for y, w in zip(values, omegas)]
+            # the coefficients c_k of sum_k c_k T_k interpolating h at the nodes
+            c = (2.0 / TABLE_NODES * (transform * h).sum(axis=1)).tolist()
+            c[0] *= 0.5
+            tail = max(abs(c[-1]), abs(c[-2]))
+            phi_err = max(float(e) / w**power for e, w in zip(errors, omegas))
+            if not math.isfinite(tail + phi_err):
+                raise NonConvergence(
+                    f"Phi is not finite on omega in [{math.exp(a)!r}, {math.exp(b)!r}]",
+                    level="omega1",
+                )
+            made.append((a, b, c, tail, phi_err, half, h))
+        # one row per force, one block of TABLE_NODES columns per panel
+        weights = kernels(np.concatenate(nodes)).reshape(-1, len(made), TABLE_NODES)
+        out = []
+        for k, (a, b, c, tail, phi_err, half, h) in enumerate(made):
+            # d omega = omega ds on s = mid + half x
+            moments = half * fejer * nodes[k] ** (power + 1) * weights[:, k]
+            out.append(_Panel(
+                a, b, tuple(c), tail + phi_err,
+                tuple((tail * moments.sum(axis=1)).tolist()),
+                tuple((moments * np.abs(h)).sum(axis=1).tolist()),
+            ))
+        return out
 
     s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
     cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
-    panels = [panel(a, b) for a, b in zip([s_lo, *cuts], [*cuts, s_hi])]
+    panels = panels_between([s_lo, *cuts, s_hi])
     while True:
-        allowed = [rel_tol * sum(p.sizes[j] for p in panels) for j in range(len(kernels))]
+        allowed = [rel_tol * sum(sizes) for sizes in zip(*(p.sizes for p in panels))]
         short = [j for j, limit in enumerate(allowed)
                  if 0.0 < limit < sum(p.errors[j] for p in panels)]
         if not short:
@@ -551,8 +559,7 @@ def tabulate_phi(
                 f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_PANELS} panels",
                 level="omega1",
             )
-        mid = 0.5 * (a + b)
-        panels[i:i + 1] = [panel(a, mid), panel(mid, b)]
+        panels[i:i + 1] = panels_between([a, 0.5 * (a + b), b])
     return PhiTable(
         omega_lo, omega_hi, np.array([s_lo, *(p.b for p in panels)]),
         np.array([p.coeffs for p in panels]), np.array([p.error for p in panels]), power,

@@ -971,17 +971,35 @@ def test_console_entry_subprocess():
     assert proc.stdout.count('"force_per_area_N_m2"') == 1
 
 
-def test_general_force_leaves_scipy_integrate_unloaded():
-    # the package's one quadrature rule is its own; scipy serves K1 alone
-    code = ("import sys, casimir_friction.cli as cli\n"
-            "assert cli.main(sys.argv[1:]) == 0\n"
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general"],
-        capture_output=True, text=True, timeout=120, env=cli_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+#: In a fresh interpreter with scipy blocked (every import of it raises
+#: ImportError): run cli.main on argv[1:], then print the scipy modules it
+#: loaded to stderr, as the last line, and exit with main's code.
+NO_SCIPY_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+from casimir_friction.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general"],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general", "--param", "velocity",
+     "--from", "0.1", "--to", "100", "--points", "4", "--scale", "log"],
+], ids=["force", "sweep"])
+def test_general_path_runs_without_scipy(argv):
+    # the package depends on numpy alone: K1 and the quadrature rule are its own
+    blocked = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, *argv],
+                             capture_output=True, text=True, timeout=120, env=cli_env())
+    fresh = subprocess.run([sys.executable, "-m", "casimir_friction", *argv],
+                           capture_output=True, text=True, timeout=120, env=cli_env())
+    assert (blocked.returncode, fresh.returncode) == (0, 0), blocked.stderr
+    assert blocked.stdout == fresh.stdout
+    assert blocked.stderr.splitlines()[-1] == "[]"
 
 
 #: In a fresh interpreter: import the package, run each argv of argv[1] through
@@ -1024,7 +1042,7 @@ def test_closed_forms_load_neither_numpy_nor_scipy():
     assert len(report["steps"]) == 1 + len(closed)
     for step, (code, loaded) in report["steps"].items():
         assert (code, loaded) == (0, []), step
-    # numpy, scipy and the closed forms of Phi then load on first use, and the
+    # numpy and the closed forms of Phi then load on first use, and the
     # general force is the one a fresh process prints
     fresh = subprocess.run([sys.executable, "-m", "casimir_friction", *general],
                            capture_output=True, text=True, timeout=120, env=cli_env())

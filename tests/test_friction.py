@@ -31,6 +31,7 @@ from casimir_friction.friction import (
     PLASMON_LINE,
     ZERO_T_CUBIC,
     _k1e,
+    _k1e_array,
     _ky_integral,
     dissipation_general,
     force_linear,
@@ -426,14 +427,14 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
         return 2.0 + np.sin(w), np.zeros_like(w)
 
     with pytest.raises(NonConvergence, match=r"omega in \[") as err:
-        tabulate_phi(oscillating, 1.0, 1e6, 1, [lambda w: 1.0])
+        tabulate_phi(oscillating, 1.0, 1e6, 1, lambda w: np.ones((1, w.size)))
     assert err.value.level == "omega1"
     assert f"within {TABLE_MAX_PANELS} panels" in str(err.value)
     assert len(nodes) <= TABLE_NODES * 2 * TABLE_MAX_PANELS
     # a table never accepts a panel whose trailing coefficients are not finite
     with pytest.raises(NonConvergence, match=r"not finite on omega in \[") as err:
         tabulate_phi(lambda w: (np.where(w > 1e3, math.nan, 1.0), np.zeros_like(w)),
-                     1.0, 1e6, 1, [lambda w: 1.0])
+                     1.0, 1e6, 1, lambda w: np.ones((1, w.size)))
     assert err.value.level == "omega1"
 
 
@@ -467,9 +468,34 @@ def test_scalar_k1e_matches_scipy():
         assert _k1e(float(x)) == pytest.approx(float(k1e(x)), rel=1e-13, abs=0.0)
 
 
+def test_array_k1e_matches_scipy():
+    # the general force's numpy K1(x) e^x, from far below its first panel to
+    # past the kernels' reach
+    x = np.logspace(-16.0, 3.0, 4001)
+    np.testing.assert_allclose(_k1e_array(x), k1e(x), rtol=1e-14, atol=0.0)
+
+
+def test_array_k1e_matches_the_scalar_sum():
+    # the two K1 of the package: the numpy fit and the plain-Python trapezoid sum
+    # it was fitted to; the fit keeps the shape of its argument
+    x = np.logspace(-8.0, math.log10(700.0), 1001)
+    np.testing.assert_allclose(_k1e_array(x), [_k1e(float(v)) for v in x], rtol=1e-14, atol=0.0)
+    assert np.array_equal(_k1e_array(x[:1000].reshape(40, 25)), _k1e_array(x[:1000]).reshape(40, 25))
+
+
+def test_ky_integral_is_zero_past_underflow():
+    # e^-x underflows past x = 745: there kx K1(x) is exactly 0, and no warning
+    # is raised (any warning fails the suite)
+    d = PLATE.d
+    x = np.array([745.2, 800.0, 1097.0, 1e4, 1e8, 1e300])
+    assert np.all(_ky_integral(x / (2.0 * d), d) == 0.0)
+    assert np.all(_ky_integral(np.array([1e-3, 1.0, 700.0]) / (2.0 * d), d) > 0.0)
+
+
 def test_plasmon_matches_the_array_ky_integral():
     # force_plasmon sums K1 in plain Python; the general force's _ky_integral
-    # takes scipy's k1e on arrays: the two agree across the unsuppressed range
+    # takes the package's numpy K1 on arrays: the two agree across the
+    # unsuppressed range
     wsp = GOLD.omega_sp
     for gap_nm in (0.1, 1.0, 10.0):
         plate = PlateConfig(d=gap_nm * CONST.nm)

@@ -141,3 +141,31 @@ def test_bad_limits_and_missing_scale():
 
 def test_degenerate_interval():
     assert integrate_finite(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
+
+
+def test_several_integrals_in_one_pass_equal_each_alone():
+    # each integral keeps its own spec and segments, so its value and error are
+    # those it has alone; the integrand is called once per round for all of them
+    fs = (lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2, lambda x: np.exp(-x) / (1.0 + x * x))
+    specs = (QuadratureSpec(rel_tol=1e-12), QuadratureSpec(rel_tol=0.1))
+    calls = []
+
+    def both(x, which):
+        calls.append(np.unique(which).tolist())
+        return np.where((which == 0)[:, None], fs[0](x), fs[1](x))
+
+    pairs = integrate_semi_infinite(both, 0.0, 1.0, specs, cuts=(0.5,))
+    alone = [integrate_semi_infinite(f, 0.0, 1.0, spec, cuts=(0.5,)) for f, spec in zip(fs, specs)]
+    assert pairs == alone
+    assert calls[0] == [0, 1] and len(calls) > 1
+    assert integrate_finite(both, 1.0, 1.0, specs) == [(0.0, 0.0), (0.0, 0.0)]
+
+
+def test_segments_drop_a_breakpoint_too_close_to_an_end_to_bisect():
+    # a segment a few ulps wide at an end would put its nodes on that end
+    from casimir_friction.numerics import _segments
+
+    points = np.array([[0.5, np.nextafter(1.0, 0.0), 1.0 - 1e-9, 1e-300]])
+    a, b, owner = _segments(np.array([0.0]), np.array([1.0]), fixed=[points])
+    assert list(zip(a, b)) == [(0.0, 1e-300), (1e-300, 0.5), (0.5, 1.0 - 1e-9), (1.0 - 1e-9, 1.0)]
+    assert owner.tolist() == [0, 0, 0, 0]

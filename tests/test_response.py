@@ -282,6 +282,19 @@ def test_im_r_dissipation_positive_and_monotone_in_t():
     assert vals[-1] > cold > 0
 
 
+def test_phi_with_a_breakpoint_within_an_ulp_of_omega():
+    # nu = omega_sp / 2 puts the sum channel's graded breakpoint
+    # omega - omega_sp + 2 nu within an ulp of omega: a segment that narrow put
+    # a node on u = omega, where Im R(omega - u) was asked for at 0
+    m = Drude(omega_p=1e16 * math.sqrt(2.0), nu=5e15)
+    omega = 2712272579332.027
+    phi, err = im_r_dissipation_integral(omega, m, m, ROOM)
+    assert math.isfinite(phi) and 0.0 < err <= 1e-12 * phi
+    below, _ = im_r_dissipation_integral(omega * (1.0 - 1e-9), m, m, ROOM)
+    above, _ = im_r_dissipation_integral(omega * (1.0 + 1e-9), m, m, ROOM)
+    assert phi == pytest.approx(0.5 * (below + above), rel=1e-12)
+
+
 def test_phi_over_an_array_is_phi_at_each_element():
     # one rule for all omegas at once: each value and error is bitwise the scalar call's
     omegas = np.array([[1e8, 3e13], [GOLD.omega_sp, 2.0 * GOLD.omega_sp + 1e12]])
