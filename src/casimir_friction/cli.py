@@ -34,9 +34,12 @@ Conventions
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
   with more than one point tabulates Phi once from the grid's extremes
-  (`friction.phi_table`, to --rtol) and integrates every row against
-  that table; every other general force tabulates Phi for its own
-  point.
+  (`friction.phi_table`, to --rtol), checks every row's velocity and
+  gap, and integrates all rows against that table in one k_x pass
+  (`friction.SharedPhi.forces`); every other general force tabulates
+  Phi for its own point.  A numerical failure at a sweep row names the
+  row and swept value as its `validity:` lines do
+  (`numerical failure: row 2 (nu_ev=1e-09): ...`).
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -253,14 +256,13 @@ def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: fl
 
 
 def compute_force(material, plate: PlateConfig, thermal: ThermalState,
-                  v: float, regime: str, spec: QuadratureSpec,
-                  phi: SharedPhi | None = None) -> FrictionResult:
+                  v: float, regime: str, spec: QuadratureSpec) -> FrictionResult:
     if regime == "linear":
         return force_linear(material, plate, thermal, v, spec)
     if regime == "zero-t":
         return force_zero_t(material, plate, v)
     if regime == "general":
-        return dissipation_general(material, material, plate, thermal, v, spec, phi=phi)
+        return dissipation_general(material, material, plate, thermal, v, spec)
     return force_plasmon(material.omega_sp, plate, v)
 
 
@@ -268,13 +270,13 @@ def _spec(args: argparse.Namespace) -> QuadratureSpec:
     return NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
 
 
-def _force(args: argparse.Namespace, material, thermal: ThermalState, where: str = "",
-           phi: SharedPhi | None = None) -> tuple[FrictionResult, str]:
+def _force(args: argparse.Namespace, material, thermal: ThermalState,
+           where: str = "") -> tuple[FrictionResult, str]:
     """The force for one configuration, and the regime it resolved to."""
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     regime = resolve_regime(args.regime, material, thermal, plate.d, v, where)
-    return compute_force(material, plate, thermal, v, regime, _spec(args), phi), regime
+    return compute_force(material, plate, thermal, v, regime, _spec(args)), regime
 
 
 def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
@@ -389,6 +391,40 @@ def _shared_phi(args: argparse.Namespace, key: str, values, material,
     return phi_table(material, material, thermal, speeds, gaps, _spec(args))
 
 
+class RowFailure(Exception):
+    """A numerical failure at one sweep row, prefixed with its row and swept value (exit code 3)."""
+
+    def __init__(self, where: str, exc: Exception):
+        super().__init__(f"{where}{exc}")
+        self.level = getattr(exc, "level", None)
+
+
+def _sweep_forces(args: argparse.Namespace, rows, material, thermal: ThermalState | None,
+                  phi: SharedPhi | None):
+    """Each row's force, in order: one k_x pass against ``phi``, or else one force per row."""
+    if phi is not None:
+        # every row's gap and velocity is checked before the one pass
+        gaps, speeds = zip(*((build_plate(point).d, _checked(point.velocity, "--velocity"))
+                             for _, point in rows))
+        try:
+            results = phi.forces(speeds, gaps, _spec(args))
+        except NonConvergence as exc:  # a k_x failure, which names its point
+            raise RowFailure(rows[exc.index][0], exc) from exc
+        yield from results
+        return
+    for where, point in rows:
+        try:
+            result, _ = _force(
+                point,
+                build_material(point) if material is None else material,
+                build_thermal(point.temp_k) if thermal is None else thermal,
+                where,
+            )
+        except (NonConvergence, ArithmeticError) as exc:
+            raise RowFailure(where, exc) from exc
+        yield result
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param is None:
         raise CLIError("missing required input: --param")
@@ -419,20 +455,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.regime == "general" and key in ("velocity", "gap_nm") and len(values) > 1:
         phi = _shared_phi(args, key, values, material, thermal)
 
+    swept = values.tolist()
+    rows = [(f"row {i} ({key}={x!r}): ", argparse.Namespace(**{**vars(args), key: x}))
+            for i, x in enumerate(swept)]
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    for i, x in enumerate(values):
-        shown = repr(float(x))
-        where = f"row {i} ({key}={shown}): "
-        point = argparse.Namespace(**{**vars(args), key: float(x)})
-        result, _ = _force(
-            point,
-            build_material(point) if material is None else material,
-            build_thermal(point.temp_k) if thermal is None else thermal,
-            where,
-            phi,
-        )
-        _note_flags(result.diagnostics.validity_flags, where)
-        out.append(",".join([str(i), shown, repr(result.force_per_area), result.regime]))
+    for i, result in enumerate(_sweep_forces(args, rows, material, thermal, phi)):
+        _note_flags(result.diagnostics.validity_flags, rows[i][0])
+        out.append(",".join([str(i), repr(swept[i]), repr(result.force_per_area), result.regime]))
     print("\n".join(out))
     return 0
 
@@ -452,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
-    except (NonConvergence, ArithmeticError) as exc:
+    except (NonConvergence, ArithmeticError, RowFailure) as exc:
         # SingularResponse, float overflow and division by zero are ArithmeticErrors
         level = getattr(exc, "level", None)
         _note(f"numerical failure: {exc}" + (f" (level: {level})" if level else ""))

@@ -51,15 +51,19 @@ omega_sp / 2.  There only the Bose-weighted rest of the sum channel and
 the difference channel are integrated, and the node's error estimate
 adds the closed form's rounding bound.  So a T = 0 force whose band
 lies in those windows integrates nothing but k_x.
+`SharedPhi.forces` integrates any number of (v, d) points against a
+table in one `numerics.integrate_semi_infinite` pass over an array
+integrand, by the package's one G7/K15 rule.  Each point's k_x integral
+runs on its own scale 1/(2d), cut at every panel edge of the table in
+its band (where the piecewise series has its kinks, the resonances
+among them).  Beside it the pass integrates the table's kernel-weighted
+error, which carries Phi's own, to its own looser tolerance, and adds
+it to ``quadrature_rel_err``: the error budget covers the table, Phi
+and the k_x integral.  Each integral is refined on its own segments, so
+a point's result is bit for bit the one it has alone, and each
+bisection round takes K1 and the table once for every point.
 `dissipation_general` reads Phi from the table it is given, or builds
-one for its own (v, d).  Its k_x integral is one
-`numerics.integrate_semi_infinite` over an array integrand, by the
-package's one G7/K15 rule, cut at every panel edge of the table in its
-band (where the piecewise series has its kinks, the resonances among
-them).  The same pass integrates the table's kernel-weighted error,
-which carries Phi's own, to its own looser tolerance, and adds it to
-``quadrature_rel_err``: the error budget covers the table, Phi and the
-k_x integral.
+one for its own (v, d), and takes its one point through the same pass.
 
 K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
@@ -374,9 +378,9 @@ def _kernels(scales: Sequence[float]) -> Callable:
 class SharedPhi:
     """A `PhiTable` for every (v, d) point of a velocity and gap range.
 
-    Built by `phi_table`; `dissipation_general` reads Phi from it for
-    the materials and temperature it was built for, and cuts its k_x
-    integral at the table's panel edges that fall in a point's band.
+    Built by `phi_table`; `forces` integrates any number of points
+    against it in one pass, and `dissipation_general` reads Phi from it
+    for the materials and temperature it was built for.
     """
 
     material1: MaterialModel
@@ -387,6 +391,95 @@ class SharedPhi:
     def covers(self, v: float, d: float) -> bool:
         lo, hi = _kernel_band(v, d)
         return self.table.omega_lo <= lo and hi <= self.table.omega_hi
+
+    def forces(self, v, d, spec: QuadratureSpec = NESTED_SPEC) -> list[FrictionResult]:
+        """The general force at each point (v[i], d[i]), all against this table in one pass.
+
+        ``v`` and ``d`` are sequences of velocities and gaps (m/s, m)
+        of one length.  Each point with v > 0 takes two k_x integrals, both
+        `numerics.integrate_semi_infinite` on its exponential scale
+        1/(2d), cut at every panel edge of the table (the resonances of
+        Phi among them) inside its kernel band; the k_y integral is the
+        closed form k_x K1(2 d k_x).  One integrates the force to
+        ``spec``, the other the table's error (its interpolation error
+        and Phi's own), weighed by the same kernel, to `ERROR_SPEC`, and
+        it is added to ``quadrature_rel_err``.  The integrals of every
+        point are taken in one pass, each refined on its own segments,
+        so that a point's force and error are those it has alone, and
+        each bisection round takes K1 and the table once for all of
+        them.  A point with v = 0 has force 0.
+
+        Raises
+        ------
+        DomainError
+            If a velocity is < 0.
+        NonConvergence
+            With level "k_x" and the ``index`` of the point whose
+            integral failed first, naming the k_x interval (1/m) on
+            which the rule failed and the matching omega = k_x v.
+        ValueError
+            If the table's (v, d) range does not cover a point.
+        """
+        v, d = [float(x) for x in v], [float(x) for x in d]
+        if len(v) != len(d):
+            raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
+                             f"and {len(d)} gaps")
+        for vi, di in zip(v, d):
+            _require_velocity(vi)
+            if vi and not self.covers(vi, di):
+                raise ValueError(f"the Phi table was built for a (v, d) range that does not "
+                                 f"cover v = {vi!r} m/s, d = {di!r} m")
+        live = [i for i, vi in enumerate(v) if vi]
+        n = len(live)
+        # integral j takes point live[j % n]: its force for j < n, else its table error
+        v_rows = np.array([v[i] for i in live] * 2)
+        d_rows = np.array([d[i] for i in live] * 2)
+        table = self.table
+        lo, hi = _kernel_band(v_rows, d_rows)
+        edges = np.exp(table.edges)
+        # a cut at the lower limit k_x = 0 is no cut
+        cuts = np.where((lo[:, None] < edges) & (edges < hi[:, None]), edges / v_rows[:, None],
+                        0.0)
+        v_column, d_column = v_rows[:, None], d_rows[:, None]
+
+        def weighed(kx, which):
+            """k_x * (k_x K1(2 d k_x)) times Phi(k_x v) (integral j < n) or its table error.
+
+            Rows of ``kx`` belong to the integral in ``which``; K1 is
+            taken once for all rows.
+            """
+            y = kx * _ky_integral(kx, d_column[which])
+            omega = kx * v_column[which]
+            split = int(np.searchsorted(which, n))
+            if split:
+                y[:split] *= table(omega[:split])
+            if split < which.size:
+                y[split:] *= table.error(omega[split:])
+            return y
+
+        try:
+            pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / d_rows,
+                                            [spec] * n + [ERROR_SPEC] * n, cuts) if n else []
+        except NonConvergence as exc:
+            j = exc.index % n
+            (kx_lo, kx_hi), vj = exc.interval, float(v_rows[j])
+            raise NonConvergence(
+                f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
+                f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
+                index=live[j],
+            ) from exc
+        results, bounds = [], iter(zip(pairs[:n], pairs[n:]))
+        for vi in v:
+            value = rel_err = 0.0
+            if vi:
+                (value, err), (bound, _) = next(bounds)
+                rel_err = abs(err / value) + bound / abs(value) if value else 0.0
+            results.append(FrictionResult(
+                force_per_area=CONST.hbar / (2.0 * math.pi**3) * value,
+                regime=GENERAL_NUMERIC,
+                diagnostics=Diagnostics(quadrature_rel_err=rel_err),
+            ))
+        return results
 
 
 def phi_table(
@@ -455,13 +548,10 @@ def dissipation_general(
     Valid at any temperature and velocity, for Drude plates.  Phi is
     read from a table: ``phi`` (from `phi_table`, for these materials
     and temperature and a range that covers v and d), or else one built
-    for this (v, d) alone.  The k_x integral is
-    one `numerics.integrate_semi_infinite` on the exponential scale
-    1/(2d), cut at every panel edge of the table (the resonances of Phi
-    among them) inside the point's kernel band; the k_y integral is the
-    closed form k_x K1(2 d k_x).  The table's error (its interpolation
-    error and Phi's own), weighed by the same kernel and integrated on
-    the same cuts, is added to ``quadrature_rel_err``.
+    for this (v, d) alone.  The k_x integrals are those of
+    `SharedPhi.forces` for this one point: the force, and the table's
+    error weighed by the same kernel, which is added to
+    ``quadrature_rel_err``.
 
     Raises
     ------
@@ -480,49 +570,12 @@ def dissipation_general(
     _require_velocity(v)
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
-    d = config.d
     if phi is None:
-        phi = phi_table(material1, material2, thermal, (v, v), (d, d), spec)
+        phi = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
     elif (phi.material1 is not material1 or phi.material2 is not material2
-            or phi.thermal != thermal or not phi.covers(v, d)):
-        raise ValueError("the Phi table was built for other materials, "
-                         "temperature or (v, d) range")
-    table = phi.table
-    lo, hi = _kernel_band(v, d)
-    edges = np.exp(table.edges)
-    cuts = edges[(lo < edges) & (edges < hi)] / v
-
-    def weighed(kx, which):
-        """k_x * (k_x K1(2 d k_x)) times Phi(k_x v) (integral 0) or its table error (integral 1).
-
-        Rows of ``kx`` belong to the integral in ``which``; K1 is taken
-        once for the rows of both.
-        """
-        y = kx * _ky_integral(kx, d)
-        split = int(np.searchsorted(which, 1))
-        if split:
-            y[:split] *= table(kx[:split] * v)
-        if split < which.size:
-            y[split:] *= table.error(kx[split:] * v)
-        return y
-
-    try:
-        (value, err), (bound, _) = integrate_semi_infinite(weighed, 0.0, 0.5 / d,
-                                                           (spec, ERROR_SPEC), cuts)
-    except NonConvergence as exc:
-        kx_lo, kx_hi = exc.interval
-        raise NonConvergence(
-            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
-            f"omega = k_x v in [{kx_lo * v!r}, {kx_hi * v!r}] rad/s", level="k_x",
-        ) from exc
-    rel_err = abs(err / value) + bound / abs(value) if value else 0.0
-    force = CONST.hbar / (2.0 * math.pi**3) * value
-
-    return FrictionResult(
-        force_per_area=force,
-        regime=GENERAL_NUMERIC,
-        diagnostics=Diagnostics(quadrature_rel_err=rel_err),
-    )
+            or phi.thermal != thermal):
+        raise ValueError("the Phi table was built for other materials or temperature")
+    return phi.forces([v], [config.d], spec)[0]
 
 
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:

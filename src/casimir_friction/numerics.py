@@ -9,12 +9,14 @@ every segment whose Kronrod-Gauss difference exceeds its share of the
 tolerance (`_integrate`).  It runs many integrals at once, each over its
 own segments, with one call of the integrand per refinement round:
 `response` builds Phi(omega) with it directly.  `integrate_finite` and
-`integrate_semi_infinite` are its fronts for one integral, or for a few
-over one range, each to its own tolerance, with one call of their
-shared integrand per round (the k_x integral of the general force and
-its error bound; the tests' delta-limit oracle integrates on the finite
-one); their integrands take arrays of nodes, and each is cut at the
-integral's interior points where the integrand has a kink.
+`integrate_semi_infinite` are its fronts for one integral, or for many
+over one range, each with its own tolerance, its own cuts and (on the
+semi-infinite range) its own decay scale, and with one call of their
+shared integrand per round (the k_x integrals of every point of a
+general sweep and their error bounds; the tests' delta-limit oracle
+integrates on the finite one); their integrands take arrays of nodes,
+and each integral is cut at its interior points where its integrand has
+a kink.
 Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 
@@ -75,13 +77,19 @@ class NonConvergence(RuntimeError):
         From `integrate_finite` and `integrate_semi_infinite`: the
         segment of the integration variable with the largest error when
         the rule failed.
+    index : int or None
+        From a pass over several integrals or points: the one that
+        failed (its place among the specs of `integrate_finite` and
+        `integrate_semi_infinite`, among the points of
+        `friction.SharedPhi.forces`).
     """
 
     def __init__(self, message: str, level: str | None = None,
-                 interval: tuple[float, float] | None = None):
+                 interval: tuple[float, float] | None = None, index: int | None = None):
         super().__init__(message)
         self.level = level
         self.interval = interval
+        self.index = index
 
 
 class FloatFailure(ArithmeticError):
@@ -295,7 +303,7 @@ def _segments(lo, hi, graded=(), fixed=()):
     """
     n = lo.size
     zero = np.zeros(n)
-    points = [np.broadcast_to(p, (n, np.shape(p)[-1])) for p in fixed]
+    points = list(fixed)
     if graded:
         centre = np.array([c + zero for c, _ in graded])[..., None]
         width = np.array([w + zero for _, w in graded])[..., None]
@@ -326,6 +334,20 @@ def _segments(lo, hi, graded=(), fixed=()):
     return a, b, owner
 
 
+def _cut_rows(cuts, n: int, fill: float):
+    """One row of cuts per integral, as an (n, m) array; shorter rows are padded with ``fill``."""
+    if getattr(cuts, "ndim", None) == 2:
+        rows = np.asarray(cuts, dtype=float)
+    else:
+        ragged = [np.asarray(row, dtype=float).ravel() for row in cuts]
+        rows = np.full((len(ragged), max((row.size for row in ragged), default=0)), fill)
+        for j, row in enumerate(ragged):
+            rows[j, :row.size] = row
+    if rows.shape[0] != n:
+        raise ValueError(f"need one sequence of cuts per integral ({n}), got {rows.shape[0]}")
+    return rows
+
+
 # The benchmark's tracer (perfbench/tracing.py) binds integrate_finite and
 # integrate_semi_infinite by name, at every module that imports them, and its
 # smoke run needs a call of each: the general force calls the semi-infinite
@@ -335,7 +357,7 @@ def integrate_finite(
     a: float,
     b: float,
     spec: QuadratureSpec | Sequence[QuadratureSpec] = DEFAULT_SPEC,
-    cuts: Sequence[float] = (),
+    cuts: Sequence[float] | Sequence[Sequence[float]] = (),
 ):
     """Integrate f over [a, b] by the package's G7/K15 rule.
 
@@ -354,9 +376,11 @@ def integrate_finite(
         ``which[i]`` at the nodes ``x[i]`` (one row of x per segment,
         ``which`` increasing), so that what the integrands share is
         computed once per bisection round.
-    cuts : sequence of float
+    cuts : sequence of float, or one such sequence per spec
         Points where f has a kink or a narrow feature; the starting
-        segments end there.  Points outside (a, b) are dropped.
+        segments end there.  Points outside (a, b) are dropped.  For a
+        sequence of m specs, m rows of cuts (a list of sequences, or an
+        array of m rows), one per integral.
 
     Returns
     -------
@@ -369,27 +393,25 @@ def integrate_finite(
     NonConvergence
         If an integral is not finite, or takes more than its
         ``max_subdivisions`` bisections to meet its ``rel_tol``; its
-        ``interval`` is the segment with the largest error.
+        ``interval`` is that integral's segment with the largest error,
+        and for a sequence of specs its ``index`` is the integral's.
     """
     if a > b:
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
     many = not isinstance(spec, QuadratureSpec)
     specs = list(spec) if many else [spec]
-    if a == b:
-        pairs = [(0.0, 0.0)] * len(specs)
-        return pairs if many else pairs[0]
-    edges = np.concatenate(([a], np.asarray(cuts, dtype=float), [b]))
-    # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
-    edges = np.unique(np.minimum(np.maximum(edges, a), b))
-
-    def fail(_, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
-        return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
-                              interval=(seg_lo, seg_hi))
-
     n = len(specs)
-    value, err = _integrate(f if many else lambda x, _: f(x),
-                            np.concatenate([edges[:-1]] * n), np.concatenate([edges[1:]] * n),
-                            np.repeat(np.arange(n), edges.size - 1), n,
+    if a == b:
+        pairs = [(0.0, 0.0)] * n
+        return pairs if many else pairs[0]
+    seg_a, seg_b, owner = _segments(np.full(n, float(a)), np.full(n, float(b)),
+                                    fixed=[_cut_rows(cuts if many else [cuts], n, a)])
+
+    def fail(j: int, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
+        return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
+                              interval=(seg_lo, seg_hi), index=j if many else None)
+
+    value, err = _integrate(f if many else lambda x, _: f(x), seg_a, seg_b, owner, n,
                             np.array([s.rel_tol for s in specs]),
                             np.array([s.max_subdivisions for s in specs]), fail)
     pairs = list(zip(value.tolist(), err.tolist()))
@@ -400,9 +422,9 @@ def integrate_finite(
 def integrate_semi_infinite(
     f: Callable[..., np.ndarray],
     a: float,
-    scale: float,
+    scale: float | Sequence[float],
     spec: QuadratureSpec | Sequence[QuadratureSpec],
-    cuts: Sequence[float] = (),
+    cuts: Sequence[float] | Sequence[Sequence[float]] = (),
 ):
     """Integrate f over [a, +inf) via the rational decay-scale transform.
 
@@ -410,9 +432,10 @@ def integrate_semi_infinite(
     exponentially on that scale for the transform to concentrate the
     quadrature nodes usefully.  f is evaluated on arrays of nodes, as by
     `integrate_finite`, which also takes several integrals in one pass
-    for a sequence of specs.  The mapped integral starts from
-    _T_SEGMENTS uniform segments in t, cut further at the images of the
-    ``cuts`` beyond a.
+    for a sequence of specs: then ``scale`` is a sequence of one decay
+    scale per integral, and ``cuts`` one row of cuts per integral.  Each
+    mapped integral starts from _T_SEGMENTS uniform segments in t, cut
+    further at the images of its ``cuts`` beyond a.
 
     Returns
     -------
@@ -422,26 +445,35 @@ def integrate_semi_infinite(
     Raises
     ------
     DomainError
-        If scale <= 0.
+        If a scale is not > 0.
     NonConvergence
         From `integrate_finite`, with the ``interval`` in q rather than t.
     """
-    if not scale > 0:
+    many = not isinstance(spec, QuadratureSpec)
+    n = len(spec) if many else 1
+    scales = np.array(scale if many else [scale], dtype=float)
+    if scales.shape != (n,):
+        raise ValueError(f"need one scale per integral ({n}), got {scale}")
+    if not (scales > 0).all():
         raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scale}")
+    column = scales[:, None]
 
-    def q(t):
-        return a + scale * t / (1.0 - t)
+    def q(t, s):
+        return a + s * t / (1.0 - t)
 
     def g(t, *which):
+        s = column[which[0]] if many else scales[0]
         u = 1.0 - t
-        return f(q(t), *which) * scale / (u * u)
+        return f(q(t, s), *which) * s / (u * u)
 
-    past = np.asarray(cuts, dtype=float) - a
-    past = past[past > 0]
-    t_cuts = np.concatenate((np.arange(1, _T_SEGMENTS) / _T_SEGMENTS, past / (past + scale)))
+    past = _cut_rows(cuts if many else [cuts], n, a) - a
+    t_cuts = np.zeros((n, _T_SEGMENTS - 1 + past.shape[1]))
+    t_cuts[:, :_T_SEGMENTS - 1] = np.arange(1, _T_SEGMENTS) / _T_SEGMENTS
+    np.divide(past, past + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=past > 0)
     try:
-        return integrate_finite(g, 0.0, 1.0, spec, t_cuts)
+        return integrate_finite(g, 0.0, 1.0, spec, t_cuts if many else t_cuts[0])
     except NonConvergence as exc:
-        lo, hi = (q(t) if t < 1.0 else math.inf for t in exc.interval)
+        s = float(scales[exc.index or 0])
+        lo, hi = (q(t, s) if t < 1.0 else math.inf for t in exc.interval)
         raise NonConvergence(f"quadrature on [{a!r}, inf) did not converge on [{lo!r}, {hi!r}]",
-                             interval=(lo, hi)) from exc
+                             interval=(lo, hi), index=exc.index) from exc

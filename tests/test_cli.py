@@ -793,16 +793,18 @@ def test_sweep_gap_linear_slope(capsys):
 
 
 def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
-    from casimir_friction import cli as cli_mod
+    # a shared-table sweep hands every row to one k_x pass: each of the 3 rows
+    # reaches it once, and none twice
+    from casimir_friction.friction import SharedPhi
 
-    calls = []
-    real = cli_mod.dissipation_general
+    passes = []
+    real = SharedPhi.forces
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, v, d, *args, **kwargs):
+        passes.append(list(zip(v, d)))
+        return real(self, v, d, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "dissipation_general", counting)
+    monkeypatch.setattr(SharedPhi, "forces", counting)
     code, out, _ = run_cli(
         capsys,
         ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "zero", "--regime",
@@ -811,7 +813,48 @@ def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 4
-    assert len(calls) == 3
+    [points] = passes
+    assert len(points) == 3 and len(set(points)) == 3
+    assert [v for v, _ in points] == [float(x) for x in np.logspace(-1.0, 0.0, 3)]
+
+
+def test_sweep_numerical_failure_names_its_row(capsys):
+    # rows 0 and 1 converge; the lossless-limit row 2 fails in Phi
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "--model", "drude", "--wp-ev", "9", "--gap-nm", "1", "--velocity", "1e7",
+         "--temp-k", "zero", "--regime", "general", "--param", "nu-ev", "--from", "0.035",
+         "--to", "1e-9", "--points", "3", "--scale", "log"],
+    )
+    assert code == 3
+    assert out == ""
+    [line] = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
+    assert line.startswith("numerical failure: row 2 (nu_ev=1e-09): Phi ")
+    assert line.endswith("(level: omega1)")
+
+
+def test_shared_sweep_kx_failure_names_its_row(capsys, monkeypatch):
+    # a k_x integral that fails inside the one pass of a gap sweep is named by
+    # its row, as a per-row failure is
+    from casimir_friction import friction
+
+    real = friction._ky_integral
+    bad = 10.0 * CONST.nm
+
+    def failing_at_10_nm(kx, d):
+        return np.where(d == bad, math.nan, real(kx, d))
+
+    monkeypatch.setattr(friction, "_ky_integral", failing_at_10_nm)
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "300", "--regime", "general",
+         "--param", "gap-nm", "--from", "5", "--to", "20", "--points", "3", "--scale", "log"],
+    )
+    assert code == 3
+    assert out == ""
+    [line] = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
+    assert line.startswith("numerical failure: row 1 (gap_nm=10.0): k_x integral ")
+    assert line.endswith("(level: k_x)")
 
 
 def test_sweep_builds_its_material_once(capsys, tmp_path, monkeypatch):

@@ -417,6 +417,61 @@ def test_phi_table_across_the_plasmon_resonances():
         assert tab.diagnostics.quadrature_rel_err >= dev
 
 
+SWEEPS = {
+    # (thermal, velocities, gaps): each sweep's rows share one table
+    "velocity-cold": (COLD, np.logspace(-1.0, 5.0, 12), [PLATE.d]),
+    "velocity-room": (ROOM, np.logspace(-1.0, 5.0, 12), [PLATE.d]),
+    "gap-cold": (COLD, [1.0], np.logspace(np.log10(5e-9), -7.0, 9)),
+    "gap-room": (ROOM, [1.0], np.logspace(np.log10(5e-9), -7.0, 9)),
+    # the band crosses omega_sp and 2 omega_sp
+    "plasmon-cold": (COLD, np.logspace(4.0, 8.0, 9), [PLATE.d]),
+    "plasmon-room": (ROOM, np.logspace(4.0, 8.0, 9), [PLATE.d]),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_one_pass_rows_equal_the_per_point_force(sweep):
+    # every point's integrals are refined on their own segments, so a row of
+    # the one pass is bit for bit the force of that point alone
+    thermal, speeds, gaps = SWEEPS[sweep]
+    v, d = (a.ravel().tolist() for a in np.broadcast_arrays(speeds, gaps))
+    assert len(v) >= 8
+    shared = phi_table(GOLD, GOLD, thermal, (min(v), max(v)), (min(d), max(d)))
+    rows = shared.forces(v, d)
+    for row, vi, di in zip(rows, v, d):
+        alone = dissipation_general(GOLD, GOLD, PlateConfig(d=di), thermal, vi, phi=shared)
+        assert row.force_per_area == alone.force_per_area
+        assert row.diagnostics.quadrature_rel_err == alone.diagnostics.quadrature_rel_err
+        assert row.regime == GENERAL_NUMERIC and row.force_per_area > 0
+
+
+def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
+    shared = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
+    # v = 0 gives 0, as dissipation_general does
+    zero, one = shared.forces([0.0, 1.0], [PLATE.d] * 2)
+    assert zero.force_per_area == 0.0 and zero.diagnostics.quadrature_rel_err == 0.0
+    assert one == dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0, phi=shared)
+    assert shared.forces([], []) == []
+    with pytest.raises(DomainError):
+        shared.forces([1.0, -1.0], [PLATE.d] * 2)
+    with pytest.raises(ValueError, match="does not cover v = 20.0"):
+        shared.forces([1.0, 20.0], [PLATE.d] * 2)
+    with pytest.raises(ValueError, match="one gap per velocity"):
+        shared.forces([1.0, 2.0], [PLATE.d])
+    # the point whose integral fails is named by its place among the points
+    real = friction._ky_integral
+    bad = 2.0 * PLATE.d
+
+    def failing(kx, d):
+        return np.where(d == bad, math.nan, real(kx, d))
+
+    monkeypatch.setattr(friction, "_ky_integral", failing)
+    wide = phi_table(GOLD, GOLD, ROOM, (1.0, 1.0), (PLATE.d, 3.0 * PLATE.d))
+    with pytest.raises(NonConvergence, match="k_x integral") as err:
+        wide.forces([0.0, 1.0, 1.0, 1.0], [PLATE.d, PLATE.d, bad, 3.0 * PLATE.d])
+    assert err.value.level == "k_x" and err.value.index == 2
+
+
 def test_phi_table_that_cannot_resolve_names_its_interval():
     # an oscillation far faster than TABLE_MAX_PANELS panels can follow keeps
     # the trailing coefficients at O(1)

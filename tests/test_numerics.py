@@ -144,21 +144,48 @@ def test_degenerate_interval():
 
 
 def test_several_integrals_in_one_pass_equal_each_alone():
-    # each integral keeps its own spec and segments, so its value and error are
-    # those it has alone; the integrand is called once per round for all of them
-    fs = (lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2, lambda x: np.exp(-x) / (1.0 + x * x))
-    specs = (QuadratureSpec(rel_tol=1e-12), QuadratureSpec(rel_tol=0.1))
+    # each integral keeps its own spec, decay scale, cuts and segments, so its
+    # value and error are those it has alone; the integrand is called once per
+    # round for all of them
+    fs = (lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2, lambda x: np.exp(-x) / (0.01 + (x - 1.0) ** 2),
+          lambda x: np.exp(-4.0 * x) * np.abs(x - 0.3))
+    specs = (QuadratureSpec(rel_tol=1e-12), QuadratureSpec(rel_tol=0.1),
+             QuadratureSpec(rel_tol=1e-10))
+    scales = (1.0, 2.0, 0.25)
+    cuts = [(0.5,), (), (0.3, 1.7, -1.0)]
     calls = []
 
-    def both(x, which):
+    def each(x, which):
         calls.append(np.unique(which).tolist())
-        return np.where((which == 0)[:, None], fs[0](x), fs[1](x))
+        y = np.empty_like(x)
+        for j, f in enumerate(fs):
+            y[which == j] = f(x[which == j])
+        return y
 
-    pairs = integrate_semi_infinite(both, 0.0, 1.0, specs, cuts=(0.5,))
-    alone = [integrate_semi_infinite(f, 0.0, 1.0, spec, cuts=(0.5,)) for f, spec in zip(fs, specs)]
+    pairs = integrate_semi_infinite(each, 0.0, scales, specs, cuts)
+    alone = [integrate_semi_infinite(f, 0.0, s, spec, c)
+             for f, s, spec, c in zip(fs, scales, specs, cuts)]
     assert pairs == alone
-    assert calls[0] == [0, 1] and len(calls) > 1
-    assert integrate_finite(both, 1.0, 1.0, specs) == [(0.0, 0.0), (0.0, 0.0)]
+    assert calls[0] == [0, 1, 2] and len(calls) > 1
+    # the finite front takes one row of cuts per integral too, as a list or an array
+    alone = [integrate_finite(f, 0.0, 2.0, spec, c) for f, spec, c in zip(fs, specs, cuts)]
+    assert integrate_finite(each, 0.0, 2.0, specs, cuts) == alone
+    rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 1.7, -1.0]])
+    assert integrate_finite(each, 0.0, 2.0, specs, rows) == alone
+    assert integrate_finite(each, 1.0, 1.0, specs, cuts) == [(0.0, 0.0)] * 3
+    with pytest.raises(ValueError, match="one scale per integral"):
+        integrate_semi_infinite(each, 0.0, 1.0, specs, cuts)
+    with pytest.raises(ValueError, match="one sequence of cuts per integral"):
+        integrate_semi_infinite(each, 0.0, scales, specs, cuts[:2])
+    # a failing integral is named, with its own segment in q, as when it is alone
+    tight = (specs[0], QuadratureSpec(rel_tol=1e-13, max_subdivisions=1), specs[2])
+    with pytest.raises(NonConvergence) as err:
+        integrate_semi_infinite(each, 0.0, scales, tight, cuts)
+    with pytest.raises(NonConvergence) as err_alone:
+        integrate_semi_infinite(fs[1], 0.0, scales[1], tight[1], cuts[1])
+    assert err.value.index == 1 and err_alone.value.index is None
+    assert err.value.interval == err_alone.value.interval
+    assert err.value.interval[1] > 1.0  # in q, not in the mapped t in [0, 1]
 
 
 def test_segments_drop_a_breakpoint_too_close_to_an_end_to_bisect():
