@@ -33,13 +33,13 @@ Conventions
   whose document has no place for run metadata.
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
-  with more than one point tabulates Phi once from the grid's extremes
-  (`friction.phi_table`, to --rtol), checks every row's velocity and
-  gap, and integrates all rows against that table in one k_x pass
-  (`friction.SharedPhi.forces`); every other general force tabulates
-  Phi for its own point.  A numerical failure at a sweep row names the
-  row and swept value as its `validity:` lines do
-  (`numerical failure: row 2 (nu_ev=1e-09): ...`).
+  checks every row's velocity and gap, tabulates Phi once from the
+  rows' extremes (`friction.phi_table`, to --rtol) and integrates all
+  rows against that table in one k_x pass (`friction.SharedPhi.forces`);
+  every other general force tabulates Phi for its own point.  A
+  numerical failure at a sweep row names the row and swept value as its
+  `validity:` lines do (`numerical failure: row 2 (nu_ev=1e-09): ...`);
+  one of the shared table, which serves every row, names none.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -55,6 +55,7 @@ Conventions
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,7 +66,6 @@ from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
     FrictionResult,
-    SharedPhi,
     dissipation_general,
     force_linear,
     force_plasmon,
@@ -114,7 +114,9 @@ def _add_force(p: argparse.ArgumentParser) -> None:
                    default="auto")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared: do not change it."""
     parser = argparse.ArgumentParser(
         prog="casimir-friction",
         description="Casimir friction between sliding dielectric half-spaces",
@@ -382,15 +384,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _shared_phi(args: argparse.Namespace, key: str, values, material,
-                thermal: ThermalState) -> SharedPhi:
-    """One Phi table for every point of a velocity or gap sweep, from the grid's extremes."""
-    ends = [argparse.Namespace(**{**vars(args), key: float(x)}) for x in (min(values), max(values))]
-    gaps = [build_plate(end).d for end in ends]
-    speeds = [_checked(end.velocity, "--velocity") for end in ends]
-    return phi_table(material, material, thermal, speeds, gaps, _spec(args))
-
-
 class RowFailure(Exception):
     """A numerical failure at one sweep row, prefixed with its row and swept value (exit code 3)."""
 
@@ -399,15 +392,23 @@ class RowFailure(Exception):
         self.level = getattr(exc, "level", None)
 
 
-def _sweep_forces(args: argparse.Namespace, rows, material, thermal: ThermalState | None,
-                  phi: SharedPhi | None):
-    """Each row's force, in order: one k_x pass against ``phi``, or else one force per row."""
-    if phi is not None:
-        # every row's gap and velocity is checked before the one pass
+def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
+                  thermal: ThermalState | None):
+    """Each row's force, in order.
+
+    Phi depends on the material and T only, so a general sweep over v or
+    d checks every row's gap and velocity, tabulates Phi once from their
+    extremes and integrates every row against it in one k_x pass.  Any
+    other sweep takes one force per row.
+    """
+    if args.regime == "general" and key in ("velocity", "gap_nm"):
         gaps, speeds = zip(*((build_plate(point).d, _checked(point.velocity, "--velocity"))
                              for _, point in rows))
+        spec = _spec(args)
+        shared = phi_table(material, material, thermal, (min(speeds), max(speeds)),
+                           (min(gaps), max(gaps)), spec)
         try:
-            results = phi.forces(speeds, gaps, _spec(args))
+            results = shared.forces(speeds, gaps, spec)
         except NonConvergence as exc:  # a k_x failure, which names its point
             raise RowFailure(rows[exc.index][0], exc) from exc
         yield from results
@@ -449,17 +450,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # what the swept parameter does not change is built once
     material = None if key in ("wp_ev", "nu_ev") else build_material(args)
     thermal = None if key == "temp_k" else build_thermal(args.temp_k)
-    # Phi depends on the material and T only: a general sweep over v or d
-    # integrates every point against one table of it
-    phi = None
-    if args.regime == "general" and key in ("velocity", "gap_nm") and len(values) > 1:
-        phi = _shared_phi(args, key, values, material, thermal)
-
     swept = values.tolist()
     rows = [(f"row {i} ({key}={x!r}): ", argparse.Namespace(**{**vars(args), key: x}))
             for i, x in enumerate(swept)]
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    for i, result in enumerate(_sweep_forces(args, rows, material, thermal, phi)):
+    for i, result in enumerate(_sweep_forces(args, key, rows, material, thermal)):
         _note_flags(result.diagnostics.validity_flags, rows[i][0])
         out.append(",".join([str(i), repr(swept[i]), repr(result.force_per_area), result.regime]))
     print("\n".join(out))

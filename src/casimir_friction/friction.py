@@ -62,8 +62,8 @@ it to ``quadrature_rel_err``: the error budget covers the table, Phi
 and the k_x integral.  Each integral is refined on its own segments, so
 a point's result is bit for bit the one it has alone, and each
 bisection round takes K1 and the table once for every point.
-`dissipation_general` reads Phi from the table it is given, or builds
-one for its own (v, d), and takes its one point through the same pass.
+`dissipation_general` builds a table for its own (v, d) and takes its
+one point through the same pass.
 
 K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
@@ -379,18 +379,11 @@ class SharedPhi:
     """A `PhiTable` for every (v, d) point of a velocity and gap range.
 
     Built by `phi_table`; `forces` integrates any number of points
-    against it in one pass, and `dissipation_general` reads Phi from it
-    for the materials and temperature it was built for.
+    against it in one pass, for the plates and temperature it was built
+    for, which it keeps no record of.
     """
 
-    material1: MaterialModel
-    material2: MaterialModel
-    thermal: ThermalState
     table: PhiTable
-
-    def covers(self, v: float, d: float) -> bool:
-        lo, hi = _kernel_band(v, d)
-        return self.table.omega_lo <= lo and hi <= self.table.omega_hi
 
     def forces(self, v, d, spec: QuadratureSpec = NESTED_SPEC) -> list[FrictionResult]:
         """The general force at each point (v[i], d[i]), all against this table in one pass.
@@ -412,7 +405,7 @@ class SharedPhi:
         Raises
         ------
         DomainError
-            If a velocity is < 0.
+            If a velocity is < 0, or a gap is not finite and > 0.
         NonConvergence
             With level "k_x" and the ``index`` of the point whose
             integral failed first, naming the k_x interval (1/m) on
@@ -424,9 +417,13 @@ class SharedPhi:
         if len(v) != len(d):
             raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
                              f"and {len(d)} gaps")
+        table = self.table
         for vi, di in zip(v, d):
             _require_velocity(vi)
-            if vi and not self.covers(vi, di):
+            if not (di > 0 and math.isfinite(di)):
+                raise DomainError(f"gap d must be finite and > 0, got {di!r}")
+            lo, hi = _kernel_band(vi, di)
+            if vi and not (table.omega_lo <= lo and hi <= table.omega_hi):
                 raise ValueError(f"the Phi table was built for a (v, d) range that does not "
                                  f"cover v = {vi!r} m/s, d = {di!r} m")
         live = [i for i, vi in enumerate(v) if vi]
@@ -434,7 +431,6 @@ class SharedPhi:
         # integral j takes point live[j % n]: its force for j < n, else its table error
         v_rows = np.array([v[i] for i in live] * 2)
         d_rows = np.array([d[i] for i in live] * 2)
-        table = self.table
         lo, hi = _kernel_band(v_rows, d_rows)
         edges = np.exp(table.edges)
         # a cut at the lower limit k_x = 0 is no cut
@@ -531,7 +527,7 @@ def phi_table(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
         lo, hi, 3 if thermal.is_zero else 1, kernels, resonances, spec.rel_tol,
     )
-    return SharedPhi(material1, material2, thermal, table)
+    return SharedPhi(table)
 
 
 def dissipation_general(
@@ -541,17 +537,14 @@ def dissipation_general(
     thermal: ThermalState,
     v: float,
     spec: QuadratureSpec = NESTED_SPEC,
-    phi: SharedPhi | None = None,
 ) -> FrictionResult:
     """Friction force from the full k-space/spectral dissipation integral.
 
     Valid at any temperature and velocity, for Drude plates.  Phi is
-    read from a table: ``phi`` (from `phi_table`, for these materials
-    and temperature and a range that covers v and d), or else one built
-    for this (v, d) alone.  The k_x integrals are those of
-    `SharedPhi.forces` for this one point: the force, and the table's
-    error weighed by the same kernel, which is added to
-    ``quadrature_rel_err``.
+    read from a table built for this (v, d) alone (`phi_table`), and
+    the k_x integrals are those of `SharedPhi.forces` for this one
+    point: the force, and the table's error weighed by the same kernel,
+    which is added to ``quadrature_rel_err``.
 
     Raises
     ------
@@ -563,19 +556,12 @@ def dissipation_general(
         rule failed and the matching omega = k_x v.
     TypeError
         If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
-    ValueError
-        If ``phi`` was built for other materials or temperature, or for
-        a range that does not cover v and d.
     """
     _require_velocity(v)
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
-    if phi is None:
-        phi = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
-    elif (phi.material1 is not material1 or phi.material2 is not material2
-            or phi.thermal != thermal):
-        raise ValueError("the Phi table was built for other materials or temperature")
-    return phi.forces([v], [config.d], spec)[0]
+    shared = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
+    return shared.forces([v], [config.d], spec)[0]
 
 
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:

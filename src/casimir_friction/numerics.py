@@ -9,14 +9,12 @@ every segment whose Kronrod-Gauss difference exceeds its share of the
 tolerance (`_integrate`).  It runs many integrals at once, each over its
 own segments, with one call of the integrand per refinement round:
 `response` builds Phi(omega) with it directly.  `integrate_finite` and
-`integrate_semi_infinite` are its fronts for one integral, or for many
-over one range, each with its own tolerance, its own cuts and (on the
-semi-infinite range) its own decay scale, and with one call of their
-shared integrand per round (the k_x integrals of every point of a
-general sweep and their error bounds; the tests' delta-limit oracle
-integrates on the finite one); their integrands take arrays of nodes,
-and each integral is cut at its interior points where its integrand has
-a kink.
+`integrate_semi_infinite` are its fronts for n integrals over one range,
+each with its own tolerance, its own row of cuts (the interior points
+where its integrand has a kink) and, on the semi-infinite range, its own
+decay scale, and with one call of their shared array integrand per
+round: the k_x integrals of the points of a general force and their
+error bounds take one pass.
 Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 
@@ -78,10 +76,10 @@ class NonConvergence(RuntimeError):
         segment of the integration variable with the largest error when
         the rule failed.
     index : int or None
-        From a pass over several integrals or points: the one that
-        failed (its place among the specs of `integrate_finite` and
-        `integrate_semi_infinite`, among the points of
-        `friction.SharedPhi.forces`).
+        From `integrate_finite` and `integrate_semi_infinite`, the
+        failing integral's place among their specs; from
+        `friction.SharedPhi.forces`, the failing point's place among its
+        points.  None from every other raiser.
     """
 
     def __init__(self, message: str, level: str | None = None,
@@ -334,17 +332,11 @@ def _segments(lo, hi, graded=(), fixed=()):
     return a, b, owner
 
 
-def _cut_rows(cuts, n: int, fill: float):
-    """One row of cuts per integral, as an (n, m) array; shorter rows are padded with ``fill``."""
-    if getattr(cuts, "ndim", None) == 2:
-        rows = np.asarray(cuts, dtype=float)
-    else:
-        ragged = [np.asarray(row, dtype=float).ravel() for row in cuts]
-        rows = np.full((len(ragged), max((row.size for row in ragged), default=0)), fill)
-        for j, row in enumerate(ragged):
-            rows[j, :row.size] = row
-    if rows.shape[0] != n:
-        raise ValueError(f"need one sequence of cuts per integral ({n}), got {rows.shape[0]}")
+def _rows(cuts, n: int):
+    """``cuts`` as a float array, checked to hold one row per integral."""
+    rows = np.asarray(cuts, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] != n:
+        raise ValueError(f"need one row of cuts per integral ({n}), got shape {rows.shape}")
     return rows
 
 
@@ -353,94 +345,79 @@ def _cut_rows(cuts, n: int, fill: float):
 # smoke run needs a call of each: the general force calls the semi-infinite
 # front, which calls this one.
 def integrate_finite(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec | Sequence[QuadratureSpec] = DEFAULT_SPEC,
-    cuts: Sequence[float] | Sequence[Sequence[float]] = (),
-):
-    """Integrate f over [a, b] by the package's G7/K15 rule.
+    specs: Sequence[QuadratureSpec],
+    cuts: np.ndarray,
+) -> list[tuple[float, float]]:
+    """Integrate n integrands over [a, b] in one pass of the package's G7/K15 rule.
 
     Parameters
     ----------
     f : callable
-        Real-valued integrand, evaluated elementwise on an array of
-        nodes; finite on [a, b] except possibly for integrable endpoint
-        singularities (the rule never evaluates an endpoint).
+        ``f(x, which)`` evaluates integrand ``which[i]`` at the nodes
+        ``x[i]`` (one row of x per segment, ``which`` increasing), so
+        that what the integrands share is computed once per bisection
+        round.  Each is real-valued and finite on [a, b] except possibly
+        for integrable endpoint singularities (the rule never evaluates
+        an endpoint).
     a, b : float
         Integration limits, a <= b.
-    spec : QuadratureSpec, or a sequence of them
-        Tolerance and bisection budget.  A sequence of m specs takes m
-        integrals over [a, b] in one pass, each refined to its own spec
-        on its own segments: ``f(x, which)`` then evaluates integrand
-        ``which[i]`` at the nodes ``x[i]`` (one row of x per segment,
-        ``which`` increasing), so that what the integrands share is
-        computed once per bisection round.
-    cuts : sequence of float, or one such sequence per spec
-        Points where f has a kink or a narrow feature; the starting
-        segments end there.  Points outside (a, b) are dropped.  For a
-        sequence of m specs, m rows of cuts (a list of sequences, or an
-        array of m rows), one per integral.
+    specs : sequence of n QuadratureSpec
+        Each integral's tolerance and bisection budget; it is refined on
+        its own segments.
+    cuts : array of n rows
+        Row j: points where integrand j has a kink or a narrow feature,
+        where its starting segments end.  Points outside (a, b) are
+        dropped.
 
     Returns
     -------
-    (value, err_estimate) : tuple of float
-        The integral and the sum of its segments' |K15 - G7|; for a
-        sequence of specs, a list of one such pair per spec.
+    list of n (value, err_estimate) pairs of float
+        Each integral and the sum of its segments' |K15 - G7|.
 
     Raises
     ------
     NonConvergence
         If an integral is not finite, or takes more than its
         ``max_subdivisions`` bisections to meet its ``rel_tol``; its
-        ``interval`` is that integral's segment with the largest error,
-        and for a sequence of specs its ``index`` is the integral's.
+        ``index`` is that integral's place among the specs, and its
+        ``interval`` the integral's segment with the largest error.
     """
     if a > b:
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
-    many = not isinstance(spec, QuadratureSpec)
-    specs = list(spec) if many else [spec]
     n = len(specs)
+    cuts = _rows(cuts, n)
     if a == b:
-        pairs = [(0.0, 0.0)] * n
-        return pairs if many else pairs[0]
-    seg_a, seg_b, owner = _segments(np.full(n, float(a)), np.full(n, float(b)),
-                                    fixed=[_cut_rows(cuts if many else [cuts], n, a)])
+        return [(0.0, 0.0)] * n
+    seg_a, seg_b, owner = _segments(np.full(n, float(a)), np.full(n, float(b)), fixed=[cuts])
 
     def fail(j: int, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
         return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
-                              interval=(seg_lo, seg_hi), index=j if many else None)
+                              interval=(seg_lo, seg_hi), index=j)
 
-    value, err = _integrate(f if many else lambda x, _: f(x), seg_a, seg_b, owner, n,
-                            np.array([s.rel_tol for s in specs]),
+    value, err = _integrate(f, seg_a, seg_b, owner, n, np.array([s.rel_tol for s in specs]),
                             np.array([s.max_subdivisions for s in specs]), fail)
-    pairs = list(zip(value.tolist(), err.tolist()))
-    return pairs if many else pairs[0]
+    return list(zip(value.tolist(), err.tolist()))
 
 
 # Bound by name by the benchmark's tracer, as integrate_finite is.
 def integrate_semi_infinite(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
-    scale: float | Sequence[float],
-    spec: QuadratureSpec | Sequence[QuadratureSpec],
-    cuts: Sequence[float] | Sequence[Sequence[float]] = (),
-):
-    """Integrate f over [a, +inf) via the rational decay-scale transform.
+    scales: Sequence[float],
+    specs: Sequence[QuadratureSpec],
+    cuts: np.ndarray,
+) -> list[tuple[float, float]]:
+    """Integrate n integrands over [a, +inf) via the rational decay-scale transform.
 
-    ``scale`` > 0 is the decay scale of f; f must decay at least
-    exponentially on that scale for the transform to concentrate the
-    quadrature nodes usefully.  f is evaluated on arrays of nodes, as by
-    `integrate_finite`, which also takes several integrals in one pass
-    for a sequence of specs: then ``scale`` is a sequence of one decay
-    scale per integral, and ``cuts`` one row of cuts per integral.  Each
-    mapped integral starts from _T_SEGMENTS uniform segments in t, cut
-    further at the images of its ``cuts`` beyond a.
-
-    Returns
-    -------
-    (value, err_estimate) : tuple of float, or a list of them
-        As from `integrate_finite`.
+    ``scales[j]`` > 0 is the decay scale of integrand j, which must
+    decay at least exponentially on that scale for the transform to
+    concentrate the quadrature nodes usefully.  ``f``, ``specs``,
+    ``cuts`` and the result are those of `integrate_finite`, which takes
+    the mapped integrals.  Each starts from _T_SEGMENTS uniform segments
+    in t, cut further at the images of its row of ``cuts`` beyond a.
 
     Raises
     ------
@@ -449,31 +426,30 @@ def integrate_semi_infinite(
     NonConvergence
         From `integrate_finite`, with the ``interval`` in q rather than t.
     """
-    many = not isinstance(spec, QuadratureSpec)
-    n = len(spec) if many else 1
-    scales = np.array(scale if many else [scale], dtype=float)
+    n = len(specs)
+    scales = np.array(scales, dtype=float)
     if scales.shape != (n,):
-        raise ValueError(f"need one scale per integral ({n}), got {scale}")
+        raise ValueError(f"need one scale per integral ({n}), got {scales}")
     if not (scales > 0).all():
-        raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scale}")
+        raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scales}")
     column = scales[:, None]
 
     def q(t, s):
         return a + s * t / (1.0 - t)
 
-    def g(t, *which):
-        s = column[which[0]] if many else scales[0]
+    def g(t, which):
+        s = column[which]
         u = 1.0 - t
-        return f(q(t, s), *which) * s / (u * u)
+        return f(q(t, s), which) * s / (u * u)
 
-    past = _cut_rows(cuts if many else [cuts], n, a) - a
+    past = _rows(cuts, n) - a
     t_cuts = np.zeros((n, _T_SEGMENTS - 1 + past.shape[1]))
     t_cuts[:, :_T_SEGMENTS - 1] = np.arange(1, _T_SEGMENTS) / _T_SEGMENTS
     np.divide(past, past + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=past > 0)
     try:
-        return integrate_finite(g, 0.0, 1.0, spec, t_cuts if many else t_cuts[0])
+        return integrate_finite(g, 0.0, 1.0, specs, t_cuts)
     except NonConvergence as exc:
-        s = float(scales[exc.index or 0])
+        s = float(scales[exc.index])
         lo, hi = (q(t, s) if t < 1.0 else math.inf for t in exc.interval)
         raise NonConvergence(f"quadrature on [{a!r}, inf) did not converge on [{lo!r}, {hi!r}]",
                              interval=(lo, hi), index=exc.index) from exc

@@ -81,6 +81,7 @@ from casimir_friction.numerics import (
     NonConvergence,
     QuadratureSpec,
     integrate_finite,
+    integrate_semi_infinite,
 )
 from casimir_friction.material import surface_response
 from casimir_friction.response import _coth_diff, _coth_sum
@@ -100,6 +101,18 @@ def quad(f, a, b, spec=DEFAULT_SPEC):
         raise NonConvergence(f"quadrature did not converge on [{a}, {b}]: "
                              f"value={value:.6e}, err={err:.3e}")
     return value, err
+
+
+def integrate_one(front, f, a, b, spec=DEFAULT_SPEC, cuts=()):
+    """One integral of f(x) by ``front``, one of the package's fronts, which take many at once.
+
+    ``b`` is the upper limit of `integrate_finite`, or the decay scale of
+    `integrate_semi_infinite`; ``cuts`` are the kinks of f.  Returns
+    (value, err_estimate).
+    """
+    b = [b] if front is integrate_semi_infinite else b
+    [pair] = front(lambda x, _: f(x), a, b, [spec], np.array([cuts], dtype=float))
+    return pair
 
 
 def quad_semi_infinite(f, a, scale, spec=DEFAULT_SPEC):
@@ -214,7 +227,7 @@ def delta_limit_convergence(omega_v: float, taus: list[float]) -> list[dict]:
             g = np.exp(-0.5 * ((w - omega_v) / sigma) ** 2)
             return finite_tau_kernel(w, omega_v, traj) * g
 
-        value, _ = integrate_finite(integrand, lo, hi, CONVERGENCE_SPEC)
+        value, _ = integrate_one(integrate_finite, integrand, lo, hi, CONVERGENCE_SPEC)
         prediction = math.pi * tau * omega_v
         rel_error = abs(value - prediction) / prediction
         rows.append(

@@ -75,10 +75,12 @@ def test_unread_fields_are_gone():
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(friction.Diagnostics, "flag")
-    # callers pass the general force's arguments by position; the Phi table comes last
+    # callers pass the general force's arguments by position; a shared Phi
+    # table serves its points through SharedPhi.forces, not through this
     assert list(inspect.signature(friction.dissipation_general).parameters) == [
-        "material1", "material2", "config", "thermal", "v", "spec", "phi",
+        "material1", "material2", "config", "thermal", "v", "spec",
     ]
+    assert fields(friction.SharedPhi) == {"table"}
     # the literature closed form takes floats, not a parameter record
     assert list(inspect.signature(compare.pendry_force).parameters) == [
         "sigma_over_eps0", "d", "v",

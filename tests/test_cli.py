@@ -458,6 +458,19 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert sum(len(flags) for flags in FLAGS.values()) == 43
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once per process; calls of different subcommands
+    # through it print what each prints in a process of its own
+    assert build_parser() is build_parser()
+    for argv in (["compare", *DRUDE_ARGS, *STATE_ARGS],
+                 ["force", *DRUDE_ARGS, *STATE_ARGS, "--format", "csv"],
+                 ["compare", *DRUDE_ARGS, *STATE_ARGS, "--velocity", "1e6"]):
+        code, out, err = run_cli(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "casimir_friction", *argv],
+                               capture_output=True, text=True, timeout=120, env=cli_env())
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 @pytest.mark.parametrize("argv", [
     ["force", *DRUDE_ARGS, *STATE_ARGS, "--model", "plasmon"],
     ["force", *DRUDE_ARGS, *STATE_ARGS, "--wsp-ev", "6.36"],
@@ -792,11 +805,21 @@ def test_sweep_gap_linear_slope(capsys):
     assert slope == pytest.approx(-4.0, abs=0.02)
 
 
-def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
-    # a shared-table sweep hands every row to one k_x pass: each of the 3 rows
-    # reaches it once, and none twice
+#: General sweeps over v or d: (fixed flags, --param, --from, --to, --points).
+EACH_POINT_ONCE = {
+    "velocity-3-points": (["--gap-nm", "10", "--temp-k", "zero"], "velocity", "0.1", "1.0", 3),
+    "velocity-1-point": (["--gap-nm", "10", "--temp-k", "300"], "velocity", "3.7", "3.7", 1),
+    "gap-nm-1-point": (["--velocity", "1", "--temp-k", "300"], "gap-nm", "37", "37", 1),
+}
+
+
+@pytest.mark.parametrize("case", EACH_POINT_ONCE)
+def test_sweep_evaluates_each_point_once(capsys, monkeypatch, case):
+    # a general sweep over v or d, of any length, hands every row to one k_x
+    # pass: each row reaches it once, and none twice
     from casimir_friction.friction import SharedPhi
 
+    fixed, param, lo, hi, points = EACH_POINT_ONCE[case]
     passes = []
     real = SharedPhi.forces
 
@@ -805,17 +828,22 @@ def test_sweep_evaluates_each_point_once(capsys, monkeypatch):
         return real(self, v, d, *args, **kwargs)
 
     monkeypatch.setattr(SharedPhi, "forces", counting)
-    code, out, _ = run_cli(
-        capsys,
-        ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "zero", "--regime",
-         "general", "--param", "velocity", "--from", "0.1", "--to", "1.0",
-         "--points", "3"],
-    )
+    code, out, _ = run_cli(capsys, ["sweep", *DRUDE_ARGS, *fixed, "--regime", "general",
+                                    "--param", param, "--from", lo, "--to", hi,
+                                    "--points", str(points)])
     assert code == 0
-    assert len(out.strip().split("\n")) == 4
-    [points] = passes
-    assert len(points) == 3 and len(set(points)) == 3
-    assert [v for v, _ in points] == [float(x) for x in np.logspace(-1.0, 0.0, 3)]
+    lines = out.strip().split("\n")
+    assert len(lines) == points + 1
+    [rows] = passes
+    assert len(rows) == points and len(set(rows)) == points
+    if points > 1:
+        assert [v for v, _ in rows] == [float(x) for x in np.logspace(-1.0, 0.0, 3)]
+    else:
+        # a lone row's table is the one `force` builds for that point
+        code, out, _ = run_cli(capsys, ["force", *DRUDE_ARGS, *fixed, f"--{param}", lo,
+                                        "--regime", "general", "--format", "csv"])
+        assert code == 0
+        assert lines[1].split(",")[2] == out.split("\n")[1].split(",")[0]
 
 
 def test_sweep_numerical_failure_names_its_row(capsys):
@@ -937,13 +965,6 @@ def test_general_force_matches_the_sweep_across_the_plasmon_resonances(capsys):
     force = general_force(capsys, "velocity", "1e6")
     assert force == pytest.approx(5.3222e-7, rel=1e-4)
     assert rows[2][1] == pytest.approx(force, rel=1e-6, abs=0)
-
-
-def test_one_point_general_sweep_is_the_force(capsys):
-    # a single point shares Phi with nothing: it takes the force's own path
-    [(value, force)] = general_sweep(capsys, "velocity", 1, "--from", "3.7")
-    assert value == "3.7"
-    assert force == general_force(capsys, "velocity", "3.7")
 
 
 def test_general_sweep_tabulates_phi_once(capsys, monkeypatch):

@@ -310,7 +310,7 @@ def test_kx_nonconvergence_names_kx_and_omega():
     shared = phi_table(GOLD, GOLD, COLD, (v, v), (PLATE.d, PLATE.d))
     tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:
-        dissipation_general(GOLD, GOLD, PLATE, COLD, v, tight, phi=shared)
+        shared.forces([v], [PLATE.d], tight)
     assert err.value.level == "k_x"
     number = r"([-+0-9.e]+|inf)"
     found = re.search(rf"k_x in \[{number}, {number}\] 1/m, "
@@ -410,7 +410,7 @@ def test_phi_table_across_the_plasmon_resonances():
     # both resonances are panel edges
     assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
     for v in speeds:
-        tab = dissipation_general(GOLD, GOLD, PLATE, COLD, v, phi=shared)
+        [tab] = shared.forces([v], [PLATE.d])
         own = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
         dev = abs(tab.force_per_area / own.force_per_area - 1.0)
         assert dev <= NESTED_SPEC.rel_tol
@@ -439,7 +439,7 @@ def test_one_pass_rows_equal_the_per_point_force(sweep):
     shared = phi_table(GOLD, GOLD, thermal, (min(v), max(v)), (min(d), max(d)))
     rows = shared.forces(v, d)
     for row, vi, di in zip(rows, v, d):
-        alone = dissipation_general(GOLD, GOLD, PlateConfig(d=di), thermal, vi, phi=shared)
+        [alone] = shared.forces([vi], [di])
         assert row.force_per_area == alone.force_per_area
         assert row.diagnostics.quadrature_rel_err == alone.diagnostics.quadrature_rel_err
         assert row.regime == GENERAL_NUMERIC and row.force_per_area > 0
@@ -450,10 +450,15 @@ def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
     # v = 0 gives 0, as dissipation_general does
     zero, one = shared.forces([0.0, 1.0], [PLATE.d] * 2)
     assert zero.force_per_area == 0.0 and zero.diagnostics.quadrature_rel_err == 0.0
-    assert one == dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0, phi=shared)
+    assert [one] == shared.forces([1.0], [PLATE.d])
     assert shared.forces([], []) == []
     with pytest.raises(DomainError):
         shared.forces([1.0, -1.0], [PLATE.d] * 2)
+    # a gap that is not finite and > 0 is named, also at v = 0
+    for gap in (0.0, -PLATE.d, math.nan, math.inf):
+        for speed in (1.0, 0.0):
+            with pytest.raises(DomainError, match=f"gap d must be finite and > 0, got {gap!r}"):
+                shared.forces([1.0, speed], [PLATE.d, gap])
     with pytest.raises(ValueError, match="does not cover v = 20.0"):
         shared.forces([1.0, 20.0], [PLATE.d] * 2)
     with pytest.raises(ValueError, match="one gap per velocity"):
@@ -495,12 +500,10 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
 
 def test_phi_table_serves_only_what_it_was_built_for():
     shared = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
-    other = Drude(omega_p=GOLD.omega_p, nu=GOLD.nu)
-    for material, thermal, v, d in [(other, ROOM, 1.0, PLATE.d), (GOLD, COLD, 1.0, PLATE.d),
-                                    (GOLD, ROOM, 20.0, PLATE.d), (GOLD, ROOM, 1.0, 2 * PLATE.d)]:
+    for v, d in [(20.0, PLATE.d), (1.0, 2 * PLATE.d)]:
         with pytest.raises(ValueError, match="Phi table"):
-            dissipation_general(material, material, PlateConfig(d=d), thermal, v, phi=shared)
-    inside = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0, phi=shared)
+            shared.forces([v], [d])
+    [inside] = shared.forces([3.0], [PLATE.d])
     own = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
     assert inside.force_per_area == pytest.approx(own.force_per_area, rel=1e-9)
 

@@ -6,13 +6,14 @@ import pytest
 
 from casimir_friction.numerics import (
     CONST,
-    DEFAULT_SPEC,
     DomainError,
     NonConvergence,
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
 )
+
+from oracles import integrate_one
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -38,7 +39,7 @@ def test_spec_validation():
 
 
 def test_polynomial_exactness():
-    value, err = integrate_finite(lambda x: x * x, 0.0, 1.0)
+    value, err = integrate_one(integrate_finite, lambda x: x * x, 0.0, 1.0)
     assert value == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert err <= 1e-9
 
@@ -48,7 +49,8 @@ def test_sinc_squared_converges_to_pi():
     prev = None
     for X in (100.0, 400.0, 1600.0):
         spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=4000)
-        value, _ = integrate_finite(lambda x: np.sinc(x / math.pi) ** 2, -X, X, spec)
+        value, _ = integrate_one(integrate_finite, lambda x: np.sinc(x / math.pi) ** 2, -X, X,
+                                 spec)
         deficit = math.pi - value
         assert deficit == pytest.approx(1.0 / X, rel=0.3)
         if prev is not None:
@@ -59,7 +61,8 @@ def test_sinc_squared_converges_to_pi():
 def test_bose_integral_pi2_over_3():
     spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=400)
     # the rule never evaluates the endpoint x = 0, where the integrand's limit is 1
-    value, _ = integrate_finite(
+    value, _ = integrate_one(
+        integrate_finite,
         lambda x: x * x * np.exp(-x) / np.expm1(-x) ** 2,
         0.0,
         60.0,
@@ -70,9 +73,9 @@ def test_bose_integral_pi2_over_3():
 
 
 def test_semi_infinite_monomial_examples():
-    value, _ = integrate_semi_infinite(lambda q: q**3 * np.exp(-2 * q), 0.0, 0.5, DEFAULT_SPEC)
+    value, _ = integrate_one(integrate_semi_infinite, lambda q: q**3 * np.exp(-2 * q), 0.0, 0.5)
     assert value == pytest.approx(0.375, rel=1e-10)
-    value, _ = integrate_semi_infinite(lambda q: q**5 * np.exp(-2 * q), 0.0, 0.5, DEFAULT_SPEC)
+    value, _ = integrate_one(integrate_semi_infinite, lambda q: q**5 * np.exp(-2 * q), 0.0, 0.5)
     assert value == pytest.approx(1.875, rel=1e-10)
 
 
@@ -84,15 +87,15 @@ def test_semi_infinite_sinh_integral():
         # m > 0 at every node; the limit of m^2/sinh^2(m/2) at m = 0 is 4
         return 4.0 * m * m * np.exp(-m) / np.expm1(-m) ** 2
 
-    value, _ = integrate_semi_infinite(f, 0.0, 1.0, spec)
+    value, _ = integrate_one(integrate_semi_infinite, f, 0.0, 1.0, spec)
     assert value == pytest.approx(4.0 * PI2_3, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
 def test_gamma_monomials(n, d):
-    value, err = integrate_semi_infinite(
-        lambda q: q**n * np.exp(-2 * q * d), 0.0, 0.5 / d, DEFAULT_SPEC
+    value, err = integrate_one(
+        integrate_semi_infinite, lambda q: q**n * np.exp(-2 * q * d), 0.0, 0.5 / d
     )
     exact = math.gamma(n + 1.0) / (2.0 * d) ** (n + 1)
     assert value == pytest.approx(exact, rel=1e-9)
@@ -103,9 +106,9 @@ def test_linearity():
     f = lambda x: np.exp(-x) * x
     g = lambda x: np.cos(x) ** 2
     a, b = 0.3, 2.7
-    vf, ef = integrate_finite(f, a, b)
-    vg, eg = integrate_finite(g, a, b)
-    combo, ec = integrate_finite(lambda x: 2.0 * f(x) + 3.0 * g(x), a, b)
+    vf, ef = integrate_one(integrate_finite, f, a, b)
+    vg, eg = integrate_one(integrate_finite, g, a, b)
+    combo, ec = integrate_one(integrate_finite, lambda x: 2.0 * f(x) + 3.0 * g(x), a, b)
     assert abs(combo - (2 * vf + 3 * vg)) <= 2.0 * (2 * ef + 3 * eg + ec)
 
 
@@ -116,31 +119,31 @@ def test_err_estimate_bounds_error():
         (lambda x: np.exp(-x), 0.0, 10.0, 1.0 - math.exp(-10.0)),
     ]
     for f, a, b, exact in cases:
-        value, err = integrate_finite(f, a, b)
+        value, err = integrate_one(integrate_finite, f, a, b)
         assert abs(value - exact) <= max(err, 1e-14 * abs(exact))
 
 
 def test_endpoint_singularity_integrable():
-    value, _ = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+    value, _ = integrate_one(integrate_finite, lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert value == pytest.approx(2.0, rel=1e-8)
 
 
 def test_nonconvergence_raises():
     spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=2)
     with pytest.raises(NonConvergence):
-        integrate_finite(lambda x: np.sin(50.0 / (x + 0.01)), 0.0, 1.0, spec)
+        integrate_one(integrate_finite, lambda x: np.sin(50.0 / (x + 0.01)), 0.0, 1.0, spec)
 
 
 def test_bad_limits_and_missing_scale():
     with pytest.raises(DomainError):
-        integrate_finite(lambda x: x, 1.0, 0.0)
+        integrate_one(integrate_finite, lambda x: x, 1.0, 0.0)
     for scale in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="scale"):
-            integrate_semi_infinite(lambda x: np.exp(-x), 0.0, scale, DEFAULT_SPEC)
+            integrate_one(integrate_semi_infinite, lambda x: np.exp(-x), 0.0, scale)
 
 
 def test_degenerate_interval():
-    assert integrate_finite(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
+    assert integrate_one(integrate_finite, lambda x: x, 2.0, 2.0) == (0.0, 0.0)
 
 
 def test_several_integrals_in_one_pass_equal_each_alone():
@@ -162,28 +165,31 @@ def test_several_integrals_in_one_pass_equal_each_alone():
             y[which == j] = f(x[which == j])
         return y
 
-    pairs = integrate_semi_infinite(each, 0.0, scales, specs, cuts)
-    alone = [integrate_semi_infinite(f, 0.0, s, spec, c)
+    # one row of cuts per integral; a cut at the lower limit is no cut
+    rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 1.7, -1.0]])
+    pairs = integrate_semi_infinite(each, 0.0, scales, specs, rows)
+    alone = [integrate_one(integrate_semi_infinite, f, 0.0, s, spec, c)
              for f, s, spec, c in zip(fs, scales, specs, cuts)]
     assert pairs == alone
     assert calls[0] == [0, 1, 2] and len(calls) > 1
-    # the finite front takes one row of cuts per integral too, as a list or an array
-    alone = [integrate_finite(f, 0.0, 2.0, spec, c) for f, spec, c in zip(fs, specs, cuts)]
-    assert integrate_finite(each, 0.0, 2.0, specs, cuts) == alone
-    rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 1.7, -1.0]])
+    alone = [integrate_one(integrate_finite, f, 0.0, 2.0, spec, c)
+             for f, spec, c in zip(fs, specs, cuts)]
     assert integrate_finite(each, 0.0, 2.0, specs, rows) == alone
-    assert integrate_finite(each, 1.0, 1.0, specs, cuts) == [(0.0, 0.0)] * 3
+    assert integrate_finite(each, 1.0, 1.0, specs, rows) == [(0.0, 0.0)] * 3
     with pytest.raises(ValueError, match="one scale per integral"):
-        integrate_semi_infinite(each, 0.0, 1.0, specs, cuts)
-    with pytest.raises(ValueError, match="one sequence of cuts per integral"):
-        integrate_semi_infinite(each, 0.0, scales, specs, cuts[:2])
+        integrate_semi_infinite(each, 0.0, 1.0, specs, rows)
+    for bad in (rows[:2], rows[0]):
+        with pytest.raises(ValueError, match="one row of cuts per integral"):
+            integrate_semi_infinite(each, 0.0, scales, specs, bad)
+        with pytest.raises(ValueError, match="one row of cuts per integral"):
+            integrate_finite(each, 0.0, 2.0, specs, bad)
     # a failing integral is named, with its own segment in q, as when it is alone
     tight = (specs[0], QuadratureSpec(rel_tol=1e-13, max_subdivisions=1), specs[2])
     with pytest.raises(NonConvergence) as err:
-        integrate_semi_infinite(each, 0.0, scales, tight, cuts)
+        integrate_semi_infinite(each, 0.0, scales, tight, rows)
     with pytest.raises(NonConvergence) as err_alone:
-        integrate_semi_infinite(fs[1], 0.0, scales[1], tight[1], cuts[1])
-    assert err.value.index == 1 and err_alone.value.index is None
+        integrate_one(integrate_semi_infinite, fs[1], 0.0, scales[1], tight[1], cuts[1])
+    assert err.value.index == 1 and err_alone.value.index == 0
     assert err.value.interval == err_alone.value.interval
     assert err.value.interval[1] > 1.0  # in q, not in the mapped t in [0, 1]
 
