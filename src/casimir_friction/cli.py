@@ -35,7 +35,7 @@ Conventions
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
   checks every row's velocity and gap, tabulates Phi once from the
   rows' extremes (`friction.phi_table`, to --rtol) and integrates all
-  rows against that table in one k_x pass (`friction.SharedPhi.forces`);
+  rows against that table in one k_x pass (`friction.PhiTable.forces`);
   every other general force tabulates Phi for its own point.  A
   numerical failure at a sweep row names the row and swept value as its
   `validity:` lines do (`numerical failure: row 2 (nu_ev=1e-09): ...`);
@@ -405,10 +405,10 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
         gaps, speeds = zip(*((build_plate(point).d, _checked(point.velocity, "--velocity"))
                              for _, point in rows))
         spec = _spec(args)
-        shared = phi_table(material, material, thermal, (min(speeds), max(speeds)),
-                           (min(gaps), max(gaps)), spec)
+        table = phi_table(material, material, thermal, (min(speeds), max(speeds)),
+                          (min(gaps), max(gaps)), spec)
         try:
-            results = shared.forces(speeds, gaps, spec)
+            results = table.forces(speeds, gaps, spec)
         except NonConvergence as exc:  # a k_x failure, which names its point
             raise RowFailure(rows[exc.index][0], exc) from exc
         yield from results

@@ -16,20 +16,21 @@ Small zeta-function factors (zeta(5) ~= 1.037, zeta(3) ~= 1.2) quoted in
 the literature comparisons are reported as annotations only and never
 multiplied into any force.
 
-`pendry_force(sigma_over_eps0, d, v)` takes plain floats; the mapping's
-condition (a Drude metal with omega_p > 0 and nu > 0) is checked once,
-by `consistency_report`.
+`pendry_force(sigma_over_eps0, d, v)` takes plain floats, and rejects a
+conductivity or gap that is not finite and > 0 and a velocity that is
+not finite and >= 0; the mapping's condition (a Drude metal with
+omega_p > 0 and nu > 0) is checked once, by `consistency_report`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import CONST, float_guard
+from .numerics import CONST, DomainError, float_guard
 from .material import Drude
 from .geometry import PlateConfig
 from .response import ThermalState
-from .friction import force_linear, force_zero_t
+from .friction import _require_velocity, force_linear, force_zero_t
 
 #: Exact linear/cubic ratio coefficient (1/12)(64 pi^2/5) = 16 pi^2/15.
 RATIO_COEFFICIENT = 16.0 * math.pi**2 / 15.0
@@ -45,8 +46,13 @@ def pendry_force(sigma_over_eps0: float, d: float, v: float) -> float:
     eps = 1 + i sigma/(omega eps0) dielectric function, the "4 pi sigma"
     of Gaussian-unit conventions.  Stated for v < d sigma/(omega eps0),
     with the sliding frequency omega = v/d; `consistency_report` flags a
-    velocity outside it.
+    velocity outside it.  Raises DomainError unless sigma_over_eps0 and d
+    are finite and > 0 and v is finite and >= 0.
     """
+    for name, x in (("sigma/eps0", sigma_over_eps0), ("gap d", d)):
+        if not (x > 0 and math.isfinite(x)):
+            raise DomainError(f"{name} must be finite and > 0, got {x}")
+    _require_velocity(v)
     return 5.0 * CONST.hbar * v**3 / (256.0 * math.pi**2 * sigma_over_eps0**2 * d**6)
 
 
@@ -64,13 +70,17 @@ def consistency_report(
     ``validity_flags`` list: the flags of the two closed-form results,
     then the Pendry window v < d sigma/(omega eps0) if v leaves it.
     Raises TypeError for a non-Drude material and ValueError unless
-    omega_p > 0 and nu > 0, before computing anything.
+    omega_p > 0 and nu > 0, before computing anything, and FloatFailure
+    (level "compare") if sigma/eps0 = omega_p^2/nu overflows.
     """
     if not isinstance(material, Drude):
         raise TypeError("consistency_report requires a Drude material")
     if not (material.omega_p > 0 and material.nu > 0):
         raise ValueError("Drude mapping requires omega_p > 0 and nu > 0")
-    sigma_over_eps0 = material.omega_p**2 / material.nu
+    with float_guard("compare", "sigma/eps0 = omega_p^2 / nu"):
+        sigma_over_eps0 = material.omega_p**2 / material.nu
+        if sigma_over_eps0 == math.inf:  # a float quotient overflows without raising
+            raise OverflowError("overflows")
 
     flags: list[str] = []
     if thermal.is_zero:

@@ -38,9 +38,10 @@ every general force is one Phi table and one k_x quadrature against
 it.  `phi_table` tabulates Phi once for a range of v and d, over the
 band 1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
 resonances omega_sp and 2 omega_sp, and refined by the kernels of the
-forces it serves, in at most `response.TABLE_MAX_PANELS` (64) panels.
-It asks `response.im_r_dissipation_integral` for the 16 nodes of a
-panel in one call, each to 1e-3 of ``spec.rel_tol``
+forces it serves, one bisection at a time, in at most TABLE_MAX_PANELS
+(64) panels (`tabulate_phi`).  Each refinement step asks
+`response.im_r_dissipation_integral` for the 16 nodes of each of its
+new panels in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
 For lossy, underdamped Drude plates the T = 0 part of Phi's sum channel
@@ -51,7 +52,7 @@ omega_sp / 2.  There only the Bose-weighted rest of the sum channel and
 the difference channel are integrated, and the node's error estimate
 adds the closed form's rounding bound.  So a T = 0 force whose band
 lies in those windows integrates nothing but k_x.
-`SharedPhi.forces` integrates any number of (v, d) points against a
+`PhiTable.forces` integrates any number of (v, d) points against a
 table in one `numerics.integrate_semi_infinite` pass over an array
 integrand, by the package's one G7/K15 rule.  Each point's k_x integral
 runs on its own scale 1/(2d), cut at every panel edge of the table in
@@ -89,6 +90,7 @@ from typing import Callable, Sequence
 
 from .numerics import (
     CONST,
+    DEFAULT_SPEC,
     NESTED_SPEC,
     DomainError,
     FloatFailure,
@@ -100,13 +102,7 @@ from .numerics import (
 )
 from .material import Drude, MaterialModel, surface_response
 from .geometry import PlateConfig
-from .response import (
-    PhiTable,
-    ThermalState,
-    im_r_dissipation_integral,
-    phi_slope,
-    tabulate_phi,
-)
+from .response import ThermalState, im_r_dissipation_integral, phi_slope
 
 LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
@@ -146,8 +142,8 @@ class FrictionResult:
 
 
 def _require_velocity(v: float) -> None:
-    if v < 0:
-        raise DomainError(f"velocity must be >= 0, got {v}")
+    if not (v >= 0 and math.isfinite(v)):
+        raise DomainError(f"velocity must be finite and >= 0, got {v}")
 
 
 def force_linear(
@@ -374,16 +370,83 @@ def _kernels(scales: Sequence[float]) -> Callable:
     return kernels
 
 
-@dataclass(frozen=True)
-class SharedPhi:
-    """A `PhiTable` for every (v, d) point of a velocity and gap range.
+#: Chebyshev nodes per panel of a `PhiTable`.
+TABLE_NODES = 16
+#: Panels a `PhiTable` may hold.  A table that still misses its tolerance
+#: at this many fails, after at most 2 * TABLE_MAX_PANELS panels of
+#: TABLE_NODES Phi evaluations each.
+TABLE_MAX_PANELS = 64
 
-    Built by `phi_table`; `forces` integrates any number of points
-    against it in one pass, for the plates and temperature it was built
-    for, which it keeps no record of.
+# cos(pi k (j + 1/2) / n): the first-kind nodes x_j (row k = 1) and the
+# transform from node values to Chebyshev coefficients
+_COS = [
+    [math.cos(math.pi * k * (j + 0.5) / TABLE_NODES) for j in range(TABLE_NODES)]
+    for k in range(TABLE_NODES)
+]
+# Fejer's first rule on the same nodes: Int_-1^1 f dx ~ sum_j _FEJER[j] f(x_j)
+_FEJER = [
+    2.0 / TABLE_NODES * (1.0 - 2.0 * sum(
+        math.cos(2.0 * k * math.pi * (j + 0.5) / TABLE_NODES) / (4.0 * k * k - 1.0)
+        for k in range(1, TABLE_NODES // 2 + 1)
+    ))
+    for j in range(TABLE_NODES)
+]
+
+
+def _clenshaw(coeffs, x):
+    """sum_k coeffs[k] T_k(x); each coeffs[k] may be an array that broadcasts against x."""
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
+
+@dataclass(frozen=True, eq=False)
+class PhiTable:
+    """Phi(omega) on [omega_lo, omega_hi] as a piecewise Chebyshev series.
+
+    Each panel [edges[i], edges[i+1]] of s = log omega holds the
+    coefficients ``coeffs[:, i]`` of h(s) = Phi(omega) / omega^power, and
+    ``errors[i]``, the size of its two trailing coefficients plus the
+    largest error estimate of h at its nodes, which estimates
+    |h_table - h| on it.  Below omega_lo the head Phi = head * omega^power
+    continues the table; above omega_hi Phi is taken as 0 (the Bessel
+    kernel that weighs it is below e^-60 there).  Both Phi and its error
+    are evaluated elementwise on an array of omega.  `forces` integrates
+    any number of (v, d) points against it, for the plates and
+    temperature it was built for, which it keeps no record of.
     """
 
-    table: PhiTable
+    omega_lo: float
+    omega_hi: float
+    edges: np.ndarray
+    coeffs: np.ndarray  # one column of TABLE_NODES coefficients per panel
+    errors: np.ndarray
+    power: int
+    head: float
+
+    def _panels(self, omega):
+        """The panel of each omega (clamped into the table), and s = log omega clamped so."""
+        # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
+        s = np.log(np.minimum(np.maximum(omega, self.omega_lo), self.omega_hi))
+        i = np.minimum(np.maximum(np.searchsorted(self.edges, s, side="right") - 1, 0),
+                       len(self.errors) - 1)
+        return i, s
+
+    def __call__(self, omega):
+        omega = np.asarray(omega, dtype=float)
+        i, s = self._panels(omega)
+        a, b = self.edges[i], self.edges[i + 1]
+        h = np.where(omega < self.omega_lo, self.head,
+                     _clenshaw(self.coeffs[:, i], (2.0 * s - a - b) / (b - a)))
+        return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
+
+    def error(self, omega):
+        """Estimated |Phi_table - Phi| at each omega (the first panel's below omega_lo)."""
+        omega = np.asarray(omega, dtype=float)
+        i, _ = self._panels(omega)
+        return np.where(omega > self.omega_hi, 0.0, self.errors[i] * omega**self.power)
 
     def forces(self, v, d, spec: QuadratureSpec = NESTED_SPEC) -> list[FrictionResult]:
         """The general force at each point (v[i], d[i]), all against this table in one pass.
@@ -405,7 +468,7 @@ class SharedPhi:
         Raises
         ------
         DomainError
-            If a velocity is < 0, or a gap is not finite and > 0.
+            If a velocity is not finite and >= 0, or a gap not finite and > 0.
         NonConvergence
             With level "k_x" and the ``index`` of the point whose
             integral failed first, naming the k_x interval (1/m) on
@@ -417,13 +480,12 @@ class SharedPhi:
         if len(v) != len(d):
             raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
                              f"and {len(d)} gaps")
-        table = self.table
         for vi, di in zip(v, d):
             _require_velocity(vi)
             if not (di > 0 and math.isfinite(di)):
                 raise DomainError(f"gap d must be finite and > 0, got {di!r}")
             lo, hi = _kernel_band(vi, di)
-            if vi and not (table.omega_lo <= lo and hi <= table.omega_hi):
+            if vi and not (self.omega_lo <= lo and hi <= self.omega_hi):
                 raise ValueError(f"the Phi table was built for a (v, d) range that does not "
                                  f"cover v = {vi!r} m/s, d = {di!r} m")
         live = [i for i, vi in enumerate(v) if vi]
@@ -432,7 +494,7 @@ class SharedPhi:
         v_rows = np.array([v[i] for i in live] * 2)
         d_rows = np.array([d[i] for i in live] * 2)
         lo, hi = _kernel_band(v_rows, d_rows)
-        edges = np.exp(table.edges)
+        edges = np.exp(self.edges)
         # a cut at the lower limit k_x = 0 is no cut
         cuts = np.where((lo[:, None] < edges) & (edges < hi[:, None]), edges / v_rows[:, None],
                         0.0)
@@ -448,9 +510,9 @@ class SharedPhi:
             omega = kx * v_column[which]
             split = int(np.searchsorted(which, n))
             if split:
-                y[:split] *= table(omega[:split])
+                y[:split] *= self(omega[:split])
             if split < which.size:
-                y[split:] *= table.error(omega[split:])
+                y[split:] *= self.error(omega[split:])
             return y
 
         try:
@@ -478,6 +540,103 @@ class SharedPhi:
         return results
 
 
+def tabulate_phi(
+    phi: Callable,
+    omega_lo: float,
+    omega_hi: float,
+    power: int,
+    kernels: Callable,
+    splits: Sequence[float] = (),
+    rel_tol: float = DEFAULT_SPEC.rel_tol,
+) -> PhiTable:
+    """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
+
+    ``phi`` maps an array of omega to (Phi, error estimate) at each.
+    ``kernels`` maps an array of omega to an array of one row per force:
+    the weight w(omega) by which that force integrates Phi,
+    Int w Phi d omega up to a constant factor.  Both are called once per
+    refinement step, on the TABLE_NODES first-kind Chebyshev nodes of
+    each panel it makes: the first step makes the panels between the
+    ``splits`` inside the range (resonances, where h changes fastest),
+    and each later step the two halves of one bisected panel.  A panel's
+    tail, the larger of its two trailing coefficients, estimates
+    |h_table - h| on it; for each force the panel adds
+    tail * Int w omega^power to the force's error and Int w |Phi| to its
+    size (Fejer's rule on the panel's nodes).  Refinement is global:
+    while some force's error exceeds rel_tol times its size, the panel
+    that carries the largest share of such a force's allowance is
+    bisected.  A force whose Phi is 0 at every node it weighs sets no
+    demand.  Each panel's error in the table is its tail plus the
+    largest error of Phi at its nodes (relative to omega^power); Phi's
+    own error, which bisection does not reduce, sets no demand.  The
+    panels are kept as array columns, in the order of s.
+
+    Raises
+    ------
+    NonConvergence
+        With level "omega1", naming the omega interval of the panel
+        that would be bisected when the table already holds
+        TABLE_MAX_PANELS panels, or of a panel on which Phi is not
+        finite.
+    """
+    transform, fejer = np.array(_COS), np.array(_FEJER)
+
+    def panels(edges):
+        """The panels between ``edges`` as columns, from one call of Phi and one of the kernels.
+
+        Returns their coefficients, their errors and, one row per force, their errors and sizes.
+        """
+        a, b = edges[:-1], edges[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        # math.exp and float powers: numpy's round some nodes differently
+        omegas = [math.exp(s) for s in (mid[:, None] + half[:, None] * transform[1]).flat]
+        nodes = np.reshape(omegas, (-1, TABLE_NODES))
+        scale = np.reshape([w**power for w in omegas], nodes.shape)
+        values, errors = phi(nodes.ravel())
+        h = np.reshape(values, nodes.shape) / scale
+        # the coefficients c_k of sum_k c_k T_k interpolating h at the nodes
+        c = (2.0 / TABLE_NODES * (transform * h[:, None, :]).sum(axis=2)).T
+        c[0] *= 0.5
+        tail = np.maximum(abs(c[-1]), abs(c[-2]))
+        error = tail + (np.reshape(errors, nodes.shape) / scale).max(axis=1)
+        bad = np.flatnonzero(~np.isfinite(error))
+        if bad.size:
+            raise NonConvergence(f"Phi is not finite on omega in [{math.exp(a[bad[0]])!r}, "
+                                 f"{math.exp(b[bad[0]])!r}]", level="omega1")
+        # d omega = omega ds on s = mid + half x
+        moments = (half[:, None] * fejer * nodes ** (power + 1)
+                   * kernels(nodes.ravel()).reshape(-1, *nodes.shape))
+        return c, error, tail * moments.sum(axis=2), (moments * np.abs(h)).sum(axis=2)
+
+    s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
+    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
+    edges = np.array([s_lo, *cuts, s_hi])
+    columns = panels(edges)
+    while True:
+        force_errors, sizes = columns[2:]
+        # Python's sum in order of s, as the per-panel build in tests/oracles.py sums
+        allowed = np.array([rel_tol * sum(row) for row in sizes.tolist()])
+        short = [j for j, row in enumerate(force_errors.tolist()) if 0.0 < allowed[j] < sum(row)]
+        if not short:
+            break
+        i = int(np.argmax((force_errors[short] / allowed[short][:, None]).max(axis=0)))
+        a, b = float(edges[i]), float(edges[i + 1])
+        if edges.size - 1 == TABLE_MAX_PANELS:
+            raise NonConvergence(
+                f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
+                f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_PANELS} panels",
+                level="omega1",
+            )
+        mid = 0.5 * (a + b)
+        halves = panels(np.array([a, mid, b]))
+        edges = np.insert(edges, i + 1, mid)
+        columns = [np.concatenate([old[..., :i], new, old[..., i + 1:]], axis=-1)
+                   for old, new in zip(columns, halves)]
+    coeffs, errors = columns[:2]
+    return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power,
+                    float(_clenshaw(coeffs[:, 0], -1.0)))
+
+
 def phi_table(
     material1: MaterialModel,
     material2: MaterialModel,
@@ -485,7 +644,7 @@ def phi_table(
     v_range: tuple[float, float],
     d_range: tuple[float, float],
     spec: QuadratureSpec = NESTED_SPEC,
-) -> SharedPhi:
+) -> PhiTable:
     """Phi(omega) tabulated once for all v in v_range and d in d_range.
 
     The table spans 1e-4 v_min/(2 d_max) to 60 v_max/(2 d_min), holds
@@ -496,7 +655,7 @@ def phi_table(
     table serves the forces at the ends of the range of s and at points
     between them at most a decade apart: it is refined until each of
     them carries a table error of at most ``spec.rel_tol``
-    (`tabulate_phi`), in at most `response.TABLE_MAX_PANELS` panels.
+    (`tabulate_phi`), in at most TABLE_MAX_PANELS panels.
 
     Raises
     ------
@@ -523,11 +682,10 @@ def phi_table(
     steps = max(math.ceil(math.log10(high / low) - 1e-9), 1)
     kernels = _kernels(sorted({low * (high / low) ** (k / steps) for k in range(steps + 1)}))
     # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
-    table = tabulate_phi(
+    return tabulate_phi(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
         lo, hi, 3 if thermal.is_zero else 1, kernels, resonances, spec.rel_tol,
     )
-    return SharedPhi(table)
 
 
 def dissipation_general(
@@ -542,7 +700,7 @@ def dissipation_general(
 
     Valid at any temperature and velocity, for Drude plates.  Phi is
     read from a table built for this (v, d) alone (`phi_table`), and
-    the k_x integrals are those of `SharedPhi.forces` for this one
+    the k_x integrals are those of `PhiTable.forces` for this one
     point: the force, and the table's error weighed by the same kernel,
     which is added to ``quadrature_rel_err``.
 
@@ -560,8 +718,8 @@ def dissipation_general(
     _require_velocity(v)
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
-    shared = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
-    return shared.forces([v], [config.d], spec)[0]
+    table = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
+    return table.forces([v], [config.d], spec)[0]
 
 
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:

@@ -78,7 +78,7 @@ class NonConvergence(RuntimeError):
     index : int or None
         From `integrate_finite` and `integrate_semi_infinite`, the
         failing integral's place among their specs; from
-        `friction.SharedPhi.forces`, the failing point's place among its
+        `friction.PhiTable.forces`, the failing point's place among its
         points.  None from every other raiser.
     """
 

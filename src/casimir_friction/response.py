@@ -60,16 +60,8 @@ error is their estimates plus Phi_0's bound.  Elsewhere (between the
 two windows, at finite T below omega_sp, and for other plates) the
 sum channel is the coth-sum quadrature.
 
-A force evaluates Phi only at the nodes of a `PhiTable`
-(`tabulate_phi`), one panel of 16 nodes per call:
-h = Phi / omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
-Phi_1 or Phi_3) as a piecewise Chebyshev series in log omega.  The
-table is refined globally, one bisection at a time, until the error its
-panels' trailing coefficients put into each force it serves, weighed by
-that force's kernel, meets the tolerance; a table that would need more
-than TABLE_MAX_PANELS (64) panels fails.  Each panel's error also
-carries the largest error estimate of Phi at its nodes, so that a
-force's error covers the table, Phi and its own k_x integral.
+A force reads Phi from a table of it (`friction.tabulate_phi`), which
+asks for the nodes of all the panels of one refinement step in one call.
 """
 
 from __future__ import annotations
@@ -82,6 +74,7 @@ from .material import Drude, surface_response
 from .numerics import (
     CONST,
     DEFAULT_SPEC,
+    DomainError,
     FloatFailure,
     NonConvergence,
     QuadratureSpec,
@@ -222,6 +215,8 @@ def im_r_dissipation_integral(
 
     Raises
     ------
+    DomainError
+        If an omega_v is not finite.
     TypeError
         If a plate is not a Drude metal: the channels need Im R on all of
         (0, omega), and a tabulated material has none below its first node.
@@ -238,6 +233,9 @@ def im_r_dissipation_integral(
     with np.errstate(all="ignore"):
         omega = np.abs(np.asarray(omega_v, dtype=float))
         omegas = omega.ravel()
+        if not np.isfinite(omegas).all():
+            bad = np.asarray(omega_v, dtype=float).ravel()[~np.isfinite(omegas)][0]
+            raise DomainError(f"Phi needs a finite omega, got {float(bad)!r}")
         n = omegas.size
         half = 0.5 * thermal.beta * CONST.hbar
         scale = 1.0 / half  # the thermal scale 2/(beta hbar); inf at T = 0
@@ -374,194 +372,3 @@ def phi_slope(
         value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol,
                                 spec.max_subdivisions, fail)
     return beta_hbar * float(value[0]), beta_hbar * float(err[0])
-
-
-#: Chebyshev nodes per panel of a `PhiTable`.
-TABLE_NODES = 16
-#: Panels a `PhiTable` may hold.  A table that still misses its tolerance
-#: at this many fails, after at most 2 * TABLE_MAX_PANELS panels of
-#: TABLE_NODES Phi evaluations each.
-TABLE_MAX_PANELS = 64
-
-# cos(pi k (j + 1/2) / n): the first-kind nodes x_j (row k = 1) and the
-# transform from node values to Chebyshev coefficients
-_COS = [
-    [math.cos(math.pi * k * (j + 0.5) / TABLE_NODES) for j in range(TABLE_NODES)]
-    for k in range(TABLE_NODES)
-]
-# Fejer's first rule on the same nodes: Int_-1^1 f dx ~ sum_j _FEJER[j] f(x_j)
-_FEJER = [
-    2.0 / TABLE_NODES * (1.0 - 2.0 * sum(
-        math.cos(2.0 * k * math.pi * (j + 0.5) / TABLE_NODES) / (4.0 * k * k - 1.0)
-        for k in range(1, TABLE_NODES // 2 + 1)
-    ))
-    for j in range(TABLE_NODES)
-]
-
-
-def _clenshaw(coeffs, x):
-    """sum_k coeffs[k] T_k(x); each coeffs[k] may be an array that broadcasts against x."""
-    b1 = b2 = 0.0
-    x2 = 2.0 * x
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
-
-
-@dataclass(frozen=True, eq=False)
-class PhiTable:
-    """Phi(omega) on [omega_lo, omega_hi] as a piecewise Chebyshev series.
-
-    Each panel [edges[i], edges[i+1]] of s = log omega holds the
-    coefficients ``coeffs[i]`` of h(s) = Phi(omega) / omega^power, and
-    ``errors[i]``, the size of its two trailing coefficients plus the
-    largest error estimate of h at its nodes, which estimates
-    |h_table - h| on it.  Below omega_lo the head Phi = head * omega^power
-    continues the table; above omega_hi Phi is taken as 0 (the Bessel
-    kernel that weighs it is below e^-60 there).  Both Phi and its error
-    are evaluated elementwise on an array of omega.
-    """
-
-    omega_lo: float
-    omega_hi: float
-    edges: np.ndarray
-    coeffs: np.ndarray  # one row of TABLE_NODES coefficients per panel
-    errors: np.ndarray
-    power: int
-    head: float
-
-    def _panels(self, omega):
-        """The panel of each omega (clamped into the table), and s = log omega clamped so."""
-        # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
-        s = np.log(np.minimum(np.maximum(omega, self.omega_lo), self.omega_hi))
-        i = np.minimum(np.maximum(np.searchsorted(self.edges, s, side="right") - 1, 0),
-                       len(self.errors) - 1)
-        return i, s
-
-    def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        i, s = self._panels(omega)
-        a, b = self.edges[i], self.edges[i + 1]
-        h = np.where(omega < self.omega_lo, self.head,
-                     _clenshaw(self.coeffs.T[:, i], (2.0 * s - a - b) / (b - a)))
-        return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
-
-    def error(self, omega):
-        """Estimated |Phi_table - Phi| at each omega (the first panel's below omega_lo)."""
-        omega = np.asarray(omega, dtype=float)
-        i, _ = self._panels(omega)
-        return np.where(omega > self.omega_hi, 0.0, self.errors[i] * omega**self.power)
-
-
-@dataclass(frozen=True)
-class _Panel:
-    """A panel [a, b] of s = log omega and what it contributes to each force it serves."""
-
-    a: float
-    b: float
-    coeffs: tuple[float, ...]
-    error: float  # |h_table - h|: the tail, plus the largest error of Phi itself
-    errors: tuple[float, ...]  # per force: tail * Int kernel omega^power d omega
-    sizes: tuple[float, ...]  # per force: Int kernel |Phi| d omega
-
-
-def tabulate_phi(
-    phi: Callable,
-    omega_lo: float,
-    omega_hi: float,
-    power: int,
-    kernels: Callable,
-    splits: Sequence[float] = (),
-    rel_tol: float = DEFAULT_SPEC.rel_tol,
-) -> PhiTable:
-    """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
-
-    ``phi`` maps an array of omega to (Phi, error estimate) at each; it
-    is called once per panel, with the panel's TABLE_NODES nodes.
-    ``kernels`` maps an array of omega to an array of one row per force:
-    the weight w(omega) by which that force integrates Phi,
-    Int w Phi d omega up to a constant factor.  It is called once for
-    the nodes of every panel made at once (the first panels, then the
-    two halves of each bisected one).  The
-    range is cut at the ``splits`` inside it (resonances, where h
-    changes fastest), and each panel holds TABLE_NODES first-kind
-    Chebyshev nodes.  A panel's tail, the larger of its two trailing
-    coefficients, estimates |h_table - h| on it; for each force the
-    panel adds tail * Int w omega^power to the force's error and
-    Int w |Phi| to its size (Fejer's rule on the panel's nodes).
-    Refinement is global: while some force's error exceeds rel_tol
-    times its size, the panel that carries the largest share of such a
-    force's allowance is bisected.  A force whose Phi is 0 at every
-    node it weighs sets no demand.  Each panel's error in the table is
-    its tail plus the largest error of Phi at its nodes (relative to
-    omega^power); Phi's own error, which bisection does not reduce,
-    sets no demand.
-
-    Raises
-    ------
-    NonConvergence
-        With level "omega1", naming the omega interval of the panel
-        that would be bisected when the table already holds
-        TABLE_MAX_PANELS panels, or of a panel on which Phi is not
-        finite.
-    """
-
-    transform, fejer = np.array(_COS), np.array(_FEJER)
-
-    def panels_between(edges: Sequence[float]) -> list[_Panel]:
-        """The panels between consecutive ``edges``: Phi once per panel, the kernels once for all."""
-        made, nodes = [], []
-        for a, b in zip(edges, edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            omegas = [math.exp(mid + half * x) for x in _COS[1]]
-            nodes.append(np.array(omegas))
-            values, errors = phi(nodes[-1])
-            h = [float(y) / w**power for y, w in zip(values, omegas)]
-            # the coefficients c_k of sum_k c_k T_k interpolating h at the nodes
-            c = (2.0 / TABLE_NODES * (transform * h).sum(axis=1)).tolist()
-            c[0] *= 0.5
-            tail = max(abs(c[-1]), abs(c[-2]))
-            phi_err = max(float(e) / w**power for e, w in zip(errors, omegas))
-            if not math.isfinite(tail + phi_err):
-                raise NonConvergence(
-                    f"Phi is not finite on omega in [{math.exp(a)!r}, {math.exp(b)!r}]",
-                    level="omega1",
-                )
-            made.append((a, b, c, tail, phi_err, half, h))
-        # one row per force, one block of TABLE_NODES columns per panel
-        weights = kernels(np.concatenate(nodes)).reshape(-1, len(made), TABLE_NODES)
-        out = []
-        for k, (a, b, c, tail, phi_err, half, h) in enumerate(made):
-            # d omega = omega ds on s = mid + half x
-            moments = half * fejer * nodes[k] ** (power + 1) * weights[:, k]
-            out.append(_Panel(
-                a, b, tuple(c), tail + phi_err,
-                tuple((tail * moments.sum(axis=1)).tolist()),
-                tuple((moments * np.abs(h)).sum(axis=1).tolist()),
-            ))
-        return out
-
-    s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
-    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
-    panels = panels_between([s_lo, *cuts, s_hi])
-    while True:
-        allowed = [rel_tol * sum(sizes) for sizes in zip(*(p.sizes for p in panels))]
-        short = [j for j, limit in enumerate(allowed)
-                 if 0.0 < limit < sum(p.errors[j] for p in panels)]
-        if not short:
-            break
-        i = max(range(len(panels)),
-                key=lambda k: max(panels[k].errors[j] / allowed[j] for j in short))
-        a, b = panels[i].a, panels[i].b
-        if len(panels) == TABLE_MAX_PANELS:
-            raise NonConvergence(
-                f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
-                f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_PANELS} panels",
-                level="omega1",
-            )
-        panels[i:i + 1] = panels_between([a, 0.5 * (a + b), b])
-    return PhiTable(
-        omega_lo, omega_hi, np.array([s_lo, *(p.b for p in panels)]),
-        np.array([p.coeffs for p in panels]), np.array([p.error for p in panels]), power,
-        _clenshaw(panels[0].coeffs, -1.0),
-    )

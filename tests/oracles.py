@@ -433,3 +433,44 @@ def radial_moment(n, d, spec=DEFAULT_SPEC):
 def k_moment(power, d, rho1, rho2, spec=DEFAULT_SPEC):
     """Gap moment rho1 rho2 Int d^2k k_x^power e^{-2 q d}: G for power 2, G_P for 4."""
     return rho1 * rho2 * 2.0 * math.pi * angular_moment(power) * radial_moment(power + 1, d, spec)
+
+
+def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
+                           rel_tol=DEFAULT_SPEC.rel_tol):
+    """`friction.tabulate_phi`, one panel at a time, with one Phi call per panel.
+
+    The reference for the array build, which takes the same arithmetic in
+    the same order and so must equal it bit for bit.  Returns the table's
+    edges, coefficients (one row per panel), errors and head.
+    """
+    from casimir_friction.friction import _COS, _FEJER, TABLE_NODES, _clenshaw
+
+    transform, fejer = np.array(_COS), np.array(_FEJER)
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        omegas = [math.exp(mid + half * x) for x in _COS[1]]
+        values, errors = phi(np.array(omegas))
+        h = [float(y) / w**power for y, w in zip(values, omegas)]
+        c = (2.0 / TABLE_NODES * (transform * h).sum(axis=1)).tolist()
+        c[0] *= 0.5
+        tail = max(abs(c[-1]), abs(c[-2]))
+        error = tail + max(float(e) / w**power for e, w in zip(errors, omegas))
+        moments = half * fejer * np.array(omegas) ** (power + 1) * kernels(np.array(omegas))
+        return [a, b, c, error, (tail * moments.sum(axis=1)).tolist(),
+                (moments * np.abs(h)).sum(axis=1).tolist()]
+
+    cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
+    edges = [math.log(omega_lo), *cuts, math.log(omega_hi)]
+    panels = [panel(a, b) for a, b in zip(edges, edges[1:])]
+    while True:
+        allowed = [rel_tol * sum(sizes) for sizes in zip(*(p[5] for p in panels))]
+        short = [j for j, limit in enumerate(allowed)
+                 if 0.0 < limit < sum(p[4][j] for p in panels)]
+        if not short:
+            break
+        i = max(range(len(panels)), key=lambda k: max(panels[k][4][j] / allowed[j] for j in short))
+        a, b = panels[i][:2]
+        panels[i:i + 1] = [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
+    return ([panels[0][0], *(p[1] for p in panels)], [p[2] for p in panels],
+            [p[3] for p in panels], _clenshaw(panels[0][2], -1.0))

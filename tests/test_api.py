@@ -36,12 +36,14 @@ DELETED = {
         "h0_linear", "j_linear", "j_zero_t", "j_general_convolution",
         "DeltaConvolution", "BOSE_INTEGRAL", "_as_density", "_check_cutoff",
         "ResponseCoeffs", "response_coeffs", "phi",
+        # the Phi table lives with its one consumer, `friction`
+        "PhiTable", "tabulate_phi", "_Panel", "TABLE_NODES", "TABLE_MAX_PANELS", "_clenshaw",
     ),
     geometry: (
         "k_moment", "angular_kx_moment", "radial_moment",
         "psi_hat", "g_hat", "g_hat_z_integrated", "UnequalDensities",
     ),
-    friction: ("_rho_slope_product", "ValidityWarning"),
+    friction: ("_rho_slope_product", "ValidityWarning", "SharedPhi", "_Panel"),
     compare: ("LiteratureParams",),
 }
 
@@ -76,11 +78,17 @@ def test_unread_fields_are_gone():
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(friction.Diagnostics, "flag")
     # callers pass the general force's arguments by position; a shared Phi
-    # table serves its points through SharedPhi.forces, not through this
+    # table serves its points through PhiTable.forces, not through this
     assert list(inspect.signature(friction.dissipation_general).parameters) == [
         "material1", "material2", "config", "thermal", "v", "spec",
     ]
-    assert fields(friction.SharedPhi) == {"table"}
+    gold = material.Drude(omega_p=1.37e16, nu=5.3e13)
+    table = friction.phi_table(gold, gold, response.ThermalState.finite(300.0), (1.0, 1.0),
+                               (1e-8, 1e-8))
+    assert type(table) is friction.PhiTable
+    assert list(inspect.signature(friction.PhiTable.forces).parameters) == [
+        "self", "v", "d", "spec",
+    ]
     # the literature closed form takes floats, not a parameter record
     assert list(inspect.signature(compare.pendry_force).parameters) == [
         "sigma_over_eps0", "d", "v",

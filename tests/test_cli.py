@@ -817,17 +817,17 @@ EACH_POINT_ONCE = {
 def test_sweep_evaluates_each_point_once(capsys, monkeypatch, case):
     # a general sweep over v or d, of any length, hands every row to one k_x
     # pass: each row reaches it once, and none twice
-    from casimir_friction.friction import SharedPhi
+    from casimir_friction.friction import PhiTable
 
     fixed, param, lo, hi, points = EACH_POINT_ONCE[case]
     passes = []
-    real = SharedPhi.forces
+    real = PhiTable.forces
 
     def counting(self, v, d, *args, **kwargs):
         passes.append(list(zip(v, d)))
         return real(self, v, d, *args, **kwargs)
 
-    monkeypatch.setattr(SharedPhi, "forces", counting)
+    monkeypatch.setattr(PhiTable, "forces", counting)
     code, out, _ = run_cli(capsys, ["sweep", *DRUDE_ARGS, *fixed, "--regime", "general",
                                     "--param", param, "--from", lo, "--to", hi,
                                     "--points", str(points)])

@@ -11,6 +11,7 @@ from scipy.special import k1, k1e
 from casimir_friction import friction, numerics, response
 from casimir_friction.numerics import (
     CONST,
+    DEFAULT_SPEC,
     NESTED_SPEC,
     DomainError,
     NonConvergence,
@@ -18,17 +19,14 @@ from casimir_friction.numerics import (
 )
 from casimir_friction.material import Drude, Tabulated, surface_response
 from casimir_friction.geometry import PlateConfig
-from casimir_friction.response import (
-    TABLE_MAX_PANELS,
-    TABLE_NODES,
-    ThermalState,
-    phi_slope,
-    tabulate_phi,
-)
+from casimir_friction.response import ThermalState, im_r_dissipation_integral, phi_slope
+from casimir_friction.compare import pendry_force
 from casimir_friction.friction import (
     GENERAL_NUMERIC,
     LINEAR_FINITE_T,
     PLASMON_LINE,
+    TABLE_MAX_PANELS,
+    TABLE_NODES,
     ZERO_T_CUBIC,
     _k1e,
     _k1e_array,
@@ -38,6 +36,7 @@ from casimir_friction.friction import (
     force_plasmon,
     force_zero_t,
     phi_table,
+    tabulate_phi,
 )
 import oracles
 
@@ -307,10 +306,10 @@ def test_general_nonconvergence_reports_level():
 
 def test_kx_nonconvergence_names_kx_and_omega():
     v = 3.0
-    shared = phi_table(GOLD, GOLD, COLD, (v, v), (PLATE.d, PLATE.d))
+    table = phi_table(GOLD, GOLD, COLD, (v, v), (PLATE.d, PLATE.d))
     tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:
-        shared.forces([v], [PLATE.d], tight)
+        table.forces([v], [PLATE.d], tight)
     assert err.value.level == "k_x"
     number = r"([-+0-9.e]+|inf)"
     found = re.search(rf"k_x in \[{number}, {number}\] 1/m, "
@@ -362,7 +361,8 @@ def test_general_equal_plates_share_difference_channel(monkeypatch):
 
 def test_general_force_tabulates_its_own_phi(monkeypatch):
     # about 147 Phi evaluations per force when each k_x node integrated Phi itself;
-    # the table asks for all the omega nodes of a panel in one call
+    # the table asks for the omega nodes of one refinement step in one call: all
+    # its first panels, then the two halves of the panel each step bisects
     calls = []
     real = friction.im_r_dissipation_integral
 
@@ -373,7 +373,93 @@ def test_general_force_tabulates_its_own_phi(monkeypatch):
     monkeypatch.setattr(friction, "im_r_dissipation_integral", counting)
     dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
     assert 0 < sum(calls) <= 2 * TABLE_NODES
-    assert set(calls) == {TABLE_NODES}
+    # a T = 0 sweep whose band holds omega_sp and 2 omega_sp starts with three panels
+    for thermal, speeds, first in [(ROOM, (1.0, 1.0), 1), (COLD, (1e4, 1e8), 3)]:
+        calls.clear()
+        table = phi_table(GOLD, GOLD, thermal, speeds, (PLATE.d, PLATE.d))
+        bisections = len(table.edges) - 1 - first
+        assert len(calls) == 1 + bisections
+        assert calls == [first * TABLE_NODES] + [2 * TABLE_NODES] * bisections
+    assert bisections >= 1
+
+
+#: A Lorentzian 2e-3 wide in s = log omega on a flat h = 1, centred 1e-3 above
+#: the split at omega = 1e3, so that the panels on both sides of the split meet it.
+SHARP_CENTRE, SHARP_WIDTH = math.log(1e3) + 1e-3, 2e-3
+
+
+def sharp_phi(w):
+    h = 1.0 + 1.0 / (1.0 + ((np.log(w) - SHARP_CENTRE) / SHARP_WIDTH) ** 2)
+    return w * h, np.zeros_like(w)
+
+
+def sharp_table(calls):
+    """The table of `sharp_phi` for a kernel that decays as K1 does, counting Phi's calls."""
+
+    def counting(w):
+        calls.append(w.size)
+        return sharp_phi(w)
+
+    return friction.tabulate_phi(counting, 1.0, 1e6, 1, lambda w: np.exp(-w / 1e4)[None, :],
+                                 (1e3,))
+
+
+def test_phi_table_bisects_toward_a_sharp_feature_across_a_split():
+    calls = []
+    table = sharp_table(calls)
+    bisections = len(table.edges) - 1 - 2
+    assert bisections >= 8
+    assert calls == [2 * TABLE_NODES] + [2 * TABLE_NODES] * bisections
+    assert np.all(np.diff(table.edges) > 0)
+    assert math.log(1e3) in table.edges
+    # both panels beside the split were bisected toward the feature
+    beside = np.searchsorted(table.edges, math.log(1e3))
+    for i in (beside - 1, beside):
+        assert table.edges[i + 1] - table.edges[i] < 0.02
+    # and the table meets its own tolerance on the kernel-weighted deviation
+    w = np.exp(np.linspace(0.0, math.log(1e6), 400_001))
+    weight = w * np.exp(-w / 1e4)
+    deviation = np.sum(weight * np.abs(table(w) - sharp_phi(w)[0]))
+    assert deviation <= DEFAULT_SPEC.rel_tol * np.sum(weight * sharp_phi(w)[0])
+
+
+@pytest.mark.xfail(strict=True, reason="a panel's tail, the larger of its two trailing "
+                   "Chebyshev coefficients, under-reports the error of a partly resolved panel")
+def test_phi_table_error_bounds_its_deviation_pointwise():
+    # |Phi_table - Phi| <= table.error, plus the rounding of evaluating the series
+    table = sharp_table([])
+    w = np.logspace(0.0, 6.0, 10_000)
+    phi = sharp_phi(w)[0]
+    rounding = 16.0 * np.finfo(float).eps * phi
+    assert np.all(np.abs(table(w) - phi) <= table.error(w) + rounding)
+
+
+TABLE_CASES = {
+    "room-one-point": lambda: phi_table(GOLD, GOLD, ROOM, (1.0, 1.0), (PLATE.d, PLATE.d)),
+    "cold-across-the-resonances": lambda: phi_table(GOLD, GOLD, COLD, (1e4, 1e8),
+                                                    (PLATE.d, PLATE.d)),
+    "sharp-feature": lambda: sharp_table([]),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_phi_table_equals_its_per_panel_build(monkeypatch, case):
+    # the array build does the per-panel loop's arithmetic in the same order
+    asked = []
+    real = friction.tabulate_phi
+
+    def recording(*args):
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(friction, "tabulate_phi", recording)
+    table = TABLE_CASES[case]()
+    [args] = asked
+    edges, coeffs, errors, head = oracles.tabulate_phi_per_panel(*args)
+    assert np.array_equal(table.edges, edges)
+    assert np.array_equal(table.coeffs.T, coeffs)
+    assert np.array_equal(table.errors, errors)
+    assert table.head == head
 
 
 #: The benchmark's pool of physical-box points, each with a reference force from
@@ -404,13 +490,12 @@ def test_general_force_error_budget_on_the_reference_pool():
 def test_phi_table_across_the_plasmon_resonances():
     # a T = 0 velocity sweep whose kernels reach past omega_sp and 2 omega_sp
     speeds = [1e4, 1e5, 1e6, 1e7, 1e8]
-    shared = phi_table(GOLD, GOLD, COLD, (speeds[0], speeds[-1]), (PLATE.d, PLATE.d))
-    table = shared.table
+    table = phi_table(GOLD, GOLD, COLD, (speeds[0], speeds[-1]), (PLATE.d, PLATE.d))
     assert table.omega_lo < GOLD.omega_sp < 2.0 * GOLD.omega_sp < table.omega_hi
     # both resonances are panel edges
     assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
     for v in speeds:
-        [tab] = shared.forces([v], [PLATE.d])
+        [tab] = table.forces([v], [PLATE.d])
         own = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
         dev = abs(tab.force_per_area / own.force_per_area - 1.0)
         assert dev <= NESTED_SPEC.rel_tol
@@ -436,33 +521,33 @@ def test_one_pass_rows_equal_the_per_point_force(sweep):
     thermal, speeds, gaps = SWEEPS[sweep]
     v, d = (a.ravel().tolist() for a in np.broadcast_arrays(speeds, gaps))
     assert len(v) >= 8
-    shared = phi_table(GOLD, GOLD, thermal, (min(v), max(v)), (min(d), max(d)))
-    rows = shared.forces(v, d)
+    table = phi_table(GOLD, GOLD, thermal, (min(v), max(v)), (min(d), max(d)))
+    rows = table.forces(v, d)
     for row, vi, di in zip(rows, v, d):
-        [alone] = shared.forces([vi], [di])
+        [alone] = table.forces([vi], [di])
         assert row.force_per_area == alone.force_per_area
         assert row.diagnostics.quadrature_rel_err == alone.diagnostics.quadrature_rel_err
         assert row.regime == GENERAL_NUMERIC and row.force_per_area > 0
 
 
 def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
-    shared = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
+    table = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
     # v = 0 gives 0, as dissipation_general does
-    zero, one = shared.forces([0.0, 1.0], [PLATE.d] * 2)
+    zero, one = table.forces([0.0, 1.0], [PLATE.d] * 2)
     assert zero.force_per_area == 0.0 and zero.diagnostics.quadrature_rel_err == 0.0
-    assert [one] == shared.forces([1.0], [PLATE.d])
-    assert shared.forces([], []) == []
+    assert [one] == table.forces([1.0], [PLATE.d])
+    assert table.forces([], []) == []
     with pytest.raises(DomainError):
-        shared.forces([1.0, -1.0], [PLATE.d] * 2)
+        table.forces([1.0, -1.0], [PLATE.d] * 2)
     # a gap that is not finite and > 0 is named, also at v = 0
     for gap in (0.0, -PLATE.d, math.nan, math.inf):
         for speed in (1.0, 0.0):
             with pytest.raises(DomainError, match=f"gap d must be finite and > 0, got {gap!r}"):
-                shared.forces([1.0, speed], [PLATE.d, gap])
+                table.forces([1.0, speed], [PLATE.d, gap])
     with pytest.raises(ValueError, match="does not cover v = 20.0"):
-        shared.forces([1.0, 20.0], [PLATE.d] * 2)
+        table.forces([1.0, 20.0], [PLATE.d] * 2)
     with pytest.raises(ValueError, match="one gap per velocity"):
-        shared.forces([1.0, 2.0], [PLATE.d])
+        table.forces([1.0, 2.0], [PLATE.d])
     # the point whose integral fails is named by its place among the points
     real = friction._ky_integral
     bad = 2.0 * PLATE.d
@@ -475,6 +560,43 @@ def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
     with pytest.raises(NonConvergence, match="k_x integral") as err:
         wide.forces([0.0, 1.0, 1.0, 1.0], [PLATE.d, PLATE.d, bad, 3.0 * PLATE.d])
     assert err.value.level == "k_x" and err.value.index == 2
+
+
+SIGMA = GOLD.omega_p**2 / GOLD.nu
+VELOCITY_TAKERS = {
+    "force_linear": lambda v: force_linear(GOLD, PLATE, ROOM, v),
+    "force_zero_t": lambda v: force_zero_t(GOLD, PLATE, v),
+    "force_plasmon": lambda v: force_plasmon(GOLD.omega_sp, PLATE, v),
+    "forces": lambda v: phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d)).forces(
+        [1.0, v], [PLATE.d] * 2),
+    "dissipation_general": lambda v: dissipation_general(GOLD, GOLD, PLATE, ROOM, v),
+    "pendry_force": lambda v: pendry_force(SIGMA, PLATE.d, v),
+}
+#: (call, bad argument, message): each call raises DomainError naming the argument
+OUT_OF_DOMAIN = {
+    **{f"{name}-v={v}": (call, v, "velocity must be finite and >= 0")
+       for name, call in VELOCITY_TAKERS.items() for v in (math.nan, math.inf, -math.inf)},
+    "pendry_force-v=-1.0": (VELOCITY_TAKERS["pendry_force"], -1.0,
+                            "velocity must be finite and >= 0"),
+    **{f"phi-omega={w}": (lambda w: im_r_dissipation_integral(np.array([1e13, w]), GOLD, GOLD,
+                                                              ROOM), w, "Phi needs a finite omega")
+       for w in (math.nan, math.inf, -math.inf)},
+    **{f"pendry_force-sigma={x}": (lambda x: pendry_force(x, PLATE.d, 1.0), x,
+                                   "sigma/eps0 must be finite and > 0")
+       for x in (math.nan, math.inf, 0.0, -SIGMA)},
+    **{f"pendry_force-d={x}": (lambda x: pendry_force(SIGMA, x, 1.0), x,
+                               "gap d must be finite and > 0")
+       for x in (math.nan, math.inf, 0.0, -PLATE.d)},
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_DOMAIN)
+def test_non_finite_or_negative_inputs_raise_domain_error(case):
+    # a NaN velocity once gave a NaN force, an infinite one an infinite force,
+    # a bare ValueError or a FloatFailure; pendry_force took any float
+    call, bad, message = OUT_OF_DOMAIN[case]
+    with pytest.raises(DomainError, match=re.escape(f"{message}, got {bad}")):
+        call(bad)
 
 
 def test_phi_table_that_cannot_resolve_names_its_interval():
@@ -499,11 +621,11 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
 
 
 def test_phi_table_serves_only_what_it_was_built_for():
-    shared = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
+    table = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
     for v, d in [(20.0, PLATE.d), (1.0, 2 * PLATE.d)]:
         with pytest.raises(ValueError, match="Phi table"):
-            shared.forces([v], [d])
-    [inside] = shared.forces([3.0], [PLATE.d])
+            table.forces([v], [d])
+    [inside] = table.forces([3.0], [PLATE.d])
     own = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
     assert inside.force_per_area == pytest.approx(own.force_per_area, rel=1e-9)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from casimir_friction import _phi0
 from casimir_friction.numerics import CONST, DEFAULT_SPEC, QuadratureSpec
@@ -111,7 +112,7 @@ def test_h0_quadrature_matches_trapezoid_oracle():
     w = np.linspace(1e-9 / beta_hbar, 60.0 / beta_hbar, 200001)
     x = 0.5 * beta_hbar * w
     integrand = (amp * w * np.exp(-w / w0)) ** 2 * 4.0 * np.exp(-2 * x) / np.expm1(-2 * x) ** 2
-    oracle = beta_hbar * np.trapezoid(integrand, w)
+    oracle = beta_hbar * trapezoid(integrand, w)
     assert value == pytest.approx(oracle, rel=1e-6)
     assert 0.0 < err <= 1e-9 * value
 
