@@ -67,6 +67,7 @@ from .response import ThermalState
 from .friction import (
     FrictionResult,
     dissipation_general,
+    flag_lossless,
     force_linear,
     force_plasmon,
     force_zero_t,
@@ -411,7 +412,9 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
             results = table.forces(speeds, gaps, spec)
         except NonConvergence as exc:  # a k_x failure, which names its point
             raise RowFailure(rows[exc.index][0], exc) from exc
-        yield from results
+        for result in results:
+            flag_lossless(result.diagnostics, material)
+            yield result
         return
     for where, point in rows:
         try:

@@ -44,14 +44,15 @@ forces it serves, one bisection at a time, in at most TABLE_MAX_PANELS
 new panels in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
-For lossy, underdamped Drude plates the T = 0 part of Phi's sum channel
-is a closed form where its rounding bound holds that tolerance: a sum
-of 16 pole-pair logarithms from 1.1 omega_sp up (to about 20 omega_sp
-for a line 1e-3 omega_sp wide), and at T = 0 a power series up to
-omega_sp / 2.  There only the Bose-weighted rest of the sum channel and
-the difference channel are integrated, and the node's error estimate
-adds the closed form's rounding bound.  So a T = 0 force whose band
-lies in those windows integrates nothing but k_x.
+Phi is one integral over the real line, folded at omega/2.  For lossy,
+underdamped Drude plates the T = 0 part of its sum channel is a closed
+form where its rounding bound holds that tolerance: a sum of 16
+pole-pair logarithms from 1.1 omega_sp up (to about 20 omega_sp for a
+line 1e-3 omega_sp wide), and at T = 0 a power series up to
+omega_sp / 2.  There only the thermal rest of the integral is taken by
+quadrature, and the node's error estimate adds that rounding bound.  So
+a T = 0 force whose band lies in those windows integrates nothing but
+k_x.
 `PhiTable.forces` integrates any number of (v, d) points against a
 table in one `numerics.integrate_semi_infinite` pass over an array
 integrand, by the package's one G7/K15 rule.  Each point's k_x integral
@@ -141,6 +142,13 @@ class FrictionResult:
     diagnostics: Diagnostics
 
 
+def flag_lossless(diag: Diagnostics, *materials: MaterialModel) -> None:
+    """Flag the 0 that a lossless Drude plate (omega_p > 0, nu = 0) gives but its line does not."""
+    if any(isinstance(m, Drude) and m.omega_p > 0.0 and m.nu == 0.0 for m in materials):
+        diag.validity_flags.append("nu = 0: a lossless plate gives 0 here; its force is the "
+                                   "nu -> 0 limit, the plasmon line (--regime plasmon)")
+
+
 def _require_velocity(v: float) -> None:
     if not (v >= 0 and math.isfinite(v)):
         raise DomainError(f"velocity must be finite and >= 0, got {v}")
@@ -174,6 +182,7 @@ def force_linear(
     if isinstance(material, Drude):
         if material.nu == 0.0 or material.omega_p == 0.0:
             phi1 = 0.0
+            flag_lossless(diag, material)
         else:
             with float_guard(LINEAR_FINITE_T,
                              "Phi_1 = 4 pi^2 nu^2 / (3 (beta hbar omega_sp^2)^2)"):
@@ -224,6 +233,7 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
     diag = Diagnostics()
     if material.nu == 0.0 or material.omega_p == 0.0:
         force = 0.0
+        flag_lossless(diag, material)
     else:
         # dominant q ~ 2.5/d in the d^-6 moment; flag when hbar*omega_v
         # there leaves the linear head
@@ -719,7 +729,9 @@ def dissipation_general(
     if v == 0.0:
         return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
     table = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
-    return table.forces([v], [config.d], spec)[0]
+    result = table.forces([v], [config.d], spec)[0]
+    flag_lossless(result.diagnostics, material1, material2)
+    return result
 
 
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:

@@ -11,14 +11,14 @@ come from is the test oracle `tests/oracles.py`.)
 
 Summed over continuous oscillator spectra, the pair amplitudes become
 the surface responses (the oscillator density -Im R/(2 pi^2 rho) enters
-squared against rho^2 and cancels), and the dissipation at sliding
-frequency omega is the thermally weighted integral
+squared against rho^2 and cancels).  Im R and coth are odd, so both
+channels are one integral over the real line,
 
-    Phi(omega) = Int_0^omega Im R1(w1) Im R2(omega - w1) F_+ dw1
-               + (difference channel, |omega_1 - omega_2| = omega, weight F_-),
+    Phi(omega) = Int Im R1(u) Im R2(omega - u) [coth(b u) + coth(b (omega - u))] du,
 
-computed by `im_r_dissipation_integral`.  Its small-omega limits carry
-the closed-form regimes:
+b = beta hbar / 2: u in (0, omega) is the sum channel, u < 0 and
+u > omega the difference channel.  Its small-omega limits carry the
+closed-form regimes:
 
     finite T:  Phi -> Phi_1 omega,
         Phi_1 = beta hbar Int_0^inf Im R1 Im R2 / sinh^2(beta hbar w / 2) dw
@@ -27,38 +27,29 @@ the closed-form regimes:
     T = 0:     Phi -> Phi_3 omega^3 for linear heads Im R = -c omega,
         Phi_3 = c1 c2 / 3 (the sum channel alone).
 
-`im_r_dissipation_integral` takes an array of omega and integrates
-every channel at every omega in one numpy pass per refinement round of
-the package's quadrature rule (`numerics._integrate`, composite
-Gauss-Kronrod G7/K15 with bisection of every segment whose
-Kronrod-Gauss difference exceeds its share of the tolerance), on
-starting segments graded toward each feature of the integrand (a Drude
-plate's resonance at omega_sp and at its mirror omega -+ omega_sp, the
-thermal scale 2/(beta hbar), the knee of the difference channel).  Each
-value comes with that error estimate, and is converged to PHI_TOL (1e-3)
-of the tolerance its force asks for.  Phi takes Drude plates only: its
-channels integrate Im R from omega = 0, below the first node of any
-tabulated material, and a table is not extrapolated.  `phi_slope` uses
-the same rule, and integrates a tabulated material over its own grid.
+`im_r_dissipation_integral` integrates Phi folded at omega/2, at an
+array of omega in one numpy pass per refinement round of the package's
+G7/K15 rule (`numerics._integrate`), each value with its error estimate
+and to PHI_TOL (1e-3) of the tolerance its force asks for.  Phi takes
+Drude plates only: it integrates Im R from omega = 0, below the first
+node of any tabulated material, and a table is not extrapolated.
+`phi_slope` uses the same rule, and integrates a tabulated material
+over its own grid.
 
-For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp)
-the sum channel splits with coth x + coth y = 2 + 2 n(u) + 2 n(omega - u),
-n(u) = 1/(e^{beta hbar u} - 1).  Its T = 0 part
-Phi_0 = 2 Int_0^omega Im R1 Im R2 needs no quadrature: Im R is four
+Above 0 the thermal factor is coth x + coth y = 2 + 2 n(u) + 2 n(omega - u),
+n(u) = 1/(e^{beta hbar u} - 1).  For lossy, underdamped Drude plates
+(omega_p > 0, 0 < nu < 2 omega_sp) the part of its 2,
+Phi_0 = 2 Int_0^omega Im R1 Im R2, needs no quadrature: Im R is four
 simple poles at +-Omega +- i nu/2, so Phi_0 is a sum of 16 logarithm
 terms, used from 1.1 times both omega_sp up; at T = 0 its power series
 in omega^2 is used up to half the smaller omega_sp (`_phi0`, loaded at
-the first Phi).  Each carries a
-rounding bound, calibrated against 40-digit arithmetic, and is used only
-where that bound is within Phi's tolerance (the pole sum from 1.1 to
-about 20 omega_sp for a line 1e-3 omega_sp wide at the default 1e-9, to
-about 90 omega_sp for one 3e-2 omega_sp wide).  Where
-Phi_0 is used, the rule integrates only the Bose part,
-Int_0^min(omega, 60/(beta hbar)) Im R_a(u) Im R_b(omega - u) 2 n(u) du
-for (a, b) = (1, 2) and (2, 1), and the difference channel, and Phi's
-error is their estimates plus Phi_0's bound.  Elsewhere (between the
-two windows, at finite T below omega_sp, and for other plates) the
-sum channel is the coth-sum quadrature.
+the first Phi).  Each carries a rounding bound, calibrated against
+40-digit arithmetic, and is used only where that bound is within Phi's
+tolerance (the pole sum from 1.1 to about 20 omega_sp for a line
+1e-3 omega_sp wide at the default 1e-9, to about 90 omega_sp for one
+3e-2 omega_sp wide).  Where Phi_0 is used, the rule drops the 2 and
+stops at min(omega/2, 30 (2/(beta hbar))), past which the rest is below
+e^-60, and Phi's error is its estimate plus Phi_0's bound.
 
 A force reads Phi from a table of it (`friction.tabulate_phi`), which
 asks for the nodes of all the panels of one refinement step in one call.
@@ -115,16 +106,6 @@ class ThermalState:
         return 1.0 / (CONST.k_B * self.temperature)
 
 
-def _coth(x):
-    """coth(x) for x > 0, overflow-safe (1.0 at x = inf)."""
-    return (1.0 + np.exp(-2.0 * x)) / -np.expm1(-2.0 * x)
-
-
-def _coth_sum(x, y):
-    """coth(x) + coth(y) for x, y > 0 (2.0 at x = y = inf)."""
-    return _coth(x) + _coth(y)
-
-
 def _coth_diff(x, delta):
     """coth(x) - coth(x + delta) for x, delta > 0, without cancellation.
 
@@ -170,34 +151,35 @@ def im_r_dissipation_integral(
     thermal: ThermalState,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ):
-    """Phi at each omega_v: the thermally weighted Im R (x) Im R integral over both channels.
+    """Phi at each omega_v: the thermally weighted Im R (x) Im R integral over the real line.
 
-    In the sum channel Int_0^{|w|} Im R1 Im R2 [coth(b1) + coth(b2)] dw1
-    the factor is exactly 2 at T = 0, where the difference channel is
-    closed.  For lossy, underdamped Drude plates its T = 0 part Phi_0
-    is taken without quadrature where that holds the tolerance
-    (`_phi0.sum_channel_zero_t`), and only the rest of its thermal factor,
-    2/expm1(beta hbar u) + 2/expm1(beta hbar (w - u)), is integrated, up
-    to beta hbar u = 60 (the Bose part).  At finite T the difference
-    channel opens,
+    Phi = Int Im R1(u) Im R2(w - u) [coth(b u) + coth(b (w - u))] du,
+    b = beta hbar / 2, is symmetric about w/2 with the plates swapped,
+    and is integrated folded there, over u from -60/b to w/2:
 
-        Int_0^U Im R1(u) Im R2(u + w) [coth(b(u)) - coth(b(u+w))] du
-      + Int_0^U Im R1(u + w) Im R2(u) [coth(b(u)) - coth(b(u+w))] du,
+        Int [Im R1(|u|) Im R2(w - u) + Im R2(|u|) Im R1(w - u)] g(u) du,
+        g(u) = coth(b |u|) - coth(b (w - u))      (u < 0),
+        g(u) = 2 + 2 n(u) + 2 n(w - u)            (u > 0),
 
-    which carries the linear-in-v friction as omega_v -> 0; it is cut at
-    beta hbar U = 120, where the thermal factor has fallen below e^-120.
-    For equal plates (``material2 is material1``) the two terms are one.
+    n(u) = 1/expm1(2 b u).  Below 0 is the difference channel, which
+    carries the linear-in-v friction as omega_v -> 0, and is closed at
+    T = 0; at -60/b its factor has fallen below e^-120.  Above 0 is the
+    sum channel, whose factor is 2 at T = 0.  For lossy, underdamped
+    Drude plates the part of the 2, Phi_0, is taken without quadrature
+    where that holds the tolerance (`_phi0.sum_channel_zero_t`); there
+    the rule drops the 2 and stops at min(w/2, 30/b).  For equal plates
+    (``material2 is material1``) the two products are one, doubled.
+    Far above the resonances the fold meets each line at a small |u|,
+    not at a difference w - u rounded on the scale of w.
 
-    Every integral, at every omega, is a composite G7/K15 rule refined
-    by bisection (`_integrate`), all of them in one numpy pass per
-    round.  The starting segments are graded toward each feature of
-    the integrand, at c +- width 2^k: a Drude plate's resonance (width
-    nu) at omega_sp and at omega - omega_sp (sum channel and its Bose
-    part) or omega_sp - omega (difference channel); the thermal scale
-    2/(beta hbar) at both ends of the sum channel and at 0 in its Bose
-    part; the knee u ~ min(omega, 2/(beta hbar)) of the difference
-    channel.  Each value is converged to PHI_TOL * ``spec.rel_tol``, or
-    1e-12 if that is larger.  All
+    The integral at every omega is a composite G7/K15 rule refined by
+    bisection (`_integrate`), all of them in one numpy pass per round.
+    The starting segments are split at 0, so that each lies on one side
+    of it, and graded toward each feature of the integrand, at
+    c +- width 2^k: a Drude plate's resonance (width nu) at +-omega_sp
+    and at omega - omega_sp, and at finite T the thermal scale
+    2/(beta hbar) from 0.  Each value is converged to
+    PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All
     factors are evaluated in overflow-safe form; the result is >= 0
     for passive responses (Im R <= 0).
 
@@ -218,11 +200,12 @@ def im_r_dissipation_integral(
     DomainError
         If an omega_v is not finite.
     TypeError
-        If a plate is not a Drude metal: the channels need Im R on all of
+        If a plate is not a Drude metal: Phi needs Im R on all of
         (0, omega), and a tabulated material has none below its first node.
     NonConvergence
-        With level "omega1", naming the omega at which an integral took
-        more than ``spec.max_subdivisions`` bisections or was not finite.
+        With level "omega1", naming the omega at which the integral took
+        more than ``spec.max_subdivisions`` bisections or was not finite,
+        and the channel (the side of 0) of its failing segment.
     FloatFailure
         With level "omega1", if the thermal scale 2 k_B T / hbar overflows.
     """
@@ -238,84 +221,56 @@ def im_r_dissipation_integral(
             raise DomainError(f"Phi needs a finite omega, got {float(bad)!r}")
         n = omegas.size
         half = 0.5 * thermal.beta * CONST.hbar
-        scale = 1.0 / half  # the thermal scale 2/(beta hbar); inf at T = 0
+        scale = 1.0 / half  # the thermal scale 2/(beta hbar); 0 at T = 0
         if not (thermal.is_zero or math.isfinite(60.0 * scale)):
             raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
                                f"T = {thermal.temperature!r} K is past the float range", "omega1")
-        zero = np.zeros(n)
         tol = max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR)
         # compiled at the first Phi, not on the import of a closed-form CLI call
         from ._phi0 import sum_channel_zero_t
 
         phi0, err0, closed = sum_channel_zero_t(omegas, material1, material2, tol,
                                                 thermal.is_zero)
-        if thermal.is_zero and closed.all():  # nothing left to integrate
-            return _shaped(phi0, err0, omega.shape)
         res1, res2 = _resonances(material1), _resonances(material2)
-        ends = () if thermal.is_zero else ((zero, scale), (omegas, scale))
-        channels = [("sum", material1, material2, _segments(
-            zero, np.where(closed, 0.0, omegas),
-            [*res1, *((omegas - c, w) for c, w in res2), *ends]))]
-        # the low factor at u and the high one at u + omega (difference channel)
-        # or omega - u (Bose part of the sum channel); one term for equal plates
-        terms = [(material1, material2)]
-        if material2 is not material1:
-            terms.append((material2, material1))
-        if not thermal.is_zero:
-            upper, knee = np.full(n, 60.0 * scale), np.minimum(omegas, scale)
-            for low, high in terms:
-                res_l, res_h = _resonances(low), _resonances(high)
-                channels.append(("difference", low, high, _segments(
-                    zero, upper, [*res_l, *((c - omegas, w) for c, w in res_h), (zero, knee)])))
-            if closed.any():
-                upper = np.where(closed, np.minimum(omegas, 30.0 * scale), 0.0)
-                for low, high in terms:
-                    res_l, res_h = _resonances(low), _resonances(high)
-                    channels.append(("Bose", low, high, _segments(
-                        zero, upper,
-                        [*res_l, *((omegas - c, w) for c, w in res_h), (zero, scale)])))
+        # nothing left to integrate: Phi_0 is all of Phi, or a plate has no
+        # loss, and so Im R = 0 (off the pole of a lossless one)
+        if (thermal.is_zero and closed.all()) or not (res1 and res2):
+            return _shaped(phi0, err0, omega.shape)
+        lines = dict.fromkeys(res1 + res2)
+        # the thermal scale has no width at T = 0, where it adds no breakpoint
+        graded = [(x, w) for c, w in lines for x in (c, -c, omegas - c)] + [(0.0, scale)]
+        top = 0.5 * omegas
+        a, b, owner = _segments(np.full(n, -60.0 * scale),
+                                np.where(closed, np.minimum(top, 30.0 * scale), top),
+                                graded, [np.zeros((n, 1))])
+        # the sum channel's 2, which Phi_0 carries where it is used
+        two = np.where(closed, 0.0, 2.0)
 
-        def integrand(x, owner):
-            y = np.empty_like(x)
-            bounds = np.searchsorted(owner, n * np.arange(len(channels) + 1))
-            for c, (kind, low, high, _) in enumerate(channels):
-                s = slice(bounds[c], bounds[c + 1])
-                if s.start == s.stop:
-                    continue
-                u, w = x[s], omegas[owner[s] - c * n][:, None]
-                if kind == "sum":
-                    y[s] = _im_r(low, u) * _im_r(high, w - u) * _coth_sum(half * u, half * (w - u))
-                elif kind == "difference":
-                    y[s] = _im_r(low, u) * _im_r(high, u + w) * _coth_diff(half * u, half * w)
-                else:
-                    y[s] = _im_r(low, u) * _im_r(high, w - u) * (2.0 / np.expm1(2.0 * half * u))
+        def integrand(u, o):
+            w = omegas[o][:, None]
+            low, high = np.abs(u), w - u
+            if material2 is material1:  # both orders are one product
+                y = _im_r(material1, low) * _im_r(material1, high)
+                y += y
+            else:
+                y = (_im_r(material1, low) * _im_r(material2, high)
+                     + _im_r(material2, low) * _im_r(material1, high))
+            # each segment lies on one side of 0: the difference channel below it
+            below = u[:, 0] < 0.0
+            y[below] *= _coth_diff(half * low[below], half * w[below])
+            above = ~below
+            y[above] *= (two[o[above]][:, None] + 2.0 / np.expm1(2.0 * half * u[above])
+                         + 2.0 / np.expm1(2.0 * half * high[above]))
             return y
 
-        def fail(j: int, why: str, *_) -> NonConvergence:
-            return NonConvergence(f"Phi ({channels[j // n][0]} channel) {why} "
-                                  f"at omega={float(omegas[j % n])!r}", level="omega1")
+        def fail(j: int, why: str, lo: float, hi: float) -> NonConvergence:
+            side = "difference" if hi <= 0.0 else "sum"
+            return NonConvergence(f"Phi ({side} channel) {why} "
+                                  f"at omega={float(omegas[j])!r}", level="omega1")
 
-        a = np.concatenate([seg[0] for *_, seg in channels])
-        b = np.concatenate([seg[1] for *_, seg in channels])
-        owner = np.concatenate([seg[2] + c * n for c, (*_, seg) in enumerate(channels)])
-        value, error = _integrate(integrand, a, b, owner, len(channels) * n, tol,
-                                  spec.max_subdivisions, fail)
-        value, error = value.reshape(-1, n), error.reshape(-1, n)
-        k = len(terms)  # equal plates: twice the one term
-
-        def both(first: int):
-            return value[first] + value[first + k - 1], error[first] + error[first + k - 1]
-
-        phi, err = value[0], error[0]
-        if not thermal.is_zero:
-            diff, diff_err = both(1)
-            phi, err = phi + diff, err + diff_err
-        if len(channels) > 1 + k:
-            bose, bose_err = both(1 + k)
-            phi0, err0 = phi0 + bose, err0 + bose_err
-        # 0 where the closed form is not used, which leaves the sum as it was
-        phi, err = phi + phi0, err + err0
-        return _shaped(phi, err, omega.shape)
+        value, error = _integrate(integrand, a, b, owner, n, tol, spec.max_subdivisions, fail)
+        # 0 where the closed form is not used, which leaves the integral as it was
+        return _shaped(value + phi0, error + err0, omega.shape)
 
 
 def _shaped(phi, err, shape):

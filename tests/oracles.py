@@ -41,7 +41,7 @@ equilibrium give the causal response
 
 with the thermal factors F_+ = coth(b_1) + coth(b_2) and
 F_- = |coth(b_1) - coth(b_2)|, b_i = beta hbar omega_i / 2, computed by the
-library's own `response._coth_sum` and `_coth_diff`.
+`_coth_sum` here and by the library's own `response._coth_diff`.
 
 The planar dipole kernels (`psi_hat`, `g_hat`, `g_hat_z_integrated`).  The
 in-plane transform of the Coulomb kernel 1/r at offset z0 is
@@ -84,7 +84,7 @@ from casimir_friction.numerics import (
     integrate_semi_infinite,
 )
 from casimir_friction.material import surface_response
-from casimir_friction.response import _coth_diff, _coth_sum
+from casimir_friction.response import _coth_diff
 
 
 def quad(f, a, b, spec=DEFAULT_SPEC):
@@ -293,6 +293,16 @@ def qhat_numeric(omega, omega_v, traj):
     return complex(vr, vi)
 
 
+def _coth(x):
+    """coth(x) for x > 0, overflow-safe (1.0 at x = inf)."""
+    return (1.0 + np.exp(-2.0 * x)) / -np.expm1(-2.0 * x)
+
+
+def _coth_sum(x, y):
+    """coth(x) + coth(y) for x, y > 0 (2.0 at x = y = inf)."""
+    return _coth(x) + _coth(y)
+
+
 class ResponseCoeffs(NamedTuple):
     omega_minus: float
     omega_plus: float
@@ -350,6 +360,53 @@ def g_hat_z_integrated(q, d):
     if not q > 0 or not d > 0:
         raise DomainError(f"q and d must be > 0, got q={q}, d={d}")
     return (2.0 * math.pi) ** 2 * math.exp(-2.0 * q * d)
+
+
+#: Relative tolerance of `phi_two_channels`' integrals, near the floor QUADPACK accepts.
+TWO_CHANNEL_RTOL = 1e-13
+
+
+def _quad_split(f, a, b, points):
+    """Int_a^b f by QUADPACK, split at the points inside (a, b)."""
+    inner = sorted({p for p in points if a < p < b})
+    return integrate.quad(f, a, b, points=inner or None, epsabs=0.0,
+                          epsrel=TWO_CHANNEL_RTOL, limit=2000)[0]
+
+
+def phi_two_channels(omega, material1, material2, thermal):
+    """Phi of two Drude plates at finite T, as its sum and difference channels apart.
+
+    The sum channel Int_0^w Im R1(u) Im R2(w - u) [coth(b u) + coth(b (w - u))] du
+    plus both difference terms Int_0^inf Im R_a(u) Im R_c(u + w)
+    [coth(b u) - coth(b (u + w))] du, (a, c) = (1, 2) and (2, 1),
+    b = beta hbar / 2, each by QUADPACK on a scalar callback, split at
+    +-1, 3 and 20 line widths around each line it meets, as the
+    benchmark's oracle (`perfbench/make_refs.py`) splits them.  The
+    difference terms stop at b u = 80 or 40 line widths past the lines,
+    where their factor is below e^-159.  Im R is the Drude formula
+    written out, not `surface_response`.
+    """
+    b = 0.5 * thermal.beta * CONST.hbar
+
+    def im_r(m):
+        wsp2, nu = 0.5 * m.omega_p**2, m.nu
+        return lambda u: -wsp2 * nu * u / ((wsp2 - u * u) ** 2 + (nu * u) ** 2)
+
+    def around(c, width):
+        return [c + k * width for k in (-20, -3, -1, 0, 1, 3, 20)]
+
+    plates = [(im_r(m), m.omega_sp, m.nu) for m in (material1, material2)]
+    (f1, sp1, nu1), (f2, sp2, nu2) = plates
+    total = _quad_split(lambda u: f1(u) * f2(omega - u) * _coth_sum(b * u, b * (omega - u)),
+                        0.0, omega, around(sp1, nu1) + around(omega - sp2, nu2))
+    for (fa, sa, na), (fc, sc, nc) in (plates, plates[::-1]):
+        def g(u, fa=fa, fc=fc):
+            return fa(u) * fc(u + omega) * _coth_diff(b * u, b * omega)
+
+        top = max(80.0 / b, sa + 40.0 * na, sc - omega + 40.0 * nc)
+        total += _quad_split(g, 0.0, top, around(sa, na) + around(sc - omega, nc)
+                             + [10.0 * omega, 1.0 / b, 10.0 / b])
+    return float(total)
 
 
 def density(model, rho):

@@ -756,6 +756,27 @@ def test_sweep_flags_every_point(capsys):
     assert len(set(err.splitlines())) == 4
 
 
+def test_lossless_plate_zero_is_flagged(capsys):
+    # --nu-ev absent is nu = 0: the general force is 0, and its JSON and stderr
+    # say that the nu -> 0 limit is the plasmon line, as each row of a
+    # shared-table sweep does
+    lossless = ["--model", "drude", "--wp-ev", "9", "--gap-nm", "10", "--temp-k", "300",
+                "--velocity", "1e3", "--regime", "general"]
+    code, out, err = run_cli(capsys, ["force", *lossless])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["force_per_area_N_m2"] == 0.0
+    [flag] = doc["diagnostics"]["validity_flags"]
+    assert "--regime plasmon" in flag
+    assert err.splitlines() == [f"validity: {flag}"]
+    code, out, err = run_cli(capsys, ["sweep", *lossless, "--param", "velocity", "--from", "1",
+                                      "--to", "10", "--points", "2"])
+    assert code == 0
+    assert [ln.split(",")[2] for ln in out.strip().split("\n")[1:]] == ["0.0", "0.0"]
+    assert err.splitlines() == [f"validity: row {i} (velocity={v!r}): {flag}"
+                                for i, v in enumerate((1.0, 10.0))]
+
+
 def test_sweep_auto_note_names_its_row(capsys):
     code, out, err = run_cli(
         capsys,

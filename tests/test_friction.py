@@ -278,10 +278,19 @@ def test_general_matches_linear_closed_form():
 
 
 def test_general_lossless_material_dissipates_nothing():
+    # a lossless plate's 0 is flagged: its nu -> 0 limit is the plasmon line
     lossless = Drude(omega_p=GOLD.omega_p, nu=0.0)
     res = dissipation_general(lossless, lossless, PLATE, COLD, 1.0, FAST)
     assert res.force_per_area == 0.0
-    assert dissipation_general(GOLD, GOLD, PLATE, ROOM, 0.0, FAST).force_per_area == 0.0
+    [flag] = res.diagnostics.validity_flags
+    assert "plasmon" in flag
+    for closed in (force_linear(lossless, PLATE, ROOM, 1.0), force_zero_t(lossless, PLATE, 1.0)):
+        assert closed.force_per_area == 0.0
+        assert closed.diagnostics.validity_flags == [flag]
+    # a lossy plate, and no motion, give their 0 unflagged
+    still = dissipation_general(GOLD, GOLD, PLATE, ROOM, 0.0, FAST)
+    assert still.force_per_area == 0.0 and still.diagnostics.validity_flags == []
+    assert dissipation_general(GOLD, GOLD, PLATE, COLD, 1.0, FAST).diagnostics.validity_flags == []
 
 
 def test_general_temperature_crossover_monotone():

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from casimir_friction import _phi0
-from casimir_friction.numerics import CONST, DEFAULT_SPEC, QuadratureSpec
-from casimir_friction.material import Drude, Tabulated, surface_response
+from casimir_friction.numerics import (
+    CONST,
+    DEFAULT_SPEC,
+    DomainError,
+    FloatFailure,
+    NonConvergence,
+    QuadratureSpec,
+)
+from casimir_friction.material import Drude, SingularResponse, Tabulated, surface_response
 from casimir_friction.response import (
     ThermalState,
     im_r_dissipation_integral,
@@ -357,3 +365,86 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
         deviation = np.abs(phi - reference)
         assert (deviation <= 1e-9 * reference).all()
         assert (deviation <= err).all()
+
+
+#: Phi at T = 0 of a plate whose line is 1e-3 omega_sp wide, with itself and with
+#: a second plate, at 30 and 1000 omega_sp: 40-digit quadratures, printed by
+#: tests/phi_mpmath_refs.py (mpmath is not a test dependency).
+FAR_ABOVE_REFS = {
+    ("equal", 30.0): 2496089255.419413,
+    ("equal", 1000.0): 60912.75387999971,
+    ("unequal", 30.0): 2941813856.491175,
+    ("unequal", 1000.0): 70518.56527838773,
+}
+
+
+@pytest.mark.parametrize("plates, multiple", sorted(FAR_ABOVE_REFS))
+def test_phi_far_above_the_resonance_reports_its_error(plates, multiple):
+    # far above the line at the tightest tolerance, the rounding of omega - u next
+    # to a line once put Phi several times its reported error off
+    sp = GOLD.omega_p / math.sqrt(2.0)
+    metal = Drude(omega_p=GOLD.omega_p, nu=1e-3 * sp)
+    other = metal if plates == "equal" else Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6e-3 * sp)
+    phi, err = im_r_dissipation_integral(multiple * sp, metal, other, COLD, TIGHT)
+    assert abs(phi - FAR_ABOVE_REFS[plates, multiple]) <= err
+
+
+@pytest.mark.parametrize("temperature", [30.0, 300.0, 1000.0])
+def test_phi_of_unequal_plates_matches_the_two_channel_oracle(temperature):
+    # the folded integral against the sum channel and both difference terms,
+    # each integrated apart by QUADPACK: within 1e-9, and never more off than
+    # it reports
+    silver = Drude(omega_p=1.4e16, nu=3e13)
+    thermal = ThermalState.finite(temperature)
+    omegas = GOLD_LIKE.omega_sp * np.logspace(-4, 1, 11)
+    phi, err = im_r_dissipation_integral(omegas, GOLD_LIKE, silver, thermal)
+    reference = np.array([oracles.phi_two_channels(w, GOLD_LIKE, silver, thermal)
+                          for w in omegas])
+    deviation = np.abs(phi - reference)
+    assert (deviation <= 1e-9 * reference).all()
+    assert (deviation <= err).all()
+
+
+def test_phi_with_a_plate_without_loss_is_zero():
+    # Im R = 0 off a lossless plate's pole, which the fold would meet at the midpoint
+    # of the segment graded about the other plate's line at the same omega_sp
+    lossy = Drude(omega_p=1e14, nu=1.1e13)
+    for other in (Drude(omega_p=1e14, nu=0.0), Drude(omega_p=0.0, nu=1e13)):
+        for thermal in (COLD, ROOM):
+            assert im_r_dissipation_integral(7.2e15, lossy, other, thermal) == (0.0, 0.0)
+
+
+def _drude(kind, omega_p, nu_ratio):
+    """A lossy, lossless (nu = 0) or transparent (omega_p = 0) Drude plate.
+
+    Its nu is nu_ratio times its omega_sp, or times 1e15 rad/s if omega_p = 0.
+    """
+    omega_p = 0.0 if kind == "transparent" else omega_p
+    nu = 0.0 if kind == "lossless" else nu_ratio * (omega_p / math.sqrt(2.0) or 1e15)
+    return Drude(omega_p=omega_p, nu=nu)
+
+
+_PLATE = st.builds(_drude, st.sampled_from(["lossy"] * 3 + ["lossless", "transparent"]),
+                   st.floats(14.0, 17.0).map(lambda x: 10.0**x),
+                   st.floats(-4.0, 1.0).map(lambda x: 10.0**x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    material1=_PLATE,
+    material2=st.one_of(st.none(), _PLATE),
+    t_exp=st.one_of(st.none(), st.floats(-1.0, 4.0)),
+    omega_exp=st.floats(8.0, 18.0),
+)
+def test_phi_property_over_drude_plates(material1, material2, t_exp, omega_exp):
+    # lossless (nu = 0), transparent (omega_p = 0) and overdamped (nu > 2 omega_sp)
+    # plates included, equal (None) or not: Phi and its error are finite and
+    # >= 0, or the call raises a documented numerical error
+    thermal = COLD if t_exp is None else ThermalState.finite(10.0**t_exp)
+    try:
+        phi, err = im_r_dissipation_integral(10.0**omega_exp, material1,
+                                             material2 or material1, thermal)
+    except (NonConvergence, FloatFailure, SingularResponse, DomainError):
+        return
+    assert math.isfinite(phi) and phi >= 0.0
+    assert math.isfinite(err) and err >= 0.0
