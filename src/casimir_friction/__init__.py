@@ -38,7 +38,7 @@ from .friction import (
     force_linear,
     force_plasmon,
     force_zero_t,
-    phi_table,
+    general_forces,
 )
 from .compare import consistency_report, pendry_force
 
@@ -64,10 +64,10 @@ __all__ = [
     "force_linear",
     "force_plasmon",
     "force_zero_t",
+    "general_forces",
     "im_r_dissipation_integral",
     "pendry_force",
     "phi_slope",
-    "phi_table",
     "response_R",
     "surface_response",
 ]

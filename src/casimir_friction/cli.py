@@ -33,13 +33,14 @@ Conventions
   whose document has no place for run metadata.
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
-  checks every row's velocity and gap, tabulates Phi once from the
-  rows' extremes (`friction.phi_table`, to --rtol) and integrates all
-  rows against that table in one k_x pass (`friction.PhiTable.forces`);
-  every other general force tabulates Phi for its own point.  A
-  numerical failure at a sweep row names the row and swept value as its
-  `validity:` lines do (`numerical failure: row 2 (nu_ev=1e-09): ...`);
-  one of the shared table, which serves every row, names none.
+  checks every row's velocity and gap and takes all rows in one
+  `friction.general_forces` call: one Phi table, refined by every row's
+  kernel to --rtol, and one k_x integral per row; every other general
+  force tabulates Phi for its own point.  A bad input or a numerical
+  failure at a sweep row names the row and swept value as its
+  `validity:` lines do (`error: row 0 (velocity=-1.0): ...`,
+  `numerical failure: row 2 (nu_ev=1e-09): ...`); a failure of the
+  shared table, which serves every row, names none.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -67,11 +68,10 @@ from .response import ThermalState
 from .friction import (
     FrictionResult,
     dissipation_general,
-    flag_lossless,
     force_linear,
     force_plasmon,
     force_zero_t,
-    phi_table,
+    general_forces,
 )
 from .compare import RATIO_COEFFICIENT, consistency_report
 
@@ -395,26 +395,27 @@ class RowFailure(Exception):
 
 def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
                   thermal: ThermalState | None):
-    """Each row's force, in order.
+    """Each row's force, in order; a bad input at a row names it.
 
     Phi depends on the material and T only, so a general sweep over v or
-    d checks every row's gap and velocity, tabulates Phi once from their
-    extremes and integrates every row against it in one k_x pass.  Any
-    other sweep takes one force per row.
+    d checks every row's gap and velocity and takes all rows in one
+    `general_forces` call.  Any other sweep takes one force per row.
     """
     if args.regime == "general" and key in ("velocity", "gap_nm"):
-        gaps, speeds = zip(*((build_plate(point).d, _checked(point.velocity, "--velocity"))
-                             for _, point in rows))
-        spec = _spec(args)
-        table = phi_table(material, material, thermal, (min(speeds), max(speeds)),
-                          (min(gaps), max(gaps)), spec)
+        gaps, speeds = [], []
+        for where, point in rows:
+            try:
+                gaps.append(build_plate(point).d)
+                speeds.append(_checked(point.velocity, "--velocity"))
+            except CLIError as exc:
+                raise CLIError(f"{where}{exc}") from exc
         try:
-            results = table.forces(speeds, gaps, spec)
-        except NonConvergence as exc:  # a k_x failure, which names its point
+            results = general_forces(material, material, thermal, speeds, gaps, _spec(args))
+        except NonConvergence as exc:
+            if exc.index is None:  # Phi's table, which serves every row
+                raise
             raise RowFailure(rows[exc.index][0], exc) from exc
-        for result in results:
-            flag_lossless(result.diagnostics, material)
-            yield result
+        yield from results
         return
     for where, point in rows:
         try:
@@ -424,6 +425,8 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
                 build_thermal(point.temp_k) if thermal is None else thermal,
                 where,
             )
+        except (ValueError, TypeError) as exc:
+            raise CLIError(f"{where}{exc}") from exc
         except (NonConvergence, ArithmeticError) as exc:
             raise RowFailure(where, exc) from exc
         yield result

@@ -34,12 +34,12 @@ PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
 
 Phi is the only place the material and T enter the general force; v
 and d enter only through the kernel omega^2 K1(2 d omega / v).  So
-every general force is one Phi table and one k_x quadrature against
-it.  `phi_table` tabulates Phi once for a range of v and d, over the
-band 1e-4 v_min/(2 d_max) .. 60 v_max/(2 d_min), cut at the Drude
-resonances omega_sp and 2 omega_sp, and refined by the kernels of the
-forces it serves, one bisection at a time, in at most TABLE_MAX_PANELS
-(64) panels (`tabulate_phi`).  Each refinement step asks
+any number of general forces is one Phi table and one k_x quadrature
+per point against it (`general_forces`).  The table spans the kernel
+bands of its points, 1e-4 v/(2d) .. 60 v/(2d), is cut at the Drude
+resonances omega_sp and 2 omega_sp, and is refined by one kernel row
+per point, one bisection at a time, in at most TABLE_MAX_PANELS (64)
+panels (`tabulate_phi`).  Each refinement step asks
 `response.im_r_dissipation_integral` for the 16 nodes of each of its
 new panels in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
@@ -53,25 +53,25 @@ omega_sp / 2.  There only the thermal rest of the integral is taken by
 quadrature, and the node's error estimate adds that rounding bound.  So
 a T = 0 force whose band lies in those windows integrates nothing but
 k_x.
-`PhiTable.forces` integrates any number of (v, d) points against a
-table in one `numerics.integrate_semi_infinite` pass over an array
-integrand, by the package's one G7/K15 rule.  Each point's k_x integral
-runs on its own scale 1/(2d), cut at every panel edge of the table in
-its band (where the piecewise series has its kinks, the resonances
-among them).  Beside it the pass integrates the table's kernel-weighted
-error, which carries Phi's own, to its own looser tolerance, and adds
-it to ``quadrature_rel_err``: the error budget covers the table, Phi
-and the k_x integral.  Each integral is refined on its own segments, so
-a point's result is bit for bit the one it has alone, and each
-bisection round takes K1 and the table once for every point.
-`dissipation_general` builds a table for its own (v, d) and takes its
-one point through the same pass.
+The k_x integrals of all points take one
+`numerics.integrate_semi_infinite` pass over an array integrand, the
+tabulation's own kernel times the table, by the package's one G7/K15
+rule.  Each runs on its own scale 1/(2d), cut at every panel edge of
+the table in its band (where the piecewise series has its kinks, the
+resonances among them), and is refined on its own segments, so that
+it does not depend on the other points' integrals; each bisection round
+takes K1 and the table once for every point.  A point's table
+error, which carries Phi's own, is the panel errors weighed by the
+Fejer moments of its kernel that the tabulation took; it is added to
+``quadrature_rel_err``, so the error budget covers the table, Phi and
+the k_x integral.  `dissipation_general` is the one point of
+`general_forces`.
 
 K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
 and sums it in plain Python (`_k1e`), so the closed forms load no numpy
 (`numerics` binds numpy lazily).  The general force needs it on arrays
-of nodes (`_ky_integral`, `_kernels`): `_k1e_array` evaluates a
+of nodes (`_kernels`): `_k1e_array` evaluates a
 piecewise polynomial fit of x K1(x) e^x in log x, built from the same
 sum at first use (`_k1_fit`).  Both agree with `scipy.special.k1e` to a
 few ulps, and the package imports no scipy.
@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -109,10 +110,6 @@ LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
 GENERAL_NUMERIC = "GeneralNumeric"
 PLASMON_LINE = "PlasmonLine"
-
-#: Tolerance of the integral that weighs a Phi table's error by the
-#: force's kernel: an error estimate needs one digit.
-ERROR_SPEC = QuadratureSpec(rel_tol=0.1)
 
 #: exp(-x) underflows double precision near 745; beyond this the plasmon
 #: force is reported as exactly zero with a flag.
@@ -343,17 +340,8 @@ def _k1e_array(x):
     return g
 
 
-def _ky_integral(kx, d: float):
-    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), for an array of kx > 0.
-
-    0 past 2 d kx = 745, where e^-x underflows.
-    """
-    x = 2.0 * d * kx
-    return kx * _k1e_array(x) * np.exp(-x)
-
-
-def _kernel_band(v: float, d: float) -> tuple[float, float]:
-    """The omega range a Phi table must cover for one (v, d) point.
+def _kernel_band(v, d):
+    """The omega range a Phi table must cover for the point (v, d), or for arrays of them.
 
     Below 1e-4 v/(2d), where x = 2 d omega / v < 2e-4, Phi is its head
     (proportional to omega^p) and the kernel omega^2 K1(x) Phi holds
@@ -365,17 +353,21 @@ def _kernel_band(v: float, d: float) -> tuple[float, float]:
 
 
 def _kernels(scales: Sequence[float]) -> Callable:
-    """omega -> x^2 K1(x) at x = omega / s for each s in scales: one row per scale.
+    """(omega, which) -> x^2 K1(x) at x = omega / scales[which]: the weight of Phi in a force.
 
-    Row j is the weight of Phi in the force at any (v, d) with
+    Row j is the weight of Phi(omega) in the force at any (v, d) with
     v/(2d) = scales[j], up to a constant factor: k_x^2 K1(2 d k_x) at
-    k_x = omega / v.  K1 is taken once for every row.
+    k_x = omega / v is (x^2 K1(x)) / (2d)^2.  ``which`` picks the rows
+    (all of them by default, one per scale for each omega); K1 is taken
+    once for all of them.  The weight is 0 past x = 745, where e^-x
+    underflows.
     """
     column = np.array(scales, dtype=float)[:, None]
 
-    def kernels(omega):
-        x = omega / column
-        return x * x * _k1e_array(x) * np.exp(-x)
+    def kernels(omega, which=slice(None)):
+        x = omega / column[which]
+        # x K1(x) first: x^2 alone overflows far past the underflow of e^-x
+        return x * (x * _k1e_array(x) * np.exp(-x))
 
     return kernels
 
@@ -422,10 +414,8 @@ class PhiTable:
     largest error estimate of h at its nodes, which estimates
     |h_table - h| on it.  Below omega_lo the head Phi = head * omega^power
     continues the table; above omega_hi Phi is taken as 0 (the Bessel
-    kernel that weighs it is below e^-60 there).  Both Phi and its error
-    are evaluated elementwise on an array of omega.  `forces` integrates
-    any number of (v, d) points against it, for the plates and
-    temperature it was built for, which it keeps no record of.
+    kernel that weighs it is below e^-60 there).  Phi is evaluated
+    elementwise on an array of omega.
     """
 
     omega_lo: float
@@ -436,118 +426,16 @@ class PhiTable:
     power: int
     head: float
 
-    def _panels(self, omega):
-        """The panel of each omega (clamped into the table), and s = log omega clamped so."""
+    def __call__(self, omega):
+        omega = np.asarray(omega, dtype=float)
         # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
         s = np.log(np.minimum(np.maximum(omega, self.omega_lo), self.omega_hi))
         i = np.minimum(np.maximum(np.searchsorted(self.edges, s, side="right") - 1, 0),
                        len(self.errors) - 1)
-        return i, s
-
-    def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        i, s = self._panels(omega)
         a, b = self.edges[i], self.edges[i + 1]
         h = np.where(omega < self.omega_lo, self.head,
                      _clenshaw(self.coeffs[:, i], (2.0 * s - a - b) / (b - a)))
         return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
-
-    def error(self, omega):
-        """Estimated |Phi_table - Phi| at each omega (the first panel's below omega_lo)."""
-        omega = np.asarray(omega, dtype=float)
-        i, _ = self._panels(omega)
-        return np.where(omega > self.omega_hi, 0.0, self.errors[i] * omega**self.power)
-
-    def forces(self, v, d, spec: QuadratureSpec = NESTED_SPEC) -> list[FrictionResult]:
-        """The general force at each point (v[i], d[i]), all against this table in one pass.
-
-        ``v`` and ``d`` are sequences of velocities and gaps (m/s, m)
-        of one length.  Each point with v > 0 takes two k_x integrals, both
-        `numerics.integrate_semi_infinite` on its exponential scale
-        1/(2d), cut at every panel edge of the table (the resonances of
-        Phi among them) inside its kernel band; the k_y integral is the
-        closed form k_x K1(2 d k_x).  One integrates the force to
-        ``spec``, the other the table's error (its interpolation error
-        and Phi's own), weighed by the same kernel, to `ERROR_SPEC`, and
-        it is added to ``quadrature_rel_err``.  The integrals of every
-        point are taken in one pass, each refined on its own segments,
-        so that a point's force and error are those it has alone, and
-        each bisection round takes K1 and the table once for all of
-        them.  A point with v = 0 has force 0.
-
-        Raises
-        ------
-        DomainError
-            If a velocity is not finite and >= 0, or a gap not finite and > 0.
-        NonConvergence
-            With level "k_x" and the ``index`` of the point whose
-            integral failed first, naming the k_x interval (1/m) on
-            which the rule failed and the matching omega = k_x v.
-        ValueError
-            If the table's (v, d) range does not cover a point.
-        """
-        v, d = [float(x) for x in v], [float(x) for x in d]
-        if len(v) != len(d):
-            raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
-                             f"and {len(d)} gaps")
-        for vi, di in zip(v, d):
-            _require_velocity(vi)
-            if not (di > 0 and math.isfinite(di)):
-                raise DomainError(f"gap d must be finite and > 0, got {di!r}")
-            lo, hi = _kernel_band(vi, di)
-            if vi and not (self.omega_lo <= lo and hi <= self.omega_hi):
-                raise ValueError(f"the Phi table was built for a (v, d) range that does not "
-                                 f"cover v = {vi!r} m/s, d = {di!r} m")
-        live = [i for i, vi in enumerate(v) if vi]
-        n = len(live)
-        # integral j takes point live[j % n]: its force for j < n, else its table error
-        v_rows = np.array([v[i] for i in live] * 2)
-        d_rows = np.array([d[i] for i in live] * 2)
-        lo, hi = _kernel_band(v_rows, d_rows)
-        edges = np.exp(self.edges)
-        # a cut at the lower limit k_x = 0 is no cut
-        cuts = np.where((lo[:, None] < edges) & (edges < hi[:, None]), edges / v_rows[:, None],
-                        0.0)
-        v_column, d_column = v_rows[:, None], d_rows[:, None]
-
-        def weighed(kx, which):
-            """k_x * (k_x K1(2 d k_x)) times Phi(k_x v) (integral j < n) or its table error.
-
-            Rows of ``kx`` belong to the integral in ``which``; K1 is
-            taken once for all rows.
-            """
-            y = kx * _ky_integral(kx, d_column[which])
-            omega = kx * v_column[which]
-            split = int(np.searchsorted(which, n))
-            if split:
-                y[:split] *= self(omega[:split])
-            if split < which.size:
-                y[split:] *= self.error(omega[split:])
-            return y
-
-        try:
-            pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / d_rows,
-                                            [spec] * n + [ERROR_SPEC] * n, cuts) if n else []
-        except NonConvergence as exc:
-            j = exc.index % n
-            (kx_lo, kx_hi), vj = exc.interval, float(v_rows[j])
-            raise NonConvergence(
-                f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
-                f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
-                index=live[j],
-            ) from exc
-        results, bounds = [], iter(zip(pairs[:n], pairs[n:]))
-        for vi in v:
-            value = rel_err = 0.0
-            if vi:
-                (value, err), (bound, _) = next(bounds)
-                rel_err = abs(err / value) + bound / abs(value) if value else 0.0
-            results.append(FrictionResult(
-                force_per_area=CONST.hbar / (2.0 * math.pi**3) * value,
-                regime=GENERAL_NUMERIC,
-                diagnostics=Diagnostics(quadrature_rel_err=rel_err),
-            ))
-        return results
 
 
 def tabulate_phi(
@@ -558,7 +446,7 @@ def tabulate_phi(
     kernels: Callable,
     splits: Sequence[float] = (),
     rel_tol: float = DEFAULT_SPEC.rel_tol,
-) -> PhiTable:
+) -> tuple[PhiTable, np.ndarray]:
     """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
 
     ``phi`` maps an array of omega to (Phi, error estimate) at each.
@@ -581,6 +469,10 @@ def tabulate_phi(
     own error, which bisection does not reduce, sets no demand.  The
     panels are kept as array columns, in the order of s.
 
+    Returns the table and its moments: one row per force, one column per
+    panel, Int w omega^power over the panel.  ``moments @ table.errors``
+    is each force's Int w |Phi_table - Phi|, its table error.
+
     Raises
     ------
     NonConvergence
@@ -594,7 +486,8 @@ def tabulate_phi(
     def panels(edges):
         """The panels between ``edges`` as columns, from one call of Phi and one of the kernels.
 
-        Returns their coefficients, their errors and, one row per force, their errors and sizes.
+        Returns their coefficients, errors and tails and, one row per force, their moments
+        Int w omega^power and sizes Int w |Phi|.
         """
         a, b = edges[:-1], edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -616,14 +509,15 @@ def tabulate_phi(
         # d omega = omega ds on s = mid + half x
         moments = (half[:, None] * fejer * nodes ** (power + 1)
                    * kernels(nodes.ravel()).reshape(-1, *nodes.shape))
-        return c, error, tail * moments.sum(axis=2), (moments * np.abs(h)).sum(axis=2)
+        return c, error, tail, moments.sum(axis=2), (moments * np.abs(h)).sum(axis=2)
 
     s_lo, s_hi = math.log(omega_lo), math.log(omega_hi)
     cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
     edges = np.array([s_lo, *cuts, s_hi])
     columns = panels(edges)
     while True:
-        force_errors, sizes = columns[2:]
+        tail, moments, sizes = columns[2:]
+        force_errors = tail * moments
         # Python's sum in order of s, as the per-panel build in tests/oracles.py sums
         allowed = np.array([rel_tol * sum(row) for row in sizes.tolist()])
         short = [j for j, row in enumerate(force_errors.tolist()) if 0.0 < allowed[j] < sum(row)]
@@ -644,58 +538,119 @@ def tabulate_phi(
                    for old, new in zip(columns, halves)]
     coeffs, errors = columns[:2]
     return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power,
-                    float(_clenshaw(coeffs[:, 0], -1.0)))
+                    float(_clenshaw(coeffs[:, 0], -1.0))), moments
 
 
-def phi_table(
+def general_forces(
     material1: MaterialModel,
     material2: MaterialModel,
     thermal: ThermalState,
-    v_range: tuple[float, float],
-    d_range: tuple[float, float],
+    v: Sequence[float],
+    d: Sequence[float],
     spec: QuadratureSpec = NESTED_SPEC,
-) -> PhiTable:
-    """Phi(omega) tabulated once for all v in v_range and d in d_range.
+) -> list[FrictionResult]:
+    """The general force at each point (v[i], d[i]): one Phi table, one k_x integral per point.
 
-    The table spans 1e-4 v_min/(2 d_max) to 60 v_max/(2 d_min), holds
-    h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h tends to
-    Phi_1 or Phi_3 at its low end) and is cut at omega_sp and at the
-    sum of the two omega_sp of Drude plates, where Phi has its
-    resonances.  A force's kernel depends on s = v/(2d) alone, so the
-    table serves the forces at the ends of the range of s and at points
-    between them at most a decade apart: it is refined until each of
-    them carries a table error of at most ``spec.rel_tol``
-    (`tabulate_phi`), in at most TABLE_MAX_PANELS panels.
+    ``v`` and ``d`` are sequences of velocities and gaps (m/s, m) of one
+    length.  Phi(omega) is tabulated once (`tabulate_phi`) over the
+    kernel bands of all points with v > 0, 1e-4 v/(2d) .. 60 v/(2d): it
+    holds h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h
+    tends to Phi_1 or Phi_3 at its low end), is cut at omega_sp and at
+    the sum of the two omega_sp of Drude plates, where Phi has its
+    resonances, and is refined by one kernel row per point until each
+    point's table error is at most ``spec.rel_tol`` of its size.
+    Each point then takes one k_x integral of its kernel times the
+    table, all in one `numerics.integrate_semi_infinite` pass, on its
+    scale 1/(2d) and cut at every panel edge inside its band; the k_y
+    integral is the closed form k_x K1(2 d k_x).  Each integral is
+    refined on its own segments, so it does not depend on the others in
+    the pass.  ``quadrature_rel_err`` adds the integral's error estimate and
+    the point's table error, the panel errors weighed by the table's
+    moments of its kernel: the budget covers Phi, the table and k_x.  A
+    point with v = 0 has force 0; a lossless plate's 0 carries the
+    `flag_lossless` flag.
 
     Raises
     ------
     DomainError
-        If a range is empty, not positive or not finite, or its band
-        leaves the float range.
+        If a velocity is not finite and >= 0, a gap not finite and > 0,
+        or a point's kernel band leaves the float range.
+    ValueError
+        If ``v`` and ``d`` differ in length.
+    TypeError
+        If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
     NonConvergence
-        With level "omega1", naming the omega at which Phi failed or the
-        omega interval the table could not resolve.
+        With level "omega1" and no ``index``, naming the omega at which
+        Phi failed or the omega interval the table could not resolve;
+        with level "k_x" and the ``index`` of the point whose integral
+        failed first, naming the k_x interval (1/m) on which the rule
+        failed and the matching omega = k_x v.
+    FloatFailure
+        With level "k_x", if a force overflows.
     """
-    (v_min, v_max), (d_min, d_max) = v_range, d_range
-    if not (0 < v_min <= v_max < math.inf and 0 < d_min <= d_max < math.inf):
-        raise DomainError(f"need finite 0 < v_min <= v_max and 0 < d_min <= d_max, "
-                          f"got {v_range}, {d_range}")
-    lo, hi = _kernel_band(v_min, d_max)[0], _kernel_band(v_max, d_min)[1]
-    if not 0 < lo <= hi < math.inf:
-        raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of velocities {v_range} "
-                          f"and gaps {d_range} leaves the float range")
+    v, d = [float(x) for x in v], [float(x) for x in d]
+    if len(v) != len(d):
+        raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
+                         f"and {len(d)} gaps")
+    power = 3 if thermal.is_zero else 1
+    # where h = Phi / omega^power and the moments of omega^(power + 1) stay
+    # normal floats, and k_x = omega / v finite
+    tiny, huge = sys.float_info.min ** (1.0 / power), sys.float_info.max ** (1.0 / (power + 1))
+    for vi, di in zip(v, d):
+        _require_velocity(vi)
+        if not (di > 0 and math.isfinite(di)):
+            raise DomainError(f"gap d must be finite and > 0, got {di!r}")
+        lo, hi = _kernel_band(vi, di)
+        if vi and not (tiny <= lo and hi <= huge and hi / vi < math.inf):
+            raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of v = {vi!r} m/s, "
+                              f"d = {di!r} m leaves the float range of the general force")
+    results = [FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics()) for _ in v]
+    live = [i for i, vi in enumerate(v) if vi]
+    if not live:
+        return results
+    speeds, gaps = np.array([v[i] for i in live]), np.array([d[i] for i in live])
+    lo, hi = _kernel_band(speeds, gaps)
     sp = [m.omega_sp for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
-    resonances = tuple(sorted({*sp, *(a + b for a in sp for b in sp)}))
-    # a kernel's shape depends on s = v/(2d) alone: serve the ends of the
-    # range of s and points between them at most a decade apart
-    low, high = v_min / (2.0 * d_max), v_max / (2.0 * d_min)
-    steps = max(math.ceil(math.log10(high / low) - 1e-9), 1)
-    kernels = _kernels(sorted({low * (high / low) ** (k / steps) for k in range(steps + 1)}))
+    kernels = _kernels(speeds / (2.0 * gaps))
     # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
-    return tabulate_phi(
+    table, moments = tabulate_phi(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
-        lo, hi, 3 if thermal.is_zero else 1, kernels, resonances, spec.rel_tol,
+        float(lo.min()), float(hi.max()), power, kernels,
+        sorted({*sp, *(a + b for a in sp for b in sp)}), spec.rel_tol,
     )
+    edges = np.exp(table.edges)
+    # a cut at the lower limit k_x = 0 is no cut
+    cuts = np.where((lo[:, None] < edges) & (edges < hi[:, None]), edges / speeds[:, None], 0.0)
+    speed_column = speeds[:, None]
+
+    def weighed(kx, which):
+        """(2d)^2 k_x^2 K1(2 d k_x) Phi(k_x v) of the points in ``which``: kernel times table."""
+        omega = kx * speed_column[which]
+        return kernels(omega, which) * table(omega)
+
+    try:
+        pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, [spec] * len(live), cuts)
+    except NonConvergence as exc:
+        (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
+        raise NonConvergence(
+            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
+            f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
+            index=live[exc.index],
+        ) from exc
+    # Int w |Phi_table - Phi| d omega, and d omega = v dk_x; sums, not a matrix
+    # product, whose first call would have BLAS allocate its buffers
+    table_errors = ((moments * table.errors).sum(axis=1) / speeds).tolist()
+    for i, (value, err), bound in zip(live, pairs, table_errors):
+        # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
+        force = CONST.hbar / (8.0 * math.pi**3) * value / d[i] / d[i]
+        if not math.isfinite(force):  # a float quotient overflows without raising
+            raise FloatFailure(f"force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2) at "
+                               f"d = {d[i]!r} m, v = {v[i]!r} m/s overflows", "k_x")
+        result = results[i]
+        result.force_per_area = force
+        result.diagnostics.quadrature_rel_err = (abs(err) + bound) / abs(value) if value else 0.0
+        flag_lossless(result.diagnostics, material1, material2)
+    return results
 
 
 def dissipation_general(
@@ -708,14 +663,17 @@ def dissipation_general(
 ) -> FrictionResult:
     """Friction force from the full k-space/spectral dissipation integral.
 
-    Valid at any temperature and velocity, for Drude plates.  Phi is
-    read from a table built for this (v, d) alone (`phi_table`), and
-    the k_x integrals are those of `PhiTable.forces` for this one
-    point: the force, and the table's error weighed by the same kernel,
-    which is added to ``quadrature_rel_err``.
+    Valid at any temperature and velocity, for Drude plates: the one
+    point (v, config.d) of `general_forces`, whose Phi table is built for
+    it alone, and whose ``quadrature_rel_err`` covers Phi, the table and
+    the k_x integral.
 
     Raises
     ------
+    DomainError
+        If v is not finite and >= 0, or its kernel band leaves the float range.
+    FloatFailure
+        With level "k_x", if the force overflows.
     NonConvergence
         With ``level`` identifying the failing nesting level
         ("omega1" or "k_x"); an "omega1" failure names the omega at
@@ -725,13 +683,7 @@ def dissipation_general(
     TypeError
         If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
     """
-    _require_velocity(v)
-    if v == 0.0:
-        return FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics())
-    table = phi_table(material1, material2, thermal, (v, v), (config.d, config.d), spec)
-    result = table.forces([v], [config.d], spec)[0]
-    flag_lossless(result.diagnostics, material1, material2)
-    return result
+    return general_forces(material1, material2, thermal, [v], [config.d], spec)[0]
 
 
 def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionResult:
@@ -761,7 +713,7 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
         return FrictionResult(0.0, PLASMON_LINE, diag)
 
     with float_guard(PLASMON_LINE, f"K1(x) e^x at x = 4 omega_sp d / v = {x!r}"):
-        ky_integral = kx * _k1e(x) * math.exp(-x)  # kx K1(2 d kx), as `_ky_integral`
+        ky_integral = kx * _k1e(x) * math.exp(-x)  # kx K1(2 d kx): `_kernels`' x^2 K1(x) over 4 d^2 kx
     force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * ky_integral
     if not math.isfinite(force):  # a float product overflows without raising
         raise FloatFailure(f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "

@@ -13,8 +13,8 @@ own segments, with one call of the integrand per refinement round:
 each with its own tolerance, its own row of cuts (the interior points
 where its integrand has a kink) and, on the semi-infinite range, its own
 decay scale, and with one call of their shared array integrand per
-round: the k_x integrals of the points of a general force and their
-error bounds take one pass.
+round: the k_x integrals of all the points of a general force take
+one pass.
 Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 
@@ -78,8 +78,9 @@ class NonConvergence(RuntimeError):
     index : int or None
         From `integrate_finite` and `integrate_semi_infinite`, the
         failing integral's place among their specs; from
-        `friction.PhiTable.forces`, the failing point's place among its
-        points.  None from every other raiser.
+        `friction.general_forces` (level "k_x"), the failing point's
+        place among its points.  None from every other raiser, such as
+        Phi or its table, which serves every point.
     """
 
     def __init__(self, message: str, level: str | None = None,

@@ -498,7 +498,8 @@ def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
 
     The reference for the array build, which takes the same arithmetic in
     the same order and so must equal it bit for bit.  Returns the table's
-    edges, coefficients (one row per panel), errors and head.
+    edges, coefficients (one row per panel), errors and head, and its
+    moments Int w omega^power (one row per panel, one column per force).
     """
     from casimir_friction.friction import _COS, _FEJER, TABLE_NODES, _clenshaw
 
@@ -515,7 +516,7 @@ def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
         error = tail + max(float(e) / w**power for e, w in zip(errors, omegas))
         moments = half * fejer * np.array(omegas) ** (power + 1) * kernels(np.array(omegas))
         return [a, b, c, error, (tail * moments.sum(axis=1)).tolist(),
-                (moments * np.abs(h)).sum(axis=1).tolist()]
+                (moments * np.abs(h)).sum(axis=1).tolist(), moments.sum(axis=1).tolist()]
 
     cuts = sorted(math.log(w) for w in splits if omega_lo < w < omega_hi)
     edges = [math.log(omega_lo), *cuts, math.log(omega_hi)]
@@ -530,4 +531,4 @@ def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
         a, b = panels[i][:2]
         panels[i:i + 1] = [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
     return ([panels[0][0], *(p[1] for p in panels)], [p[2] for p in panels],
-            [p[3] for p in panels], _clenshaw(panels[0][2], -1.0))
+            [p[3] for p in panels], _clenshaw(panels[0][2], -1.0), [p[6] for p in panels])

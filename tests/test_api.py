@@ -21,7 +21,7 @@ PUBLIC = {
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
     "PlateConfig",
     "Diagnostics", "FrictionResult",
-    "dissipation_general", "force_linear", "force_zero_t", "force_plasmon", "phi_table",
+    "dissipation_general", "force_linear", "force_zero_t", "force_plasmon", "general_forces",
     "consistency_report", "pendry_force",
 }
 
@@ -43,7 +43,9 @@ DELETED = {
         "k_moment", "angular_kx_moment", "radial_moment",
         "psi_hat", "g_hat", "g_hat_z_integrated", "UnequalDensities",
     ),
-    friction: ("_rho_slope_product", "ValidityWarning", "SharedPhi", "_Panel"),
+    friction: ("_rho_slope_product", "ValidityWarning", "SharedPhi", "_Panel",
+               # one call, general_forces, tabulates Phi for its points and integrates them
+               "phi_table", "ERROR_SPEC", "_ky_integral"),
     compare: ("LiteratureParams",),
 }
 
@@ -77,18 +79,16 @@ def test_unread_fields_are_gone():
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(friction.Diagnostics, "flag")
-    # callers pass the general force's arguments by position; a shared Phi
-    # table serves its points through PhiTable.forces, not through this
+    # callers pass the general force's arguments by position; many points on
+    # one pair of plates go through general_forces, not through this
     assert list(inspect.signature(friction.dissipation_general).parameters) == [
         "material1", "material2", "config", "thermal", "v", "spec",
     ]
-    gold = material.Drude(omega_p=1.37e16, nu=5.3e13)
-    table = friction.phi_table(gold, gold, response.ThermalState.finite(300.0), (1.0, 1.0),
-                               (1e-8, 1e-8))
-    assert type(table) is friction.PhiTable
-    assert list(inspect.signature(friction.PhiTable.forces).parameters) == [
-        "self", "v", "d", "spec",
+    assert list(inspect.signature(friction.general_forces).parameters) == [
+        "material1", "material2", "thermal", "v", "d", "spec",
     ]
+    # a Phi table is a piecewise series and nothing else: no forces, no error lookup
+    assert [name for name in ("forces", "error") if hasattr(friction.PhiTable, name)] == []
     # the literature closed form takes floats, not a parameter record
     assert list(inspect.signature(compare.pendry_force).parameters) == [
         "sigma_over_eps0", "d", "v",

@@ -19,7 +19,7 @@ from casimir_friction.cli import build_parser, main
 from casimir_friction.friction import force_plasmon
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.material import Drude, Tabulated
-from casimir_friction.numerics import CONST
+from casimir_friction.numerics import CONST, NESTED_SPEC
 
 DRUDE_ARGS = ["--model", "drude", "--wp-ev", "9", "--nu-ev", "0.035"]
 STATE_ARGS = ["--gap-nm", "10", "--temp-k", "300", "--velocity", "1"]
@@ -836,19 +836,19 @@ EACH_POINT_ONCE = {
 
 @pytest.mark.parametrize("case", EACH_POINT_ONCE)
 def test_sweep_evaluates_each_point_once(capsys, monkeypatch, case):
-    # a general sweep over v or d, of any length, hands every row to one k_x
-    # pass: each row reaches it once, and none twice
-    from casimir_friction.friction import PhiTable
+    # a general sweep over v or d, of any length, hands every row to one
+    # general_forces call: each row reaches it once, and none twice
+    from casimir_friction import cli
 
     fixed, param, lo, hi, points = EACH_POINT_ONCE[case]
     passes = []
-    real = PhiTable.forces
+    real = cli.general_forces
 
-    def counting(self, v, d, *args, **kwargs):
+    def counting(material1, material2, thermal, v, d, *args, **kwargs):
         passes.append(list(zip(v, d)))
-        return real(self, v, d, *args, **kwargs)
+        return real(material1, material2, thermal, v, d, *args, **kwargs)
 
-    monkeypatch.setattr(PhiTable, "forces", counting)
+    monkeypatch.setattr(cli, "general_forces", counting)
     code, out, _ = run_cli(capsys, ["sweep", *DRUDE_ARGS, *fixed, "--regime", "general",
                                     "--param", param, "--from", lo, "--to", hi,
                                     "--points", str(points)])
@@ -865,6 +865,63 @@ def test_sweep_evaluates_each_point_once(capsys, monkeypatch, case):
                                         "--regime", "general", "--format", "csv"])
         assert code == 0
         assert lines[1].split(",")[2] == out.split("\n")[1].split(",")[0]
+
+
+#: Each swept flag, the flags its sweep leaves fixed, and its message for -1.
+BAD_ROW = {
+    "velocity": (["--gap-nm", "10", "--temp-k", "300"], "--velocity must be finite and > 0"),
+    "gap-nm": (["--velocity", "1", "--temp-k", "300"], "--gap-nm must be finite and > 0"),
+    "temp-k": (["--gap-nm", "10", "--velocity", "1"],
+               "--temp-k must be finite and > 0 (or 'zero')"),
+    "wp-ev": (["--gap-nm", "10", "--temp-k", "300", "--velocity", "1"],
+              "--wp-ev must be finite and >= 0"),
+    "nu-ev": (["--gap-nm", "10", "--temp-k", "300", "--velocity", "1"],
+              "--nu-ev must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("regime", ["auto", "general"])
+@pytest.mark.parametrize("param", BAD_ROW)
+def test_sweep_bad_input_names_its_row(capsys, param, regime):
+    # a row whose swept value is a bad input exits 2 naming its row and value,
+    # as its validity and numerical-failure lines do
+    fixed, message = BAD_ROW[param]
+    code, out, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, *fixed, "--regime", regime,
+                                      "--param", param, "--from", "-1", "--to", "1",
+                                      "--points", "3", "--scale", "lin"])
+    assert code == 2
+    assert out == ""
+    key = param.replace("-", "_")
+    assert err.splitlines() == [f"error: row 0 ({key}=-1.0): {message}, got -1.0"]
+
+
+#: A general velocity sweep from 0.1 to 1e8 m/s at 10 nm: its kernels cross
+#: omega_sp and 2 omega_sp between rows.
+WIDE_SWEEP = ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--regime", "general",
+              "--param", "velocity", "--from", "0.1", "--to", "1e8", "--points", "33"]
+
+
+@pytest.mark.parametrize("temp", ["zero", "300"])
+def test_wide_general_sweep_meets_its_tolerance_at_every_row(capsys, monkeypatch, temp):
+    # a table refined only for kernel scales a decade apart once left rows
+    # between them 30 times outside --rtol (3.0e-5 at T = 0, 8.0e-6 at 300 K),
+    # and the sweep CSV has no column that shows it
+    from casimir_friction import cli
+
+    results = []
+    real = cli.general_forces
+
+    def recording(*args, **kwargs):
+        results.extend(real(*args, **kwargs))
+        return results
+
+    monkeypatch.setattr(cli, "general_forces", recording)
+    code, out, _ = run_cli(capsys, [*WIDE_SWEEP, "--temp-k", temp])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [float(row[2]) for row in rows] == [r.force_per_area for r in results]
+    assert len(rows) == 33
+    assert max(r.diagnostics.quadrature_rel_err for r in results) <= 2.0 * NESTED_SPEC.rel_tol
 
 
 def test_sweep_numerical_failure_names_its_row(capsys):
@@ -886,14 +943,9 @@ def test_shared_sweep_kx_failure_names_its_row(capsys, monkeypatch):
     # a k_x integral that fails inside the one pass of a gap sweep is named by
     # its row, as a per-row failure is
     from casimir_friction import friction
+    from test_friction import kernels_failing_at
 
-    real = friction._ky_integral
-    bad = 10.0 * CONST.nm
-
-    def failing_at_10_nm(kx, d):
-        return np.where(d == bad, math.nan, real(kx, d))
-
-    monkeypatch.setattr(friction, "_ky_integral", failing_at_10_nm)
+    monkeypatch.setattr(friction, "_kernels", kernels_failing_at(1.0 / (2.0 * 10.0 * CONST.nm)))
     code, out, err = run_cli(
         capsys,
         ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "300", "--regime", "general",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import k1, k1e
 
 from casimir_friction import friction, numerics, response
@@ -14,13 +15,14 @@ from casimir_friction.numerics import (
     DEFAULT_SPEC,
     NESTED_SPEC,
     DomainError,
+    FloatFailure,
     NonConvergence,
     QuadratureSpec,
 )
-from casimir_friction.material import Drude, Tabulated, surface_response
+from casimir_friction.material import Drude, SingularResponse, Tabulated, surface_response
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState, im_r_dissipation_integral, phi_slope
-from casimir_friction.compare import pendry_force
+from casimir_friction.compare import consistency_report, pendry_force
 from casimir_friction.friction import (
     GENERAL_NUMERIC,
     LINEAR_FINITE_T,
@@ -30,12 +32,12 @@ from casimir_friction.friction import (
     ZERO_T_CUBIC,
     _k1e,
     _k1e_array,
-    _ky_integral,
+    _kernels,
     dissipation_general,
     force_linear,
     force_plasmon,
     force_zero_t,
-    phi_table,
+    general_forces,
     tabulate_phi,
 )
 import oracles
@@ -314,11 +316,12 @@ def test_general_nonconvergence_reports_level():
 
 
 def test_kx_nonconvergence_names_kx_and_omega():
+    # at T = 0 this band lies below omega_sp / 2, where Phi is a power series
+    # and its table one panel, so that only the k_x integral runs out of bisections
     v = 3.0
-    table = phi_table(GOLD, GOLD, COLD, (v, v), (PLATE.d, PLATE.d))
     tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:
-        table.forces([v], [PLATE.d], tight)
+        general_forces(GOLD, GOLD, COLD, [v], [PLATE.d], tight)
     assert err.value.level == "k_x"
     number = r"([-+0-9.e]+|inf)"
     found = re.search(rf"k_x in \[{number}, {number}\] 1/m, "
@@ -383,13 +386,28 @@ def test_general_force_tabulates_its_own_phi(monkeypatch):
     dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
     assert 0 < sum(calls) <= 2 * TABLE_NODES
     # a T = 0 sweep whose band holds omega_sp and 2 omega_sp starts with three panels
-    for thermal, speeds, first in [(ROOM, (1.0, 1.0), 1), (COLD, (1e4, 1e8), 3)]:
+    tables = recorded_tables(monkeypatch)
+    for thermal, speeds, first in [(ROOM, [1.0], 1), (COLD, [1e4, 1e6, 1e8], 3)]:
         calls.clear()
-        table = phi_table(GOLD, GOLD, thermal, speeds, (PLATE.d, PLATE.d))
-        bisections = len(table.edges) - 1 - first
+        general_forces(GOLD, GOLD, thermal, speeds, [PLATE.d] * len(speeds))
+        bisections = len(tables[-1][1].edges) - 1 - first
         assert len(calls) == 1 + bisections
         assert calls == [first * TABLE_NODES] + [2 * TABLE_NODES] * bisections
     assert bisections >= 1
+
+
+def recorded_tables(monkeypatch):
+    """The (arguments, table, moments) of every later `tabulate_phi` call, in a list that fills."""
+    tables = []
+    real = friction.tabulate_phi
+
+    def recording(*args):
+        table, moments = real(*args)
+        tables.append((args, table, moments))
+        return table, moments
+
+    monkeypatch.setattr(friction, "tabulate_phi", recording)
+    return tables
 
 
 #: A Lorentzian 2e-3 wide in s = log omega on a flat h = 1, centred 1e-3 above
@@ -409,8 +427,9 @@ def sharp_table(calls):
         calls.append(w.size)
         return sharp_phi(w)
 
-    return friction.tabulate_phi(counting, 1.0, 1e6, 1, lambda w: np.exp(-w / 1e4)[None, :],
-                                 (1e3,))
+    table, _ = friction.tabulate_phi(counting, 1.0, 1e6, 1,
+                                     lambda w: np.exp(-w / 1e4)[None, :], (1e3,))
+    return table
 
 
 def test_phi_table_bisects_toward_a_sharp_feature_across_a_split():
@@ -435,18 +454,21 @@ def test_phi_table_bisects_toward_a_sharp_feature_across_a_split():
 @pytest.mark.xfail(strict=True, reason="a panel's tail, the larger of its two trailing "
                    "Chebyshev coefficients, under-reports the error of a partly resolved panel")
 def test_phi_table_error_bounds_its_deviation_pointwise():
-    # |Phi_table - Phi| <= table.error, plus the rounding of evaluating the series
+    # |Phi_table - Phi| <= the error of the panel holding omega, times omega^power,
+    # plus the rounding of evaluating the series
     table = sharp_table([])
     w = np.logspace(0.0, 6.0, 10_000)
     phi = sharp_phi(w)[0]
+    panel = np.minimum(np.searchsorted(table.edges, np.log(w), side="right") - 1,
+                       len(table.errors) - 1)
     rounding = 16.0 * np.finfo(float).eps * phi
-    assert np.all(np.abs(table(w) - phi) <= table.error(w) + rounding)
+    assert np.all(np.abs(table(w) - phi) <= table.errors[panel] * w**table.power + rounding)
 
 
 TABLE_CASES = {
-    "room-one-point": lambda: phi_table(GOLD, GOLD, ROOM, (1.0, 1.0), (PLATE.d, PLATE.d)),
-    "cold-across-the-resonances": lambda: phi_table(GOLD, GOLD, COLD, (1e4, 1e8),
-                                                    (PLATE.d, PLATE.d)),
+    "room-one-point": lambda: general_forces(GOLD, GOLD, ROOM, [1.0], [PLATE.d]),
+    "cold-across-the-resonances": lambda: general_forces(GOLD, GOLD, COLD,
+                                                         np.logspace(4.0, 8.0, 5), [PLATE.d] * 5),
     "sharp-feature": lambda: sharp_table([]),
 }
 
@@ -454,21 +476,15 @@ TABLE_CASES = {
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_phi_table_equals_its_per_panel_build(monkeypatch, case):
     # the array build does the per-panel loop's arithmetic in the same order
-    asked = []
-    real = friction.tabulate_phi
-
-    def recording(*args):
-        asked.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(friction, "tabulate_phi", recording)
-    table = TABLE_CASES[case]()
-    [args] = asked
-    edges, coeffs, errors, head = oracles.tabulate_phi_per_panel(*args)
+    tables = recorded_tables(monkeypatch)
+    TABLE_CASES[case]()
+    [(args, table, moments)] = tables
+    edges, coeffs, errors, head, panel_moments = oracles.tabulate_phi_per_panel(*args)
     assert np.array_equal(table.edges, edges)
     assert np.array_equal(table.coeffs.T, coeffs)
     assert np.array_equal(table.errors, errors)
     assert table.head == head
+    assert np.array_equal(moments.T, panel_moments)
 
 
 #: The benchmark's pool of physical-box points, each with a reference force from
@@ -496,15 +512,16 @@ def test_general_force_error_budget_on_the_reference_pool():
         assert result.diagnostics.quadrature_rel_err >= dev, f"pool point {i} under-reports"
 
 
-def test_phi_table_across_the_plasmon_resonances():
+def test_phi_table_across_the_plasmon_resonances(monkeypatch):
     # a T = 0 velocity sweep whose kernels reach past omega_sp and 2 omega_sp
     speeds = [1e4, 1e5, 1e6, 1e7, 1e8]
-    table = phi_table(GOLD, GOLD, COLD, (speeds[0], speeds[-1]), (PLATE.d, PLATE.d))
+    tables = recorded_tables(monkeypatch)
+    rows = general_forces(GOLD, GOLD, COLD, speeds, [PLATE.d] * len(speeds))
+    [(_, table, _)] = tables
     assert table.omega_lo < GOLD.omega_sp < 2.0 * GOLD.omega_sp < table.omega_hi
     # both resonances are panel edges
     assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
-    for v in speeds:
-        [tab] = table.forces([v], [PLATE.d])
+    for v, tab in zip(speeds, rows):
         own = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
         dev = abs(tab.force_per_area / own.force_per_area - 1.0)
         assert dev <= NESTED_SPEC.rel_tol
@@ -512,7 +529,7 @@ def test_phi_table_across_the_plasmon_resonances():
 
 
 SWEEPS = {
-    # (thermal, velocities, gaps): each sweep's rows share one table
+    # (thermal, velocities, gaps): each sweep's rows share one table and one k_x pass
     "velocity-cold": (COLD, np.logspace(-1.0, 5.0, 12), [PLATE.d]),
     "velocity-room": (ROOM, np.logspace(-1.0, 5.0, 12), [PLATE.d]),
     "gap-cold": (COLD, [1.0], np.logspace(np.log10(5e-9), -7.0, 9)),
@@ -525,49 +542,62 @@ SWEEPS = {
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_one_pass_rows_equal_the_per_point_force(sweep):
-    # every point's integrals are refined on their own segments, so a row of
-    # the one pass is bit for bit the force of that point alone
+    # the table depends on the set of points, not on their order, and every
+    # point's k_x integral is refined on its own segments: a row is bit for bit
+    # the same in any order of the pass, and within its budget of the force its
+    # point has alone, from a table of its own
     thermal, speeds, gaps = SWEEPS[sweep]
     v, d = (a.ravel().tolist() for a in np.broadcast_arrays(speeds, gaps))
     assert len(v) >= 8
-    table = phi_table(GOLD, GOLD, thermal, (min(v), max(v)), (min(d), max(d)))
-    rows = table.forces(v, d)
+    rows = general_forces(GOLD, GOLD, thermal, v, d)
+    assert rows == general_forces(GOLD, GOLD, thermal, v[::-1], d[::-1])[::-1]
     for row, vi, di in zip(rows, v, d):
-        [alone] = table.forces([vi], [di])
-        assert row.force_per_area == alone.force_per_area
-        assert row.diagnostics.quadrature_rel_err == alone.diagnostics.quadrature_rel_err
+        alone = dissipation_general(GOLD, GOLD, PlateConfig(d=di), thermal, vi)
+        dev = abs(row.force_per_area / alone.force_per_area - 1.0)
+        assert dev <= row.diagnostics.quadrature_rel_err + alone.diagnostics.quadrature_rel_err
+        assert row.diagnostics.quadrature_rel_err <= 2.0 * NESTED_SPEC.rel_tol
         assert row.regime == GENERAL_NUMERIC and row.force_per_area > 0
 
 
+def kernels_failing_at(scale):
+    """`friction._kernels`, but NaN in the k_x pass for the point at kernel scale v/(2d)."""
+    real = friction._kernels
+
+    def failing(scales):
+        kernels = real(scales)
+        bad = np.asarray(scales) == scale
+
+        def weights(omega, which=slice(None)):
+            if isinstance(which, slice):  # the tabulation, which serves every point
+                return kernels(omega, which)
+            return np.where(bad[which][:, None], math.nan, kernels(omega, which))
+
+        return weights
+
+    return failing
+
+
 def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
-    table = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
-    # v = 0 gives 0, as dissipation_general does
-    zero, one = table.forces([0.0, 1.0], [PLATE.d] * 2)
+    # v = 0 gives 0, as dissipation_general does, and adds no kernel to the table
+    zero, one = general_forces(GOLD, GOLD, ROOM, [0.0, 1.0], [PLATE.d] * 2)
     assert zero.force_per_area == 0.0 and zero.diagnostics.quadrature_rel_err == 0.0
-    assert [one] == table.forces([1.0], [PLATE.d])
-    assert table.forces([], []) == []
+    assert [one] == general_forces(GOLD, GOLD, ROOM, [1.0], [PLATE.d])
+    assert general_forces(GOLD, GOLD, ROOM, [], []) == []
     with pytest.raises(DomainError):
-        table.forces([1.0, -1.0], [PLATE.d] * 2)
+        general_forces(GOLD, GOLD, ROOM, [1.0, -1.0], [PLATE.d] * 2)
     # a gap that is not finite and > 0 is named, also at v = 0
     for gap in (0.0, -PLATE.d, math.nan, math.inf):
         for speed in (1.0, 0.0):
             with pytest.raises(DomainError, match=f"gap d must be finite and > 0, got {gap!r}"):
-                table.forces([1.0, speed], [PLATE.d, gap])
-    with pytest.raises(ValueError, match="does not cover v = 20.0"):
-        table.forces([1.0, 20.0], [PLATE.d] * 2)
+                general_forces(GOLD, GOLD, ROOM, [1.0, speed], [PLATE.d, gap])
     with pytest.raises(ValueError, match="one gap per velocity"):
-        table.forces([1.0, 2.0], [PLATE.d])
+        general_forces(GOLD, GOLD, ROOM, [1.0, 2.0], [PLATE.d])
     # the point whose integral fails is named by its place among the points
-    real = friction._ky_integral
     bad = 2.0 * PLATE.d
-
-    def failing(kx, d):
-        return np.where(d == bad, math.nan, real(kx, d))
-
-    monkeypatch.setattr(friction, "_ky_integral", failing)
-    wide = phi_table(GOLD, GOLD, ROOM, (1.0, 1.0), (PLATE.d, 3.0 * PLATE.d))
+    monkeypatch.setattr(friction, "_kernels", kernels_failing_at(1.0 / (2.0 * bad)))
     with pytest.raises(NonConvergence, match="k_x integral") as err:
-        wide.forces([0.0, 1.0, 1.0, 1.0], [PLATE.d, PLATE.d, bad, 3.0 * PLATE.d])
+        general_forces(GOLD, GOLD, ROOM, [0.0, 1.0, 1.0, 1.0],
+                       [PLATE.d, PLATE.d, bad, 3.0 * PLATE.d])
     assert err.value.level == "k_x" and err.value.index == 2
 
 
@@ -576,8 +606,7 @@ VELOCITY_TAKERS = {
     "force_linear": lambda v: force_linear(GOLD, PLATE, ROOM, v),
     "force_zero_t": lambda v: force_zero_t(GOLD, PLATE, v),
     "force_plasmon": lambda v: force_plasmon(GOLD.omega_sp, PLATE, v),
-    "forces": lambda v: phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d)).forces(
-        [1.0, v], [PLATE.d] * 2),
+    "forces": lambda v: general_forces(GOLD, GOLD, ROOM, [1.0, v], [PLATE.d] * 2),
     "dissipation_general": lambda v: dissipation_general(GOLD, GOLD, PLATE, ROOM, v),
     "pendry_force": lambda v: pendry_force(SIGMA, PLATE.d, v),
 }
@@ -608,6 +637,93 @@ def test_non_finite_or_negative_inputs_raise_domain_error(case):
         call(bad)
 
 
+#: The exceptions by which a public function refuses an input it cannot take.
+DOCUMENTED = (DomainError, TypeError, NonConvergence, FloatFailure, SingularResponse)
+
+
+def out_of_domain_or(lo_exp: float, hi_exp: float):
+    """A non-finite, zero or negative float, or one from 10^lo_exp to 10^hi_exp."""
+    return st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300]),
+                     st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e))
+
+
+def decades(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+EV = CONST.eV / CONST.hbar
+#: Materials around the physical range, lossless, without plasma, overdamped or tabulated.
+MATERIALS = st.one_of(
+    st.sampled_from([Drude(omega_p=GOLD.omega_p), Drude(omega_p=0.0, nu=GOLD.nu),
+                     Drude(omega_p=GOLD.omega_p, nu=20.0 * EV),
+                     tabulated_gold(np.logspace(12.0, 17.0, 6))]),
+    st.builds(Drude, omega_p=decades(12.0, 18.0), nu=decades(9.0, 17.0)),
+)
+THERMALS = st.one_of(st.just(COLD), decades(-2.0, 4.0).map(ThermalState.finite))
+PLATES = decades(-10.0, -5.0).map(lambda d: PlateConfig(d=d))
+
+#: Each public function, as a strategy of (a call that returns its forces, may it raise a bare ValueError).
+PUBLIC_CALLS = {
+    "force_linear": st.builds(lambda m, c, t, v: (lambda: [force_linear(m, c, t, v).force_per_area], False),
+                              MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
+    "force_zero_t": st.builds(lambda m, c, v: (lambda: [force_zero_t(m, c, v).force_per_area], False),
+                              MATERIALS, PLATES, out_of_domain_or(-1.0, 8.0)),
+    "force_plasmon": st.builds(lambda w, c, v: (lambda: [force_plasmon(w, c, v).force_per_area], False),
+                               out_of_domain_or(13.0, 17.0), PLATES, out_of_domain_or(-1.0, 8.0)),
+    "dissipation_general": st.builds(
+        lambda m, c, t, v: (lambda: [dissipation_general(m, m, c, t, v).force_per_area], False),
+        MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
+    "general_forces": st.builds(
+        lambda m, t, points: (lambda: [r.force_per_area for r in general_forces(m, m, t, *zip(*points))],
+                                   False),
+        MATERIALS, THERMALS,
+        st.lists(st.tuples(out_of_domain_or(-1.0, 8.0), out_of_domain_or(-10.0, -6.0)),
+                 min_size=1, max_size=3)),
+    "pendry_force": st.builds(lambda x, d, v: (lambda: [pendry_force(x, d, v)], False),
+                              out_of_domain_or(15.0, 19.0), out_of_domain_or(-10.0, -6.0),
+                              out_of_domain_or(-1.0, 8.0)),
+    # its ValueError says that the Drude mapping needs omega_p > 0 and nu > 0
+    "consistency_report": st.builds(
+        lambda m, c, t, v: (lambda: [f for k, f in consistency_report(m, c, t, v).items()
+                                     if k.startswith("F_")], True),
+        MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLS)
+def test_public_functions_give_a_finite_force_or_a_documented_error(name):
+    # a library caller that passes a non-finite, zero or negative float gets no
+    # NaN, no infinity and no bare ValueError, ZeroDivisionError or OverflowError
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @given(case=PUBLIC_CALLS[name])
+    def check(case):
+        call, value_error_documented = case
+        try:
+            forces = call()
+        except DOCUMENTED:
+            return
+        except ValueError as exc:
+            if type(exc) is ValueError and value_error_documented:
+                assert str(exc) == "Drude mapping requires omega_p > 0 and nu > 0"
+                return
+            raise
+        assert all(math.isfinite(f) for f in forces), forces
+
+    check()
+
+
+@pytest.mark.parametrize("thermal", [COLD, ROOM], ids=["cold", "room"])
+def test_wide_general_sweep_meets_its_tolerance_at_every_row(thermal):
+    # a table refined only for kernel scales a decade apart once left the rows
+    # between them up to 30 times outside rel_tol (3.0e-5 at T = 0, 8.0e-6 at
+    # 300 K, with omega_sp and 2 omega_sp in the band); one kernel row per
+    # point holds each row to its table's tolerance plus its k_x integral's
+    speeds = np.logspace(-1.0, 8.0, 33).tolist()
+    rows = general_forces(GOLD, GOLD, thermal, speeds, [PLATE.d] * len(speeds))
+    errors = [row.diagnostics.quadrature_rel_err for row in rows]
+    assert 0.0 < max(errors) <= 2.0 * NESTED_SPEC.rel_tol
+
+
 def test_phi_table_that_cannot_resolve_names_its_interval():
     # an oscillation far faster than TABLE_MAX_PANELS panels can follow keeps
     # the trailing coefficients at O(1)
@@ -629,18 +745,19 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
     assert err.value.level == "omega1"
 
 
-def test_phi_table_serves_only_what_it_was_built_for():
-    table = phi_table(GOLD, GOLD, ROOM, (1.0, 10.0), (PLATE.d, PLATE.d))
-    for v, d in [(20.0, PLATE.d), (1.0, 2 * PLATE.d)]:
-        with pytest.raises(ValueError, match="Phi table"):
-            table.forces([v], [d])
-    [inside] = table.forces([3.0], [PLATE.d])
-    own = dissipation_general(GOLD, GOLD, PLATE, ROOM, 3.0)
-    assert inside.force_per_area == pytest.approx(own.force_per_area, rel=1e-9)
+def ky_integral(kx: float, d: float) -> float:
+    """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), from the general force's kernel.
+
+    `_kernels` at scale 1 gives x^2 K1(x), here at x = 2 d kx as `force_plasmon` rounds it.
+    """
+    x = 2.0 * d * kx
+    return float(_kernels([1.0])(np.array([x]))[0, 0]) / (2.0 * d * x)
 
 
 @pytest.mark.parametrize("x", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0])
 def test_ky_integral_matches_quadrature(x):
+    # the kernel x^2 K1(x) by which the general force weighs Phi is the closed
+    # form of the k_y integral
     d = PLATE.d
     kx = x / (2.0 * d)
 
@@ -648,7 +765,7 @@ def test_ky_integral_matches_quadrature(x):
         return math.exp(-2.0 * d * math.hypot(kx, ky))
 
     value, _ = oracles.quad_semi_infinite(f, 0.0, 0.5 / d, ORACLE)
-    assert _ky_integral(kx, d) == pytest.approx(value, rel=1e-10)
+    assert ky_integral(kx, d) == pytest.approx(value, rel=1e-10)
 
 
 def test_scalar_k1e_matches_scipy():
@@ -673,18 +790,22 @@ def test_array_k1e_matches_the_scalar_sum():
 
 
 def test_ky_integral_is_zero_past_underflow():
-    # e^-x underflows past x = 745: there kx K1(x) is exactly 0, and no warning
-    # is raised (any warning fails the suite)
-    d = PLATE.d
+    # e^-x underflows past x = 745: there the kernel x^2 K1(x) is exactly 0, and
+    # no warning is raised (any warning fails the suite)
+    kernels = _kernels([1.0, 2.0])
     x = np.array([745.2, 800.0, 1097.0, 1e4, 1e8, 1e300])
-    assert np.all(_ky_integral(x / (2.0 * d), d) == 0.0)
-    assert np.all(_ky_integral(np.array([1e-3, 1.0, 700.0]) / (2.0 * d), d) > 0.0)
+    assert np.all(kernels(x)[0] == 0.0) and np.all(kernels(2.0 * x)[1] == 0.0)
+    assert np.all(kernels(np.array([1e-3, 1.0, 700.0])) > 0.0)
+    # the rows in ``which``, each at its own scale, as the k_x pass asks for them
+    which = np.array([1, 0])
+    at_700 = kernels(np.array([700.0]))[1, 0]
+    assert np.array_equal(kernels(np.array([[700.0], [745.2]]), which), [[at_700], [0.0]])
 
 
 def test_plasmon_matches_the_array_ky_integral():
-    # force_plasmon sums K1 in plain Python; the general force's _ky_integral
-    # takes the package's numpy K1 on arrays: the two agree across the
-    # unsuppressed range
+    # force_plasmon sums K1 in plain Python; the general force's kernel
+    # (`_kernels`) takes the package's numpy K1 on arrays: the two agree
+    # across the unsuppressed range
     wsp = GOLD.omega_sp
     for gap_nm in (0.1, 1.0, 10.0):
         plate = PlateConfig(d=gap_nm * CONST.nm)
@@ -692,7 +813,7 @@ def test_plasmon_matches_the_array_ky_integral():
             v = 4.0 * wsp * plate.d / float(x)
             kx = 2.0 * wsp / v
             expected = (CONST.hbar * wsp**3 / (2.0 * math.pi * v * v)
-                        * float(_ky_integral(kx, plate.d)))
+                        * ky_integral(kx, plate.d))
             assert force_plasmon(wsp, plate, v).force_per_area == pytest.approx(
                 expected, rel=1e-13, abs=0.0)
 
