@@ -1,13 +1,18 @@
-"""The T = 0 sum channel of two Drude plates in closed form.
+"""Phi of two Drude plates in closed form, at every temperature.
 
-Phi_0(omega) = 2 Int_0^omega Im R1(u) Im R2(omega - u) du, the sum
-channel of `response.im_r_dissipation_integral` at T = 0, for lossy,
-underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp): a sum over
-the poles of Im R above omega_sp (`_pole_sum`), and its power series
-below (`_power_series`), each with a bound on its rounding and used only
-where that bound holds the tolerance asked for (`sum_channel_zero_t`).
-`response` imports this module at its first Phi, so that a closed-form
-CLI call, which evaluates no Phi, does not compile it.
+Phi(omega) = Int Im R1(u) Im R2(omega - u) [coth(b u) + coth(b (omega - u))] du,
+b = beta hbar / 2, of `response.im_r_dissipation_integral`, for lossy,
+underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp).  Im R is
+four simple poles at +-Omega +- i nu/2, so the integrand is a rational
+function of u times the thermal factor, and from half the smaller
+omega_sp up Phi is a sum over its poles (`_pole_sum`): of digamma
+functions at finite T, of logarithms at T = 0, their b -> inf limit,
+where the difference channel closes.  At T = 0, below half the smaller
+omega_sp, Phi is its power series in omega^2 (`_power_series`).  Each
+carries a bound on its rounding and is used only where that bound holds
+the tolerance asked for (`closed_form`).  `response` imports this module
+at its first Phi, so that a closed-form CLI call, which evaluates no
+Phi, does not compile it.
 """
 
 from __future__ import annotations
@@ -30,69 +35,147 @@ def _log1p(z):
     return np.where(np.abs(z) < 0.5, small, np.log(1.0 + z))
 
 
-def _poles(material: Drude):
-    """Im R of an underdamped lossy Drude metal as sum_j a_j / (omega - p_j): (p_j, a_j).
+#: `_digamma` takes psi(z) as its asymptotic series to z^-16 at |z| >= _PSI_FAR or
+#: Re z >= _PSI_FROM, where the rest of the series is below 1e-17 of psi for Re z > 0,
+#: and elsewhere first moves z to Re z >= _PSI_FROM by psi(z) = psi(z + 1) - 1/z.
+_PSI_FAR, _PSI_FROM = 15.0, 10.0
+#: B_2k / (2k), k = 1 .. 8: psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k).
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
+               -3617 / 8160)
 
-    R = -omega_sp^2 / ((omega - p_+)(omega - p_-)) with p_+- = +-Omega + i nu/2,
-    Omega = sqrt(omega_sp^2 - nu^2/4); Im R = (R - R*)/(2i) adds the conjugate
-    poles.  The upper-half-plane poles come first.
+
+def _digamma(z):
+    """The digamma function psi(z) on a complex array z with Re z > 0, to a few ulps of max(1, |psi|).
+
+    Each element takes its own number of recurrence steps, so that its
+    value does not depend on the others.
     """
-    half_nu = 0.5 * material.nu
-    big = math.sqrt(material.omega_sp**2 - half_nu**2)
-    a = 0.25j * material.omega_sp**2 / big
-    return ((complex(big, half_nu), a), (complex(-big, half_nu), -a),
-            (complex(big, -half_nu), -a), (complex(-big, -half_nu), a))
+    steps = np.where(np.abs(z) < _PSI_FAR, np.maximum(np.ceil(_PSI_FROM - z.real), 0.0), 0.0)
+    total = np.zeros(z.shape, dtype=complex)
+    for k in range(int(steps.max(initial=0.0))):
+        total -= np.where(k < steps, 1.0 / (z + k), 0.0)
+    w = z + steps
+    r = 1.0 / (w * w)
+    s = _PSI_SERIES[-1]
+    for c in _PSI_SERIES[-2::-1]:
+        s = s * r + c
+    return total + np.log(w) - 0.5 / w - s * r
 
 
-#: The pole sum of the T = 0 sum channel is used from this multiple of the
-#: larger omega_sp up, where no pole of Im R lies near the real omega it is
-#: evaluated at; below, its 16 terms cancel to many orders of magnitude.
-CLOSED_FORM_FROM = 1.1
-#: Rounding of one term of the pole sum, in ulps of the term: calibrated
-#: against the sum evaluated in 40-digit arithmetic, with a margin of 5.
-_TERM_ULPS = 4.0
-#: The power series of the T = 0 sum channel is used up to this fraction of
+def _underdamped(material: Drude) -> bool:
+    """Whether Im R has four simple poles off the axes: a lossy Drude metal with Omega > 0."""
+    half_nu = 0.5 * material.nu  # its square is a product: a power would raise past the float range
+    return material.omega_p > 0.0 and half_nu > 0.0 and 0.5 * material.omega_p**2 > half_nu * half_nu
+
+
+def _poles(material: Drude):
+    """The poles p_j of Im R in the upper half-plane and their residues a_j, as arrays.
+
+    For an underdamped lossy Drude metal (`_underdamped`),
+    R = -omega_sp^2 / ((omega - p_+)(omega - p_-)) with p_+- = +-Omega + i nu/2,
+    Omega = sqrt(omega_sp^2 - nu^2/4) > 0, so that Im R = (R - R*)/(2i) is
+    sum_j a_j / (omega - p_j) plus its conjugate, a_+- = +-i omega_sp^2 / (4 Omega).
+    omega_sp^2 is 0.5 omega_p^2, rounded as `material.surface_response` rounds it.
+    """
+    half_nu, square = 0.5 * material.nu, 0.5 * material.omega_p**2
+    big = math.sqrt(square - half_nu * half_nu)
+    a = 0.25j * square / big
+    return np.array([complex(big, half_nu), complex(-big, half_nu)]), np.array([a, -a])
+
+
+#: The pole sum is used from this multiple of the smaller omega_sp up; below,
+#: its terms cancel to many orders of magnitude more than Phi's tolerance allows.
+POLES_FROM = 0.5
+#: Rounding of the pole sum, in ulps of the sum of its terms' sizes: calibrated
+#: against the sum evaluated in 40-digit arithmetic
+#: (tests/phi_pole_sum_calibration.py), with a margin of 5.
+_POLE_ULPS = 4.5
+#: The power series of Phi at T = 0 is used up to this fraction of
 #: the smaller omega_sp, where its terms fall by about 4x each.
 SERIES_UP_TO = 0.5
+
+
+def _pole_sum(w, material1: Drude, material2: Drude, b: float):
+    """Phi by the poles of its integrand, and a bound on its rounding.
+
+    With Im R1 = sum_j a_j / (u - p_j) and Im R2 = sum_k c_k / (u - q_k),
+    Im R1(u) Im R2(w - u) has simple poles at u = p_j and u = w - q_k.  By
+    the Mittag-Leffler series coth(b u) = sum_n 1 / (b u - i pi n), a pole
+    z of residue r adds r G(z) to the integral against coth(b u), with
+
+        G(z) = i pi / (b z) - 2 psi(1 - i b z / pi)   (Im z > 0),
+        G(conj z) = conj G(z),
+
+    up to a constant that cancels, since the residues sum to 0.  The half
+    against coth(b (w - u)) is the same with the plates swapped, so
+
+        Phi = sum_jk a_j c_k [D(p_j) + D(q_k)] / A_jk,   A_jk = w - p_j - q_k,
+        D(p) = G(p) - G(w - p) = i pi w / (b p (w - p)) + 2 [psi(x + i b w / pi) - psi(x)],
+
+    x = 1 - i b p / pi, for Im p > 0, and D(conj p) = conj D(p).  At T = 0
+    (b = inf) D(p) is its limit 2 log(1 - w/p) = 2 Int_0^w du / (u - p), and
+    Phi = 2 Int_0^w Im R1(u) Im R2(w - u) du.  The terms of the
+    lower-half-plane p_j are the conjugates of those of the upper ones, so
+    Phi is twice the real part of the 8 upper-half-plane terms.
+
+    The size of D(p) is that of its parts, and of the rounding of p and of
+    w - p, through 1 / (w - p) and the arguments of psi
+    (psi'(x) ~ 1 / (x - 1/2)) or of the logarithm.  The rounding of each D
+    enters all the terms of its pole, so it is weighed by their sum, a
+    residue of the integrand; each term adds its own rounding, and that of
+    w in A_jk, eps w / |A_jk| of itself.  The bound is _POLE_ULPS ulps of
+    the sum of these sizes.  It grows without limit where a pair's poles
+    merge (A_jk -> 0 at w = Omega_1 + Omega_2 for equal widths).
+    """
+    scale = b / math.pi
+
+    def d(material: Drude):
+        """The upper poles and residues of a plate, and D and its size at them, one row each."""
+        p, a = _poles(material)
+        poles = p[:, None]
+        gap = w - poles
+        if math.isinf(b):
+            logs = 2.0 * _log1p(-w / poles)
+            return p, a, logs, 2.0 * np.abs(logs) + 4.0 * w / np.abs(gap)
+        x = 1.0 - 1j * scale * poles
+        # psi at x and at x + i b w / pi, in one call
+        args = np.concatenate((x, x + 1j * scale * w), axis=1)
+        psi = _digamma(args)
+        rational = 1j * math.pi / b * w / (poles * gap)
+        size = (np.abs(rational) * (2.0 + w / np.abs(gap)) + 2.0 * np.abs(psi[:, :1])
+                + 2.0 * np.abs(psi[:, 1:])
+                + 2.0 * scale * (np.abs(poles) / np.abs(x - 0.5)
+                                 + (np.abs(poles) + w) / np.abs(args[:, 1:] - 0.5)))
+        return p, a, rational + 2.0 * (psi[:, 1:] - psi[:, :1]), size
+
+    p, a, dp, sp = d(material1)
+    q, c, dq, sq = (p, a, dp, sp) if material2 is material1 else d(material2)
+    q, c = np.concatenate((q, q.conj())), np.concatenate((c, c.conj()))
+    dq = np.concatenate((dq, dq.conj()))
+    # the 8 pairs (p_j, q_k), j-major
+    big = w - (np.repeat(p, 4) + np.tile(q, 2))[:, None]
+    ratio = (np.repeat(a, 4) * np.tile(c, 2))[:, None] / big
+    term = ratio * (np.repeat(dp, 4, axis=0) + np.tile(dq, (2, 1)))
+    sizes = np.abs(term) * (2.0 + w / np.abs(big))
+    # summed term by term, so that each omega's sum does not depend on the others
+    value, bound = term.real[0], sizes[0]
+    for i in range(1, 8):
+        value, bound = value + term.real[i], bound + sizes[i]
+    # the rounding of each D enters the 16 terms of its pole, weighed by their
+    # sum, a residue of the integrand: a row of D(p_j), and for D(q_k) a column
+    # and the conjugate of the column of conj q_k
+    r = ratio.reshape(2, 4, -1)
+    rows, columns = r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3], r[0] + r[1]
+    bound = bound + (sp * np.abs(rows) + sq * np.abs(columns[:2] + columns[2:].conj())).sum(axis=0)
+    return 2.0 * value, 2.0 * _POLE_ULPS * math.ulp(1.0) * bound
+
+
 #: Terms of the power series: its m-th term is below m^2 4^-m of the first
 #: one up to SERIES_UP_TO, so the rest of the series is below 1e-21 of it.
 _SERIES_TERMS = 40
 #: Rounding of the power series, in ulps of the sum of its terms' sizes,
-#: calibrated as _TERM_ULPS is, with a margin of 4.
+#: calibrated as _POLE_ULPS is, with a margin of 4.
 _SERIES_ULPS = 16.0
-
-
-def _pole_sum(w, material1: Drude, material2: Drude):
-    """Phi_0 = 2 Int_0^w Im R1(u) Im R2(w - u) du by its poles, and a bound on its rounding.
-
-    With Im R1 = sum_j a_j / (u - p_j) and Im R2 = sum_k b_k / (u - q_k),
-
-        Phi_0 = 2 sum_jk a_j b_k [l(p_j) + l(q_k)] / A_jk,   A_jk = w - p_j - q_k,
-
-    with l(p) = Int_0^w du / (u - p) = log(1 - w/p): no u - p crosses the
-    branch cut, since Im p != 0.  For a pair whose poles lie in opposite
-    half-planes, l(p) + l(q) = log1p(A/q) + log1p(A/p) exactly, and A may
-    vanish (at w = Omega_1 + Omega_2 for equal widths): that form is used,
-    with its limit 1/p + 1/q at A = 0.  The terms of the lower-half-plane
-    p_j are the conjugates of those of the upper ones, so Phi_0 is four
-    times the real part of the 8 upper-half-plane terms.  Each term is
-    rounded to about _TERM_ULPS ulps of itself, and a term of a
-    same-half-plane pair also carries the rounding of w in A, eps w / |A|
-    of itself; the bound is the sum of these.
-    """
-    pairs = [(p, q, a * b) for p, a in _poles(material1)[:2] for q, b in _poles(material2)]
-    p, q, ab = (np.array(x)[:, None] for x in zip(*pairs))
-    opposite = p.imag * q.imag < 0.0
-    big = w - p - q
-    logs = _log1p(np.concatenate((np.where(opposite, big / q, -w / p),
-                                  np.where(opposite, big / p, -w / q))))
-    terms = ab * np.where(big == 0.0, 1.0 / p + 1.0 / q, (logs[:8] + logs[8:]) / big)
-    ulps = _TERM_ULPS * np.where(opposite, 1.0, 1.0 + w / np.abs(big))
-    # summed row by row, so that each omega's sum does not depend on the others
-    value = bound = 0.0
-    for t, u in zip(terms, ulps):
-        value, bound = value + t.real, bound + np.abs(t) * u
-    return 4.0 * value, 4.0 * math.ulp(1.0) * bound
 
 
 def _im_r_series(material: Drude, scale: float):
@@ -133,12 +216,12 @@ def _series_coefficients(material1: Drude, material2: Drude):
 
 
 def _power_series(w, material1: Drude, material2: Drude):
-    """Phi_0 = 2 Int_0^w Im R1(u) Im R2(w - u) du by its power series, and a bound on its rounding.
+    """Phi at T = 0, 2 Int_0^w Im R1(u) Im R2(w - u) du, by its power series, and a bound on its rounding.
 
     Im R is odd and analytic within |u| < omega_sp, so with t = w / s
     (s the smaller omega_sp) and Im R_i(u) = sum_k c_ik (u/s)^(2k+1),
 
-        Phi_0 = s sum_m a_m t^(2m+3),
+        Phi = s sum_m a_m t^(2m+3),
         a_m = 2 sum_{k+l=m} c_1k c_2l B(2k+2, 2l+2),
 
     B(2k+2, 2l+2) = (2k+1)! (2l+1)! / (2m+3)!.  Its first term is the
@@ -154,35 +237,37 @@ def _power_series(w, material1: Drude, material2: Drude):
     return t3 * (powers * a).sum(axis=1), bound
 
 
-def sum_channel_zero_t(omegas, material1: Drude, material2: Drude, tol: float, series: bool):
-    """Phi_0 = 2 Int_0^w Im R1(u) Im R2(w - u) du without quadrature, where it holds tol.
+def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float):
+    """Phi without quadrature, where its rounding bound holds tol.
 
-    For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp):
-    the pole sum (`_pole_sum`) at omega >= CLOSED_FORM_FROM times both
-    omega_sp, and, if ``series``, the power series (`_power_series`) at
-    omega <= SERIES_UP_TO times both omega_sp; each only where its bound
-    is at most tol * Phi_0.  Elsewhere, and for other plates, Phi_0 and
-    its bound are 0 and ``used`` is False.
+    For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp),
+    b = beta hbar / 2 (inf at T = 0): the pole sum (`_pole_sum`) at
+    omega >= POLES_FROM times the smaller omega_sp, and at T = 0 the power
+    series (`_power_series`) at omega <= SERIES_UP_TO times it; each only
+    where its bound is at most tol * Phi.  Elsewhere, and for other
+    plates, Phi and its bound are 0 and ``used`` is False.  Each form is
+    evaluated at the omegas of its window alone, each apart from the
+    others.
 
     Returns
     -------
-    (phi_0, bound, used) : arrays over omegas
+    (phi, bound, used) : arrays over omegas
     """
-    value = bound = np.zeros(omegas.size)
-    used = value.astype(bool)
-    if not all(m.omega_p > 0.0 and 0.0 < m.nu < 2.0 * m.omega_sp for m in (material1, material2)):
+    value, bound = np.zeros(omegas.size), np.zeros(omegas.size)
+    used = np.zeros(omegas.size, dtype=bool)
+    if not (_underdamped(material1) and _underdamped(material2)):
         return value, bound, used
-    high = omegas >= CLOSED_FORM_FROM * max(material1.omega_sp, material2.omega_sp)
-    low = omegas <= SERIES_UP_TO * min(material1.omega_sp, material2.omega_sp) if series else used
-    any_high, any_low = high.any(), low.any()
-    if not (any_high or any_low):
-        return value, bound, used
-    # each form is evaluated at every omega or none, so that a value does not
-    # depend on the other omegas of the call
-    if any_high:
-        value, bound = _pole_sum(omegas, material1, material2)
-    if any_low:
-        near, near_bound = _power_series(omegas, material1, material2)
-        value, bound = np.where(low, near, value), np.where(low, near_bound, bound)
-    used = (high | low) & (bound <= tol * value)
-    return np.where(used, value, 0.0), np.where(used, bound, 0.0), used
+    low = min(material1.omega_sp, material2.omega_sp)
+    forms = [(omegas >= POLES_FROM * low, lambda w, m1, m2: _pole_sum(w, m1, m2, b))]
+    if math.isinf(b):
+        forms.append((omegas <= SERIES_UP_TO * low, _power_series))
+    for where, form in forms:
+        i = np.flatnonzero(where)
+        if i.size:
+            # a pair's poles may merge at an omega (A_jk = 0): a bound that is
+            # not finite there leaves it unused
+            with np.errstate(all="ignore"):
+                phi, err = form(omegas[i], material1, material2)
+            ok = err <= tol * phi
+            used[i], value[i], bound[i] = ok, np.where(ok, phi, 0.0), np.where(ok, err, 0.0)
+    return value, bound, used

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import CONST, DomainError, float_guard
+from .numerics import CONST, DomainError, FloatFailure, float_guard
 from .material import Drude
 from .geometry import PlateConfig
 from .response import ThermalState
@@ -47,13 +47,23 @@ def pendry_force(sigma_over_eps0: float, d: float, v: float) -> float:
     of Gaussian-unit conventions.  Stated for v < d sigma/(omega eps0),
     with the sliding frequency omega = v/d; `consistency_report` flags a
     velocity outside it.  Raises DomainError unless sigma_over_eps0 and d
-    are finite and > 0 and v is finite and >= 0.
+    are finite and > 0 and v is finite and >= 0, and FloatFailure (level
+    "compare") if the force overflows.
     """
     for name, x in (("sigma/eps0", sigma_over_eps0), ("gap d", d)):
         if not (x > 0 and math.isfinite(x)):
             raise DomainError(f"{name} must be finite and > 0, got {x}")
     _require_velocity(v)
-    return 5.0 * CONST.hbar * v**3 / (256.0 * math.pi**2 * sigma_over_eps0**2 * d**6)
+    # v^3 / (sigma^2 d^6) as w (w / sigma / d)^2 / d, w = v / d: no power of an
+    # argument alone, which can leave the float range where the force does not
+    w = v / d
+    ratio = w / sigma_over_eps0 / d
+    force = 5.0 * CONST.hbar / (256.0 * math.pi**2) * w * ratio * ratio / d
+    if not math.isfinite(force):  # a float product overflows without raising
+        raise FloatFailure(f"Pendry's force 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6) at "
+                           f"sigma/eps0 = {sigma_over_eps0!r} rad/s, d = {d!r} m, "
+                           f"v = {v!r} m/s is not finite", "compare")
+    return force
 
 
 def consistency_report(

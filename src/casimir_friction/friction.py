@@ -45,14 +45,13 @@ new panels in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
 Phi is one integral over the real line, folded at omega/2.  For lossy,
-underdamped Drude plates the T = 0 part of its sum channel is a closed
-form where its rounding bound holds that tolerance: a sum of 16
-pole-pair logarithms from 1.1 omega_sp up (to about 20 omega_sp for a
-line 1e-3 omega_sp wide), and at T = 0 a power series up to
-omega_sp / 2.  There only the thermal rest of the integral is taken by
-quadrature, and the node's error estimate adds that rounding bound.  So
-a T = 0 force whose band lies in those windows integrates nothing but
-k_x.
+underdamped Drude plates it is a closed form where its rounding bound
+holds that tolerance: a sum over the poles of its integrand from
+omega_sp / 2 up, of digamma functions at finite T and of logarithms at
+T = 0 (to about 14 omega_sp for a line 1e-3 omega_sp wide), and at T = 0
+a power series below omega_sp / 2.  There the node's error estimate is
+that rounding bound, and only the other nodes are integrated.  So a
+force whose band lies in those windows integrates nothing but k_x.
 The k_x integrals of all points take one
 `numerics.integrate_semi_infinite` pass over an array integrand, the
 tabulation's own kernel times the table, by the package's one G7/K15
@@ -202,9 +201,11 @@ def force_linear(
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
 
-    with float_guard(LINEAR_FINITE_T,
-                     f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {config.d!r} m"):
+    quantity = f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {config.d!r} m, v = {v!r} m/s"
+    with float_guard(LINEAR_FINITE_T, quantity):
         force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
+    if not math.isfinite(force):  # a float product overflows without raising
+        raise FloatFailure(f"{quantity} is not finite", LINEAR_FINITE_T)
     return FrictionResult(
         force_per_area=force,
         regime=LINEAR_FINITE_T,
@@ -241,9 +242,12 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
             )
         with float_guard(ZERO_T_CUBIC, "Phi_3 = nu^2 / (3 omega_sp^4)"):
             phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
-        with float_guard(ZERO_T_CUBIC,
-                         f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {config.d!r} m"):
+        quantity = (f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {config.d!r} m, "
+                    f"v = {v!r} m/s")
+        with float_guard(ZERO_T_CUBIC, quantity):
             force = 45.0 * CONST.hbar * v**3 * phi3 / (256.0 * math.pi**2 * config.d**6)
+        if not math.isfinite(force):  # a float product overflows without raising
+            raise FloatFailure(f"{quantity} is not finite", ZERO_T_CUBIC)
     return FrictionResult(
         force_per_area=force,
         regime=ZERO_T_CUBIC,
@@ -714,10 +718,14 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
 
     with float_guard(PLASMON_LINE, f"K1(x) e^x at x = 4 omega_sp d / v = {x!r}"):
         ky_integral = kx * _k1e(x) * math.exp(-x)  # kx K1(2 d kx): `_kernels`' x^2 K1(x) over 4 d^2 kx
-    force = CONST.hbar * omega_sp**3 / (2.0 * math.pi * v * v) * ky_integral
+    # hbar omega_sp^3 / (2 pi v^2) as hbar omega_sp kx^2 / (8 pi): no power of v or
+    # omega_sp alone, which can leave the float range where the force does not
+    quantity = (f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
+                f"d = {config.d!r} m, v = {v!r} m/s")
+    with float_guard(PLASMON_LINE, quantity):
+        force = CONST.hbar * omega_sp / (8.0 * math.pi) * kx * kx * ky_integral
     if not math.isfinite(force):  # a float product overflows without raising
-        raise FloatFailure(f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
-                           f"d = {config.d!r} m, v = {v!r} m/s overflows", PLASMON_LINE)
+        raise FloatFailure(f"{quantity} is not finite", PLASMON_LINE)
     return FrictionResult(
         force_per_area=force,
         regime=PLASMON_LINE,

@@ -36,20 +36,21 @@ node of any tabulated material, and a table is not extrapolated.
 `phi_slope` uses the same rule, and integrates a tabulated material
 over its own grid.
 
-Above 0 the thermal factor is coth x + coth y = 2 + 2 n(u) + 2 n(omega - u),
-n(u) = 1/(e^{beta hbar u} - 1).  For lossy, underdamped Drude plates
-(omega_p > 0, 0 < nu < 2 omega_sp) the part of its 2,
-Phi_0 = 2 Int_0^omega Im R1 Im R2, needs no quadrature: Im R is four
-simple poles at +-Omega +- i nu/2, so Phi_0 is a sum of 16 logarithm
-terms, used from 1.1 times both omega_sp up; at T = 0 its power series
-in omega^2 is used up to half the smaller omega_sp (`_phi0`, loaded at
-the first Phi).  Each carries a rounding bound, calibrated against
-40-digit arithmetic, and is used only where that bound is within Phi's
-tolerance (the pole sum from 1.1 to about 20 omega_sp for a line
-1e-3 omega_sp wide at the default 1e-9, to about 90 omega_sp for one
-3e-2 omega_sp wide).  Where Phi_0 is used, the rule drops the 2 and
-stops at min(omega/2, 30 (2/(beta hbar))), past which the rest is below
-e^-60, and Phi's error is its estimate plus Phi_0's bound.
+For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp)
+Phi needs no quadrature where its closed form holds the tolerance
+(`_phi0`, loaded at the first Phi).  Im R is four simple poles at
++-Omega +- i nu/2, so Phi is a sum over the 8 poles of its integrand:
+of digamma functions at finite T, by the Mittag-Leffler series of coth,
+and of logarithms at T = 0, their limit.  It is used from half the
+smaller omega_sp up; at T = 0 the power series of Phi in omega^2 is used
+below.  Each carries a rounding bound, calibrated against 40-digit
+arithmetic, and is used only where that bound is within Phi's tolerance,
+and the node's error is that bound.  At the 1e-9 of a force's table, for
+a line 1e-3 omega_sp wide the pole sum holds from about 1.01 to
+14 omega_sp, for one 3e-2 omega_sp wide from 0.5 to about 61, at T = 0
+and at 30 to 1000 K; within about 1e-5 nu of Omega_1 + Omega_2, where a
+pair of its poles merges, it leaves equal plates to the quadrature.  The
+quadrature takes only the omegas that remain.
 
 A force reads Phi from a table of it (`friction.tabulate_phi`), which
 asks for the nodes of all the panels of one refinement step in one call.
@@ -58,6 +59,7 @@ asks for the nodes of all the panels of one refinement step in one call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -165,12 +167,12 @@ def im_r_dissipation_integral(
     carries the linear-in-v friction as omega_v -> 0, and is closed at
     T = 0; at -60/b its factor has fallen below e^-120.  Above 0 is the
     sum channel, whose factor is 2 at T = 0.  For lossy, underdamped
-    Drude plates the part of the 2, Phi_0, is taken without quadrature
-    where that holds the tolerance (`_phi0.sum_channel_zero_t`); there
-    the rule drops the 2 and stops at min(w/2, 30/b).  For equal plates
-    (``material2 is material1``) the two products are one, doubled.
-    Far above the resonances the fold meets each line at a small |u|,
-    not at a difference w - u rounded on the scale of w.
+    Drude plates Phi is taken without quadrature at each omega where its
+    closed form holds the tolerance (`_phi0.closed_form`), and the rule
+    integrates the others.  For equal plates (``material2 is material1``)
+    the two products are one, doubled.  Far above the resonances the
+    fold meets each line at a small |u|, not at a difference w - u
+    rounded on the scale of w.
 
     The integral at every omega is a composite G7/K15 rule refined by
     bisection (`_integrate`), all of them in one numpy pass per round.
@@ -192,13 +194,14 @@ def im_r_dissipation_integral(
     -------
     (Phi, err_estimate)
         Floats for a scalar omega_v, else arrays of its shape; the error
-        is the sum of the segments' |K15 - G7|, plus the rounding bound
-        of Phi_0 where it is taken without quadrature.
+        is the sum of the segments' |K15 - G7|, or the rounding bound of
+        the closed form where Phi is taken without quadrature.
 
     Raises
     ------
     DomainError
-        If an omega_v is not finite.
+        If an omega_v is not finite, or a plate's omega_p^2 or
+        omega_sp^2 = omega_p^2 / 2 leaves the float range.
     TypeError
         If a plate is not a Drude metal: Phi needs Im R on all of
         (0, omega), and a tabulated material has none below its first node.
@@ -213,13 +216,18 @@ def im_r_dissipation_integral(
         raise TypeError("Phi (the general force) requires Drude plates: it integrates Im R "
                         "from omega = 0, below the first node of a tabulated material, "
                         "which is not extrapolated")
+    for m in (material1, material2):
+        # omega_p^2 and omega_sp^2 = omega_p^2 / 2 are formed by surface_response
+        square = m.omega_p * m.omega_p
+        if m.omega_p and not (square < math.inf and 0.5 * square >= sys.float_info.min):
+            raise DomainError(f"Phi needs omega_p^2 and omega_sp^2 = omega_p^2 / 2 inside the "
+                              f"float range, got omega_p = {m.omega_p!r} rad/s")
     with np.errstate(all="ignore"):
         omega = np.abs(np.asarray(omega_v, dtype=float))
         omegas = omega.ravel()
         if not np.isfinite(omegas).all():
             bad = np.asarray(omega_v, dtype=float).ravel()[~np.isfinite(omegas)][0]
             raise DomainError(f"Phi needs a finite omega, got {float(bad)!r}")
-        n = omegas.size
         half = 0.5 * thermal.beta * CONST.hbar
         scale = 1.0 / half  # the thermal scale 2/(beta hbar); 0 at T = 0
         if not (thermal.is_zero or math.isfinite(60.0 * scale)):
@@ -227,27 +235,24 @@ def im_r_dissipation_integral(
                                f"T = {thermal.temperature!r} K is past the float range", "omega1")
         tol = max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR)
         # compiled at the first Phi, not on the import of a closed-form CLI call
-        from ._phi0 import sum_channel_zero_t
+        from ._phi0 import closed_form
 
-        phi0, err0, closed = sum_channel_zero_t(omegas, material1, material2, tol,
-                                                thermal.is_zero)
+        phi, err, closed = closed_form(omegas, material1, material2, half, tol)
+        rest = np.flatnonzero(~closed)
         res1, res2 = _resonances(material1), _resonances(material2)
-        # nothing left to integrate: Phi_0 is all of Phi, or a plate has no
-        # loss, and so Im R = 0 (off the pole of a lossless one)
-        if (thermal.is_zero and closed.all()) or not (res1 and res2):
-            return _shaped(phi0, err0, omega.shape)
+        # nothing left to integrate: the closed form took every omega, or a
+        # plate has no loss, and so Im R = 0 (off the pole of a lossless one)
+        if not (rest.size and res1 and res2):
+            return _shaped(phi, err, omega.shape)
+        left = omegas[rest]
         lines = dict.fromkeys(res1 + res2)
         # the thermal scale has no width at T = 0, where it adds no breakpoint
-        graded = [(x, w) for c, w in lines for x in (c, -c, omegas - c)] + [(0.0, scale)]
-        top = 0.5 * omegas
-        a, b, owner = _segments(np.full(n, -60.0 * scale),
-                                np.where(closed, np.minimum(top, 30.0 * scale), top),
-                                graded, [np.zeros((n, 1))])
-        # the sum channel's 2, which Phi_0 carries where it is used
-        two = np.where(closed, 0.0, 2.0)
+        graded = [(x, w) for c, w in lines for x in (c, -c, left - c)] + [(0.0, scale)]
+        a, b, owner = _segments(np.full(rest.size, -60.0 * scale), 0.5 * left, graded,
+                                [np.zeros((rest.size, 1))])
 
         def integrand(u, o):
-            w = omegas[o][:, None]
+            w = left[o][:, None]
             low, high = np.abs(u), w - u
             if material2 is material1:  # both orders are one product
                 y = _im_r(material1, low) * _im_r(material1, high)
@@ -259,18 +264,18 @@ def im_r_dissipation_integral(
             below = u[:, 0] < 0.0
             y[below] *= _coth_diff(half * low[below], half * w[below])
             above = ~below
-            y[above] *= (two[o[above]][:, None] + 2.0 / np.expm1(2.0 * half * u[above])
+            y[above] *= (2.0 + 2.0 / np.expm1(2.0 * half * u[above])
                          + 2.0 / np.expm1(2.0 * half * high[above]))
             return y
 
         def fail(j: int, why: str, lo: float, hi: float) -> NonConvergence:
             side = "difference" if hi <= 0.0 else "sum"
             return NonConvergence(f"Phi ({side} channel) {why} "
-                                  f"at omega={float(omegas[j])!r}", level="omega1")
+                                  f"at omega={float(left[j])!r}", level="omega1")
 
-        value, error = _integrate(integrand, a, b, owner, n, tol, spec.max_subdivisions, fail)
-        # 0 where the closed form is not used, which leaves the integral as it was
-        return _shaped(value + phi0, error + err0, omega.shape)
+        phi[rest], err[rest] = _integrate(integrand, a, b, owner, rest.size, tol,
+                                          spec.max_subdivisions, fail)
+        return _shaped(phi, err, omega.shape)
 
 
 def _shaped(phi, err, shape):

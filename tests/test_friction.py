@@ -642,13 +642,14 @@ DOCUMENTED = (DomainError, TypeError, NonConvergence, FloatFailure, SingularResp
 
 
 def out_of_domain_or(lo_exp: float, hi_exp: float):
-    """A non-finite, zero or negative float, or one from 10^lo_exp to 10^hi_exp."""
+    """A non-finite, zero or negative float, or one from 10^lo_exp to 10^hi_exp or of any decade."""
     return st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300]),
-                     st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e))
+                     decades(lo_exp, hi_exp))
 
 
 def decades(lo_exp: float, hi_exp: float):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+    """A float from 10^lo_exp to 10^hi_exp, or from any decade of the normal floats."""
+    return st.one_of(st.floats(lo_exp, hi_exp), st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
 
 
 EV = CONST.eV / CONST.hbar
@@ -710,6 +711,34 @@ def test_public_functions_give_a_finite_force_or_a_documented_error(name):
         assert all(math.isfinite(f) for f in forces), forces
 
     check()
+
+
+#: Finite arguments whose closed form once returned an infinite force or raised a
+#: bare ZeroDivisionError or OverflowError: (call, the force if it is finite, else None).
+EXTREME_CLOSED_FORMS = {
+    "force_linear": (lambda: force_linear(Drude(omega_p=5.96e-08, nu=60.0), PlateConfig(d=5.96e-08),
+                                          ThermalState.finite(1.0), 3.44e266).force_per_area, None),
+    "force_zero_t": (lambda: force_zero_t(Drude(omega_p=1.4e-45, nu=1e-12), PlateConfig(d=1.4e-45),
+                                          1.0).force_per_area, None),
+    # x = 4 omega_sp d / v is 1e-38: F = hbar omega_sp kx^3 K1(x) / (8 pi), kx = 2 omega_sp / v = 2
+    "force_plasmon": (lambda: force_plasmon(6.18e-198, PlateConfig(d=2.6e-39), 6.18e-198)
+                      .force_per_area,
+                      CONST.hbar * 6.18e-198 / (8.0 * math.pi) * 8.0 / (4.0 * 2.6e-39)),
+    # 5 hbar v^3 / (2^8 pi^2 sigma^2 d^6) = 5 hbar / (2^8 pi^2) * 7e-114^-5 overflows
+    "pendry-tiny": (lambda: pendry_force(7e-114, 7e-114, 7e-114), None),
+    # ... and here is 5 hbar / (2^8 pi^2) * 6.9e254^-5, below the least float
+    "pendry-huge": (lambda: pendry_force(6.9e254, 6.9e254, 6.9e254), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_CLOSED_FORMS)
+def test_closed_forms_at_extreme_arguments_give_their_force_or_float_failure(case):
+    call, expected = EXTREME_CLOSED_FORMS[case]
+    if expected is None:
+        with pytest.raises(FloatFailure):
+            call()
+    else:
+        assert call() == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("thermal", [COLD, ROOM], ids=["cold", "room"])

@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import digamma
 
-from casimir_friction import _phi0
+from casimir_friction import _phi0, response
 from casimir_friction.numerics import (
     CONST,
     DEFAULT_SPEC,
@@ -305,15 +307,18 @@ def test_phi_with_a_breakpoint_within_an_ulp_of_omega():
 
 
 def test_phi_over_an_array_is_phi_at_each_element():
-    # one rule for all omegas at once: each value and error is bitwise the scalar call's
-    omegas = np.array([[1e8, 3e13], [GOLD.omega_sp, 2.0 * GOLD.omega_sp + 1e12]])
+    # one rule for all omegas at once, and the closed form at those of its window (at
+    # the 1e-9 of a force's table, 1.5 and 3 omega_sp): each value and error is
+    # bitwise the scalar call's
+    omegas = np.array([[1e8, 3e13, 1.5 * GOLD.omega_sp],
+                       [GOLD.omega_sp, 2.0 * GOLD.omega_sp + 1e12, 3.0 * GOLD.omega_sp]])
     silver = Drude(omega_p=1.4e16, nu=3e13)
-    for thermal in (ROOM, COLD):
-        for other in (GOLD, silver):
-            phi, err = im_r_dissipation_integral(omegas, GOLD, other, thermal)
-            assert phi.shape == err.shape == omegas.shape
-            for w, p, e in zip(omegas.flat, phi.flat, err.flat):
-                assert im_r_dissipation_integral(float(w), GOLD, other, thermal) == (p, e)
+    for spec, thermal, other in itertools.product((DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-6)),
+                                                  (ROOM, COLD), (GOLD, silver)):
+        phi, err = im_r_dissipation_integral(omegas, GOLD, other, thermal, spec)
+        assert phi.shape == err.shape == omegas.shape
+        for w, p, e in zip(omegas.flat, phi.flat, err.flat):
+            assert im_r_dissipation_integral(float(w), GOLD, other, thermal, spec) == (p, e)
 
 
 def test_phi_of_unequal_plates():
@@ -334,37 +339,78 @@ def test_phi_of_unequal_plates():
 
 
 def _quadrature_only(omegas, *_):
-    """Stands in for the closed form of the T = 0 sum channel: used nowhere."""
-    zero = np.zeros(omegas.size)
-    return zero, zero, zero.astype(bool)
+    """Stands in for Phi's closed form: used nowhere."""
+    return np.zeros(omegas.size), np.zeros(omegas.size), np.zeros(omegas.size, dtype=bool)
 
 
 @pytest.mark.parametrize("unequal", [False, True], ids=["equal", "unequal"])
-@pytest.mark.parametrize("ratio", [1e-3, 5e-3, 3e-2])
+@pytest.mark.parametrize("ratio", [1e-3, 5e-3, 3e-2, 1.0, 1.999, 2.0, 3.0])
 def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
-    # Phi with the sum channel's T = 0 part in closed form (where it holds the
-    # 1e-9 a force's Phi asks for) against the coth-sum quadrature alone at 1e-12,
-    # on 1e-6 .. 1e3 omega_sp: within 1e-9, and never more off than it reports
+    # Phi with its closed forms (where they hold the 1e-9 a force's Phi asks for)
+    # against the quadrature alone at 1e-12, on 1e-6 .. 1e3 omega_sp, at T = 0 and
+    # at finite T: within 1e-9, and never more off than it reports.  Lines up to
+    # nu = 2 omega_sp (1.999: nearly critical, Omega ~ 0.03 omega_sp), the double
+    # pole at nu = 2 omega_sp and an overdamped plate (3.0), whose poles are
+    # imaginary: those are left to the quadrature
     metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
-    other = Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6 * ratio * GOLD.omega_sp) if unequal else metal
-    omegas = GOLD.omega_sp * np.concatenate((np.logspace(-6, 3, 37), [1.1, 1.5, 2.0, 2.3, 2.6]))
-    # next to the sum Omega_1 + Omega_2 of the plates' resonances, where the terms of
-    # poles in opposite half-planes are 0/0 in their plain form
-    peak = sum(math.sqrt(m.omega_sp**2 - m.nu**2 / 4.0) for m in (metal, other))
-    omegas = np.append(omegas, peak * (1.0 + np.array([-1e-9, 1e-12, 1e-7])))
-    # the power series below omega_sp / 2, the pole sum from 1.1 omega_sp to 10 omega_sp at least
-    _, _, used = _phi0.sum_channel_zero_t(omegas, metal, other, 1e-9, True)
-    assert used[(omegas <= 0.5 * metal.omega_sp)
-                | ((omegas >= 1.1 * other.omega_sp) & (omegas <= 10.0 * metal.omega_sp))].all()
+    other = (Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6 * ratio * GOLD.omega_sp) if unequal
+             else metal)
+    omegas = GOLD.omega_sp * np.concatenate((np.logspace(-6, 3, 37),
+                                             [0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2.3, 2.6]))
+    if ratio < 2.0:
+        # at and next to the sum Omega_1 + Omega_2 of the plates' resonances, where the
+        # terms of poles in opposite half-planes are 0/0 in their plain form
+        peak = sum(math.sqrt(0.5 * m.omega_p**2 - m.nu**2 / 4.0) for m in (metal, other))
+        omegas = np.append(omegas, peak * (1.0 + np.array([-1e-9, 0.0, 1e-12, 1e-7, 1e-4])))
     spec = QuadratureSpec(rel_tol=1e-6)
-    for thermal in (COLD, ROOM, ThermalState.finite(1000.0)):
+    tol = 1e-3 * spec.rel_tol
+    for thermal in (COLD, ThermalState.finite(30.0), ROOM, ThermalState.finite(1000.0)):
+        _, _, used = _phi0.closed_form(omegas, metal, other, 0.5 * thermal.beta * CONST.hbar, tol)
+        if ratio >= 2.0:
+            # no pole sum: at most the T = 0 power series, which needs no poles
+            assert not used[omegas > 0.5 * metal.omega_sp].any()
+        elif ratio <= 3e-2:
+            # the pole sum from 1.1 omega_sp to 10 omega_sp at least, but within 1 % of
+            # the merge of a pair's poles at the peak, where its bound grows as 1/|A|;
+            # at T = 0 the power series below omega_sp / 2
+            high = (omegas >= 1.1 * other.omega_sp) & (omegas <= 10.0 * metal.omega_sp)
+            assert used[high & (np.abs(omegas / peak - 1.0) > 1e-2)].all()
+            if thermal.is_zero:
+                assert used[omegas <= 0.5 * metal.omega_sp].all()
         phi, err = im_r_dissipation_integral(omegas, metal, other, thermal, spec)
         with monkeypatch.context() as patch:
-            patch.setattr(_phi0, "sum_channel_zero_t", _quadrature_only)
+            patch.setattr(_phi0, "closed_form", _quadrature_only)
             reference, _ = im_r_dissipation_integral(omegas, metal, other, thermal, TIGHT)
         deviation = np.abs(phi - reference)
         assert (deviation <= 1e-9 * reference).all()
         assert (deviation <= err).all()
+
+
+def test_phi_in_the_closed_form_window_integrates_nothing(monkeypatch):
+    # a call whose every omega the digamma sum takes runs no quadrature
+    omegas = GOLD.omega_sp * np.linspace(1.2, 5.0, 32)
+    spec = QuadratureSpec(rel_tol=1e-6)  # the tolerance of a force's table
+    for thermal in (ROOM, ThermalState.finite(1000.0)):
+        phi, err = im_r_dissipation_integral(omegas, GOLD, GOLD, thermal, spec)
+
+        def integrate(*_):
+            raise AssertionError("the quadrature ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(response, "_integrate", integrate)
+            again = im_r_dissipation_integral(omegas, GOLD, GOLD, thermal, spec)
+        assert (again[0] == phi).all() and (again[1] == err).all()
+        assert (err <= 1e-9 * phi).all()
+
+
+@pytest.mark.parametrize("real", [0.01, 0.5, 1.0, 9.5, 9.999, 10.0, 10.001, 37.0])
+def test_digamma_matches_scipy(real):
+    # on both sides of the recurrence's threshold Re z = 10, and up to |Im z| = 1e8;
+    # scipy's own digamma is off by up to about 5e-15 next to its root near 1.46
+    imag = np.concatenate((-np.logspace(-3.0, 8.0, 23), [0.0], np.logspace(-3.0, 8.0, 23)))
+    z = real + 1j * imag
+    reference = digamma(z)
+    assert (np.abs(_phi0._digamma(z) - reference) <= 5e-15 * np.maximum(1.0, np.abs(reference))).all()
 
 
 #: Phi at T = 0 of a plate whose line is 1e-3 omega_sp wide, with itself and with
@@ -424,22 +470,29 @@ def _drude(kind, omega_p, nu_ratio):
     return Drude(omega_p=omega_p, nu=nu)
 
 
+def _exponent(lo: float, hi: float):
+    """An exponent from lo to hi, or of any decade of the normal floats."""
+    return st.one_of(st.floats(lo, hi), st.floats(-300.0, 300.0))
+
+
 _PLATE = st.builds(_drude, st.sampled_from(["lossy"] * 3 + ["lossless", "transparent"]),
-                   st.floats(14.0, 17.0).map(lambda x: 10.0**x),
+                   _exponent(14.0, 17.0).map(lambda x: 10.0**x),
                    st.floats(-4.0, 1.0).map(lambda x: 10.0**x))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(
-    material1=_PLATE,
+    material1=st.one_of(_PLATE, st.sampled_from([Drude(omega_p=2e154, nu=1e152),
+                                                  Drude(omega_p=1.77e-252, nu=1.77e-252)])),
     material2=st.one_of(st.none(), _PLATE),
-    t_exp=st.one_of(st.none(), st.floats(-1.0, 4.0)),
-    omega_exp=st.floats(8.0, 18.0),
+    t_exp=st.one_of(st.none(), _exponent(-1.0, 4.0)),
+    omega_exp=_exponent(8.0, 18.0),
 )
 def test_phi_property_over_drude_plates(material1, material2, t_exp, omega_exp):
     # lossless (nu = 0), transparent (omega_p = 0) and overdamped (nu > 2 omega_sp)
-    # plates included, equal (None) or not: Phi and its error are finite and
-    # >= 0, or the call raises a documented numerical error
+    # plates included, equal (None) or not, and plates, temperatures and omegas of
+    # any decade, among them omega_p^2 past the float range and omega_sp^2 below it:
+    # Phi and its error are finite and >= 0, or the call raises a documented error
     thermal = COLD if t_exp is None else ThermalState.finite(10.0**t_exp)
     try:
         phi, err = im_r_dissipation_integral(10.0**omega_exp, material1,
