@@ -7,17 +7,16 @@ four simple poles at +-Omega +- i nu/2, so the integrand is a rational
 function of u times the thermal factor, and from half the smaller
 omega_sp up Phi is a sum over its poles (`_pole_sum`): of digamma
 functions at finite T, of logarithms at T = 0, their b -> inf limit,
-where the difference channel closes.  At T = 0, below half the smaller
-omega_sp, Phi is its power series in omega^2 (`_power_series`).  Each
-carries a bound on its rounding and is used only where that bound holds
-the tolerance asked for (`closed_form`).  `response` imports this module
-at its first Phi, so that a closed-form CLI call, which evaluates no
-Phi, does not compile it.
+where the difference channel closes.  Below, its terms cancel, and Phi
+is left to the quadrature at every T.  The sum carries a bound on its
+rounding and is used only where that bound holds the tolerance asked
+for (`closed_form`).  `response` imports this module at its first Phi,
+so that a closed-form CLI call, which evaluates no Phi, does not
+compile it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .material import Drude
@@ -90,9 +89,6 @@ POLES_FROM = 0.5
 #: against the sum evaluated in 40-digit arithmetic
 #: (tests/phi_pole_sum_calibration.py), with a margin of 5.
 _POLE_ULPS = 4.5
-#: The power series of Phi at T = 0 is used up to this fraction of
-#: the smaller omega_sp, where its terms fall by about 4x each.
-SERIES_UP_TO = 0.5
 
 
 def _pole_sum(w, material1: Drude, material2: Drude, b: float):
@@ -170,84 +166,15 @@ def _pole_sum(w, material1: Drude, material2: Drude, b: float):
     return 2.0 * value, 2.0 * _POLE_ULPS * math.ulp(1.0) * bound
 
 
-#: Terms of the power series: its m-th term is below m^2 4^-m of the first
-#: one up to SERIES_UP_TO, so the rest of the series is below 1e-21 of it.
-_SERIES_TERMS = 40
-#: Rounding of the power series, in ulps of the sum of its terms' sizes,
-#: calibrated as _POLE_ULPS is, with a margin of 4.
-_SERIES_ULPS = 16.0
-
-
-def _im_r_series(material: Drude, scale: float):
-    """c_k of Im R(u) = sum_k c_k t^(2k+1), t = u / scale, for k < _SERIES_TERMS.
-
-    Im R = -n W t / (W^2 - (2 W - n^2) t^2 + t^4) with W = (omega_sp/scale)^2
-    and n = nu/scale: c_k = -n W e_k, where sum_k e_k x^k = 1/(W^2 - (2W - n^2) x + x^2).
-    """
-    big, n = (material.omega_sp / scale) ** 2, material.nu / scale
-    e = [1.0 / big**2, (2.0 * big - n * n) / big**4]
-    while len(e) < _SERIES_TERMS:
-        e.append(((2.0 * big - n * n) * e[-1] - e[-2]) / big**2)
-    return -n * big * np.array(e)
-
-
-@functools.cache
-def _beta():
-    """B(2k+2, 2l+2) = 1 / ((2m+3) C(2m+2, 2k+1)), m = k + l, as a matrix.
-
-    0 where m >= _SERIES_TERMS.
-    """
-    return np.array([[1.0 / ((2 * (k + l) + 3) * math.comb(2 * (k + l) + 2, 2 * k + 1))
-                      if k + l < _SERIES_TERMS else 0.0
-                      for l in range(_SERIES_TERMS)] for k in range(_SERIES_TERMS)])
-
-
-@functools.lru_cache(maxsize=64)
-def _series_coefficients(material1: Drude, material2: Drude):
-    """The scale s and the coefficients a_m of `_power_series`, with their sizes |a_m|."""
-    scale = min(material1.omega_sp, material2.omega_sp)
-    c, d = _im_r_series(material1, scale), _im_r_series(material2, scale)
-    k = np.arange(_SERIES_TERMS)
-    a = 2.0 * np.bincount((k[:, None] + k).ravel(), (np.outer(c, d) * _beta()).ravel(),
-                          2 * _SERIES_TERMS)[:_SERIES_TERMS]
-    sizes = np.abs(a)
-    a.flags.writeable = sizes.flags.writeable = False  # shared by every caller
-    return scale, a, sizes
-
-
-def _power_series(w, material1: Drude, material2: Drude):
-    """Phi at T = 0, 2 Int_0^w Im R1(u) Im R2(w - u) du, by its power series, and a bound on its rounding.
-
-    Im R is odd and analytic within |u| < omega_sp, so with t = w / s
-    (s the smaller omega_sp) and Im R_i(u) = sum_k c_ik (u/s)^(2k+1),
-
-        Phi = s sum_m a_m t^(2m+3),
-        a_m = 2 sum_{k+l=m} c_1k c_2l B(2k+2, 2l+2),
-
-    B(2k+2, 2l+2) = (2k+1)! (2l+1)! / (2m+3)!.  Its first term is the
-    Drude head Phi_3 w^3 = nu_1 nu_2 w^3 / (3 omega_sp1^2 omega_sp2^2).  The
-    bound is _SERIES_ULPS ulps of sum_m |a_m| t^(2m+3).
-    """
-    scale, a, sizes = _series_coefficients(material1, material2)
-    t = w / scale
-    # one row of powers t^(2m) per omega, each row summed alone
-    powers = (t * t)[:, None] ** np.arange(_SERIES_TERMS)
-    t3 = scale * t**3
-    bound = _SERIES_ULPS * math.ulp(1.0) * t3 * (powers * sizes).sum(axis=1)
-    return t3 * (powers * a).sum(axis=1), bound
-
-
 def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float):
     """Phi without quadrature, where its rounding bound holds tol.
 
     For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp),
     b = beta hbar / 2 (inf at T = 0): the pole sum (`_pole_sum`) at
-    omega >= POLES_FROM times the smaller omega_sp, and at T = 0 the power
-    series (`_power_series`) at omega <= SERIES_UP_TO times it; each only
-    where its bound is at most tol * Phi.  Elsewhere, and for other
-    plates, Phi and its bound are 0 and ``used`` is False.  Each form is
-    evaluated at the omegas of its window alone, each apart from the
-    others.
+    omega >= POLES_FROM times the smaller omega_sp, where its bound is at
+    most tol * Phi.  Elsewhere, and for other plates, Phi and its bound
+    are 0 and ``used`` is False.  The sum is evaluated at the omegas of its
+    window alone, each apart from the others.
 
     Returns
     -------
@@ -257,17 +184,12 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     used = np.zeros(omegas.size, dtype=bool)
     if not (_underdamped(material1) and _underdamped(material2)):
         return value, bound, used
-    low = min(material1.omega_sp, material2.omega_sp)
-    forms = [(omegas >= POLES_FROM * low, lambda w, m1, m2: _pole_sum(w, m1, m2, b))]
-    if math.isinf(b):
-        forms.append((omegas <= SERIES_UP_TO * low, _power_series))
-    for where, form in forms:
-        i = np.flatnonzero(where)
-        if i.size:
-            # a pair's poles may merge at an omega (A_jk = 0): a bound that is
-            # not finite there leaves it unused
-            with np.errstate(all="ignore"):
-                phi, err = form(omegas[i], material1, material2)
-            ok = err <= tol * phi
-            used[i], value[i], bound[i] = ok, np.where(ok, phi, 0.0), np.where(ok, err, 0.0)
+    i = np.flatnonzero(omegas >= POLES_FROM * min(material1.omega_sp, material2.omega_sp))
+    if i.size:
+        # a pair's poles may merge at an omega (A_jk = 0): a bound that is
+        # not finite there leaves it unused
+        with np.errstate(all="ignore"):
+            phi, err = _pole_sum(omegas[i], material1, material2, b)
+        ok = err <= tol * phi
+        used[i], value[i], bound[i] = ok, np.where(ok, phi, 0.0), np.where(ok, err, 0.0)
     return value, bound, used

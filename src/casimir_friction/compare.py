@@ -79,14 +79,17 @@ def consistency_report(
     Drude configuration (everything here is density-independent), and a
     ``validity_flags`` list: the flags of the two closed-form results,
     then the Pendry window v < d sigma/(omega eps0) if v leaves it.
-    Raises TypeError for a non-Drude material and ValueError unless
-    omega_p > 0 and nu > 0, before computing anything, and FloatFailure
+    Raises TypeError for a non-Drude material, ValueError unless
+    omega_p > 0 and nu > 0, and DomainError unless v is finite and > 0
+    (the ratios divide by v), before computing anything, and FloatFailure
     (level "compare") if sigma/eps0 = omega_p^2/nu overflows.
     """
     if not isinstance(material, Drude):
         raise TypeError("consistency_report requires a Drude material")
     if not (material.omega_p > 0 and material.nu > 0):
         raise ValueError("Drude mapping requires omega_p > 0 and nu > 0")
+    if not (v > 0 and math.isfinite(v)):
+        raise DomainError(f"the consistency checks need a finite velocity > 0, got {v}")
     with float_guard("compare", "sigma/eps0 = omega_p^2 / nu"):
         sigma_over_eps0 = material.omega_p**2 / material.nu
         if sigma_over_eps0 == math.inf:  # a float quotient overflows without raising

@@ -48,10 +48,9 @@ Phi is one integral over the real line, folded at omega/2.  For lossy,
 underdamped Drude plates it is a closed form where its rounding bound
 holds that tolerance: a sum over the poles of its integrand from
 omega_sp / 2 up, of digamma functions at finite T and of logarithms at
-T = 0 (to about 14 omega_sp for a line 1e-3 omega_sp wide), and at T = 0
-a power series below omega_sp / 2.  There the node's error estimate is
-that rounding bound, and only the other nodes are integrated.  So a
-force whose band lies in those windows integrates nothing but k_x.
+T = 0 (to about 14 omega_sp for a line 1e-3 omega_sp wide).  There the
+node's error estimate is that rounding bound, and only the other nodes,
+those below omega_sp / 2 among them, are integrated.
 The k_x integrals of all points take one
 `numerics.integrate_semi_infinite` pass over an array integrand, the
 tabulation's own kernel times the table, by the package's one G7/K15

@@ -74,6 +74,8 @@ class Tabulated:
     Interpolation is linear in log(omega), separately for the real and
     imaginary parts; extrapolation outside the grid is an error.
     Internally eps is stored in the xi = i*omega convention (Im eps <= 0).
+    A grid that is not finite, positive and strictly increasing, or an
+    eps that is not finite or not passive, is a ValueError.
     """
 
     omega: np.ndarray
@@ -84,12 +86,21 @@ class Tabulated:
         ep = np.asarray(self.eps, dtype=complex)
         if om.ndim != 1 or om.size < 2:
             raise ValueError("need at least two (omega, eps) samples")
+        if ep.shape != om.shape:
+            raise ValueError("omega and eps must have the same length")
+        bad = ~(np.isfinite(om) & np.isfinite(ep))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"omega and eps must be finite, got eps={ep[i]} at omega={om[i]}")
         if om[0] <= 0:
             raise ValueError("omega grid must be positive")
         if not np.all(np.diff(om) > 0):
             raise ValueError("omega grid must be strictly increasing")
-        if ep.shape != om.shape:
-            raise ValueError("omega and eps must have the same length")
+        active = ep.imag > 0.0
+        if active.any():
+            i = np.flatnonzero(active)[0]
+            raise ValueError(f"passivity violated at omega={om[i]}: Im eps = {ep[i].imag} > 0 "
+                             f"in the xi = i omega convention ({-ep[i].imag} < 0 in a CSV file's)")
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "eps", ep)
         object.__setattr__(self, "_log_omega", np.log(om))
@@ -117,10 +128,6 @@ class Tabulated:
                 if not row:
                     continue
                 w, re_, im_ = (float(x) for x in row)
-                if im_ < 0:
-                    raise ValueError(
-                        f"passivity violated in {path}: Im eps < 0 at omega={w}"
-                    )
                 omega.append(w)
                 eps.append(complex(re_, -im_))  # conjugate into xi = i*omega convention
         return cls(omega=np.array(omega), eps=np.array(eps))

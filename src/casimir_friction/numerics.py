@@ -122,25 +122,25 @@ class QuadratureSpec:
     Parameters
     ----------
     rel_tol : float
-        Target relative error; at least 50 machine epsilons, since the
-        rounding of a sum over many segments of 15 nodes each keeps the
-        Kronrod-Gauss differences from falling much below that.
+        Target relative error, finite and at least 50 machine epsilons,
+        since the rounding of a sum over many segments of 15 nodes each
+        keeps the Kronrod-Gauss differences from falling much below that.
     max_subdivisions : int
-        Adaptive bisection budget, >= 1.
+        Adaptive bisection budget, an int >= 1.
     """
 
     rel_tol: float = 1e-9
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not self.rel_tol >= 50 * sys.float_info.epsilon:
+        if not (self.rel_tol >= 50 * sys.float_info.epsilon and math.isfinite(self.rel_tol)):
             raise ValueError(
-                f"rel_tol must be >= 50 machine epsilons "
+                f"rel_tol must be finite and >= 50 machine epsilons "
                 f"({50 * sys.float_info.epsilon:.3g}), got {self.rel_tol}"
             )
-        if self.max_subdivisions < 1:
+        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
             raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
+                f"max_subdivisions must be an int >= 1, got {self.max_subdivisions!r}"
             )
 
 

@@ -42,10 +42,10 @@ Phi needs no quadrature where its closed form holds the tolerance
 +-Omega +- i nu/2, so Phi is a sum over the 8 poles of its integrand:
 of digamma functions at finite T, by the Mittag-Leffler series of coth,
 and of logarithms at T = 0, their limit.  It is used from half the
-smaller omega_sp up; at T = 0 the power series of Phi in omega^2 is used
-below.  Each carries a rounding bound, calibrated against 40-digit
-arithmetic, and is used only where that bound is within Phi's tolerance,
-and the node's error is that bound.  At the 1e-9 of a force's table, for
+smaller omega_sp up, at every T; below, its terms cancel.  It carries a
+rounding bound, calibrated against 40-digit arithmetic, and is used only
+where that bound is within Phi's tolerance, and the node's error is that
+bound.  At the 1e-9 of a force's table, for
 a line 1e-3 omega_sp wide the pole sum holds from about 1.01 to
 14 omega_sp, for one 3e-2 omega_sp wide from 0.5 to about 61, at T = 0
 and at 30 to 1000 K; within about 1e-5 nu of Omega_1 + Omega_2, where a

@@ -9,18 +9,20 @@ omega_sp, and next to omega_sp, Omega, 2 Omega and Omega_1 + Omega_2 of
 each pair, where poles come near the real axis or merge.  Only points
 whose bound at one ulp is within 1e-2 of Phi count: elsewhere the bound
 keeps the closed form unused at any tolerance.  `_POLE_ULPS` is that
-ratio times a margin of 5, rounded up.  The reference is the same sum
+ratio times a margin of 5, rounded up, and the script exits 1 if
+`_phi0._POLE_ULPS` is below it.  The reference is the same sum
 over the poles in mpmath, with the plates' float parameters taken
 exactly and omega_sp^2 = omega_p^2 / 2 rounded as `surface_response`
 rounds it; `tests/test_response.py` checks the sum against quadrature.
 Needs mpmath, which the test extra does not install, so pytest does not
-collect this file; run it (about three minutes) as
+collect this file; run it (about two minutes) as
 
     PYTHONPATH=src python tests/phi_pole_sum_calibration.py
 """
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -103,7 +105,12 @@ def main():
                               f"error / bound at one ulp = {ratio:.3g}")
     print(f"{counted} points; largest error / bound at one ulp {worst:.3g}; "
           f"with a margin of 5: _POLE_ULPS >= {5.0 * worst:.3g}")
+    if 5.0 * worst > _phi0._POLE_ULPS:
+        print(f"_phi0._POLE_ULPS = {_phi0._POLE_ULPS} is below {5.0 * worst:.3g}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -204,6 +204,16 @@ def test_force_rtol_below_quadrature_floor_exits_2(capsys):
     assert "epsrel" not in err
 
 
+def test_force_rtol_inf_exits_2(capsys):
+    # an infinite tolerance would accept any first estimate of the integral
+    code, out, err = run_cli(
+        capsys, ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general", "--rtol", "inf"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "rel_tol must be finite" in err
+
+
 @pytest.mark.parametrize("flag", ["--gap-nm", "--velocity", "--temp-k", "--wp-ev", "--nu-ev"])
 def test_force_non_finite_input_exits_2(capsys, flag):
     argv = ["force", *DRUDE_ARGS, *STATE_ARGS]
@@ -555,6 +565,24 @@ def test_closed_form_a_table_cannot_take_exits_2(capsys, tmp_path, state, regime
         code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert json.loads(out)["regime"] == "LinearFiniteT"
+
+
+@pytest.mark.parametrize("row", ["1e14,nan,1e2", "1e14,-1e3,inf", "inf,0.5,0.1"],
+                         ids=["nan-eps-re", "inf-eps-im", "inf-omega"])
+@pytest.mark.parametrize("command", ["spectrum", "force"])
+def test_non_finite_table_exits_2(capsys, tmp_path, command, row):
+    # float() reads nan and inf: unchecked, they give a nan spectrum row, a force on
+    # a grid that ends at inf, or a numerical failure (exit 3) in Phi_1
+    table = tmp_path / "T.csv"
+    table.write_text("omega_rad_s,eps_re,eps_im\n1e12,-1e6,1e5\n1e13,-1e4,1e3\n"
+                     f"{row}\n", encoding="utf-8")
+    argv = [command, "--model", "tabulated", "--eps-csv", str(table)]
+    argv += (["--points", "3"] if command == "spectrum"
+             else [*STATE_ARGS, "--regime", "linear"])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load ") and "must be finite" in err
 
 
 @pytest.mark.parametrize("temp", ["300", "zero"])

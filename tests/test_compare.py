@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_friction.numerics import CONST
+from casimir_friction.numerics import CONST, DomainError
 from casimir_friction.material import Drude, Tabulated
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState
@@ -120,3 +120,19 @@ def test_report_requires_lossy_drude(monkeypatch):
     table = Tabulated(omega=np.array([1e12, 1e17]), eps=np.array([-1e6 - 1e5j, 0.5 - 0.1j]))
     with pytest.raises(TypeError, match="Drude"):
         consistency_report(table, PLATE, ROOM, v=1.0)
+
+
+def test_report_refuses_a_zero_velocity(monkeypatch):
+    # the linear/cubic ratio divides by v, and at v = 0 the checks compare zeros
+    # (0 against 12 at T = 0): a bad input, refused before any force
+    import casimir_friction.compare as compare_mod
+
+    def no_force(*args):
+        raise AssertionError("a force was computed before the check")
+
+    monkeypatch.setattr(compare_mod, "force_linear", no_force)
+    monkeypatch.setattr(compare_mod, "force_zero_t", no_force)
+    for thermal in (ThermalState.zero(), ROOM):
+        for v in (0.0, math.nan):
+            with pytest.raises(DomainError, match="velocity"):
+                consistency_report(GOLD, PlateConfig(d=1e-8), thermal, v)

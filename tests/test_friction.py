@@ -316,8 +316,9 @@ def test_general_nonconvergence_reports_level():
 
 
 def test_kx_nonconvergence_names_kx_and_omega():
-    # at T = 0 this band lies below omega_sp / 2, where Phi is a power series
-    # and its table one panel, so that only the k_x integral runs out of bisections
+    # at T = 0 this band lies far below omega_sp, where Phi is smooth: its quadrature
+    # converges within one bisection and its table is one panel, so that only the k_x
+    # integral runs out of bisections
     v = 3.0
     tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
     with pytest.raises(NonConvergence) as err:

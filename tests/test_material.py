@@ -167,8 +167,24 @@ def test_tabulated_rejects_bad_input(tmp_path):
 
     path = tmp_path / "active.csv"
     _write_csv(path, [(1e13, 1.0, -0.5), (1e14, 1.0, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="passivity"):
         Tabulated.from_csv(path)
+
+    # float() reads nan and inf, and a NaN passes Im eps < 0; an array passes the same checks
+    rows = [(1e13, 2.0, 0.1), (1e14, 1.5, 0.05), (1e15, 1.2, 0.01), (1e16, 1.1, 0.001)]
+    for row, column, value in ((1, 1, math.nan), (2, 2, math.inf), (3, 0, math.inf),
+                               (0, 0, math.nan), (1, 2, math.nan)):
+        bad = [list(r) for r in rows]
+        bad[row][column] = value
+        path = tmp_path / "non_finite.csv"
+        _write_csv(path, bad)
+        with pytest.raises(ValueError, match="finite"):
+            Tabulated.from_csv(path)
+        with pytest.raises(ValueError, match="finite"):
+            Tabulated(omega=np.array([w for w, _, _ in bad]),
+                      eps=np.array([complex(re_, -im_) for _, re_, im_ in bad]))
+    with pytest.raises(ValueError, match="passivity"):
+        Tabulated(omega=np.array([1e13, 1e14]), eps=np.array([1.0 + 0.5j, 1.0 + 0.0j]))
 
 
 def test_tabulated_extrapolation_forbidden(tmp_path):

@@ -30,12 +30,14 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     # the floor is 50 machine epsilons: rounding keeps the rule's error estimate above it
     floor = 50 * sys.float_info.epsilon
-    for below in (1e-14, -1.0, math.nan):
+    for bad in (1e-14, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rel_tol"):
-            QuadratureSpec(rel_tol=below)
+            QuadratureSpec(rel_tol=bad)
     assert QuadratureSpec(rel_tol=floor).rel_tol == floor
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
+    # a budget that is not an int would leave the bisection count unbounded
+    for budget in (0, -1, math.inf, math.nan, 200.0):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=budget)
 
 
 def test_polynomial_exactness():

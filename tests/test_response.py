@@ -346,7 +346,7 @@ def _quadrature_only(omegas, *_):
 @pytest.mark.parametrize("unequal", [False, True], ids=["equal", "unequal"])
 @pytest.mark.parametrize("ratio", [1e-3, 5e-3, 3e-2, 1.0, 1.999, 2.0, 3.0])
 def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
-    # Phi with its closed forms (where they hold the 1e-9 a force's Phi asks for)
+    # Phi with its closed form (where it holds the 1e-9 a force's Phi asks for)
     # against the quadrature alone at 1e-12, on 1e-6 .. 1e3 omega_sp, at T = 0 and
     # at finite T: within 1e-9, and never more off than it reports.  Lines up to
     # nu = 2 omega_sp (1.999: nearly critical, Omega ~ 0.03 omega_sp), the double
@@ -366,17 +366,16 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
     tol = 1e-3 * spec.rel_tol
     for thermal in (COLD, ThermalState.finite(30.0), ROOM, ThermalState.finite(1000.0)):
         _, _, used = _phi0.closed_form(omegas, metal, other, 0.5 * thermal.beta * CONST.hbar, tol)
+        # the quadrature alone below POLES_FROM times the smaller omega_sp, at every T
+        assert not used[omegas < _phi0.POLES_FROM * min(metal.omega_sp, other.omega_sp)].any()
         if ratio >= 2.0:
-            # no pole sum: at most the T = 0 power series, which needs no poles
-            assert not used[omegas > 0.5 * metal.omega_sp].any()
+            # no poles off the axes: no closed form
+            assert not used.any()
         elif ratio <= 3e-2:
             # the pole sum from 1.1 omega_sp to 10 omega_sp at least, but within 1 % of
-            # the merge of a pair's poles at the peak, where its bound grows as 1/|A|;
-            # at T = 0 the power series below omega_sp / 2
+            # the merge of a pair's poles at the peak, where its bound grows as 1/|A|
             high = (omegas >= 1.1 * other.omega_sp) & (omegas <= 10.0 * metal.omega_sp)
             assert used[high & (np.abs(omegas / peak - 1.0) > 1e-2)].all()
-            if thermal.is_zero:
-                assert used[omegas <= 0.5 * metal.omega_sp].all()
         phi, err = im_r_dissipation_integral(omegas, metal, other, thermal, spec)
         with monkeypatch.context() as patch:
             patch.setattr(_phi0, "closed_form", _quadrature_only)
