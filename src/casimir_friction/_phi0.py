@@ -1,4 +1,4 @@
-"""Phi of two Drude plates in closed form, at every temperature.
+"""Phi of two Drude plates in closed form: a pole sum, and at finite T a small-omega series.
 
 Phi(omega) = Int Im R1(u) Im R2(omega - u) [coth(b u) + coth(b (omega - u))] du,
 b = beta hbar / 2, of `response.im_r_dissipation_integral`, for lossy,
@@ -7,16 +7,21 @@ four simple poles at +-Omega +- i nu/2, so the integrand is a rational
 function of u times the thermal factor, and from half the smaller
 omega_sp up Phi is a sum over its poles (`_pole_sum`): of digamma
 functions at finite T, of logarithms at T = 0, their b -> inf limit,
-where the difference channel closes.  Below, its terms cancel, and Phi
-is left to the quadrature at every T.  The sum carries a bound on its
-rounding and is used only where that bound holds the tolerance asked
-for (`closed_form`).  `response` imports this module at its first Phi,
-so that a closed-form CLI call, which evaluates no Phi, does not
-compile it.
+where the difference channel closes.  Below, its terms cancel.  There,
+at finite T, Phi is its power series in omega (`series_coefficients`,
+`_series`): Im R of each plate is a power series inside its omega_sp,
+and each Bose factor weighs the other plate's Taylor series by moments
+of zeta values.  At T = 0 Phi is left to the quadrature below half the
+smaller omega_sp.  Each form carries a bound, on the pole sum's rounding
+and on the series' rounding and truncation, and is used only where that
+bound holds the tolerance asked for (`closed_form`).  `response` imports
+this module at its first Phi, so that a closed-form CLI call, which
+evaluates no Phi, does not compile it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .material import Drude
@@ -67,6 +72,12 @@ def _underdamped(material: Drude) -> bool:
     return material.omega_p > 0.0 and half_nu > 0.0 and 0.5 * material.omega_p**2 > half_nu * half_nu
 
 
+def _omega(material: Drude) -> float:
+    """Omega = sqrt(omega_sp^2 - nu^2 / 4) of an underdamped Drude metal, omega_sp^2 = omega_p^2 / 2."""
+    half_nu = 0.5 * material.nu
+    return math.sqrt(0.5 * material.omega_p**2 - half_nu * half_nu)
+
+
 def _poles(material: Drude):
     """The poles p_j of Im R in the upper half-plane and their residues a_j, as arrays.
 
@@ -76,9 +87,9 @@ def _poles(material: Drude):
     sum_j a_j / (omega - p_j) plus its conjugate, a_+- = +-i omega_sp^2 / (4 Omega).
     omega_sp^2 is 0.5 omega_p^2, rounded as `material.surface_response` rounds it.
     """
-    half_nu, square = 0.5 * material.nu, 0.5 * material.omega_p**2
-    big = math.sqrt(square - half_nu * half_nu)
+    square, big = 0.5 * material.omega_p**2, _omega(material)
     a = 0.25j * square / big
+    half_nu = 0.5 * material.nu
     return np.array([complex(big, half_nu), complex(-big, half_nu)]), np.array([a, -a])
 
 
@@ -166,14 +177,225 @@ def _pole_sum(w, material1: Drude, material2: Drude, b: float):
     return 2.0 * value, 2.0 * _POLE_ULPS * math.ulp(1.0) * bound
 
 
+#: Blocks of the small-omega series at most: its terms of total degree 2s + 3 in
+#: omega and k_B T / hbar, s = 0 .. _SERIES_BLOCKS.  At POLES_FROM omega_sp the
+#: blocks of the T = 0 part fall by about 4 per block, and the last is below
+#: 1e-17 of Phi.
+_SERIES_BLOCKS = 28
+#: The series' bound: _SERIES_ULPS ulps of the sum of its terms' sizes for its
+#: rounding, and _SERIES_TAIL times the first block it leaves out and the
+#: thermal weight of the lines it misses for its truncation; calibrated against
+#: Phi in 40-digit arithmetic (tests/phi_series_calibration.py), with a margin of 5.
+_SERIES_ULPS, _SERIES_TAIL = 19.0, 7.0
+#: Phi / omega below which the series is not used: there its terms may have
+#: left the normal floats, whose rounding is not a number of ulps.
+_SERIES_FLOOR = 1e-200
+
+
+@functools.cache
+def _series_constants():
+    """Exact constants of the small-omega series, as floats, for s up to _SERIES_BLOCKS + 1.
+
+    binom[k, i] = C(2k + 1, 2i + 1); beta[s, j] = a! c! / (a + c + 1)! with
+    a = 2j + 1, c = 2(s - j) + 1 (0 for j > s); moments[q] =
+    2 (2q + 1)! zeta(2q + 2), with zeta(2k) from the Bernoulli numbers of
+    `_digamma` for k <= 8, and above from its sum, whose 20 terms reach
+    double precision there; and the index arrays of the sums over j + k = s
+    (`series_coefficients`).
+    """
+    n = _SERIES_BLOCKS + 2
+    binom = np.array([[math.comb(2 * k + 1, 2 * i + 1) for i in range(n + 1)] for k in range(n)],
+                     dtype=float)
+    fact = [math.factorial(k) for k in range(4 * n)]
+    beta = np.array([[fact[2 * j + 1] * fact[2 * (s - j) + 1] / fact[2 * s + 3] if j <= s else 0.0
+                      for j in range(n)] for s in range(n)])
+    moments = [abs(c) * (2.0 * math.pi) ** (2 * q + 2) for q, c in enumerate(_PSI_SERIES)]
+    moments += [2.0 * fact[2 * q + 1] * math.fsum(m ** -(2.0 * q + 2.0) for m in range(1, 21))
+                for q in range(len(moments), 2 * n)]
+    s = np.arange(n)
+    return binom, beta, np.array(moments), np.maximum(s[:, None] - s, 0)
+
+
+@functools.cache
+def _thermal_indices(last: int):
+    """Where the thermal sums of `series_coefficients` take their terms, for blocks up to last.
+
+    The inner sum of omega^(2i+1) from gamma'_k is its partial sum up to
+    j = last - k at the lag k - i of I; ``weights`` is C(2k+1, 2i+1) where
+    i <= k, else 0, and ``hankel`` picks I_(2(j+h)+1).
+    """
+    binom = _series_constants()[0]
+    k, i = np.arange(last + 1)[:, None], np.arange(_SERIES_BLOCKS + 3)
+    inside = i <= k
+    # and for the first block left out, s = last + 1, C(c, n) + C(a, n) at k, j = s - k
+    both = binom[:last + 2, :last + 2] + binom[last + 1::-1, :last + 2]
+    return np.where(inside, k - i, 0), last - k, binom[:last + 1] * inside, k + k.T, both
+
+
+def _heads(material: Drude, ref: float) -> list:
+    """G_j, j = 0 .. _SERIES_BLOCKS + 1: -Im R(ref y) = sum_j G_j y^(2j+1) for ref |y| < omega_sp.
+
+    -Im R(u) = (nu / omega_sp^2) u / (1 - A x + x^2), x = u^2 / omega_sp^2,
+    A = 2 - nu^2 / omega_sp^2, and 1 / (1 - A x + x^2) = sum_j e_j x^j with
+    the Chebyshev recurrence e_j = A e_(j-1) - e_(j-2), e_0 = 1, e_1 = A;
+    G_j = (nu ref / omega_sp^2) e_j q^j, q = ref^2 / omega_sp^2, by the same
+    recurrence scaled by q.
+    """
+    square, half_nu = 0.5 * material.omega_p**2, 0.5 * material.nu
+    q = ref * ref / square
+    aq = (2.0 - 4.0 * (half_nu * half_nu / square)) * q
+    g = [material.nu * (ref / square)]
+    g.append(aq * g[0])
+    for _ in range(_SERIES_BLOCKS):
+        g.append(aq * g[-1] - q * q * g[-2])
+    return g
+
+
+@functools.lru_cache(maxsize=16)
+def series_coefficients(material1: Drude, material2: Drude, b: float):
+    """The coefficients phi_n of Phi = sum_n phi_n omega^n (odd n) at finite T, with their bound.
+
+    For lossy, underdamped Drude plates, b = beta hbar / 2 < inf.  With
+    -Im R1(u) = sum_j gamma_j u^a and -Im R2(u) = sum_k gamma'_k u^c,
+    a = 2j + 1, c = 2k + 1 (`_heads`), and coth x = sign x (1 + 2 n(|x|)),
+    n(x) = 1 / (e^(2x) - 1), Phi is a T = 0 part and a thermal part:
+
+        2 sum_jk gamma_j gamma'_k a! c! / (a + c + 1)! omega^(a + c + 1)
+        + 2 sum_jk gamma_j gamma'_k sum_(m even) [C(c, m) I_(a+m) omega^(c-m)
+                                                + C(a, m) I_(c+m) omega^(a-m)],
+
+    I_p = 2 p! zeta(p + 1) / (2b)^(p + 1), the moment of u^p against each
+    Bose factor, localized at u = 0 or u = omega, taken against the Taylor
+    series of the other plate's Im R there.  p is odd, so only zeta at even
+    arguments enters.  The T = 0 part converges for omega below both
+    omega_sp; the thermal part is asymptotic in k_B T / hbar omega_sp.  The
+    terms with j + k = s are block s, of total degree 2s + 3 in omega and
+    k_B T / hbar.  The series keeps the blocks up to the smallest at
+    omega -> 0, where the thermal part is all of Phi, and at most
+    _SERIES_BLOCKS: the thermal part of every omega^n sums the same
+    asymptotic series in k_B T / hbar, and by then the T = 0 part has
+    converged.  The coefficients depend on the plates and T alone, and are
+    kept for the next call.
+
+    Returns
+    -------
+    (ref, rows, lines)
+        ref, the smaller omega_sp; two rows over i = 0 .. _SERIES_BLOCKS + 2,
+        phi_(2i+1) ref^(2i) and the coefficients of the bound on its
+        rounding and truncation, so that at y = (omega / ref)^2
+        Phi = omega sum_i rows[0, i] y^i and the bound is
+        omega sum_i rows[1, i] y^i; and _SERIES_TAIL times a bound on
+        `_line_weight` over the series' window.
+    """
+    binom, beta, moments, lag = _series_constants()
+    n = _SERIES_BLOCKS + 2
+    ref = min(material1.omega_sp, material2.omega_sp)
+    g = _heads(material1, ref)
+    h = g if material2 is material1 else _heads(material2, ref)
+    # rows of values and, where Chebyshev's e_j change sign, of sizes: every
+    # array below holds one row, or two
+    g, h = (np.array((x, np.abs(x)) if min(x) < 0.0 else (x,)) for x in (g, h))
+    # I_(2q+1) / ref^(2q+2) = moments[q] tau^(2q+2), tau = k_B T / (hbar ref) = 1 / (2 b ref)
+    moment = moments * (0.5 / (b * ref)) ** np.arange(2, 2 * len(moments) + 1, 2)
+    # block s at omega -> 0 is its n = 1 term, 4 (s + 1) I_(2s+1) sum_(j+k=s) |gamma_j gamma'_k|
+    small = moment[:n] * np.arange(1, n + 1) * np.convolve(g[-1], h[-1])[:n]
+    rising = np.flatnonzero(small[1:_SERIES_BLOCKS + 1] > small[:_SERIES_BLOCKS])
+    last = int(rising[0]) if rising.size else _SERIES_BLOCKS
+    zero_t = 2.0 * np.einsum("sj,ij,isj->is", beta, g, h[:, lag])
+    rows = np.zeros((3, n + 1))
+    rows[:2, 1:last + 2] = zero_t[:, :last + 1]
+    rows[2, last + 2] = abs(zero_t[-1, last + 1])
+    # the thermal part of omega^(2i+1), i <= k <= last:
+    # 2 sum_k gamma'_k C(2k+1, 2i+1) sum_(j <= last - k) gamma_j I_(2(j+k-i)+1)
+    shift, tail, weights, hankel, both = _thermal_indices(last)
+    terms = moment[hankel]
+
+    def thermal(x, y):
+        partial = np.cumsum(x[:, None, :last + 1] * terms, axis=2)[:, shift, tail]
+        return 2.0 * np.einsum("ik,kn,ikn->in", y[:, :last + 1], weights, partial)
+
+    rows[:2] += 2.0 * thermal(g, h) if material2 is material1 else thermal(g, h) + thermal(h, g)
+    # the first block left out, by sizes: |gamma_(s-k) gamma'_k| at k = 0 .. s = last + 1
+    out = last + 1
+    pairs = np.abs(g[-1, out::-1] * h[-1, :out + 1])
+    rows[2, :out + 1] = 2.0 * moment[out::-1] * np.einsum("k,kn->n", pairs, both)
+    # _line_weight over the window: each line m meets the Bose factor no nearer to
+    # u = 0 than d_m = |Omega_m - POLES_FROM ref + i nu_m / 2| and omega_sp,m,
+    # and -Im R of the other plate m' is at most 2 omega_sp^3 / (nu Omega^2)
+    def bose(x):
+        """n(x / 2) = 1 / (e^x - 1) for x >= 0."""
+        return math.inf if x == 0.0 else 1.0 / math.expm1(x) if x < 709.0 else 0.0
+
+    weight = 0.0
+    for m, other in ((material1, material2), (material2, material1)):
+        near = math.hypot(max(_omega(m) - POLES_FROM * ref, 0.0), 0.5 * m.nu)
+        factor = bose(2.0 * b * near) + bose(2.0 * b * m.omega_sp)
+        if factor:  # and a peak past the float range weighs nothing
+            ratio = other.omega_sp / _omega(other)
+            weight += 2.0 * math.pi * m.omega_sp * factor * (2.0 * other.omega_sp / other.nu
+                                                             * ratio * ratio)
+    rows[1] = _SERIES_ULPS * math.ulp(1.0) * rows[1] + _SERIES_TAIL * rows[2]
+    rows.flags.writeable = False  # kept for the next call
+    return ref, rows[:2], _SERIES_TAIL * weight
+
+
+def _line_weight(w, material1: Drude, material2: Drude, b: float):
+    """The thermal weight of the lines that the small-omega series misses, at each w.
+
+    The series takes the Bose factor n(b |u|) at its Taylor series about
+    u = 0, and so misses the exponentially small weight that it puts on
+    each line.  With f = -Im R, odd, the line of plate 2 meets the factor
+    of plate 1 at u = w -+ Omega_2, where it weighs
+    f_1(Omega_2 - w) n(b |w - p_2|) - f_1(Omega_2 + w) n(b |w + conj p_2|),
+    and the line of plate 1 meets it at u = +-Omega_1, where it weighs
+    n(b omega_sp1) [f_2(Omega_1 + w) - f_2(Omega_1 - w)]; likewise with
+    the plates swapped.  Each is taken by its size, times 2 (pi omega_sp / 2),
+    twice the strength of the line.  Each pair is odd in w, as Phi is.
+    """
+    total = np.zeros(w.size)
+    for x, y in ((material1, material2),) if material2 is material1 else (
+            (material1, material2), (material2, material1)):
+        big_x, big_y = _omega(x), _omega(y)
+        v = np.stack((big_y - w, big_y + w, big_x + w, big_x - w))
+        sp = np.array([[x.omega_sp], [x.omega_sp], [y.omega_sp], [y.omega_sp]])
+        k = np.array([[x.nu], [x.nu], [y.nu], [y.nu]]) / sp
+        t = v / sp
+        f = k * t / ((1.0 - t * t) ** 2 + k * k * t * t)
+        f[:2] /= np.expm1(2.0 * b * np.hypot(v[:2], 0.5 * y.nu))
+        total += math.pi * (y.omega_sp * np.abs(f[0] - f[1])
+                            + x.omega_sp / np.expm1(2.0 * b * x.omega_sp) * np.abs(f[2] - f[3]))
+    return total if material2 is not material1 else 2.0 * total
+
+
+def _series(w, material1: Drude, material2: Drude, b: float):
+    """Phi by its small-omega series (`series_coefficients`) at each w, and a bound on its error.
+
+    The bound takes the thermal weight of the lines (`_line_weight`) at
+    each w where its bound over the window exceeds an ulp of Phi.  Each
+    omega's sum has the same terms, so that it does not depend on the others.
+    """
+    ref, rows, lines = series_coefficients(material1, material2, b)
+    sums = np.einsum("ij,kj->ki", np.vander((w / ref) ** 2, rows.shape[1], increasing=True), rows)
+    phi = w * sums[0]
+    bound = w * sums[1] + (lines + math.ulp(0.0))
+    if lines:
+        near = np.flatnonzero(lines > math.ulp(1.0) * phi)
+        if near.size:
+            weight = _SERIES_TAIL * _line_weight(w[near], material1, material2, b)
+            bound[near] = w[near] * sums[1, near] + (weight + math.ulp(0.0))
+    bound[sums[0] < _SERIES_FLOOR] = np.inf
+    return phi, bound
+
+
 def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float):
-    """Phi without quadrature, where its rounding bound holds tol.
+    """Phi without quadrature, where its bound holds tol.
 
     For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp),
     b = beta hbar / 2 (inf at T = 0): the pole sum (`_pole_sum`) at
-    omega >= POLES_FROM times the smaller omega_sp, where its bound is at
-    most tol * Phi.  Elsewhere, and for other plates, Phi and its bound
-    are 0 and ``used`` is False.  The sum is evaluated at the omegas of its
+    omega >= POLES_FROM times the smaller omega_sp, and at finite T the
+    small-omega series (`_series`) below, each where its bound is at most
+    tol * Phi.  Elsewhere, and for other plates, Phi and its bound are 0
+    and ``used`` is False.  Each form is evaluated at the omegas of its
     window alone, each apart from the others.
 
     Returns
@@ -184,12 +406,16 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     used = np.zeros(omegas.size, dtype=bool)
     if not (_underdamped(material1) and _underdamped(material2)):
         return value, bound, used
-    i = np.flatnonzero(omegas >= POLES_FROM * min(material1.omega_sp, material2.omega_sp))
-    if i.size:
-        # a pair's poles may merge at an omega (A_jk = 0): a bound that is
-        # not finite there leaves it unused
-        with np.errstate(all="ignore"):
-            phi, err = _pole_sum(omegas[i], material1, material2, b)
-        ok = err <= tol * phi
-        used[i], value[i], bound[i] = ok, np.where(ok, phi, 0.0), np.where(ok, err, 0.0)
+    high = omegas >= POLES_FROM * min(material1.omega_sp, material2.omega_sp)
+    # a pair's poles may merge at an omega (A_jk = 0): a bound that is not
+    # finite there leaves it unused
+    windows = [(high, _pole_sum)] if math.isinf(b) else [(high, _pole_sum), (~high, _series)]
+    with np.errstate(all="ignore"):
+        for window, form in windows:
+            i = np.flatnonzero(window)
+            if i.size:
+                phi, err = form(omegas[i], material1, material2, b)
+                ok = err <= tol * phi
+                i = i[ok]
+                used[i], value[i], bound[i] = True, phi[ok], err[ok]
     return value, bound, used

@@ -45,12 +45,14 @@ new panels in one call, each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
 Phi is one integral over the real line, folded at omega/2.  For lossy,
-underdamped Drude plates it is a closed form where its rounding bound
-holds that tolerance: a sum over the poles of its integrand from
-omega_sp / 2 up, of digamma functions at finite T and of logarithms at
-T = 0 (to about 14 omega_sp for a line 1e-3 omega_sp wide).  There the
-node's error estimate is that rounding bound, and only the other nodes,
-those below omega_sp / 2 among them, are integrated.
+underdamped Drude plates it is a closed form where its bound holds that
+tolerance: a sum over the poles of its integrand from omega_sp / 2 up,
+of digamma functions at finite T and of logarithms at T = 0 (to about
+14 omega_sp for a line 1e-3 omega_sp wide), and below omega_sp / 2 at
+finite T its small-omega series (for the reference metal at every omega
+there up to about 1000 K).  There the node's error estimate is that
+bound, and only the other nodes are integrated: at T = 0, those below
+omega_sp / 2 among them.
 The k_x integrals of all points take one
 `numerics.integrate_semi_infinite` pass over an array integrand, the
 tabulation's own kernel times the table, by the package's one G7/K15
@@ -149,6 +151,38 @@ def _require_velocity(v: float) -> None:
         raise DomainError(f"velocity must be finite and >= 0, got {v}")
 
 
+def _force(diag: Diagnostics, level: str, quantity: str, factors, divisors=()) -> float:
+    """prod(factors) / prod(divisors), with one rounding into the floats at the end.
+
+    Each operand is split into its mantissa in [0.5, 1) and its power of 2
+    (math.frexp), so that no intermediate leaves the normal floats; the
+    product of the mantissas takes its power of 2 last (math.ldexp).  A
+    force past the float range raises FloatFailure at ``level``; one below
+    the normal floats, of nonzero operands, is reported as 0 with an
+    "underflow:" flag on ``diag``.
+    """
+    mantissa, exponent = 1.0, 0
+    for x in factors:
+        f, k = math.frexp(x)
+        mantissa, j = math.frexp(mantissa * f)
+        exponent += j + k
+    for x in divisors:
+        f, k = math.frexp(x)
+        mantissa, j = math.frexp(mantissa / f)
+        exponent += j - k
+    try:
+        force = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        force = math.inf
+    if not math.isfinite(force):
+        raise FloatFailure(f"{quantity} is not finite", level)
+    if mantissa and abs(force) < sys.float_info.min:
+        diag.validity_flags.append(f"underflow: {quantity} is below the normal floats; "
+                                   "reported as 0")
+        return 0.0
+    return force
+
+
 def force_linear(
     material: MaterialModel,
     config: PlateConfig,
@@ -162,7 +196,8 @@ def force_linear(
     4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) of the Drude head, or the
     `response.phi_slope` quadrature over a tabulated material's grid,
     cell by cell between its nodes, whose error estimate is reported as
-    ``quadrature_rel_err``.
+    ``quadrature_rel_err``.  A force below the normal floats is 0 with an
+    "underflow:" flag.
 
     Raises
     ------
@@ -200,11 +235,10 @@ def force_linear(
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
 
-    quantity = f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {config.d!r} m, v = {v!r} m/s"
-    with float_guard(LINEAR_FINITE_T, quantity):
-        force = 3.0 * CONST.hbar * v * phi1 / (64.0 * math.pi**2 * config.d**4)
-    if not math.isfinite(force):  # a float product overflows without raising
-        raise FloatFailure(f"{quantity} is not finite", LINEAR_FINITE_T)
+    d = config.d
+    force = _force(diag, LINEAR_FINITE_T,
+                   f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {d!r} m, v = {v!r} m/s",
+                   (3.0 * CONST.hbar / (64.0 * math.pi**2), v, phi1), (d, d, d, d))
     return FrictionResult(
         force_per_area=force,
         regime=LINEAR_FINITE_T,
@@ -217,7 +251,8 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
 
     F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6) with the Drude-head
     coefficient Phi_3 = nu^2 / (3 omega_sp^4); both plates are the one
-    material.
+    material.  A force below the normal floats is 0 with an "underflow:"
+    flag.
 
     Raises
     ------
@@ -241,12 +276,11 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
             )
         with float_guard(ZERO_T_CUBIC, "Phi_3 = nu^2 / (3 omega_sp^4)"):
             phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
-        quantity = (f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {config.d!r} m, "
-                    f"v = {v!r} m/s")
-        with float_guard(ZERO_T_CUBIC, quantity):
-            force = 45.0 * CONST.hbar * v**3 * phi3 / (256.0 * math.pi**2 * config.d**6)
-        if not math.isfinite(force):  # a float product overflows without raising
-            raise FloatFailure(f"{quantity} is not finite", ZERO_T_CUBIC)
+        d = config.d
+        force = _force(diag, ZERO_T_CUBIC,
+                       f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {d!r} m, v = {v!r} m/s",
+                       (45.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v, phi3),
+                       (d, d, d, d, d, d))
     return FrictionResult(
         force_per_area=force,
         regime=ZERO_T_CUBIC,
@@ -571,7 +605,8 @@ def general_forces(
     the point's table error, the panel errors weighed by the table's
     moments of its kernel: the budget covers Phi, the table and k_x.  A
     point with v = 0 has force 0; a lossless plate's 0 carries the
-    `flag_lossless` flag.
+    `flag_lossless` flag, and a force below the normal floats is 0 with
+    an "underflow:" flag.
 
     Raises
     ------
@@ -644,13 +679,12 @@ def general_forces(
     # product, whose first call would have BLAS allocate its buffers
     table_errors = ((moments * table.errors).sum(axis=1) / speeds).tolist()
     for i, (value, err), bound in zip(live, pairs, table_errors):
-        # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
-        force = CONST.hbar / (8.0 * math.pi**3) * value / d[i] / d[i]
-        if not math.isfinite(force):  # a float quotient overflows without raising
-            raise FloatFailure(f"force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2) at "
-                               f"d = {d[i]!r} m, v = {v[i]!r} m/s overflows", "k_x")
         result = results[i]
-        result.force_per_area = force
+        # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
+        result.force_per_area = _force(
+            result.diagnostics, "k_x", f"force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2) at "
+            f"d = {d[i]!r} m, v = {v[i]!r} m/s", (CONST.hbar / (8.0 * math.pi**3), value),
+            (d[i], d[i]))
         result.diagnostics.quadrature_rel_err = (abs(err) + bound) / abs(value) if value else 0.0
         flag_lossless(result.diagnostics, material1, material2)
     return results

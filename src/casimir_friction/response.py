@@ -37,20 +37,27 @@ node of any tabulated material, and a table is not extrapolated.
 over its own grid.
 
 For lossy, underdamped Drude plates (omega_p > 0, 0 < nu < 2 omega_sp)
-Phi needs no quadrature where its closed form holds the tolerance
+Phi needs no quadrature where a closed form holds the tolerance
 (`_phi0`, loaded at the first Phi).  Im R is four simple poles at
 +-Omega +- i nu/2, so Phi is a sum over the 8 poles of its integrand:
 of digamma functions at finite T, by the Mittag-Leffler series of coth,
 and of logarithms at T = 0, their limit.  It is used from half the
-smaller omega_sp up, at every T; below, its terms cancel.  It carries a
-rounding bound, calibrated against 40-digit arithmetic, and is used only
-where that bound is within Phi's tolerance, and the node's error is that
-bound.  At the 1e-9 of a force's table, for
-a line 1e-3 omega_sp wide the pole sum holds from about 1.01 to
-14 omega_sp, for one 3e-2 omega_sp wide from 0.5 to about 61, at T = 0
-and at 30 to 1000 K; within about 1e-5 nu of Omega_1 + Omega_2, where a
-pair of its poles merges, it leaves equal plates to the quadrature.  The
-quadrature takes only the omegas that remain.
+smaller omega_sp up, at every T; below, its terms cancel.  There, at
+finite T, Phi is its small-omega series, sum_n phi_n omega^n over odd n,
+from the power series of Im R inside omega_sp and the moments of the
+Bose factors; it is asymptotic in k_B T / hbar omega_sp, and misses the
+thermal weight of the lines, which its bound takes in.  Each form carries
+a bound, calibrated against 40-digit arithmetic, and is used only where
+that bound is within Phi's tolerance, and the node's error is that
+bound.  At the 1e-9 of a force's table, for a line 1e-3 omega_sp wide
+the pole sum holds from about 1.01 to 14 omega_sp, for one 3e-2 omega_sp
+wide from 0.5 to about 61, at T = 0 and at 30 to 1000 K; within about
+1e-5 nu of Omega_1 + Omega_2, where a pair of its poles merges, it leaves
+equal plates to the quadrature.  The series takes every omega below
+omega_sp / 2 up to 300 K for lines 1e-3 to 0.3 omega_sp wide, and at
+3000 K it leaves those near omega_sp / 2 to the quadrature.  The
+quadrature takes only the omegas that remain: at T = 0, all those below
+half the smaller omega_sp.
 
 A force reads Phi from a table of it (`friction.tabulate_phi`), which
 asks for the nodes of all the panels of one refinement step in one call.
@@ -167,12 +174,13 @@ def im_r_dissipation_integral(
     carries the linear-in-v friction as omega_v -> 0, and is closed at
     T = 0; at -60/b its factor has fallen below e^-120.  Above 0 is the
     sum channel, whose factor is 2 at T = 0.  For lossy, underdamped
-    Drude plates Phi is taken without quadrature at each omega where its
-    closed form holds the tolerance (`_phi0.closed_form`), and the rule
-    integrates the others.  For equal plates (``material2 is material1``)
-    the two products are one, doubled.  Far above the resonances the
-    fold meets each line at a small |u|, not at a difference w - u
-    rounded on the scale of w.
+    Drude plates Phi is taken without quadrature at each omega where a
+    closed form holds the tolerance (`_phi0.closed_form`: the pole sum
+    from half the smaller omega_sp up, and at finite T the small-omega
+    series below), and the rule integrates the others.  For equal plates
+    (``material2 is material1``) the two products are one, doubled.  Far
+    above the resonances the fold meets each line at a small |u|, not at
+    a difference w - u rounded on the scale of w.
 
     The integral at every omega is a composite G7/K15 rule refined by
     bisection (`_integrate`), all of them in one numpy pass per round.
@@ -194,8 +202,8 @@ def im_r_dissipation_integral(
     -------
     (Phi, err_estimate)
         Floats for a scalar omega_v, else arrays of its shape; the error
-        is the sum of the segments' |K15 - G7|, or the rounding bound of
-        the closed form where Phi is taken without quadrature.
+        is the sum of the segments' |K15 - G7|, or the bound of the
+        closed form where Phi is taken without quadrature.
 
     Raises
     ------

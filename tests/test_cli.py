@@ -162,7 +162,10 @@ FLOAT_FAILURES = [
       "--regime", "linear"], "LinearFiniteT", "Phi_1 = "),
     (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "1e300", "--velocity", "1",
       "--regime", "general"], "omega1", "thermal scale 2 k_B T / hbar"),
-    (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--velocity", "1e-300",
+    # at 300 K Phi's small-omega series takes these omegas, and the force underflows
+    # (test_forces_at_tiny_velocities_are_linear_or_flagged_zero); at 3000 K the series
+    # leaves them to the quadrature
+    (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "3000", "--velocity", "1e-300",
       "--regime", "general"], "omega1", "Phi (sum channel) is not finite at omega="),
     (["force", "--model", "drude", "--wp-ev", "1e-300", "--nu-ev", "1e-300", "--gap-nm", "10",
       "--temp-k", "300", "--velocity", "1", "--regime", "linear"], "LinearFiniteT", "Phi_1 = "),
@@ -192,6 +195,38 @@ def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quan
     # the line names the quantity that failed and the level it failed at
     assert quantity in failures[0]
     assert failures[0].endswith(f"(level: {level})")
+
+
+@pytest.mark.parametrize("regime, temp, power, exponents", [
+    ("linear", "300", 1, range(-250, -301, -5)),
+    ("general", "300", 1, range(-250, -301, -5)),
+    ("zero-t", "zero", 3, [*range(-90, -101, -2), -250, -300]),
+])
+def test_forces_at_tiny_velocities_are_linear_or_flagged_zero(capsys, regime, temp, power,
+                                                              exponents):
+    # each force is v^power times its value at 1 m/s, with no digits lost to an
+    # intermediate product below the normal floats (3 hbar v at 1e-285 m/s printed 0.0),
+    # or, where the force itself is below them, 0 with an underflow flag; --rtol 1e-9
+    # holds the general force's k_x integral to about 1e-15 (at the default 1e-6 it
+    # moves by 2.7e-12 between 1 and 0.1 m/s)
+    def force(velocity):
+        code, out, _ = run_cli(capsys, ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", temp,
+                                        "--velocity", repr(velocity), "--regime", regime,
+                                        "--rtol", "1e-9"])
+        assert code == 0
+        doc = json.loads(out)
+        return doc["force_per_area_N_m2"], doc["diagnostics"]["validity_flags"]
+
+    unit, _ = force(1.0)
+    for exponent in exponents:
+        v = 10.0**exponent
+        value, flags = force(v)
+        if value:
+            assert value / v**power == pytest.approx(unit, rel=1e-12)
+            assert not flags
+        else:
+            assert unit * v**power < sys.float_info.min * (1.0 + 1e-9)
+            assert [f for f in flags if f.startswith("underflow: ")]
 
 
 def test_force_rtol_below_quadrature_floor_exits_2(capsys):
@@ -1165,6 +1200,29 @@ def test_general_path_runs_without_scipy(argv):
     assert (blocked.returncode, fresh.returncode) == (0, 0), blocked.stderr
     assert blocked.stdout == fresh.stdout
     assert blocked.stderr.splitlines()[-1] == "[]"
+
+
+#: In a fresh interpreter: run cli.main on argv[1:], then print the mpmath and scipy
+#: modules loaded and how many coefficient sets of Phi's small-omega series were built.
+SERIES_PROBE = """
+import contextlib, io, json, sys
+from casimir_friction.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+from casimir_friction import _phi0
+print(json.dumps([code, [m for m in sys.modules if m.startswith(("mpmath", "scipy"))],
+                  _phi0.series_coefficients.cache_info().currsize]))
+"""
+
+
+def test_series_path_loads_neither_mpmath_nor_scipy():
+    # a 300 K general force takes Phi below omega_sp / 2 from its small-omega series,
+    # whose zeta values and binomials are the package's own
+    argv = ["force", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general"]
+    proc = subprocess.run([sys.executable, "-c", SERIES_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [], 1]
 
 
 #: In a fresh interpreter: import the package, run each argv of argv[1] through

@@ -354,7 +354,8 @@ def test_general_force_calls_both_numerics_fronts(monkeypatch):
 
 
 def test_general_equal_plates_share_difference_channel(monkeypatch):
-    # counts the omega nodes at which Phi's rule evaluates R, in arrays
+    # counts the omega nodes at which Phi's rule evaluates R, in arrays; at 3000 K
+    # the small-omega series leaves Phi to the quadrature (at 300 K it takes every node)
     nodes = []
 
     def counting(model, omega):
@@ -362,11 +363,12 @@ def test_general_equal_plates_share_difference_channel(monkeypatch):
         return surface_response(model, omega)
 
     monkeypatch.setattr(response, "surface_response", counting)
-    shared = dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0, FAST)
+    hot = ThermalState.finite(3000.0)
+    shared = dissipation_general(GOLD, GOLD, PLATE, hot, 1.0, FAST)
     shared_nodes = sum(nodes)
     nodes.clear()
     twin = Drude(omega_p=GOLD.omega_p, nu=GOLD.nu)
-    separate = dissipation_general(GOLD, twin, PLATE, ROOM, 1.0, FAST)
+    separate = dissipation_general(GOLD, twin, PLATE, hot, 1.0, FAST)
     assert shared.force_per_area == separate.force_per_area
     assert shared.diagnostics == separate.diagnostics
     assert 0 < shared_nodes < sum(nodes)

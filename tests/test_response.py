@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
     # at finite T: within 1e-9, and never more off than it reports.  Lines up to
     # nu = 2 omega_sp (1.999: nearly critical, Omega ~ 0.03 omega_sp), the double
     # pole at nu = 2 omega_sp and an overdamped plate (3.0), whose poles are
-    # imaginary: those are left to the quadrature
+    # imaginary: the pole sum leaves those to the quadrature
     metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
     other = (Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6 * ratio * GOLD.omega_sp) if unequal
              else metal)
@@ -364,13 +365,24 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
         omegas = np.append(omegas, peak * (1.0 + np.array([-1e-9, 0.0, 1e-12, 1e-7, 1e-4])))
     spec = QuadratureSpec(rel_tol=1e-6)
     tol = 1e-3 * spec.rel_tol
+    low = omegas < _phi0.POLES_FROM * min(metal.omega_sp, other.omega_sp)
     for thermal in (COLD, ThermalState.finite(30.0), ROOM, ThermalState.finite(1000.0)):
-        _, _, used = _phi0.closed_form(omegas, metal, other, 0.5 * thermal.beta * CONST.hbar, tol)
-        # the quadrature alone below POLES_FROM times the smaller omega_sp, at every T
-        assert not used[omegas < _phi0.POLES_FROM * min(metal.omega_sp, other.omega_sp)].any()
-        if ratio >= 2.0:
-            # no poles off the axes: no closed form
+        b = 0.5 * thermal.beta * CONST.hbar
+        value, _, used = _phi0.closed_form(omegas, metal, other, b, tol)
+        if thermal.is_zero:
+            # the quadrature alone below POLES_FROM times the smaller omega_sp at T = 0
+            assert not used[low].any()
+        elif used[low].any():
+            # and at finite T the small-omega series there
+            series, _ = _phi0._series(omegas[low & used], metal, other, b)
+            assert (value[low & used] == series).all()
+        if ratio > 2.0:
+            # overdamped: no poles off the axes, no closed form
             assert not used.any()
+        elif ratio == 2.0:
+            # the double pole, where Omega^2 rounds to a few ulps: no pole sum, but
+            # below POLES_FROM the series, whose Taylor radius is omega_sp at any nu
+            assert not used[~low].any()
         elif ratio <= 3e-2:
             # the pole sum from 1.1 omega_sp to 10 omega_sp at least, but within 1 % of
             # the merge of a pair's poles at the peak, where its bound grows as 1/|A|
@@ -400,6 +412,74 @@ def test_phi_in_the_closed_form_window_integrates_nothing(monkeypatch):
             again = im_r_dissipation_integral(omegas, GOLD, GOLD, thermal, spec)
         assert (again[0] == phi).all() and (again[1] == err).all()
         assert (err <= 1e-9 * phi).all()
+
+
+def test_phi_in_the_series_window_integrates_nothing(monkeypatch):
+    # a 300 K call whose every omega is below omega_sp / 2 runs no quadrature: the
+    # small-omega series takes them all
+    omegas = GOLD.omega_sp * np.logspace(-9.0, math.log10(0.49), 32)
+    spec = QuadratureSpec(rel_tol=1e-6)  # the tolerance of a force's table
+    phi, err = im_r_dissipation_integral(omegas, GOLD, GOLD, ROOM, spec)
+
+    def integrate(*_):
+        raise AssertionError("the quadrature ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(response, "_integrate", integrate)
+        again = im_r_dissipation_integral(omegas, GOLD, GOLD, ROOM, spec)
+    assert (again[0] == phi).all() and (again[1] == err).all()
+    assert (err <= 1e-9 * phi).all()
+
+
+@pytest.mark.parametrize("ratio, other_ratio", [
+    (1e-3, None), (1e-3, 6e-4), (3e-2, None), (3e-2, 1.8e-2), (0.3, None), (0.3, 0.18),
+    (3e-2, 1.2),  # the terms of the second plate's Im R change sign, the first's do not
+])
+def test_phi_series_matches_the_quadrature(monkeypatch, ratio, other_ratio):
+    # below POLES_FROM omega_sp at finite T, Phi from its small-omega series against
+    # the quadrature alone at 1e-12, for equal plates (other_ratio None) and unequal
+    # ones: within 1e-9, and never more off than it reports; up to 300 K the series
+    # takes every omega
+    metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
+    other = (metal if other_ratio is None
+             else Drude(omega_p=1.3 * GOLD.omega_p, nu=other_ratio * GOLD.omega_sp))
+    omegas = GOLD.omega_sp * np.logspace(-8.0, math.log10(0.499), 40)
+    spec = QuadratureSpec(rel_tol=1e-6)
+    for temperature in (1.0, 30.0, 300.0, 1000.0):
+        thermal = ThermalState.finite(temperature)
+        _, _, used = _phi0.closed_form(omegas, metal, other, 0.5 * thermal.beta * CONST.hbar,
+                                       1e-3 * spec.rel_tol)
+        assert used.all() or temperature > 300.0
+        phi, err = im_r_dissipation_integral(omegas, metal, other, thermal, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(_phi0, "closed_form", _quadrature_only)
+            reference, _ = im_r_dissipation_integral(omegas, metal, other, thermal, TIGHT)
+        deviation = np.abs(phi - reference)
+        assert (deviation <= 1e-9 * reference).all()
+        assert (deviation <= err).all()
+
+
+@pytest.mark.parametrize("temperature", [1000.0, 3000.0])
+def test_phi_series_leaves_hot_nodes_to_the_quadrature(monkeypatch, temperature):
+    # 5 eV plates with a 0.1 eV line at 1000 and 3000 K: the thermal weight of the line,
+    # which the series misses, is past the tolerance next to POLES_FROM omega_sp, so the
+    # series refuses those omegas and the quadrature takes them
+    metal = Drude(omega_p=5.0 * CONST.eV / CONST.hbar, nu=0.1 * CONST.eV / CONST.hbar)
+    thermal = ThermalState.finite(temperature)
+    omegas = metal.omega_sp * np.array([0.3, 0.4, 0.45, 0.49])
+    spec = QuadratureSpec(rel_tol=1e-6)
+    _, _, used = _phi0.closed_form(omegas, metal, metal, 0.5 * thermal.beta * CONST.hbar,
+                                   1e-3 * spec.rel_tol)
+    assert not used.any()
+    phi, err = im_r_dissipation_integral(omegas, metal, metal, thermal, spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(_phi0, "closed_form", _quadrature_only)
+        reference, _ = im_r_dissipation_integral(omegas, metal, metal, thermal, TIGHT)
+    assert (np.abs(phi - reference) <= 1e-9 * reference).all()
+    assert (np.abs(phi - reference) <= err).all()
+    # the series itself is off there by more than the tolerance
+    series, _ = _phi0._series(omegas, metal, metal, 0.5 * thermal.beta * CONST.hbar)
+    assert (np.abs(series - reference) > 1e-3 * spec.rel_tol * reference).any()
 
 
 @pytest.mark.parametrize("real", [0.01, 0.5, 1.0, 9.5, 9.999, 10.0, 10.001, 37.0])
@@ -479,24 +559,66 @@ _PLATE = st.builds(_drude, st.sampled_from(["lossy"] * 3 + ["lossless", "transpa
                    st.floats(-4.0, 1.0).map(lambda x: 10.0**x))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+_LOSSY = st.builds(_drude, st.just("lossy"), st.floats(14.0, 17.0).map(lambda x: 10.0**x),
+                   st.floats(-4.0, math.log10(1.99)).map(lambda x: 10.0**x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(material1=_LOSSY, material2=st.one_of(st.none(), _LOSSY), t_exp=st.floats(-1.0, 4.0),
+       below=st.floats(-10.0, math.log10(_phi0.POLES_FROM) - 1e-9))
+def test_phi_series_property(material1, material2, t_exp, below):
+    # lossy, underdamped plates, equal (None) or not, at 0.1 K to 1e4 K and omega
+    # below POLES_FROM times the smaller omega_sp: where the small-omega series takes
+    # Phi, the quadrature alone at 1e-12 agrees with it within the two errors
+    material2 = material2 or material1
+    thermal = ThermalState.finite(10.0**t_exp)
+    omega = 10.0**below * min(material1.omega_sp, material2.omega_sp)
+    phi, err = im_r_dissipation_integral(omega, material1, material2, thermal)
+    assert math.isfinite(phi) and phi > 0.0 and math.isfinite(err) and err >= 0.0
+    used = _phi0.closed_form(np.array([omega]), material1, material2,
+                             0.5 * thermal.beta * CONST.hbar, 1e-12)[2][0]
+    if used:
+        with mock.patch.object(_phi0, "closed_form", _quadrature_only):
+            reference, reference_err = im_r_dissipation_integral(omega, material1, material2,
+                                                                 thermal, TIGHT)
+        assert abs(phi - reference) <= err + reference_err
+
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     material1=st.one_of(_PLATE, st.sampled_from([Drude(omega_p=2e154, nu=1e152),
                                                   Drude(omega_p=1.77e-252, nu=1.77e-252)])),
     material2=st.one_of(st.none(), _PLATE),
     t_exp=st.one_of(st.none(), _exponent(-1.0, 4.0)),
     omega_exp=_exponent(8.0, 18.0),
+    below=st.one_of(st.none(), st.floats(-10.0, math.log10(_phi0.POLES_FROM) - 1e-9)),
 )
-def test_phi_property_over_drude_plates(material1, material2, t_exp, omega_exp):
+def test_phi_property_over_drude_plates(material1, material2, t_exp, omega_exp, below):
     # lossless (nu = 0), transparent (omega_p = 0) and overdamped (nu > 2 omega_sp)
     # plates included, equal (None) or not, and plates, temperatures and omegas of
-    # any decade, among them omega_p^2 past the float range and omega_sp^2 below it:
-    # Phi and its error are finite and >= 0, or the call raises a documented error
+    # any decade, among them omega_p^2 past the float range and omega_sp^2 below it,
+    # and omegas below POLES_FROM times the smaller omega_sp (``below``, its log10 in
+    # units of that omega_sp), where the small-omega series takes Phi at finite T:
+    # Phi and its error are finite and >= 0, or the call raises a documented error;
+    # where the series took Phi, the quadrature alone agrees within the two errors
+    material2 = material2 or material1
     thermal = COLD if t_exp is None else ThermalState.finite(10.0**t_exp)
+    low = min(material1.omega_sp, material2.omega_sp)
+    omega = 10.0**below * low if below is not None and low > 0.0 else 10.0**omega_exp
     try:
-        phi, err = im_r_dissipation_integral(10.0**omega_exp, material1,
-                                             material2 or material1, thermal)
+        phi, err = im_r_dissipation_integral(omega, material1, material2, thermal)
     except (NonConvergence, FloatFailure, SingularResponse, DomainError):
         return
     assert math.isfinite(phi) and phi >= 0.0
     assert math.isfinite(err) and err >= 0.0
+    b = 0.5 * thermal.beta * CONST.hbar
+    if thermal.is_zero or not omega < _phi0.POLES_FROM * low:
+        return
+    if not _phi0.closed_form(np.array([omega]), material1, material2, b, 1e-12)[2][0]:
+        return
+    with mock.patch.object(_phi0, "closed_form", _quadrature_only):
+        try:
+            reference, reference_err = im_r_dissipation_integral(omega, material1, material2,
+                                                                 thermal, TIGHT)
+        except (NonConvergence, FloatFailure, SingularResponse):
+            return
+    assert abs(phi - reference) <= err + reference_err
