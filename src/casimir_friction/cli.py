@@ -18,7 +18,8 @@ Conventions
   OSError: one `error: ...` line); 3 numerical failure (NonConvergence or
   any ArithmeticError, such as a float overflow at extreme finite inputs:
   one `numerical failure: ...` line, naming the quantity that failed and
-  its level) or a failed `compare` check.
+  its level; for `compare`, also a compared force below the normal
+  floats, at level `compare`) or a failed `compare` check.
 - A tabulated material takes only `--regime linear`.  The `zero-t` and
   `plasmon` closed forms need a Drude material, and a tabulated one exits
   2 for them, also when `--regime auto` chose them; so does `general`,
@@ -33,9 +34,9 @@ Conventions
   whose document has no place for run metadata.
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
-  checks every row's velocity and gap and takes all rows in one
-  `friction.general_forces` call: one Phi table, refined by every row's
-  kernel to --rtol, and one k_x integral per row; every other general
+  checks every row's velocity, gap and kernel band and takes all rows in
+  one `friction.general_forces` call: one Phi table, refined by every
+  row's kernel to --rtol, and one k_x integral per row; every other general
   force tabulates Phi for its own point.  A bad input or a numerical
   failure at a sweep row names the row and swept value as its
   `validity:` lines do (`error: row 0 (velocity=-1.0): ...`,
@@ -61,19 +62,20 @@ import json
 import math
 import sys
 
-from .numerics import CONST, NESTED_SPEC, NonConvergence, QuadratureSpec, np
+from .numerics import CONST, NESTED_SPEC, FloatFailure, NonConvergence, QuadratureSpec, np
 from .material import Drude, Tabulated, surface_response
 from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
     FrictionResult,
+    _require_point,
     dissipation_general,
     force_linear,
     force_plasmon,
     force_zero_t,
     general_forces,
 )
-from .compare import RATIO_COEFFICIENT, consistency_report
+from .compare import consistency_report, linear_cubic_ratio
 
 
 class CLIError(ValueError):
@@ -244,7 +246,10 @@ def resolve_regime(regime: str, material, thermal: ThermalState, d: float, v: fl
         if thermal.is_zero:
             regime = "zero-t"
         else:
-            ratio = RATIO_COEFFICIENT * (d / (thermal.beta * CONST.hbar * v)) ** 2
+            try:
+                ratio = linear_cubic_ratio(d, thermal, v)
+            except FloatFailure:  # past the float range, so >= 1
+                ratio = math.inf
             regime = "linear" if ratio >= 1.0 else "zero-t"
             _note(f"auto regime: {where}linear/cubic discriminator = {ratio:.3e} -> {regime}")
     elif regime == "linear" and thermal.is_zero:
@@ -398,8 +403,9 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
     """Each row's force, in order; a bad input at a row names it.
 
     Phi depends on the material and T only, so a general sweep over v or
-    d checks every row's gap and velocity and takes all rows in one
-    `general_forces` call.  Any other sweep takes one force per row.
+    d checks every row's gap, velocity and kernel band and takes all
+    rows in one `general_forces` call.  Any other sweep takes one force
+    per row.
     """
     if args.regime == "general" and key in ("velocity", "gap_nm"):
         gaps, speeds = [], []
@@ -407,7 +413,8 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
             try:
                 gaps.append(build_plate(point).d)
                 speeds.append(_checked(point.velocity, "--velocity"))
-            except CLIError as exc:
+                _require_point(speeds[-1], gaps[-1], thermal)
+            except ValueError as exc:
                 raise CLIError(f"{where}{exc}") from exc
         try:
             results = general_forces(material, material, thermal, speeds, gaps, _spec(args))

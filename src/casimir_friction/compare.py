@@ -30,7 +30,7 @@ from .numerics import CONST, DomainError, FloatFailure, float_guard
 from .material import Drude
 from .geometry import PlateConfig
 from .response import ThermalState
-from .friction import _require_velocity, force_linear, force_zero_t
+from .friction import _force, _require_velocity, force_linear, force_zero_t
 
 #: Exact linear/cubic ratio coefficient (1/12)(64 pi^2/5) = 16 pi^2/15.
 RATIO_COEFFICIENT = 16.0 * math.pi**2 / 15.0
@@ -46,24 +46,33 @@ def pendry_force(sigma_over_eps0: float, d: float, v: float) -> float:
     eps = 1 + i sigma/(omega eps0) dielectric function, the "4 pi sigma"
     of Gaussian-unit conventions.  Stated for v < d sigma/(omega eps0),
     with the sliding frequency omega = v/d; `consistency_report` flags a
-    velocity outside it.  Raises DomainError unless sigma_over_eps0 and d
-    are finite and > 0 and v is finite and >= 0, and FloatFailure (level
-    "compare") if the force overflows.
+    velocity outside it.  A force below the normal floats is 0.0.
+    Raises DomainError unless sigma_over_eps0 and d are finite and > 0
+    and v is finite and >= 0, and FloatFailure (level "compare") if the
+    force overflows.
     """
     for name, x in (("sigma/eps0", sigma_over_eps0), ("gap d", d)):
         if not (x > 0 and math.isfinite(x)):
             raise DomainError(f"{name} must be finite and > 0, got {x}")
     _require_velocity(v)
-    # v^3 / (sigma^2 d^6) as w (w / sigma / d)^2 / d, w = v / d: no power of an
-    # argument alone, which can leave the float range where the force does not
-    w = v / d
-    ratio = w / sigma_over_eps0 / d
-    force = 5.0 * CONST.hbar / (256.0 * math.pi**2) * w * ratio * ratio / d
-    if not math.isfinite(force):  # a float product overflows without raising
-        raise FloatFailure(f"Pendry's force 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6) at "
-                           f"sigma/eps0 = {sigma_over_eps0!r} rad/s, d = {d!r} m, "
-                           f"v = {v!r} m/s is not finite", "compare")
-    return force
+    return _force([], "compare", f"Pendry's force 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6) "
+                  f"at sigma/eps0 = {sigma_over_eps0!r} rad/s, d = {d!r} m, v = {v!r} m/s",
+                  (5.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v),
+                  (sigma_over_eps0, sigma_over_eps0, d, d, d, d, d, d))
+
+
+def linear_cubic_ratio(d: float, thermal: ThermalState, v: float) -> float:
+    """The linear/cubic discriminator F_linear / F_zeroT = (16 pi^2/15) (d k_B T / (hbar v))^2.
+
+    For a finite T, a gap d > 0 and a velocity v > 0.  A ratio below the
+    normal floats is 0.0; one past them raises FloatFailure (level
+    "compare") naming it.
+    """
+    kt = (CONST.k_B, thermal.temperature)
+    return _force([], "compare", f"expected linear/cubic ratio (16 pi^2/15) "
+                  f"(d k_B T / (hbar v))^2 at d = {d!r} m, T = {thermal.temperature!r} K, "
+                  f"v = {v!r} m/s", (RATIO_COEFFICIENT, d, d, *kt, *kt),
+                  (CONST.hbar, CONST.hbar, v, v))
 
 
 def consistency_report(
@@ -75,14 +84,15 @@ def consistency_report(
     """Cross-check this package's closed forms against the literature chain.
 
     Returns a JSON-ready dict with the five forces, the linear/cubic
-    ratio, a ``checks`` list whose entries must all pass for any valid
-    Drude configuration (everything here is density-independent), and a
-    ``validity_flags`` list: the flags of the two closed-form results,
-    then the Pendry window v < d sigma/(omega eps0) if v leaves it.
-    Raises TypeError for a non-Drude material, ValueError unless
-    omega_p > 0 and nu > 0, and DomainError unless v is finite and > 0
-    (the ratios divide by v), before computing anything, and FloatFailure
-    (level "compare") if sigma/eps0 = omega_p^2/nu overflows.
+    ratio, a ``checks`` list whose entries all pass (everything here is
+    density-independent), and a ``validity_flags`` list: the flags of
+    the two closed-form results, then the Pendry window
+    v < d sigma/(omega eps0) if v leaves it.  Raises TypeError for a
+    non-Drude material, ValueError unless omega_p > 0 and nu > 0, and
+    DomainError unless v is finite and > 0 (the ratios divide by v),
+    before computing anything; FloatFailure if a quantity is past the
+    float range, and (level "compare") if a compared force or the
+    expected ratio is below the normal floats, naming it.
     """
     if not isinstance(material, Drude):
         raise TypeError("consistency_report requires a Drude material")
@@ -111,49 +121,34 @@ def consistency_report(
     f_vp = 6.0 * f_pendry
     f_barton = 12.0 * f_pendry
 
+    compared = {"F_ours_zeroT": f_cubic, "F_Pendry": f_pendry}
     if thermal.is_zero:
         ratio_expected = 0.0
     else:
-        with float_guard("compare", "expected linear/cubic ratio "
-                                    "(16 pi^2/15) (d / (beta hbar v))^2"):
-            ratio_expected = (
-                RATIO_COEFFICIENT * (config.d / (thermal.beta * CONST.hbar * v)) ** 2
-            )
-    ratio = f_lin / f_cubic if f_cubic else 0.0
+        ratio_expected = linear_cubic_ratio(config.d, thermal, v)
+        compared.update(F_ours_linear=f_lin, ratio_expected=ratio_expected)
+    below = [name for name, x in compared.items() if not x]
+    if below:
+        raise FloatFailure(f"{', '.join(below)} below the normal floats at d = {config.d!r} m, "
+                           f"v = {v!r} m/s; the checks cannot compare a 0 in place of a force",
+                           "compare")
+    ratio = f_lin / f_cubic
 
     def rel(a: float, b: float) -> float:
         scale = max(abs(a), abs(b))
         return abs(a - b) / scale if scale else 0.0
 
     checks = [
-        {
-            "name": "zero_t_over_pendry_equals_12",
-            "lhs": f_cubic / f_pendry if f_pendry else 0.0,
-            "rhs": 12.0,
-            "rel_err": rel(f_cubic, 12.0 * f_pendry),
-        },
-        {
-            "name": "zero_t_equals_barton",
-            "lhs": f_cubic,
-            "rhs": f_barton,
-            "rel_err": rel(f_cubic, f_barton),
-        },
-        {
-            "name": "zero_t_over_vp_equals_2",
-            "lhs": f_cubic / f_vp if f_vp else 0.0,
-            "rhs": 2.0,
-            "rel_err": rel(f_cubic, 2.0 * f_vp),
-        },
-        {
-            "name": "linear_over_cubic_ratio",
-            "lhs": ratio,
-            "rhs": ratio_expected,
-            "rel_err": rel(ratio, ratio_expected),
-        },
+        {"name": name, "lhs": lhs, "rhs": rhs, "rel_err": err, "passed": bool(err <= CHECK_TOL),
+         "tol": CHECK_TOL}
+        for name, lhs, rhs, err in (
+            ("zero_t_over_pendry_equals_12", f_cubic / f_pendry, 12.0,
+             rel(f_cubic, 12.0 * f_pendry)),
+            ("zero_t_equals_barton", f_cubic, f_barton, rel(f_cubic, f_barton)),
+            ("zero_t_over_vp_equals_2", f_cubic / f_vp, 2.0, rel(f_cubic, 2.0 * f_vp)),
+            ("linear_over_cubic_ratio", ratio, ratio_expected, rel(ratio, ratio_expected)),
+        )
     ]
-    for c in checks:
-        c["passed"] = bool(c["rel_err"] <= CHECK_TOL)
-        c["tol"] = CHECK_TOL
 
     return {
         "F_ours_linear": f_lin,

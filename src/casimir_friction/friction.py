@@ -79,7 +79,9 @@ few ulps, and the package imports no scipy.
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
 Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the paper's
-oscillator densities rho1, rho2, and no function reads them.
+oscillator densities rho1, rho2, and no function reads them.  Every
+force is one product of its factors, the coefficients' among them
+(`_force`), so that no intermediate leaves the floats.
 """
 
 from __future__ import annotations
@@ -110,11 +112,6 @@ LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
 GENERAL_NUMERIC = "GeneralNumeric"
 PLASMON_LINE = "PlasmonLine"
-
-#: exp(-x) underflows double precision near 745; beyond this the plasmon
-#: force is reported as exactly zero with a flag.
-UNDERFLOW_EXPONENT = 700.0
-
 
 @dataclass
 class Diagnostics:
@@ -151,15 +148,30 @@ def _require_velocity(v: float) -> None:
         raise DomainError(f"velocity must be finite and >= 0, got {v}")
 
 
-def _force(diag: Diagnostics, level: str, quantity: str, factors, divisors=()) -> float:
+def _require_point(v: float, d: float, thermal: ThermalState) -> None:
+    """Refuse, with a DomainError, a point (v, d) that the general force cannot take."""
+    _require_velocity(v)
+    if not (d > 0 and math.isfinite(d)):
+        raise DomainError(f"gap d must be finite and > 0, got {d!r}")
+    power = 3 if thermal.is_zero else 1
+    # where h = Phi / omega^power and the moments of omega^(power + 1) stay
+    # normal floats, and k_x = omega / v finite
+    tiny, huge = sys.float_info.min ** (1.0 / power), sys.float_info.max ** (1.0 / (power + 1))
+    lo, hi = _kernel_band(v, d)
+    if v and not (tiny <= lo and hi <= huge and hi / v < math.inf):
+        raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of v = {v!r} m/s, "
+                          f"d = {d!r} m leaves the float range of the general force")
+
+
+def _force(flags: list[str], level: str, quantity: str, factors, divisors=()) -> float:
     """prod(factors) / prod(divisors), with one rounding into the floats at the end.
 
     Each operand is split into its mantissa in [0.5, 1) and its power of 2
     (math.frexp), so that no intermediate leaves the normal floats; the
     product of the mantissas takes its power of 2 last (math.ldexp).  A
-    force past the float range raises FloatFailure at ``level``; one below
+    result past the float range raises FloatFailure at ``level``; one below
     the normal floats, of nonzero operands, is reported as 0 with an
-    "underflow:" flag on ``diag``.
+    "underflow:" flag appended to ``flags``.
     """
     mantissa, exponent = 1.0, 0
     for x in factors:
@@ -171,16 +183,15 @@ def _force(diag: Diagnostics, level: str, quantity: str, factors, divisors=()) -
         mantissa, j = math.frexp(mantissa / f)
         exponent += j - k
     try:
-        force = math.ldexp(mantissa, exponent)
+        result = math.ldexp(mantissa, exponent)
     except OverflowError:
-        force = math.inf
-    if not math.isfinite(force):
+        result = math.inf
+    if not math.isfinite(result):
         raise FloatFailure(f"{quantity} is not finite", level)
-    if mantissa and abs(force) < sys.float_info.min:
-        diag.validity_flags.append(f"underflow: {quantity} is below the normal floats; "
-                                   "reported as 0")
+    if mantissa and abs(result) < sys.float_info.min:
+        flags.append(f"underflow: {quantity} is below the normal floats; reported as 0")
         return 0.0
-    return force
+    return result
 
 
 def force_linear(
@@ -193,11 +204,12 @@ def force_linear(
     """Linear-in-v friction force F = 3 hbar v Phi_1 / (64 pi^2 d^4) at finite temperature.
 
     Phi_1 is the small-omega slope of Phi: the closed form
-    4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) of the Drude head, or the
-    `response.phi_slope` quadrature over a tabulated material's grid,
-    cell by cell between its nodes, whose error estimate is reported as
-    ``quadrature_rel_err``.  A force below the normal floats is 0 with an
-    "underflow:" flag.
+    4 pi^2 nu^2 (k_B T)^2 / (3 hbar^2 omega_sp^4) of the Drude head, whose
+    factors are the force's own (`_force`), or the `response.phi_slope`
+    quadrature over a tabulated material's grid, cell by cell between its
+    nodes, whose error estimate is reported as ``quadrature_rel_err``.  A
+    force below the normal floats is 0 with an "underflow:" flag; one past
+    them raises FloatFailure naming it.
 
     Raises
     ------
@@ -208,18 +220,18 @@ def force_linear(
         raise DomainError("force_linear requires finite temperature")
     _require_velocity(v)
     diag = Diagnostics()
+    d = config.d
+    factors, divisors = [3.0 * CONST.hbar / (64.0 * math.pi**2), v], [d, d, d, d]
 
     if isinstance(material, Drude):
         if material.nu == 0.0 or material.omega_p == 0.0:
-            phi1 = 0.0
+            factors.append(0.0)
             flag_lossless(diag, material)
         else:
-            with float_guard(LINEAR_FINITE_T,
-                             "Phi_1 = 4 pi^2 nu^2 / (3 (beta hbar omega_sp^2)^2)"):
-                phi1 = (
-                    4.0 * math.pi**2 * material.nu**2
-                    / (3.0 * (thermal.beta * CONST.hbar * material.omega_sp**2) ** 2)
-                )
+            # Phi_1 = 4 pi^2 nu^2 (k_B T)^2 / (3 hbar^2 omega_sp^4)
+            kt = (CONST.k_B, thermal.temperature)
+            factors += [4.0 * math.pi**2 / 3.0, material.nu, material.nu, *kt, *kt]
+            divisors += [CONST.hbar, CONST.hbar] + [material.omega_sp] * 4
             if CONST.k_B * thermal.temperature > 0.01 * CONST.hbar * material.omega_sp:
                 diag.validity_flags.append(
                     "kT approaches hbar*omega_sp: small-m linear head is "
@@ -234,25 +246,22 @@ def force_linear(
 
         phi1, err = phi_slope(im_r, im_r, thermal, material.omega, spec)
         diag.quadrature_rel_err = abs(err / phi1) if phi1 else 0.0
+        factors.append(phi1)
 
-    d = config.d
-    force = _force(diag, LINEAR_FINITE_T,
+    force = _force(diag.validity_flags, LINEAR_FINITE_T,
                    f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {d!r} m, v = {v!r} m/s",
-                   (3.0 * CONST.hbar / (64.0 * math.pi**2), v, phi1), (d, d, d, d))
-    return FrictionResult(
-        force_per_area=force,
-        regime=LINEAR_FINITE_T,
-        diagnostics=diag,
-    )
+                   factors, divisors)
+    return FrictionResult(force, LINEAR_FINITE_T, diag)
 
 
 def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResult:
     """Zero-temperature cubic friction force for equal Drude media.
 
     F = 45 hbar v^3 Phi_3 / (256 pi^2 d^6) with the Drude-head
-    coefficient Phi_3 = nu^2 / (3 omega_sp^4); both plates are the one
-    material.  A force below the normal floats is 0 with an "underflow:"
-    flag.
+    coefficient Phi_3 = nu^2 / (3 omega_sp^4), whose factors are the
+    force's own (`_force`); both plates are the one material.  A force
+    below the normal floats is 0 with an "underflow:" flag; one past them
+    raises FloatFailure naming it.
 
     Raises
     ------
@@ -274,18 +283,13 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
                 "omega_v at the dominant wavevectors exceeds the small-m "
                 "cutoff; the cubic closed form underestimates spectrum curvature"
             )
-        with float_guard(ZERO_T_CUBIC, "Phi_3 = nu^2 / (3 omega_sp^4)"):
-            phi3 = material.nu**2 / (3.0 * material.omega_sp**4)
-        d = config.d
-        force = _force(diag, ZERO_T_CUBIC,
+        d, nu, sp = config.d, material.nu, material.omega_sp
+        # 45 hbar / (256 pi^2) times the 1/3 of Phi_3 = nu^2 / (3 omega_sp^4)
+        force = _force(diag.validity_flags, ZERO_T_CUBIC,
                        f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {d!r} m, v = {v!r} m/s",
-                       (45.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v, phi3),
-                       (d, d, d, d, d, d))
-    return FrictionResult(
-        force_per_area=force,
-        regime=ZERO_T_CUBIC,
-        diagnostics=diag,
-    )
+                       (15.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v, nu, nu),
+                       (sp, sp, sp, sp, d, d, d, d, d, d))
+    return FrictionResult(force, ZERO_T_CUBIC, diag)
 
 
 def _k1e(x: float) -> float:
@@ -295,7 +299,7 @@ def _k1e(x: float) -> float:
     with step 0.25 / sqrt(1 + x), up to the last node with
     x (cosh t - 1) = 2 x sinh(t/2)^2 <= 40.  The integrand is even and
     analytic in t, so the rule converges geometrically: it agrees with
-    `scipy.special.k1e` to a few ulps on 1e-8 <= x <= 700, in under 100
+    `scipy.special.k1e` to a few ulps on 1e-8 <= x <= 1500, in under 100
     terms.
     """
     h = 0.25 / math.sqrt(1.0 + x)
@@ -630,18 +634,9 @@ def general_forces(
     if len(v) != len(d):
         raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
                          f"and {len(d)} gaps")
-    power = 3 if thermal.is_zero else 1
-    # where h = Phi / omega^power and the moments of omega^(power + 1) stay
-    # normal floats, and k_x = omega / v finite
-    tiny, huge = sys.float_info.min ** (1.0 / power), sys.float_info.max ** (1.0 / (power + 1))
     for vi, di in zip(v, d):
-        _require_velocity(vi)
-        if not (di > 0 and math.isfinite(di)):
-            raise DomainError(f"gap d must be finite and > 0, got {di!r}")
-        lo, hi = _kernel_band(vi, di)
-        if vi and not (tiny <= lo and hi <= huge and hi / vi < math.inf):
-            raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of v = {vi!r} m/s, "
-                              f"d = {di!r} m leaves the float range of the general force")
+        _require_point(vi, di, thermal)
+    power = 3 if thermal.is_zero else 1
     results = [FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics()) for _ in v]
     live = [i for i, vi in enumerate(v) if vi]
     if not live:
@@ -667,7 +662,7 @@ def general_forces(
         return kernels(omega, which) * table(omega)
 
     try:
-        pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, [spec] * len(live), cuts)
+        pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, spec, cuts)
     except NonConvergence as exc:
         (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
         raise NonConvergence(
@@ -682,9 +677,9 @@ def general_forces(
         result = results[i]
         # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
         result.force_per_area = _force(
-            result.diagnostics, "k_x", f"force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2) at "
-            f"d = {d[i]!r} m, v = {v[i]!r} m/s", (CONST.hbar / (8.0 * math.pi**3), value),
-            (d[i], d[i]))
+            result.diagnostics.validity_flags, "k_x", f"force hbar Int x^2 K1(x) Phi dk_x / "
+            f"(8 pi^3 d^2) at d = {d[i]!r} m, v = {v[i]!r} m/s",
+            (CONST.hbar / (8.0 * math.pi**3), value), (d[i], d[i]))
         result.diagnostics.quadrature_rel_err = (abs(err) + bound) / abs(value) if value else 0.0
         flag_lossless(result.diagnostics, material1, material2)
     return results
@@ -734,9 +729,11 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v), carrying the
     suppression factor exp(-4 omega_sp d / v).
 
-    When the suppression exponent exceeds ~700 (v = 0 makes it infinite)
-    the force underflows double precision and is reported as exactly 0
-    with a flag.
+    The force is one product (`_force`), in which e^-x enters as two
+    factors e^(-x/2), x = 4 omega_sp d / v.  Where that factor is 0 (past
+    x = 1490; v = 0 makes x infinite) or the force is below the normal
+    floats, it is 0 with an "underflow:" flag.  A force past them, or at
+    x = 0, the pole of K1, raises FloatFailure.
     """
     if not omega_sp > 0:
         raise DomainError(f"omega_sp must be > 0, got {omega_sp}")
@@ -745,22 +742,16 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     kx = 2.0 * omega_sp / v if v else math.inf
     x = 2.0 * config.d * kx  # suppression exponent 4 omega_sp d / v
     diag.suppression_exponent = x
-    if x > UNDERFLOW_EXPONENT:
-        diag.validity_flags.append("underflow: 4*omega_sp*d/v > 700")
+    half = math.exp(-0.5 * x)
+    if not half:
+        diag.validity_flags.append(f"underflow: e^(-x/2) is 0 at x = 4 omega_sp d / v = {x!r}; "
+                                   "the force is reported as 0")
         return FrictionResult(0.0, PLASMON_LINE, diag)
-
     with float_guard(PLASMON_LINE, f"K1(x) e^x at x = 4 omega_sp d / v = {x!r}"):
-        ky_integral = kx * _k1e(x) * math.exp(-x)  # kx K1(2 d kx): `_kernels`' x^2 K1(x) over 4 d^2 kx
-    # hbar omega_sp^3 / (2 pi v^2) as hbar omega_sp kx^2 / (8 pi): no power of v or
-    # omega_sp alone, which can leave the float range where the force does not
-    quantity = (f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
-                f"d = {config.d!r} m, v = {v!r} m/s")
-    with float_guard(PLASMON_LINE, quantity):
-        force = CONST.hbar * omega_sp / (8.0 * math.pi) * kx * kx * ky_integral
-    if not math.isfinite(force):  # a float product overflows without raising
-        raise FloatFailure(f"{quantity} is not finite", PLASMON_LINE)
-    return FrictionResult(
-        force_per_area=force,
-        regime=PLASMON_LINE,
-        diagnostics=diag,
-    )
+        k1e = _k1e(x)
+    force = _force(diag.validity_flags, PLASMON_LINE,
+                   f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
+                   f"d = {config.d!r} m, v = {v!r} m/s",
+                   (CONST.hbar / math.pi, omega_sp, omega_sp, omega_sp, omega_sp, k1e, half, half),
+                   (v, v, v))
+    return FrictionResult(force, PLASMON_LINE, diag)

@@ -9,8 +9,8 @@ every segment whose Kronrod-Gauss difference exceeds its share of the
 tolerance (`_integrate`).  It runs many integrals at once, each over its
 own segments, with one call of the integrand per refinement round:
 `response` builds Phi(omega) with it directly.  `integrate_finite` and
-`integrate_semi_infinite` are its fronts for n integrals over one range,
-each with its own tolerance, its own row of cuts (the interior points
+`integrate_semi_infinite` are its fronts for n integrals over one range
+to one tolerance, each with its own row of cuts (the interior points
 where its integrand has a kink) and, on the semi-infinite range, its own
 decay scale, and with one call of their shared array integrand per
 round: the k_x integrals of all the points of a general force take
@@ -77,7 +77,7 @@ class NonConvergence(RuntimeError):
         the rule failed.
     index : int or None
         From `integrate_finite` and `integrate_semi_infinite`, the
-        failing integral's place among their specs; from
+        failing integral's row of cuts; from
         `friction.general_forces` (level "k_x"), the failing point's
         place among its points.  None from every other raiser, such as
         Phi or its table, which serves every point.
@@ -223,7 +223,7 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
     sorted, and the segments of each integral increase.  ``f(x, o)``
     evaluates the integrands at nodes x (one row per segment) of
     segments owned by o (sorted).  ``rel_tol`` and ``budget`` are
-    floats, or arrays of one per integral.  An integral is done when the
+    floats, the same for every integral.  An integral is done when the
     sum of its segments' |K15 - G7| is at most rel_tol times its value; until
     then, every segment whose difference exceeds its share (the
     tolerance over the integral's segment count) is bisected, all in
@@ -333,11 +333,11 @@ def _segments(lo, hi, graded=(), fixed=()):
     return a, b, owner
 
 
-def _rows(cuts, n: int):
-    """``cuts`` as a float array, checked to hold one row per integral."""
+def _rows(cuts):
+    """``cuts`` as a float array, checked to hold rows, one per integral."""
     rows = np.asarray(cuts, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != n:
-        raise ValueError(f"need one row of cuts per integral ({n}), got shape {rows.shape}")
+    if rows.ndim != 2:
+        raise ValueError(f"need one row of cuts per integral, got shape {rows.shape}")
     return rows
 
 
@@ -349,7 +349,7 @@ def integrate_finite(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
     b: float,
-    specs: Sequence[QuadratureSpec],
+    spec: QuadratureSpec,
     cuts: np.ndarray,
 ) -> list[tuple[float, float]]:
     """Integrate n integrands over [a, b] in one pass of the package's G7/K15 rule.
@@ -365,13 +365,13 @@ def integrate_finite(
         an endpoint).
     a, b : float
         Integration limits, a <= b.
-    specs : sequence of n QuadratureSpec
-        Each integral's tolerance and bisection budget; it is refined on
-        its own segments.
+    spec : QuadratureSpec
+        The tolerance and bisection budget of every integral; each is
+        refined on its own segments.
     cuts : array of n rows
-        Row j: points where integrand j has a kink or a narrow feature,
-        where its starting segments end.  Points outside (a, b) are
-        dropped.
+        One row per integral, which sets n.  Row j: points where
+        integrand j has a kink or a narrow feature, where its starting
+        segments end.  Points outside (a, b) are dropped.
 
     Returns
     -------
@@ -381,15 +381,15 @@ def integrate_finite(
     Raises
     ------
     NonConvergence
-        If an integral is not finite, or takes more than its
-        ``max_subdivisions`` bisections to meet its ``rel_tol``; its
-        ``index`` is that integral's place among the specs, and its
-        ``interval`` the integral's segment with the largest error.
+        If an integral is not finite, or takes more than
+        ``max_subdivisions`` bisections to meet ``rel_tol``; its
+        ``index`` is that integral's row of cuts, and its ``interval``
+        the integral's segment with the largest error.
     """
     if a > b:
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
-    n = len(specs)
-    cuts = _rows(cuts, n)
+    cuts = _rows(cuts)
+    n = cuts.shape[0]
     if a == b:
         return [(0.0, 0.0)] * n
     seg_a, seg_b, owner = _segments(np.full(n, float(a)), np.full(n, float(b)), fixed=[cuts])
@@ -398,8 +398,7 @@ def integrate_finite(
         return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
                               interval=(seg_lo, seg_hi), index=j)
 
-    value, err = _integrate(f, seg_a, seg_b, owner, n, np.array([s.rel_tol for s in specs]),
-                            np.array([s.max_subdivisions for s in specs]), fail)
+    value, err = _integrate(f, seg_a, seg_b, owner, n, spec.rel_tol, spec.max_subdivisions, fail)
     return list(zip(value.tolist(), err.tolist()))
 
 
@@ -408,17 +407,18 @@ def integrate_semi_infinite(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
     scales: Sequence[float],
-    specs: Sequence[QuadratureSpec],
+    spec: QuadratureSpec,
     cuts: np.ndarray,
 ) -> list[tuple[float, float]]:
     """Integrate n integrands over [a, +inf) via the rational decay-scale transform.
 
     ``scales[j]`` > 0 is the decay scale of integrand j, which must
     decay at least exponentially on that scale for the transform to
-    concentrate the quadrature nodes usefully.  ``f``, ``specs``,
-    ``cuts`` and the result are those of `integrate_finite`, which takes
-    the mapped integrals.  Each starts from _T_SEGMENTS uniform segments
-    in t, cut further at the images of its row of ``cuts`` beyond a.
+    concentrate the quadrature nodes usefully.  ``f``, ``spec``,
+    ``cuts`` (one row per scale) and the result are those of
+    `integrate_finite`, which takes the mapped integrals.  Each starts
+    from _T_SEGMENTS uniform segments in t, cut further at the images of
+    its row of ``cuts`` beyond a.
 
     Raises
     ------
@@ -427,10 +427,11 @@ def integrate_semi_infinite(
     NonConvergence
         From `integrate_finite`, with the ``interval`` in q rather than t.
     """
-    n = len(specs)
+    past = _rows(cuts) - a
+    n = past.shape[0]
     scales = np.array(scales, dtype=float)
     if scales.shape != (n,):
-        raise ValueError(f"need one scale per integral ({n}), got {scales}")
+        raise ValueError(f"need one scale per integral, one per row of cuts ({n}), got {scales}")
     if not (scales > 0).all():
         raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scales}")
     column = scales[:, None]
@@ -443,12 +444,11 @@ def integrate_semi_infinite(
         u = 1.0 - t
         return f(q(t, s), which) * s / (u * u)
 
-    past = _rows(cuts, n) - a
     t_cuts = np.zeros((n, _T_SEGMENTS - 1 + past.shape[1]))
     t_cuts[:, :_T_SEGMENTS - 1] = np.arange(1, _T_SEGMENTS) / _T_SEGMENTS
     np.divide(past, past + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=past > 0)
     try:
-        return integrate_finite(g, 0.0, 1.0, specs, t_cuts)
+        return integrate_finite(g, 0.0, 1.0, spec, t_cuts)
     except NonConvergence as exc:
         s = float(scales[exc.index])
         lo, hi = (q(t, s) if t < 1.0 else math.inf for t in exc.interval)

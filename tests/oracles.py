@@ -111,7 +111,7 @@ def integrate_one(front, f, a, b, spec=DEFAULT_SPEC, cuts=()):
     (value, err_estimate).
     """
     b = [b] if front is integrate_semi_infinite else b
-    [pair] = front(lambda x, _: f(x), a, b, [spec], np.array([cuts], dtype=float))
+    [pair] = front(lambda x, _: f(x), a, b, spec, np.array([cuts], dtype=float))
     return pair
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 import casimir_friction
 from casimir_friction.cli import build_parser, main
@@ -159,7 +160,7 @@ FLOAT_FAILURES = [
     (["compare", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300", "--velocity", "1e-300"],
      "compare", "expected linear/cubic ratio"),
     (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "1e300", "--velocity", "1",
-      "--regime", "linear"], "LinearFiniteT", "Phi_1 = "),
+      "--regime", "linear"], "LinearFiniteT", "force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = 1e-08"),
     (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "1e300", "--velocity", "1",
       "--regime", "general"], "omega1", "thermal scale 2 k_B T / hbar"),
     # at 300 K Phi's small-omega series takes these omegas, and the force underflows
@@ -168,23 +169,24 @@ FLOAT_FAILURES = [
     (["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "3000", "--velocity", "1e-300",
       "--regime", "general"], "omega1", "Phi (sum channel) is not finite at omega="),
     (["force", "--model", "drude", "--wp-ev", "1e-300", "--nu-ev", "1e-300", "--gap-nm", "10",
-      "--temp-k", "300", "--velocity", "1", "--regime", "linear"], "LinearFiniteT", "Phi_1 = "),
+      "--temp-k", "300", "--velocity", "1", "--regime", "linear"], "LinearFiniteT",
+     "force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = 1e-08"),
     (["force", "--model", "drude", "--wp-ev", "1e-150", "--nu-ev", "0.03", "--gap-nm", "10",
-      "--temp-k", "zero", "--velocity", "1", "--regime", "zero-t"], "ZeroT_Cubic", "Phi_3 = "),
+      "--temp-k", "zero", "--velocity", "1", "--regime", "zero-t"], "ZeroT_Cubic",
+     "force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = 1e-08"),
     (["spectrum", "--wp-ev", "1e-300", "--nu-ev", "0", "--points", "3"],
      "material", "eps = 1 + omega_p^2 / (xi (xi + nu)) at omega = "),
     # k_x = 2 omega_sp / v underflows to 0, where K1 has its pole
     (["force", "--model", "drude", "--wp-ev", "1e-300", "--gap-nm", "1e-300", "--temp-k",
       "zero", "--velocity", "1e300", "--regime", "plasmon"], "PlasmonLine", "K1(x) e^x at x = "),
-    # k_x K1(2 d k_x) -> 1/(2d) past the float range at a subnormal gap
-    (["force", "--regime", "plasmon", "--model", "drude", "--wp-ev", "9", "--gap-nm", "1e-300",
-      "--velocity", "1e8", "--temp-k", "zero"], "PlasmonLine", "K1(4 omega_sp d / v) at d = "),
 ]
 
 
 # each case keeps its id when an earlier one leaves the list (case 10, a spectrum
-# bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2)
-@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12, 13])
+# bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2;
+# case 13, a plasmon force at a subnormal gap, is finite now:
+# test_plasmon_force_at_a_subnormal_gap_is_finite)
+@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12])
 def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quantity):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
@@ -195,6 +197,68 @@ def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quan
     # the line names the quantity that failed and the level it failed at
     assert quantity in failures[0]
     assert failures[0].endswith(f"(level: {level})")
+
+
+def test_plasmon_force_at_a_subnormal_gap_is_finite(capsys):
+    # k_x K1(2 d k_x) is about 1/(2d), past the float range at d = 1e-309 m, but the
+    # force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) is not: one product of
+    # its factors gives it, where the hand-ordered product exited 3
+    code, out, err = run_cli(capsys, ["force", "--regime", "plasmon", "--model", "drude",
+                                      "--wp-ev", "9", "--gap-nm", "1e-300", "--velocity", "1e8",
+                                      "--temp-k", "zero"])
+    assert code == 0, err
+    force = json.loads(out)["force_per_area_N_m2"]
+    wsp, d, v = 9.0 * CONST.eV / CONST.hbar / math.sqrt(2.0), 1e-300 * CONST.nm, 1e8
+    x = 4.0 * wsp * d / v
+    assert force == pytest.approx(CONST.hbar * wsp**4 / (math.pi * v**3) * special.k1(x),
+                                  rel=1e-12)
+    assert force == pytest.approx(7.585e305, rel=1e-3)
+
+
+#: A 300 K, 10 nm force whose discriminator (16 pi^2/15) (d k_B T / (hbar v))^2 is past
+#: the float range below about v = 3e-148 m/s
+TINY_V_ARGS = ["force", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300"]
+
+
+@pytest.mark.parametrize("velocity", ["1e-160", "1e-300"])
+def test_auto_reads_a_discriminator_past_the_float_range_as_linear(capsys, velocity):
+    code, out, err = run_cli(capsys, [*TINY_V_ARGS, "--velocity", velocity])
+    assert code == 0, err
+    auto = json.loads(out)
+    assert auto["inputs"]["regime"] == "linear" and auto["regime"] == "LinearFiniteT"
+    assert "linear/cubic discriminator = inf -> linear" in err
+    code, out, _ = run_cli(capsys, [*TINY_V_ARGS, "--velocity", velocity, "--regime", "linear"])
+    assert code == 0
+    assert auto["force_per_area_N_m2"] == json.loads(out)["force_per_area_N_m2"]
+
+
+COMPARE_ARGS = ["compare", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300"]
+
+
+def test_compare_near_pendry_underflow_passes_or_names_the_force(capsys):
+    # at 1e-93 m/s every compared force is a normal float, and the checks pass (a
+    # hand-ordered Pendry product once was 1.3e-11 off there); below, Pendry's
+    # force leaves the normal floats, and the report names it instead of failing
+    # its identities on rounding or a 0
+    code, out, err = run_cli(capsys, [*COMPARE_ARGS, "--velocity", "1e-93"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["all_passed"]
+    assert all(doc[k] >= sys.float_info.min for k in ("F_ours_zeroT", "F_Pendry"))
+    for exponent in range(-94, -101, -1):
+        code, out, err = run_cli(capsys, [*COMPARE_ARGS, "--velocity", f"1e{exponent}"])
+        assert code == 3 and out == ""
+        [line] = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
+        assert "F_Pendry" in line and "below the normal floats" in line
+        assert line.endswith("(level: compare)")
+
+
+def test_general_sweep_names_the_row_whose_kernel_band_leaves_the_float_range(capsys):
+    code, out, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300",
+                                      "--regime", "general", "--param", "velocity", "--from", "1",
+                                      "--to", "1e300", "--points", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: row 1 (velocity=1e+150): the kernel band [")
 
 
 @pytest.mark.parametrize("regime, temp, power, exponents", [

@@ -29,6 +29,15 @@ def test_pendry_force_value_and_trivial():
     assert report["F_Pendry"] == pendry_force(sigma_over_eps0, PLATE.d, 1.0)
 
 
+def test_pendry_force_below_the_normal_floats_is_zero():
+    # one product of its factors: no subnormal force, which a hand-ordered product
+    # once returned 4e-7 off (1.6881234987104e-311 at 1e-95 m/s)
+    sigma_over_eps0, d = GOLD.omega_p**2 / GOLD.nu, 10.0 * CONST.nm
+    assert pendry_force(sigma_over_eps0, d, 1e-95) == 0.0
+    at_1 = pendry_force(sigma_over_eps0, d, 1.0)
+    assert pendry_force(sigma_over_eps0, d, 1e-93) == pytest.approx(at_1 * 1e-279, rel=1e-14)
+
+
 def test_pendry_validity_flag():
     # v >= d sqrt(sigma/eps0): the bare formula still answers, and the
     # report carries the window flag after the closed forms' own flags

@@ -666,30 +666,56 @@ MATERIALS = st.one_of(
 THERMALS = st.one_of(st.just(COLD), decades(-2.0, 4.0).map(ThermalState.finite))
 PLATES = decades(-10.0, -5.0).map(lambda d: PlateConfig(d=d))
 
-#: Each public function, as a strategy of (a call that returns its forces, may it raise a bare ValueError).
+def results(rs, material, velocities, closed=True):
+    """(force, flags, must a 0 be flagged) of results at these velocities on ``material``.
+
+    A closed form's 0 at v > 0 must carry a flag on a Drude plate with
+    omega_p > 0 (a plasmon line is one, given by its omega_sp): the flag
+    of a lossless plate or of an underflow.  A general force's 0 need
+    not, yet: where Phi itself is below the normal floats (omega_p =
+    1e12 rad/s, nu = 1e186 rad/s at T = 0), its table is 0.
+    """
+    drude = material is None or (isinstance(material, Drude) and material.omega_p > 0)
+    return [(r.force_per_area, r.diagnostics.validity_flags, closed and drude and v > 0)
+            for r, v in zip(rs, velocities)]
+
+
+def report_forces(m, c, t, v):
+    """The forces of a consistency report, which passes its checks whenever it returns."""
+    report = consistency_report(m, c, t, v)
+    assert report["all_passed"], report
+    return [(f, report["validity_flags"], False) for k, f in report.items() if k.startswith("F_")]
+
+
+#: Each public function, as a strategy of (a call that returns its forces as `results`
+#: does, may it raise a bare ValueError).
 PUBLIC_CALLS = {
-    "force_linear": st.builds(lambda m, c, t, v: (lambda: [force_linear(m, c, t, v).force_per_area], False),
-                              MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
-    "force_zero_t": st.builds(lambda m, c, v: (lambda: [force_zero_t(m, c, v).force_per_area], False),
-                              MATERIALS, PLATES, out_of_domain_or(-1.0, 8.0)),
-    "force_plasmon": st.builds(lambda w, c, v: (lambda: [force_plasmon(w, c, v).force_per_area], False),
-                               out_of_domain_or(13.0, 17.0), PLATES, out_of_domain_or(-1.0, 8.0)),
+    "force_linear": st.builds(
+        lambda m, c, t, v: (lambda: results([force_linear(m, c, t, v)], m, [v]), False),
+        MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
+    "force_zero_t": st.builds(
+        lambda m, c, v: (lambda: results([force_zero_t(m, c, v)], m, [v]), False),
+        MATERIALS, PLATES, out_of_domain_or(-1.0, 8.0)),
+    "force_plasmon": st.builds(
+        lambda w, c, v: (lambda: results([force_plasmon(w, c, v)], None, [v]), False),
+        out_of_domain_or(13.0, 17.0), PLATES, out_of_domain_or(-1.0, 8.0)),
     "dissipation_general": st.builds(
-        lambda m, c, t, v: (lambda: [dissipation_general(m, m, c, t, v).force_per_area], False),
+        lambda m, c, t, v: (lambda: results([dissipation_general(m, m, c, t, v)], m, [v],
+                                            closed=False), False),
         MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
     "general_forces": st.builds(
-        lambda m, t, points: (lambda: [r.force_per_area for r in general_forces(m, m, t, *zip(*points))],
-                                   False),
+        lambda m, t, points: (lambda: results(general_forces(m, m, t, *zip(*points)), m,
+                                              [v for v, _ in points], closed=False), False),
         MATERIALS, THERMALS,
         st.lists(st.tuples(out_of_domain_or(-1.0, 8.0), out_of_domain_or(-10.0, -6.0)),
                  min_size=1, max_size=3)),
-    "pendry_force": st.builds(lambda x, d, v: (lambda: [pendry_force(x, d, v)], False),
+    # Pendry's bare formula carries no flags: its 0 below the normal floats is documented
+    "pendry_force": st.builds(lambda x, d, v: (lambda: [(pendry_force(x, d, v), [], False)], False),
                               out_of_domain_or(15.0, 19.0), out_of_domain_or(-10.0, -6.0),
                               out_of_domain_or(-1.0, 8.0)),
     # its ValueError says that the Drude mapping needs omega_p > 0 and nu > 0
     "consistency_report": st.builds(
-        lambda m, c, t, v: (lambda: [f for k, f in consistency_report(m, c, t, v).items()
-                                     if k.startswith("F_")], True),
+        lambda m, c, t, v: (lambda: report_forces(m, c, t, v), True),
         MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
 }
 
@@ -697,7 +723,9 @@ PUBLIC_CALLS = {
 @pytest.mark.parametrize("name", PUBLIC_CALLS)
 def test_public_functions_give_a_finite_force_or_a_documented_error(name):
     # a library caller that passes a non-finite, zero or negative float gets no
-    # NaN, no infinity and no bare ValueError, ZeroDivisionError or OverflowError
+    # NaN, no infinity and no bare ValueError, ZeroDivisionError or OverflowError;
+    # a 0 that stands for a force is flagged, and a consistency report that
+    # returns passes its checks
     @settings(derandomize=True, deadline=None, max_examples=50, database=None)
     @given(case=PUBLIC_CALLS[name])
     def check(case):
@@ -711,7 +739,8 @@ def test_public_functions_give_a_finite_force_or_a_documented_error(name):
                 assert str(exc) == "Drude mapping requires omega_p > 0 and nu > 0"
                 return
             raise
-        assert all(math.isfinite(f) for f in forces), forces
+        assert all(math.isfinite(f) for f, _, _ in forces), forces
+        assert all(f or flags or not must_flag for f, flags, must_flag in forces), forces
 
     check()
 
@@ -802,7 +831,7 @@ def test_ky_integral_matches_quadrature(x):
 
 def test_scalar_k1e_matches_scipy():
     # the plasmon line's plain-Python K1(x) e^x, over every x its force evaluates
-    for x in np.logspace(-8.0, math.log10(700.0), 1001):
+    for x in np.logspace(-8.0, math.log10(1500.0), 1001):
         assert _k1e(float(x)) == pytest.approx(float(k1e(x)), rel=1e-13, abs=0.0)
 
 
@@ -885,6 +914,28 @@ def test_plasmon_underflow_flag():
     assert res.force_per_area == 0.0
     assert any("underflow" in f for f in res.diagnostics.validity_flags)
     assert res.diagnostics.suppression_exponent > 700.0
+
+
+def test_plasmon_force_above_x_700_is_its_product_of_factors():
+    # the force at x = 4 omega_sp d / v > 700 is a normal float: e^-x enters its one
+    # product as two factors e^(-x/2), where a cut at x = 700 reported a flagged 0
+    wsp, d = GOLD.omega_sp, PLATE.d
+
+    def at(x):
+        v = 4.0 * wsp * d / x
+        reference = (CONST.hbar * wsp**4 / (math.pi * v**3) * k1e(x) * math.exp(-0.5 * x)
+                     * math.exp(-0.5 * x))
+        return force_plasmon(wsp, PLATE, v), reference
+
+    for x in (700.5, 720.0):
+        res, reference = at(x)
+        assert res.force_per_area == pytest.approx(reference, rel=1e-12)
+        assert res.force_per_area >= sys.float_info.min and not res.diagnostics.validity_flags
+    assert at(720.0)[0].force_per_area == pytest.approx(1.7976e-302, rel=1e-4)
+    # below x = 700 the force moves only in its last digits
+    res, reference = at(690.0)
+    assert res.force_per_area == pytest.approx(1.7271659579675303e-289, rel=1e-14)
+    assert res.force_per_area == pytest.approx(reference, rel=1e-12)
 
 
 def test_plasmon_exponent_vanishes_at_large_v():
