@@ -11,10 +11,11 @@ where the difference channel closes.  Below, its terms cancel.  There,
 at finite T, Phi is its power series in omega (`series_coefficients`,
 `_series`): Im R of each plate is a power series inside its omega_sp,
 and each Bose factor weighs the other plate's Taylor series by moments
-of zeta values.  At T = 0 Phi is left to the quadrature below half the
-smaller omega_sp.  Each form carries a bound, on the pole sum's rounding
-and on the series' rounding and truncation, and is used only where that
-bound holds the tolerance asked for (`closed_form`).  `response` imports
+of zeta values, each product of the two series' coefficients by one
+constant (`_series_constants`).  At T = 0 Phi is left to the quadrature
+below half the smaller omega_sp.  Each form carries a bound, on the pole
+sum's rounding and on the series' rounding and truncation, and is used
+only where that bound holds the tolerance asked for (`closed_form`).  `response` imports
 this module at its first Phi, so that a closed-form CLI call, which
 evaluates no Phi, does not compile it.
 """
@@ -194,42 +195,30 @@ _SERIES_FLOOR = 1e-200
 
 @functools.cache
 def _series_constants():
-    """Exact constants of the small-omega series, as floats, for s up to _SERIES_BLOCKS + 1.
+    """The weights of the small-omega series' block sums, which do not depend on T, and indices.
 
-    binom[k, i] = C(2k + 1, 2i + 1); beta[s, j] = a! c! / (a + c + 1)! with
-    a = 2j + 1, c = 2(s - j) + 1 (0 for j > s); moments[q] =
-    2 (2q + 1)! zeta(2q + 2), with zeta(2k) from the Bernoulli numbers of
-    `_digamma` for k <= 8, and above from its sum, whose 20 terms reach
-    double precision there; and the index arrays of the sums over j + k = s
-    (`series_coefficients`).
+    weights[s, i, j] is what the product gamma_j gamma'_(s-j) of block s
+    (`series_coefficients`) adds to phi_(2i+1) ref^(2i), a = 2j + 1,
+    c = 2(s - j) + 1: 2 a! c! / (a + c + 1)! at i = s + 1, the T = 0 part;
+    2 [C(c, 2i+1) + C(a, 2i+1)] M_(s-i) at i <= s, the thermal part, where
+    M_q = 2 (2q + 1)! zeta(2q + 2) is I_(2q+1) / ref^(2q+2) without its
+    tau^(2q+2), tau^powers[s, i], and zeta(2k) comes from the Bernoulli
+    numbers of `_digamma` for k <= 8, and above from its sum, whose 20
+    terms reach double precision there.  lag[s, j] = s - j picks gamma'_(s-j).
     """
     n = _SERIES_BLOCKS + 2
-    binom = np.array([[math.comb(2 * k + 1, 2 * i + 1) for i in range(n + 1)] for k in range(n)],
-                     dtype=float)
-    fact = [math.factorial(k) for k in range(4 * n)]
-    beta = np.array([[fact[2 * j + 1] * fact[2 * (s - j) + 1] / fact[2 * s + 3] if j <= s else 0.0
-                      for j in range(n)] for s in range(n)])
+    fact = [math.factorial(k) for k in range(2 * n + 2)]
     moments = [abs(c) * (2.0 * math.pi) ** (2 * q + 2) for q, c in enumerate(_PSI_SERIES)]
     moments += [2.0 * fact[2 * q + 1] * math.fsum(m ** -(2.0 * q + 2.0) for m in range(1, 21))
-                for q in range(len(moments), 2 * n)]
-    s = np.arange(n)
-    return binom, beta, np.array(moments), np.maximum(s[:, None] - s, 0)
-
-
-@functools.cache
-def _thermal_indices(last: int):
-    """Where the thermal sums of `series_coefficients` take their terms, for blocks up to last.
-
-    The inner sum of omega^(2i+1) from gamma'_k is its partial sum up to
-    j = last - k at the lag k - i of I; ``weights`` is C(2k+1, 2i+1) where
-    i <= k, else 0, and ``hankel`` picks I_(2(j+h)+1).
-    """
-    binom = _series_constants()[0]
-    k, i = np.arange(last + 1)[:, None], np.arange(_SERIES_BLOCKS + 3)
-    inside = i <= k
-    # and for the first block left out, s = last + 1, C(c, n) + C(a, n) at k, j = s - k
-    both = binom[:last + 2, :last + 2] + binom[last + 1::-1, :last + 2]
-    return np.where(inside, k - i, 0), last - k, binom[:last + 1] * inside, k + k.T, both
+                for q in range(len(moments), n)]
+    binom = np.array([[math.comb(2 * k + 1, 2 * i + 1) for i in range(n + 1)] for k in range(n)],
+                     dtype=float)
+    beta = np.array([[fact[2 * j + 1] * fact[2 * (s - j) + 1] / fact[2 * s + 3] if j <= s else 0.0
+                      for j in range(n)] for s in range(n)])
+    s, i, j = np.ogrid[:n, :n + 1, :n]
+    thermal = (binom[s - j, i] + binom[j, i]) * np.array(moments)[s - i]
+    weights = 2.0 * np.where((i <= s) & (j <= s), thermal, np.where(i == s + 1, beta[s, j], 0.0))
+    return weights, np.maximum(s - j, 0)[:, 0], np.where(i <= s, 2 * (s - i) + 2, 0)[:, :, 0]
 
 
 def _heads(material: Drude, ref: float) -> list:
@@ -274,8 +263,11 @@ def series_coefficients(material1: Drude, material2: Drude, b: float):
     omega -> 0, where the thermal part is all of Phi, and at most
     _SERIES_BLOCKS: the thermal part of every omega^n sums the same
     asymptotic series in k_B T / hbar, and by then the T = 0 part has
-    converged.  The coefficients depend on the plates and T alone, and are
-    kept for the next call.
+    converged.  Every block is formed once, from one array of the products
+    gamma_j gamma'_(s-j) and the weights of `_series_constants`: the kept
+    ones give the coefficients and their rounding, the first one left out
+    the truncation.  The coefficients depend on the plates and T alone,
+    and are kept for the next call.
 
     Returns
     -------
@@ -287,38 +279,24 @@ def series_coefficients(material1: Drude, material2: Drude, b: float):
         omega sum_i rows[1, i] y^i; and _SERIES_TAIL times a bound on
         `_line_weight` over the series' window.
     """
-    binom, beta, moments, lag = _series_constants()
-    n = _SERIES_BLOCKS + 2
+    weights, lag, powers = _series_constants()
     ref = min(material1.omega_sp, material2.omega_sp)
     g = _heads(material1, ref)
     h = g if material2 is material1 else _heads(material2, ref)
     # rows of values and, where Chebyshev's e_j change sign, of sizes: every
     # array below holds one row, or two
     g, h = (np.array((x, np.abs(x)) if min(x) < 0.0 else (x,)) for x in (g, h))
-    # I_(2q+1) / ref^(2q+2) = moments[q] tau^(2q+2), tau = k_B T / (hbar ref) = 1 / (2 b ref)
-    moment = moments * (0.5 / (b * ref)) ** np.arange(2, 2 * len(moments) + 1, 2)
-    # block s at omega -> 0 is its n = 1 term, 4 (s + 1) I_(2s+1) sum_(j+k=s) |gamma_j gamma'_k|
-    small = moment[:n] * np.arange(1, n + 1) * np.convolve(g[-1], h[-1])[:n]
+    # pairs[:, s, j] = gamma_j gamma'_(s-j); blocks[:, s, i], block s's share of
+    # phi_(2i+1) ref^(2i), at tau = k_B T / (hbar ref) = 1 / (2 b ref)
+    pairs = np.tril(g[:, None] * h[:, lag])
+    blocks = np.einsum("rsj,sij->rsi", pairs, weights) * (0.5 / (b * ref)) ** powers
+    # block s at omega -> 0 is its n = 1 term, 4 (s + 1) I_(2s+1) sum_j |pairs[s, j]|
+    small = blocks[-1, :, 0]
     rising = np.flatnonzero(small[1:_SERIES_BLOCKS + 1] > small[:_SERIES_BLOCKS])
     last = int(rising[0]) if rising.size else _SERIES_BLOCKS
-    zero_t = 2.0 * np.einsum("sj,ij,isj->is", beta, g, h[:, lag])
-    rows = np.zeros((3, n + 1))
-    rows[:2, 1:last + 2] = zero_t[:, :last + 1]
-    rows[2, last + 2] = abs(zero_t[-1, last + 1])
-    # the thermal part of omega^(2i+1), i <= k <= last:
-    # 2 sum_k gamma'_k C(2k+1, 2i+1) sum_(j <= last - k) gamma_j I_(2(j+k-i)+1)
-    shift, tail, weights, hankel, both = _thermal_indices(last)
-    terms = moment[hankel]
-
-    def thermal(x, y):
-        partial = np.cumsum(x[:, None, :last + 1] * terms, axis=2)[:, shift, tail]
-        return 2.0 * np.einsum("ik,kn,ikn->in", y[:, :last + 1], weights, partial)
-
-    rows[:2] += 2.0 * thermal(g, h) if material2 is material1 else thermal(g, h) + thermal(h, g)
-    # the first block left out, by sizes: |gamma_(s-k) gamma'_k| at k = 0 .. s = last + 1
-    out = last + 1
-    pairs = np.abs(g[-1, out::-1] * h[-1, :out + 1])
-    rows[2, :out + 1] = 2.0 * moment[out::-1] * np.einsum("k,kn->n", pairs, both)
+    rows = np.ones((2, 1)) * blocks[:, :last + 1].sum(axis=1)  # values, sizes
+    # the rounding, by the sizes, and the truncation, by the first block left out
+    rows[1] = _SERIES_ULPS * math.ulp(1.0) * rows[1] + _SERIES_TAIL * blocks[-1, last + 1]
     # _line_weight over the window: each line m meets the Bose factor no nearer to
     # u = 0 than d_m = |Omega_m - POLES_FROM ref + i nu_m / 2| and omega_sp,m,
     # and -Im R of the other plate m' is at most 2 omega_sp^3 / (nu Omega^2)
@@ -334,9 +312,8 @@ def series_coefficients(material1: Drude, material2: Drude, b: float):
             ratio = other.omega_sp / _omega(other)
             weight += 2.0 * math.pi * m.omega_sp * factor * (2.0 * other.omega_sp / other.nu
                                                              * ratio * ratio)
-    rows[1] = _SERIES_ULPS * math.ulp(1.0) * rows[1] + _SERIES_TAIL * rows[2]
     rows.flags.writeable = False  # kept for the next call
-    return ref, rows[:2], _SERIES_TAIL * weight
+    return ref, rows, _SERIES_TAIL * weight
 
 
 def _line_weight(w, material1: Drude, material2: Drude, b: float):
@@ -351,19 +328,32 @@ def _line_weight(w, material1: Drude, material2: Drude, b: float):
     n(b omega_sp1) [f_2(Omega_1 + w) - f_2(Omega_1 - w)]; likewise with
     the plates swapped.  Each is taken by its size, times 2 (pi omega_sp / 2),
     twice the strength of the line.  Each pair is odd in w, as Phi is.
+
+    Each difference is formed without cancellation, since below about an
+    ulp of Omega its two terms round to one value: with f = k t / D,
+    t = u / omega_sp, k = nu / omega_sp, D = (1 - t^2)^2 + k^2 t^2,
+    f(t1) - f(t2) = k (t1 - t2) [1 + (2 - k^2) t1 t2 - t1 t2 (t1^2 + t1 t2 + t2^2)] / (D1 D2),
+    and n(b h1) - n(b h2) = -expm1(-2b (h2 - h1)) n1 (1 + n2) at
+    h1, h2 = |w -+ p_2|, with h2 - h1 = 4 Omega_2 w / (h1 + h2).
     """
+    def split(m: Drude, centre: float):
+        """f_m(centre + w), and f_m(centre - w) - f_m(centre + w)."""
+        k, t1, t2 = m.nu / m.omega_sp, (centre - w) / m.omega_sp, (centre + w) / m.omega_sp
+        d1, d2 = (1.0 - t1 * t1) ** 2 + (k * t1) ** 2, (1.0 - t2 * t2) ** 2 + (k * t2) ** 2
+        p = t1 * t2
+        bracket = 1.0 + (2.0 - k * k) * p - p * (t1 * t1 + p + t2 * t2)
+        return k * t2 / d2, -2.0 * (w / m.omega_sp) * k * bracket / (d1 * d2)
+
     total = np.zeros(w.size)
     for x, y in ((material1, material2),) if material2 is material1 else (
             (material1, material2), (material2, material1)):
         big_x, big_y = _omega(x), _omega(y)
-        v = np.stack((big_y - w, big_y + w, big_x + w, big_x - w))
-        sp = np.array([[x.omega_sp], [x.omega_sp], [y.omega_sp], [y.omega_sp]])
-        k = np.array([[x.nu], [x.nu], [y.nu], [y.nu]]) / sp
-        t = v / sp
-        f = k * t / ((1.0 - t * t) ** 2 + k * k * t * t)
-        f[:2] /= np.expm1(2.0 * b * np.hypot(v[:2], 0.5 * y.nu))
-        total += math.pi * (y.omega_sp * np.abs(f[0] - f[1])
-                            + x.omega_sp / np.expm1(2.0 * b * x.omega_sp) * np.abs(f[2] - f[3]))
+        f2, gap = split(x, big_y)
+        h1, h2 = np.hypot(big_y - w, 0.5 * y.nu), np.hypot(big_y + w, 0.5 * y.nu)
+        n1, n2 = 1.0 / np.expm1(2.0 * b * h1), 1.0 / np.expm1(2.0 * b * h2)
+        bose = -np.expm1(-8.0 * b * big_y * w / (h1 + h2)) * n1 * (1.0 + n2)
+        total += math.pi * (y.omega_sp * np.abs(gap * n1 + f2 * bose) + x.omega_sp
+                            / np.expm1(2.0 * b * x.omega_sp) * np.abs(split(y, big_x)[1]))
     return total if material2 is not material1 else 2.0 * total
 
 
@@ -415,7 +405,8 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
             i = np.flatnonzero(window)
             if i.size:
                 phi, err = form(omegas[i], material1, material2, b)
-                ok = err <= tol * phi
+                # and not where Phi overflowed, whose infinite bound holds any tol
+                ok = (err <= tol * phi) & (phi < np.inf)
                 i = i[ok]
                 used[i], value[i], bound[i] = True, phi[ok], err[ok]
     return value, bound, used

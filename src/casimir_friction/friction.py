@@ -610,7 +610,8 @@ def general_forces(
     moments of its kernel: the budget covers Phi, the table and k_x.  A
     point with v = 0 has force 0; a lossless plate's 0 carries the
     `flag_lossless` flag, and a force below the normal floats is 0 with
-    an "underflow:" flag.
+    an "underflow:" flag, as is one whose k_x integral is 0 between lossy
+    plates, where Phi is below them.
 
     Raises
     ------
@@ -675,6 +676,9 @@ def general_forces(
     table_errors = ((moments * table.errors).sum(axis=1) / speeds).tolist()
     for i, (value, err), bound in zip(live, pairs, table_errors):
         result = results[i]
+        if not value and all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2)):
+            result.diagnostics.validity_flags.append(
+                "underflow: Phi is below the normal floats over the kernel band; reported as 0")
         # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
         result.force_per_area = _force(
             result.diagnostics.validity_flags, "k_x", f"force hbar Int x^2 K1(x) Phi dk_x / "

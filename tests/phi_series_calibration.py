@@ -6,10 +6,10 @@ block it leaves out and the thermal weight of the lines it misses (its
 truncation, `_phi0._line_weight`).  This script evaluates the series with
 one of the two constants set to 1 and the other to 0, and compares it
 with Phi in mpmath: the sum over the poles of its integrand of
-tests/phi_pole_sum_calibration.py, exact at every omega, at 70 digits,
+tests/phi_pole_sum_calibration.py, exact at every omega, at 100 digits,
 so that its cancellation at small omega still leaves more than 40.  It
 covers Drude plates whose lines are 1e-4 to 1.99 omega_sp wide, equal and
-unequal, at 1 K to 3000 K, and omega from 1e-10 to just below
+unequal, at 1 K to 3000 K, and omega from 1e-20 to just below
 `_phi0.POLES_FROM` times the smaller omega_sp.  Only points whose bound is
 within 1e-2 of Phi count: elsewhere the bound keeps the series unused at
 any tolerance.  The largest error over each part of the bound, where that
@@ -40,7 +40,7 @@ from casimir_friction.numerics import CONST  # noqa: E402
 OMEGA_P = 9.0 * CONST.eV / CONST.hbar
 WIDTHS = (1e-4, 1e-3, 5e-3, 3e-2, 0.3, 1.0, 1.9, 1.99)
 TEMPERATURES = (1.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 2000.0, 3000.0)
-OMEGAS = np.concatenate((np.logspace(-10.0, -1.0, 6),
+OMEGAS = np.concatenate((np.logspace(-20.0, -12.0, 5), np.logspace(-10.0, -1.0, 6),
                          np.linspace(0.15, 0.999 * _phi0.POLES_FROM, 7)))
 
 
@@ -62,7 +62,7 @@ def parts(w, m1: Drude, m2: Drude, b: float):
 
 
 def main():
-    mp.mp.dps = 70
+    mp.mp.dps = 100
     worst = {"rounding": 0.0, "truncation": 0.0}
     counted, short = 0, []
     for width in WIDTHS:

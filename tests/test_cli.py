@@ -1066,6 +1066,22 @@ def test_sweep_numerical_failure_names_its_row(capsys):
     assert line.endswith("(level: omega1)")
 
 
+def test_general_sweep_table_failure_names_no_row(capsys):
+    # a velocity sweep's rows share one Phi table: a failure there, in the sum channel
+    # of a nearly lossless plate, belongs to no row and is reported without a prefix
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "--model", "drude", "--wp-ev", "9", "--nu-ev", "1e-9", "--gap-nm", "1",
+         "--temp-k", "zero", "--regime", "general", "--param", "velocity", "--from", "1e6",
+         "--to", "1e7", "--points", "2"],
+    )
+    assert code == 3
+    assert out == ""
+    [line] = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
+    assert line.startswith("numerical failure: Phi (sum channel) ")
+    assert line.endswith("(level: omega1)")
+
+
 def test_shared_sweep_kx_failure_names_its_row(capsys, monkeypatch):
     # a k_x integral that fails inside the one pass of a gap sweep is named by
     # its row, as a per-row failure is

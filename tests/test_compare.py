@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_friction.numerics import CONST, DomainError
+from casimir_friction.numerics import CONST, DomainError, FloatFailure
 from casimir_friction.material import Drude, Tabulated
 from casimir_friction.geometry import PlateConfig
 from casimir_friction.response import ThermalState
@@ -129,6 +129,13 @@ def test_report_requires_lossy_drude(monkeypatch):
     table = Tabulated(omega=np.array([1e12, 1e17]), eps=np.array([-1e6 - 1e5j, 0.5 - 0.1j]))
     with pytest.raises(TypeError, match="Drude"):
         consistency_report(table, PLATE, ROOM, v=1.0)
+
+
+def test_report_names_a_sigma_over_eps0_past_the_float_range():
+    # omega_p^2 / nu = 1e300 / 1e-20 overflows: a float quotient gives inf without raising
+    with pytest.raises(FloatFailure, match=r"sigma/eps0 = omega_p\^2 / nu") as info:
+        consistency_report(Drude(omega_p=1e150, nu=1e-20), PLATE, ROOM, v=1.0)
+    assert info.value.level == "compare"
 
 
 def test_report_refuses_a_zero_velocity(monkeypatch):

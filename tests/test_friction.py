@@ -151,6 +151,14 @@ def test_force_linear_validity_flag_hot():
     assert force_linear(GOLD, PLATE, ROOM, 1.0).diagnostics.validity_flags == []
 
 
+def test_force_linear_flags_a_table_that_starts_inside_the_thermal_window():
+    # at 300 K the thermal window of Phi_1 reaches down from k_B T / hbar = 3.9e13
+    # rad/s: a grid from 1e14 rad/s misses its lower part
+    res = force_linear(tabulated_gold(np.logspace(14.0, 17.0, 61)), PLATE, ROOM, 1.0)
+    assert res.diagnostics.validity_flags == ["tabulated support misses part of the thermal window"]
+    assert res.force_per_area > 0.0
+
+
 @pytest.fixture(scope="module")
 def linear_on_gold_table():
     """force_linear on the dense table, computed once: it integrates one cell per node."""
@@ -666,17 +674,16 @@ MATERIALS = st.one_of(
 THERMALS = st.one_of(st.just(COLD), decades(-2.0, 4.0).map(ThermalState.finite))
 PLATES = decades(-10.0, -5.0).map(lambda d: PlateConfig(d=d))
 
-def results(rs, material, velocities, closed=True):
+def results(rs, material, velocities):
     """(force, flags, must a 0 be flagged) of results at these velocities on ``material``.
 
-    A closed form's 0 at v > 0 must carry a flag on a Drude plate with
-    omega_p > 0 (a plasmon line is one, given by its omega_sp): the flag
-    of a lossless plate or of an underflow.  A general force's 0 need
-    not, yet: where Phi itself is below the normal floats (omega_p =
-    1e12 rad/s, nu = 1e186 rad/s at T = 0), its table is 0.
+    A 0 at v > 0 must carry a flag on a Drude plate with omega_p > 0 (a
+    plasmon line is one, given by its omega_sp): the flag of a lossless
+    plate or of an underflow, also where a general force's Phi is below
+    the normal floats (omega_p = 1e12 rad/s, nu = 1e186 rad/s at T = 0).
     """
     drude = material is None or (isinstance(material, Drude) and material.omega_p > 0)
-    return [(r.force_per_area, r.diagnostics.validity_flags, closed and drude and v > 0)
+    return [(r.force_per_area, r.diagnostics.validity_flags, drude and v > 0)
             for r, v in zip(rs, velocities)]
 
 
@@ -700,12 +707,12 @@ PUBLIC_CALLS = {
         lambda w, c, v: (lambda: results([force_plasmon(w, c, v)], None, [v]), False),
         out_of_domain_or(13.0, 17.0), PLATES, out_of_domain_or(-1.0, 8.0)),
     "dissipation_general": st.builds(
-        lambda m, c, t, v: (lambda: results([dissipation_general(m, m, c, t, v)], m, [v],
-                                            closed=False), False),
+        lambda m, c, t, v: (lambda: results([dissipation_general(m, m, c, t, v)], m, [v]),
+                            False),
         MATERIALS, PLATES, THERMALS, out_of_domain_or(-1.0, 8.0)),
     "general_forces": st.builds(
         lambda m, t, points: (lambda: results(general_forces(m, m, t, *zip(*points)), m,
-                                              [v for v, _ in points], closed=False), False),
+                                              [v for v, _ in points]), False),
         MATERIALS, THERMALS,
         st.lists(st.tuples(out_of_domain_or(-1.0, 8.0), out_of_domain_or(-10.0, -6.0)),
                  min_size=1, max_size=3)),

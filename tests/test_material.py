@@ -185,6 +185,11 @@ def test_tabulated_rejects_bad_input(tmp_path):
                       eps=np.array([complex(re_, -im_) for _, re_, im_ in bad]))
     with pytest.raises(ValueError, match="passivity"):
         Tabulated(omega=np.array([1e13, 1e14]), eps=np.array([1.0 + 0.5j, 1.0 + 0.0j]))
+    for omega, eps, message in (([1e13], [1.0], "at least two"),
+                                ([1e13, 1e14], [1.0], "same length"),
+                                ([0.0, 1e14], [1.0, 1.0], "positive")):
+        with pytest.raises(ValueError, match=message):
+            Tabulated(omega=np.array(omega), eps=np.array(eps, dtype=complex))
 
 
 def test_tabulated_extrapolation_forbidden(tmp_path):
@@ -195,6 +200,10 @@ def test_tabulated_extrapolation_forbidden(tmp_path):
         tab.eps_at(9e12)
     with pytest.raises(DomainError):
         tab.eps_at(2e15)
+    # an array is checked element by element, and named by its first bad omega
+    for model in (tab, GOLD_LIKE):
+        with pytest.raises(DomainError, match=r"omega must be > 0, got 0\.0"):
+            surface_response(model, np.array([1e14, 0.0, -1.0]))
 
 
 def test_model_validation():

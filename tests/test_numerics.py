@@ -136,6 +136,14 @@ def test_nonconvergence_raises():
         integrate_one(integrate_finite, lambda x: np.sin(50.0 / (x + 0.01)), 0.0, 1.0, spec)
 
 
+def test_a_segment_too_narrow_to_bisect_raises():
+    # 1/|x - 0.3| is not integrable: bisection toward 0.3 leaves a segment a few ulps
+    # wide, whose nodes round onto its ends, long before the budget runs out
+    spec = QuadratureSpec(rel_tol=1e-6, max_subdivisions=10000)
+    with pytest.raises(NonConvergence, match="cannot bisect a segment further"):
+        integrate_one(integrate_finite, lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, spec)
+
+
 def test_bad_limits_and_missing_scale():
     with pytest.raises(DomainError):
         integrate_one(integrate_finite, lambda x: x, 1.0, 0.0)

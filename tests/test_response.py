@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
-from scipy.special import digamma
+from scipy.special import digamma, zeta
 
 from casimir_friction import _phi0, response
 from casimir_friction.numerics import (
@@ -339,6 +339,15 @@ def test_phi_of_unequal_plates():
         )
 
 
+def test_phi_slope_failure_names_its_interval():
+    # an integrand that is not finite fails the rule on Phi_1's whole interval,
+    # which its message names
+    nan = lambda w: np.full(np.shape(w), math.nan)
+    top = 60.0 / (ROOM.beta * CONST.hbar)
+    with pytest.raises(NonConvergence, match=rf"^Phi_1 is not finite on \[0\.0, {top!r}\]$"):
+        phi_slope(nan, nan, ROOM)
+
+
 def _quadrature_only(omegas, *_):
     """Stands in for Phi's closed form: used nowhere."""
     return np.zeros(omegas.size), np.zeros(omegas.size), np.zeros(omegas.size, dtype=bool)
@@ -480,6 +489,63 @@ def test_phi_series_leaves_hot_nodes_to_the_quadrature(monkeypatch, temperature)
     # the series itself is off there by more than the tolerance
     series, _ = _phi0._series(omegas, metal, metal, 0.5 * thermal.beta * CONST.hbar)
     assert (np.abs(series - reference) > 1e-3 * spec.rel_tol * reference).any()
+
+
+@pytest.mark.parametrize("other_ratio", [None, 1.8e-2, 1.2])
+def test_series_coefficients_are_their_double_sum(other_ratio):
+    # phi_(2i+1) ref^(2i) of the small-omega series, term by term over j + k <= 28 in
+    # Python floats: the T = 0 part 2 gamma_j gamma'_k a! c! / (a + c + 1)! at
+    # a + c + 1 = 2i + 1, and the thermal part 2 gamma_j gamma'_k [C(c, 2i+1) I_(a+c-2i-1)
+    # + C(a, 2i+1) I_(a+c-2i-1)], I_p = 2 p! zeta(p + 1) tau^(p + 1); at 300 K the series
+    # keeps all 28 blocks, and the 1.2 plate's gamma change sign
+    metal = Drude(omega_p=GOLD.omega_p, nu=3e-2 * GOLD.omega_sp)
+    other = (metal if other_ratio is None
+             else Drude(omega_p=1.3 * GOLD.omega_p, nu=other_ratio * GOLD.omega_sp))
+    b = 0.5 * ROOM.beta * CONST.hbar
+    ref, rows, _ = _phi0.series_coefficients(metal, other, b)
+    g, h = _phi0._heads(metal, ref), _phi0._heads(other, ref)
+    tau = 0.5 / (b * ref)
+    moment = [2.0 * math.factorial(p) * float(zeta(p + 1.0)) * tau ** (p + 1) for p in range(60)]
+    terms = [[] for _ in range(rows.shape[1])]
+    for j in range(29):
+        for k in range(29 - j):
+            a, c, pair = 2 * j + 1, 2 * k + 1, g[j] * h[k]
+            terms[j + k + 1].append(
+                2.0 * pair * math.factorial(a) * math.factorial(c) / math.factorial(a + c + 1))
+            for i in range(max(j, k) + 1):
+                weight = math.comb(c, 2 * i + 1) + math.comb(a, 2 * i + 1)
+                terms[i].append(2.0 * pair * weight * moment[a + c - 2 * i - 1])
+    expected = np.array([math.fsum(t) for t in terms])
+    size = np.array([math.fsum(abs(x) for x in t) for t in terms])
+    assert (np.abs(rows[0] - expected) <= 1e-14 * size).all()
+
+
+def test_phi_series_that_overflows_is_left_to_the_quadrature():
+    # at 1e150 K the series' sums leave the float range: an infinite Phi with an
+    # infinite bound once passed err <= tol * Phi, and Phi was inf
+    metal = Drude(omega_p=1e14, nu=1e14 / math.sqrt(2.0))
+    phi, err = im_r_dissipation_integral(0.1 * metal.omega_sp, metal, metal,
+                                         ThermalState.finite(1e150))
+    assert math.isfinite(phi) and phi > 0.0 and 0.0 <= err <= 1e-9 * phi
+
+
+@pytest.mark.parametrize("temperature", [2000.0, 3000.0])
+@pytest.mark.parametrize("omega", [1e-3, 1e-1])
+def test_phi_series_bounds_the_lines_below_an_ulp_of_omega(monkeypatch, temperature, omega):
+    # far below an ulp of the line's Omega (about 2 rad/s), Omega -+ omega round to
+    # one value: the lines' weight once cancelled to 0 there, and the series was
+    # taken 29 % (3000 K) or 6.5e-6 (2000 K) low with a bound of 1e-4 or 5e-9 of Phi
+    b = 0.5 * CONST.hbar / (CONST.k_B * temperature)
+    thermal = ThermalState.finite(temperature)
+    with monkeypatch.context() as patch:
+        patch.setattr(_phi0, "closed_form", _quadrature_only)
+        reference, _ = im_r_dissipation_integral(omega, GOLD, GOLD, thermal, TIGHT)
+    series, bound = _phi0._series(np.array([omega]), GOLD, GOLD, b)
+    assert abs(series[0] - reference) <= bound[0]
+    for rel_tol in (0.5, 1e-2):
+        phi, err = im_r_dissipation_integral(omega, GOLD, GOLD, thermal,
+                                             QuadratureSpec(rel_tol=rel_tol))
+        assert abs(phi - reference) <= err
 
 
 @pytest.mark.parametrize("real", [0.01, 0.5, 1.0, 9.5, 9.999, 10.0, 10.001, 37.0])
