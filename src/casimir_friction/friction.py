@@ -71,10 +71,12 @@ K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
 and sums it in plain Python (`_k1e`), so the closed forms load no numpy
 (`numerics` binds numpy lazily).  The general force needs it on arrays
-of nodes (`_kernels`): `_k1e_array` evaluates a
-piecewise polynomial fit of x K1(x) e^x in log x, built from the same
-sum at first use (`_k1_fit`).  Both agree with `scipy.special.k1e` to a
-few ulps, and the package imports no scipy.
+of nodes (`_kernels`): `_k1e_array` evaluates a piecewise Chebyshev
+interpolant of x K1(x) e^x in log x, built from the same sum at first
+use (`_k1_fit`).  Both agree with `scipy.special.k1e` to a few ulps, and
+the package imports no scipy.  The fit and the Phi table are stored
+alike, as Chebyshev coefficients, and summed by one `_clenshaw`; below
+its first panel each takes that panel's value at its edge.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -310,16 +312,33 @@ def _k1e(x: float) -> float:
     return h * total
 
 
+def _clenshaw(coeffs, x):
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence: the series of `_k1e_array` and `PhiTable`.
+
+    Each coeffs[k] is a float or an array of x's shape.  Each step forms
+    b_k = c_k + 2 x b_(k+1) - b_(k+2) in one temporary, in place; IEEE
+    addition commutes, so it is that expression bit for bit.
+    """
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for c in coeffs[:0:-1]:
+        t = x2 * b1
+        t += c
+        t -= b2
+        b1, b2 = t, b1
+    return coeffs[0] + x * b1 - b2
+
+
 #: Panels of the array K1: uniform in s = log x, _K1_WIDTH wide from
-#: s = _K1_START, each holding a polynomial of degree _K1_DEGREE.
+#: s = _K1_START, each holding a Chebyshev series of degree _K1_DEGREE.
 _K1_START, _K1_WIDTH, _K1_PANELS, _K1_DEGREE = -38.0, 0.25, 180, 8
 
 
 @functools.cache
 def _k1_fit():
-    """Coefficients of g(s) = x K1(x) e^x at x = e^s: one row per power, highest first.
+    """Chebyshev coefficients of g(s) = x K1(x) e^x at x = e^s: one row per T_k, lowest first.
 
-    Column j is the polynomial in w - 1/2, w in [0, 1] the place across
+    Column j is the series in u = 2w - 1, w in [0, 1] the place across
     panel j, that interpolates g at the _K1_DEGREE + 1 Chebyshev nodes,
     where g is the trapezoid sum of `_k1e`, vectorized over the nodes of
     a block of panels at once.  A block's sums run to the largest cutoff
@@ -340,45 +359,27 @@ def _k1_fit():
     theta = np.pi * (k + 0.5) / n
     s = _K1_START + _K1_WIDTH * (np.arange(_K1_PANELS)[:, None] + 0.5 + 0.5 * np.cos(theta))
     g = np.concatenate([trapezoid(block.ravel()) for block in np.split(np.exp(s), 45)])
-    # Chebyshev coefficients of g on each panel, in u = 2 (w - 1/2) on [-1, 1]
     cheb = 2.0 / n * (g.reshape(_K1_PANELS, 1, n) * np.cos(k[:, None] * theta)).sum(axis=2)
     cheb[:, 0] *= 0.5
-    # T_k in powers of u, by T_k = 2 u T_(k-1) - T_(k-2)
-    powers = np.zeros((n, n))
-    powers[0, 0] = powers[1, 1] = 1.0
-    for j in range(2, n):
-        powers[j, 1:] = 2.0 * powers[j - 1, :-1]
-        powers[j] -= powers[j - 2]
-    coeffs = (cheb[:, :, None] * powers).sum(axis=1)
-    # the power k of u is 2^k times that of w - 1/2
-    return (coeffs * 2.0 ** k).T[::-1].copy()
+    return cheb.T.copy()
 
 
 def _k1e_array(x):
     """K1(x) e^x on an array of 0 < x <= e^7 (about 1097), in numpy.
 
     The panel of s = log x holding each x is found by arithmetic, and its
-    polynomial (`_k1_fit`) is evaluated by Horner's rule; it agrees with
+    Chebyshev series (`_k1_fit`) is summed by `_clenshaw`; it agrees with
     `_k1e` and with `scipy.special.k1e` to a few ulps.  Below the first
-    panel (x < e^-38) x K1(x) e^x is 1 to double precision.  Past the
-    last, x K1(x) e^x is held at its value at e^7, a finite stand-in:
-    there K1(x) is below 1e-470, and every K1(x) e^x e^-x is 0.
+    panel (x < e^-38), where x K1(x) e^x is 1 to double precision, its
+    value at its edge continues it.  Past the last, x K1(x) e^x is held at
+    its value at e^7, a finite stand-in: there K1(x) is below 1e-470, and
+    every K1(x) e^x e^-x is 0.
     """
     x = np.asarray(x, dtype=float)
-    fit = _k1_fit()
     p = np.minimum(np.maximum(np.log(x) / _K1_WIDTH - _K1_START / _K1_WIDTH, 0.0),
                    _K1_PANELS * (1.0 - 1e-15))
     i = p.astype(np.intp)
-    w = p - i
-    w -= 0.5
-    c = fit[:, i]
-    g = c[0] * w
-    g += c[1]
-    for row in c[2:]:
-        g *= w
-        g += row
-    g /= x
-    return g
+    return _clenshaw(_k1_fit()[:, i], 2.0 * (p - i) - 1.0) / x
 
 
 def _kernel_band(v, d):
@@ -436,15 +437,6 @@ _FEJER = [
 ]
 
 
-def _clenshaw(coeffs, x):
-    """sum_k coeffs[k] T_k(x); each coeffs[k] may be an array that broadcasts against x."""
-    b1 = b2 = 0.0
-    x2 = 2.0 * x
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
-
-
 @dataclass(frozen=True, eq=False)
 class PhiTable:
     """Phi(omega) on [omega_lo, omega_hi] as a piecewise Chebyshev series.
@@ -453,9 +445,10 @@ class PhiTable:
     coefficients ``coeffs[:, i]`` of h(s) = Phi(omega) / omega^power, and
     ``errors[i]``, the size of its two trailing coefficients plus the
     largest error estimate of h at its nodes, which estimates
-    |h_table - h| on it.  Below omega_lo the head Phi = head * omega^power
-    continues the table; above omega_hi Phi is taken as 0 (the Bessel
-    kernel that weighs it is below e^-60 there).  Phi is evaluated
+    |h_table - h| on it; `_clenshaw` sums the panel of each omega.  Below
+    omega_lo the first panel's h at its edge continues the table,
+    Phi = h(s_lo) omega^power; above omega_hi Phi is taken as 0 (the
+    Bessel kernel that weighs it is below e^-60 there).  Phi is evaluated
     elementwise on an array of omega.
     """
 
@@ -465,7 +458,6 @@ class PhiTable:
     coeffs: np.ndarray  # one column of TABLE_NODES coefficients per panel
     errors: np.ndarray
     power: int
-    head: float
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -474,8 +466,7 @@ class PhiTable:
         i = np.minimum(np.maximum(np.searchsorted(self.edges, s, side="right") - 1, 0),
                        len(self.errors) - 1)
         a, b = self.edges[i], self.edges[i + 1]
-        h = np.where(omega < self.omega_lo, self.head,
-                     _clenshaw(self.coeffs[:, i], (2.0 * s - a - b) / (b - a)))
+        h = _clenshaw(self.coeffs[:, i], (2.0 * s - a - b) / (b - a))
         return np.where(omega > self.omega_hi, 0.0, h * omega**self.power)
 
 
@@ -578,8 +569,7 @@ def tabulate_phi(
         columns = [np.concatenate([old[..., :i], new, old[..., i + 1:]], axis=-1)
                    for old, new in zip(columns, halves)]
     coeffs, errors = columns[:2]
-    return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power,
-                    float(_clenshaw(coeffs[:, 0], -1.0))), moments
+    return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power), moments
 
 
 def general_forces(

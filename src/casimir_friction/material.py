@@ -110,7 +110,8 @@ class Tabulated:
         """Load a CSV with header ``omega_rad_s,eps_re,eps_im``.
 
         The file uses the Im eps >= 0 convention; values are conjugated
-        into the internal convention on load.
+        into the internal convention on load.  A row that is not three
+        numbers raises ValueError naming its line.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -127,7 +128,11 @@ class Tabulated:
             for row in reader:
                 if not row:
                     continue
-                w, re_, im_ = (float(x) for x in row)
+                try:
+                    w, re_, im_ = (float(x) for x in row)
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}: expected omega_rad_s,eps_re,eps_im, "
+                                     f"got {','.join(row)!r}") from None
                 omega.append(w)
                 eps.append(complex(re_, -im_))  # conjugate into xi = i*omega convention
         return cls(omega=np.array(omega), eps=np.array(eps))

@@ -498,10 +498,10 @@ def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
 
     The reference for the array build, which takes the same arithmetic in
     the same order and so must equal it bit for bit.  Returns the table's
-    edges, coefficients (one row per panel), errors and head, and its
-    moments Int w omega^power (one row per panel, one column per force).
+    edges, coefficients (one row per panel) and errors, and its moments
+    Int w omega^power (one row per panel, one column per force).
     """
-    from casimir_friction.friction import _COS, _FEJER, TABLE_NODES, _clenshaw
+    from casimir_friction.friction import _COS, _FEJER, TABLE_NODES
 
     transform, fejer = np.array(_COS), np.array(_FEJER)
 
@@ -531,4 +531,17 @@ def tabulate_phi_per_panel(phi, omega_lo, omega_hi, power, kernels, splits=(),
         a, b = panels[i][:2]
         panels[i:i + 1] = [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
     return ([panels[0][0], *(p[1] for p in panels)], [p[2] for p in panels],
-            [p[3] for p in panels], _clenshaw(panels[0][2], -1.0), [p[6] for p in panels])
+            [p[3] for p in panels], [p[6] for p in panels])
+
+
+def clenshaw(coeffs, x):
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence, one expression per step.
+
+    The reference for `friction._clenshaw`, which takes each step in
+    place; on floats it is a plain-Python sum.
+    """
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2

@@ -7,11 +7,17 @@ plate, at 30 and 1000 omega_sp.  Each value is an mpmath quadrature
 split at the plates' lines and checked against the sum over the poles
 of Im R, both at 40 digits.  Im R is the exact function of the plates'
 float parameters, omega_sp^2 = omega_p^2 / 2 rounded as `surface_response`
-rounds it.  Needs mpmath, which the test extra does not install, so
-pytest does not collect this file; run it as
+rounds it.  The literals are read from tests/test_response.py's source
+(`ast`), not imported, and the script exits 1 if one differs from its
+40-digit value rounded to a float.  Needs mpmath, which the test extra
+does not install, so pytest does not collect this file; run it as
 
     PYTHONPATH=src python tests/phi_mpmath_refs.py
 """
+
+import ast
+import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -60,7 +66,19 @@ def by_poles(w, m1: Drude, m2: Drude):
     return 2 * mp.re(total)
 
 
+def literals():
+    """FAR_ABOVE_REFS as written in tests/test_response.py."""
+    tree = ast.parse((Path(__file__).parent / "test_response.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FAR_ABOVE_REFS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("no FAR_ABOVE_REFS in tests/test_response.py")
+
+
 def main():
+    written = literals()
+    stale = 0
     for name, other in (("equal", METAL), ("unequal", OTHER)):
         for k in MULTIPLES:
             w = mp.mpf(k * SP)
@@ -68,7 +86,11 @@ def main():
             check = by_poles(w, METAL, other)
             assert abs(value - check) <= mp.mpf(10) ** -30 * abs(value), (value, check)
             print(f'    ("{name}", {k!r}): {float(value)!r},')
+            if written.get((name, k)) != float(value):
+                print(f"differs from the test's literal {written.get((name, k))!r}")
+                stale += 1
+    return 1 if stale or len(written) != 2 * len(MULTIPLES) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

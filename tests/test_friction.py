@@ -490,12 +490,28 @@ def test_phi_table_equals_its_per_panel_build(monkeypatch, case):
     tables = recorded_tables(monkeypatch)
     TABLE_CASES[case]()
     [(args, table, moments)] = tables
-    edges, coeffs, errors, head, panel_moments = oracles.tabulate_phi_per_panel(*args)
+    edges, coeffs, errors, panel_moments = oracles.tabulate_phi_per_panel(*args)
     assert np.array_equal(table.edges, edges)
     assert np.array_equal(table.coeffs.T, coeffs)
     assert np.array_equal(table.errors, errors)
-    assert table.head == head
     assert np.array_equal(moments.T, panel_moments)
+    # below omega_lo, where Phi tends to Phi_1 omega or Phi_3 omega^3, the table is
+    # h at the first panel's edge u = -1 times omega^power, to a few ulps
+    edge = oracles.clenshaw(coeffs[0], -1.0)
+    omega = table.omega_lo * np.array([0.5, 1e-3])
+    assert np.all(np.abs(table(omega) / omega**table.power - edge) <= 4.0 * np.spacing(abs(edge)))
+
+
+@pytest.mark.parametrize("rows", [9, 16])
+def test_clenshaw_is_the_recurrence_bit_for_bit(rows):
+    # the in-place steps of friction._clenshaw against the recurrence as one
+    # expression per step: addition commutes in IEEE arithmetic; 9 rows are
+    # K1's series, 16 the table's
+    rng = np.random.default_rng(rows)
+    for _ in range(50):
+        coeffs = rng.standard_normal((rows, 960)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+        x = np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, 958)))
+        assert np.array_equal(friction._clenshaw(coeffs, x), oracles.clenshaw(coeffs, x))
 
 
 #: The benchmark's pool of physical-box points, each with a reference force from

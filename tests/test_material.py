@@ -170,6 +170,14 @@ def test_tabulated_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="passivity"):
         Tabulated.from_csv(path)
 
+    # a row that is not three numbers names its line, past a blank one
+    for row, line in (("1e14,1.5", 4), ("1e14,abc,0.05", 4), ("1e14,1.5,0.0,7", 4)):
+        path = tmp_path / "malformed.csv"
+        path.write_text(f"omega_rad_s,eps_re,eps_im\n1e13,2.0,0.1\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {line}: expected omega_rad_s,eps_re,eps_im, "
+                                             f"got '{row}'$"):
+            Tabulated.from_csv(path)
+
     # float() reads nan and inf, and a NaN passes Im eps < 0; an array passes the same checks
     rows = [(1e13, 2.0, 0.1), (1e14, 1.5, 0.05), (1e15, 1.2, 0.01), (1e16, 1.1, 0.001)]
     for row, column, value in ((1, 1, math.nan), (2, 2, math.inf), (3, 0, math.inf),
