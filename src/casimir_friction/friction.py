@@ -36,12 +36,16 @@ Phi is the only place the material and T enter the general force; v
 and d enter only through the kernel omega^2 K1(2 d omega / v).  So
 any number of general forces is one Phi table and one k_x quadrature
 per point against it (`general_forces`).  The table spans the kernel
-bands of its points, 1e-4 v/(2d) .. 60 v/(2d), is cut at the Drude
-resonances omega_sp and 2 omega_sp, and is refined by one kernel row
-per point, one bisection at a time, in at most TABLE_MAX_PANELS (64)
-panels (`tabulate_phi`).  Each refinement step asks
-`response.im_r_dissipation_integral` for the 16 nodes of each of its
-new panels in one call, each to 1e-3 of ``spec.rel_tol``
+bands of its points, 1e-4 v/(2d) .. 60 v/(2d).  It is cut at the Drude
+resonances omega_sp and c = omega_sp1 + omega_sp2, and toward c, where
+Phi has a Lorentzian peak (nu1 + nu2)/2 wide, its first panels are
+graded: cuts at c e^(+-2^k (nu1 + nu2) / (2c)), k = 0, 1, ..., the mesh
+that bisection would reach one Phi call at a time.  It is then refined
+by one kernel row per point, one bisection at a time, in at most
+TABLE_MAX_PANELS (64) panels (`tabulate_phi`).  Each refinement step
+asks `response.im_r_dissipation_integral` for the 16 nodes of each of
+its new panels in one call (the first step holds all the graded
+panels), each to 1e-3 of ``spec.rel_tol``
 (`response.PHI_TOL`), with an error estimate per node; Phi takes Drude
 plates only, so a general force on a tabulated material is a TypeError.
 Phi is one integral over the real line, folded at omega/2.  For lossy,
@@ -156,8 +160,9 @@ def _require_point(v: float, d: float, thermal: ThermalState) -> None:
     if not (d > 0 and math.isfinite(d)):
         raise DomainError(f"gap d must be finite and > 0, got {d!r}")
     power = 3 if thermal.is_zero else 1
-    # where h = Phi / omega^power and the moments of omega^(power + 1) stay
-    # normal floats, and k_x = omega / v finite
+    # where h = Phi / omega^power stays a normal float, the moments of
+    # omega^(power + 1) finite (`tabulate_phi` shifts them up from below), and
+    # k_x = omega / v finite
     tiny, huge = sys.float_info.min ** (1.0 / power), sys.float_info.max ** (1.0 / (power + 1))
     lo, hi = _kernel_band(v, d)
     if v and not (tiny <= lo and hi <= huge and hi / v < math.inf):
@@ -394,6 +399,28 @@ def _kernel_band(v, d):
     return 1e-4 * scale, 60.0 * scale
 
 
+def _graded_cuts(centre: float, width: float, lo: float, hi: float) -> set[float]:
+    """The cuts centre e^(+-2^k width/centre), k = 0, 1, ..., for a peak inside the band (lo, hi).
+
+    A Lorentzian peak of Phi ``width`` wide at ``centre`` is resolved by
+    panels of s = log omega that widen by 2 away from it, the mesh that
+    bisection toward it ends with: cut there from the start, the table
+    reaches it in one call of Phi.  Levels stop once 2^k width/centre
+    spans log(hi/lo), as those of `numerics._segments` stop at the ends:
+    doubling a positive float gets there in at most about 1100 steps.
+    The cuts are taken in s and only inside the band, so that no
+    exponential leaves the floats.  No cuts for a centre outside the
+    band or a width of 0.
+    """
+    s, s_lo, s_hi = math.log(centre), math.log(lo), math.log(hi)
+    step = width / centre
+    cuts = set()
+    while s_lo < s < s_hi and 0.0 < step < s_hi - s_lo:
+        cuts.update(math.exp(x) for x in (s - step, s + step) if s_lo < x < s_hi)
+        step *= 2.0
+    return cuts
+
+
 def _kernels(scales: Sequence[float]) -> Callable:
     """(omega, which) -> x^2 K1(x) at x = omega / scales[which]: the weight of Phi in a force.
 
@@ -417,8 +444,8 @@ def _kernels(scales: Sequence[float]) -> Callable:
 #: Chebyshev nodes per panel of a `PhiTable`.
 TABLE_NODES = 16
 #: Panels a `PhiTable` may hold.  A table that still misses its tolerance
-#: at this many fails, after at most 2 * TABLE_MAX_PANELS panels of
-#: TABLE_NODES Phi evaluations each.
+#: at this many, or at more from its first cuts, fails: its bisections
+#: evaluate Phi on at most 2 * TABLE_MAX_PANELS panels of TABLE_NODES nodes.
 TABLE_MAX_PANELS = 64
 
 # cos(pi k (j + 1/2) / n): the first-kind nodes x_j (row k = 1) and the
@@ -478,7 +505,7 @@ def tabulate_phi(
     kernels: Callable,
     splits: Sequence[float] = (),
     rel_tol: float = DEFAULT_SPEC.rel_tol,
-) -> tuple[PhiTable, np.ndarray]:
+) -> tuple[PhiTable, np.ndarray, int]:
     """Tabulate ``phi`` on [omega_lo, omega_hi] as a `PhiTable` for the forces it serves.
 
     ``phi`` maps an array of omega to (Phi, error estimate) at each.
@@ -487,8 +514,9 @@ def tabulate_phi(
     Int w Phi d omega up to a constant factor.  Both are called once per
     refinement step, on the TABLE_NODES first-kind Chebyshev nodes of
     each panel it makes: the first step makes the panels between the
-    ``splits`` inside the range (resonances, where h changes fastest),
-    and each later step the two halves of one bisected panel.  A panel's
+    ``splits`` inside the range (the resonances, where h changes
+    fastest, and any mesh graded toward them), and each later step the
+    two halves of one bisected panel.  A panel's
     tail, the larger of its two trailing coefficients, estimates
     |h_table - h| on it; for each force the panel adds
     tail * Int w omega^power to the force's error and Int w |Phi| to its
@@ -501,19 +529,27 @@ def tabulate_phi(
     own error, which bisection does not reduce, sets no demand.  The
     panels are kept as array columns, in the order of s.
 
-    Returns the table and its moments: one row per force, one column per
-    panel, Int w omega^power over the panel.  ``moments @ table.errors``
-    is each force's Int w |Phi_table - Phi|, its table error.
+    Returns the table, its moments and their shift: one row per force,
+    one column per panel, Int w omega^power over the panel times
+    2^shift.  The shift is 0 for omega_hi >= 1 rad/s; below, it keeps
+    the moments of a band down to the least floats normal (at finite T
+    they underflow below about 1.5e-154 rad/s), and the refinement,
+    which compares their ratios, does not see it.
+    ``ldexp(moments @ table.errors, -shift)`` is each force's
+    Int w |Phi_table - Phi|, its table error.
 
     Raises
     ------
     NonConvergence
         With level "omega1", naming the omega interval of the panel
         that would be bisected when the table already holds
-        TABLE_MAX_PANELS panels, or of a panel on which Phi is not
+        TABLE_MAX_PANELS panels or more, or of a panel on which Phi is not
         finite.
     """
     transform, fejer = np.array(_COS), np.array(_FEJER)
+    # the moments are taken of omega 2^-k, k the exponent of an omega_hi below 1 rad/s
+    # (0 above): exact, and omega 2^-k < 1 at every node
+    k = min(0, math.frexp(omega_hi)[1])
 
     def panels(edges):
         """The panels between ``edges`` as columns, from one call of Phi and one of the kernels.
@@ -539,7 +575,7 @@ def tabulate_phi(
             raise NonConvergence(f"Phi is not finite on omega in [{math.exp(a[bad[0]])!r}, "
                                  f"{math.exp(b[bad[0]])!r}]", level="omega1")
         # d omega = omega ds on s = mid + half x
-        moments = (half[:, None] * fejer * nodes ** (power + 1)
+        moments = (half[:, None] * fejer * np.ldexp(nodes, -k) ** (power + 1)
                    * kernels(nodes.ravel()).reshape(-1, *nodes.shape))
         return c, error, tail, moments.sum(axis=2), (moments * np.abs(h)).sum(axis=2)
 
@@ -557,7 +593,7 @@ def tabulate_phi(
             break
         i = int(np.argmax((force_errors[short] / allowed[short][:, None]).max(axis=0)))
         a, b = float(edges[i]), float(edges[i + 1])
-        if edges.size - 1 == TABLE_MAX_PANELS:
+        if edges.size - 1 >= TABLE_MAX_PANELS:
             raise NonConvergence(
                 f"Phi table did not reach rel_tol={rel_tol:g} on omega in "
                 f"[{math.exp(a)!r}, {math.exp(b)!r}] within {TABLE_MAX_PANELS} panels",
@@ -569,7 +605,7 @@ def tabulate_phi(
         columns = [np.concatenate([old[..., :i], new, old[..., i + 1:]], axis=-1)
                    for old, new in zip(columns, halves)]
     coeffs, errors = columns[:2]
-    return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power), moments
+    return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power), moments, -k * (power + 1)
 
 
 def general_forces(
@@ -587,9 +623,13 @@ def general_forces(
     kernel bands of all points with v > 0, 1e-4 v/(2d) .. 60 v/(2d): it
     holds h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h
     tends to Phi_1 or Phi_3 at its low end), is cut at omega_sp and at
-    the sum of the two omega_sp of Drude plates, where Phi has its
+    the sum c of the two omega_sp of Drude plates, where Phi has its
     resonances, and is refined by one kernel row per point until each
-    point's table error is at most ``spec.rel_tol`` of its size.
+    point's table error is at most ``spec.rel_tol`` of its size.  Where
+    c lies in the band, Phi's peak there, (nu1 + nu2)/2 wide, is met by
+    the first cuts already: the table starts graded toward it
+    (`_graded_cuts`), so that a fast force takes a few calls of Phi,
+    not one per bisection.
     Each point then takes one k_x integral of its kernel times the
     table, all in one `numerics.integrate_semi_infinite` pass, on its
     scale 1/(2d) and cut at every panel edge inside its band; the k_y
@@ -619,7 +659,7 @@ def general_forces(
         failed first, naming the k_x interval (1/m) on which the rule
         failed and the matching omega = k_x v.
     FloatFailure
-        With level "k_x", if a force overflows.
+        With level "k_x", if a force or its k_x integral overflows.
     """
     v, d = [float(x) for x in v], [float(x) for x in d]
     if len(v) != len(d):
@@ -634,17 +674,24 @@ def general_forces(
         return results
     speeds, gaps = np.array([v[i] for i in live]), np.array([d[i] for i in live])
     lo, hi = _kernel_band(speeds, gaps)
-    sp = [m.omega_sp for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
+    band = float(lo.min()), float(hi.max())
+    plates = [m for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
+    sp = [m.omega_sp for m in plates]
+    splits = {*sp, sum(sp)}
+    if len(plates) == 2:
+        # the Lorentzian peak of Phi at the sum resonance, (nu1 + nu2) / 2 wide
+        splits |= _graded_cuts(sum(sp), 0.5 * (plates[0].nu + plates[1].nu), *band)
     kernels = _kernels(speeds / (2.0 * gaps))
     # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
-    table, moments = tabulate_phi(
+    table, moments, shift = tabulate_phi(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
-        float(lo.min()), float(hi.max()), power, kernels,
-        sorted({*sp, *(a + b for a in sp for b in sp)}), spec.rel_tol,
+        *band, power, kernels, sorted(splits), spec.rel_tol,
     )
     edges = np.exp(table.edges)
-    # a cut at the lower limit k_x = 0 is no cut
-    cuts = np.where((lo[:, None] < edges) & (edges < hi[:, None]), edges / speeds[:, None], 0.0)
+    # a cut at the lower limit k_x = 0 is no cut; an edge far outside a band would
+    # overflow as a k_x
+    inside = (lo[:, None] < edges) & (edges < hi[:, None])
+    cuts = np.divide(edges, speeds[:, None], out=np.zeros(inside.shape), where=inside)
     speed_column = speeds[:, None]
 
     def weighed(kx, which):
@@ -653,7 +700,10 @@ def general_forces(
         return kernels(omega, which) * table(omega)
 
     try:
-        pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, spec, cuts)
+        with np.errstate(over="raise"):
+            pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, spec, cuts)
+    except FloatingPointError as exc:
+        raise FloatFailure(f"the k_x integral leaves the float range ({exc})", "k_x") from exc
     except NonConvergence as exc:
         (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
         raise NonConvergence(
@@ -662,8 +712,12 @@ def general_forces(
             index=live[exc.index],
         ) from exc
     # Int w |Phi_table - Phi| d omega, and d omega = v dk_x; sums, not a matrix
-    # product, whose first call would have BLAS allocate its buffers
-    table_errors = ((moments * table.errors).sum(axis=1) / speeds).tolist()
+    # product, whose first call would have BLAS allocate its buffers.  The sums are
+    # divided by the mantissas of v, and take both powers of 2 last, so that no
+    # step leaves the floats
+    mantissas, exponents = np.frexp(speeds)
+    table_errors = np.ldexp((moments * table.errors).sum(axis=1) / mantissas,
+                            -shift - exponents).tolist()
     for i, (value, err), bound in zip(live, pairs, table_errors):
         result = results[i]
         if not value and all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2)):

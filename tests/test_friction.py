@@ -386,6 +386,52 @@ def test_general_force_tabulates_its_own_phi(monkeypatch):
     # about 147 Phi evaluations per force when each k_x node integrated Phi itself;
     # the table asks for the omega nodes of one refinement step in one call: all
     # its first panels, then the two halves of the panel each step bisects
+    calls = counted_phi(monkeypatch)
+    dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
+    assert 0 < sum(calls) <= 2 * TABLE_NODES
+    # a T = 0 sweep whose band holds omega_sp and 2 omega_sp starts with the panels
+    # between them and the cuts graded toward 2 omega_sp
+    tables = recorded_tables(monkeypatch)
+    for thermal, speeds in [(ROOM, [1.0]), (COLD, [1e5, 1e6, 1e7, 1e8])]:
+        calls.clear()
+        general_forces(GOLD, GOLD, thermal, speeds, [PLATE.d] * len(speeds))
+        table = tables[-1][1]
+        first = 1 + len(resonance_cuts(GOLD, GOLD, table.omega_lo, table.omega_hi))
+        bisections = len(table.edges) - 1 - first
+        assert len(calls) == 1 + bisections
+        assert calls == [first * TABLE_NODES] + [2 * TABLE_NODES] * bisections
+    assert first > 3 and bisections >= 1
+
+
+def resonance_cuts(m1, m2, lo, hi):
+    """The first cuts of a general table on (lo, hi): omega_sp1, omega_sp2 and c = their sum,
+    and c e^(+-2^k w/c) = e^(log c +- 2^k w/c), w = (nu1 + nu2) / 2, for k = 0, 1, ... while
+    2^k w/c < log(hi/lo), once c lies in the band."""
+    c, w = m1.omega_sp + m2.omega_sp, 0.5 * (m1.nu + m2.nu)
+    cuts = {m1.omega_sp, m2.omega_sp, c}
+    k = 0
+    while lo < c < hi and 2.0**k * w / c < math.log(hi) - math.log(lo):
+        cuts |= {math.exp(math.log(c) + sign * 2.0**k * w / c) for sign in (1.0, -1.0)}
+        k += 1
+    return sorted(x for x in cuts if lo < x < hi)
+
+
+def recorded_tables(monkeypatch):
+    """The (arguments, table, moments, shift) of each later `tabulate_phi` call, in a list that fills."""
+    tables = []
+    real = friction.tabulate_phi
+
+    def recording(*args):
+        table, moments, shift = real(*args)
+        tables.append((args, table, moments, shift))
+        return table, moments, shift
+
+    monkeypatch.setattr(friction, "tabulate_phi", recording)
+    return tables
+
+
+def counted_phi(monkeypatch):
+    """The node counts of every later Phi call of a general force, in a list that fills."""
     calls = []
     real = friction.im_r_dissipation_integral
 
@@ -394,31 +440,7 @@ def test_general_force_tabulates_its_own_phi(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(friction, "im_r_dissipation_integral", counting)
-    dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
-    assert 0 < sum(calls) <= 2 * TABLE_NODES
-    # a T = 0 sweep whose band holds omega_sp and 2 omega_sp starts with three panels
-    tables = recorded_tables(monkeypatch)
-    for thermal, speeds, first in [(ROOM, [1.0], 1), (COLD, [1e4, 1e6, 1e8], 3)]:
-        calls.clear()
-        general_forces(GOLD, GOLD, thermal, speeds, [PLATE.d] * len(speeds))
-        bisections = len(tables[-1][1].edges) - 1 - first
-        assert len(calls) == 1 + bisections
-        assert calls == [first * TABLE_NODES] + [2 * TABLE_NODES] * bisections
-    assert bisections >= 1
-
-
-def recorded_tables(monkeypatch):
-    """The (arguments, table, moments) of every later `tabulate_phi` call, in a list that fills."""
-    tables = []
-    real = friction.tabulate_phi
-
-    def recording(*args):
-        table, moments = real(*args)
-        tables.append((args, table, moments))
-        return table, moments
-
-    monkeypatch.setattr(friction, "tabulate_phi", recording)
-    return tables
+    return calls
 
 
 #: A Lorentzian 2e-3 wide in s = log omega on a flat h = 1, centred 1e-3 above
@@ -438,8 +460,8 @@ def sharp_table(calls):
         calls.append(w.size)
         return sharp_phi(w)
 
-    table, _ = friction.tabulate_phi(counting, 1.0, 1e6, 1,
-                                     lambda w: np.exp(-w / 1e4)[None, :], (1e3,))
+    table, _, _ = friction.tabulate_phi(counting, 1.0, 1e6, 1,
+                                        lambda w: np.exp(-w / 1e4)[None, :], (1e3,))
     return table
 
 
@@ -489,8 +511,9 @@ def test_phi_table_equals_its_per_panel_build(monkeypatch, case):
     # the array build does the per-panel loop's arithmetic in the same order
     tables = recorded_tables(monkeypatch)
     TABLE_CASES[case]()
-    [(args, table, moments)] = tables
+    [(args, table, moments, shift)] = tables
     edges, coeffs, errors, panel_moments = oracles.tabulate_phi_per_panel(*args)
+    assert shift == 0
     assert np.array_equal(table.edges, edges)
     assert np.array_equal(table.coeffs.T, coeffs)
     assert np.array_equal(table.errors, errors)
@@ -544,7 +567,7 @@ def test_phi_table_across_the_plasmon_resonances(monkeypatch):
     speeds = [1e4, 1e5, 1e6, 1e7, 1e8]
     tables = recorded_tables(monkeypatch)
     rows = general_forces(GOLD, GOLD, COLD, speeds, [PLATE.d] * len(speeds))
-    [(_, table, _)] = tables
+    [(_, table, *_)] = tables
     assert table.omega_lo < GOLD.omega_sp < 2.0 * GOLD.omega_sp < table.omega_hi
     # both resonances are panel edges
     assert {math.log(GOLD.omega_sp), math.log(2.0 * GOLD.omega_sp)} <= set(table.edges)
@@ -553,6 +576,79 @@ def test_phi_table_across_the_plasmon_resonances(monkeypatch):
         dev = abs(tab.force_per_area / own.force_per_area - 1.0)
         assert dev <= NESTED_SPEC.rel_tol
         assert tab.diagnostics.quadrature_rel_err >= dev
+
+
+@pytest.mark.parametrize("thermal, gap_nm, v, most", [(ROOM, 7.0, 3e7, 3), (COLD, 10.0, 1e8, 1)])
+def test_phi_table_starts_graded_toward_the_sum_resonance(monkeypatch, thermal, gap_nm, v, most):
+    # bisection reached the Lorentzian peak of Phi at 2 omega_sp one Phi call at a
+    # time: 22 calls of 720 nodes at 300 K, 7 nm, 3e7 m/s and 17 at T = 0, 10 nm,
+    # 1e8 m/s; cut toward it from the start, the table takes a few
+    calls = counted_phi(monkeypatch)
+    tables = recorded_tables(monkeypatch)
+    row = dissipation_general(GOLD, GOLD, PlateConfig(d=gap_nm * CONST.nm), thermal, v)
+    [(_, table, *_)] = tables
+    assert table.omega_lo < 2.0 * GOLD.omega_sp < table.omega_hi
+    assert len(calls) <= most and sum(calls) <= 720
+    assert 0.0 < row.diagnostics.quadrature_rel_err <= 2.0 * NESTED_SPEC.rel_tol
+
+
+EV = CONST.eV / CONST.hbar
+#: Narrow lines, hbar nu about 1e-3 eV, whose kernel band holds omega_sp1 + omega_sp2:
+#: (plate 1, plate 2, thermal, gap in m, velocity in m/s).  Two T = 0 points once
+#: failed in Phi's own quadrature; the last pair is unequal.
+NARROW_LINES = {
+    "9eV-1nm-300K": (Drude(9.0 * EV, 1e-3 * EV), None, ROOM, 1e-9, 1e8),
+    "15eV-5nm-1000K": (Drude(15.0 * EV, 1e-3 * EV), None, ThermalState.finite(1000.0), 5e-9, 1e8),
+    "7.1eV-1nm-cold": (Drude(7.1035664975575425 * EV, 1e-3 * EV), None, COLD, 1e-9,
+                       12693064.810593091),
+    "4.96eV-1nm-cold": (Drude(4.9555017756573285 * EV, 0.0024151963478304737 * EV), None, COLD,
+                        1.0454794467392023e-9, 67900020.93075527),
+    "9eV-7eV-1nm-300K": (Drude(9.0 * EV, 1e-3 * EV), Drude(7.0 * EV, 1e-3 * EV), ROOM, 1e-9, 1e8),
+}
+
+
+@pytest.mark.parametrize("case", NARROW_LINES)
+def test_graded_table_of_a_narrow_line_leaves_panel_headroom(monkeypatch, case):
+    # the cuts graded toward the sum resonance grow as log(omega_sp / nu); for
+    # 1e-3 eV lines they must leave room below TABLE_MAX_PANELS (64) for bisection
+    # (26 to 31 panels when bisection alone reached the peak)
+    m1, m2, thermal, d, v = NARROW_LINES[case]
+    m2 = m2 or m1
+    tables = recorded_tables(monkeypatch)
+    row = dissipation_general(m1, m2, PlateConfig(d=d), thermal, v)
+    [(args, table, *_)] = tables
+    assert len(table.errors) <= 40
+    assert 0.0 < row.diagnostics.quadrature_rel_err <= 2.0 * NESTED_SPEC.rel_tol
+    # graded toward omega_sp1 + omega_sp2 only, not toward 2 omega_sp of either plate
+    lo, hi = table.omega_lo, table.omega_hi
+    assert [w for w in args[5] if lo < w < hi] == resonance_cuts(m1, m2, lo, hi)
+
+
+@pytest.mark.parametrize("thermal, v", [(ROOM, 1e-250), (COLD, 1e-100)])
+def test_table_moments_stay_normal_far_below_one_rad_s(monkeypatch, thermal, v):
+    # the moments Int w omega^(power + 1) ds once underflowed for bands far below
+    # 1 rad/s (every one 0.0 at 300 K, 10 nm, 1e-250 m/s), so that the table set
+    # no demand and its error dropped out of quadrature_rel_err; they are taken of
+    # omega 2^-k instead and scaled back by the exact 2^k
+    tables = recorded_tables(monkeypatch)
+    dissipation_general(GOLD, GOLD, PLATE, thermal, v)
+    [(_, table, moments, shift)] = tables
+    assert shift > 0 and np.all(moments >= sys.float_info.min)
+    mantissa, exponent = math.frexp(v)
+    bound = math.ldexp(float((moments * table.errors).sum()) / mantissa, -shift - exponent)
+    assert bound > 0.0
+
+
+@pytest.mark.parametrize("slow", [1e-200, 1e-295])
+def test_one_table_from_far_below_one_rad_s_to_the_sum_resonance(slow):
+    # the slow point's moments underflowed, so that the shared table set it no
+    # demand: its row was 3 % off at 1e-200 m/s against a reported 4.3e-9; and the
+    # table's edges far above its band overflowed as k_x, a RuntimeWarning at
+    # 1e-295 m/s.  The force is linear in v there, as at 1 m/s
+    rows = general_forces(GOLD, GOLD, ROOM, [slow, 1e8], [PLATE.d, 1e-9])
+    linear = dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
+    dev = abs(rows[0].force_per_area / slow / linear.force_per_area - 1.0)
+    assert dev <= rows[0].diagnostics.quadrature_rel_err <= NESTED_SPEC.rel_tol
 
 
 SWEEPS = {
@@ -679,7 +775,6 @@ def decades(lo_exp: float, hi_exp: float):
     return st.one_of(st.floats(lo_exp, hi_exp), st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
 
 
-EV = CONST.eV / CONST.hbar
 #: Materials around the physical range, lossless, without plasma, overdamped or tabulated.
 MATERIALS = st.one_of(
     st.sampled_from([Drude(omega_p=GOLD.omega_p), Drude(omega_p=0.0, nu=GOLD.nu),
@@ -822,6 +917,15 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
     assert err.value.level == "omega1"
     assert f"within {TABLE_MAX_PANELS} panels" in str(err.value)
     assert len(nodes) <= TABLE_NODES * 2 * TABLE_MAX_PANELS
+    # nor does one whose first cuts already make more panels than it may hold
+    # (a graded mesh toward a line far narrower than the band): it fails at its
+    # first bisection, where it once bisected without end
+    nodes.clear()
+    first = TABLE_MAX_PANELS + 8
+    with pytest.raises(NonConvergence, match=f"within {TABLE_MAX_PANELS} panels"):
+        tabulate_phi(lambda w: oscillating(w) if len(nodes) < 2 * first * TABLE_NODES else None,
+                     1.0, 1e6, 1, lambda w: np.ones((1, w.size)), np.logspace(0.1, 5.9, first - 1))
+    assert len(nodes) == first * TABLE_NODES
     # a table never accepts a panel whose trailing coefficients are not finite
     with pytest.raises(NonConvergence, match=r"not finite on omega in \[") as err:
         tabulate_phi(lambda w: (np.where(w > 1e3, math.nan, 1.0), np.zeros_like(w)),
