@@ -275,16 +275,20 @@ def compute_force(material, plate: PlateConfig, thermal: ThermalState,
 
 
 def _spec(args: argparse.Namespace) -> QuadratureSpec:
-    return NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
+    # checked once per command, before any force, row or auto note
+    try:
+        return NESTED_SPEC if args.rtol is None else QuadratureSpec(rel_tol=args.rtol)
+    except ValueError as exc:
+        raise CLIError(f"--rtol: {exc}") from exc
 
 
-def _force(args: argparse.Namespace, material, thermal: ThermalState,
+def _force(args: argparse.Namespace, material, thermal: ThermalState, spec: QuadratureSpec,
            where: str = "") -> tuple[FrictionResult, str]:
     """The force for one configuration, and the regime it resolved to."""
     plate = build_plate(args)
     v = _checked(args.velocity, "--velocity")
     regime = resolve_regime(args.regime, material, thermal, plate.d, v, where)
-    return compute_force(material, plate, thermal, v, regime, _spec(args)), regime
+    return compute_force(material, plate, thermal, v, regime, spec), regime
 
 
 def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -> dict:
@@ -311,7 +315,8 @@ def _result_doc(args: argparse.Namespace, result: FrictionResult, regime: str) -
 def cmd_force(args: argparse.Namespace) -> int:
     if args.meta and args.format == "csv":
         raise CLIError("--meta is read only by --format json")
-    result, regime = _force(args, build_material(args), build_thermal(args.temp_k))
+    spec = _spec(args)
+    result, regime = _force(args, build_material(args), build_thermal(args.temp_k), spec)
     _note_flags(result.diagnostics.validity_flags)
     if args.format == "csv":
         print("force_per_area_N_m2,regime,quadrature_rel_err")
@@ -399,7 +404,7 @@ class RowFailure(Exception):
 
 
 def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
-                  thermal: ThermalState | None):
+                  thermal: ThermalState | None, spec: QuadratureSpec):
     """Each row's force, in order; a bad input at a row names it.
 
     Phi depends on the material and T only, so a general sweep over v or
@@ -417,7 +422,7 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
             except ValueError as exc:
                 raise CLIError(f"{where}{exc}") from exc
         try:
-            results = general_forces(material, material, thermal, speeds, gaps, _spec(args))
+            results = general_forces(material, material, thermal, speeds, gaps, spec)
         except NonConvergence as exc:
             if exc.index is None:  # Phi's table, which serves every row
                 raise
@@ -430,6 +435,7 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
                 point,
                 build_material(point) if material is None else material,
                 build_thermal(point.temp_k) if thermal is None else thermal,
+                spec,
                 where,
             )
         except (ValueError, TypeError) as exc:
@@ -467,7 +473,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [(f"row {i} ({key}={x!r}): ", argparse.Namespace(**{**vars(args), key: x}))
             for i, x in enumerate(swept)]
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    for i, result in enumerate(_sweep_forces(args, key, rows, material, thermal)):
+    for i, result in enumerate(_sweep_forces(args, key, rows, material, thermal, _spec(args))):
         _note_flags(result.diagnostics.validity_flags, rows[i][0])
         out.append(",".join([str(i), repr(swept[i]), repr(result.force_per_area), result.regime]))
     print("\n".join(out))

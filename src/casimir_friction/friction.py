@@ -406,8 +406,8 @@ def _graded_cuts(centre: float, width: float, lo: float, hi: float) -> set[float
     panels of s = log omega that widen by 2 away from it, the mesh that
     bisection toward it ends with: cut there from the start, the table
     reaches it in one call of Phi.  Levels stop once 2^k width/centre
-    spans log(hi/lo), as those of `numerics._segments` stop at the ends:
-    doubling a positive float gets there in at most about 1100 steps.
+    spans log(hi/lo), as `integrate_finite`'s graded cuts stop at the
+    ends: doubling a positive float gets there in at most about 1100 steps.
     The cuts are taken in s and only inside the band, so that no
     exponential leaves the floats.  No cuts for a centre outside the
     band or a width of 0.
@@ -701,7 +701,7 @@ def general_forces(
 
     try:
         with np.errstate(over="raise"):
-            pairs = integrate_semi_infinite(weighed, 0.0, 0.5 / gaps, spec, cuts)
+            values, errors = integrate_semi_infinite(weighed, 0.5 / gaps, spec, cuts)
     except FloatingPointError as exc:
         raise FloatFailure(f"the k_x integral leaves the float range ({exc})", "k_x") from exc
     except NonConvergence as exc:
@@ -718,7 +718,7 @@ def general_forces(
     mantissas, exponents = np.frexp(speeds)
     table_errors = np.ldexp((moments * table.errors).sum(axis=1) / mantissas,
                             -shift - exponents).tolist()
-    for i, (value, err), bound in zip(live, pairs, table_errors):
+    for i, value, err, bound in zip(live, values.tolist(), errors.tolist(), table_errors):
         result = results[i]
         if not value and all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2)):
             result.diagnostics.validity_flags.append(

@@ -6,19 +6,17 @@ conversions (eV, nm) happen at the CLI boundary only.
 The package has one quadrature rule: a composite Gauss-Kronrod pair
 (G7/K15, with QUADPACK's constants) in numpy, refined by bisection of
 every segment whose Kronrod-Gauss difference exceeds its share of the
-tolerance (`_integrate`).  It runs many integrals at once, each over its
-own segments, with one call of the integrand per refinement round:
-`response` builds Phi(omega) with it directly.  `integrate_finite` and
-`integrate_semi_infinite` are its fronts for n integrals over one range
-to one tolerance, each with its own row of cuts (the interior points
-where its integrand has a kink) and, on the semi-infinite range, its own
-decay scale, and with one call of their shared array integrand per
-round: the k_x integrals of all the points of a general force take
-one pass.
-Semi-infinite integrals of exponentially decaying integrands are mapped
+tolerance, within MAX_BISECTIONS bisections per integral (`_integrate`).
+It runs many integrals at once, each over its own segments, with one
+call of the integrand per refinement round.  Its one front is
+`integrate_finite`: n integrals to one tolerance, each over its own
+limits, cut at its own kinks and graded toward its own features, as
+Phi(omega) at all its omegas is.  `integrate_semi_infinite` maps n
+integrals over [0, inf) onto it, as the k_x integrals of all the points
+of a general force are, each with its own decay scale.  Semi-infinite integrals of exponentially decaying integrands are mapped
 onto [0, 1) with
 
-    q = a + s * t / (1 - t),    dq = s / (1 - t)^2 dt,
+    q = s * t / (1 - t),    dq = s / (1 - t)^2 dt,
 
 where ``s`` is the expected decay scale of the integrand; the transform
 is exact for pure exponential tails.
@@ -117,7 +115,7 @@ def float_guard(level: str, quantity: str):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget settings for one quadrature call.
+    """The tolerance of one quadrature call.
 
     Parameters
     ----------
@@ -125,12 +123,9 @@ class QuadratureSpec:
         Target relative error, finite and at least 50 machine epsilons,
         since the rounding of a sum over many segments of 15 nodes each
         keeps the Kronrod-Gauss differences from falling much below that.
-    max_subdivisions : int
-        Adaptive bisection budget, an int >= 1.
     """
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.rel_tol >= 50 * sys.float_info.epsilon and math.isfinite(self.rel_tol)):
@@ -138,17 +133,16 @@ class QuadratureSpec:
                 f"rel_tol must be finite and >= 50 machine epsilons "
                 f"({50 * sys.float_info.epsilon:.3g}), got {self.rel_tol}"
             )
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ValueError(
-                f"max_subdivisions must be an int >= 1, got {self.max_subdivisions!r}"
-            )
 
 
 #: Default for 1D integrals; closed-form cross-checks demand <= 1e-8 agreement.
-DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, max_subdivisions=200)
+DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9)
 
 #: Default for each level of the nested 2D/3D force integrals.
-NESTED_SPEC = QuadratureSpec(rel_tol=1e-6, max_subdivisions=200)
+NESTED_SPEC = QuadratureSpec(rel_tol=1e-6)
+
+#: The bisections one integral may take before it fails to converge.
+MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -216,19 +210,20 @@ def _kronrod(f, a, b, owner):
     return value, error
 
 
-def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
+def _integrate(f, a, b, owner, n, rel_tol):
     """n integrals, each over its own segments, by composite G7/K15 with bisection.
 
     Segment [a[i], b[i]] belongs to integral owner[i]; ``owner`` is
     sorted, and the segments of each integral increase.  ``f(x, o)``
     evaluates the integrands at nodes x (one row per segment) of
-    segments owned by o (sorted).  ``rel_tol`` and ``budget`` are
-    floats, the same for every integral.  An integral is done when the
-    sum of its segments' |K15 - G7| is at most rel_tol times its value; until
-    then, every segment whose difference exceeds its share (the
-    tolerance over the integral's segment count) is bisected, all in
-    one call of f per round.  Each integral's segments are summed in
-    order, so an integral's value does not depend on the others.
+    segments owned by o (sorted).  ``rel_tol`` is a float, the same for
+    every integral.  An integral is done when the sum of its segments'
+    |K15 - G7| is at most rel_tol times its value; until then, every
+    segment whose difference exceeds its share (the tolerance over the
+    integral's segment count) is bisected, all in one call of f per
+    round.  Each integral's segments are summed in order, so an
+    integral's value does not depend on the others; one with no
+    segments is 0.
 
     Returns
     -------
@@ -238,10 +233,10 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
     Raises
     ------
     NonConvergence
-        ``fail(j, why, lo, hi)`` for the first integral j whose value is
-        not finite, that needs more than ``budget`` bisections, or whose
-        segment can no longer be bisected; [lo, hi] is that segment, or
-        else j's segment with the largest (or a non-finite) error.
+        For the first integral j whose value is not finite, that needs
+        more than MAX_BISECTIONS bisections, or whose segment can no
+        longer be bisected, as its message says: its ``index`` is j, its
+        ``interval`` that segment, or else j's with the largest error.
     """
     k, e = _kronrod(f, a, b, owner)
     bisections = np.zeros(n, dtype=int)
@@ -250,7 +245,7 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
         if segment is None:
             mine = np.flatnonzero(owner == j)
             segment = mine[np.argmax(np.where(np.isfinite(k[mine] + e[mine]), e[mine], np.inf))]
-        return fail(j, why, float(a[segment]), float(b[segment]))
+        return NonConvergence(why, interval=(float(a[segment]), float(b[segment])), index=j)
 
     while True:
         value = np.bincount(owner, k, n)
@@ -261,7 +256,8 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
         short = error > allowed
         if not short.any():
             return value, error
-        share = allowed / np.bincount(owner, minlength=n)
+        # an integral with no segments is 0 and done, and takes no share
+        share = allowed / np.maximum(np.bincount(owner, minlength=n), 1)
         split = np.flatnonzero(short[owner] & (e > share[owner]))
         mid = 0.5 * (a[split] + b[split])
         bisections += np.bincount(owner[split], minlength=n)
@@ -269,9 +265,9 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
         stuck = split[b[split] - a[split] <= _UNBISECTABLE_ULPS * np.spacing(mid)]
         if stuck.size:
             raise failure(int(owner[stuck[0]]), "cannot bisect a segment further", stuck[0])
-        if (bisections > budget).any():
-            raise failure(int(np.argmax(bisections > budget)),
-                          f"did not converge within {budget} bisections")
+        if (bisections > MAX_BISECTIONS).any():
+            raise failure(int(np.argmax(bisections > MAX_BISECTIONS)),
+                          f"did not converge within {MAX_BISECTIONS} bisections")
         # each split segment becomes two, in place, so the order holds
         rep = np.ones(a.size, dtype=int)
         rep[split] = 2
@@ -283,14 +279,14 @@ def _integrate(f, a, b, owner, n, rel_tol, budget, fail):
         k[new], e[new] = _kronrod(f, a[new], b[new], owner[new])
 
 
-def _segments(lo, hi, graded=(), fixed=()):
+def _segments(lo, hi, cuts, graded=()):
     """Starting segments of n integrals, each on [lo[j], hi[j]].
 
-    ``graded`` holds (centre, width) pairs, each an array over the n
-    integrals or a float: a feature of the integrand of that width at
-    that centre, graded toward by breakpoints centre +- width 2^k,
-    k = 0, 1, ...  ``fixed`` holds arrays of n rows of further
-    breakpoints (the kinks of a tabulated response).  Breakpoints
+    ``cuts`` holds n rows of breakpoints (such as the kinks of a
+    tabulated response).  ``graded`` holds (centre, width) pairs, each an array
+    over the n integrals or a float: a feature of the integrand of that
+    width at that centre, graded toward by further breakpoints
+    centre +- width 2^k, k = 0, 1, ...  Breakpoints
     outside (lo, hi) are dropped, and so are those that would leave a
     segment too narrow to bisect at an end: its nodes would round onto
     the end, where the integrand may not be defined (Im R at 0).
@@ -302,7 +298,7 @@ def _segments(lo, hi, graded=(), fixed=()):
     """
     n = lo.size
     zero = np.zeros(n)
-    points = list(fixed)
+    points = [cuts]
     if graded:
         centre = np.array([c + zero for c, _ in graded])[..., None]
         width = np.array([w + zero for _, w in graded])[..., None]
@@ -344,15 +340,16 @@ def _rows(cuts):
 # The benchmark's tracer (perfbench/tracing.py) binds integrate_finite and
 # integrate_semi_infinite by name, at every module that imports them, and its
 # smoke run needs a call of each: the general force calls the semi-infinite
-# front, which calls this one.
+# front, which calls this one, and Phi's quadrature calls this one.
 def integrate_finite(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     spec: QuadratureSpec,
     cuts: np.ndarray,
-) -> list[tuple[float, float]]:
-    """Integrate n integrands over [a, b] in one pass of the package's G7/K15 rule.
+    graded: Sequence[tuple] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate n integrands, each over its own limits, in one pass of the package's G7/K15 rule.
 
     Parameters
     ----------
@@ -360,57 +357,54 @@ def integrate_finite(
         ``f(x, which)`` evaluates integrand ``which[i]`` at the nodes
         ``x[i]`` (one row of x per segment, ``which`` increasing), so
         that what the integrands share is computed once per bisection
-        round.  Each is real-valued and finite on [a, b] except possibly
-        for integrable endpoint singularities (the rule never evaluates
-        an endpoint).
-    a, b : float
-        Integration limits, a <= b.
+        round.  Each is real-valued and finite on its range except
+        possibly for integrable endpoint singularities (the rule never
+        evaluates an endpoint).
+    a, b : float or array of n floats
+        Integration limits, a <= b, one pair per integral or a float
+        for all.  An integral with a == b is 0.
     spec : QuadratureSpec
-        The tolerance and bisection budget of every integral; each is
-        refined on its own segments.
+        The tolerance of every integral, each refined on its own segments.
     cuts : array of n rows
         One row per integral, which sets n.  Row j: points where
         integrand j has a kink or a narrow feature, where its starting
         segments end.  Points outside (a, b) are dropped.
+    graded : sequence of (centre, width) pairs
+        Features of the integrands (each a float or an array of n), toward
+        which the starting segments are graded: cut at centre +- width 2^k.
 
     Returns
     -------
-    list of n (value, err_estimate) pairs of float
+    (values, err_estimates) : arrays of n floats
         Each integral and the sum of its segments' |K15 - G7|.
 
     Raises
     ------
+    DomainError
+        If an integral's limits are out of order.
     NonConvergence
-        If an integral is not finite, or takes more than
-        ``max_subdivisions`` bisections to meet ``rel_tol``; its
-        ``index`` is that integral's row of cuts, and its ``interval``
-        the integral's segment with the largest error.
+        If an integral is not finite, takes more than MAX_BISECTIONS
+        bisections, or needs a segment bisected past the float
+        resolution, as its message says; its ``index`` is that
+        integral's row, its ``interval`` the segment that failed.
     """
-    if a > b:
-        raise DomainError(f"integration limits out of order: a={a} > b={b}")
     cuts = _rows(cuts)
     n = cuts.shape[0]
-    if a == b:
-        return [(0.0, 0.0)] * n
-    seg_a, seg_b, owner = _segments(np.full(n, float(a)), np.full(n, float(b)), fixed=[cuts])
-
-    def fail(j: int, why: str, seg_lo: float, seg_hi: float) -> NonConvergence:
-        return NonConvergence(f"quadrature on [{a!r}, {b!r}] {why} on [{seg_lo!r}, {seg_hi!r}]",
-                              interval=(seg_lo, seg_hi), index=j)
-
-    value, err = _integrate(f, seg_a, seg_b, owner, n, spec.rel_tol, spec.max_subdivisions, fail)
-    return list(zip(value.tolist(), err.tolist()))
+    lo, hi = np.full(n, a, dtype=float), np.full(n, b, dtype=float)
+    if (lo > hi).any():
+        raise DomainError(f"integration limits out of order: a={a} > b={b}")
+    seg_a, seg_b, owner = _segments(lo, hi, cuts, graded)
+    return _integrate(f, seg_a, seg_b, owner, n, spec.rel_tol)
 
 
 # Bound by name by the benchmark's tracer, as integrate_finite is.
 def integrate_semi_infinite(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
     scales: Sequence[float],
     spec: QuadratureSpec,
     cuts: np.ndarray,
-) -> list[tuple[float, float]]:
-    """Integrate n integrands over [a, +inf) via the rational decay-scale transform.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate n integrands over [0, +inf) via the rational decay-scale transform.
 
     ``scales[j]`` > 0 is the decay scale of integrand j, which must
     decay at least exponentially on that scale for the transform to
@@ -418,7 +412,7 @@ def integrate_semi_infinite(
     ``cuts`` (one row per scale) and the result are those of
     `integrate_finite`, which takes the mapped integrals.  Each starts
     from _T_SEGMENTS uniform segments in t, cut further at the images of
-    its row of ``cuts`` beyond a.
+    its row of ``cuts`` beyond 0.
 
     Raises
     ------
@@ -427,8 +421,8 @@ def integrate_semi_infinite(
     NonConvergence
         From `integrate_finite`, with the ``interval`` in q rather than t.
     """
-    past = _rows(cuts) - a
-    n = past.shape[0]
+    cuts = _rows(cuts)
+    n = cuts.shape[0]
     scales = np.array(scales, dtype=float)
     if scales.shape != (n,):
         raise ValueError(f"need one scale per integral, one per row of cuts ({n}), got {scales}")
@@ -437,20 +431,20 @@ def integrate_semi_infinite(
     column = scales[:, None]
 
     def q(t, s):
-        return a + s * t / (1.0 - t)
+        return s * t / (1.0 - t)
 
     def g(t, which):
         s = column[which]
         u = 1.0 - t
         return f(q(t, s), which) * s / (u * u)
 
-    t_cuts = np.zeros((n, _T_SEGMENTS - 1 + past.shape[1]))
+    t_cuts = np.zeros((n, _T_SEGMENTS - 1 + cuts.shape[1]))
     t_cuts[:, :_T_SEGMENTS - 1] = np.arange(1, _T_SEGMENTS) / _T_SEGMENTS
-    np.divide(past, past + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=past > 0)
+    np.divide(cuts, cuts + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=cuts > 0)
     try:
         return integrate_finite(g, 0.0, 1.0, spec, t_cuts)
     except NonConvergence as exc:
         s = float(scales[exc.index])
         lo, hi = (q(t, s) if t < 1.0 else math.inf for t in exc.interval)
-        raise NonConvergence(f"quadrature on [{a!r}, inf) did not converge on [{lo!r}, {hi!r}]",
+        raise NonConvergence(f"quadrature on [0, inf) {exc} on [{lo!r}, {hi!r}]",
                              interval=(lo, hi), index=exc.index) from exc

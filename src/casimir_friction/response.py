@@ -28,9 +28,9 @@ closed-form regimes:
         Phi_3 = c1 c2 / 3 (the sum channel alone).
 
 `im_r_dissipation_integral` integrates Phi folded at omega/2, at an
-array of omega in one numpy pass per refinement round of the package's
-G7/K15 rule (`numerics._integrate`), each value with its error estimate
-and to PHI_TOL (1e-3) of the tolerance its force asks for.  Phi takes
+array of omega in one call of the package's G7/K15 rule
+(`numerics.integrate_finite`), each value with its error estimate and
+to PHI_TOL (1e-3) of the tolerance its force asks for.  Phi takes
 Drude plates only: it integrates Im R from omega = 0, below the first
 node of any tabulated material, and a table is not extrapolated.
 `phi_slope` uses the same rule, and integrates a tabulated material
@@ -78,8 +78,7 @@ from .numerics import (
     FloatFailure,
     NonConvergence,
     QuadratureSpec,
-    _integrate,
-    _segments,
+    integrate_finite,
     np,
 )
 
@@ -183,8 +182,8 @@ def im_r_dissipation_integral(
     a difference w - u rounded on the scale of w.
 
     The integral at every omega is a composite G7/K15 rule refined by
-    bisection (`_integrate`), all of them in one numpy pass per round.
-    The starting segments are split at 0, so that each lies on one side
+    bisection, all of them in one call of `integrate_finite`.  The
+    starting segments are split at 0, so that each lies on one side
     of it, and graded toward each feature of the integrand, at
     c +- width 2^k: a Drude plate's resonance (width nu) at +-omega_sp
     and at omega - omega_sp, and at finite T the thermal scale
@@ -214,9 +213,9 @@ def im_r_dissipation_integral(
         If a plate is not a Drude metal: Phi needs Im R on all of
         (0, omega), and a tabulated material has none below its first node.
     NonConvergence
-        With level "omega1", naming the omega at which the integral took
-        more than ``spec.max_subdivisions`` bisections or was not finite,
-        and the channel (the side of 0) of its failing segment.
+        With level "omega1", naming the omega at which the integral
+        failed (`integrate_finite`) and the channel (the side of 0) of
+        its failing segment.
     FloatFailure
         With level "omega1", if the thermal scale 2 k_B T / hbar overflows.
     """
@@ -256,8 +255,6 @@ def im_r_dissipation_integral(
         lines = dict.fromkeys(res1 + res2)
         # the thermal scale has no width at T = 0, where it adds no breakpoint
         graded = [(x, w) for c, w in lines for x in (c, -c, left - c)] + [(0.0, scale)]
-        a, b, owner = _segments(np.full(rest.size, -60.0 * scale), 0.5 * left, graded,
-                                [np.zeros((rest.size, 1))])
 
         def integrand(u, o):
             w = left[o][:, None]
@@ -276,13 +273,14 @@ def im_r_dissipation_integral(
                          + 2.0 / np.expm1(2.0 * half * high[above]))
             return y
 
-        def fail(j: int, why: str, lo: float, hi: float) -> NonConvergence:
-            side = "difference" if hi <= 0.0 else "sum"
-            return NonConvergence(f"Phi ({side} channel) {why} "
-                                  f"at omega={float(left[j])!r}", level="omega1")
-
-        phi[rest], err[rest] = _integrate(integrand, a, b, owner, rest.size, tol,
-                                          spec.max_subdivisions, fail)
+        try:  # cut at 0, so that each segment lies on one side of it
+            phi[rest], err[rest] = integrate_finite(integrand, -60.0 * scale, 0.5 * left,
+                                                    QuadratureSpec(rel_tol=tol),
+                                                    np.zeros((rest.size, 1)), graded)
+        except NonConvergence as exc:
+            side = "difference" if exc.interval[1] <= 0.0 else "sum"
+            raise NonConvergence(f"Phi ({side} channel) {exc} at omega={float(left[exc.index])!r}",
+                                 level="omega1") from exc
         return _shaped(phi, err, omega.shape)
 
 
@@ -320,8 +318,7 @@ def phi_slope(
     Raises
     ------
     NonConvergence
-        If the integral takes more than ``spec.max_subdivisions``
-        bisections or is not finite.
+        With level "omega1", if the integral fails (`integrate_finite`).
     """
     beta_hbar = thermal.beta * CONST.hbar
     lo, hi = float(nodes[0]), min(float(nodes[-1]), 60.0 / beta_hbar)
@@ -331,12 +328,10 @@ def phi_slope(
     def integrand(w, _):
         return im_r1(w) * im_r2(w) * _inv_sinh_sq(0.5 * beta_hbar * w)
 
-    def fail(j: int, why: str, *_) -> NonConvergence:
-        return NonConvergence(f"Phi_1 {why} on [{lo!r}, {hi!r}]")
-
-    with np.errstate(all="ignore"):
-        a, b, owner = _segments(np.array([lo]), np.array([hi]), [(0.0, 2.0 / beta_hbar)],
-                                [np.asarray(nodes, dtype=float)[None, :]])
-        value, err = _integrate(integrand, a, b, owner, 1, spec.rel_tol,
-                                spec.max_subdivisions, fail)
+    try:
+        with np.errstate(all="ignore"):
+            value, err = integrate_finite(integrand, lo, hi, spec, [nodes],
+                                          [(0.0, 2.0 / beta_hbar)])
+    except NonConvergence as exc:
+        raise NonConvergence(f"Phi_1 {exc} on [{lo!r}, {hi!r}]", level="omega1") from exc
     return beta_hbar * float(value[0]), beta_hbar * float(err[0])

@@ -95,24 +95,25 @@ def quad(f, a, b, spec=DEFAULT_SPEC):
     """
     if a == b:
         return 0.0, 0.0
-    value, err, *rest = integrate.quad(f, a, b, epsabs=0.0, epsrel=spec.rel_tol,
-                                       limit=spec.max_subdivisions, full_output=1)
+    value, err, *rest = integrate.quad(f, a, b, epsabs=0.0, epsrel=spec.rel_tol, limit=200,
+                                       full_output=1)
     if rest[1:] and err > spec.rel_tol * abs(value):
         raise NonConvergence(f"quadrature did not converge on [{a}, {b}]: "
                              f"value={value:.6e}, err={err:.3e}")
     return value, err
 
 
-def integrate_one(front, f, a, b, spec=DEFAULT_SPEC, cuts=()):
+def integrate_one(front, f, *limits, spec=DEFAULT_SPEC, cuts=()):
     """One integral of f(x) by ``front``, one of the package's fronts, which take many at once.
 
-    ``b`` is the upper limit of `integrate_finite`, or the decay scale of
-    `integrate_semi_infinite`; ``cuts`` are the kinks of f.  Returns
-    (value, err_estimate).
+    ``limits`` are the limits a, b of `integrate_finite`, or the decay
+    scale of `integrate_semi_infinite`, over [0, inf); ``cuts`` are the
+    kinks of f.  Returns (value, err_estimate).
     """
-    b = [b] if front is integrate_semi_infinite else b
-    [pair] = front(lambda x, _: f(x), a, b, spec, np.array([cuts], dtype=float))
-    return pair
+    if front is integrate_semi_infinite:
+        limits = (list(limits),)
+    [value], [err] = front(lambda x, _: f(x), *limits, spec, np.array([cuts], dtype=float))
+    return float(value), float(err)
 
 
 def quad_semi_infinite(f, a, scale, spec=DEFAULT_SPEC):
@@ -194,7 +195,7 @@ def finite_tau_kernel(omega, omega_v: float, traj: LoopTrajectory):
 #: Width of the Gaussian test function of `delta_limit_convergence`,
 #: relative to omega_v, and the quadrature that integrates against it.
 GAUSSIAN_REL_WIDTH = 0.05
-CONVERGENCE_SPEC = QuadratureSpec(rel_tol=1e-10, max_subdivisions=20000)
+CONVERGENCE_SPEC = QuadratureSpec(rel_tol=1e-10)
 
 
 def delta_limit_convergence(omega_v: float, taus: list[float]) -> list[dict]:
@@ -227,7 +228,7 @@ def delta_limit_convergence(omega_v: float, taus: list[float]) -> list[dict]:
             g = np.exp(-0.5 * ((w - omega_v) / sigma) ** 2)
             return finite_tau_kernel(w, omega_v, traj) * g
 
-        value, _ = integrate_one(integrate_finite, integrand, lo, hi, CONVERGENCE_SPEC)
+        value, _ = integrate_one(integrate_finite, integrand, lo, hi, spec=CONVERGENCE_SPEC)
         prediction = math.pi * tau * omega_v
         rel_error = abs(value - prediction) / prediction
         rows.append(

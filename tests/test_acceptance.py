@@ -46,7 +46,7 @@ def _report(n, desc, passed, detail=""):
 
 def test_criterion_01_bose_integral():
     t0 = time.perf_counter()
-    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=400)
+    spec = QuadratureSpec(rel_tol=1e-12)
 
     def f(x):
         if x <= 0.0:

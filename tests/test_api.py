@@ -75,7 +75,7 @@ def test_unread_fields_are_gone():
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert fields(numerics.QuadratureSpec) == {"rel_tol", "max_subdivisions"}
+    assert fields(numerics.QuadratureSpec) == {"rel_tol"}
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
     assert not hasattr(numerics.QuadratureSpec, "with_scale")
     assert not hasattr(friction.Diagnostics, "flag")

@@ -1066,6 +1066,40 @@ def test_sweep_numerical_failure_names_its_row(capsys):
     assert line.endswith("(level: omega1)")
 
 
+@pytest.mark.parametrize("argv", [
+    ["force", *DRUDE_ARGS, *STATE_ARGS],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--param", "velocity", "--from", "1", "--to", "10",
+     "--points", "2"],
+    ["sweep", *DRUDE_ARGS, *STATE_ARGS, "--regime", "general", "--param", "velocity",
+     "--from", "1", "--to", "10", "--points", "2"],
+], ids=["force", "per-row-sweep", "general-sweep"])
+def test_a_bad_rtol_exits_2_naming_the_flag(capsys, argv):
+    # --rtol belongs to the command, not to a row: it is checked once, before any
+    # force, row or `auto regime:` note
+    code, out, err = run_cli(capsys, [*argv, "--rtol", "1e-20"])
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: --rtol: ") and line.endswith("got 1e-20")
+
+
+def test_phi_slope_failure_names_its_level(capsys, tmp_path, monkeypatch):
+    # Phi_1, the linear force's integral over a table, fails at level omega1, as Phi does
+    from casimir_friction import numerics
+
+    monkeypatch.setattr(numerics, "MAX_BISECTIONS", 0)
+    table = tmp_path / "T.csv"
+    table.write_text("omega_rad_s,eps_re,eps_im\n1e13,-50,5\n1e14,-20,2\n1e15,-5,0.5\n",
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, ["force", "--model", "tabulated", "--eps-csv", str(table),
+                                      *STATE_ARGS, "--regime", "linear"])
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("numerical failure: Phi_1 did not converge within 0 bisections on ")
+    assert line.endswith("(level: omega1)")
+
+
 def test_general_sweep_table_failure_names_no_row(capsys):
     # a velocity sweep's rows share one Phi table: a failure there, in the sum channel
     # of a nearly lossless plate, belongs to no row and is reported without a prefix

@@ -48,8 +48,8 @@ ROOM = ThermalState.finite(300.0)
 COLD = ThermalState.zero()
 
 # fast settings for the in-module closed-form comparisons
-FAST = QuadratureSpec(rel_tol=1e-5, max_subdivisions=200)
-ORACLE = QuadratureSpec(rel_tol=1e-12, max_subdivisions=200)
+FAST = QuadratureSpec(rel_tol=1e-5)
+ORACLE = QuadratureSpec(rel_tol=1e-12)
 
 
 def closed_linear(material, d, beta, v):
@@ -316,19 +316,21 @@ def test_general_temperature_crossover_monotone():
     assert forces[-1] > cold_force * (1.0 - 1e-6)
 
 
-def test_general_nonconvergence_reports_level():
-    tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
+def test_general_nonconvergence_reports_level(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_BISECTIONS", 1)
+    tight = QuadratureSpec(rel_tol=1e-13)
     with pytest.raises(NonConvergence) as err:
         dissipation_general(GOLD, GOLD, PLATE, COLD, 1.0, tight)
     assert err.value.level in ("omega1", "k_x")
 
 
-def test_kx_nonconvergence_names_kx_and_omega():
+def test_kx_nonconvergence_names_kx_and_omega(monkeypatch):
     # at T = 0 this band lies far below omega_sp, where Phi is smooth: its quadrature
     # converges within one bisection and its table is one panel, so that only the k_x
     # integral runs out of bisections
     v = 3.0
-    tight = QuadratureSpec(rel_tol=1e-13, max_subdivisions=1)
+    monkeypatch.setattr(numerics, "MAX_BISECTIONS", 1)
+    tight = QuadratureSpec(rel_tol=1e-13)
     with pytest.raises(NonConvergence) as err:
         general_forces(GOLD, GOLD, COLD, [v], [PLATE.d], tight)
     assert err.value.level == "k_x"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import digamma, zeta
 
-from casimir_friction import _phi0, response
+from casimir_friction import _phi0, numerics, response
 from casimir_friction.numerics import (
     CONST,
     DEFAULT_SPEC,
@@ -29,7 +31,7 @@ from oracles import phi, response_coeffs
 GOLD_LIKE = Drude(omega_p=1e16, nu=1e14)
 GOLD = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=0.035 * CONST.eV / CONST.hbar)
 RHO = 1e28
-TIGHT = QuadratureSpec(rel_tol=1e-12, max_subdivisions=200)
+TIGHT = QuadratureSpec(rel_tol=1e-12)
 ROOM = ThermalState.finite(300.0)
 COLD = ThermalState.zero()
 
@@ -257,7 +259,7 @@ def test_im_r_dissipation_small_v_limit_is_linear_channel():
     sd = oracles.density(GOLD_LIKE, RHO)
     tau = 1.0
     wv = 1e8  # deep linear regime
-    spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=400)
+    spec = QuadratureSpec(rel_tol=1e-9)
     val = dissipation(wv, ROOM, spec=spec)
     j_from_phi = math.pi * tau * wv * CONST.hbar * (1.0 / (2.0 * math.pi**2 * RHO)) ** 2 * val
     j_lin = 2.0 * tau * wv**2 * oracles.h0(sd, sd, ROOM, spec)
@@ -348,6 +350,34 @@ def test_phi_slope_failure_names_its_interval():
         phi_slope(nan, nan, ROOM)
 
 
+def test_phi_and_phi_slope_take_the_rule_through_its_front(monkeypatch):
+    # Phi's quadrature (an overdamped plate, hbar nu = 20 eV, which no closed form
+    # takes) and Phi_1's (over a table) each call numerics.integrate_finite, bound in
+    # response, once; no module but numerics sets up the rule itself
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return numerics.integrate_finite(*args, **kwargs)
+
+    monkeypatch.setattr(response, "integrate_finite", counting)
+    overdamped = Drude(omega_p=GOLD.omega_p, nu=20.0 * CONST.eV / CONST.hbar)
+    omegas = overdamped.omega_sp * np.array([0.1, 1.0, 3.0])
+    for thermal in (ROOM, COLD):
+        phi, err = im_r_dissipation_integral(omegas, overdamped, overdamped, thermal)
+        assert (phi > 0).all() and (err <= 1e-9 * phi).all()
+    table = Tabulated(omega=np.array([1e13, 1e14, 1e15]),
+                      eps=np.array([-50 - 5j, -20 - 2j, -5 - 0.5j]))
+    im_r = lambda w: surface_response(table, w).imag
+    phi_slope(im_r, im_r, ROOM, table.omega)
+    assert len(calls) == 3
+    assert [np.size(b) for _, b in calls] == [3, 3, 1]
+    package = Path(response.__file__).parent
+    for source in package.glob("*.py"):
+        if source.name != "numerics.py":
+            assert not re.search(r"\b_(integrate|segments)\b", source.read_text()), source.name
+
+
 def _quadrature_only(omegas, *_):
     """Stands in for Phi's closed form: used nowhere."""
     return np.zeros(omegas.size), np.zeros(omegas.size), np.zeros(omegas.size, dtype=bool)
@@ -417,7 +447,7 @@ def test_phi_in_the_closed_form_window_integrates_nothing(monkeypatch):
             raise AssertionError("the quadrature ran")
 
         with monkeypatch.context() as patch:
-            patch.setattr(response, "_integrate", integrate)
+            patch.setattr(response, "integrate_finite", integrate)
             again = im_r_dissipation_integral(omegas, GOLD, GOLD, thermal, spec)
         assert (again[0] == phi).all() and (again[1] == err).all()
         assert (err <= 1e-9 * phi).all()
@@ -434,7 +464,7 @@ def test_phi_in_the_series_window_integrates_nothing(monkeypatch):
         raise AssertionError("the quadrature ran")
 
     with monkeypatch.context() as patch:
-        patch.setattr(response, "_integrate", integrate)
+        patch.setattr(response, "integrate_finite", integrate)
         again = im_r_dissipation_integral(omegas, GOLD, GOLD, ROOM, spec)
     assert (again[0] == phi).all() and (again[1] == err).all()
     assert (err <= 1e-9 * phi).all()
