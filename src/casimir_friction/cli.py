@@ -35,9 +35,12 @@ Conventions
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
   checks every row's velocity, gap and kernel band and takes all rows in
-  one `friction.general_forces` call: one Phi table, refined by every
-  row's kernel to --rtol, and one k_x integral per row; every other general
-  force tabulates Phi for its own point.  A bad input or a numerical
+  one `friction.general_forces` call.  At finite T, a row with
+  2 d omega_sp / v >= 40 is the force series wherever its bound holds
+  --rtol, and needs no Phi; the other rows share one Phi table, refined
+  by each of their kernels to --rtol, and take one k_x integral each.
+  Every other general force is the series, or tabulates Phi for its
+  own point, by the same rule.  A bad input or a numerical
   failure at a sweep row names the row and swept value as its
   `validity:` lines do (`error: row 0 (velocity=-1.0): ...`,
   `numerical failure: row 2 (nu_ev=1e-09): ...`); a failure of the

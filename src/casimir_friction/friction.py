@@ -19,7 +19,8 @@ material quantity in the force.  The k_y integral is the closed form
 
 Regimes
 -------
-GeneralNumeric  the k_x quadrature of the formula, any T and v
+GeneralNumeric  the formula at any T and v: the k_x quadrature against a
+                Phi table, or at finite T and small v its force series
 LinearFiniteT   Phi = Phi_1 omega (finite T, small v), with
                 Int_0^inf x^3 K1(x) dx = 3 pi/2:
                 F = 3 hbar v Phi_1 / (64 pi^2 d^4)           (~ v, ~ 1/d^4)
@@ -33,12 +34,23 @@ PlasmonLine     Phi = (pi^2 omega_sp^2 / 2) delta(omega - 2 omega_sp) for a
                 suppressed by exp(-4 omega_sp d / v)
 
 Phi is the only place the material and T enter the general force; v
-and d enter only through the kernel omega^2 K1(2 d omega / v).  So
-any number of general forces is one Phi table and one k_x quadrature
-per point against it (`general_forces`).  The table spans the kernel
-bands of its points, 1e-4 v/(2d) .. 60 v/(2d).  It is cut at the Drude
-resonances omega_sp and c = omega_sp1 + omega_sp2, and toward c, where
-Phi has a Lorentzian peak (nu1 + nu2)/2 wide, its first panels are
+and d enter only through the kernel omega^2 K1(2 d omega / v).  At
+finite T between lossy, underdamped Drude plates Phi is a power series
+below omega_sp / 2 (`_phi0.series_coefficients`), and each power
+omega^(2i+1) meets the kernel in a moment M_mu = Int_0^inf x^mu K1(x) dx
+(`k1_moments`), so that a slow force is a series in (v/(2d))^2,
+
+    F = hbar v / (32 pi^3 d^4) sum_i phi_(2i+1) M_(2i+3) (v / (2d))^(2i),
+
+whose first order is LinearFiniteT and whose second tends to
+ZeroT_Cubic as T -> 0.  `general_forces` serves a point from it where
+2 d omega_sp / v >= 40 (omega_sp the smaller one) and its error bound
+holds ``spec.rel_tol``, with no table and no k_x integral
+(`_series_forces`).  The other points of a call, all of them at T = 0,
+share one Phi table and take one k_x quadrature each against it.  The
+table spans the kernel bands of its points, 1e-4 v/(2d) .. 60 v/(2d).
+It is cut at the Drude resonances omega_sp and c = omega_sp1 + omega_sp2,
+and toward c, where Phi has a Lorentzian peak (nu1 + nu2)/2 wide, its first panels are
 graded: cuts at c e^(+-2^k (nu1 + nu2) / (2c)), k = 0, 1, ..., the mesh
 that bisection would reach one Phi call at a time.  It is then refined
 by one kernel row per point, one bisection at a time, in at most
@@ -112,7 +124,7 @@ from .numerics import (
 )
 from .material import Drude, MaterialModel, surface_response
 from .geometry import PlateConfig
-from .response import ThermalState, im_r_dissipation_integral, phi_slope
+from .response import ThermalState, im_r_dissipation_integral, phi_slope, require_plates
 
 LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
@@ -608,6 +620,104 @@ def tabulate_phi(
     return PhiTable(omega_lo, omega_hi, edges, coeffs, errors, power), moments, -k * (power + 1)
 
 
+#: The force series takes a point where x_sp = 2 d omega_sp / v, the kernel's x at
+#: the smaller omega_sp, is at least FORCE_SERIES_FROM.  There the moment of order
+#: i + 1 is (2i + 3)(2i + 5) times that of order i, against 1 / x_sp^2 <= 1/1600
+#: (0.3 at the last order), and past the window of Phi's series, omega_sp / 2,
+#: K1 is below e^-20.
+FORCE_SERIES_FROM = 40.0
+#: Orders the force series sums at most.
+FORCE_SERIES_ORDERS = 9
+
+
+def k1_moments(n: int) -> list[float]:
+    """M_mu = Int_0^inf x^mu K1(x) dx at mu = 3, 5, ..., 2n + 1.
+
+    By the recurrence M_(mu+2) = mu (mu + 2) M_mu from M_3 = 3 pi / 2, so
+    that M_5 = 45 pi / 2: the moments of the linear and the cubic force.
+    """
+    moments = [1.5 * math.pi]
+    for mu in range(3, 2 * n, 2):
+        moments.append(mu * (mu + 2) * moments[-1])
+    return moments
+
+
+def _series_forces(material1: Drude, material2: Drude, b: float, speeds, gaps, rel_tol: float):
+    """The force series at each point (speeds[j], gaps[j]): (sums, errors, used), arrays.
+
+    With Phi = omega sum_i phi_(2i+1) ref^(2i) (omega / ref)^(2i)
+    (`_phi0.series_coefficients`, rows[0]; b = beta hbar / 2 < inf), each
+    power of omega meets the kernel in a moment of K1 (`k1_moments`), and
+
+        F = hbar v S / (32 pi^3 d^4),   S = sum_i rows[0, i] M_(2i+3) y^(2i),
+
+    y = v / (2 d ref): order i = 0 is the linear force.  S sums at most
+    FORCE_SERIES_ORDERS orders, and stops before the first that rises
+    after the first two (the first, Phi_1's, goes as T^2 and may be the
+    smaller at low T).  Its error is Phi's series bound (rows[1]) summed
+    the same way, the size of the last two orders kept, the lines' weight
+    (``lines``, a bound on Phi over the series' window) against
+    Int x^2 K1(x) dx = 2, and 4 FORCE_SERIES_ORDERS ulps of the sum of the
+    kept orders' sizes for the rounding.  A point is ``used`` where that error is at
+    most rel_tol of S, and S is finite and at least the floor of Phi's
+    series (below it the terms may have left the normal floats).
+    """
+    from ._phi0 import _SERIES_FLOOR, series_coefficients
+
+    ref, rows, lines = series_coefficients(material1, material2, b)
+    n = FORCE_SERIES_ORDERS
+    y2 = (speeds / (2.0 * gaps * ref)) ** 2
+    # orders[j, r, i]: rows[r, i] M_(2i+3) y^(2i) of point j, values (r = 0) and bounds
+    orders = rows[:, :n] * np.array(k1_moments(n)) * y2[:, None, None] ** np.arange(n)
+    sizes = np.abs(orders[:, 0])
+    rising = sizes[:, 2:] > sizes[:, 1:-1]
+    kept = np.where(rising.any(axis=1), 2 + rising.argmax(axis=1), n)
+    keep = np.arange(n) < kept[:, None]
+    sums = np.where(keep, orders[:, 0], 0.0).sum(axis=1)
+    last = np.take_along_axis(sizes, kept[:, None] - np.array([1, 2]), axis=1).sum(axis=1)
+    errors = (np.where(keep, orders[:, 1], 0.0).sum(axis=1) + last + 4.0 * lines * gaps / speeds
+              + 4.0 * n * math.ulp(1.0) * np.where(keep, sizes, 0.0).sum(axis=1))
+    used = (_SERIES_FLOOR <= sums) & (sums < math.inf) & (errors <= rel_tol * sums)
+    return sums, errors, used
+
+
+def _serve_by_series(results, material1, material2, b, v, d, live, rel_tol):
+    """Fill the results of the points in ``live`` that the force series takes; return the others.
+
+    The series (`_series_forces`) serves a point at finite T (b = beta hbar / 2
+    < inf) between lossy, underdamped Drude plates, which have passed
+    `response.require_plates`, where 2 d omega_sp / v >= FORCE_SERIES_FROM
+    and its error is at most rel_tol; a force it would put outside the
+    normal floats is left to the table too.
+    """
+    from ._phi0 import _underdamped
+
+    if math.isinf(b) or not (_underdamped(material1) and _underdamped(material2)):
+        return live
+    sp = min(material1.omega_sp, material2.omega_sp)
+    fast = [i for i in live if FORCE_SERIES_FROM * v[i] <= 2.0 * d[i] * sp]
+    if not fast:
+        return live
+    speeds, gaps = np.array([v[i] for i in fast]), np.array([d[i] for i in fast])
+    with np.errstate(all="ignore"):
+        sums, errors, used = _series_forces(material1, material2, b, speeds, gaps, rel_tol)
+    taken = set()
+    for i, total, err, ok in zip(fast, sums.tolist(), errors.tolist(), used.tolist()):
+        if not ok:
+            continue
+        flags = []
+        try:
+            force = _force(flags, "k_x", "force series", (CONST.hbar / (32.0 * math.pi**3),
+                                                           v[i], total), (d[i],) * 4)
+        except FloatFailure:
+            continue
+        if not flags:
+            results[i].force_per_area = force
+            results[i].diagnostics.quadrature_rel_err = err / total
+            taken.add(i)
+    return [i for i in live if i not in taken]
+
+
 def general_forces(
     material1: MaterialModel,
     material2: MaterialModel,
@@ -616,11 +726,16 @@ def general_forces(
     d: Sequence[float],
     spec: QuadratureSpec = NESTED_SPEC,
 ) -> list[FrictionResult]:
-    """The general force at each point (v[i], d[i]): one Phi table, one k_x integral per point.
+    """The general force at each point (v[i], d[i]): its force series, or a Phi table and k_x.
 
     ``v`` and ``d`` are sequences of velocities and gaps (m/s, m) of one
-    length.  Phi(omega) is tabulated once (`tabulate_phi`) over the
-    kernel bands of all points with v > 0, 1e-4 v/(2d) .. 60 v/(2d): it
+    length.  At finite T between lossy, underdamped Drude plates, a point
+    with 2 d omega_sp / v >= FORCE_SERIES_FROM (40; omega_sp the smaller
+    one) is the force series (`_series_forces`) wherever its error bound
+    is at most ``spec.rel_tol``: it needs no Phi table and no k_x
+    integral, and ``quadrature_rel_err`` is that bound.  For the other
+    points, Phi(omega) is tabulated once (`tabulate_phi`) over the
+    kernel bands of those with v > 0, 1e-4 v/(2d) .. 60 v/(2d): it
     holds h = Phi/omega^p (p = 1 at finite T, 3 at T = 0, so that h
     tends to Phi_1 or Phi_3 at its low end), is cut at omega_sp and at
     the sum c of the two omega_sp of Drude plates, where Phi has its
@@ -647,11 +762,12 @@ def general_forces(
     ------
     DomainError
         If a velocity is not finite and >= 0, a gap not finite and > 0,
-        or a point's kernel band leaves the float range.
+        or a point's kernel band leaves the float range; or, at any
+        v > 0, a plate's omega_p^2 (`response.require_plates`).
     ValueError
         If ``v`` and ``d`` differ in length.
     TypeError
-        If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
+        If, at any v > 0, a plate is not a Drude metal (`response.require_plates`).
     NonConvergence
         With level "omega1" and no ``index``, naming the omega at which
         Phi failed or the omega interval the table could not resolve;
@@ -659,7 +775,8 @@ def general_forces(
         failed first, naming the k_x interval (1/m) on which the rule
         failed and the matching omega = k_x v.
     FloatFailure
-        With level "k_x", if a force or its k_x integral overflows.
+        With level "k_x", if a force or its k_x integral overflows; with
+        level "omega1", at any v > 0, if the thermal scale 2 k_B T / hbar does.
     """
     v, d = [float(x) for x in v], [float(x) for x in d]
     if len(v) != len(d):
@@ -672,10 +789,14 @@ def general_forces(
     live = [i for i, vi in enumerate(v) if vi]
     if not live:
         return results
+    b = require_plates(material1, material2, thermal)
+    live = _serve_by_series(results, material1, material2, b, v, d, live, spec.rel_tol)
+    if not live:
+        return results
     speeds, gaps = np.array([v[i] for i in live]), np.array([d[i] for i in live])
     lo, hi = _kernel_band(speeds, gaps)
     band = float(lo.min()), float(hi.max())
-    plates = [m for m in (material1, material2) if isinstance(m, Drude) and m.omega_p > 0]
+    plates = [m for m in (material1, material2) if m.omega_p > 0]
     sp = [m.omega_sp for m in plates]
     splits = {*sp, sum(sp)}
     if len(plates) == 2:
@@ -744,16 +865,21 @@ def dissipation_general(
     """Friction force from the full k-space/spectral dissipation integral.
 
     Valid at any temperature and velocity, for Drude plates: the one
-    point (v, config.d) of `general_forces`, whose Phi table is built for
-    it alone, and whose ``quadrature_rel_err`` covers Phi, the table and
-    the k_x integral.
+    point (v, config.d) of `general_forces`.  At finite T between lossy,
+    underdamped Drude plates and 2 d omega_sp / v >= 40 it is the force
+    series wherever its bound
+    holds ``spec.rel_tol``, and ``quadrature_rel_err`` is that bound;
+    otherwise a Phi table is built for it alone, and
+    ``quadrature_rel_err`` covers Phi, the table and the k_x integral.
 
     Raises
     ------
     DomainError
-        If v is not finite and >= 0, or its kernel band leaves the float range.
+        If v is not finite and >= 0, or its kernel band leaves the float
+        range; or, at v > 0, a plate's omega_p^2 (`response.require_plates`).
     FloatFailure
-        With level "k_x", if the force overflows.
+        With level "k_x", if the force overflows; with level "omega1", at
+        v > 0, if the thermal scale 2 k_B T / hbar does.
     NonConvergence
         With ``level`` identifying the failing nesting level
         ("omega1" or "k_x"); an "omega1" failure names the omega at
@@ -761,7 +887,7 @@ def dissipation_general(
         resolve, a "k_x" failure the k_x interval (1/m) on which the
         rule failed and the matching omega = k_x v.
     TypeError
-        If a plate is not a Drude metal (`response.im_r_dissipation_integral`).
+        If, at v > 0, a plate is not a Drude metal (`response.require_plates`).
     """
     return general_forces(material1, material2, thermal, [v], [config.d], spec)[0]
 

@@ -152,6 +152,30 @@ def _im_r(material: Drude, omega):
     return surface_response(material, omega).imag
 
 
+def require_plates(material1: Drude, material2: Drude, thermal: ThermalState) -> float:
+    """b = beta hbar / 2 of Phi between these plates at this T, once Phi's checks pass.
+
+    Raises TypeError, DomainError and FloatFailure as
+    `im_r_dissipation_integral` documents, in that order.
+    """
+    if not (isinstance(material1, Drude) and isinstance(material2, Drude)):
+        raise TypeError("Phi (the general force) requires Drude plates: it integrates Im R "
+                        "from omega = 0, below the first node of a tabulated material, "
+                        "which is not extrapolated")
+    for m in (material1, material2):
+        # omega_p^2 and omega_sp^2 = omega_p^2 / 2 are formed by surface_response
+        square = m.omega_p * m.omega_p
+        if m.omega_p and not (square < math.inf and 0.5 * square >= sys.float_info.min):
+            raise DomainError(f"Phi needs omega_p^2 and omega_sp^2 = omega_p^2 / 2 inside the "
+                              f"float range, got omega_p = {m.omega_p!r} rad/s")
+    half = 0.5 * thermal.beta * CONST.hbar
+    scale = 1.0 / half  # the thermal scale 2/(beta hbar); 0 at T = 0
+    if not (thermal.is_zero or math.isfinite(60.0 * scale)):
+        raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
+                           f"T = {thermal.temperature!r} K is past the float range", "omega1")
+    return half
+
+
 def im_r_dissipation_integral(
     omega_v,
     material1: Drude,
@@ -219,27 +243,14 @@ def im_r_dissipation_integral(
     FloatFailure
         With level "omega1", if the thermal scale 2 k_B T / hbar overflows.
     """
-    if not (isinstance(material1, Drude) and isinstance(material2, Drude)):
-        raise TypeError("Phi (the general force) requires Drude plates: it integrates Im R "
-                        "from omega = 0, below the first node of a tabulated material, "
-                        "which is not extrapolated")
-    for m in (material1, material2):
-        # omega_p^2 and omega_sp^2 = omega_p^2 / 2 are formed by surface_response
-        square = m.omega_p * m.omega_p
-        if m.omega_p and not (square < math.inf and 0.5 * square >= sys.float_info.min):
-            raise DomainError(f"Phi needs omega_p^2 and omega_sp^2 = omega_p^2 / 2 inside the "
-                              f"float range, got omega_p = {m.omega_p!r} rad/s")
+    half = require_plates(material1, material2, thermal)
     with np.errstate(all="ignore"):
         omega = np.abs(np.asarray(omega_v, dtype=float))
         omegas = omega.ravel()
         if not np.isfinite(omegas).all():
             bad = np.asarray(omega_v, dtype=float).ravel()[~np.isfinite(omegas)][0]
             raise DomainError(f"Phi needs a finite omega, got {float(bad)!r}")
-        half = 0.5 * thermal.beta * CONST.hbar
         scale = 1.0 / half  # the thermal scale 2/(beta hbar); 0 at T = 0
-        if not (thermal.is_zero or math.isfinite(60.0 * scale)):
-            raise FloatFailure(f"thermal scale 2 k_B T / hbar = {scale!r} rad/s at "
-                               f"T = {thermal.temperature!r} K is past the float range", "omega1")
         tol = max(PHI_TOL * spec.rel_tol, _PHI_TOL_FLOOR)
         # compiled at the first Phi, not on the import of a closed-form CLI call
         from ._phi0 import closed_form

@@ -1118,14 +1118,15 @@ def test_general_sweep_table_failure_names_no_row(capsys):
 
 def test_shared_sweep_kx_failure_names_its_row(capsys, monkeypatch):
     # a k_x integral that fails inside the one pass of a gap sweep is named by
-    # its row, as a per-row failure is
+    # its row, as a per-row failure is; at T = 0, where every row takes the pass
+    # (at 300 K the force series takes these slow rows)
     from casimir_friction import friction
     from test_friction import kernels_failing_at
 
     monkeypatch.setattr(friction, "_kernels", kernels_failing_at(1.0 / (2.0 * 10.0 * CONST.nm)))
     code, out, err = run_cli(
         capsys,
-        ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "300", "--regime", "general",
+        ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "zero", "--regime", "general",
          "--param", "gap-nm", "--from", "5", "--to", "20", "--points", "3", "--scale", "log"],
     )
     assert code == 3
@@ -1198,10 +1199,13 @@ def test_general_sweep_rows_match_force(capsys, param):
 
 
 def test_general_sweep_rtol_tightens_its_table(capsys):
+    # at T = 0, where every row is tabulated: at 300 K the force series takes these
+    # rows, each as the force takes it
     worst = {}
     for rtol in ("1e-6", "1e-9"):
-        rows = general_sweep(capsys, "velocity", 3, "--from", "1e3", "--rtol", rtol)
-        worst[rtol] = max(abs(f / general_force(capsys, "velocity", x, "--rtol", rtol) - 1.0)
+        cold = ("--temp-k", "zero", "--rtol", rtol)
+        rows = general_sweep(capsys, "velocity", 3, "--from", "1e3", *cold)
+        worst[rtol] = max(abs(f / general_force(capsys, "velocity", x, *cold) - 1.0)
                           for x, f in rows)
         assert worst[rtol] <= float(rtol)
     assert worst["1e-9"] < worst["1e-6"]
@@ -1218,8 +1222,9 @@ def test_general_force_matches_the_sweep_across_the_plasmon_resonances(capsys):
 
 
 def test_general_sweep_tabulates_phi_once(capsys, monkeypatch):
-    # the benchmark's 32-point velocity sweep: about 145 Phi evaluations per
-    # point when each point integrates Phi itself
+    # the benchmark's 32-point velocity sweep, at T = 0: about 145 Phi evaluations
+    # per point when each point integrates Phi itself (at 300 K the force series
+    # takes every row, and Phi is not evaluated)
     from casimir_friction import friction
 
     calls = []
@@ -1230,7 +1235,7 @@ def test_general_sweep_tabulates_phi_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(friction, "im_r_dissipation_integral", counting)
-    rows = general_sweep(capsys, "velocity", 32, "--scale", "log")
+    rows = general_sweep(capsys, "velocity", 32, "--scale", "log", "--temp-k", "zero")
     assert len(rows) == 32
     assert 0 < len(calls) <= 300
 
