@@ -14,6 +14,7 @@ from .numerics import (
     DEFAULT_SPEC,
     NESTED_SPEC,
     DomainError,
+    FloatFailure,
     NonConvergence,
     PhysicalConstants,
     QuadratureSpec,
@@ -50,6 +51,7 @@ __all__ = [
     "Diagnostics",
     "DomainError",
     "Drude",
+    "FloatFailure",
     "FrictionResult",
     "NESTED_SPEC",
     "NonConvergence",

@@ -46,15 +46,17 @@ whose first order is LinearFiniteT and whose second tends to
 ZeroT_Cubic as T -> 0.  `general_forces` serves a point from it where
 2 d omega_sp / v >= 40 (omega_sp the smaller one) and its error bound
 holds ``spec.rel_tol``, with no table and no k_x integral
-(`_series_forces`).  The other points of a call, all of them at T = 0,
-share one Phi table and take one k_x quadrature each against it.  The
-table spans the kernel bands of its points, 1e-4 v/(2d) .. 60 v/(2d).
-It is cut at the Drude resonances omega_sp and c = omega_sp1 + omega_sp2,
-and toward c, where Phi has a Lorentzian peak (nu1 + nu2)/2 wide, its first panels are
-graded: cuts at c e^(+-2^k (nu1 + nu2) / (2c)), k = 0, 1, ..., the mesh
-that bisection would reach one Phi call at a time.  It is then refined
-by one kernel row per point, one bisection at a time, in at most
-TABLE_MAX_PANELS (64) panels (`tabulate_phi`).  Each refinement step
+(`_series_forces`).  The other points of a call, all of them at T = 0
+and at finite T those the series refuses, share one Phi table and take
+one k_x quadrature each against it (`_table_integrals`).  The table
+spans the kernel bands of its points, 1e-4 v/(2d) .. 60 v/(2d).  It is
+cut at the Drude resonances omega_sp and c = omega_sp1 + omega_sp2, and
+toward c, where Phi has a Lorentzian peak (nu1 + nu2)/2 wide, its first
+panels are graded: cuts at c e^(+-2^k (nu1 + nu2) / (2c)), k = 0, 1, ...
+(`numerics.graded_points` in log omega), the mesh that bisection would
+reach one Phi call at a time.  It is then refined by one kernel row per
+point, one bisection at a time, in at most TABLE_MAX_PANELS (64) panels
+(`tabulate_phi`).  Each refinement step
 asks `response.im_r_dissipation_integral` for the 16 nodes of each of
 its new panels in one call (the first step holds all the graded
 panels), each to 1e-3 of ``spec.rel_tol``
@@ -87,12 +89,13 @@ K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
 and sums it in plain Python (`_k1e`), so the closed forms load no numpy
 (`numerics` binds numpy lazily).  The general force needs it on arrays
-of nodes (`_kernels`): `_k1e_array` evaluates a piecewise Chebyshev
+of nodes (`_kernels`): `_xk1e_array` evaluates a piecewise Chebyshev
 interpolant of x K1(x) e^x in log x, built from the same sum at first
-use (`_k1_fit`).  Both agree with `scipy.special.k1e` to a few ulps, and
-the package imports no scipy.  The fit and the Phi table are stored
-alike, as Chebyshev coefficients, and summed by one `_clenshaw`; below
-its first panel each takes that panel's value at its edge.
+use (`_k1_fit`), which the kernels take as it is.  Both agree with
+`scipy.special.k1e` to a few ulps, and the package imports no scipy.
+The fit and the Phi table are stored alike, as Chebyshev coefficients,
+and summed by one `_clenshaw`; below its first panel each takes that
+panel's value at its edge.
 
 For a Drude head Im R = -nu omega / omega_sp^2 the coefficients are
 Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
@@ -119,6 +122,7 @@ from .numerics import (
     NonConvergence,
     QuadratureSpec,
     float_guard,
+    graded_points,
     integrate_semi_infinite,
     np,
 )
@@ -330,7 +334,7 @@ def _k1e(x: float) -> float:
 
 
 def _clenshaw(coeffs, x):
-    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence: the series of `_k1e_array` and `PhiTable`.
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence: the series of `_xk1e_array` and `PhiTable`.
 
     Each coeffs[k] is a float or an array of x's shape.  Each step forms
     b_k = c_k + 2 x b_(k+1) - b_(k+2) in one temporary, in place; IEEE
@@ -381,22 +385,22 @@ def _k1_fit():
     return cheb.T.copy()
 
 
-def _k1e_array(x):
-    """K1(x) e^x on an array of 0 < x <= e^7 (about 1097), in numpy.
+def _xk1e_array(x):
+    """x K1(x) e^x on an array of 0 < x <= e^7 (about 1097), in numpy.
 
     The panel of s = log x holding each x is found by arithmetic, and its
     Chebyshev series (`_k1_fit`) is summed by `_clenshaw`; it agrees with
-    `_k1e` and with `scipy.special.k1e` to a few ulps.  Below the first
-    panel (x < e^-38), where x K1(x) e^x is 1 to double precision, its
-    value at its edge continues it.  Past the last, x K1(x) e^x is held at
-    its value at e^7, a finite stand-in: there K1(x) is below 1e-470, and
-    every K1(x) e^x e^-x is 0.
+    x `_k1e`(x) and with x `scipy.special.k1e`(x) to a few ulps.  Below
+    the first panel (x < e^-38), where x K1(x) e^x is 1 to double
+    precision, its value at its edge continues it.  Past the last, it is
+    held at its value at e^7, a finite stand-in: there K1(x) is below
+    1e-470, and every x K1(x) e^x e^-x is 0.
     """
     x = np.asarray(x, dtype=float)
     p = np.minimum(np.maximum(np.log(x) / _K1_WIDTH - _K1_START / _K1_WIDTH, 0.0),
                    _K1_PANELS * (1.0 - 1e-15))
     i = p.astype(np.intp)
-    return _clenshaw(_k1_fit()[:, i], 2.0 * (p - i) - 1.0) / x
+    return _clenshaw(_k1_fit()[:, i], 2.0 * (p - i) - 1.0)
 
 
 def _kernel_band(v, d):
@@ -409,28 +413,6 @@ def _kernel_band(v, d):
     """
     scale = v / (2.0 * d)
     return 1e-4 * scale, 60.0 * scale
-
-
-def _graded_cuts(centre: float, width: float, lo: float, hi: float) -> set[float]:
-    """The cuts centre e^(+-2^k width/centre), k = 0, 1, ..., for a peak inside the band (lo, hi).
-
-    A Lorentzian peak of Phi ``width`` wide at ``centre`` is resolved by
-    panels of s = log omega that widen by 2 away from it, the mesh that
-    bisection toward it ends with: cut there from the start, the table
-    reaches it in one call of Phi.  Levels stop once 2^k width/centre
-    spans log(hi/lo), as `integrate_finite`'s graded cuts stop at the
-    ends: doubling a positive float gets there in at most about 1100 steps.
-    The cuts are taken in s and only inside the band, so that no
-    exponential leaves the floats.  No cuts for a centre outside the
-    band or a width of 0.
-    """
-    s, s_lo, s_hi = math.log(centre), math.log(lo), math.log(hi)
-    step = width / centre
-    cuts = set()
-    while s_lo < s < s_hi and 0.0 < step < s_hi - s_lo:
-        cuts.update(math.exp(x) for x in (s - step, s + step) if s_lo < x < s_hi)
-        step *= 2.0
-    return cuts
 
 
 def _kernels(scales: Sequence[float]) -> Callable:
@@ -448,7 +430,7 @@ def _kernels(scales: Sequence[float]) -> Callable:
     def kernels(omega, which=slice(None)):
         x = omega / column[which]
         # x K1(x) first: x^2 alone overflows far past the underflow of e^-x
-        return x * (x * _k1e_array(x) * np.exp(-x))
+        return x * (_xk1e_array(x) * np.exp(-x))
 
     return kernels
 
@@ -642,12 +624,15 @@ def k1_moments(n: int) -> list[float]:
     return moments
 
 
-def _series_forces(material1: Drude, material2: Drude, b: float, speeds, gaps, rel_tol: float):
-    """The force series at each point (speeds[j], gaps[j]): (sums, errors, used), arrays.
+def _series_forces(material1: Drude, material2: Drude, b: float, v, d, points, rel_tol: float):
+    """{i: (S, error)} of the points i in ``points`` that the force series takes.
 
-    With Phi = omega sum_i phi_(2i+1) ref^(2i) (omega / ref)^(2i)
-    (`_phi0.series_coefficients`, rows[0]; b = beta hbar / 2 < inf), each
-    power of omega meets the kernel in a moment of K1 (`k1_moments`), and
+    It serves (v[i], d[i]) at finite T (b = beta hbar / 2 < inf) between
+    lossy, underdamped Drude plates where 2 d omega_sp / v >=
+    FORCE_SERIES_FROM (omega_sp the smaller one).  With
+    Phi = omega sum_i phi_(2i+1) ref^(2i) (omega / ref)^(2i)
+    (`_phi0.series_coefficients`, rows[0]), each power of omega meets the
+    kernel in a moment of K1 (`k1_moments`), and
 
         F = hbar v S / (32 pi^3 d^4),   S = sum_i rows[0, i] M_(2i+3) y^(2i),
 
@@ -658,64 +643,99 @@ def _series_forces(material1: Drude, material2: Drude, b: float, speeds, gaps, r
     the same way, the size of the last two orders kept, the lines' weight
     (``lines``, a bound on Phi over the series' window) against
     Int x^2 K1(x) dx = 2, and 4 FORCE_SERIES_ORDERS ulps of the sum of the
-    kept orders' sizes for the rounding.  A point is ``used`` where that error is at
+    kept orders' sizes for the rounding.  A point is taken where that error is at
     most rel_tol of S, and S is finite and at least the floor of Phi's
     series (below it the terms may have left the normal floats).
     """
-    from ._phi0 import _SERIES_FLOOR, series_coefficients
-
-    ref, rows, lines = series_coefficients(material1, material2, b)
-    n = FORCE_SERIES_ORDERS
-    y2 = (speeds / (2.0 * gaps * ref)) ** 2
-    # orders[j, r, i]: rows[r, i] M_(2i+3) y^(2i) of point j, values (r = 0) and bounds
-    orders = rows[:, :n] * np.array(k1_moments(n)) * y2[:, None, None] ** np.arange(n)
-    sizes = np.abs(orders[:, 0])
-    rising = sizes[:, 2:] > sizes[:, 1:-1]
-    kept = np.where(rising.any(axis=1), 2 + rising.argmax(axis=1), n)
-    keep = np.arange(n) < kept[:, None]
-    sums = np.where(keep, orders[:, 0], 0.0).sum(axis=1)
-    last = np.take_along_axis(sizes, kept[:, None] - np.array([1, 2]), axis=1).sum(axis=1)
-    errors = (np.where(keep, orders[:, 1], 0.0).sum(axis=1) + last + 4.0 * lines * gaps / speeds
-              + 4.0 * n * math.ulp(1.0) * np.where(keep, sizes, 0.0).sum(axis=1))
-    used = (_SERIES_FLOOR <= sums) & (sums < math.inf) & (errors <= rel_tol * sums)
-    return sums, errors, used
-
-
-def _serve_by_series(results, material1, material2, b, v, d, live, rel_tol):
-    """Fill the results of the points in ``live`` that the force series takes; return the others.
-
-    The series (`_series_forces`) serves a point at finite T (b = beta hbar / 2
-    < inf) between lossy, underdamped Drude plates, which have passed
-    `response.require_plates`, where 2 d omega_sp / v >= FORCE_SERIES_FROM
-    and its error is at most rel_tol; a force it would put outside the
-    normal floats is left to the table too.
-    """
-    from ._phi0 import _underdamped
+    from ._phi0 import _SERIES_FLOOR, _underdamped, series_coefficients
 
     if math.isinf(b) or not (_underdamped(material1) and _underdamped(material2)):
-        return live
+        return {}
     sp = min(material1.omega_sp, material2.omega_sp)
-    fast = [i for i in live if FORCE_SERIES_FROM * v[i] <= 2.0 * d[i] * sp]
+    fast = [i for i in points if FORCE_SERIES_FROM * v[i] <= 2.0 * d[i] * sp]
     if not fast:
-        return live
+        return {}
     speeds, gaps = np.array([v[i] for i in fast]), np.array([d[i] for i in fast])
+    n = FORCE_SERIES_ORDERS
     with np.errstate(all="ignore"):
-        sums, errors, used = _series_forces(material1, material2, b, speeds, gaps, rel_tol)
-    taken = set()
-    for i, total, err, ok in zip(fast, sums.tolist(), errors.tolist(), used.tolist()):
-        if not ok:
-            continue
-        flags = []
-        try:
-            force = _force(flags, "k_x", "force series", (CONST.hbar / (32.0 * math.pi**3),
-                                                           v[i], total), (d[i],) * 4)
-        except FloatFailure:
-            continue
-        if not flags:
-            results[i].force_per_area = force
-            results[i].diagnostics.quadrature_rel_err = err / total
-            taken.add(i)
-    return [i for i in live if i not in taken]
+        ref, rows, lines = series_coefficients(material1, material2, b)
+        y2 = (speeds / (2.0 * gaps * ref)) ** 2
+        # orders[j, r, i]: rows[r, i] M_(2i+3) y^(2i) of point j, values (r = 0) and bounds
+        orders = rows[:, :n] * np.array(k1_moments(n)) * y2[:, None, None] ** np.arange(n)
+        sizes = np.abs(orders[:, 0])
+        rising = sizes[:, 2:] > sizes[:, 1:-1]
+        kept = np.where(rising.any(axis=1), 2 + rising.argmax(axis=1), n)
+        keep = np.arange(n) < kept[:, None]
+        sums = np.where(keep, orders[:, 0], 0.0).sum(axis=1)
+        last = np.take_along_axis(sizes, kept[:, None] - np.array([1, 2]), axis=1).sum(axis=1)
+        errors = (np.where(keep, orders[:, 1], 0.0).sum(axis=1) + last + 4.0 * lines * gaps / speeds
+                  + 4.0 * n * math.ulp(1.0) * np.where(keep, sizes, 0.0).sum(axis=1))
+        used = (_SERIES_FLOOR <= sums) & (sums < math.inf) & (errors <= rel_tol * sums)
+    return {i: (total, err) for i, total, err, ok
+            in zip(fast, sums.tolist(), errors.tolist(), used.tolist()) if ok}
+
+
+def _table_integrals(material1, material2, thermal, v, d, points, spec):
+    """{i: (I, error)} of the points i in ``points``: I = Int x^2 K1(x) Phi(k_x v) dk_x, x = 2dk_x.
+
+    One Phi table and one k_x pass serve them all (`general_forces`); an
+    error adds the k_x rule's estimate and the point's table error.
+    """
+    if not points:
+        return {}
+    speeds, gaps = np.array([v[i] for i in points]), np.array([d[i] for i in points])
+    lo, hi = _kernel_band(speeds, gaps)
+    band = float(lo.min()), float(hi.max())
+    plates = [m for m in (material1, material2) if m.omega_p > 0]
+    sp = [m.omega_sp for m in plates]
+    splits = {*sp, sum(sp)}
+    if len(plates) == 2:
+        # the Lorentzian peak of Phi at the sum resonance, (nu1 + nu2) / 2 wide, met by cuts
+        # graded toward it in s = log omega, so that no exponential leaves the floats
+        s, step = math.log(sum(sp)), 0.5 * (plates[0].nu + plates[1].nu) / sum(sp)
+        s_lo, s_hi = math.log(band[0]), math.log(band[1])
+        if s_lo < s < s_hi and step > 0.0:
+            splits.update(math.exp(x) for x in graded_points(s, step, s_lo, s_hi).tolist()
+                          if s_lo < x < s_hi)
+    kernels = _kernels(speeds / (2.0 * gaps))
+    # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
+    table, moments, shift = tabulate_phi(
+        lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
+        *band, 3 if thermal.is_zero else 1, kernels, sorted(splits), spec.rel_tol,
+    )
+    edges = np.exp(table.edges)
+    # a cut at the lower limit k_x = 0 is no cut; an edge far outside a band would
+    # overflow as a k_x
+    inside = (lo[:, None] < edges) & (edges < hi[:, None])
+    cuts = np.divide(edges, speeds[:, None], out=np.zeros(inside.shape), where=inside)
+    speed_column = speeds[:, None]
+
+    def weighed(kx, which):
+        """(2d)^2 k_x^2 K1(2 d k_x) Phi(k_x v) of the points in ``which``: kernel times table."""
+        omega = kx * speed_column[which]
+        return kernels(omega, which) * table(omega)
+
+    try:
+        with np.errstate(over="raise"):
+            values, errors = integrate_semi_infinite(weighed, 0.5 / gaps, spec, cuts)
+    except FloatingPointError as exc:
+        raise FloatFailure(f"the k_x integral leaves the float range ({exc})", "k_x") from exc
+    except NonConvergence as exc:
+        (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
+        raise NonConvergence(
+            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
+            f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
+            index=points[exc.index],
+        ) from exc
+    # Int w |Phi_table - Phi| d omega, and d omega = v dk_x; sums, not a matrix
+    # product, whose first call would have BLAS allocate its buffers.  The sums are
+    # divided by the mantissas of v, and take both powers of 2 last, so that no
+    # step leaves the floats
+    mantissas, exponents = np.frexp(speeds)
+    table_errors = np.ldexp((moments * table.errors).sum(axis=1) / mantissas,
+                            -shift - exponents).tolist()
+    return {i: (value, abs(err) + bound) for i, value, err, bound
+            in zip(points, values.tolist(), errors.tolist(), table_errors)}
 
 
 def general_forces(
@@ -743,8 +763,8 @@ def general_forces(
     point's table error is at most ``spec.rel_tol`` of its size.  Where
     c lies in the band, Phi's peak there, (nu1 + nu2)/2 wide, is met by
     the first cuts already: the table starts graded toward it
-    (`_graded_cuts`), so that a fast force takes a few calls of Phi,
-    not one per bisection.
+    (`numerics.graded_points` in log omega), so that a fast force takes
+    a few calls of Phi, not one per bisection.
     Each point then takes one k_x integral of its kernel times the
     table, all in one `numerics.integrate_semi_infinite` pass, on its
     scale 1/(2d) and cut at every panel edge inside its band; the k_y
@@ -752,11 +772,15 @@ def general_forces(
     refined on its own segments, so it does not depend on the others in
     the pass.  ``quadrature_rel_err`` adds the integral's error estimate and
     the point's table error, the panel errors weighed by the table's
-    moments of its kernel: the budget covers Phi, the table and k_x.  A
-    point with v = 0 has force 0; a lossless plate's 0 carries the
-    `flag_lossless` flag, and a force below the normal floats is 0 with
-    an "underflow:" flag, as is one whose k_x integral is 0 between lossy
-    plates, where Phi is below them.
+    moments of its kernel: the budget covers Phi, the table and k_x.
+    Every point's force is then one product (`_force`) of its series
+    sum or its k_x integral, formed in one loop.  A point with v = 0 has
+    force 0; a lossless plate's 0 carries the `flag_lossless` flag, and a
+    force below the normal floats is 0 with an "underflow:" flag naming
+    its formula, d and v, as is one whose k_x integral is 0 between
+    lossy plates, where Phi is below them.  A force past the normal
+    floats raises FloatFailure.  Either holds for a series point as for
+    a table point: neither is recomputed from a table.
 
     Raises
     ------
@@ -775,8 +799,9 @@ def general_forces(
         failed first, naming the k_x interval (1/m) on which the rule
         failed and the matching omega = k_x v.
     FloatFailure
-        With level "k_x", if a force or its k_x integral overflows; with
-        level "omega1", at any v > 0, if the thermal scale 2 k_B T / hbar does.
+        With level "k_x", if a force (of the series or of the table) or
+        a k_x integral overflows; with level "omega1", at any v > 0, if
+        the thermal scale 2 k_B T / hbar does.
     """
     v, d = [float(x) for x in v], [float(x) for x in d]
     if len(v) != len(d):
@@ -784,73 +809,33 @@ def general_forces(
                          f"and {len(d)} gaps")
     for vi, di in zip(v, d):
         _require_point(vi, di, thermal)
-    power = 3 if thermal.is_zero else 1
     results = [FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics()) for _ in v]
     live = [i for i, vi in enumerate(v) if vi]
     if not live:
         return results
     b = require_plates(material1, material2, thermal)
-    live = _serve_by_series(results, material1, material2, b, v, d, live, spec.rel_tol)
-    if not live:
-        return results
-    speeds, gaps = np.array([v[i] for i in live]), np.array([d[i] for i in live])
-    lo, hi = _kernel_band(speeds, gaps)
-    band = float(lo.min()), float(hi.max())
-    plates = [m for m in (material1, material2) if m.omega_p > 0]
-    sp = [m.omega_sp for m in plates]
-    splits = {*sp, sum(sp)}
-    if len(plates) == 2:
-        # the Lorentzian peak of Phi at the sum resonance, (nu1 + nu2) / 2 wide
-        splits |= _graded_cuts(sum(sp), 0.5 * (plates[0].nu + plates[1].nu), *band)
-    kernels = _kernels(speeds / (2.0 * gaps))
-    # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
-    table, moments, shift = tabulate_phi(
-        lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
-        *band, power, kernels, sorted(splits), spec.rel_tol,
-    )
-    edges = np.exp(table.edges)
-    # a cut at the lower limit k_x = 0 is no cut; an edge far outside a band would
-    # overflow as a k_x
-    inside = (lo[:, None] < edges) & (edges < hi[:, None])
-    cuts = np.divide(edges, speeds[:, None], out=np.zeros(inside.shape), where=inside)
-    speed_column = speeds[:, None]
-
-    def weighed(kx, which):
-        """(2d)^2 k_x^2 K1(2 d k_x) Phi(k_x v) of the points in ``which``: kernel times table."""
-        omega = kx * speed_column[which]
-        return kernels(omega, which) * table(omega)
-
-    try:
-        with np.errstate(over="raise"):
-            values, errors = integrate_semi_infinite(weighed, 0.5 / gaps, spec, cuts)
-    except FloatingPointError as exc:
-        raise FloatFailure(f"the k_x integral leaves the float range ({exc})", "k_x") from exc
-    except NonConvergence as exc:
-        (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
-        raise NonConvergence(
-            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
-            f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
-            index=live[exc.index],
-        ) from exc
-    # Int w |Phi_table - Phi| d omega, and d omega = v dk_x; sums, not a matrix
-    # product, whose first call would have BLAS allocate its buffers.  The sums are
-    # divided by the mantissas of v, and take both powers of 2 last, so that no
-    # step leaves the floats
-    mantissas, exponents = np.frexp(speeds)
-    table_errors = np.ldexp((moments * table.errors).sum(axis=1) / mantissas,
-                            -shift - exponents).tolist()
-    for i, value, err, bound in zip(live, values.tolist(), errors.tolist(), table_errors):
-        result = results[i]
-        if not value and all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2)):
-            result.diagnostics.validity_flags.append(
+    by_series = _series_forces(material1, material2, b, v, d, live, spec.rel_tol)
+    by_table = _table_integrals(material1, material2, thermal, v, d,
+                                [i for i in live if i not in by_series], spec)
+    lossy = all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2))
+    # each force is one product (`_force`): hbar v S / (32 pi^3 d^4) of the series' sum S,
+    # or hbar I / (8 pi^3 d^2) of the k_x integral I, as k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
+    series = ("force series hbar v S / (32 pi^3 d^4)", CONST.hbar / (32.0 * math.pi**3), 1, 4)
+    integral = ("force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2)",
+                CONST.hbar / (8.0 * math.pi**3), 0, 2)
+    for i in live:
+        (value, err), (formula, constant, v_power, d_power) = (
+            (by_series[i], series) if i in by_series else (by_table[i], integral))
+        diag = results[i].diagnostics
+        if not value and lossy:
+            diag.validity_flags.append(
                 "underflow: Phi is below the normal floats over the kernel band; reported as 0")
-        # k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
-        result.force_per_area = _force(
-            result.diagnostics.validity_flags, "k_x", f"force hbar Int x^2 K1(x) Phi dk_x / "
-            f"(8 pi^3 d^2) at d = {d[i]!r} m, v = {v[i]!r} m/s",
-            (CONST.hbar / (8.0 * math.pi**3), value), (d[i], d[i]))
-        result.diagnostics.quadrature_rel_err = (abs(err) + bound) / abs(value) if value else 0.0
-        flag_lossless(result.diagnostics, material1, material2)
+        diag.quadrature_rel_err = err / abs(value) if value else 0.0
+        results[i].force_per_area = _force(
+            diag.validity_flags, "k_x", f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
+            (constant, *[v[i]] * v_power, value), [d[i]] * d_power)
+        if not lossy:
+            flag_lossless(diag, material1, material2)
     return results
 
 

@@ -279,6 +279,26 @@ def _integrate(f, a, b, owner, n, rel_tol):
         k[new], e[new] = _kronrod(f, a[new], b[new], owner[new])
 
 
+def graded_points(centre, width, lo, hi):
+    """The points centre -+ width 2^k, k = 0, 1, ..., until both ends of [lo, hi] are reached.
+
+    The arguments broadcast together (floats or arrays); each centre's
+    points run along a new last axis, as many for every centre, and the
+    caller drops or clips those outside [lo, hi].  width 2^k is exact (inf
+    past the float range), for k up to 1023, where 2^k stays finite: a
+    width below 2^-1023 of the span stops short of the ends.  A width of 0
+    gives the centre itself.
+    """
+    centre, width, lo, hi = (np.asarray(x, dtype=float)[..., None] for x in (centre, width, lo, hi))
+    span = float(np.maximum(centre - lo, hi - centre).max())
+    widths = width[width > 0]
+    # width 2^k > span from k = (exponent of span) - (exponent of width) + 1 on
+    levels = math.frexp(span)[1] - math.frexp(float(widths.min()))[1] + 1 if widths.size else 0
+    with np.errstate(over="ignore"):
+        steps = width * np.ldexp(1.0, np.arange(min(max(levels, 0), 1023) + 1))
+    return np.concatenate((centre - steps, centre + steps), axis=-1)
+
+
 def _segments(lo, hi, cuts, graded=()):
     """Starting segments of n integrals, each on [lo[j], hi[j]].
 
@@ -286,7 +306,7 @@ def _segments(lo, hi, cuts, graded=()):
     tabulated response).  ``graded`` holds (centre, width) pairs, each an array
     over the n integrals or a float: a feature of the integrand of that
     width at that centre, graded toward by further breakpoints
-    centre +- width 2^k, k = 0, 1, ...  Breakpoints
+    centre +- width 2^k, k = 0, 1, ... (`graded_points`).  Breakpoints
     outside (lo, hi) are dropped, and so are those that would leave a
     segment too narrow to bisect at an end: its nodes would round onto
     the end, where the integrand may not be defined (Im R at 0).
@@ -300,15 +320,8 @@ def _segments(lo, hi, cuts, graded=()):
     zero = np.zeros(n)
     points = [cuts]
     if graded:
-        centre = np.array([c + zero for c, _ in graded])[..., None]
-        width = np.array([w + zero for _, w in graded])[..., None]
-        # enough steps to reach both ends from every centre, within the float range
-        reach = np.where(width > 0, np.maximum(centre - lo[:, None], hi[:, None] - centre) / width,
-                         1.0)
-        levels = int(min(np.log2(max(reach.max(), 1.0)), 2100.0)) + 1
-        steps = width * 2.0 ** np.arange(levels + 1)
-        points.append(np.concatenate((centre - steps, centre + steps), axis=2)
-                      .transpose(1, 0, 2).reshape(n, -1))
+        centre, width = (np.array([x + zero for x in xs]) for xs in zip(*graded))
+        points.append(graded_points(centre, width, lo, hi).transpose(1, 0, 2).reshape(n, -1))
     lo, hi = lo[:, None], hi[:, None]
     # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
     inner = np.concatenate([np.empty((n, 0)), *points], axis=1)

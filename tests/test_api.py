@@ -16,7 +16,7 @@ from casimir_friction.cli import main
 
 PUBLIC = {
     "CONST", "DEFAULT_SPEC", "NESTED_SPEC", "PhysicalConstants", "QuadratureSpec",
-    "DomainError", "NonConvergence",
+    "DomainError", "NonConvergence", "FloatFailure",
     "Drude", "Tabulated", "SingularResponse", "response_R", "surface_response",
     "ThermalState", "im_r_dissipation_integral", "phi_slope",
     "PlateConfig",
@@ -45,7 +45,10 @@ DELETED = {
     ),
     friction: ("_rho_slope_product", "ValidityWarning", "SharedPhi", "_Panel",
                # one call, general_forces, tabulates Phi for its points and integrates them
-               "phi_table", "ERROR_SPEC", "_ky_integral"),
+               "phi_table", "ERROR_SPEC", "_ky_integral",
+               # every point's force is formed in general_forces' one loop; the table's
+               # graded cuts come from numerics.graded_points; the kernels take x K1 e^x
+               "_serve_by_series", "_graded_cuts", "_k1e_array"),
     compare: ("LiteratureParams",),
 }
 

@@ -31,8 +31,8 @@ from casimir_friction.friction import (
     TABLE_NODES,
     ZERO_T_CUBIC,
     _k1e,
-    _k1e_array,
     _kernels,
+    _xk1e_array,
     dissipation_general,
     force_linear,
     force_plasmon,
@@ -744,6 +744,19 @@ def test_one_table_from_far_below_one_rad_s_to_the_sum_resonance(slow):
     assert dev <= rows[0].diagnostics.quadrature_rel_err <= NESTED_SPEC.rel_tol
 
 
+def test_series_force_below_the_normal_floats_is_a_flagged_zero_with_no_table(monkeypatch):
+    # at 10 K, 1 mm and 1e-290 m/s the force series holds its bound and its force is
+    # below the normal floats: a 0 flagged by the series, where a Phi table was once
+    # built to reach the same 0
+    tables = recorded_tables(monkeypatch)
+    [row] = general_forces(GOLD, GOLD, ThermalState.finite(10.0), [1e-290], [1e-3])
+    assert row.force_per_area == 0.0 and not tables
+    [flag] = row.diagnostics.validity_flags
+    assert flag.startswith("underflow: force series ")
+    assert "d = 0.001 m, v = 1e-290 m/s" in flag
+    assert 0.0 < row.diagnostics.quadrature_rel_err <= NESTED_SPEC.rel_tol
+
+
 SWEEPS = {
     # (thermal, velocities, gaps): each sweep's rows share one table and one k_x pass
     "velocity-cold": (COLD, np.logspace(-1.0, 5.0, 12), [PLATE.d]),
@@ -1058,18 +1071,30 @@ def test_scalar_k1e_matches_scipy():
 
 
 def test_array_k1e_matches_scipy():
-    # the general force's numpy K1(x) e^x, from far below its first panel to
+    # the general force's numpy x K1(x) e^x, from far below its first panel to
     # past the kernels' reach
     x = np.logspace(-16.0, 3.0, 4001)
-    np.testing.assert_allclose(_k1e_array(x), k1e(x), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(_xk1e_array(x), x * k1e(x), rtol=1e-14, atol=0.0)
 
 
 def test_array_k1e_matches_the_scalar_sum():
-    # the two K1 of the package: the numpy fit and the plain-Python trapezoid sum
-    # it was fitted to; the fit keeps the shape of its argument
+    # the two K1 of the package: the numpy fit of x K1(x) e^x and the plain-Python
+    # trapezoid sum it was fitted to; the fit keeps the shape of its argument
     x = np.logspace(-8.0, math.log10(700.0), 1001)
-    np.testing.assert_allclose(_k1e_array(x), [_k1e(float(v)) for v in x], rtol=1e-14, atol=0.0)
-    assert np.array_equal(_k1e_array(x[:1000].reshape(40, 25)), _k1e_array(x[:1000]).reshape(40, 25))
+    np.testing.assert_allclose(_xk1e_array(x), [v * _k1e(float(v)) for v in x],
+                               rtol=1e-14, atol=0.0)
+    assert np.array_equal(_xk1e_array(x[:1000].reshape(40, 25)),
+                          _xk1e_array(x[:1000]).reshape(40, 25))
+
+
+def test_shared_table_kernels_at_a_subnormal_x_raise_no_warning():
+    # the 1 m/s, 1 pm point's kernel row weighs the shared table at the 1e-300 m/s
+    # point's nodes, at x = 2 d omega / v near 1e-310; x K1(x) e^x divided by x
+    # overflowed there, a RuntimeWarning (any warning fails the suite)
+    lossless = Drude(9.0 * EV, 0.0)
+    rows = general_forces(lossless, lossless, ThermalState.finite(1.0), [1.0, 1e-300],
+                          [1e-12, 1e-6])
+    assert [row.force_per_area for row in rows] == [0.0, 0.0]
 
 
 def test_ky_integral_is_zero_past_underflow():

@@ -219,3 +219,17 @@ def test_segments_drop_a_breakpoint_too_close_to_an_end_to_bisect():
     a, b, owner = _segments(np.array([0.0]), np.array([1.0]), points)
     assert list(zip(a, b)) == [(0.0, 1e-300), (1e-300, 0.5), (0.5, 1.0 - 1e-9), (1.0 - 1e-9, 1.0)]
     assert owner.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("width", [0.3, 1e-3, 1e-300, 0.0])
+def test_graded_points_are_exact_and_reach_both_ends(width):
+    # centre -+ width 2^k, k = 0, 1, ..., past both ends of [lo, hi]: exact down to a
+    # width of 1e-300, with no warning (any warning fails the suite); a width of 0
+    # gives the centre
+    below, above = np.split(numerics.graded_points(0.25, width, 0.0, 1.0), 2)
+    steps = np.ldexp(width, np.arange(below.size))
+    assert np.array_equal(below, 0.25 - steps) and np.array_equal(above, 0.25 + steps)
+    if width:
+        assert below.min() < 0.0 and above.max() > 1.0
+    else:
+        assert below.tolist() == above.tolist() == [0.25]
