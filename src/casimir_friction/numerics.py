@@ -307,9 +307,10 @@ def _segments(lo, hi, cuts, graded=()):
     over the n integrals or a float: a feature of the integrand of that
     width at that centre, graded toward by further breakpoints
     centre +- width 2^k, k = 0, 1, ... (`graded_points`).  Breakpoints
-    outside (lo, hi) are dropped, and so are those that would leave a
-    segment too narrow to bisect at an end: its nodes would round onto
-    the end, where the integrand may not be defined (Im R at 0).
+    outside (lo, hi) are dropped, and those within _UNBISECTABLE_ULPS of
+    an end move onto it: the segment between would be too narrow to
+    bisect, and its nodes would round onto the end, where the integrand
+    may not be defined (Im R at 0).
 
     Returns
     -------
@@ -323,23 +324,16 @@ def _segments(lo, hi, cuts, graded=()):
         centre, width = (np.array([x + zero for x in xs]) for xs in zip(*graded))
         points.append(graded_points(centre, width, lo, hi).transpose(1, 0, 2).reshape(n, -1))
     lo, hi = lo[:, None], hi[:, None]
+    near_lo = lo + _UNBISECTABLE_ULPS * np.spacing(lo)
+    near_hi = hi - _UNBISECTABLE_ULPS * np.spacing(hi)
     # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
     inner = np.concatenate([np.empty((n, 0)), *points], axis=1)
     inner = np.sort(np.minimum(np.maximum(inner, lo), hi), axis=1)
-
-    def cut(inner):
-        edges = np.concatenate((lo, inner, hi), axis=1)
-        keep = edges[:, 1:] > edges[:, :-1]
-        return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
-
-    a, b, owner = cut(inner)
-    if (b - a <= _UNBISECTABLE_ULPS * np.spacing(b)).any():
-        # rare: a breakpoint too close to an end to bisect the segment between
-        # moves onto that end, leaving a segment of no width
-        near_lo = lo + _UNBISECTABLE_ULPS * np.spacing(lo)
-        near_hi = hi - _UNBISECTABLE_ULPS * np.spacing(hi)
-        a, b, owner = cut(np.where(inner <= near_lo, lo, np.where(inner >= near_hi, hi, inner)))
-    return a, b, owner
+    inner = np.where(inner <= near_lo, lo, np.where(inner >= near_hi, hi, inner))
+    # a breakpoint on an end leaves a segment of no width, which is dropped
+    edges = np.concatenate((lo, inner, hi), axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
 
 
 def _rows(cuts):
