@@ -55,8 +55,9 @@ def pendry_force(sigma_over_eps0: float, d: float, v: float) -> float:
         if not (x > 0 and math.isfinite(x)):
             raise DomainError(f"{name} must be finite and > 0, got {x}")
     _require_velocity(v)
-    return _force([], "compare", f"Pendry's force 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6) "
-                  f"at sigma/eps0 = {sigma_over_eps0!r} rad/s, d = {d!r} m, v = {v!r} m/s",
+    return _force([], "compare",
+                  lambda: f"Pendry's force 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6) "
+                          f"at sigma/eps0 = {sigma_over_eps0!r} rad/s, d = {d!r} m, v = {v!r} m/s",
                   (5.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v),
                   (sigma_over_eps0, sigma_over_eps0, d, d, d, d, d, d))
 
@@ -69,9 +70,10 @@ def linear_cubic_ratio(d: float, thermal: ThermalState, v: float) -> float:
     "compare") naming it.
     """
     kt = (CONST.k_B, thermal.temperature)
-    return _force([], "compare", f"expected linear/cubic ratio (16 pi^2/15) "
-                  f"(d k_B T / (hbar v))^2 at d = {d!r} m, T = {thermal.temperature!r} K, "
-                  f"v = {v!r} m/s", (RATIO_COEFFICIENT, d, d, *kt, *kt),
+    return _force([], "compare",
+                  lambda: f"expected linear/cubic ratio (16 pi^2/15) (d k_B T / (hbar v))^2 "
+                          f"at d = {d!r} m, T = {thermal.temperature!r} K, v = {v!r} m/s",
+                  (RATIO_COEFFICIENT, d, d, *kt, *kt),
                   (CONST.hbar, CONST.hbar, v, v))
 
 

@@ -186,7 +186,8 @@ def _require_point(v: float, d: float, thermal: ThermalState) -> None:
                           f"d = {d!r} m leaves the float range of the general force")
 
 
-def _force(flags: list[str], level: str, quantity: str, factors, divisors=()) -> float:
+def _force(flags: list[str], level: str, quantity: Callable[[], str], factors,
+           divisors=()) -> float:
     """prod(factors) / prod(divisors), with one rounding into the floats at the end.
 
     Each operand is split into its mantissa in [0.5, 1) and its power of 2
@@ -194,7 +195,8 @@ def _force(flags: list[str], level: str, quantity: str, factors, divisors=()) ->
     product of the mantissas takes its power of 2 last (math.ldexp).  A
     result past the float range raises FloatFailure at ``level``; one below
     the normal floats, of nonzero operands, is reported as 0 with an
-    "underflow:" flag appended to ``flags``.
+    "underflow:" flag appended to ``flags``.  ``quantity()`` names the
+    result in either text, and is called only then.
     """
     mantissa, exponent = 1.0, 0
     for x in factors:
@@ -210,9 +212,9 @@ def _force(flags: list[str], level: str, quantity: str, factors, divisors=()) ->
     except OverflowError:
         result = math.inf
     if not math.isfinite(result):
-        raise FloatFailure(f"{quantity} is not finite", level)
+        raise FloatFailure(f"{quantity()} is not finite", level)
     if mantissa and abs(result) < sys.float_info.min:
-        flags.append(f"underflow: {quantity} is below the normal floats; reported as 0")
+        flags.append(f"underflow: {quantity()} is below the normal floats; reported as 0")
         return 0.0
     return result
 
@@ -272,7 +274,7 @@ def force_linear(
         factors.append(phi1)
 
     force = _force(diag.validity_flags, LINEAR_FINITE_T,
-                   f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {d!r} m, v = {v!r} m/s",
+                   lambda: f"force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = {d!r} m, v = {v!r} m/s",
                    factors, divisors)
     return FrictionResult(force, LINEAR_FINITE_T, diag)
 
@@ -309,7 +311,8 @@ def force_zero_t(material: Drude, config: PlateConfig, v: float) -> FrictionResu
         d, nu, sp = config.d, material.nu, material.omega_sp
         # 45 hbar / (256 pi^2) times the 1/3 of Phi_3 = nu^2 / (3 omega_sp^4)
         force = _force(diag.validity_flags, ZERO_T_CUBIC,
-                       f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {d!r} m, v = {v!r} m/s",
+                       lambda: f"force 45 hbar v^3 Phi_3 / (256 pi^2 d^6) at d = {d!r} m, "
+                               f"v = {v!r} m/s",
                        (15.0 * CONST.hbar / (256.0 * math.pi**2), v, v, v, nu, nu),
                        (sp, sp, sp, sp, d, d, d, d, d, d))
     return FrictionResult(force, ZERO_T_CUBIC, diag)
@@ -832,7 +835,8 @@ def general_forces(
                 "underflow: Phi is below the normal floats over the kernel band; reported as 0")
         diag.quadrature_rel_err = err / abs(value) if value else 0.0
         results[i].force_per_area = _force(
-            diag.validity_flags, "k_x", f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
+            diag.validity_flags, "k_x",
+            lambda: f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
             (constant, *[v[i]] * v_power, value), [d[i]] * d_power)
         if not lossy:
             flag_lossless(diag, material1, material2)
@@ -909,8 +913,8 @@ def force_plasmon(omega_sp: float, config: PlateConfig, v: float) -> FrictionRes
     with float_guard(PLASMON_LINE, f"K1(x) e^x at x = 4 omega_sp d / v = {x!r}"):
         k1e = _k1e(x)
     force = _force(diag.validity_flags, PLASMON_LINE,
-                   f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
-                   f"d = {config.d!r} m, v = {v!r} m/s",
+                   lambda: f"force (hbar omega_sp^4 / (pi v^3)) K1(4 omega_sp d / v) at "
+                           f"d = {config.d!r} m, v = {v!r} m/s",
                    (CONST.hbar / math.pi, omega_sp, omega_sp, omega_sp, omega_sp, k1e, half, half),
                    (v, v, v))
     return FrictionResult(force, PLASMON_LINE, diag)

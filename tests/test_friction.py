@@ -1041,6 +1041,38 @@ def test_phi_table_that_cannot_resolve_names_its_interval():
     assert err.value.level == "omega1"
 
 
+def test_a_normal_product_never_formats_its_quantity(monkeypatch):
+    # `_force` names its result only in an underflow flag or a FloatFailure, so a
+    # result in the normal floats never calls its quantity, at any of the products:
+    # the closed forms, both sources of the general force and `compare`'s
+    from casimir_friction import compare
+
+    def unread():
+        pytest.fail("a product in the normal floats formatted its quantity")
+
+    real = friction._force
+
+    def strict(flags, level, quantity, *operands):
+        return real(flags, level, unread, *operands)
+
+    monkeypatch.setattr(friction, "_force", strict)
+    monkeypatch.setattr(compare, "_force", strict)
+    force_linear(GOLD, PLATE, ROOM, 1.0)
+    force_zero_t(GOLD, PLATE, 1.0)
+    force_plasmon(GOLD.omega_sp, PLATE, 1e6)
+    # 1 m/s is a force-series point, 1e6 m/s a table point
+    assert all(r.force_per_area > 0 for r in general_forces(GOLD, GOLD, ROOM, [1.0, 1e6],
+                                                             [PLATE.d] * 2))
+    pendry_force(SIGMA, PLATE.d, 1.0)
+    compare.linear_cubic_ratio(PLATE.d, ROOM, 1.0)
+    # below and past the normal floats, the quantity names the result
+    flags = []
+    assert real(flags, "k_x", lambda: "q", (2.0**-1000, 2.0**-100)) == 0.0
+    assert flags == ["underflow: q is below the normal floats; reported as 0"]
+    with pytest.raises(FloatFailure, match=r"^q is not finite$"):
+        real(flags, "k_x", lambda: "q", (2.0**1000, 2.0**100))
+
+
 def ky_integral(kx: float, d: float) -> float:
     """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), from the general force's kernel.
 
