@@ -71,14 +71,19 @@ finite T its small-omega series (for the reference metal at every omega
 there up to about 1000 K).  There the node's error estimate is that
 bound, and only the other nodes are integrated: at T = 0, those below
 omega_sp / 2 among them.
-The k_x integrals of all points take one
+The k_x integrals of all points are taken in x = 2 d k_x = 2 d omega / v,
+
+    F = (hbar / (16 pi^3 d^3)) Int_0^inf dx x^2 K1(x) Phi(x v / (2d)),
+
+where every point weighs Phi by one kernel, x^2 K1(x) (`_kernel`),
+which decays on the unit scale.  They take one
 `numerics.integrate_semi_infinite` pass over an array integrand, the
-tabulation's own kernel times the table, by the package's one G7/K15
-rule.  Each runs on its own scale 1/(2d), cut at every panel edge of
-the table in its band (where the piecewise series has its kinks, the
-resonances among them), and is refined on its own segments, so that
-it does not depend on the other points' integrals; each bisection round
-takes K1 and the table once for every point.  A point's table
+kernel times the table, by the package's one G7/K15 rule.  Each is cut
+at every panel edge omega of the table in its band, at x = 2 d omega / v
+(where the piecewise series has its kinks, the resonances among them),
+and is refined on its own segments, so that it does not depend on the
+other points' integrals; each bisection round takes K1 and the table
+once for every point.  A point's table
 error, which carries Phi's own, is the panel errors weighed by the
 Fejer moments of its kernel that the tabulation took; it is added to
 ``quadrature_rel_err``, so the error budget covers the table, Phi and
@@ -89,9 +94,9 @@ K1 comes from one identity, K1(x) e^x = Int_0^inf e^{-x (cosh t - 1)} cosh t dt,
 summed by the trapezoid rule.  The plasmon line needs it at one point
 and sums it in plain Python (`_k1e`), so the closed forms load no numpy
 (`numerics` binds numpy lazily).  The general force needs it on arrays
-of nodes (`_kernels`): `_xk1e_array` evaluates a piecewise Chebyshev
+of nodes (`_kernel`): `_xk1e_array` evaluates a piecewise Chebyshev
 interpolant of x K1(x) e^x in log x, built from the same sum at first
-use (`_k1_fit`), which the kernels take as it is.  Both agree with
+use (`_k1_fit`), which the kernel takes as it is.  Both agree with
 `scipy.special.k1e` to a few ulps, and the package imports no scipy.
 The fit and the Phi table are stored alike, as Chebyshev coefficients,
 and summed by one `_clenshaw`; below its first panel each takes that
@@ -418,24 +423,16 @@ def _kernel_band(v, d):
     return 1e-4 * scale, 60.0 * scale
 
 
-def _kernels(scales: Sequence[float]) -> Callable:
-    """(omega, which) -> x^2 K1(x) at x = omega / scales[which]: the weight of Phi in a force.
+def _kernel(x):
+    """x^2 K1(x) on an array of x > 0: the weight of Phi in every force.
 
-    Row j is the weight of Phi(omega) in the force at any (v, d) with
-    v/(2d) = scales[j], up to a constant factor: k_x^2 K1(2 d k_x) at
-    k_x = omega / v is (x^2 K1(x)) / (2d)^2.  ``which`` picks the rows
-    (all of them by default, one per scale for each omega); K1 is taken
-    once for all of them.  The weight is 0 past x = 745, where e^-x
-    underflows.
+    In x = 2 d k_x = 2 d omega / v, the force at (v, d) is
+    hbar / (16 pi^3 d^3) Int_0^inf x^2 K1(x) Phi(x v / (2d)) dx, so every
+    point weighs Phi by this one function of x.  It is 0 past x = 745,
+    where e^-x underflows.
     """
-    column = np.array(scales, dtype=float)[:, None]
-
-    def kernels(omega, which=slice(None)):
-        x = omega / column[which]
-        # x K1(x) first: x^2 alone overflows far past the underflow of e^-x
-        return x * (_xk1e_array(x) * np.exp(-x))
-
-    return kernels
+    # x K1(x) first: x^2 alone overflows far past the underflow of e^-x
+    return x * (_xk1e_array(x) * np.exp(-x))
 
 
 #: Chebyshev nodes per panel of a `PhiTable`.
@@ -679,7 +676,7 @@ def _series_forces(material1: Drude, material2: Drude, b: float, v, d, points, r
 
 
 def _table_integrals(material1, material2, thermal, v, d, points, spec):
-    """{i: (I, error)} of the points i in ``points``: I = Int x^2 K1(x) Phi(k_x v) dk_x, x = 2dk_x.
+    """{i: (I, error)} of the points i in ``points``: I = Int x^2 K1(x) Phi(x v / (2d)) dx.
 
     One Phi table and one k_x pass serve them all (`general_forces`); an
     error adds the k_x rule's estimate and the point's table error.
@@ -700,41 +697,43 @@ def _table_integrals(material1, material2, thermal, v, d, points, spec):
         if s_lo < s < s_hi and step > 0.0:
             splits.update(math.exp(x) for x in graded_points(s, step, s_lo, s_hi).tolist()
                           if s_lo < x < s_hi)
-    kernels = _kernels(speeds / (2.0 * gaps))
+    # omega = x s at each point's s = v / (2d)
+    scales = speeds / (2.0 * gaps)
+    column = scales[:, None]
     # looked up at call time, so that a rebound im_r_dissipation_integral is the one called
     table, moments, shift = tabulate_phi(
         lambda omegas: im_r_dissipation_integral(omegas, material1, material2, thermal, spec),
-        *band, 3 if thermal.is_zero else 1, kernels, sorted(splits), spec.rel_tol,
+        *band, 3 if thermal.is_zero else 1, lambda omegas: _kernel(omegas / column),
+        sorted(splits), spec.rel_tol,
     )
     edges = np.exp(table.edges)
-    # a cut at the lower limit k_x = 0 is no cut; an edge far outside a band would
-    # overflow as a k_x
+    # a cut at the lower limit x = 0 is no cut; an edge far outside a band would
+    # overflow as an x
     inside = (lo[:, None] < edges) & (edges < hi[:, None])
-    cuts = np.divide(edges, speeds[:, None], out=np.zeros(inside.shape), where=inside)
-    speed_column = speeds[:, None]
+    cuts = np.divide(edges, column, out=np.zeros(inside.shape), where=inside)
 
-    def weighed(kx, which):
-        """(2d)^2 k_x^2 K1(2 d k_x) Phi(k_x v) of the points in ``which``: kernel times table."""
-        omega = kx * speed_column[which]
-        return kernels(omega, which) * table(omega)
+    def weighed(x, which):
+        """x^2 K1(x) Phi(x s) of the points in ``which``: the kernel times the table."""
+        return _kernel(x) * table(x * column[which])
 
     try:
         with np.errstate(over="raise"):
-            values, errors = integrate_semi_infinite(weighed, 0.5 / gaps, spec, cuts)
+            values, errors = integrate_semi_infinite(weighed, spec, cuts)
     except FloatingPointError as exc:
         raise FloatFailure(f"the k_x integral leaves the float range ({exc})", "k_x") from exc
     except NonConvergence as exc:
-        (kx_lo, kx_hi), vj = exc.interval, float(speeds[exc.index])
+        (x_lo, x_hi), j = exc.interval, exc.index
+        two_d, s = 2.0 * float(gaps[j]), float(scales[j])
         raise NonConvergence(
-            f"k_x integral did not converge on k_x in [{kx_lo!r}, {kx_hi!r}] 1/m, "
-            f"omega = k_x v in [{kx_lo * vj!r}, {kx_hi * vj!r}] rad/s", level="k_x",
-            index=points[exc.index],
+            f"k_x integral did not converge on k_x in [{x_lo / two_d!r}, {x_hi / two_d!r}] 1/m, "
+            f"omega = k_x v in [{x_lo * s!r}, {x_hi * s!r}] rad/s", level="k_x",
+            index=points[j],
         ) from exc
-    # Int w |Phi_table - Phi| d omega, and d omega = v dk_x; sums, not a matrix
+    # Int w |Phi_table - Phi| d omega, and d omega = s dx; sums, not a matrix
     # product, whose first call would have BLAS allocate its buffers.  The sums are
-    # divided by the mantissas of v, and take both powers of 2 last, so that no
+    # divided by the mantissas of s, and take both powers of 2 last, so that no
     # step leaves the floats
-    mantissas, exponents = np.frexp(speeds)
+    mantissas, exponents = np.frexp(scales)
     table_errors = np.ldexp((moments * table.errors).sum(axis=1) / mantissas,
                             -shift - exponents).tolist()
     return {i: (value, abs(err) + bound) for i, value, err, bound
@@ -768,10 +767,13 @@ def general_forces(
     the first cuts already: the table starts graded toward it
     (`numerics.graded_points` in log omega), so that a fast force takes
     a few calls of Phi, not one per bisection.
-    Each point then takes one k_x integral of its kernel times the
-    table, all in one `numerics.integrate_semi_infinite` pass, on its
-    scale 1/(2d) and cut at every panel edge inside its band; the k_y
-    integral is the closed form k_x K1(2 d k_x).  Each integral is
+    Each point then takes one k_x integral, in x = 2 d k_x, of the one
+    kernel x^2 K1(x) (`_kernel`) times the table, Phi(x v/(2d)), all in
+    one `numerics.integrate_semi_infinite` pass on the unit scale of x,
+    each cut at every panel edge omega inside its band, at
+    x = 2 d omega / v; the k_y integral is the closed form
+    k_x K1(2 d k_x), and the force is hbar / (16 pi^3 d^3) times the
+    integral.  Each integral is
     refined on its own segments, so it does not depend on the others in
     the pass.  ``quadrature_rel_err`` adds the integral's error estimate and
     the point's table error, the panel errors weighed by the table's
@@ -822,10 +824,10 @@ def general_forces(
                                 [i for i in live if i not in by_series], spec)
     lossy = all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2))
     # each force is one product (`_force`): hbar v S / (32 pi^3 d^4) of the series' sum S,
-    # or hbar I / (8 pi^3 d^2) of the k_x integral I, as k_x^2 K1(2 d k_x) = x^2 K1(x) / (2d)^2
+    # or hbar I / (16 pi^3 d^3) of the k_x integral I in x = 2 d k_x
     series = ("force series hbar v S / (32 pi^3 d^4)", CONST.hbar / (32.0 * math.pi**3), 1, 4)
-    integral = ("force hbar Int x^2 K1(x) Phi dk_x / (8 pi^3 d^2)",
-                CONST.hbar / (8.0 * math.pi**3), 0, 2)
+    integral = ("force hbar Int x^2 K1(x) Phi dx / (16 pi^3 d^3)",
+                CONST.hbar / (16.0 * math.pi**3), 0, 3)
     for i in live:
         (value, err), (formula, constant, v_power, d_power) = (
             (by_series[i], series) if i in by_series else (by_table[i], integral))

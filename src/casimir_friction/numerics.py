@@ -12,14 +12,12 @@ call of the integrand per refinement round.  Its one front is
 `integrate_finite`: n integrals to one tolerance, each over its own
 limits, cut at its own kinks and graded toward its own features, as
 Phi(omega) at all its omegas is.  `integrate_semi_infinite` maps n
-integrals over [0, inf) onto it, as the k_x integrals of all the points
-of a general force are, each with its own decay scale.  Semi-infinite integrals of exponentially decaying integrands are mapped
-onto [0, 1) with
+integrals over [0, inf) onto [0, 1) with
 
-    q = s * t / (1 - t),    dq = s / (1 - t)^2 dt,
+    x = t / (1 - t),    dx = dt / (1 - t)^2,
 
-where ``s`` is the expected decay scale of the integrand; the transform
-is exact for pure exponential tails.
+for integrands that decay exponentially on the unit scale, as the k_x
+integrals of all the points of a general force do in x = 2 d k_x.
 
 numpy is bound lazily: `np` here is the module that
 ``importlib.util.LazyLoader`` puts in ``sys.modules``, which imports
@@ -407,51 +405,36 @@ def integrate_finite(
 # Bound by name by the benchmark's tracer, as integrate_finite is.
 def integrate_semi_infinite(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    scales: Sequence[float],
     spec: QuadratureSpec,
     cuts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate n integrands over [0, +inf) via the rational decay-scale transform.
+    """Integrate n integrands over [0, +inf) via x = t / (1 - t) on [0, 1).
 
-    ``scales[j]`` > 0 is the decay scale of integrand j, which must
-    decay at least exponentially on that scale for the transform to
-    concentrate the quadrature nodes usefully.  ``f``, ``spec``,
-    ``cuts`` (one row per scale) and the result are those of
+    Each integrand must decay at least exponentially on the unit scale,
+    as e^-x does, for the map to place the quadrature nodes usefully: a
+    caller takes its variable in units of its integrand's decay scale.
+    ``f``, ``spec``, ``cuts`` and the result are those of
     `integrate_finite`, which takes the mapped integrals.  Each starts
-    from _T_SEGMENTS uniform segments in t, cut further at the images of
-    its row of ``cuts`` beyond 0.
+    from _T_SEGMENTS uniform segments in t, cut further at the images
+    c / (1 + c) of its row of ``cuts`` beyond 0.
 
     Raises
     ------
-    DomainError
-        If a scale is not > 0.
     NonConvergence
-        From `integrate_finite`, with the ``interval`` in q rather than t.
+        From `integrate_finite`, with the ``interval`` in x rather than t.
     """
     cuts = _rows(cuts)
-    n = cuts.shape[0]
-    scales = np.array(scales, dtype=float)
-    if scales.shape != (n,):
-        raise ValueError(f"need one scale per integral, one per row of cuts ({n}), got {scales}")
-    if not (scales > 0).all():
-        raise DomainError(f"integrate_semi_infinite requires scale > 0, got {scales}")
-    column = scales[:, None]
-
-    def q(t, s):
-        return s * t / (1.0 - t)
 
     def g(t, which):
-        s = column[which]
         u = 1.0 - t
-        return f(q(t, s), which) * s / (u * u)
+        return f(t / u, which) / (u * u)
 
-    t_cuts = np.zeros((n, _T_SEGMENTS - 1 + cuts.shape[1]))
+    t_cuts = np.zeros((cuts.shape[0], _T_SEGMENTS - 1 + cuts.shape[1]))
     t_cuts[:, :_T_SEGMENTS - 1] = np.arange(1, _T_SEGMENTS) / _T_SEGMENTS
-    np.divide(cuts, cuts + column, out=t_cuts[:, _T_SEGMENTS - 1:], where=cuts > 0)
+    np.divide(cuts, cuts + 1.0, out=t_cuts[:, _T_SEGMENTS - 1:], where=cuts > 0)
     try:
         return integrate_finite(g, 0.0, 1.0, spec, t_cuts)
     except NonConvergence as exc:
-        s = float(scales[exc.index])
-        lo, hi = (q(t, s) if t < 1.0 else math.inf for t in exc.interval)
+        lo, hi = (t / (1.0 - t) if t < 1.0 else math.inf for t in exc.interval)
         raise NonConvergence(f"quadrature on [0, inf) {exc} on [{lo!r}, {hi!r}]",
                              interval=(lo, hi), index=exc.index) from exc

@@ -103,16 +103,24 @@ def quad(f, a, b, spec=DEFAULT_SPEC):
     return value, err
 
 
+def on_unit_scale(f, scale):
+    """s f(s x): an integrand f(q) that decays on the scale s, taken in x = q / s."""
+    return lambda x: scale * f(scale * x)
+
+
 def integrate_one(front, f, *limits, spec=DEFAULT_SPEC, cuts=()):
     """One integral of f(x) by ``front``, one of the package's fronts, which take many at once.
 
     ``limits`` are the limits a, b of `integrate_finite`, or the decay
-    scale of `integrate_semi_infinite`, over [0, inf); ``cuts`` are the
-    kinks of f.  Returns (value, err_estimate).
+    scale s of f over [0, inf), which `integrate_semi_infinite` takes on
+    the unit scale (`on_unit_scale`, cut at ``cuts`` / s); ``cuts`` are
+    the kinks of f.  Returns (value, err_estimate).
     """
+    cuts = np.array([cuts], dtype=float)
     if front is integrate_semi_infinite:
-        limits = (list(limits),)
-    [value], [err] = front(lambda x, _: f(x), *limits, spec, np.array([cuts], dtype=float))
+        [scale] = limits
+        f, limits, cuts = on_unit_scale(f, scale), (), cuts / scale
+    [value], [err] = front(lambda x, _: f(x), *limits, spec, cuts)
     return float(value), float(err)
 
 

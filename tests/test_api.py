@@ -47,8 +47,9 @@ DELETED = {
                # one call, general_forces, tabulates Phi for its points and integrates them
                "phi_table", "ERROR_SPEC", "_ky_integral",
                # every point's force is formed in general_forces' one loop; the table's
-               # graded cuts come from numerics.graded_points; the kernels take x K1 e^x
-               "_serve_by_series", "_graded_cuts", "_k1e_array"),
+               # graded cuts come from numerics.graded_points; the kernels take x K1 e^x;
+               # every point weighs Phi by one kernel of x = 2 d k_x
+               "_serve_by_series", "_graded_cuts", "_k1e_array", "_kernels"),
     compare: ("LiteratureParams",),
 }
 

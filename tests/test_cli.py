@@ -1121,9 +1121,9 @@ def test_shared_sweep_kx_failure_names_its_row(capsys, monkeypatch):
     # its row, as a per-row failure is; at T = 0, where every row takes the pass
     # (at 300 K the force series takes these slow rows)
     from casimir_friction import friction
-    from test_friction import kernels_failing_at
+    from test_friction import kx_integrand_failing_at
 
-    monkeypatch.setattr(friction, "_kernels", kernels_failing_at(1.0 / (2.0 * 10.0 * CONST.nm)))
+    monkeypatch.setattr(friction, "integrate_semi_infinite", kx_integrand_failing_at(1))
     code, out, err = run_cli(
         capsys,
         ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "zero", "--regime", "general",

@@ -31,7 +31,7 @@ from casimir_friction.friction import (
     TABLE_NODES,
     ZERO_T_CUBIC,
     _k1e,
-    _kernels,
+    _kernel,
     _xk1e_array,
     dissipation_general,
     force_linear,
@@ -788,20 +788,15 @@ def test_one_pass_rows_equal_the_per_point_force(sweep):
         assert row.regime == GENERAL_NUMERIC and row.force_per_area > 0
 
 
-def kernels_failing_at(scale):
-    """`friction._kernels`, but NaN in the k_x pass for the point at kernel scale v/(2d)."""
-    real = friction._kernels
+def kx_integrand_failing_at(row):
+    """`friction.integrate_semi_infinite`, but NaN in the k_x integrand of the pass's ``row``."""
+    real = friction.integrate_semi_infinite
 
-    def failing(scales):
-        kernels = real(scales)
-        bad = np.asarray(scales) == scale
+    def failing(f, spec, cuts):
+        def integrand(x, which):
+            return np.where((which == row)[:, None], math.nan, f(x, which))
 
-        def weights(omega, which=slice(None)):
-            if isinstance(which, slice):  # the tabulation, which serves every point
-                return kernels(omega, which)
-            return np.where(bad[which][:, None], math.nan, kernels(omega, which))
-
-        return weights
+        return real(integrand, spec, cuts)
 
     return failing
 
@@ -823,12 +818,12 @@ def test_one_pass_takes_zero_velocity_and_names_a_failing_point(monkeypatch):
                 general_forces(GOLD, GOLD, COLD, [1.0, speed], [PLATE.d, gap])
     with pytest.raises(ValueError, match="one gap per velocity"):
         general_forces(GOLD, GOLD, COLD, [1.0, 2.0], [PLATE.d])
-    # the point whose integral fails is named by its place among the points
-    bad = 2.0 * PLATE.d
-    monkeypatch.setattr(friction, "_kernels", kernels_failing_at(1.0 / (2.0 * bad)))
+    # the point whose integral fails is named by its place among the points: point 2
+    # is row 1 of the pass, which takes the points with v > 0
+    monkeypatch.setattr(friction, "integrate_semi_infinite", kx_integrand_failing_at(1))
     with pytest.raises(NonConvergence, match="k_x integral") as err:
         general_forces(GOLD, GOLD, COLD, [0.0, 1.0, 1.0, 1.0],
-                       [PLATE.d, PLATE.d, bad, 3.0 * PLATE.d])
+                       [PLATE.d, PLATE.d, 2.0 * PLATE.d, 3.0 * PLATE.d])
     assert err.value.level == "k_x" and err.value.index == 2
 
 
@@ -1076,10 +1071,10 @@ def test_a_normal_product_never_formats_its_quantity(monkeypatch):
 def ky_integral(kx: float, d: float) -> float:
     """Int_0^inf exp(-2 d sqrt(kx^2 + ky^2)) dky = kx K1(2 d kx), from the general force's kernel.
 
-    `_kernels` at scale 1 gives x^2 K1(x), here at x = 2 d kx as `force_plasmon` rounds it.
+    `_kernel` gives x^2 K1(x), here at x = 2 d kx as `force_plasmon` rounds it.
     """
     x = 2.0 * d * kx
-    return float(_kernels([1.0])(np.array([x]))[0, 0]) / (2.0 * d * x)
+    return float(_kernel(np.array([x]))[0]) / (2.0 * d * x)
 
 
 @pytest.mark.parametrize("x", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 50.0])
@@ -1132,19 +1127,14 @@ def test_shared_table_kernels_at_a_subnormal_x_raise_no_warning():
 def test_ky_integral_is_zero_past_underflow():
     # e^-x underflows past x = 745: there the kernel x^2 K1(x) is exactly 0, and
     # no warning is raised (any warning fails the suite)
-    kernels = _kernels([1.0, 2.0])
     x = np.array([745.2, 800.0, 1097.0, 1e4, 1e8, 1e300])
-    assert np.all(kernels(x)[0] == 0.0) and np.all(kernels(2.0 * x)[1] == 0.0)
-    assert np.all(kernels(np.array([1e-3, 1.0, 700.0])) > 0.0)
-    # the rows in ``which``, each at its own scale, as the k_x pass asks for them
-    which = np.array([1, 0])
-    at_700 = kernels(np.array([700.0]))[1, 0]
-    assert np.array_equal(kernels(np.array([[700.0], [745.2]]), which), [[at_700], [0.0]])
+    assert np.all(_kernel(x) == 0.0)
+    assert np.all(_kernel(np.array([1e-3, 1.0, 700.0])) > 0.0)
 
 
 def test_plasmon_matches_the_array_ky_integral():
     # force_plasmon sums K1 in plain Python; the general force's kernel
-    # (`_kernels`) takes the package's numpy K1 on arrays: the two agree
+    # (`_kernel`) takes the package's numpy K1 on arrays: the two agree
     # across the unsuppressed range
     wsp = GOLD.omega_sp
     for gap_nm in (0.1, 1.0, 10.0):

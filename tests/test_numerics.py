@@ -14,7 +14,7 @@ from casimir_friction.numerics import (
     integrate_semi_infinite,
 )
 
-from oracles import integrate_one
+from oracles import integrate_one, on_unit_scale
 
 PI2_3 = math.pi**2 / 3.0
 
@@ -145,12 +145,9 @@ def test_a_segment_too_narrow_to_bisect_raises():
         integrate_one(integrate_finite, lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, spec=spec)
 
 
-def test_bad_limits_and_missing_scale():
+def test_bad_limits():
     with pytest.raises(DomainError):
         integrate_one(integrate_finite, lambda x: x, 1.0, 0.0)
-    for scale in (0.0, -1.0, math.nan):
-        with pytest.raises(DomainError, match="scale"):
-            integrate_one(integrate_semi_infinite, lambda x: np.exp(-x), scale)
 
 
 def test_degenerate_interval():
@@ -158,9 +155,9 @@ def test_degenerate_interval():
 
 
 def test_several_integrals_in_one_pass_equal_each_alone():
-    # each integral keeps its own decay scale, cuts and segments, so its value and
-    # error are those it has alone; the integrand is called once per round for all
-    # of them
+    # each integral keeps its own cuts and segments, so its value and error are
+    # those it has alone; the integrand is called once per round for all of them.
+    # Over [0, inf) each is taken on the unit scale, in x = q / s, its cuts too
     fs = (lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2, lambda x: np.exp(-x) / (0.01 + (x - 1.0) ** 2),
           lambda x: np.exp(-4.0 * x) * np.abs(x - 0.3))
     spec = QuadratureSpec(rel_tol=1e-12)
@@ -181,7 +178,9 @@ def test_several_integrals_in_one_pass_equal_each_alone():
     each = each_of(fs)
     # one row of cuts per integral; a cut at the lower limit is no cut
     rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 1.7, -1.0]])
-    pairs = list(zip(*integrate_semi_infinite(each, scales, spec, rows)))
+    unit = np.array(scales)[:, None]
+    scaled = [on_unit_scale(f, s) for f, s in zip(fs, scales)]
+    pairs = list(zip(*integrate_semi_infinite(each_of(scaled), spec, rows / unit)))
     alone = [integrate_one(integrate_semi_infinite, f, s, spec=spec, cuts=c)
              for f, s, c in zip(fs, scales, cuts)]
     assert pairs == alone
@@ -190,25 +189,22 @@ def test_several_integrals_in_one_pass_equal_each_alone():
              for f, c in zip(fs, cuts)]
     assert list(zip(*integrate_finite(each, 0.0, 2.0, spec, rows))) == alone
     assert list(zip(*integrate_finite(each, 1.0, 1.0, spec, rows))) == [(0.0, 0.0)] * 3
-    # the rows of cuts set the number of integrals, and there is one scale per row
-    for bad in (1.0, scales[:2]):
-        with pytest.raises(ValueError, match="one scale per integral"):
-            integrate_semi_infinite(each, bad, spec, rows)
-    with pytest.raises(ValueError, match="one scale per integral"):
-        integrate_semi_infinite(each, scales, spec, rows[:2])
+    # the rows of cuts set the number of integrals
     with pytest.raises(ValueError, match="one row of cuts per integral"):
-        integrate_semi_infinite(each, scales, spec, rows[0])
+        integrate_semi_infinite(each, spec, rows[0])
     with pytest.raises(ValueError, match="one row of cuts per integral"):
         integrate_finite(each, 0.0, 2.0, spec, rows[0])
-    # a failing integral is named, with its own segment in q, as when it is alone
+    # a failing integral is named, with its own segment in x, as when it is alone
     failing = (fs[0], lambda x: np.where(x > 1.3, math.nan, fs[1](x)), fs[2])
     with pytest.raises(NonConvergence) as err:
-        integrate_semi_infinite(each_of(failing), scales, spec, rows)
+        integrate_semi_infinite(each_of([on_unit_scale(f, s) for f, s in zip(failing, scales)]),
+                                spec, rows / unit)
     with pytest.raises(NonConvergence) as err_alone:
         integrate_one(integrate_semi_infinite, failing[1], scales[1], spec=spec, cuts=cuts[1])
     assert err.value.index == 1 and err_alone.value.index == 0
     assert err.value.interval == err_alone.value.interval
-    assert err.value.interval[1] > 1.0  # in q, not in the mapped t in [0, 1]
+    lo, hi = err.value.interval
+    assert lo < 1.3 / scales[1] < hi  # in x, not in the mapped t
 
 
 def test_segments_drop_a_breakpoint_too_close_to_an_end_to_bisect():
