@@ -7,23 +7,29 @@ four simple poles at +-Omega +- i nu/2, so the integrand is a rational
 function of u times the thermal factor, and from half the smaller
 omega_sp up Phi is a sum over its poles (`_pole_sum`): of digamma
 functions at finite T, of logarithms at T = 0, their b -> inf limit,
-where the difference channel closes.  Below, its terms cancel.  There,
-at finite T, Phi is its power series in omega (`series_coefficients`,
+where the difference channel closes.  Each pole is taken with its
+conjugate, so that every term carries the widths nu1 nu2 that Phi is of
+order in below the lines, and at the merge Omega1 + Omega2 of equal
+widths the two terms that are 0/0 are formed as one divided difference:
+the sum holds for lines 1e-9 to 1.99 omega_sp wide at every T.  Below
+half the smaller omega_sp its terms cancel as omega^2 / omega_sp^2.
+There, at finite T, Phi is its power series in omega (`series_coefficients`,
 `_series`): Im R of each plate is a power series inside its omega_sp,
 and each Bose factor weighs the other plate's Taylor series by moments
 of zeta values, each product of the two series' coefficients by one
 constant (`_series_constants`).  At T = 0 Phi is left to the quadrature
 below half the smaller omega_sp.  Each form carries a bound, on the pole
 sum's rounding and on the series' rounding and truncation, and is used
-only where that bound holds the tolerance asked for (`closed_form`).  `response` imports
-this module at its first Phi, so that a closed-form CLI call, which
-evaluates no Phi, does not compile it.
+only where that bound holds the tolerance asked for (`closed_form`).
+`response` imports this module at its first Phi, so that a closed-form
+CLI call, which evaluates no Phi, does not compile it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .material import Drude
 from .numerics import np
@@ -49,22 +55,71 @@ _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 1
                -3617 / 8160)
 
 
-def _digamma(z):
-    """The digamma function psi(z) on a complex array z with Re z > 0, to a few ulps of max(1, |psi|).
+def _digamma(z, step):
+    """psi(z) - i s pi/2 and psi(z + step) - psi(z) on a complex array z, and their sizes.
 
-    Each element takes its own number of recurrence steps, so that its
-    value does not depend on the others.
+    For Re z > 0 and Re (z + step) > 0, step a number or an array of
+    z's shape; s = sign(Im z), +1 on the real axis.  Both take the
+    recurrence psi(z) = psi(z + 1) - 1/z over the same steps, each
+    element its own number of them, so that its value does not depend on
+    the others, and then the asymptotic series at y = z + steps.  Its
+    log y is log|y| + i arg y, with arg y - s pi/2 = -s atan2(Re y, |Im y|)
+    formed as such, so that an imaginary part next to +-pi/2 keeps its
+    digits.  The difference is formed without cancellation, with the step
+    as a factor: step sum_n 1 / ((z + n)(z + step + n)) over the
+    recurrence, and of the series log1p(step/y) + step A B / 2 +
+    step A B (A + B) sum_k c_k h_(k-1), A = 1/(y + step), B = 1/y,
+    h_m = sum_j A^2j B^2(m-j) (c_k = _PSI_SERIES).  The sizes are the sums
+    of the moduli of each value's parts: of psi's real part, of its
+    imaginary part, and of the difference.
     """
-    steps = np.where(np.abs(z) < _PSI_FAR, np.maximum(np.ceil(_PSI_FROM - z.real), 0.0), 0.0)
-    total = np.zeros(z.shape, dtype=complex)
-    for k in range(int(steps.max(initial=0.0))):
-        total -= np.where(k < steps, 1.0 / (z + k), 0.0)
-    w = z + steps
-    r = 1.0 / (w * w)
+    def steps_of(x):
+        return np.where(np.abs(x) < _PSI_FAR, np.maximum(np.ceil(_PSI_FROM - x.real), 0.0), 0.0)
+
+    moved = np.any(step)
+    # a real step >= 0 moves z away from the poles, and takes no more steps than z
+    steps = steps_of(z) if np.isrealobj(step) else np.maximum(steps_of(z), steps_of(z + step))
+    psi, pairs = np.zeros(z.shape, dtype=complex), 0.0
+    size, step_size = np.zeros(z.shape), 0.0
+    if steps.any():
+        # the rows k < steps, summed in the order of k
+        k = np.arange(steps.max()).reshape((-1,) + (1,) * z.ndim)
+        inverse = np.where(k < steps, 1.0 / (z + k), 0.0)
+        psi -= inverse.sum(axis=0)
+        size += np.abs(inverse).sum(axis=0)  # the rounding of 1/(z + k) enters both parts
+        if moved:
+            pairs = inverse / (z + (step + k))
+            step_size = np.abs(pairs).sum(axis=0)
+            pairs = pairs.sum(axis=0)
+    y = z + steps
+    r = 1.0 / (y * y)
     s = _PSI_SERIES[-1]
     for c in _PSI_SERIES[-2::-1]:
         s = s * r + c
-    return total + np.log(w) - 0.5 / w - s * r
+    tail = 0.5 / y + s * r
+    log, arg = np.log(np.abs(y)), np.arctan2(y.real, np.abs(y.imag))
+    psi += log - 1j * np.where(y.imag < 0.0, -arg, arg) - tail
+    size += np.abs(tail)
+    re_size, im_size = size + np.abs(log), size + arg
+    if not moved:
+        return psi, np.zeros(z.shape, dtype=complex), re_size, im_size, np.zeros(z.shape)
+    a, b = 1.0 / (y + step), 1.0 / y
+    a2, b2 = a * a, b * b
+    h = power = np.ones(z.shape, dtype=complex)
+    total = _PSI_SERIES[0] * h
+    for c in _PSI_SERIES[1:]:
+        power = power * b2
+        h = a2 * h + power
+        total = total + c * h
+    log1p, half, rest = _log1p(step / y), 0.5 * step * a * b, step * a * b * (a + b) * total
+    step_size = np.abs(step) * step_size + np.abs(log1p) + np.abs(half) + np.abs(rest)
+    return psi, step * pairs + log1p + half + rest, re_size, im_size, step_size
+
+
+def _expm1(z):
+    """exp(z) - 1 for a complex array z, to a few ulps of its modulus where Re z <= 0."""
+    x, y = z.real, z.imag
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
 
 
 def _underdamped(material: Drude) -> bool:
@@ -79,32 +134,144 @@ def _omega(material: Drude) -> float:
     return math.sqrt(0.5 * material.omega_p**2 - half_nu * half_nu)
 
 
-def _poles(material: Drude):
-    """The poles p_j of Im R in the upper half-plane and their residues a_j, as arrays.
+@functools.lru_cache(maxsize=16)
+def _pole(material: Drude):
+    """omega_sp^2, nu/2, Omega and the rest of Omega of an underdamped lossy Drude metal.
 
-    For an underdamped lossy Drude metal (`_underdamped`),
-    R = -omega_sp^2 / ((omega - p_+)(omega - p_-)) with p_+- = +-Omega + i nu/2,
-    Omega = sqrt(omega_sp^2 - nu^2/4) > 0, so that Im R = (R - R*)/(2i) is
-    sum_j a_j / (omega - p_j) plus its conjugate, a_+- = +-i omega_sp^2 / (4 Omega).
-    omega_sp^2 is 0.5 omega_p^2, rounded as `material.surface_response` rounds it.
+    Im R has its poles at +-Omega +- i nu/2, Omega = sqrt(omega_sp^2 - nu^2/4),
+    omega_sp^2 = 0.5 omega_p^2 rounded as `material.surface_response`
+    rounds it.  Omega is the float `_omega` plus its rest, formed exactly,
+    so that w - Omega keeps its digits within a few nu of a narrow line.
     """
-    square, big = 0.5 * material.omega_p**2, _omega(material)
-    a = 0.25j * square / big
-    half_nu = 0.5 * material.nu
-    return np.array([complex(big, half_nu), complex(-big, half_nu)]), np.array([a, -a])
+    square, half_nu, big = 0.5 * material.omega_p**2, 0.5 * material.nu, _omega(material)
+    rest = (Fraction(square) - Fraction(half_nu) ** 2 - Fraction(big) ** 2) / (2 * Fraction(big))
+    return square, half_nu, big, float(rest)
 
 
 #: The pole sum is used from this multiple of the smaller omega_sp up; below,
-#: its terms cancel to many orders of magnitude more than Phi's tolerance allows.
+#: its terms cancel as omega^2 / omega_sp^2 more than Phi does.
 POLES_FROM = 0.5
-#: Rounding of the pole sum, in ulps of the sum of its terms' sizes: calibrated
+#: Rounding of the pole sum, in ulps of the sum of its parts' sizes: calibrated
 #: against the sum evaluated in 40-digit arithmetic
 #: (tests/phi_pole_sum_calibration.py), with a margin of 5.
-_POLE_ULPS = 4.5
+_POLE_ULPS = 2.2
+
+
+def _two_sum(a, b):
+    """a + b as s + t: s the float sum and t its rounding error, exactly (Knuth)."""
+    s = a + b
+    c = s - a
+    return s, (a - (s - c)) + (b - c)
+
+
+def _d_parts(w, e, pole, b: float):
+    """Re D(p) and Im D(p) with their sizes at the upper poles p of a plate, one row each.
+
+    D(p) = G(p) - G(w - p) of `_pole_sum`, for p = sigma Omega + i h,
+    sigma = +1, -1, h = nu/2, |p|^2 = omega_sp^2, and e = w - sigma Omega.
+    At T = 0 D is 2 log(1 - w/p): Re D = log((e^2 + h^2) / omega_sp^2), by
+    log1p of w (w - 2 sigma Omega) / omega_sp^2 near 0, and
+    Im D = 2 arg(1 - w/p) = 2 atan2(w h, h^2 - sigma Omega e), which climbs
+    from O(nu) below the line to 2 pi above it.  At finite T, with
+    x = 1 - i b p / pi and eta = b nu / pi, the real step between the psi
+    arguments of p and of conj p once psi's reflection formula has brought
+    them onto one line,
+
+        Im D = Im [dpsi(Y_w) - dpsi(Y_0)] + pi Re [coth(b conj p) - coth(b (conj p - w))],
+
+    dpsi(Y) = psi(Y + eta) - psi(Y), Y_0 = x - eta and Y_w = Y_0 + i b w / pi,
+    each step formed without cancellation (`_digamma`), and the coth
+    difference as -sinh(b w) / (sinh z1 sinh z2) over exponentials that
+    cannot overflow, so that Im D carries its O(nu) below the line
+    explicitly.  This form needs Re Y_0 = 1 - eta/2 > 0; for eta > 1 the
+    thermal scale is below nu, and Im D is taken from the psi at x and
+    x + i b w / pi themselves, their imaginary parts measured from +-pi/2,
+    where the terms cancel by at most about 1 + 1/eta.  Re D is the real
+    part of i pi w / (b p (w - p)) + 2 [psi(x + i b w / pi) - psi(x)].
+    """
+    square, h, big, _ = pole
+    sign = np.array([[1.0], [-1.0]])  # the rows of sigma = +1, -1
+    ee = e * e + h * h  # |w - p|^2
+    if math.isinf(b):
+        x, y = h * h - sign * big * e, w * h
+        im = 2.0 * np.arctan2(y, x)
+        im_size = np.abs(im) + 2.0 * y * (np.abs(x) + h * h + 2.0 * big * np.abs(e)) / (x * x + y * y)
+        v = w * (w - 2.0 * sign * big) / square
+        re = np.where(v > -0.5, np.log1p(np.maximum(v, -0.5)), np.log(ee / square))
+        return re, np.abs(re) + 6.0, im, im_size
+    scale, eta = b / math.pi, b * (2.0 * h) / math.pi
+    rational = math.pi * w / (b * square * ee)  # i pi w / (b p (w - p)): its re and im
+    re_rational = rational * h * (w - 2.0 * sign * big)
+    corner = 1.0 - 0.5 * eta if eta <= 1.0 else 1.0 + 0.5 * eta
+    z = np.concatenate((corner - 1j * scale * big * sign, corner + 1j * scale * e), axis=1)
+    psi, dpsi, re_psi_size, im_psi_size, step_size = _digamma(z, eta if eta <= 1.0 else 0.0)
+    values = psi + dpsi
+    re = re_rational + 2.0 * (values[:, 1:] - values[:, :1]).real
+    # the argument of each psi is rounded to a few ulps: psi'(z) dz is at most about 2
+    # ulps of 1 + |Re z| / |z|
+    sizes = re_psi_size + step_size
+    re_size = 3.0 * np.abs(re_rational) + 2.0 * (sizes[:, 1:] + sizes[:, :1]) + 16.0
+    if eta <= 1.0:
+        # coth(z1) - coth(z2), z1 = b conj p, z2 = b (conj p - w), z1 - z2 = b w
+        z1, z2 = b * big * sign - 1j * b * h, -b * e - 1j * b * h
+        s1, s2 = sign, np.where(e > 0.0, -1.0, 1.0)  # the signs of Re z1, Re z2
+        d1, d2 = -_expm1(-2.0 * s1 * z1), -_expm1(-2.0 * s2 * z2)
+        # b w - |Re z1| - |Re z2| and its phase, formed from e itself
+        power = (2.0 * b * np.minimum(e, 0.0) - b * big * (1.0 - sign)) + 1j * b * h * (s1 + s2)
+        jump = -2.0 * s1 * s2 * np.exp(power) * -np.expm1(-2.0 * b * w) / (d1 * d2)
+        # coth' = -csch^2 = -4 e^(-2 |Re z|) / (1 - e^(-2 s z))^2, times a few ulps of z
+        slope = (np.abs(z1) * np.exp(-2.0 * b * big) / np.abs(d1) ** 2
+                 + np.abs(z2) * np.exp(-2.0 * b * np.abs(e)) / np.abs(d2) ** 2)
+        im = (dpsi[:, 1:] - dpsi[:, :1]).imag + math.pi * jump.real
+        im_size = step_size[:, 1:] + step_size[:, :1] + math.pi * (4.0 * np.abs(jump) + 8.0 * slope)
+    else:
+        # Im psi(z) = s pi/2 + Im (psi - i s pi/2): s = -sigma at x, sign(e) at x + i b w / pi
+        jump = math.pi * (np.where(e < 0.0, -1.0, 1.0) + sign)
+        im_rational = rational * (sign * big * e + h * h)
+        im = im_rational + jump + 2.0 * (psi[:, 1:] - psi[:, :1]).imag
+        im_size = (3.0 * rational * (big * np.abs(e) + h * h)
+                   + 2.0 * (im_psi_size[:, 1:] + im_psi_size[:, :1])
+                   + 4.0 * corner * (1.0 / np.abs(z[:, 1:]) + 1.0 / np.abs(z[:, :1])))
+    return re, re_size, im, im_size
+
+
+def _merged(d, real_p, real_q, pole1, pole2, b: float):
+    """(Re D(p) + Re D(q)) / d and its size for poles p, q of equal widths h, at each small d.
+
+    p = real_p + i h, q = real_q + i h and d = w - real_p - real_q, so that
+    w - p = conj q + d and w - q = conj p + d, and
+    Re D(p) + Re D(q) = -Re [G(q + d) - G(q)] - Re [G(p + d) - G(p)]
+    vanishes with d, where conj q merges with w - p.  Each difference is
+    formed with d as a factor: at T = 0,
+    log|q + d|^2 - log|q|^2 = log1p(y), y = d (2 Re q + d) / |q|^2, taken as
+    log1p(y) / y; at finite T,
+    G(q + d) - G(q) = -i pi d / (b q (q + d)) - 2 [psi(x - i b d / pi) - psi(x)],
+    x = 1 - i b q / pi, over the step -i b d / pi (`_digamma`).  For
+    |d| < omega_sp / 64, |y| < 0.07.
+    """
+    h = pole1[1]
+    poles = ((real_p, pole1[0]), (real_q, pole2[0]))
+    if math.isinf(b):
+        total, size = 0.0, 0.0
+        for real, square in poles:
+            factor = (2.0 * real + d) / square
+            y = d * factor
+            ratio = np.where(y == 0.0, 1.0, np.log1p(y) / np.where(y == 0.0, 1.0, y)) * factor
+            total, size = total + ratio, size + np.abs(ratio)
+        return total, 6.0 * size
+    scale = b / math.pi
+    z = np.concatenate([(1.0 + scale * h) - 1j * scale * real for real, _ in poles])
+    d = np.where(d == 0.0, 1e-300, d)  # at d = 0 its limit, far below an ulp of Omega
+    step = -1j * scale * d
+    _, dpsi, _, _, step_size = _digamma(z, np.concatenate((step, step)))
+    rational = sum(1j * math.pi / (b * p * (p + d)) for p in (real + 1j * h for real, _ in poles))
+    n = d.size
+    total = rational.real + 2.0 * (dpsi[:n] + dpsi[n:]).real / d
+    return total, 3.0 * np.abs(rational) + 2.0 * (step_size[:n] + step_size[n:]) / np.abs(d)
 
 
 def _pole_sum(w, material1: Drude, material2: Drude, b: float):
-    """Phi by the poles of its integrand, and a bound on its rounding.
+    """Phi by the poles of its integrand, each with its conjugate, and a bound on its rounding.
 
     With Im R1 = sum_j a_j / (u - p_j) and Im R2 = sum_k c_k / (u - q_k),
     Im R1(u) Im R2(w - u) has simple poles at u = p_j and u = w - q_k.  By
@@ -117,65 +284,119 @@ def _pole_sum(w, material1: Drude, material2: Drude, b: float):
     up to a constant that cancels, since the residues sum to 0.  The half
     against coth(b (w - u)) is the same with the plates swapped, so
 
-        Phi = sum_jk a_j c_k [D(p_j) + D(q_k)] / A_jk,   A_jk = w - p_j - q_k,
+        Phi = sum_j a_j f2(w - p_j) D(p_j) + sum_k c_k f1(w - q_k) D(q_k),
         D(p) = G(p) - G(w - p) = i pi w / (b p (w - p)) + 2 [psi(x + i b w / pi) - psi(x)],
 
-    x = 1 - i b p / pi, for Im p > 0, and D(conj p) = conj D(p).  At T = 0
-    (b = inf) D(p) is its limit 2 log(1 - w/p) = 2 Int_0^w du / (u - p), and
-    Phi = 2 Int_0^w Im R1(u) Im R2(w - u) du.  The terms of the
-    lower-half-plane p_j are the conjugates of those of the upper ones, so
-    Phi is twice the real part of the 8 upper-half-plane terms.
+    x = 1 - i b p / pi, D(conj p) = conj D(p), and f = Im R continued off
+    the axis.  At T = 0 (b = inf) D(p) is its limit 2 log(1 - w/p).  The
+    residues a = +-i omega_sp^2 / (4 Omega) are of order omega_sp, but Phi
+    is of order nu1 nu2 below the lines, so each upper pole
+    p = sigma Omega1 + i h1 (h = nu/2) is taken with conj p, whose residue
+    is -a, over one denominator:
+    a [f2(z) (D(p) - D(conj p)) + (f2(z) - f2(conj z)) D(conj p)], z = w - p.
+    D(p) - D(conj p) = 2i Im D(p) (`_d_parts`), and f2 and its divided
+    difference over conj z - z = i nu1 are nu2 times rational functions of
+    d = w - sigma Omega1 - sigma' Omega2, so that every term carries its
+    widths:
 
-    The size of D(p) is that of its parts, and of the rounding of p and of
-    w - p, through 1 / (w - p) and the arguments of psi
-    (psi'(x) ~ 1 / (x - 1/2)) or of the logarithm.  The rounding of each D
-    enters all the terms of its pole, so it is weighed by their sum, a
-    residue of the integrand; each term adds its own rounding, and that of
-    w in A_jk, eps w / |A_jk| of itself.  The bound is _POLE_ULPS ulps of
-    the sum of these sizes.  It grows without limit where a pair's poles
-    merge (A_jk -> 0 at w = Omega_1 + Omega_2 for equal widths).
+        Phi = sum_sigma 2 sigma alpha1 omega_sp2^2 nu2 e1 Q2 Im D(p)  (+ 1 <-> 2)
+              + sum_(sigma sigma') 2 sigma sigma' alpha1 alpha2 nu1 nu2 d (Re D(p) + Re D(q)) / (S M),
+
+    e1 = w - sigma Omega1, alpha = omega_sp^2 / (4 Omega), H = h1 + h2,
+    K = h1 - h2, S = d^2 + H^2, M = d^2 + K^2, and Q2 the product over
+    sigma' of 1/(S M) times (d+^2 - HK)(d-^2 - HK) - 4 h1^2 HK (-K for the
+    plate-2 poles), which is prod 1/S for equal widths.  There M = d^2,
+    and (Re D(p) + Re D(q)) / d is formed as a divided difference
+    (`_merged`) where d is small, so that Phi holds as a pair of poles
+    merges at w = Omega1 + Omega2, where the plain terms are 0/0.  Each
+    Omega is taken with its rest (`_pole`), and e and d as a float and its
+    rounding error (`_two_sum`), so that they keep their digits next to a
+    line and to the merge.  Everything is formed in units of a power of 2
+    near the smaller omega_sp, which is exact and keeps the products of
+    four frequencies inside the float range.
+
+    The bound is _POLE_ULPS ulps of the sum of the terms' sizes: each
+    factor's modulus times its relative rounding.  For unequal widths it
+    grows as 1/K^2 where d -> 0.
     """
-    scale = b / math.pi
+    unit = math.ldexp(1.0, -math.frexp(min(material1.omega_sp, material2.omega_sp))[1])
+    w, b = w * unit, b / unit
+    sign = np.array([[1.0], [-1.0]])  # the rows of sigma = +1, -1
+    plates = []
+    for m in (material1,) if material2 is material1 else (material1, material2):
+        square, h, big, rest = _pole(m)
+        pole = (square * unit * unit, h * unit, big * unit, rest * unit)
+        hi, lo = _two_sum(w, -sign * pole[2])  # w - sigma Omega, as hi + lo
+        lo = lo - sign * pole[3]
+        e = hi + lo
+        plates.append((pole, hi, lo, e, *_d_parts(w, e, pole, b)))
+    (pole1, hi1, lo1, e1, re1, re1_size, im1, im1_size) = plates[0]
+    (pole2, _, _, e2, re2, re2_size, im2, im2_size) = plates[-1]
+    (sq1, h1, big1, _), (sq2, h2, big2, rest2) = pole1, pole2
+    # over (sigma, sigma', w): d = w - sigma Omega1 - sigma' Omega2, formed to a few
+    # ulps of itself
+    other = sign.reshape(1, 2, 1)
+    d, d_lo = _two_sum(hi1[:, None], -other * big2)
+    d = d + ((d_lo + lo1[:, None]) - other * rest2)
+    dd = d * d
+    big_s = dd + (h1 + h2) ** 2
+    alpha1, alpha2 = 0.25 * sq1 / big1, 0.25 * sq2 / big2
+    nu1, nu2 = 2.0 * h1, 2.0 * h2
+    hk, kk = h1 * h1 - h2 * h2, (h1 - h2) ** 2
+    if kk:
+        big_m = dd + kk
+        # the relative rounding of S and M through d, whose own is that of its rest's
+        # rest: it matters where M ~ K^2 is below it
+        d_size = np.abs(d) + 2.0 * np.abs(d_lo) + np.abs(lo1[:, None]) + abs(rest2)
+        spread = 2.0 * np.abs(d) * d_size * (1.0 / big_s + 1.0 / big_m)
 
-    def d(material: Drude):
-        """The upper poles and residues of a plate, and D and its size at them, one row each."""
-        p, a = _poles(material)
-        poles = p[:, None]
-        gap = w - poles
-        if math.isinf(b):
-            logs = 2.0 * _log1p(-w / poles)
-            return p, a, logs, 2.0 * np.abs(logs) + 4.0 * w / np.abs(gap)
-        x = 1.0 - 1j * scale * poles
-        # psi at x and at x + i b w / pi, in one call
-        args = np.concatenate((x, x + 1j * scale * w), axis=1)
-        psi = _digamma(args)
-        rational = 1j * math.pi / b * w / (poles * gap)
-        size = (np.abs(rational) * (2.0 + w / np.abs(gap)) + 2.0 * np.abs(psi[:, :1])
-                + 2.0 * np.abs(psi[:, 1:])
-                + 2.0 * scale * (np.abs(poles) / np.abs(x - 0.5)
-                                 + (np.abs(poles) + w) / np.abs(args[:, 1:] - 0.5)))
-        return p, a, rational + 2.0 * (psi[:, 1:] - psi[:, :1]), size
+    def edge(e, im, im_size, h, k, alpha, other_sq, other_nu, axis):
+        """sum_sigma 2 sigma alpha omega_sp'^2 nu' e Q Im D over one plate's poles, and its size."""
+        def pick(x):
+            return (x[:, 0], x[:, 1]) if axis else (x[0], x[1])
 
-    p, a, dp, sp = d(material1)
-    q, c, dq, sq = (p, a, dp, sp) if material2 is material1 else d(material2)
-    q, c = np.concatenate((q, q.conj())), np.concatenate((c, c.conj()))
-    dq = np.concatenate((dq, dq.conj()))
-    # the 8 pairs (p_j, q_k), j-major
-    big = w - (np.repeat(p, 4) + np.tile(q, 2))[:, None]
-    ratio = (np.repeat(a, 4) * np.tile(c, 2))[:, None] / big
-    term = ratio * (np.repeat(dp, 4, axis=0) + np.tile(dq, (2, 1)))
-    sizes = np.abs(term) * (2.0 + w / np.abs(big))
-    # summed term by term, so that each omega's sum does not depend on the others
-    value, bound = term.real[0], sizes[0]
-    for i in range(1, 8):
-        value, bound = value + term.real[i], bound + sizes[i]
-    # the rounding of each D enters the 16 terms of its pole, weighed by their
-    # sum, a residue of the integrand: a row of D(p_j), and for D(q_k) a column
-    # and the conjugate of the column of conj q_k
-    r = ratio.reshape(2, 4, -1)
-    rows, columns = r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3], r[0] + r[1]
-    bound = bound + (sp * np.abs(rows) + sq * np.abs(columns[:2] + columns[2:].conj())).sum(axis=0)
-    return 2.0 * value, 2.0 * _POLE_ULPS * math.ulp(1.0) * bound
+        (sa, sb), (da, db) = pick(big_s), pick(dd)
+        if kk:
+            ma, mb = pick(big_m)
+            q = ((da - k) * (db - k) - 4.0 * h * h * k) / (sa * sb * ma * mb)
+            rounding = ((np.abs(da - k) * np.abs(db - k) + 4.0 * h * h * abs(k))
+                        / (sa * sb * ma * mb) * (8.0 + sum(pick(spread))))
+        else:
+            q = 1.0 / (sa * sb)
+            rounding = 12.0 * q  # 2 d^2 / S <= 2 for each S
+        factor = (2.0 * alpha * other_sq * other_nu) * sign * e
+        term = factor * q * im
+        size = np.abs(factor) * (rounding * np.abs(im) + q * (im_size + 3.0 * np.abs(im)))
+        return term[0] + term[1], size[0] + size[1]
+
+    value, size = edge(e1, im1, im1_size, h1, hk, alpha1, sq2, nu2, True)
+    if material2 is material1:
+        value, size = 2.0 * value, 2.0 * size
+    else:
+        value2, size2 = edge(e2, im2, im2_size, h2, -hk, alpha2, sq1, nu1, False)
+        value, size = value + value2, size + size2
+    # the pairs' Re D: coefficient (Re D(p) + Re D(q)), and its size
+    sums = re1[:, None] + re2[None, :]
+    sums_size = re1_size[:, None] + re2_size[None, :]
+    if kk:
+        coefficient = d / (big_s * big_m)
+        rounding = np.abs(coefficient) * (4.0 + spread) + d_size / (big_s * big_m)
+    else:
+        # M = d^2: 1/S times (Re D(p) + Re D(q)) / d, merged where d is small
+        coefficient, sums = 1.0 / big_s, sums / d
+        sums_size = sums_size / np.abs(d) + 2.0 * np.abs(sums)
+        near = np.abs(d) < 1.0 / 64.0
+        if near.any():
+            real_p, real_q = (np.broadcast_to(x, d.shape)[near]
+                              for x in (sign.reshape(2, 1, 1) * big1, other * big2))
+            sums[near], sums_size[near] = _merged(d[near], real_p, real_q, pole1, pole2, b)
+        rounding = 8.0 * coefficient
+    pairs = sign.reshape(2, 1, 1) * other * (2.0 * alpha1 * alpha2 * nu1 * nu2)
+    terms = pairs * coefficient * sums
+    sizes = np.abs(pairs) * (rounding * np.abs(sums) + np.abs(coefficient) * sums_size)
+    value = value + (terms[0, 0] + terms[0, 1]) + (terms[1, 0] + terms[1, 1])
+    size = size + (sizes[0, 0] + sizes[0, 1]) + (sizes[1, 0] + sizes[1, 1])
+    return value / unit, _POLE_ULPS * math.ulp(1.0) * size / unit
 
 
 #: Blocks of the small-omega series at most: its terms of total degree 2s + 3 in
@@ -384,9 +605,13 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     b = beta hbar / 2 (inf at T = 0): the pole sum (`_pole_sum`) at
     omega >= POLES_FROM times the smaller omega_sp, and at finite T the
     small-omega series (`_series`) below, each where its bound is at most
-    tol * Phi.  Elsewhere, and for other plates, Phi and its bound are 0
-    and ``used`` is False.  Each form is evaluated at the omegas of its
-    window alone, each apart from the others.
+    tol * Phi.  At a tol of 1e-9 the pole sum takes every such omega, at
+    every T, for lines 1e-9 to 1.99 omega_sp wide; it leaves to the
+    quadrature only omegas within a few 1e-6 nu of Omega1 + Omega2 of
+    plates whose widths differ by a little, 1e-6 of themselves say.
+    Elsewhere, and for other plates, Phi and its bound are 0 and ``used``
+    is False.  Each form is evaluated at the omegas of its window alone,
+    each apart from the others.
 
     Returns
     -------
@@ -397,8 +622,8 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     if not (_underdamped(material1) and _underdamped(material2)):
         return value, bound, used
     high = omegas >= POLES_FROM * min(material1.omega_sp, material2.omega_sp)
-    # a pair's poles may merge at an omega (A_jk = 0): a bound that is not
-    # finite there leaves it unused
+    # a bound that is not finite (next to the merge of unequal widths) leaves
+    # its omega unused
     windows = [(high, _pole_sum)] if math.isinf(b) else [(high, _pole_sum), (~high, _series)]
     with np.errstate(all="ignore"):
         for window, form in windows:

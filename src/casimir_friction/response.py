@@ -41,19 +41,22 @@ Phi needs no quadrature where a closed form holds the tolerance
 (`_phi0`, loaded at the first Phi).  Im R is four simple poles at
 +-Omega +- i nu/2, so Phi is a sum over the 8 poles of its integrand:
 of digamma functions at finite T, by the Mittag-Leffler series of coth,
-and of logarithms at T = 0, their limit.  It is used from half the
-smaller omega_sp up, at every T; below, its terms cancel.  There, at
+and of logarithms at T = 0, their limit.  Each pole is taken with its
+conjugate, so that the sum carries the widths nu1 nu2 that Phi is of
+order in off the lines.  It is used from half the smaller omega_sp up,
+at every T; below, its terms cancel as omega^2 / omega_sp^2.  There, at
 finite T, Phi is its small-omega series, sum_n phi_n omega^n over odd n,
 from the power series of Im R inside omega_sp and the moments of the
 Bose factors; it is asymptotic in k_B T / hbar omega_sp, and misses the
 thermal weight of the lines, which its bound takes in.  Each form carries
 a bound, calibrated against 40-digit arithmetic, and is used only where
 that bound is within Phi's tolerance, and the node's error is that
-bound.  At the 1e-9 of a force's table, for a line 1e-3 omega_sp wide
-the pole sum holds from about 1.01 to 14 omega_sp, for one 3e-2 omega_sp
-wide from 0.5 to about 61, at T = 0 and at 30 to 1000 K; within about
-1e-5 nu of Omega_1 + Omega_2, where a pair of its poles merges, it leaves
-equal plates to the quadrature.  The series takes every omega below
+bound.  At the 1e-9 of a force's table the pole sum takes every omega
+from half the smaller omega_sp up, at T = 0 and at 1 K to 1e4 K, for
+lines 1e-9 to 1.99 omega_sp wide, at Omega_1 + Omega_2 too, where a pair
+of its poles merges for equal widths; it leaves to the quadrature only
+omegas within a few 1e-6 nu of that merge of plates whose widths differ
+by a little (1e-6 of themselves, say).  The series takes every omega below
 omega_sp / 2 up to 300 K for lines 1e-3 to 0.3 omega_sp wide, and at
 3000 K it leaves those near omega_sp / 2 to the quadrature.  The
 quadrature takes only the omegas that remain: at T = 0, all those below
@@ -199,8 +202,12 @@ def im_r_dissipation_integral(
     sum channel, whose factor is 2 at T = 0.  For lossy, underdamped
     Drude plates Phi is taken without quadrature at each omega where a
     closed form holds the tolerance (`_phi0.closed_form`: the pole sum
-    from half the smaller omega_sp up, and at finite T the small-omega
-    series below), and the rule integrates the others.  For equal plates
+    from half the smaller omega_sp up, which takes every omega there at
+    the 1e-9 of a force's table, and at finite T the small-omega series
+    below), and the rule integrates the others: at T = 0 the omegas below
+    half the smaller omega_sp, those the series refuses, overdamped plates,
+    and the omegas right next to the merge Omega_1 + Omega_2 of plates
+    whose widths differ by a little.  For equal plates
     (``material2 is material1``) the two products are one, doubled.  Far
     above the resonances the fold meets each line at a small |u|, not at
     a difference w - u rounded on the scale of w.

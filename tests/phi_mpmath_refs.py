@@ -1,4 +1,4 @@
-"""Reference values of Phi far above the resonance, in 40-digit arithmetic.
+"""Reference values of Phi far above the resonance and on a very narrow line, in 40-digit arithmetic.
 
 Prints the literals of `test_response.FAR_ABOVE_REFS`: Phi at T = 0,
 Phi_0(omega) = 2 Int_0^omega Im R1(u) Im R2(omega - u) du, of a Drude
@@ -7,22 +7,31 @@ plate, at 30 and 1000 omega_sp.  Each value is an mpmath quadrature
 split at the plates' lines and checked against the sum over the poles
 of Im R, both at 40 digits.  Im R is the exact function of the plates'
 float parameters, omega_sp^2 = omega_p^2 / 2 rounded as `surface_response`
-rounds it.  The literals are read from tests/test_response.py's source
+rounds it.  Then those of `test_response.NARROW_LINE_REFS`: Phi of the
+plate of `force --wp-ev 9 --nu-ev 5e-8` with itself (a line 7.9e-9
+omega_sp wide), at T = 0 and at 300 K, at the two omegas where Phi's
+quadrature once did not converge: the sum over the poles of Im R with
+mpmath's digamma at finite T (`phi_pole_sum_calibration.exact`), which
+loses about 16 of its 40 digits here, checked against the same sum at
+60 digits.  The literals are read from tests/test_response.py's source
 (`ast`), not imported, and the script exits 1 if one differs from its
 40-digit value rounded to a float.  Needs mpmath, which the test extra
 does not install, so pytest does not collect this file; run it as
 
     PYTHONPATH=src python tests/phi_mpmath_refs.py
 """
-
 import ast
 import sys
 from pathlib import Path
 
 import mpmath as mp
 
-from casimir_friction.material import Drude
-from casimir_friction.numerics import CONST
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from phi_pole_sum_calibration import exact  # noqa: E402
+
+from casimir_friction.material import Drude  # noqa: E402
+from casimir_friction.numerics import CONST  # noqa: E402
+from casimir_friction.response import ThermalState  # noqa: E402
 
 mp.mp.dps = 40
 
@@ -31,6 +40,10 @@ SP = OMEGA_P / 2.0**0.5
 METAL = Drude(omega_p=OMEGA_P, nu=1e-3 * SP)
 OTHER = Drude(omega_p=1.3 * OMEGA_P, nu=0.6e-3 * SP)
 MULTIPLES = (30.0, 1000.0)
+NARROW = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=5e-8 * CONST.eV / CONST.hbar)
+#: (T in K, None for T = 0; omega in rad/s): the sum channel at T = 0, the
+#: difference channel at 300 K
+NARROW_POINTS = ((None, 1.1408629129840398e16), (300.0, 9660150463323436.0))
 
 
 def im_r(m: Drude):
@@ -66,19 +79,20 @@ def by_poles(w, m1: Drude, m2: Drude):
     return 2 * mp.re(total)
 
 
-def literals():
-    """FAR_ABOVE_REFS as written in tests/test_response.py."""
+def literals(name: str):
+    """The dict `name` as written in tests/test_response.py."""
     tree = ast.parse((Path(__file__).parent / "test_response.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FAR_ABOVE_REFS"
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name
                                                 for t in node.targets):
             return ast.literal_eval(node.value)
-    raise LookupError("no FAR_ABOVE_REFS in tests/test_response.py")
+    raise LookupError(f"no {name} in tests/test_response.py")
 
 
 def main():
-    written = literals()
+    written = literals("FAR_ABOVE_REFS")
     stale = 0
+    print("FAR_ABOVE_REFS")
     for name, other in (("equal", METAL), ("unequal", OTHER)):
         for k in MULTIPLES:
             w = mp.mpf(k * SP)
@@ -89,7 +103,20 @@ def main():
             if written.get((name, k)) != float(value):
                 print(f"differs from the test's literal {written.get((name, k))!r}")
                 stale += 1
-    return 1 if stale or len(written) != 2 * len(MULTIPLES) else 0
+    narrow = literals("NARROW_LINE_REFS")
+    print("NARROW_LINE_REFS")
+    for temperature, w in NARROW_POINTS:
+        thermal = ThermalState.zero() if temperature is None else ThermalState.finite(temperature)
+        b = 0.5 * thermal.beta * CONST.hbar  # as Phi forms it: inf at T = 0
+        value = exact(w, NARROW, NARROW, b)
+        with mp.workdps(60):
+            check = exact(w, NARROW, NARROW, b)
+        assert abs(value - check) <= mp.mpf(10) ** -20 * abs(check), (value, check)
+        print(f"    ({temperature!r}, {w!r}): {float(value)!r},")
+        if narrow.get((temperature, w)) != float(value):
+            print(f"differs from the test's literal {narrow.get((temperature, w))!r}")
+            stale += 1
+    return 1 if stale or len(written) != 2 * len(MULTIPLES) or len(narrow) != 2 else 0
 
 
 if __name__ == "__main__":

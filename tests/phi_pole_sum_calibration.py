@@ -2,24 +2,27 @@
 
 Prints the largest ratio of the pole sum's actual error to its bound
 at one ulp (`_phi0._pole_sum` divided by `_phi0._POLE_ULPS`), over
-Drude plates whose lines are 1e-4 to 1.99 omega_sp wide, equal and
+Drude plates whose lines are 1e-9 to 1.99 omega_sp wide, equal and
 unequal, at T = 0 (its logarithms) and at 1 K to 1e4 K (its digamma
-functions), at omega from `_phi0.POLES_FROM` to 1e3 times the smaller
+functions, on both sides of eta = b nu / pi = 1, where `_phi0._d_parts`
+changes form), at omega from `_phi0.POLES_FROM` to 1e3 times the smaller
 omega_sp, and next to omega_sp, Omega, 2 Omega and Omega_1 + Omega_2 of
 each pair, where poles come near the real axis or merge.  Only points
-whose bound at one ulp is within 1e-2 of Phi count: elsewhere the bound
-keeps the closed form unused at any tolerance.  `_POLE_ULPS` is that
-ratio times a margin of 5, rounded up, and the script exits 1 if
-`_phi0._POLE_ULPS` is below it.  The reference is the same sum
-over the poles in mpmath, with the plates' float parameters taken
-exactly and omega_sp^2 = omega_p^2 / 2 rounded as `surface_response`
-rounds it; `tests/test_response.py` checks the sum against quadrature.
-Needs mpmath, which the test extra does not install, so pytest does not
-collect this file; run it (about two minutes) as
+whose bound at one ulp is within 1e-2 of Phi count: a larger bound keeps
+the closed form unused at any tolerance, and the sum, each pole grouped
+with its conjugate, reaches it only next to Omega_1 + Omega_2 of equal
+widths, where two of its terms are 0/0.  `_POLE_ULPS` is that ratio
+times a margin of 5, rounded up, and the script exits 1 if
+`_phi0._POLE_ULPS` is below it.  The reference is the plain sum over the
+poles in mpmath, with the plates' float parameters taken exactly and
+omega_sp^2 = omega_p^2 / 2 rounded as `surface_response` rounds it; it
+loses about 2 log10(omega_sp / nu) of its 40 digits, 18 for the
+narrowest line.  `tests/test_response.py` checks the sum against
+quadrature.  Needs mpmath, which the test extra does not install, so
+pytest does not collect this file; run it (about three minutes) as
 
     PYTHONPATH=src python tests/phi_pole_sum_calibration.py
 """
-
 import math
 import random
 import sys
@@ -34,7 +37,7 @@ from casimir_friction.numerics import CONST
 mp.mp.dps = 40
 
 OMEGA_P = 9.0 * CONST.eV / CONST.hbar
-WIDTHS = (1e-4, 1e-3, 5e-3, 3e-2, 0.3, 1.0, 1.9, 1.99)
+WIDTHS = (1e-9, 1e-8, 1e-6, 1e-4, 1e-3, 5e-3, 3e-2, 0.3, 1.0, 1.9, 1.99)
 TEMPERATURES = (0.0, 1.0, 30.0, 300.0, 1000.0, 1e4)
 
 

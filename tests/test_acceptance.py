@@ -247,7 +247,7 @@ def test_criterion_10_cli_contracts(capsys):
                          "--nu-ev", "0.035", "--gap-nm", "10", "--temp-k", "300",
                          "--velocity", "0"])
     capsys.readouterr()
-    # a T = 0 general force on a line 1e-9 eV wide, whose rounding stops Phi's rule
+    # a T = 0 general force on a line 1e-9 eV wide, whose Phi table reaches its panel cap
     code_num = cli.main(["force", "--model", "drude", "--wp-ev", "9", "--nu-ev", "1e-9",
                          "--gap-nm", "1", "--velocity", "1e7", "--temp-k", "zero",
                          "--regime", "general"])

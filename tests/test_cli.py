@@ -108,10 +108,11 @@ def test_force_missing_material_exits_2(capsys):
     assert "wp-ev" in err
 
 
-#: A T = 0 general force that Phi's rule cannot converge, on a plasmon line 1e-9 eV
-#: wide: near its resonance Im R is rounded at about eps omega_sp / nu = 2e-6 of
-#: itself, far above the tolerance of the rule.  The closed form of the sum channel
-#: has a rounding bound as large there, so the rule is still what runs.
+#: A T = 0 general force whose Phi table does not converge, on a plasmon line 1e-9 eV
+#: wide: the pole sum takes every node of it, but the panels graded toward the sum
+#: resonance Omega_1 + Omega_2, a Lorentzian 8e-11 of it wide, reach the cap of 64.
+#: Phi's own rule once failed here first, where Im R is rounded at about
+#: eps omega_sp / nu = 2e-6 of itself.
 NONCONVERGENT_ARGS = ["force", "--model", "drude", "--wp-ev", "9", "--nu-ev", "1e-9",
                       "--gap-nm", "1", "--velocity", "1e7", "--temp-k", "zero",
                       "--regime", "general"]
@@ -121,9 +122,8 @@ def test_force_numerical_failure_exits_3(capsys):
     code, out, err = run_cli(capsys, NONCONVERGENT_ARGS)
     assert code == 3
     assert out == ""
-    assert "numerical failure" in err
-    assert "(level: omega1)" in err
-    assert " at omega=" in err  # the coordinate k_x v at which Phi failed
+    assert "numerical failure: Phi table did not reach rel_tol=1e-06 on omega in [" in err
+    assert "] within 64 panels (level: omega1)" in err  # the band the table failed on
 
 
 #: A T = 0 general force on a narrow line, whose Phi table holds many narrow panels
@@ -1101,7 +1101,7 @@ def test_phi_slope_failure_names_its_level(capsys, tmp_path, monkeypatch):
 
 
 def test_general_sweep_table_failure_names_no_row(capsys):
-    # a velocity sweep's rows share one Phi table: a failure there, in the sum channel
+    # a velocity sweep's rows share one Phi table: a failure there, at the sum resonance
     # of a nearly lossless plate, belongs to no row and is reported without a prefix
     code, out, err = run_cli(
         capsys,
@@ -1112,7 +1112,7 @@ def test_general_sweep_table_failure_names_no_row(capsys):
     assert code == 3
     assert out == ""
     [line] = [ln for ln in err.splitlines() if ln.startswith("numerical failure: ")]
-    assert line.startswith("numerical failure: Phi (sum channel) ")
+    assert line.startswith("numerical failure: Phi table did not reach rel_tol=")
     assert line.endswith("(level: omega1)")
 
 

@@ -388,8 +388,8 @@ def _quadrature_only(omegas, *_):
 def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
     # Phi with its closed form (where it holds the 1e-9 a force's Phi asks for)
     # against the quadrature alone at 1e-12, on 1e-6 .. 1e3 omega_sp, at T = 0 and
-    # at finite T: within 1e-9, and never more off than it reports.  Lines up to
-    # nu = 2 omega_sp (1.999: nearly critical, Omega ~ 0.03 omega_sp), the double
+    # at finite T: within 1e-9, and never more off than the two report.  Lines up
+    # to nu = 2 omega_sp (1.999: nearly critical, Omega ~ 0.03 omega_sp), the double
     # pole at nu = 2 omega_sp and an overdamped plate (3.0), whose poles are
     # imaginary: the pole sum leaves those to the quadrature
     metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
@@ -399,9 +399,13 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
                                              [0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2.3, 2.6]))
     if ratio < 2.0:
         # at and next to the sum Omega_1 + Omega_2 of the plates' resonances, where the
-        # terms of poles in opposite half-planes are 0/0 in their plain form
-        peak = sum(math.sqrt(0.5 * m.omega_p**2 - m.nu**2 / 4.0) for m in (metal, other))
-        omegas = np.append(omegas, peak * (1.0 + np.array([-1e-9, 0.0, 1e-12, 1e-7, 1e-4])))
+        # terms of poles in opposite half-planes are 0/0 in their plain form, and next
+        # to each line
+        lines = [math.sqrt(0.5 * m.omega_p**2 - m.nu**2 / 4.0) for m in (metal, other)]
+        peak = sum(lines)
+        near = np.array([-1e-9, 0.0, 1e-12, 1e-7, 1e-4])
+        omegas = np.concatenate((omegas, peak * (1.0 + near), lines[0] * (1.0 + near),
+                                 lines[1] * (1.0 - near)))
     spec = QuadratureSpec(rel_tol=1e-6)
     tol = 1e-3 * spec.rel_tol
     low = omegas < _phi0.POLES_FROM * min(metal.omega_sp, other.omega_sp)
@@ -422,18 +426,21 @@ def test_phi_closed_form_matches_the_quadrature(monkeypatch, ratio, unequal):
             # the double pole, where Omega^2 rounds to a few ulps: no pole sum, but
             # below POLES_FROM the series, whose Taylor radius is omega_sp at any nu
             assert not used[~low].any()
-        elif ratio <= 3e-2:
-            # the pole sum from 1.1 omega_sp to 10 omega_sp at least, but within 1 % of
-            # the merge of a pair's poles at the peak, where its bound grows as 1/|A|
-            high = (omegas >= 1.1 * other.omega_sp) & (omegas <= 10.0 * metal.omega_sp)
-            assert used[high & (np.abs(omegas / peak - 1.0) > 1e-2)].all()
+        else:
+            # the pole sum at every omega from POLES_FROM up, but within 1 % of the
+            # merge of a pair's poles at the peak, where its bound grows as 1/d^2
+            assert used[~low & (np.abs(omegas / peak - 1.0) > 1e-2)].all()
         phi, err = im_r_dissipation_integral(omegas, metal, other, thermal, spec)
         with monkeypatch.context() as patch:
             patch.setattr(_phi0, "closed_form", _quadrature_only)
             reference, _ = im_r_dissipation_integral(omegas, metal, other, thermal, TIGHT)
         deviation = np.abs(phi - reference)
         assert (deviation <= 1e-9 * reference).all()
-        assert (deviation <= err).all()
+        # the reference holds 1e-12 of itself, the floor of Phi's tolerance; the pole
+        # sum's bound is about 1e-14 of Phi, and the reference's own error, from the
+        # rounding of Im R on the lines, up to 6e-14 (against 40 digits), above what
+        # it reports
+        assert (deviation <= err + 1e-12 * reference).all()
 
 
 def test_phi_in_the_closed_form_window_integrates_nothing(monkeypatch):
@@ -578,14 +585,39 @@ def test_phi_series_bounds_the_lines_below_an_ulp_of_omega(monkeypatch, temperat
         assert abs(phi - reference) <= err
 
 
+def _digamma_step_by_its_sum(z, step: float, n: int = 4000):
+    """psi(z + step) - psi(z) = sum_k step / ((z + k)(z + step + k)), for 0 < |step| <= 1.
+
+    Its first n terms, and the rest by Euler-Maclaurin: log(1 + step/(z + n))
+    (by its series, step/|z + n| <= 1/n) + f(n)/2 - f'(n)/12.
+    """
+    k = np.arange(n)
+    head = (step / ((z[:, None] + k) * (z[:, None] + (step + k)))).sum(axis=1)  # pairwise
+    a, c = z + n, z + step + n
+    x = step / a
+    return (head + x * (1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))) + 0.5 * step / (a * c)
+            + step * (a + c) / (12.0 * (a * c) ** 2))
+
+
 @pytest.mark.parametrize("real", [0.01, 0.5, 1.0, 9.5, 9.999, 10.0, 10.001, 37.0])
 def test_digamma_matches_scipy(real):
-    # on both sides of the recurrence's threshold Re z = 10, and up to |Im z| = 1e8;
-    # scipy's own digamma is off by up to about 5e-15 next to its root near 1.46
+    # on both sides of the recurrence's threshold Re z = 10, and up to |Im z| = 1e8,
+    # psi with its imaginary part measured from sgn(Im z) pi/2; scipy's own digamma is
+    # off by up to about 5e-15 next to its root near 1.46.  Its differences over real
+    # steps down to 1e-12, and over imaginary ones, keep their digits, against their
+    # sum over the recurrence
     imag = np.concatenate((-np.logspace(-3.0, 8.0, 23), [0.0], np.logspace(-3.0, 8.0, 23)))
     z = real + 1j * imag
     reference = digamma(z)
-    assert (np.abs(_phi0._digamma(z) - reference) <= 5e-15 * np.maximum(1.0, np.abs(reference))).all()
+    for step in (0.0, 1e-12, 1e-4, 0.5, 1.0, 1e-9j, -0.3j):
+        psi, difference, *_ = _phi0._digamma(z, step)
+        psi = psi + 0.5j * math.pi * np.where(imag < 0.0, -1.0, 1.0)
+        assert (np.abs(psi - reference) <= 5e-15 * np.maximum(1.0, np.abs(reference))).all()
+        if step:
+            expected = _digamma_step_by_its_sum(z, step)
+            assert (np.abs(difference - expected) <= 1e-14 * np.abs(expected)).all()
+        else:
+            assert (difference == 0.0).all()
 
 
 #: Phi at T = 0 of a plate whose line is 1e-3 omega_sp wide, with itself and with
@@ -608,6 +640,53 @@ def test_phi_far_above_the_resonance_reports_its_error(plates, multiple):
     other = metal if plates == "equal" else Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6e-3 * sp)
     phi, err = im_r_dissipation_integral(multiple * sp, metal, other, COLD, TIGHT)
     assert abs(phi - FAR_ABOVE_REFS[plates, multiple]) <= err
+
+
+#: Phi of the plate of `force --wp-ev 9 --nu-ev 5e-8` (a line 7.9e-9 omega_sp wide)
+#: with itself, at (T in K, None for T = 0; omega in rad/s) where Phi's quadrature did
+#: not converge: 40-digit sums over the poles of Im R, printed by tests/phi_mpmath_refs.py.
+NARROW_LINE_REFS = {
+    (None, 1.1408629129840398e16): 91746266.74738775,
+    (300.0, 9660150463323436.0): 1738742.305437017,
+}
+
+
+@pytest.mark.parametrize("temperature, omega", list(NARROW_LINE_REFS), ids=["zero", "300K"])
+def test_phi_of_a_narrow_line_is_its_pole_sum(monkeypatch, temperature, omega):
+    # on a line 7.9e-9 omega_sp wide Phi's quadrature did not converge within 200
+    # bisections, in the sum channel at T = 0 and in the difference channel at 300 K,
+    # and the force exited 3: the pole sum, each pole with its conjugate, takes both
+    # omegas within its error, and no quadrature runs
+    metal = Drude(omega_p=9.0 * CONST.eV / CONST.hbar, nu=5e-8 * CONST.eV / CONST.hbar)
+    thermal = COLD if temperature is None else ThermalState.finite(temperature)
+
+    def integrate(*_):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(response, "integrate_finite", integrate)
+    for spec in (DEFAULT_SPEC, TIGHT):
+        phi, err = im_r_dissipation_integral(omega, metal, metal, thermal, spec)
+        assert abs(phi - NARROW_LINE_REFS[temperature, omega]) <= err <= 1e-12 * phi
+
+
+@pytest.mark.parametrize("ratio", [1e-8, 1e-5])
+def test_pole_sum_takes_every_omega_of_a_narrow_line(ratio):
+    # at the 1e-9 a force's Phi asks for, the pole sum takes every omega from POLES_FROM
+    # times the smaller omega_sp up, next to each line and far above it, at T = 0 and
+    # at 30 to 1000 K, for equal and unequal plates, but within 1 % of Omega_1 + Omega_2
+    metal = Drude(omega_p=GOLD.omega_p, nu=ratio * GOLD.omega_sp)
+    for other in (metal, Drude(omega_p=1.3 * GOLD.omega_p, nu=0.6 * ratio * GOLD.omega_sp)):
+        lines = [_phi0._omega(m) for m in (metal, other)]
+        low = min(metal.omega_sp, other.omega_sp)
+        near = np.concatenate((-np.logspace(-13.0, -1.0, 25), [0.0], np.logspace(-13.0, -1.0, 25)))
+        omegas = np.concatenate([low * np.logspace(math.log10(_phi0.POLES_FROM), 4.0, 100)]
+                                + [x * (1.0 + near) for x in lines + [sum(lines)]])
+        omegas = omegas[omegas >= _phi0.POLES_FROM * low]
+        merge = np.abs(omegas / sum(lines) - 1.0) <= 1e-2
+        for thermal in (COLD, ThermalState.finite(30.0), ROOM, ThermalState.finite(1000.0)):
+            b = 0.5 * thermal.beta * CONST.hbar
+            _, _, used = _phi0.closed_form(omegas, metal, other, b, 1e-9)
+            assert used[~merge].all()
 
 
 @pytest.mark.parametrize("temperature", [30.0, 300.0, 1000.0])
