@@ -42,8 +42,11 @@ def _log1p(z):
     the digits of a small z.
     """
     x, y = z.real, z.imag
-    small = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
-    return np.where(np.abs(z) < 0.5, small, np.log(1.0 + z))
+    value = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    far = np.abs(z) >= 0.5
+    if far.any():
+        value[far] = np.log(1.0 + z[far])
+    return value
 
 
 #: `_digamma` takes psi(z) as its asymptotic series to z^-16 at |z| >= _PSI_FAR or
@@ -69,28 +72,16 @@ def _digamma(z, step):
     as a factor: step sum_n 1 / ((z + n)(z + step + n)) over the
     recurrence, and of the series log1p(step/y) + step A B / 2 +
     step A B (A + B) sum_k c_k h_(k-1), A = 1/(y + step), B = 1/y,
-    h_m = sum_j A^2j B^2(m-j) (c_k = _PSI_SERIES).  The sizes are the sums
-    of the moduli of each value's parts: of psi's real part, of its
-    imaginary part, and of the difference.
+    h_m = sum_j A^2j B^2(m-j) (c_k = _PSI_SERIES); it and its size are 0
+    for a step of 0.  The sizes are the sums of the moduli of each value's
+    parts: of psi's real part, of its imaginary part, and of the difference.
     """
     def steps_of(x):
         return np.where(np.abs(x) < _PSI_FAR, np.maximum(np.ceil(_PSI_FROM - x.real), 0.0), 0.0)
 
-    moved = np.any(step)
+    moved = np.ndim(step) > 0 or step != 0.0
     # a real step >= 0 moves z away from the poles, and takes no more steps than z
     steps = steps_of(z) if np.isrealobj(step) else np.maximum(steps_of(z), steps_of(z + step))
-    psi, pairs = np.zeros(z.shape, dtype=complex), 0.0
-    size, step_size = np.zeros(z.shape), 0.0
-    if steps.any():
-        # the rows k < steps, summed in the order of k
-        k = np.arange(steps.max()).reshape((-1,) + (1,) * z.ndim)
-        inverse = np.where(k < steps, 1.0 / (z + k), 0.0)
-        psi -= inverse.sum(axis=0)
-        size += np.abs(inverse).sum(axis=0)  # the rounding of 1/(z + k) enters both parts
-        if moved:
-            pairs = inverse / (z + (step + k))
-            step_size = np.abs(pairs).sum(axis=0)
-            pairs = pairs.sum(axis=0)
     y = z + steps
     r = 1.0 / (y * y)
     s = _PSI_SERIES[-1]
@@ -98,15 +89,27 @@ def _digamma(z, step):
         s = s * r + c
     tail = 0.5 / y + s * r
     log, arg = np.log(np.abs(y)), np.arctan2(y.real, np.abs(y.imag))
-    psi += log - 1j * np.where(y.imag < 0.0, -arg, arg) - tail
-    size += np.abs(tail)
+    psi = log - 1j * np.where(y.imag < 0.0, -arg, arg) - tail
+    size, pairs, step_size = np.abs(tail), 0.0, 0.0
+    some = np.nonzero(steps)
+    if some[0].size:
+        # over the elements that take steps, the rows k < steps, summed in the order of k
+        x, n = z[some], steps[some]
+        k = np.arange(n.max())[:, None]
+        inverse = np.where(k < n, 1.0 / (x + k), 0.0)
+        psi[some] -= inverse.sum(axis=0)
+        size[some] += np.abs(inverse).sum(axis=0)  # the rounding of 1/(z + k) enters both parts
+        if moved:
+            terms = inverse / (x + ((step[some] if np.ndim(step) else step) + k))
+            pairs, step_size = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
+            pairs[some], step_size[some] = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     re_size, im_size = size + np.abs(log), size + arg
     if not moved:
-        return psi, np.zeros(z.shape, dtype=complex), re_size, im_size, np.zeros(z.shape)
+        return psi, 0.0, re_size, im_size, 0.0
     a, b = 1.0 / (y + step), 1.0 / y
     a2, b2 = a * a, b * b
-    h = power = np.ones(z.shape, dtype=complex)
-    total = _PSI_SERIES[0] * h
+    h = power = 1.0
+    total = _PSI_SERIES[0]
     for c in _PSI_SERIES[1:]:
         power = power * b2
         h = a2 * h + power
@@ -117,9 +120,14 @@ def _digamma(z, step):
 
 
 def _expm1(z):
-    """exp(z) - 1 for a complex array z, to a few ulps of its modulus where Re z <= 0."""
+    """exp(z) - 1 for a complex array z, to a few ulps of its modulus where Re z <= 0.
+
+    exp(Re z) is taken at Re z >= -700, where it is still normal: below,
+    it is far under an ulp of the result, and underflow is slow.
+    """
     x, y = z.real, z.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+    return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
+            + 1j * np.exp(np.maximum(x, -700.0)) * np.sin(y))
 
 
 def _underdamped(material: Drude) -> bool:
@@ -216,12 +224,14 @@ def _d_parts(w, e, pole, b: float):
         z1, z2 = b * big * sign - 1j * b * h, -b * e - 1j * b * h
         s1, s2 = sign, np.where(e > 0.0, -1.0, 1.0)  # the signs of Re z1, Re z2
         d1, d2 = -_expm1(-2.0 * s1 * z1), -_expm1(-2.0 * s2 * z2)
-        # b w - |Re z1| - |Re z2| and its phase, formed from e itself
-        power = (2.0 * b * np.minimum(e, 0.0) - b * big * (1.0 - sign)) + 1j * b * h * (s1 + s2)
+        # b w - |Re z1| - |Re z2| and its phase, formed from e itself; its exponential
+        # is taken from -700 up, where it is still normal (see `_expm1`)
+        power = np.maximum(2.0 * b * np.minimum(e, 0.0) - b * big * (1.0 - sign), -700.0)
+        power = power + 1j * b * h * (s1 + s2)
         jump = -2.0 * s1 * s2 * np.exp(power) * -np.expm1(-2.0 * b * w) / (d1 * d2)
         # coth' = -csch^2 = -4 e^(-2 |Re z|) / (1 - e^(-2 s z))^2, times a few ulps of z
-        slope = (np.abs(z1) * np.exp(-2.0 * b * big) / np.abs(d1) ** 2
-                 + np.abs(z2) * np.exp(-2.0 * b * np.abs(e)) / np.abs(d2) ** 2)
+        slope = (np.abs(z1) * np.exp(np.maximum(-2.0 * b * big, -700.0)) / np.abs(d1) ** 2
+                 + np.abs(z2) * np.exp(np.maximum(-2.0 * b * np.abs(e), -700.0)) / np.abs(d2) ** 2)
         im = (dpsi[:, 1:] - dpsi[:, :1]).imag + math.pi * jump.real
         im_size = step_size[:, 1:] + step_size[:, :1] + math.pi * (4.0 * np.abs(jump) + 8.0 * slope)
     else:

@@ -617,7 +617,7 @@ def test_digamma_matches_scipy(real):
             expected = _digamma_step_by_its_sum(z, step)
             assert (np.abs(difference - expected) <= 1e-14 * np.abs(expected)).all()
         else:
-            assert (difference == 0.0).all()
+            assert np.all(difference == 0.0)
 
 
 #: Phi at T = 0 of a plate whose line is 1e-3 omega_sp wide, with itself and with
