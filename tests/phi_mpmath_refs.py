@@ -20,6 +20,7 @@ does not install, so pytest does not collect this file; run it as
 
     PYTHONPATH=src python tests/phi_mpmath_refs.py
 """
+
 import ast
 import sys
 from pathlib import Path

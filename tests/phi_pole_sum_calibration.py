@@ -9,9 +9,9 @@ changes form), at omega from `_phi0.POLES_FROM` to 1e3 times the smaller
 omega_sp, and next to omega_sp, Omega, 2 Omega and Omega_1 + Omega_2 of
 each pair, where poles come near the real axis or merge.  Only points
 whose bound at one ulp is within 1e-2 of Phi count: a larger bound keeps
-the closed form unused at any tolerance, and the sum, each pole grouped
-with its conjugate, reaches it only next to Omega_1 + Omega_2 of equal
-widths, where two of its terms are 0/0.  `_POLE_ULPS` is that ratio
+the closed form unused at any tolerance.  With each pole grouped with its
+conjugate, and the merge of equal widths at Omega_1 + Omega_2 formed as a
+divided difference, every point of this set counts.  `_POLE_ULPS` is that ratio
 times a margin of 5, rounded up, and the script exits 1 if
 `_phi0._POLE_ULPS` is below it.  The reference is the plain sum over the
 poles in mpmath, with the plates' float parameters taken exactly and
@@ -23,6 +23,7 @@ pytest does not collect this file; run it (about three minutes) as
 
     PYTHONPATH=src python tests/phi_pole_sum_calibration.py
 """
+
 import math
 import random
 import sys
