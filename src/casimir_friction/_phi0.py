@@ -9,10 +9,10 @@ omega_sp up Phi is a sum over its poles (`_pole_sum`): of digamma
 functions at finite T, of logarithms at T = 0, their b -> inf limit,
 where the difference channel closes.  Each pole is taken with its
 conjugate, so that every term carries the widths nu1 nu2 that Phi is of
-order in below the lines, and at the merge Omega1 + Omega2 of equal
-widths the two terms that are 0/0 are formed as one divided difference:
-the sum holds for lines 1e-9 to 1.99 omega_sp wide at every T.  Below
-half the smaller omega_sp its terms cancel as omega^2 / omega_sp^2.
+order in below the lines: the sum holds for lines 1e-9 to 1.99 omega_sp
+wide at every T, but next to the merge Omega1 + Omega2 of a pair of its
+poles, where two of its terms are 0/0.  Below half the smaller omega_sp
+its terms cancel as omega^2 / omega_sp^2.
 There, at finite T, Phi is its power series in omega (`series_coefficients`,
 `_series`): Im R of each plate is a power series inside its omega_sp,
 and each Bose factor weighs the other plate's Taylor series by moments
@@ -58,11 +58,10 @@ _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 1
                -3617 / 8160)
 
 
-def _digamma(z, step):
+def _digamma(z, step: float):
     """psi(z) - i s pi/2 and psi(z + step) - psi(z) on a complex array z, and their sizes.
 
-    For Re z > 0 and Re (z + step) > 0, step a number or an array of
-    z's shape; s = sign(Im z), +1 on the real axis.  Both take the
+    For Re z > 0 and a real step >= 0; s = sign(Im z), +1 on the real axis.  Both take the
     recurrence psi(z) = psi(z + 1) - 1/z over the same steps, each
     element its own number of them, so that its value does not depend on
     the others, and then the asymptotic series at y = z + steps.  Its
@@ -79,9 +78,8 @@ def _digamma(z, step):
     def steps_of(x):
         return np.where(np.abs(x) < _PSI_FAR, np.maximum(np.ceil(_PSI_FROM - x.real), 0.0), 0.0)
 
-    moved = np.ndim(step) > 0 or step != 0.0
-    # a real step >= 0 moves z away from the poles, and takes no more steps than z
-    steps = steps_of(z) if np.isrealobj(step) else np.maximum(steps_of(z), steps_of(z + step))
+    # a step >= 0 moves z away from the poles, and takes no more steps than z
+    steps = steps_of(z)
     y = z + steps
     r = 1.0 / (y * y)
     s = _PSI_SERIES[-1]
@@ -99,12 +97,12 @@ def _digamma(z, step):
         inverse = np.where(k < n, 1.0 / (x + k), 0.0)
         psi[some] -= inverse.sum(axis=0)
         size[some] += np.abs(inverse).sum(axis=0)  # the rounding of 1/(z + k) enters both parts
-        if moved:
-            terms = inverse / (x + ((step[some] if np.ndim(step) else step) + k))
+        if step:
+            terms = inverse / (x + (step + k))
             pairs, step_size = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
             pairs[some], step_size[some] = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     re_size, im_size = size + np.abs(log), size + arg
-    if not moved:
+    if not step:
         return psi, 0.0, re_size, im_size, 0.0
     a, b = 1.0 / (y + step), 1.0 / y
     a2, b2 = a * a, b * b
@@ -245,41 +243,6 @@ def _d_parts(w, e, pole, b: float):
     return re, re_size, im, im_size
 
 
-def _merged(d, real_p, real_q, pole1, pole2, b: float):
-    """(Re D(p) + Re D(q)) / d and its size for poles p, q of equal widths h, at each small d.
-
-    p = real_p + i h, q = real_q + i h and d = w - real_p - real_q, so that
-    w - p = conj q + d and w - q = conj p + d, and
-    Re D(p) + Re D(q) = -Re [G(q + d) - G(q)] - Re [G(p + d) - G(p)]
-    vanishes with d, where conj q merges with w - p.  Each difference is
-    formed with d as a factor: at T = 0,
-    log|q + d|^2 - log|q|^2 = log1p(y), y = d (2 Re q + d) / |q|^2, taken as
-    log1p(y) / y; at finite T,
-    G(q + d) - G(q) = -i pi d / (b q (q + d)) - 2 [psi(x - i b d / pi) - psi(x)],
-    x = 1 - i b q / pi, over the step -i b d / pi (`_digamma`).  For
-    |d| < omega_sp / 64, |y| < 0.07.
-    """
-    h = pole1[1]
-    poles = ((real_p, pole1[0]), (real_q, pole2[0]))
-    if math.isinf(b):
-        total, size = 0.0, 0.0
-        for real, square in poles:
-            factor = (2.0 * real + d) / square
-            y = d * factor
-            ratio = np.where(y == 0.0, 1.0, np.log1p(y) / np.where(y == 0.0, 1.0, y)) * factor
-            total, size = total + ratio, size + np.abs(ratio)
-        return total, 6.0 * size
-    scale = b / math.pi
-    z = np.concatenate([(1.0 + scale * h) - 1j * scale * real for real, _ in poles])
-    d = np.where(d == 0.0, 1e-300, d)  # at d = 0 its limit, far below an ulp of Omega
-    step = -1j * scale * d
-    _, dpsi, _, _, step_size = _digamma(z, np.concatenate((step, step)))
-    rational = sum(1j * math.pi / (b * p * (p + d)) for p in (real + 1j * h for real, _ in poles))
-    n = d.size
-    total = rational.real + 2.0 * (dpsi[:n] + dpsi[n:]).real / d
-    return total, 3.0 * np.abs(rational) + 2.0 * (step_size[:n] + step_size[n:]) / np.abs(d)
-
-
 def _pole_sum(w, material1: Drude, material2: Drude, b: float):
     """Phi by the poles of its integrand, each with its conjugate, and a bound on its rounding.
 
@@ -316,18 +279,18 @@ def _pole_sum(w, material1: Drude, material2: Drude, b: float):
     K = h1 - h2, S = d^2 + H^2, M = d^2 + K^2, and Q2 the product over
     sigma' of 1/(S M) times (d+^2 - HK)(d-^2 - HK) - 4 h1^2 HK (-K for the
     plate-2 poles), which is prod 1/S for equal widths.  There M = d^2,
-    and (Re D(p) + Re D(q)) / d is formed as a divided difference
-    (`_merged`) where d is small, so that Phi holds as a pair of poles
-    merges at w = Omega1 + Omega2, where the plain terms are 0/0.  Each
-    Omega is taken with its rest (`_pole`), and e and d as a float and its
-    rounding error (`_two_sum`), so that they keep their digits next to a
-    line and to the merge.  Everything is formed in units of a power of 2
-    near the smaller omega_sp, which is exact and keeps the products of
-    four frequencies inside the float range.
+    and a pair's term is (Re D(p) + Re D(q)) / d, 0/0 where a pair of
+    poles merges at w = Omega1 + Omega2.  Each Omega is taken with its
+    rest (`_pole`), and e and d as a float and its rounding error
+    (`_two_sum`), so that they keep their digits next to a line and to
+    the merge.  Everything is formed in units of a power of 2 near the
+    smaller omega_sp, which is exact and keeps the products of four
+    frequencies inside the float range.
 
     The bound is _POLE_ULPS ulps of the sum of the terms' sizes: each
-    factor's modulus times its relative rounding.  For unequal widths it
-    grows as 1/K^2 where d -> 0.
+    factor's modulus times its relative rounding.  Where d -> 0 it grows
+    as 1/|d| for equal widths and as 1/K^2 for unequal ones, and is not
+    finite at d = 0.
     """
     unit = math.ldexp(1.0, -math.frexp(min(material1.omega_sp, material2.omega_sp))[1])
     w, b = w * unit, b / unit
@@ -392,14 +355,9 @@ def _pole_sum(w, material1: Drude, material2: Drude, b: float):
         coefficient = d / (big_s * big_m)
         rounding = np.abs(coefficient) * (4.0 + spread) + d_size / (big_s * big_m)
     else:
-        # M = d^2: 1/S times (Re D(p) + Re D(q)) / d, merged where d is small
+        # M = d^2: 1/S times (Re D(p) + Re D(q)) / d
         coefficient, sums = 1.0 / big_s, sums / d
         sums_size = sums_size / np.abs(d) + 2.0 * np.abs(sums)
-        near = np.abs(d) < 1.0 / 64.0
-        if near.any():
-            real_p, real_q = (np.broadcast_to(x, d.shape)[near]
-                              for x in (sign.reshape(2, 1, 1) * big1, other * big2))
-            sums[near], sums_size[near] = _merged(d[near], real_p, real_q, pole1, pole2, b)
         rounding = 8.0 * coefficient
     pairs = sign.reshape(2, 1, 1) * other * (2.0 * alpha1 * alpha2 * nu1 * nu2)
     terms = pairs * coefficient * sums
@@ -616,11 +574,11 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     omega >= POLES_FROM times the smaller omega_sp, and at finite T the
     small-omega series (`_series`) below, each where its bound is at most
     tol * Phi.  At a tol of 1e-9 the pole sum takes every such omega, at
-    every T, for lines 1e-9 to 1.99 omega_sp wide; it leaves to the
-    quadrature only omegas within a few 1e-6 nu of Omega1 + Omega2 of
-    plates whose widths differ by a little, 1e-6 of themselves say.
-    Elsewhere, and for other plates, Phi and its bound are 0 and ``used``
-    is False.  Each form is evaluated at the omegas of its window alone,
+    every T, for lines 1e-9 to 1.99 omega_sp wide, but next to the merge
+    Omega1 + Omega2 of a pair of its poles, where two of its terms are
+    0/0 and its bound grows as the inverse distance: it may leave omegas
+    within 1e-2 of the merge to the quadrature.  Elsewhere, and for other
+    plates, Phi and its bound are 0 and ``used`` is False.  Each form is evaluated at the omegas of its window alone,
     each apart from the others.
 
     Returns
@@ -632,8 +590,8 @@ def closed_form(omegas, material1: Drude, material2: Drude, b: float, tol: float
     if not (_underdamped(material1) and _underdamped(material2)):
         return value, bound, used
     high = omegas >= POLES_FROM * min(material1.omega_sp, material2.omega_sp)
-    # a bound that is not finite (next to the merge of unequal widths) leaves
-    # its omega unused
+    # a bound that is not finite (at the merge Omega1 + Omega2) leaves its
+    # omega unused
     windows = [(high, _pole_sum)] if math.isinf(b) else [(high, _pole_sum), (~high, _series)]
     with np.errstate(all="ignore"):
         for window, form in windows:

@@ -53,10 +53,9 @@ a bound, calibrated against 40-digit arithmetic, and is used only where
 that bound is within Phi's tolerance, and the node's error is that
 bound.  At the 1e-9 of a force's table the pole sum takes every omega
 from half the smaller omega_sp up, at T = 0 and at 1 K to 1e4 K, for
-lines 1e-9 to 1.99 omega_sp wide, at Omega_1 + Omega_2 too, where a pair
-of its poles merges for equal widths; it leaves to the quadrature only
-omegas within a few 1e-6 nu of that merge of plates whose widths differ
-by a little (1e-6 of themselves, say).  The series takes every omega below
+lines 1e-9 to 1.99 omega_sp wide; it may leave to the quadrature only
+omegas within 1e-2 of Omega_1 + Omega_2, where a pair of its poles
+merges and two of its terms are 0/0.  The series takes every omega below
 omega_sp / 2 up to 300 K for lines 1e-3 to 0.3 omega_sp wide, and at
 3000 K it leaves those near omega_sp / 2 to the quadrature.  The
 quadrature takes only the omegas that remain: at T = 0, all those below
@@ -206,8 +205,8 @@ def im_r_dissipation_integral(
     the 1e-9 of a force's table, and at finite T the small-omega series
     below), and the rule integrates the others: at T = 0 the omegas below
     half the smaller omega_sp, those the series refuses, overdamped plates,
-    and the omegas right next to the merge Omega_1 + Omega_2 of plates
-    whose widths differ by a little.  For equal plates
+    and the omegas right next to the merge Omega_1 + Omega_2 of a pair
+    of poles.  For equal plates
     (``material2 is material1``) the two products are one, doubled.  Far
     above the resonances the fold meets each line at a small |u|, not at
     a difference w - u rounded on the scale of w.

@@ -10,16 +10,20 @@ omega_sp, and next to omega_sp, Omega, 2 Omega and Omega_1 + Omega_2 of
 each pair, where poles come near the real axis or merge.  Only points
 whose bound at one ulp is within 1e-2 of Phi count: a larger bound keeps
 the closed form unused at any tolerance.  With each pole grouped with its
-conjugate, and the merge of equal widths at Omega_1 + Omega_2 formed as a
-divided difference, every point of this set counts.  `_POLE_ULPS` is that ratio
-times a margin of 5, rounded up, and the script exits 1 if
-`_phi0._POLE_ULPS` is below it.  The reference is the plain sum over the
-poles in mpmath, with the plates' float parameters taken exactly and
-omega_sp^2 = omega_p^2 / 2 rounded as `surface_response` rounds it; it
-loses about 2 log10(omega_sp / nu) of its 40 digits, 18 for the
-narrowest line.  `tests/test_response.py` checks the sum against
-quadrature.  Needs mpmath, which the test extra does not install, so
-pytest does not collect this file; run it (about three minutes) as
+conjugate, every point of this set counts but those next to the merge
+Omega_1 + Omega_2, where two of the sum's terms are 0/0 and its bound
+grows as the inverse distance.  `_POLE_ULPS` is that ratio times a
+margin of 5, rounded up, and the script exits 1 if `_phi0._POLE_ULPS`
+is below it, or if `_phi0.closed_form` at the tolerance of a force's Phi
+at the default --rtol (1e-9) leaves a point of the set more than 1e-2
+away from Omega_1 + Omega_2 to the quadrature.  The reference is the
+plain sum over the poles in mpmath, with the plates' float parameters
+taken exactly and omega_sp^2 = omega_p^2 / 2 rounded as
+`surface_response` rounds it; it loses about 2 log10(omega_sp / nu) of
+its 40 digits, 18 for the narrowest line.  `tests/test_response.py`
+checks the sum against quadrature and against tests/phi_pole_refs.json.
+Needs mpmath, which the test extra does not install, so pytest does not
+collect this file; run it (about three minutes) as
 
     PYTHONPATH=src python tests/phi_pole_sum_calibration.py
 """
@@ -87,7 +91,7 @@ def omegas(m1: Drude, m2: Drude, rng: random.Random):
 
 def main():
     rng = random.Random(1)
-    worst, counted = 0.0, 0
+    worst, counted, total, refused = 0.0, 0, 0, 0
     for width in WIDTHS:
         metal = Drude(omega_p=OMEGA_P, nu=width * OMEGA_P / math.sqrt(2.0))
         other = Drude(omega_p=1.3 * OMEGA_P, nu=0.6 * width * OMEGA_P / math.sqrt(2.0))
@@ -95,7 +99,15 @@ def main():
             for temperature in TEMPERATURES:
                 b = 0.5 * CONST.hbar / (CONST.k_B * temperature) if temperature else math.inf
                 w = omegas(metal, m2, rng)
-                value, bound = _phi0._pole_sum(w, metal, m2, b)
+                total += w.size
+                merge = np.abs(w / (_phi0._omega(metal) + _phi0._omega(m2)) - 1.0) <= 1e-2
+                for wi in w[~(_phi0.closed_form(w, metal, m2, b, 1e-9)[2] | merge)]:
+                    refused += 1
+                    print(f"width {width}, {'equal' if m2 is metal else 'unequal'}, "
+                          f"T = {temperature} K, omega = {wi / metal.omega_sp!r} omega_sp: "
+                          f"refused at tol 1e-9", file=sys.stderr)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    value, bound = _phi0._pole_sum(w, metal, m2, b)
                 bound = bound / _phi0._POLE_ULPS
                 for wi, v, e in zip(w, value, bound):
                     if not e <= 1e-2 * abs(v):
@@ -107,13 +119,18 @@ def main():
                         print(f"width {width}, {'equal' if m2 is metal else 'unequal'}, "
                               f"T = {temperature} K, omega = {wi / metal.omega_sp!r} omega_sp: "
                               f"error / bound at one ulp = {ratio:.3g}")
-    print(f"{counted} points; largest error / bound at one ulp {worst:.3g}; "
+    print(f"{counted} of {total} points; largest error / bound at one ulp {worst:.3g}; "
           f"with a margin of 5: _POLE_ULPS >= {5.0 * worst:.3g}")
+    status = 0
     if 5.0 * worst > _phi0._POLE_ULPS:
         print(f"_phi0._POLE_ULPS = {_phi0._POLE_ULPS} is below {5.0 * worst:.3g}",
               file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if refused:
+        print(f"{refused} points outside 1e-2 of Omega_1 + Omega_2 refused at tol 1e-9",
+              file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
