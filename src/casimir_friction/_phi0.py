@@ -61,10 +61,11 @@ _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 1
 def _digamma(z, step: float):
     """psi(z) - i s pi/2 and psi(z + step) - psi(z) on a complex array z, and their sizes.
 
-    For Re z > 0 and a real step >= 0; s = sign(Im z), +1 on the real axis.  Both take the
-    recurrence psi(z) = psi(z + 1) - 1/z over the same steps, each
-    element its own number of them, so that its value does not depend on
-    the others, and then the asymptotic series at y = z + steps.  Its
+    For Re z > 0 and a real step >= 0; s = sign(Im z), +1 on the real
+    axis.  Both take the recurrence psi(z) = psi(z + 1) - 1/z over the
+    same steps, each element its own number of them, so that its value
+    does not depend on the others, and then the asymptotic series at
+    y = z + steps.  Its
     log y is log|y| + i arg y, with arg y - s pi/2 = -s atan2(Re y, |Im y|)
     formed as such, so that an imaginary part next to +-pi/2 keeps its
     digits.  The difference is formed without cancellation, with the step
