@@ -36,17 +36,15 @@ from .numerics import np
 
 
 def _log1p(z):
-    """log(1 + z) for a complex array z, to a few ulps near z = 0 and near z = -1.
+    """log(1 + z) for a complex array z with |z| < 0.5, to a few ulps.
 
     numpy's complex log1p takes the log of |1 + z| as formed, which loses
-    the digits of a small z.
+    the digits of a small z; here log |1 + z| is half of
+    log1p(x (2 + x) + y^2).  Only |z| < 0.5 is asked of it: its one caller,
+    `_digamma`, passes step / y with step <= 1 and |y| >= 10, so |z| <= 0.1.
     """
     x, y = z.real, z.imag
-    value = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
-    far = np.abs(z) >= 0.5
-    if far.any():
-        value[far] = np.log(1.0 + z[far])
-    return value
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
 #: `_digamma` takes psi(z) as its asymptotic series to z^-16 at |z| >= _PSI_FAR or

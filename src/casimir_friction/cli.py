@@ -426,7 +426,9 @@ def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
                 raise CLIError(f"{where}{exc}") from exc
         try:
             results = general_forces(material, material, thermal, speeds, gaps, spec)
-        except NonConvergence as exc:
+        except (NonConvergence, FloatFailure) as exc:
+            if exc.index is None:  # the thermal scale, or the k_x pass as a whole
+                raise
             raise RowFailure(rows[exc.index][0], exc) from exc
         yield from results
         return

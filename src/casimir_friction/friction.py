@@ -613,8 +613,9 @@ def general_forces(
         which the rule failed and the matching omega = k_x v.
     FloatFailure
         With level "k_x", if a force (of the series or of the k_x
-        integral) or a k_x integral overflows; with level "omega1", at
-        any v > 0, if the thermal scale 2 k_B T / hbar does.
+        integral) or a k_x integral overflows, with the ``index`` of the
+        first point whose force does; with level "omega1", at any v > 0,
+        if the thermal scale 2 k_B T / hbar does.
     """
     v, d = [float(x) for x in v], [float(x) for x in d]
     if len(v) != len(d):
@@ -644,10 +645,13 @@ def general_forces(
             diag.validity_flags.append(
                 "underflow: Phi is below the normal floats over the kernel band; reported as 0")
         diag.quadrature_rel_err = err / abs(value) if value else 0.0
-        results[i].force_per_area = _force(
-            diag.validity_flags, "k_x",
-            lambda: f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
-            (constant, *[v[i]] * v_power, value), [d[i]] * d_power)
+        try:
+            results[i].force_per_area = _force(
+                diag.validity_flags, "k_x",
+                lambda: f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
+                (constant, *[v[i]] * v_power, value), [d[i]] * d_power)
+        except FloatFailure as exc:
+            raise FloatFailure(str(exc), exc.level, index=i) from exc
         if not lossy:
             flag_lossless(diag, material1, material2)
     return results

@@ -10,8 +10,9 @@ tolerance, within MAX_BISECTIONS bisections per integral (`_integrate`).
 It runs many integrals at once, each over its own segments, with one
 call of the integrand per refinement round.  Its one front is
 `integrate_finite`: n integrals to one tolerance, each over its own
-limits, cut at its own kinks and graded toward its own features, as
-Phi(omega) at all its omegas is.  `integrate_semi_infinite` maps n
+limits, cut at its own row of breakpoints, as Phi(omega) at all its
+omegas is; a caller grades its rows toward its integrands' narrow
+features with `graded_points`.  `integrate_semi_infinite` maps n
 integrals over [0, inf) onto [0, 1) with
 
     x = t / (1 - t),    dx = dt / (1 - t)^2,
@@ -35,7 +36,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 
 def _lazy(name: str):
@@ -97,11 +98,16 @@ class FloatFailure(ArithmeticError):
     level : str
         The closed form or nesting level whose formula failed (e.g.
         "LinearFiniteT", "omega1").
+    index : int or None
+        From `friction.general_forces`, when a point's force overflows,
+        that point's place among its points.  None from every other
+        raiser.
     """
 
-    def __init__(self, message: str, level: str):
+    def __init__(self, message: str, level: str, index: int | None = None):
         super().__init__(message)
         self.level = level
+        self.index = index
 
 
 @contextmanager
@@ -299,36 +305,26 @@ def graded_points(centre, width, lo, hi):
     return np.concatenate((centre - steps, centre + steps), axis=-1)
 
 
-def _segments(lo, hi, cuts, graded=()):
+def _segments(lo, hi, cuts):
     """Starting segments of n integrals, each on [lo[j], hi[j]].
 
     ``cuts`` holds n rows of breakpoints (such as the kinks of a
-    tabulated response).  ``graded`` holds (centre, width) pairs, each an array
-    over the n integrals or a float: a feature of the integrand of that
-    width at that centre, graded toward by further breakpoints
-    centre +- width 2^k, k = 0, 1, ... (`graded_points`).  Breakpoints
-    outside (lo, hi) are dropped, and those within _UNBISECTABLE_ULPS of
-    an end move onto it: the segment between would be too narrow to
-    bisect, and its nodes would round onto the end, where the integrand
-    may not be defined (Im R at 0).
+    tabulated response, or the caller's `graded_points` toward a narrow
+    feature).  Breakpoints outside (lo, hi) are dropped, and those within
+    _UNBISECTABLE_ULPS of an end move onto it: the segment between would
+    be too narrow to bisect, and its nodes would round onto the end,
+    where the integrand may not be defined (Im R at 0).
 
     Returns
     -------
     (a, b, owner) : arrays
         The segments, by owner and then increasing.
     """
-    n = lo.size
-    zero = np.zeros(n)
-    points = [cuts]
-    if graded:
-        centre, width = (np.array([x + zero for x in xs]) for xs in zip(*graded))
-        points.append(graded_points(centre, width, lo, hi).transpose(1, 0, 2).reshape(n, -1))
     lo, hi = lo[:, None], hi[:, None]
     near_lo = lo + _UNBISECTABLE_ULPS * np.spacing(lo)
     near_hi = hi - _UNBISECTABLE_ULPS * np.spacing(hi)
     # np.minimum and np.maximum, not np.clip, whose Python wrapper costs more than the work
-    inner = np.concatenate([np.empty((n, 0)), *points], axis=1)
-    inner = np.sort(np.minimum(np.maximum(inner, lo), hi), axis=1)
+    inner = np.sort(np.minimum(np.maximum(cuts, lo), hi), axis=1)
     inner = np.where(inner <= near_lo, lo, np.where(inner >= near_hi, hi, inner))
     # a breakpoint on an end leaves a segment of no width, which is dropped
     edges = np.concatenate((lo, inner, hi), axis=1)
@@ -354,7 +350,6 @@ def integrate_finite(
     b: float | np.ndarray,
     spec: QuadratureSpec,
     cuts: np.ndarray,
-    graded: Sequence[tuple] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate n integrands, each over its own limits, in one pass of the package's G7/K15 rule.
 
@@ -375,10 +370,8 @@ def integrate_finite(
     cuts : array of n rows
         One row per integral, which sets n.  Row j: points where
         integrand j has a kink or a narrow feature, where its starting
-        segments end.  Points outside (a, b) are dropped.
-    graded : sequence of (centre, width) pairs
-        Features of the integrands (each a float or an array of n), toward
-        which the starting segments are graded: cut at centre +- width 2^k.
+        segments end.  Points outside (a, b) are dropped.  A caller grades
+        a row toward a narrow feature by appending its `graded_points`.
 
     Returns
     -------
@@ -400,7 +393,7 @@ def integrate_finite(
     lo, hi = np.full(n, a, dtype=float), np.full(n, b, dtype=float)
     if (lo > hi).any():
         raise DomainError(f"integration limits out of order: a={a} > b={b}")
-    seg_a, seg_b, owner = _segments(lo, hi, cuts, graded)
+    seg_a, seg_b, owner = _segments(lo, hi, cuts)
     return _integrate(f, seg_a, seg_b, owner, n, spec.rel_tol)
 
 

@@ -82,6 +82,7 @@ from .numerics import (
     FloatFailure,
     NonConvergence,
     QuadratureSpec,
+    graded_points,
     integrate_finite,
     np,
 )
@@ -220,12 +221,14 @@ def im_r_dissipation_integral(
     a difference w - u rounded on the scale of w.
 
     The integral at every omega is a composite G7/K15 rule refined by
-    bisection, all of them in one call of `integrate_finite`.  The
-    starting segments are split at 0, so that each lies on one side
-    of it, and graded toward each feature of the integrand, at
-    c +- width 2^k: a Drude plate's resonance (width nu) at +-omega_sp
-    and at omega - omega_sp, and at finite T the thermal scale
-    2/(beta hbar) from 0.  Each value is held to `phi_tolerance`:
+    bisection, all of them in one call of `integrate_finite`, whose rows
+    of cuts Phi builds itself.  The starting segments are split at 0, so
+    that each lies on one side of it, and graded toward each feature of
+    the integrand by the breakpoints c +- width 2^k of one
+    `numerics.graded_points` call over all the features and omegas, so
+    that each takes as many: a Drude plate's resonance (width nu) at
+    +-omega_sp and at omega - omega_sp, and at finite T the thermal
+    scale 2/(beta hbar) from 0.  Each value is held to `phi_tolerance`:
     PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All
     factors are evaluated in overflow-safe form; the result is >= 0
     for passive responses (Im R <= 0).
@@ -278,9 +281,15 @@ def im_r_dissipation_integral(
         if not (rest.size and res1 and res2):
             return _shaped(phi, err, omega.shape)
         left = omegas[rest]
+        lo, hi = -60.0 * scale, 0.5 * left
         lines = dict.fromkeys(res1 + res2)
-        # the thermal scale has no width at T = 0, where it adds no breakpoint
-        graded = [(x, w) for c, w in lines for x in (c, -c, left - c)] + [(0.0, scale)]
+        # cut at 0, so that each segment lies on one side of it, and graded toward each
+        # line and from 0 on the thermal scale (of no width at T = 0), in one call, so
+        # that every feature of every omega takes as many levels
+        centre, width = zip(*[(x, w) for c, w in lines for x in (c, -c, left - c)], (0.0, scale))
+        graded = graded_points(np.stack(np.broadcast_arrays(*centre), axis=1), np.array(width),
+                               lo, hi[:, None])
+        cuts = np.concatenate((np.zeros((rest.size, 1)), graded.reshape(rest.size, -1)), axis=1)
 
         def integrand(u, o):
             w = left[o][:, None]
@@ -299,10 +308,9 @@ def im_r_dissipation_integral(
                          + 2.0 / np.expm1(2.0 * half * high[above]))
             return y
 
-        try:  # cut at 0, so that each segment lies on one side of it
-            phi[rest], err[rest] = integrate_finite(integrand, -60.0 * scale, 0.5 * left,
-                                                    QuadratureSpec(rel_tol=tol),
-                                                    np.zeros((rest.size, 1)), graded)
+        try:
+            phi[rest], err[rest] = integrate_finite(integrand, lo, hi,
+                                                    QuadratureSpec(rel_tol=tol), cuts)
         except NonConvergence as exc:
             side = "difference" if exc.interval[1] <= 0.0 else "sum"
             raise NonConvergence(f"Phi ({side} channel) {exc} at omega={float(left[exc.index])!r}",
@@ -333,8 +341,8 @@ def phi_slope(
     integral is the composite G7/K15 rule of `im_r_dissipation_integral`,
     refined to ``spec.rel_tol``, on segments cut at the increasing
     ``nodes`` (a tabulated material passes its grid, whose nodes are
-    kinks of the interpolated Im R) and graded from 0 on the thermal
-    scale 2/(beta hbar).
+    kinks of the interpolated Im R) and at the `numerics.graded_points`
+    from 0 on the thermal scale 2/(beta hbar).
 
     Returns
     -------
@@ -356,8 +364,8 @@ def phi_slope(
 
     try:
         with np.errstate(all="ignore"):
-            value, err = integrate_finite(integrand, lo, hi, spec, [nodes],
-                                          [(0.0, 2.0 / beta_hbar)])
+            cuts = [*nodes, *graded_points(0.0, 2.0 / beta_hbar, lo, hi)]
+            value, err = integrate_finite(integrand, lo, hi, spec, [cuts])
     except NonConvergence as exc:
         raise NonConvergence(f"Phi_1 {exc} on [{lo!r}, {hi!r}]", level="omega1") from exc
     return beta_hbar * float(value[0]), beta_hbar * float(err[0])

@@ -98,6 +98,11 @@ def test_unread_fields_are_gone():
     assert list(inspect.signature(compare.pendry_force).parameters) == [
         "sigma_over_eps0", "d", "v",
     ]
+    # the quadrature's front takes breakpoints only: a caller appends graded_points
+    assert list(inspect.signature(numerics.integrate_finite).parameters) == [
+        "f", "a", "b", "spec", "cuts",
+    ]
+    assert list(inspect.signature(numerics._segments).parameters) == ["lo", "hi", "cuts"]
 
 
 def test_the_package_is_its_force_path(capsys):

@@ -152,14 +152,14 @@ def test_narrow_lines_approach_the_plasmon_line(capsys, temp):
 
 
 #: A T = 0 general force on a narrow line, 1e-3 of omega_sp wide, whose k_x integral
-#: starts graded toward the sum resonance: a k_x rule cut only at the resonances once
-#: failed on the edges of a Phi table's narrow panels there.
+#: starts graded toward the sum resonance, and converges there: its force at --rtol
+#: 1e-9 lies within its reported error.
 KINKED_ARGS = ["force", "--model", "drude", "--wp-ev", "4.9555017756573285",
                "--nu-ev", "0.0024151963478304737", "--gap-nm", "1.0454794467392023",
                "--velocity", "67900020.93075527", "--temp-k", "zero", "--regime", "general"]
 
 
-def test_general_force_across_many_table_panels_converges(capsys):
+def test_kx_pass_on_a_narrow_line_converges_within_its_error(capsys):
     forces = {}
     for extra in ([], ["--rtol", "1e-9"]):
         code, out, err = run_cli(capsys, [*KINKED_ARGS, *extra])
@@ -171,6 +171,10 @@ def test_general_force_across_many_table_panels_converges(capsys):
     assert math.isfinite(force) and force > 0
     assert abs(force - tight) <= rel_err * force
 
+
+#: A 300 K velocity sweep whose first row's force overflows as 1/d^4.
+TINY_SWEEP_ARGS = ["--temp-k", "300", "--gap-nm", "1e-291", "--param", "velocity",
+                   "--from", "1e-300", "--to", "1e-299", "--points", "2"]
 
 #: Finite inputs at which a float division by zero or overflow stops the run, each
 #: with the level and the quantity its exit-3 line names.
@@ -205,6 +209,12 @@ FLOAT_FAILURES = [
     # k_x = 2 omega_sp / v underflows to 0, where K1 has its pole
     (["force", "--model", "drude", "--wp-ev", "1e-300", "--gap-nm", "1e-300", "--temp-k",
       "zero", "--velocity", "1e300", "--regime", "plasmon"], "PlasmonLine", "K1(x) e^x at x = "),
+    # a sweep names the row whose force overflows: the general one, which takes all its
+    # rows in one call, as the linear one, which takes one force per row
+    (["sweep", *DRUDE_ARGS, *TINY_SWEEP_ARGS, "--regime", "general"], "k_x",
+     "row 0 (velocity=1e-300): force series hbar v S / (32 pi^3 d^4) at d = 1e-300 m"),
+    (["sweep", *DRUDE_ARGS, *TINY_SWEEP_ARGS, "--regime", "linear"], "LinearFiniteT",
+     "row 0 (velocity=1e-300): force 3 hbar v Phi_1 / (64 pi^2 d^4) at d = 1e-300 m"),
 ]
 
 
@@ -212,7 +222,7 @@ FLOAT_FAILURES = [
 # bound past the float range, exits 2 now: test_spectrum_bound_past_float_range_exits_2;
 # case 13, a plasmon force at a subnormal gap, is finite now:
 # test_plasmon_force_at_a_subnormal_gap_is_finite)
-@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12])
+@pytest.mark.parametrize("argv,level,quantity", FLOAT_FAILURES, ids=[*range(10), 11, 12, 14, 15])
 def test_float_failure_at_extreme_finite_input_exits_3(capsys, argv, level, quantity):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
@@ -1252,7 +1262,7 @@ def test_general_sweep_rows_match_force(capsys, param):
         assert force == pytest.approx(general_force(capsys, param, value), rel=1e-6, abs=0)
 
 
-def test_general_sweep_rtol_tightens_its_table(capsys):
+def test_general_sweep_rtol_tightens_its_kx_pass(capsys):
     # --rtol holds the k_x pass: at T = 0, where every row takes it (at 300 K the force
     # series takes these rows), each row is within --rtol of the same sweep at 1e-12,
     # and nearer at 1e-9 than at 1e-6 (by about 1e-12 and 3e-16)
@@ -1278,7 +1288,7 @@ def test_general_force_matches_the_sweep_across_the_plasmon_resonances(capsys):
     assert rows[2][1] == pytest.approx(force, rel=1e-6, abs=0)
 
 
-def test_general_sweep_tabulates_phi_once(capsys, monkeypatch):
+def test_general_sweep_asks_for_phi_once_per_kx_round(capsys, monkeypatch):
     # the benchmark's 32-point velocity sweep, at T = 0: about 145 Phi evaluations
     # per point when each point integrated Phi itself; the one k_x pass of all rows
     # asks for Phi once per bisection round, at the nodes of every row (at 300 K the

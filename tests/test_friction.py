@@ -507,7 +507,7 @@ SERIES_GRID = (20.0, 35.0, 39.5, 40.5, 45.0, 80.0, 1e3, 1e6)
 
 @pytest.mark.parametrize("plates", SERIES_PLATES)
 @pytest.mark.parametrize("kelvin", [10.0, 300.0, 1000.0])
-def test_force_series_agrees_with_the_table_across_its_guard(monkeypatch, plates, kelvin):
+def test_force_series_agrees_with_the_kx_integral_across_its_guard(monkeypatch, plates, kelvin):
     # below the guard every point takes the k_x integral; above it the series takes
     # the points whose error it holds, with no k_x integral.  Its force and the
     # integral's (the series off, FORCE_SERIES_FROM = inf) agree within the sum of
@@ -571,11 +571,10 @@ def test_kx_pass_starts_graded_toward_the_sum_resonance(monkeypatch, case):
 
 
 @pytest.mark.parametrize("slow", [1e-200, 1e-295])
-def test_one_table_from_far_below_one_rad_s_to_the_sum_resonance(slow):
-    # a Phi table shared from far below 1 rad/s to the sum resonance once let the
-    # slow point's moments underflow, so that its row was 3 % off at 1e-200 m/s
-    # against a reported 4.3e-9, and its edges far above the slow band overflowed as
-    # k_x, a RuntimeWarning at 1e-295 m/s.  The force is linear in v there, as at 1 m/s
+def test_one_kx_pass_from_far_below_one_rad_s_to_the_sum_resonance(slow):
+    # one k_x pass takes a point far below 1 rad/s and one at the sum resonance; each
+    # integral is refined on its own segments, so the slow point's force is linear in
+    # v, as at 1 m/s, within its reported error, at 1e-200 m/s as at 1e-295 m/s
     rows = general_forces(GOLD, GOLD, ROOM, [slow, 1e8], [PLATE.d, 1e-9])
     linear = dissipation_general(GOLD, GOLD, PLATE, ROOM, 1.0)
     dev = abs(rows[0].force_per_area / slow / linear.force_per_area - 1.0)
@@ -609,10 +608,10 @@ def test_fast_forces_reach_the_float_edge_of_the_kernel_band(thermal):
     assert [flag[:10] for flag in row.diagnostics.validity_flags] == ["underflow:"]
 
 
-def test_series_force_below_the_normal_floats_is_a_flagged_zero_with_no_table(monkeypatch):
+def test_series_force_below_the_normal_floats_is_a_flagged_zero_with_no_kx_pass(monkeypatch):
     # at 10 K, 1 mm and 1e-290 m/s the force series holds its bound and its force is
-    # below the normal floats: a 0 flagged by the series, with no Phi evaluated, where
-    # a Phi table was once built to reach the same 0
+    # below the normal floats: a 0 flagged by the series, with no k_x pass and so no
+    # Phi evaluated
     calls = counted_phi(monkeypatch)
     [row] = general_forces(GOLD, GOLD, ThermalState.finite(10.0), [1e-290], [1e-3])
     assert row.force_per_area == 0.0 and not calls
