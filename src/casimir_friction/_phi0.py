@@ -382,8 +382,8 @@ _SERIES_FLOOR = 1e-200
 
 
 @functools.cache
-def _series_constants():
-    """The weights of the small-omega series' block sums, which do not depend on T, and indices.
+def _series_constants(orders: int):
+    """The weights of the series' block sums over its first ``orders`` orders, and indices.
 
     weights[s, i, j] is what the product gamma_j gamma'_(s-j) of block s
     (`series_coefficients`) adds to phi_(2i+1) ref^(2i), a = 2j + 1,
@@ -392,21 +392,23 @@ def _series_constants():
     M_q = 2 (2q + 1)! zeta(2q + 2) is I_(2q+1) / ref^(2q+2) without its
     tau^(2q+2), tau^powers[s, i], and zeta(2k) comes from the Bernoulli
     numbers of `_digamma` for k <= 8, and above from its sum, whose 20
-    terms reach double precision there.  lag[s, j] = s - j picks gamma'_(s-j).
+    terms reach double precision there.  lag[s, j] = s - j picks
+    gamma'_(s-j), and past j = s the 0 that ends the heads.  The orders
+    are i < ``orders``, at most _SERIES_BLOCKS + 3, all of them.
     """
     n = _SERIES_BLOCKS + 2
     fact = [math.factorial(k) for k in range(2 * n + 2)]
     moments = [abs(c) * (2.0 * math.pi) ** (2 * q + 2) for q, c in enumerate(_PSI_SERIES)]
     moments += [2.0 * fact[2 * q + 1] * math.fsum(m ** -(2.0 * q + 2.0) for m in range(1, 21))
                 for q in range(len(moments), n)]
-    binom = np.array([[math.comb(2 * k + 1, 2 * i + 1) for i in range(n + 1)] for k in range(n)],
+    binom = np.array([[math.comb(2 * k + 1, 2 * i + 1) for i in range(orders)] for k in range(n)],
                      dtype=float)
     beta = np.array([[fact[2 * j + 1] * fact[2 * (s - j) + 1] / fact[2 * s + 3] if j <= s else 0.0
                       for j in range(n)] for s in range(n)])
-    s, i, j = np.ogrid[:n, :n + 1, :n]
+    s, i, j = np.ogrid[:n, :orders, :n]
     thermal = (binom[s - j, i] + binom[j, i]) * np.array(moments)[s - i]
     weights = 2.0 * np.where((i <= s) & (j <= s), thermal, np.where(i == s + 1, beta[s, j], 0.0))
-    return weights, np.maximum(s - j, 0)[:, 0], np.where(i <= s, 2 * (s - i) + 2, 0)[:, :, 0]
+    return weights, np.where(j <= s, s - j, n)[:, 0], np.where(i <= s, 2 * (s - i) + 2, 0)[:, :, 0]
 
 
 def _heads(material: Drude, ref: float) -> list:
@@ -429,7 +431,8 @@ def _heads(material: Drude, ref: float) -> list:
 
 
 @functools.lru_cache(maxsize=16)
-def series_coefficients(material1: Drude, material2: Drude, b: float):
+def series_coefficients(material1: Drude, material2: Drude, b: float,
+                        orders: int = _SERIES_BLOCKS + 3):
     """The coefficients phi_n of Phi = sum_n phi_n omega^n (odd n) at finite T, with their bound.
 
     For lossy, underdamped Drude plates, b = beta hbar / 2 < inf.  With
@@ -451,37 +454,43 @@ def series_coefficients(material1: Drude, material2: Drude, b: float):
     omega -> 0, where the thermal part is all of Phi, and at most
     _SERIES_BLOCKS: the thermal part of every omega^n sums the same
     asymptotic series in k_B T / hbar, and by then the T = 0 part has
-    converged.  Every block is formed once, from one array of the products
+    converged.  Every block is formed once, over the first ``orders``
+    orders (all of them by default; the force series sums
+    `friction.FORCE_SERIES_ORDERS`), from one array of the products
     gamma_j gamma'_(s-j) and the weights of `_series_constants`: the kept
     ones give the coefficients and their rounding, the first one left out
-    the truncation.  The coefficients depend on the plates and T alone,
-    and are kept for the next call.
+    the truncation.  A coefficient does not depend on how many are formed.
+    The coefficients depend on the plates and T alone, and are kept for
+    the next call.
 
     Returns
     -------
     (ref, rows, lines)
-        ref, the smaller omega_sp; two rows over i = 0 .. _SERIES_BLOCKS + 2,
+        ref, the smaller omega_sp; two rows over i = 0 .. orders - 1,
         phi_(2i+1) ref^(2i) and the coefficients of the bound on its
         rounding and truncation, so that at y = (omega / ref)^2
         Phi = omega sum_i rows[0, i] y^i and the bound is
         omega sum_i rows[1, i] y^i; and _SERIES_TAIL times a bound on
         `_line_weight` over the series' window.
     """
-    weights, lag, powers = _series_constants()
+    weights, lag, powers = _series_constants(orders)
     ref = min(material1.omega_sp, material2.omega_sp)
-    g = _heads(material1, ref)
-    h = g if material2 is material1 else _heads(material2, ref)
-    # rows of values and, where Chebyshev's e_j change sign, of sizes: every
-    # array below holds one row, or two
-    g, h = (np.array((x, np.abs(x)) if min(x) < 0.0 else (x,)) for x in (g, h))
-    # pairs[:, s, j] = gamma_j gamma'_(s-j); blocks[:, s, i], block s's share of
-    # phi_(2i+1) ref^(2i), at tau = k_B T / (hbar ref) = 1 / (2 b ref)
-    pairs = np.tril(g[:, None] * h[:, lag])
+    def heads(material):
+        """A row of G_j (`_heads`) and a 0, and a row of their sizes where they change sign."""
+        x = _heads(material, ref) + [0.0]
+        return np.array((x, np.abs(x)) if min(x) < 0.0 else (x,))
+
+    # rows of values and, where Chebyshev's e_j change sign, of sizes: every array
+    # below holds one row, or two
+    h = heads(material2)
+    g = (h if material2 is material1 else heads(material1))[:, :-1]
+    # pairs[:, s, j] = gamma_j gamma'_(s-j), 0 past j = s; blocks[:, s, i], block s's
+    # share of phi_(2i+1) ref^(2i), at tau = k_B T / (hbar ref) = 1 / (2 b ref)
+    pairs = g[:, None] * h[:, lag]
     blocks = np.einsum("rsj,sij->rsi", pairs, weights) * (0.5 / (b * ref)) ** powers
     # block s at omega -> 0 is its n = 1 term, 4 (s + 1) I_(2s+1) sum_j |pairs[s, j]|
-    small = blocks[-1, :, 0]
-    rising = np.flatnonzero(small[1:_SERIES_BLOCKS + 1] > small[:_SERIES_BLOCKS])
-    last = int(rising[0]) if rising.size else _SERIES_BLOCKS
+    small = blocks[-1, :, 0].tolist()
+    last = next((s for s in range(_SERIES_BLOCKS) if small[s + 1] > small[s]), _SERIES_BLOCKS)
     rows = np.ones((2, 1)) * blocks[:, :last + 1].sum(axis=1)  # values, sizes
     # the rounding, by the sizes, and the truncation, by the first block left out
     rows[1] = _SERIES_ULPS * math.ulp(1.0) * rows[1] + _SERIES_TAIL * blocks[-1, last + 1]

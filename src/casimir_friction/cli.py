@@ -34,17 +34,20 @@ Conventions
   whose document has no place for run metadata.
 - A sweep builds the material and the temperature once, unless it
   sweeps them.  A `--regime general` sweep over `velocity` or `gap-nm`
-  checks every row's velocity, gap and kernel band and takes all rows in
-  one `friction.general_forces` call.  At finite T, a row with
-  2 d omega_sp / v >= 40 is the force series wherever its bound holds
-  --rtol, and needs no Phi; the other rows take one k_x integral each,
-  with Phi at its nodes, all in one pass, each refined to --rtol on its
-  own.  Every other general force is the series, or the k_x integral
-  of its own point, by the same rule.  A bad input or a numerical
-  failure at a sweep row, in its k_x integral or in Phi at one of its
-  nodes, names the row and swept value as its `validity:` lines do
-  (`error: row 0 (velocity=-1.0): ...`,
-  `numerical failure: row 2 (nu_ev=1e-12): ...`).
+  takes all rows in one `friction.general_forces` call, of the rows'
+  velocities and gaps as lists.  Each row is checked once, in row
+  order: here its gap and velocity flags (the fixed one once, in the
+  first row), and in `general_forces` its point, velocity, gap and
+  kernel band.  At finite T, a row with 2 d omega_sp / v >= 40 is the
+  force series wherever its bound holds --rtol, and needs no Phi; the
+  other rows take one k_x integral each, with Phi at its nodes, all in
+  one pass, each refined to --rtol on its own.  Every other general
+  force is the series, or the k_x integral of its own point, by the
+  same rule.  A bad input or a numerical failure at a sweep row, in its
+  k_x integral or in Phi at one of its nodes, names the row and swept
+  value as its `validity:` lines do (`error: row 0 (velocity=-1.0): ...`,
+  `numerical failure: row 2 (nu_ev=1e-12): ...`); that label is formed
+  only for a row that prints a line or fails.
 - Each subcommand registers exactly the flags it reads, and argparse is
   the one source of configuration: defaults are stated in
   `add_argument`, except those of --nu-ev (0) and --rtol (1e-6), which
@@ -65,13 +68,14 @@ import json
 import math
 import sys
 
-from .numerics import CONST, NESTED_SPEC, FloatFailure, NonConvergence, QuadratureSpec, np
+from .numerics import (CONST, NESTED_SPEC, DomainError, FloatFailure, NonConvergence,
+                       QuadratureSpec, np)
 from .material import Drude, Tabulated, surface_response
 from .geometry import PlateConfig
 from .response import ThermalState
 from .friction import (
     FrictionResult,
-    _require_point,
+    _require_points,
     dissipation_general,
     force_linear,
     force_plasmon,
@@ -223,8 +227,16 @@ def build_thermal(raw) -> ThermalState:
     return ThermalState.finite(t)
 
 
+def _gap(gap_nm) -> float:
+    """The gap in m of a --gap-nm value, refused as `PlateConfig` refuses it."""
+    d = _checked(gap_nm, "--gap-nm") * CONST.nm
+    if not d > 0.0:  # below the floats in m
+        PlateConfig(d=d)
+    return d
+
+
 def build_plate(args: argparse.Namespace) -> PlateConfig:
-    return PlateConfig(d=_checked(args.gap_nm, "--gap-nm") * CONST.nm)
+    return PlateConfig(d=_gap(args.gap_nm))
 
 
 def _inputs_block(args: argparse.Namespace, resolved_regime: str | None = None) -> dict:
@@ -406,45 +418,72 @@ class RowFailure(Exception):
         self.level = getattr(exc, "level", None)
 
 
-def _sweep_forces(args: argparse.Namespace, key: str, rows, material,
-                  thermal: ThermalState | None, spec: QuadratureSpec):
-    """Each row's force, in order; a bad input at a row names it.
+def _general_rows(args: argparse.Namespace, key: str, swept: list[float], where, thermal):
+    """The velocities and gaps (m/s, m) of a general sweep's rows, checked as row by row.
 
-    Phi depends on the material and T only, so a general sweep over v or
-    d checks every row's gap, velocity and kernel band and takes all
-    rows in one `general_forces` call.  Any other sweep takes one force
-    per row.
+    Each row checks its gap, then its velocity, and the general force
+    then checks its point (`friction._require_points`, a DomainError
+    with the row's index); the flag the sweep holds fixed is checked
+    once, in the first row.  A row whose flag is refused is named by
+    ``where(i)``, unless an earlier row's point is refused.
+    """
+    fixed = args.gap_nm if key == "velocity" else args.velocity
+    speeds, gaps = [], []
+    for i, x in enumerate(swept):
+        try:
+            if key == "gap_nm" or not i:
+                d = _gap(x if key == "gap_nm" else fixed)
+            if key == "velocity" or not i:
+                v = _checked(x if key == "velocity" else fixed, "--velocity")
+        except ValueError as exc:
+            _require_points(speeds, gaps, thermal)
+            raise CLIError(f"{where(i)}{exc}") from exc
+        speeds.append(v)
+        gaps.append(d)
+    return speeds, gaps
+
+
+def _sweep_forces(args: argparse.Namespace, key: str, swept: list[float], where, material,
+                  thermal: ThermalState | None, spec: QuadratureSpec):
+    """Each row's force, in order; a bad input or a numerical failure at a row names it.
+
+    ``where(i)`` forms the label of row i.  Phi depends on the material
+    and T only, so a general sweep over v or d takes all rows in one
+    `general_forces` call, of the rows' velocities and gaps as lists:
+    each row's flags are checked here (`_general_rows`), and its point
+    once, by `general_forces`, and a label is formed only for a row that
+    fails.  Any other sweep takes one force per row, each with its label
+    for its auto note.
     """
     if args.regime == "general" and key in ("velocity", "gap_nm"):
-        gaps, speeds = [], []
-        for where, point in rows:
-            try:
-                gaps.append(build_plate(point).d)
-                speeds.append(_checked(point.velocity, "--velocity"))
-                _require_point(speeds[-1], gaps[-1], thermal)
-            except ValueError as exc:
-                raise CLIError(f"{where}{exc}") from exc
         try:
+            speeds, gaps = _general_rows(args, key, swept, where, thermal)
             results = general_forces(material, material, thermal, speeds, gaps, spec)
-        except (NonConvergence, FloatFailure) as exc:
-            if exc.index is None:  # the thermal scale, or the k_x pass as a whole
+        # the plates, the thermal scale, or the k_x pass as a whole name no row
+        except DomainError as exc:
+            if exc.index is None:
                 raise
-            raise RowFailure(rows[exc.index][0], exc) from exc
+            raise CLIError(f"{where(exc.index)}{exc}") from exc
+        except (NonConvergence, FloatFailure) as exc:
+            if exc.index is None:
+                raise
+            raise RowFailure(where(exc.index), exc) from exc
         yield from results
         return
-    for where, point in rows:
+    for i, x in enumerate(swept):
+        point = argparse.Namespace(**{**vars(args), key: x})
         try:
             result, _ = _force(
                 point,
                 build_material(point) if material is None else material,
                 build_thermal(point.temp_k) if thermal is None else thermal,
                 spec,
-                where,
+                where(i),
             )
         except (ValueError, TypeError) as exc:
-            raise CLIError(f"{where}{exc}") from exc
+            raise CLIError(f"{where(i)}{exc}") from exc
         except (NonConvergence, ArithmeticError) as exc:
-            raise RowFailure(where, exc) from exc
+            raise RowFailure(where(i), exc) from exc
         yield result
 
 
@@ -473,12 +512,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     material = None if key in ("wp_ev", "nu_ev") else build_material(args)
     thermal = None if key == "temp_k" else build_thermal(args.temp_k)
     swept = values.tolist()
-    rows = [(f"row {i} ({key}={x!r}): ", argparse.Namespace(**{**vars(args), key: x}))
-            for i, x in enumerate(swept)]
+
+    def where(i: int) -> str:
+        return f"row {i} ({key}={swept[i]!r}): "
+
     out = [f"index,{key},force_per_area_N_m2,regime"]
-    for i, result in enumerate(_sweep_forces(args, key, rows, material, thermal, _spec(args))):
-        _note_flags(result.diagnostics.validity_flags, rows[i][0])
-        out.append(",".join([str(i), repr(swept[i]), repr(result.force_per_area), result.regime]))
+    results = _sweep_forces(args, key, swept, where, material, thermal, _spec(args))
+    for i, (x, result) in enumerate(zip(swept, results)):
+        if result.diagnostics.validity_flags:
+            _note_flags(result.diagnostics.validity_flags, where(i))
+        out.append(f"{i},{x!r},{result.force_per_area!r},{result.regime}")
     print("\n".join(out))
     return 0
 

@@ -45,7 +45,10 @@ omega^(2i+1) meets the kernel in a moment M_mu = Int_0^inf x^mu K1(x) dx
 whose first order is LinearFiniteT and whose second tends to
 ZeroT_Cubic as T -> 0.  `general_forces` serves a point from it where
 2 d omega_sp / v >= 40 (omega_sp the smaller one) and its error bound
-holds ``spec.rel_tol``, with no k_x integral (`_series_forces`).  The
+holds ``spec.rel_tol``, with no k_x integral (`_series_forces`).  It
+sums at most FORCE_SERIES_ORDERS orders, and forms only those: the
+coefficients' contraction runs over them alone, and the orders of all
+the points of a call are one array.  The
 other points of a call, all of them at T = 0 and at finite T those the
 series refuses, take one k_x integral each (`_kx_integrals`), in
 x = 2 d k_x = 2 d omega / v,
@@ -96,7 +99,9 @@ Phi_1 = 4 pi^2 nu^2 / (3 beta^2 hbar^2 omega_sp^4) and
 Phi_3 = nu^2 / (3 omega_sp^4).  No result depends on the paper's
 oscillator densities rho1, rho2, and no function reads them.  Every
 force is one product of its factors, the coefficients' among them
-(`_force`), so that no intermediate leaves the floats.
+(`_force`), so that no intermediate leaves the floats: where every
+partial product is a normal float it is the plain product, with no
+split into mantissas and exponents.
 """
 
 from __future__ import annotations
@@ -128,6 +133,10 @@ LINEAR_FINITE_T = "LinearFiniteT"
 ZERO_T_CUBIC = "ZeroT_Cubic"
 GENERAL_NUMERIC = "GeneralNumeric"
 PLASMON_LINE = "PlasmonLine"
+
+#: The smallest normal float: above it, a partial product of `_force` rounds as its
+#: mantissa does.
+_NORMAL = sys.float_info.min
 
 @dataclass
 class Diagnostics:
@@ -164,11 +173,11 @@ def _require_velocity(v: float) -> None:
         raise DomainError(f"velocity must be finite and >= 0, got {v}")
 
 
-def _require_point(v: float, d: float, thermal: ThermalState) -> None:
-    """Refuse, with a DomainError, a point (v, d) that the general force cannot take."""
-    _require_velocity(v)
-    if not (d > 0 and math.isfinite(d)):
-        raise DomainError(f"gap d must be finite and > 0, got {d!r}")
+def _require_points(v: Sequence[float], d: Sequence[float], thermal: ThermalState) -> None:
+    """Refuse the first point (v[i], d[i]) that the general force cannot take.
+
+    The DomainError names the point's index i.
+    """
     power = 3 if thermal.is_zero else 1
     # the band [1e-4 s, 60 s] of omega = x s, s = v / (2d), holds all of the k_x integrand
     # but x^(2 + power) < 1e-11 of it below and e^-60 above; it must keep Phi's head
@@ -176,25 +185,46 @@ def _require_point(v: float, d: float, thermal: ThermalState) -> None:
     # finite at its high end, so that the integrand's nodes x s out to x = 745, where
     # the kernel is 0, and Phi at them stay inside the floats; and k_x = omega / v finite
     tiny, huge = sys.float_info.min ** (1.0 / power), sys.float_info.max ** (1.0 / (power + 1))
-    scale = v / (2.0 * d)
-    lo, hi = 1e-4 * scale, 60.0 * scale
-    if v and not (tiny <= lo and hi <= huge and hi / v < math.inf):
-        raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of v = {v!r} m/s, "
-                          f"d = {d!r} m leaves the float range of the general force")
+    for i, (vi, di) in enumerate(zip(v, d)):
+        if not 0.0 <= vi < math.inf:
+            raise DomainError(f"velocity must be finite and >= 0, got {vi}", index=i)
+        if not 0.0 < di < math.inf:
+            raise DomainError(f"gap d must be finite and > 0, got {di!r}", index=i)
+        scale = vi / (2.0 * di)
+        lo, hi = 1e-4 * scale, 60.0 * scale
+        if vi and not (tiny <= lo and hi <= huge and hi / vi < math.inf):
+            raise DomainError(f"the kernel band [{lo}, {hi}] rad/s of v = {vi!r} m/s, "
+                              f"d = {di!r} m leaves the float range of the general force",
+                              index=i)
 
 
 def _force(flags: list[str], level: str, quantity: Callable[[], str], factors,
            divisors=()) -> float:
     """prod(factors) / prod(divisors), with one rounding into the floats at the end.
 
-    Each operand is split into its mantissa in [0.5, 1) and its power of 2
-    (math.frexp), so that no intermediate leaves the normal floats; the
-    product of the mantissas takes its power of 2 last (math.ldexp).  A
-    result past the float range raises FloatFailure at ``level``; one below
-    the normal floats, of nonzero operands, is reported as 0 with an
-    "underflow:" flag appended to ``flags``.  ``quantity()`` names the
-    result in either text, and is called only then.
+    Each operand is split into its mantissa in [0.5, 1) and its power of
+    2 (math.frexp), so that no intermediate leaves the normal floats; the
+    product of the mantissas takes its power of 2 last (math.ldexp).
+    Where every partial product of the plain product, in order, is a
+    normal float, that split changes no rounding, and the plain product
+    is taken as it is.  A result past the float range raises
+    FloatFailure at ``level``; one below the normal floats, of nonzero
+    operands, is reported as 0 with an "underflow:" flag appended to
+    ``flags``.  ``quantity()`` names the result in either text, and is
+    called only then.
     """
+    result = 1.0
+    for x in factors:
+        result *= x
+        if not _NORMAL < abs(result) < math.inf:
+            break
+    else:
+        for x in divisors:
+            result /= x
+            if not _NORMAL < abs(result) < math.inf:
+                break
+        else:
+            return result
     mantissa, exponent = 1.0, 0
     for x in factors:
         f, k = math.frexp(x)
@@ -423,6 +453,10 @@ def _kernel(x):
 FORCE_SERIES_FROM = 40.0
 #: Orders the force series sums at most.
 FORCE_SERIES_ORDERS = 9
+#: hbar / (32 pi^3) and hbar / (16 pi^3): the constant factors of a force of the
+#: series and of a k_x integral.
+_SERIES_FACTOR = CONST.hbar / (32.0 * math.pi**3)
+_INTEGRAL_FACTOR = CONST.hbar / (16.0 * math.pi**3)
 
 
 def k1_moments(n: int) -> list[float]:
@@ -444,21 +478,24 @@ def _series_forces(material1: Drude, material2: Drude, b: float, v, d, points, r
     lossy, underdamped Drude plates where 2 d omega_sp / v >=
     FORCE_SERIES_FROM (omega_sp the smaller one).  With
     Phi = omega sum_i phi_(2i+1) ref^(2i) (omega / ref)^(2i)
-    (`_phi0.series_coefficients`, rows[0]), each power of omega meets the
-    kernel in a moment of K1 (`k1_moments`), and
+    (`_phi0.series_coefficients`, rows[0], formed for the
+    FORCE_SERIES_ORDERS orders that S sums at most), each power of omega
+    meets the kernel in a moment of K1 (`k1_moments`), and
 
         F = hbar v S / (32 pi^3 d^4),   S = sum_i rows[0, i] M_(2i+3) y^(2i),
 
-    y = v / (2 d ref): order i = 0 is the linear force.  S sums at most
-    FORCE_SERIES_ORDERS orders, and stops before the first that rises
-    after the first two (the first, Phi_1's, goes as T^2 and may be the
-    smaller at low T).  Its error is Phi's series bound (rows[1]) summed
-    the same way, the size of the last two orders kept, the lines' weight
-    (``lines``, a bound on Phi over the series' window) against
-    Int x^2 K1(x) dx = 2, and 4 FORCE_SERIES_ORDERS ulps of the sum of the
-    kept orders' sizes for the rounding.  A point is taken where that error is at
-    most rel_tol of S, and S is finite and at least the floor of Phi's
-    series (below it the terms may have left the normal floats).
+    y = v / (2 d ref): order i = 0 is the linear force.  S stops before
+    the first order that rises after the first two (the first, Phi_1's,
+    goes as T^2 and may be the smaller at low T).  Its error is Phi's
+    series bound (rows[1]) summed the same way, the size of the last two
+    orders kept, the lines' weight (``lines``, a bound on Phi over the
+    series' window) against Int x^2 K1(x) dx = 2, and 4 FORCE_SERIES_ORDERS
+    ulps of the sum of the kept orders' sizes for the rounding.  A point is
+    taken where that error is at most rel_tol of S, and S is finite and at
+    least the floor of Phi's series (below it the terms may have left the
+    normal floats).  The orders of all points are one array, and each
+    point's sums are numpy's sums over its own row, so that a point's S
+    does not depend on the others.
     """
     from ._phi0 import _SERIES_FLOOR, _underdamped, series_coefficients
 
@@ -468,24 +505,31 @@ def _series_forces(material1: Drude, material2: Drude, b: float, v, d, points, r
     fast = [i for i in points if FORCE_SERIES_FROM * v[i] <= 2.0 * d[i] * sp]
     if not fast:
         return {}
-    speeds, gaps = np.array([v[i] for i in fast]), np.array([d[i] for i in fast])
     n = FORCE_SERIES_ORDERS
     with np.errstate(all="ignore"):
-        ref, rows, lines = series_coefficients(material1, material2, b)
-        y2 = (speeds / (2.0 * gaps * ref)) ** 2
-        # orders[j, r, i]: rows[r, i] M_(2i+3) y^(2i) of point j, values (r = 0) and bounds
-        orders = rows[:, :n] * np.array(k1_moments(n)) * y2[:, None, None] ** np.arange(n)
-        sizes = np.abs(orders[:, 0])
-        rising = sizes[:, 2:] > sizes[:, 1:-1]
-        kept = np.where(rising.any(axis=1), 2 + rising.argmax(axis=1), n)
-        keep = np.arange(n) < kept[:, None]
-        sums = np.where(keep, orders[:, 0], 0.0).sum(axis=1)
-        last = np.take_along_axis(sizes, kept[:, None] - np.array([1, 2]), axis=1).sum(axis=1)
-        errors = (np.where(keep, orders[:, 1], 0.0).sum(axis=1) + last + 4.0 * lines * gaps / speeds
-                  + 4.0 * n * math.ulp(1.0) * np.where(keep, sizes, 0.0).sum(axis=1))
-        used = (_SERIES_FLOOR <= sums) & (sums < math.inf) & (errors <= rel_tol * sums)
-    return {i: (total, err) for i, total, err, ok
-            in zip(fast, sums.tolist(), errors.tolist(), used.tolist()) if ok}
+        ref, rows, lines = series_coefficients(material1, material2, b, n)
+        y2 = []
+        for i in fast:
+            y = v[i] / (2.0 * d[i] * ref)
+            y2.append(y * y)
+        # orders[j, r, i]: rows[r, i] M_(2i+3) y^(2i) of point j, values (r = 0), bounds,
+        # and the values' sizes; rising[j, k]: whether its order k + 2 rises, and True at
+        # k = n - 2, so that its first True is where its sums stop
+        terms = rows * np.array(k1_moments(n))
+        terms = np.concatenate((terms, np.abs(terms[:1])))
+        orders = terms * (np.array(y2)[:, None] ** np.arange(n))[:, None]
+        sizes = orders[:, 2]
+        rising = np.ones((len(fast), n - 1), dtype=bool)
+        np.greater(sizes[:, 2:], sizes[:, 1:-1], out=rising[:, :-1])
+        kept = 2 + rising.argmax(axis=1)
+        sums = np.where(np.arange(n) < kept[:, None, None], orders, 0.0).sum(axis=2)
+    ulps = 4.0 * n * math.ulp(1.0)
+    taken = {}
+    for i, k, (total, bound, size), row in zip(fast, kept.tolist(), sums.tolist(), sizes.tolist()):
+        err = bound + (row[k - 1] + row[k - 2]) + 4.0 * lines * d[i] / v[i] + ulps * size
+        if _SERIES_FLOOR <= total < math.inf and err <= rel_tol * total:
+            taken[i] = (total, err)
+    return taken
 
 
 def _kx_integrals(material1, material2, thermal, v, d, points, spec):
@@ -514,8 +558,7 @@ def _kx_integrals(material1, material2, thermal, v, d, points, spec):
         # by cuts graded toward it in the integrals that reach it below x = 60
         centre, half = (np.divide(w, scales, out=np.zeros(len(points)), where=c < 60.0 * scales)
                         for w in (c, width))
-        graded = graded_points(centre, half, 0.0, 60.0)
-        cuts = np.concatenate((cuts, np.where(graded < 60.0, graded, 0.0)), axis=1)
+        cuts = np.concatenate((cuts, graded_points(centre, half, 0.0, 60.0)), axis=1)
     tol = phi_tolerance(spec)
     # the rule leaves Phi its share of rel_tol, where Phi's floor leaves room for both
     rule = QuadratureSpec(spec.rel_tol - tol) if 2.0 * tol < spec.rel_tol else spec
@@ -565,16 +608,17 @@ def general_forces(
     """The general force at each point (v[i], d[i]): its force series, or its k_x integral.
 
     ``v`` and ``d`` are sequences of velocities and gaps (m/s, m) of one
-    length.  At finite T between lossy, underdamped Drude plates, a point
-    with 2 d omega_sp / v >= FORCE_SERIES_FROM (40; omega_sp the smaller
-    one) is the force series (`_series_forces`) wherever its error bound
-    is at most ``spec.rel_tol``: it needs no k_x integral, and
-    ``quadrature_rel_err`` is that bound.  Each other point with v > 0
-    takes one k_x integral, in x = 2 d k_x, of the one kernel x^2 K1(x)
-    (`_kernel`) times Phi(x v/(2d)) at the integral's own nodes, all in
-    one `numerics.integrate_semi_infinite` pass on the unit scale of x
-    (`_kx_integrals`).  Each integral is cut at x = 2 d omega / v of
-    the resonances omega_sp and the sum c of the two omega_sp of Drude
+    length, such as plain lists, and each point is checked once
+    (`_require_points`).  At finite T between lossy, underdamped Drude
+    plates, a point with 2 d omega_sp / v >= FORCE_SERIES_FROM (40;
+    omega_sp the smaller one) is the force series (`_series_forces`)
+    wherever its error bound is at most ``spec.rel_tol``: it needs no k_x
+    integral, and ``quadrature_rel_err`` is that bound.  Each other point
+    with v > 0 takes one k_x integral, in x = 2 d k_x, of the one kernel
+    x^2 K1(x) (`_kernel`) times Phi(x v/(2d)) at the integral's own
+    nodes, all in one `numerics.integrate_semi_infinite` pass on the unit
+    scale of x (`_kx_integrals`).  Each integral is cut at x = 2 d omega / v
+    of the resonances omega_sp and the sum c of the two omega_sp of Drude
     plates, where Phi has its kinks and peaks, and, where c lies below
     x = 60, graded toward Phi's peak there, (nu1 + nu2)/2 wide
     (`numerics.graded_points`), so that a fast force takes a few rounds
@@ -600,8 +644,9 @@ def general_forces(
     ------
     DomainError
         If a velocity is not finite and >= 0, a gap not finite and > 0,
-        or a point's kernel band leaves the float range; or, at any
-        v > 0, a plate's omega_p^2 (`response.require_plates`).
+        or a point's kernel band leaves the float range, with the
+        ``index`` of the first such point; or, at any v > 0, a plate's
+        omega_p^2 (`response.require_plates`).
     ValueError
         If ``v`` and ``d`` differ in length.
     TypeError
@@ -621,39 +666,40 @@ def general_forces(
     if len(v) != len(d):
         raise ValueError(f"need one gap per velocity, got {len(v)} velocities "
                          f"and {len(d)} gaps")
-    for vi, di in zip(v, d):
-        _require_point(vi, di, thermal)
-    results = [FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics()) for _ in v]
+    _require_points(v, d, thermal)
     live = [i for i, vi in enumerate(v) if vi]
-    if not live:
-        return results
-    b = require_plates(material1, material2, thermal)
-    by_series = _series_forces(material1, material2, b, v, d, live, spec.rel_tol)
-    by_kx = _kx_integrals(material1, material2, thermal, v, d,
-                          [i for i in live if i not in by_series], spec)
+    by_series = by_kx = {}
+    if live:
+        b = require_plates(material1, material2, thermal)
+        by_series = _series_forces(material1, material2, b, v, d, live, spec.rel_tol)
+        by_kx = _kx_integrals(material1, material2, thermal, v, d,
+                              [i for i in live if i not in by_series], spec)
     lossy = all(m.omega_p > 0.0 and m.nu > 0.0 for m in (material1, material2))
-    # each force is one product (`_force`): hbar v S / (32 pi^3 d^4) of the series' sum S,
-    # or hbar I / (16 pi^3 d^3) of the k_x integral I in x = 2 d k_x
-    series = ("force series hbar v S / (32 pi^3 d^4)", CONST.hbar / (32.0 * math.pi**3), 1, 4)
-    integral = ("force hbar Int x^2 K1(x) Phi dx / (16 pi^3 d^3)",
-                CONST.hbar / (16.0 * math.pi**3), 0, 3)
-    for i in live:
-        (value, err), (formula, constant, v_power, d_power) = (
-            (by_series[i], series) if i in by_series else (by_kx[i], integral))
-        diag = results[i].diagnostics
+    results = []
+    for i, (vi, di) in enumerate(zip(v, d)):
+        if not vi:
+            results.append(FrictionResult(0.0, GENERAL_NUMERIC, Diagnostics()))
+            continue
+        # each force is one product (`_force`): hbar v S / (32 pi^3 d^4) of the series'
+        # sum S, or hbar I / (16 pi^3 d^3) of the k_x integral I in x = 2 d k_x
+        if i in by_series:
+            (value, err), formula = by_series[i], "force series hbar v S / (32 pi^3 d^4)"
+            factors, divisors = (_SERIES_FACTOR, vi, value), (di, di, di, di)
+        else:
+            (value, err), formula = by_kx[i], "force hbar Int x^2 K1(x) Phi dx / (16 pi^3 d^3)"
+            factors, divisors = (_INTEGRAL_FACTOR, value), (di, di, di)
+        diag = Diagnostics(err / abs(value) if value else 0.0)
         if not value and lossy:
             diag.validity_flags.append(
                 "underflow: Phi is below the normal floats over the kernel band; reported as 0")
-        diag.quadrature_rel_err = err / abs(value) if value else 0.0
         try:
-            results[i].force_per_area = _force(
-                diag.validity_flags, "k_x",
-                lambda: f"{formula} at d = {d[i]!r} m, v = {v[i]!r} m/s",
-                (constant, *[v[i]] * v_power, value), [d[i]] * d_power)
+            force = _force(diag.validity_flags, "k_x",
+                           lambda: f"{formula} at d = {di!r} m, v = {vi!r} m/s", factors, divisors)
         except FloatFailure as exc:
             raise FloatFailure(str(exc), exc.level, index=i) from exc
         if not lossy:
             flag_lossless(diag, material1, material2)
+        results.append(FrictionResult(force, GENERAL_NUMERIC, diag))
     return results
 
 

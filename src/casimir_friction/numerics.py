@@ -57,7 +57,18 @@ np = _lazy("numpy")
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    Attributes
+    ----------
+    index : int or None
+        From `friction.general_forces`, the place among its points of the
+        point it refuses.  None from every other raiser.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonConvergence(RuntimeError):
@@ -286,23 +297,35 @@ def _integrate(f, a, b, owner, n, rel_tol):
 
 
 def graded_points(centre, width, lo, hi):
-    """The points centre -+ width 2^k, k = 0, 1, ..., until both ends of [lo, hi] are reached.
+    """The points centre -+ width 2^k, k = 0, 1, ..., that lie inside (lo, hi).
 
     The arguments broadcast together (floats or arrays); each centre's
-    points run along a new last axis, as many for every centre, and the
-    caller drops or clips those outside [lo, hi].  width 2^k is exact (inf
-    past the float range), for k up to 1023, where 2^k stays finite: a
-    width below 2^-1023 of the span stops short of the ends.  A width of 0
-    gives the centre itself.
+    points run along a new last axis, as many for every centre, and each
+    point outside (lo, hi) is lo, which an integral's cuts drop.  Only
+    the levels k that can reach into the range are formed: from the
+    lowest at which the widest step passes the smallest distance from a
+    centre to the range (0 if a centre is inside it) to the highest at
+    which the narrowest step passes the widest span.  width 2^k is exact
+    (inf past the float range), for k up to 1023, where 2^k stays finite:
+    a width below 2^-1023 of the span stops short of the ends.  A width
+    of 0 gives the centre itself.
     """
     centre, width, lo, hi = (np.asarray(x, dtype=float)[..., None] for x in (centre, width, lo, hi))
-    span = float(np.maximum(centre - lo, hi - centre).max())
+    below, above = centre - lo, hi - centre
     widths = width[width > 0]
-    # width 2^k > span from k = (exponent of span) - (exponent of width) + 1 on
-    levels = math.frexp(span)[1] - math.frexp(float(widths.min()))[1] + 1 if widths.size else 0
+    levels = range(1)
+    if widths.size:
+        # width 2^k stays below x up to k = e(x) - e(width) - 2, and passes it from
+        # e(x) - e(width) + 1 on; a centre inside the range is at 0 from it
+        outside = float(np.where(width > 0, np.maximum(-below, -above), np.inf).min())
+        near = math.frexp(outside)[1] - math.frexp(float(widths.max()))[1] - 1 if outside > 0 else 0
+        far = (math.frexp(float(np.maximum(below, above).max()))[1]
+               - math.frexp(float(widths.min()))[1] + 1)
+        levels = range(max(min(near, 1023), 0), max(min(far, 1023), 0) + 1)
     with np.errstate(over="ignore"):
-        steps = width * np.ldexp(1.0, np.arange(min(max(levels, 0), 1023) + 1))
-    return np.concatenate((centre - steps, centre + steps), axis=-1)
+        steps = width * np.ldexp(1.0, np.array(levels, dtype=np.intc))
+    points = np.concatenate((centre - steps, centre + steps), axis=-1)
+    return np.where((lo < points) & (points < hi), points, lo)
 
 
 def _segments(lo, hi, cuts):

@@ -225,8 +225,9 @@ def im_r_dissipation_integral(
     of cuts Phi builds itself.  The starting segments are split at 0, so
     that each lies on one side of it, and graded toward each feature of
     the integrand by the breakpoints c +- width 2^k of one
-    `numerics.graded_points` call over all the features and omegas, so
-    that each takes as many: a Drude plate's resonance (width nu) at
+    `numerics.graded_points` call over all the features and omegas, of
+    the levels k that reach into some omega's range, so that each takes
+    as many: a Drude plate's resonance (width nu) at
     +-omega_sp and at omega - omega_sp, and at finite T the thermal
     scale 2/(beta hbar) from 0.  Each value is held to `phi_tolerance`:
     PHI_TOL * ``spec.rel_tol``, or 1e-12 if that is larger.  All

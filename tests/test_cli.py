@@ -295,6 +295,18 @@ def test_general_sweep_names_the_row_whose_kernel_band_leaves_the_float_range(ca
                                       "--to", "1e300", "--points", "3"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("error: row 1 (velocity=1e+150): the kernel band [")
+    # a gap sweep names its row as well: at 1e-150 nm the band's top leaves the floats
+    code, out, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--velocity", "1", "--temp-k", "300",
+                                      "--regime", "general", "--param", "gap-nm", "--from", "1",
+                                      "--to", "1e-300", "--points", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: row 1 (gap_nm=1e-150): the kernel band [")
+    # rows fail in row order: row 0's band before row 2's refused --velocity
+    code, out, err = run_cli(capsys, ["sweep", *DRUDE_ARGS, "--gap-nm", "10", "--temp-k", "300",
+                                      "--regime", "general", "--param", "velocity", "--from",
+                                      "1e300", "--to", "-1", "--points", "3", "--scale", "lin"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: row 0 (velocity=1e+300): the kernel band [")
 
 
 @pytest.mark.parametrize("regime, temp, power, exponents", [
@@ -938,6 +950,13 @@ def test_lossless_plate_zero_is_flagged(capsys):
     assert [ln.split(",")[2] for ln in out.strip().split("\n")[1:]] == ["0.0", "0.0"]
     assert err.splitlines() == [f"validity: row {i} (velocity={v!r}): {flag}"
                                 for i, v in enumerate((1.0, 10.0))]
+    # and so does each row of a one-pass sweep over the gap
+    code, out, err = run_cli(capsys, ["sweep", *lossless, "--param", "gap-nm", "--from", "1",
+                                      "--to", "100", "--points", "3"])
+    assert code == 0
+    assert [ln.split(",")[2] for ln in out.strip().split("\n")[1:]] == ["0.0"] * 3
+    assert err.splitlines() == [f"validity: row {i} (gap_nm={d!r}): {flag}"
+                                for i, d in enumerate((1.0, 10.0, 100.0))]
 
 
 def test_sweep_auto_note_names_its_row(capsys):
@@ -1254,12 +1273,13 @@ def general_force(capsys, param, value, *extra):
 
 @pytest.mark.parametrize("param", ["velocity", "gap-nm"])
 def test_general_sweep_rows_match_force(capsys, param):
-    # every row's k_x integral is refined on its own segments, in the sweep's one
-    # pass as in the force's
+    # every row's force series, or k_x integral refined on its own segments, is the one
+    # its point has alone: the sweep's one general_forces call gives each row the force's
+    # float
     rows = general_sweep(capsys, param, 8)
     assert len(rows) == 8
     for value, force in rows:
-        assert force == pytest.approx(general_force(capsys, param, value), rel=1e-6, abs=0)
+        assert force == general_force(capsys, param, value)
 
 
 def test_general_sweep_rtol_tightens_its_kx_pass(capsys):

@@ -587,7 +587,7 @@ def test_fast_forces_reach_the_float_edge_of_the_kernel_band(thermal):
     # lies at x_c = 2 d c / v -> 0, where x^2 K1(x) ~ x: the force tends to the plasmon
     # line's hbar omega_sp^3 / (4 pi v^2 d), less the line width's first order, and
     # v^2 F holds from 1e20 m/s up to the fastest v whose kernel band stays in the
-    # floats (`friction._require_point`).  A Phi table whose band stopped above the
+    # floats (`friction._require_points`).  A Phi table whose band stopped above the
     # peak reported a flagged 0 past about 1e67 m/s at T = 0, and 1e144 m/s at 300 K
     power = 3 if thermal.is_zero else 1
     edge = sys.float_info.max ** (1.0 / (power + 1)) / 60.0 * 2.0 * PLATE.d * (1.0 - 1e-12)
@@ -632,6 +632,19 @@ SWEEPS = {
     "plasmon-cold": (COLD, np.logspace(4.0, 8.0, 9), [PLATE.d]),
     "plasmon-room": (ROOM, np.logspace(4.0, 8.0, 9), [PLATE.d]),
 }
+
+
+@pytest.mark.parametrize("thermal", [COLD, ROOM, ThermalState.finite(1000.0)],
+                         ids=["zero", "300K", "1000K"])
+def test_batch_rows_are_the_single_point_forces(thermal):
+    # a sweep hands all its rows to one general_forces call: each row, of the force series
+    # or of the k_x pass, is bit for bit the force, error and flags of its point alone
+    speeds = np.logspace(-1.0, 8.0, 33).tolist()
+    rows = general_forces(GOLD, GOLD, thermal, speeds, [PLATE.d] * len(speeds))
+    for row, v in zip(rows, speeds):
+        alone = dissipation_general(GOLD, GOLD, PLATE, thermal, v)
+        assert row.force_per_area == alone.force_per_area
+        assert row.diagnostics == alone.diagnostics
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)

@@ -219,13 +219,37 @@ def test_segments_drop_a_breakpoint_too_close_to_an_end_to_bisect():
 
 @pytest.mark.parametrize("width", [0.3, 1e-3, 1e-300, 0.0])
 def test_graded_points_are_exact_and_reach_both_ends(width):
-    # centre -+ width 2^k, k = 0, 1, ..., past both ends of [lo, hi]: exact down to a
-    # width of 1e-300, with no warning (any warning fails the suite); a width of 0
-    # gives the centre
+    # centre -+ width 2^k, k = 0, 1, ..., exact down to a width of 1e-300, with no
+    # warning (any warning fails the suite): every one inside (lo, hi) up to both ends,
+    # each side in order of k, and no other, the places left over holding lo; a width
+    # of 0 gives the centre
     below, above = np.split(numerics.graded_points(0.25, width, 0.0, 1.0), 2)
-    steps = np.ldexp(width, np.arange(below.size))
-    assert np.array_equal(below, 0.25 - steps) and np.array_equal(above, 0.25 + steps)
-    if width:
-        assert below.min() < 0.0 and above.max() > 1.0
-    else:
+    for sign, points in ((-1.0, below), (1.0, above)):
+        every = 0.25 + sign * np.ldexp(width, np.arange(1024))
+        inside = every[(every > 0.0) & (every < 1.0)]
+        kept = points[points != 0.0]
+        assert set(kept.tolist()) == set(inside.tolist())
+        assert np.array_equal(kept, np.sort(kept)[::int(sign)])
+    if not width:
         assert below.tolist() == above.tolist() == [0.25]
+
+
+
+
+def test_graded_points_of_centres_outside_the_range_take_only_the_levels_that_reach_it():
+    # Phi's fold at T = 0 below omega_sp / 2 runs over [0, omega / 2], and its lines
+    # at omega_sp, -omega_sp and omega - omega_sp lie outside it: their points start at
+    # the levels that reach it (4 of 12 on each side), not at the line width, and each
+    # row holds every point inside its own range
+    nu = 1e-3
+    left = np.linspace(0.01, 0.49, 50)
+    centre = np.stack(np.broadcast_arrays(1.0, -1.0, left - 1.0), axis=1)
+    graded = numerics.graded_points(centre, nu, 0.0, 0.5 * left[:, None])
+    assert graded.shape == (50, 3, 8)
+    steps = np.ldexp(nu, np.arange(1024))
+    for row, hi in enumerate(0.5 * left):
+        for feature in range(3):
+            every = centre[row, feature] + np.concatenate((-steps, steps))
+            points = graded[row, feature]
+            inside = every[(every > 0.0) & (every < hi)]
+            assert set(points[points != 0.0].tolist()) == set(inside.tolist())
