@@ -560,9 +560,13 @@ def _series(w, material1: Drude, material2: Drude, b: float):
     The bound takes the thermal weight of the lines (`_line_weight`) at
     each w where its bound over the window exceeds an ulp of Phi.  Each
     omega's sum has the same terms, so that it does not depend on the others.
+    The sums contract a C-ordered array of the coefficients, since einsum's
+    order of summation follows its operands' memory layout, so that Phi
+    depends on their values alone.
     """
     ref, rows, lines = series_coefficients(material1, material2, b)
-    sums = np.einsum("ij,kj->ki", np.vander((w / ref) ** 2, rows.shape[1], increasing=True), rows)
+    sums = np.einsum("ij,kj->ki", np.vander((w / ref) ** 2, rows.shape[1], increasing=True),
+                     np.ascontiguousarray(rows))
     phi = w * sums[0]
     bound = w * sums[1] + (lines + math.ulp(0.0))
     if lines:

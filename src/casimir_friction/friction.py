@@ -61,13 +61,17 @@ which decays on the unit scale.  They take one
 kernel times Phi at the pass's own nodes, by the package's one G7/K15
 rule; each bisection round takes K1 once, and Phi once
 (`response.im_r_dissipation_integral`), at the new nodes of every point
-where the kernel is not 0.  Each integral is cut at the Drude resonances
-omega_sp and c = omega_sp1 + omega_sp2, at x = 2 d omega / v below 60,
-and toward c, where Phi has a Lorentzian peak (nu1 + nu2)/2 wide, it
-starts graded: cuts at x_c +- 2^k (nu1 + nu2) d / v, k = 0, 1, ...
-(`numerics.graded_points`), the mesh that bisection would reach one
-round at a time.  Each is refined on its own segments, so that it does
-not depend on the other points' integrals.  Phi takes Drude plates
+where the kernel is not 0.  Each integral starts on a mesh that covers
+the kernel's tail, cut at x = 10 and 20 (`_KERNEL_CUTS`) past the last
+uniform segment of the mapped variable, which ends at x = 7; at the
+Drude resonances omega_sp and c = omega_sp1 + omega_sp2, at
+x = 2 d omega / v below 60, and one unit of x below each omega_sp's,
+where Phi climbs toward the line; and toward c, where Phi has a Lorentzian peak
+(nu1 + nu2)/2 wide, it starts graded: cuts at x_c +- 2^k (nu1 + nu2) d / v,
+k = 0, 1, ... (`numerics.graded_points`), the mesh that bisection would
+reach one round at a time.  So a force usually takes one round, and Phi
+one call.  Each is refined on its own segments, so that it does not
+depend on the other points' integrals.  Phi takes Drude plates
 only, so a general force on a tabulated material is a TypeError.
 Phi is one integral over the real line, folded at omega/2, and holds
 each node to `response.phi_tolerance` of itself: 1e-3 of
@@ -445,6 +449,14 @@ def _kernel(x):
     return x * (_xk1e_array(x) * np.exp(-x))
 
 
+#: Cuts of the kernel's own, in x, in every k_x integral.  The uniform start
+#: segments in t = x / (1 + x) (`numerics.integrate_semi_infinite`) leave all of
+#: x > 7 to one segment, and there x^2 K1(x) Phi, about x^5 K1(x) for a slow force
+#: at T = 0, holds a share that one K15 segment does not resolve: cut into three
+#: from the start, it needs no second round of bisection, and Phi no second call.
+_KERNEL_CUTS = (10.0, 20.0)
+
+
 #: The force series takes a point where x_sp = 2 d omega_sp / v, the kernel's x at
 #: the smaller omega_sp, is at least FORCE_SERIES_FROM.  There the moment of order
 #: i + 1 is (2i + 3)(2i + 5) times that of order i, against 1 / x_sp^2 <= 1/1600
@@ -537,7 +549,10 @@ def _kx_integrals(material1, material2, thermal, v, d, points, spec):
 
     One k_x pass serves them all (`general_forces`), Phi at its own nodes;
     an error adds the rule's |K15 - G7| and Phi's share, its tolerance
-    times I.
+    times I.  Each point's row of cuts holds the kernel's (`_KERNEL_CUTS`),
+    its resonances' x below 60, x_sp - 1 below each omega_sp's, and the
+    points graded toward c, so that its integral usually takes one round
+    of bisection: one call of Phi.
     """
     if not points:
         return {}
@@ -549,10 +564,15 @@ def _kx_integrals(material1, material2, thermal, v, d, points, spec):
     sp = [m.omega_sp for m in plates]
     c, width = sum(sp), 0.5 * sum(m.nu for m in plates)
     # a resonance is a cut at x = omega / s below 60, where K1 is still above e^-60;
-    # one far above would leave the floats as an x
+    # one far above would leave the floats as an x.  Below omega_sp, Phi climbs as
+    # 1 / (omega_sp - omega) up to within nu of it, and a cut at x_sp - 1 holds the
+    # climb's steep end on a segment of its own; the omega_sp are the first features,
+    # since c is their sum, and a cut at x <= 0 is dropped
     features = np.array(sorted({*sp, c}))
-    cuts = np.divide(features, column, out=np.zeros((len(points), features.size)),
-                     where=features < 60.0 * column)
+    at = np.divide(features, column, out=np.zeros((len(points), features.size)),
+                   where=features < 60.0 * column)
+    cuts = np.concatenate((np.broadcast_to(_KERNEL_CUTS, (len(points), len(_KERNEL_CUTS))),
+                           at, at[:, :len({*sp})] - 1.0), axis=1)
     if len(plates) == 2 and 0.0 < width < c:
         # the Lorentzian peak of Phi at the sum resonance c, (nu1 + nu2) / 2 wide, met
         # by cuts graded toward it in the integrals that reach it below x = 60
@@ -617,12 +637,15 @@ def general_forces(
     with v > 0 takes one k_x integral, in x = 2 d k_x, of the one kernel
     x^2 K1(x) (`_kernel`) times Phi(x v/(2d)) at the integral's own
     nodes, all in one `numerics.integrate_semi_infinite` pass on the unit
-    scale of x (`_kx_integrals`).  Each integral is cut at x = 2 d omega / v
-    of the resonances omega_sp and the sum c of the two omega_sp of Drude
-    plates, where Phi has its kinks and peaks, and, where c lies below
-    x = 60, graded toward Phi's peak there, (nu1 + nu2)/2 wide
-    (`numerics.graded_points`), so that a fast force takes a few rounds
-    of bisection, not one per halving of the distance to the peak.  The
+    scale of x (`_kx_integrals`).  Each integral is cut at the kernel's own
+    x = 10 and 20 (`_KERNEL_CUTS`), which cover its tail past the start
+    mesh's last segment, at x = 2 d omega / v of the resonances omega_sp
+    and the sum c of the two omega_sp of Drude plates, where Phi has its
+    kinks and peaks, one unit of x below each omega_sp's, where Phi climbs
+    toward the line, and, where c lies below x = 60, graded toward Phi's
+    peak there, (nu1 + nu2)/2 wide (`numerics.graded_points`).  So a force
+    usually takes one round of bisection, and Phi one call, and a fast one
+    a few, not one per halving of the distance to the peak.  The
     k_y integral is the closed form k_x K1(2 d k_x), and the force is
     hbar / (16 pi^3 d^3) times the integral.  Each integral is refined on
     its own segments, so it does not depend on the others in the pass.

@@ -481,6 +481,24 @@ def test_general_force_error_budget_on_the_reference_pool(monkeypatch):
                        + kx.diagnostics.quadrature_rel_err), f"pool point {i} under-reports"
 
 
+def test_reference_pool_takes_one_phi_call_per_kx_point_below_1e7_m_s(monkeypatch):
+    # the k_x pass starts on a mesh that covers the kernel's tail (cuts at x = 10 and
+    # 20) and Phi's climb below omega_sp (a cut at x_sp - 1), so that a k_x point below
+    # 1e7 m/s takes one bisection round, one call of Phi: 229 calls on 25,809 nodes
+    # when the tail past x = 7 took a second round for most of them
+    pool = json.loads(REFS.read_text(encoding="utf-8"))["force_box"]["pool"]
+    series = served_by_series(monkeypatch)
+    calls = counted_phi(monkeypatch)
+    for i, p in enumerate(pool):
+        metal = Drude(omega_p=p["wp_ev"] * EV, nu=p["nu_ev"] * EV)
+        thermal = COLD if p["temp_k"] is None else ThermalState.finite(p["temp_k"])
+        before = len(calls)
+        dissipation_general(metal, metal, PlateConfig(d=p["gap_nm"] * CONST.nm), thermal, p["v"])
+        if not series[-1] and p["v"] < 1e7:
+            assert len(calls) - before == 1, f"pool point {i}"
+    assert len(calls) <= 140 and sum(calls) <= 25809
+
+
 def test_k1_moments_are_the_linear_and_cubic_ones_and_their_recurrence():
     # M_mu = Int_0^inf x^mu K1(x) dx: 3 pi / 2 and 45 pi / 2 weigh Phi_1 and Phi_3 in
     # the linear and the cubic force, and each order of the force series weighs
