@@ -113,8 +113,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .numerics import (
     CONST,
@@ -123,6 +122,7 @@ from .numerics import (
     FloatFailure,
     NonConvergence,
     QuadratureSpec,
+    _Record,
     float_guard,
     graded_points,
     integrate_semi_infinite,
@@ -142,27 +142,32 @@ PLASMON_LINE = "PlasmonLine"
 #: mantissa does.
 _NORMAL = sys.float_info.min
 
-@dataclass
-class Diagnostics:
+class Diagnostics(_Record, frozen=False):
     """Quadrature quality and validity bookkeeping attached to each result.
 
     A closed form used near or beyond its validity window appends a
-    message to ``validity_flags``; the result is the only place a flag
-    is reported.
+    message to ``validity_flags`` (a new empty list where none is given);
+    the result is the only place a flag is reported.
     """
 
-    quadrature_rel_err: float = 0.0
-    validity_flags: list[str] = field(default_factory=list)
-    suppression_exponent: float | None = None
+    __match_args__ = ("quadrature_rel_err", "validity_flags", "suppression_exponent")
+
+    def __init__(self, quadrature_rel_err: float = 0.0, validity_flags: list[str] | None = None,
+                 suppression_exponent: float | None = None):
+        self.quadrature_rel_err = quadrature_rel_err
+        self.validity_flags = [] if validity_flags is None else validity_flags
+        self.suppression_exponent = suppression_exponent
 
 
-@dataclass
-class FrictionResult:
+class FrictionResult(_Record, frozen=False):
     """Friction force per unit area (magnitude; it opposes the relative motion)."""
 
-    force_per_area: float
-    regime: str
-    diagnostics: Diagnostics
+    __match_args__ = ("force_per_area", "regime", "diagnostics")
+
+    def __init__(self, force_per_area: float, regime: str, diagnostics: Diagnostics):
+        self.force_per_area = force_per_area
+        self.regime = regime
+        self.diagnostics = diagnostics
 
 
 def flag_lossless(diag: Diagnostics, *materials: MaterialModel) -> None:
@@ -573,10 +578,12 @@ def _kx_integrals(material1, material2, thermal, v, d, points, spec):
                    where=features < 60.0 * column)
     cuts = np.concatenate((np.broadcast_to(_KERNEL_CUTS, (len(points), len(_KERNEL_CUTS))),
                            at, at[:, :len({*sp})] - 1.0), axis=1)
-    if len(plates) == 2 and 0.0 < width < c:
+    reach = c < 60.0 * scales
+    if len(plates) == 2 and 0.0 < width < c and reach.any():
         # the Lorentzian peak of Phi at the sum resonance c, (nu1 + nu2) / 2 wide, met
-        # by cuts graded toward it in the integrals that reach it below x = 60
-        centre, half = (np.divide(w, scales, out=np.zeros(len(points)), where=c < 60.0 * scales)
+        # by cuts graded toward it in the integrals that reach it below x = 60; where
+        # none does, every graded point would be 0, a cut the integrals drop
+        centre, half = (np.divide(w, scales, out=np.zeros(len(points)), where=reach)
                         for w in (c, width))
         cuts = np.concatenate((cuts, graded_points(centre, half, 0.0, 60.0)), axis=1)
     tol = phi_tolerance(spec)

@@ -10,17 +10,18 @@ as fields with a default only because existing callers, such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .numerics import _Record, _set_field
 
 
-@dataclass(frozen=True)
-class PlateConfig:
+class PlateConfig(_Record):
     """Gap d (m); rho1, rho2 (1/m^3) are accepted and never read."""
 
-    d: float
-    rho1: float = 1e28
-    rho2: float = 1e28
+    __match_args__ = ("d", "rho1", "rho2")
 
-    def __post_init__(self):
-        if not (self.d > 0 and math.isfinite(self.d)):
-            raise ValueError(f"gap d must be finite and > 0, got {self.d}")
+    def __init__(self, d: float, rho1: float = 1e28, rho2: float = 1e28):
+        if not (d > 0 and math.isfinite(d)):
+            raise ValueError(f"gap d must be finite and > 0, got {d}")
+        _set_field(self, "d", d)
+        _set_field(self, "rho1", rho1)
+        _set_field(self, "rho2", rho2)

@@ -27,29 +27,27 @@ delta(omega - omega_sp), whose force is the closed form
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 
-from .numerics import DomainError, float_guard, np
+from .numerics import DomainError, _Record, _set_field, float_guard, np
 
 
 class SingularResponse(ArithmeticError):
     """eps is at (or numerically indistinguishable from) the surface-mode pole eps = -1."""
 
 
-@dataclass(frozen=True)
-class Drude:
+class Drude(_Record):
     """Drude metal: plasma frequency omega_p and damping rate nu, both rad/s."""
 
-    omega_p: float
-    nu: float = 0.0
+    __match_args__ = ("omega_p", "nu")
 
-    def __post_init__(self):
-        if not (self.omega_p >= 0 and math.isfinite(self.omega_p)):
-            raise ValueError(f"omega_p must be finite and >= 0, got {self.omega_p}")
-        if not (self.nu >= 0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
+    def __init__(self, omega_p: float, nu: float = 0.0):
+        if not (omega_p >= 0 and math.isfinite(omega_p)):
+            raise ValueError(f"omega_p must be finite and >= 0, got {omega_p}")
+        if not (nu >= 0 and math.isfinite(nu)):
+            raise ValueError(f"nu must be finite and >= 0, got {nu}")
+        _set_field(self, "omega_p", omega_p)
+        _set_field(self, "nu", nu)
 
     @property
     def omega_sp(self) -> float:
@@ -67,8 +65,7 @@ class Drude:
             return 1.0 + self.omega_p**2 / (xi * (xi + self.nu))
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Record):
     """Tabulated complex permittivity on a strictly increasing omega grid.
 
     Interpolation is linear in log(omega), separately for the real and
@@ -78,12 +75,11 @@ class Tabulated:
     eps that is not finite or not passive, is a ValueError.
     """
 
-    omega: np.ndarray
-    eps: np.ndarray
+    __match_args__ = ("omega", "eps")
 
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        ep = np.asarray(self.eps, dtype=complex)
+    def __init__(self, omega: np.ndarray, eps: np.ndarray):
+        om = np.asarray(omega, dtype=float)
+        ep = np.asarray(eps, dtype=complex)
         if om.ndim != 1 or om.size < 2:
             raise ValueError("need at least two (omega, eps) samples")
         if ep.shape != om.shape:
@@ -101,9 +97,9 @@ class Tabulated:
             i = np.flatnonzero(active)[0]
             raise ValueError(f"passivity violated at omega={om[i]}: Im eps = {ep[i].imag} > 0 "
                              f"in the xi = i omega convention ({-ep[i].imag} < 0 in a CSV file's)")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "eps", ep)
-        object.__setattr__(self, "_log_omega", np.log(om))
+        _set_field(self, "omega", om)
+        _set_field(self, "eps", ep)
+        _set_field(self, "_log_omega", np.log(om))
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -113,6 +109,8 @@ class Tabulated:
         into the internal convention on load.  A row that is not three
         numbers raises ValueError naming its line.
         """
+        import csv  # only a file load reads CSV
+
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -25,7 +25,12 @@ numpy is bound lazily: `np` here is the module that
 numpy at its first attribute access and is then numpy itself, so a call
 that never touches an array (the closed forms, `compare`) does not pay
 numpy's import.  The package's other modules take `np` from here, and
-the rule's constants are built on first use (`_rule`).
+the rule's constants are built on first use (`_rule`).  The package's
+value classes (`QuadratureSpec` and `PhysicalConstants` here, the
+materials, the temperature, the plates and the results) share the small
+base `_Record`, which gives them a dataclass's repr, equality and hash
+without importing `dataclasses`, and with it inspect and ast, into a
+cold CLI call.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import operator
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable
 
 
 def _lazy(name: str):
@@ -130,8 +135,60 @@ def float_guard(level: str, quantity: str):
         raise FloatFailure(f"{quantity}: {exc}", level) from exc
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+#: Sets a field of a frozen `_Record` in its ``__init__``, past the refusal of assignment.
+_set_field = object.__setattr__
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """A value class: repr, equality and hash by its fields, as a dataclass has them.
+
+    A subclass names its fields, in order, in ``__match_args__``, and sets
+    and checks them in its own ``__init__``.  Two instances of one class
+    are equal where their field values are, compared as one
+    `operator.attrgetter` of the fields reads them, and repr shows those
+    values.  A frozen subclass (the default; ``frozen=False`` in the class
+    statement makes a mutable one) refuses assignment, so its ``__init__``
+    sets its fields with `_set_field`, and hashes by its field values; a
+    mutable one is unhashable.  Pickling and copying take an instance's
+    ``__dict__``, as they do any object's.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each class's methods close over its own key: looked up on the
+        # instance at each call, it would cost a hash about a tenth more
+        key = operator.attrgetter(*cls.__match_args__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__ if frozen else None
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class QuadratureSpec(_Record):
     """The tolerance of one quadrature call.
 
     Parameters
@@ -142,14 +199,15 @@ class QuadratureSpec:
         keeps the Kronrod-Gauss differences from falling much below that.
     """
 
-    rel_tol: float = 1e-9
+    __match_args__ = ("rel_tol",)
 
-    def __post_init__(self):
-        if not (self.rel_tol >= 50 * sys.float_info.epsilon and math.isfinite(self.rel_tol)):
+    def __init__(self, rel_tol: float = 1e-9):
+        if not (rel_tol >= 50 * sys.float_info.epsilon and math.isfinite(rel_tol)):
             raise ValueError(
                 f"rel_tol must be finite and >= 50 machine epsilons "
-                f"({50 * sys.float_info.epsilon:.3g}), got {self.rel_tol}"
+                f"({50 * sys.float_info.epsilon:.3g}), got {rel_tol}"
             )
+        _set_field(self, "rel_tol", rel_tol)
 
 
 #: Default for 1D integrals; closed-form cross-checks demand <= 1e-8 agreement.
@@ -162,14 +220,19 @@ NESTED_SPEC = QuadratureSpec(rel_tol=1e-6)
 MAX_BISECTIONS = 200
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """CODATA values, SI.  k_B, eV and hbar are exact by definition."""
 
-    hbar: float = 1.054571817e-34  # J s
-    k_B: float = 1.380649e-23      # J/K
-    eV: float = 1.602176634e-19    # J
-    nm: float = 1e-9               # m
+    __match_args__ = ("hbar", "k_B", "eV", "nm")
+
+    def __init__(self, hbar: float = 1.054571817e-34,  # J s
+                 k_B: float = 1.380649e-23,            # J/K
+                 eV: float = 1.602176634e-19,          # J
+                 nm: float = 1e-9):                    # m
+        _set_field(self, "hbar", hbar)
+        _set_field(self, "k_B", k_B)
+        _set_field(self, "eV", eV)
+        _set_field(self, "nm", nm)
 
 
 CONST = PhysicalConstants()

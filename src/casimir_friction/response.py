@@ -71,8 +71,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .material import Drude, surface_response
 from .numerics import (
@@ -82,22 +81,23 @@ from .numerics import (
     FloatFailure,
     NonConvergence,
     QuadratureSpec,
+    _Record,
+    _set_field,
     graded_points,
     integrate_finite,
     np,
 )
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(_Record):
     """Equilibrium temperature, with an explicit T = 0 mode."""
 
-    temperature: float | None  # K; None means T = 0
+    __match_args__ = ("temperature",)
 
-    def __post_init__(self):
-        t = self.temperature
-        if t is not None and not (t > 0 and math.isfinite(t)):
-            raise ValueError(f"temperature must be finite and > 0 K, got {t}")
+    def __init__(self, temperature: float | None):  # K; None means T = 0
+        if temperature is not None and not (temperature > 0 and math.isfinite(temperature)):
+            raise ValueError(f"temperature must be finite and > 0 K, got {temperature}")
+        _set_field(self, "temperature", temperature)
 
     @classmethod
     def finite(cls, temperature: float) -> "ThermalState":

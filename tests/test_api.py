@@ -1,8 +1,9 @@
-import dataclasses
+import copy
 import importlib
 import inspect
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -80,7 +81,7 @@ def test_density_layer_is_gone():
 
 def test_unread_fields_are_gone():
     def fields(cls):
-        return {f.name for f in dataclasses.fields(cls)}
+        return set(cls.__match_args__)
 
     assert fields(numerics.QuadratureSpec) == {"rel_tol"}
     assert fields(friction.FrictionResult) == {"force_per_area", "regime", "diagnostics"}
@@ -103,6 +104,68 @@ def test_unread_fields_are_gone():
         "f", "a", "b", "spec", "cuts",
     ]
     assert list(inspect.signature(numerics._segments).parameters) == ["lo", "hi", "cuts"]
+
+
+# each value class: the arguments of one instance, of one that differs from it
+# by value, and the instance's repr
+VALUE_CLASSES = [
+    (numerics.QuadratureSpec, {"rel_tol": 1e-7}, {"rel_tol": 1e-8},
+     "QuadratureSpec(rel_tol=1e-07)"),
+    (numerics.PhysicalConstants, {}, {"nm": 2e-9},
+     "PhysicalConstants(hbar=1.054571817e-34, k_B=1.380649e-23, eV=1.602176634e-19, nm=1e-09)"),
+    (material.Drude, {"omega_p": 1.5e16, "nu": 5e13}, {"omega_p": 1.5e16},
+     "Drude(omega_p=1.5e+16, nu=50000000000000.0)"),
+    (response.ThermalState, {"temperature": 300.0}, {"temperature": None},
+     "ThermalState(temperature=300.0)"),
+    (geometry.PlateConfig, {"d": 1e-8}, {"d": 2e-8},
+     "PlateConfig(d=1e-08, rho1=1e+28, rho2=1e+28)"),
+    (friction.Diagnostics, {"quadrature_rel_err": 1e-9, "validity_flags": ["far"]}, {},
+     "Diagnostics(quadrature_rel_err=1e-09, validity_flags=['far'], suppression_exponent=None)"),
+    (friction.FrictionResult,
+     {"force_per_area": 2.5, "regime": "LinearFiniteT", "diagnostics": friction.Diagnostics()},
+     {"force_per_area": 2.5, "regime": "LinearFiniteT", "diagnostics": friction.Diagnostics(1e-9)},
+     "FrictionResult(force_per_area=2.5, regime='LinearFiniteT', diagnostics="
+     "Diagnostics(quadrature_rel_err=0.0, validity_flags=[], suppression_exponent=None))"),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, text", VALUE_CLASSES,
+                         ids=[case[0].__name__ for case in VALUE_CLASSES])
+def test_value_classes_compare_hash_print_and_copy_by_value(cls, args, other, text):
+    value = cls(**args)
+    assert repr(value) == text
+    assert value == cls(**args) and value is not cls(**args)
+    assert value != cls(**other) and value != object()
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is cls and clone == value and repr(clone) == text
+    name = next(iter(args), "hbar")
+    if cls in (friction.Diagnostics, friction.FrictionResult):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        setattr(value, name, None)
+        assert getattr(value, name) is None and value != cls(**args)
+    else:
+        assert hash(value) == hash(cls(**args))
+        assert {value, cls(**args), cls(**other)} == {value, cls(**other)}
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, getattr(cls(**other), name))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        assert repr(value) == text
+
+
+def test_tabulated_copies_by_value_and_refuses_assignment():
+    table = material.Tabulated(omega=[1e13, 1e14], eps=[-50 - 5j, -20 - 2j])
+    assert repr(table) == ("Tabulated(omega=array([1.e+13, 1.e+14]), "
+                           "eps=array([-50.-5.j, -20.-2.j]))")
+    assert table == table
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
+    with pytest.raises(AttributeError, match="cannot assign to field 'eps'"):
+        table.eps = table.eps.conj()
+    for clone in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+        assert type(clone) is material.Tabulated and repr(clone) == repr(table)
+        assert clone.eps_at(3e13) == table.eps_at(3e13)
 
 
 def test_the_package_is_its_force_path(capsys):

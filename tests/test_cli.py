@@ -1433,13 +1433,15 @@ def test_series_path_loads_neither_mpmath_nor_scipy():
 
 
 #: In a fresh interpreter: import the package, run each argv of argv[1] through
-#: cli.main, then the general force of argv[2].  Prints the numpy submodules and
-#: scipy modules loaded after each step (numpy itself may be a lazy placeholder),
-#: then the exit codes and the general force's stdout.
+#: cli.main, then the general force of argv[2].  Prints the numpy submodules, the
+#: scipy modules, and dataclasses, csv and the modules dataclasses pulls in, loaded
+#: after each step (numpy itself may be a lazy placeholder), then the exit codes and
+#: the general force's stdout.
 COLD_PROBE = """
 import contextlib, io, json, sys
 def loaded():
-    return [m for m in sys.modules if m.startswith(("numpy.", "scipy", "casimir_friction._phi0"))]
+    return [m for m in sys.modules if m.startswith(("numpy.", "scipy", "casimir_friction._phi0"))
+            or m in ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")]
 import casimir_friction
 steps = {"import casimir_friction": (0, loaded())}
 from casimir_friction.cli import main

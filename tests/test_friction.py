@@ -588,6 +588,25 @@ def test_kx_pass_starts_graded_toward_the_sum_resonance(monkeypatch, case):
     assert dev <= row.diagnostics.quadrature_rel_err + tight.diagnostics.quadrature_rel_err
 
 
+@pytest.mark.parametrize("v, grades", [(1.0, 0), (3e7, 1)], ids=["slow", "fast"])
+def test_kx_pass_grades_toward_the_sum_resonance_only_where_an_integral_reaches_it(
+        monkeypatch, v, grades):
+    # at 1 m/s the sum resonance lies far past x = 60 (x_c = 2 d c / v ~ 4e8), where
+    # every graded point would be 0, a cut the integral drops: the pass forms none;
+    # at 3e7 m/s it lies at x_c ~ 13 and the pass grades toward it once
+    calls = []
+    real = friction.graded_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(friction, "graded_points", counting)
+    row = dissipation_general(GOLD, GOLD, PLATE, COLD, v)
+    assert len(calls) == grades
+    assert 0.0 < row.diagnostics.quadrature_rel_err <= NESTED_SPEC.rel_tol
+
+
 @pytest.mark.parametrize("slow", [1e-200, 1e-295])
 def test_one_kx_pass_from_far_below_one_rad_s_to_the_sum_resonance(slow):
     # one k_x pass takes a point far below 1 rad/s and one at the sum resonance; each
